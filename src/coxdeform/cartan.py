@@ -15,6 +15,7 @@ import numpy as np
 
 from coxdeform import vinberg
 from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+from coxdeform.polytope import _pair
 
 ZERO_TYPE_TOL = 1e-9
 ENTRY_TOL = 1e-9
@@ -22,10 +23,6 @@ ENTRY_TOL = 1e-9
 
 class CartanError(ValueError):
     pass
-
-
-def _pair(i, j):
-    return (i, j) if i < j else (j, i)
 
 
 class CartanMatrix:
@@ -230,11 +227,19 @@ def smallest_real_eigenvalue(M, tol=1e-12):
         S = (d[:, None] * M) / d[None, :]
         if np.abs(S - S.T).max() <= 1e-8 * scale:
             return float(np.linalg.eigvalsh((S + S.T) / 2.0)[0])
-    lam = np.linalg.eigvals(M)
-    real = lam[np.abs(lam.imag) <= 1e-9 * max(np.abs(lam).max(), 1.0)].real
-    if len(real) == 0:
+    return smallest_real_eigenpair(M)[0]
+
+
+def smallest_real_eigenpair(M):
+    """Smallest real eigenvalue of M by a general eigensolve, with its real
+    eigenvector signed to a non-negative sum."""
+    lam, vecs = np.linalg.eig(M)
+    real = np.flatnonzero(np.abs(lam.imag) <= 1e-9 * max(np.abs(lam).max(), 1.0))
+    if not len(real):
         raise CartanError("no real eigenvalue found (sign conditions violated?)")
-    return float(real.min())
+    k = real[np.argmin(lam.real[real])]
+    u = vecs[:, k].real
+    return float(lam[k].real), (u if u.sum() >= 0 else -u)
 
 
 def decompose_components(A, zero_tol=ZERO_TYPE_TOL):
@@ -402,13 +407,8 @@ def realize_point_from_cartan(A, n, policy=DEFAULT_RANK_POLICY, tol=1e-9):
     err = np.abs(point.cartan() - A.entries).max()
     if err > tol * scale:
         raise CartanError(f"factorization error {err:.3e} exceeds tolerance")
-    index = A.equation_index(n)
-    membership = check_U_membership_of(A, point, n)
+    membership = vinberg.check_U_membership(A.equation_index(n), point)
     if not membership.passed:
         raise CartanError(f"factorized point fails domain membership: "
                           f"{membership.failures}")
     return point
-
-
-def check_U_membership_of(A, point, n):
-    return vinberg.check_U_membership(A.equation_index(n), point)

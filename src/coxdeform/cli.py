@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from coxdeform import bundled, cartan, lorentz, matchstats, orbifold, polytope, serialize, vinberg
-from coxdeform.numerics import RankPolicy
+from coxdeform.numerics import RankPolicy, numerical_rank
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -174,9 +174,8 @@ def cmd_dim(args):
     policy = RankPolicy(rel_tol=args.rank_tol)
     R, method = _realize(Q, args)
     p = vinberg.hyperbolic_point(R)
-    dim_report = vinberg.local_deformation_dimension(Q, p, policy)
     rank_sum = vinberg.check_rank_sum(Q, p, policy)
-    ker_psi = lorentz.kernel_dimension(Q, R.normals, policy)
+    dim_report = rank_sum.rank_phi
     membership = vinberg.check_U_membership(Q, p)
     report = {
         "command": "dim",
@@ -187,7 +186,7 @@ def cmd_dim(args):
         "counts": orbifold.counts(Q),
         "rank_phi": dim_report,
         "rank_psi": {"rank": rank_sum.rank_psi.rank,
-                     "kernel_dim": ker_psi,
+                     "kernel_dim": rank_sum.rank_psi.kernel_dim,
                      "uncertain": rank_sum.rank_psi.uncertain},
         "rank_sum": {"identity_holds": rank_sum.identity_holds,
                      "e2": rank_sum.e2,
@@ -209,8 +208,6 @@ def cmd_cartan(args):
         doc = json.load(fh)
     A = serialize.load_cartan(doc)
     policy = RankPolicy(rel_tol=args.rank_tol)
-    from coxdeform.numerics import numerical_rank
-
     rank = numerical_rank(A.entries, policy)
     n = args.n if args.n is not None else rank.rank - 1
     conditions = cartan.check_vinberg_conditions(A)
@@ -292,10 +289,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report, status = COMMANDS[args.command](args)
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except NUMERICAL_ERRORS as exc:
+    except (NumericalFailure, *NUMERICAL_ERRORS) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except VALIDATION_ERRORS as exc:

@@ -270,16 +270,17 @@ def kernel_dimension(Q, normals, policy=DEFAULT_RANK_POLICY):
 
 
 def random_lorentz_transform(dim, rng, scale=0.3):
-    """A random element of O(1, n-1)+ via the exponential of a so(1,n) matrix."""
-    from scipy.linalg import expm
-
+    """A random element of SO(1, dim-1)+ via the Cayley map
+    (I - X/2)^{-1} (I + X/2) of a small so(1, dim-1) matrix X, which lands
+    in the group exactly."""
     X = np.zeros((dim, dim))
     v = rng.normal(size=dim - 1) * scale
     W = rng.normal(size=(dim - 1, dim - 1)) * scale
     X[0, 1:] = v
     X[1:, 0] = v
     X[1:, 1:] = (W - W.T) / 2.0
-    return expm(X)
+    I = np.eye(dim)
+    return np.linalg.solve(I - X / 2.0, I + X / 2.0)
 
 
 # -- seed library --------------------------------------------------------------

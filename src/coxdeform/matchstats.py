@@ -21,6 +21,7 @@ import numpy as np
 
 from coxdeform import orbifold as ob
 from coxdeform import polytope as pt
+from coxdeform.polytope import _pair
 
 EXACT_EDGE_LIMIT = 14
 EXACT_BUDGET = 2 ** 28
@@ -28,10 +29,6 @@ EXACT_BUDGET = 2 ** 28
 
 class GraphConditionError(ValueError):
     pass
-
-
-def _pair(i, j):
-    return (i, j) if i < j else (j, i)
 
 
 # -- labelings ----------------------------------------------------------------
@@ -193,15 +190,8 @@ def removable_edges(P, face):
 
 def validate_face_order(P, labels, ordering):
     """Every face has at most three 0-edges shared with higher-indexed faces."""
-    pos = {facet: k for k, facet in enumerate(ordering)}
-    if sorted(ordering) != sorted(P.facets):
-        return False
-    for i in P.facets:
-        later = [j for j in P.facets if j != i and P.adjacent(i, j)
-                 and labels[_pair(i, j)] == 0 and pos[j] > pos[i]]
-        if len(later) > 3:
-            return False
-    return True
+    Q = ob.CoxeterOrbifold(P, {r: (2 if labels[r] == 0 else 3) for r in P.ridges})
+    return ob.check_weak_ordering(Q, ordering)
 
 
 def construct_weak_order(P, labels):
@@ -317,21 +307,6 @@ def _wilson_interval(successes, total, z=1.959963984540054):
     return phat, min(max(0.0, center - half), phat), max(min(1.0, center + half), phat)
 
 
-def _greedy_peel(P, zero_pairs):
-    zero_adj = {i: set() for i in P.facets}
-    for i, j in zero_pairs:
-        zero_adj[i].add(j)
-        zero_adj[j].add(i)
-    remaining = set(P.facets)
-    while remaining:
-        pick = next((i for i in sorted(remaining)
-                     if len(zero_adj[i] & remaining) <= 3), None)
-        if pick is None:
-            return False
-        remaining.remove(pick)
-    return True
-
-
 class _AssignmentModel:
     """Edge indexing, constraint tables and weak-orderability cache for order
     assignments on one polytope."""
@@ -343,6 +318,7 @@ class _AssignmentModel:
         self.d = d
         self.edges = sorted(P.ridges)
         self.edge_pos = {r: t for t, r in enumerate(self.edges)}
+        self.ids = tuple(sorted(P.facets))
         self.vertex_triples = []
         for V in P.vertices:
             Vs = sorted(V)
@@ -382,21 +358,19 @@ class _AssignmentModel:
         return True
 
     def weakly_orderable(self, zero_mask):
+        """Weak orderability when exactly the edges in ``zero_mask`` (bit t
+        for ``edges[t]``) have order 2."""
         out = self._wo_cache.get(zero_mask)
         if out is None:
-            zero_pairs = [self.edges[t] for t in range(len(self.edges))
-                          if zero_mask >> t & 1]
-            out = _greedy_peel(self.P, zero_pairs)
+            adj = ob.bitmask_adjacency(self.ids, ob.ids_of(self.edges, zero_mask))
+            out = not ob.greedy_peel(adj, 3)[1]
             self._wo_cache[zero_mask] = out
         return out
 
     def wo_table(self):
         """Weak orderability for every 0-edge pattern (2^e entries)."""
-        e = len(self.edges)
-        table = np.zeros(1 << e, dtype=bool)
-        for mask in range(1 << e):
-            table[mask] = self.weakly_orderable(mask)
-        return table
+        return np.array([self.weakly_orderable(mask)
+                         for mask in range(1 << len(self.edges))], dtype=bool)
 
 
 def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=None):
@@ -651,11 +625,7 @@ def _montecarlo_stats(P, d, samples, seed, name):
         attempts += used
         j = int(np.sum(orders >= 7))
         nj[j] = nj.get(j, 0) + 1
-        zero_mask = 0
-        for t in range(e):
-            if orders[t] == 2:
-                zero_mask |= 1 << t
-        if model.weakly_orderable(zero_mask):
+        if model.weakly_orderable(sum(1 << t for t in range(e) if orders[t] == 2)):
             wo += 1
     fraction, lo, hi = _wilson_interval(wo, samples)
     return StatsReport(polytope=name, d=d, mode="montecarlo", valid_count=samples,

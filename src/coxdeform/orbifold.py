@@ -16,6 +16,7 @@ import numpy as np
 
 from coxdeform import polytope as pt
 from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+from coxdeform.polytope import _pair
 
 ELLIPTIC_EIG_TOL = 1e-9
 
@@ -24,19 +25,20 @@ class OrbifoldError(ValueError):
     """Raised for invalid ridge orders or non-elliptic vertex groups."""
 
 
-def _pair(i, j):
-    return (i, j) if i < j else (j, i)
-
-
 class CoxeterOrbifold:
     """A simple polytope with an order n_ij >= 2 on each ridge.
 
     Immutable after construction; built via :func:`make_orbifold`.
+    ``order2_adj[k]`` is the bitmask of order-2 neighbours of ``ids[k]``,
+    the k-th facet in increasing id order.
     """
 
     def __init__(self, base, orders):
         self.base = base
         self.orders = {_pair(i, j): int(m) for (i, j), m in orders.items()}
+        self.ids = tuple(sorted(base.facets))
+        self.order2_adj = bitmask_adjacency(
+            self.ids, (r for r, m in self.orders.items() if m == 2))
 
     def order(self, i, j):
         return self.orders[_pair(i, j)]
@@ -61,8 +63,7 @@ class CoxeterOrbifold:
                       if p not in self.base.ridges)
 
     def order2_neighbors(self, i):
-        return sorted(j for j in self.base.facets
-                      if j != i and self.orders.get(_pair(i, j)) == 2)
+        return list(ids_of(self.ids, self.order2_adj[self.ids.index(i)]))
 
 
 @dataclass(frozen=True)
@@ -159,44 +160,63 @@ class WeakOrderFailure:
         return False
 
 
-def weak_order_combinatorial(Q):
-    """Greedy peeling on the order-2 ridge graph (lowest facet id first).
+def bitmask_adjacency(ids, pairs):
+    """Neighbour bitmasks of the graph on ``ids`` with edge list ``pairs``;
+    bit k stands for ``ids[k]``."""
+    pos = {i: k for k, i in enumerate(ids)}
+    adj = [0] * len(ids)
+    for i, j in pairs:
+        adj[pos[i]] |= 1 << pos[j]
+        adj[pos[j]] |= 1 << pos[i]
+    return tuple(adj)
 
-    A facet may be removed when at most n of its order-2 ridges lead to
-    facets still present; the removal order is the weak ordering.  The
-    peeling is a degeneracy computation, so greedy is complete: on failure
-    the remaining set is a genuine obstruction and is returned whole.
-    """
-    n = Q.n
-    remaining = set(Q.base.facets)
-    order, qualifying = [], {}
+
+def ids_of(ids, mask):
+    """The items of ``ids`` whose bits are set in ``mask``, in order."""
+    return tuple(i for k, i in enumerate(ids) if mask >> k & 1)
+
+
+def greedy_peel(adj, n):
+    """Greedy weak-order peel on bitmask adjacency, lowest index first: an
+    item may go when at most n of its neighbours remain.  A degeneracy
+    computation, so greedy is complete.  Returns the removal order as pairs
+    (index, bitmask of neighbours still present) and the bitmask left when
+    stuck (0 on success), each of whose items has > n neighbours inside it."""
+    remaining = (1 << len(adj)) - 1
+    order = []
     while remaining:
-        pick = None
-        for i in sorted(remaining):
-            nbrs = [j for j in Q.order2_neighbors(i) if j in remaining]
-            if len(nbrs) <= n:
-                pick = (i, nbrs)
-                break
-        if pick is None:
-            return WeakOrderFailure(frozenset(remaining))
-        i, nbrs = pick
-        order.append(i)
-        qualifying[i] = tuple(nbrs)
-        remaining.remove(i)
+        k = next((k for k in range(len(adj)) if remaining >> k & 1
+                  and (adj[k] & remaining).bit_count() <= n), None)
+        if k is None:
+            return order, remaining
+        order.append((k, adj[k] & remaining))
+        remaining ^= 1 << k
+    return order, 0
+
+
+def weak_order_combinatorial(Q):
+    """Greedy peel on the order-2 ridge graph, lowest facet id first; the
+    qualifying set of a facet is its order-2 neighbours peeled after it."""
+    order, stuck = greedy_peel(Q.order2_adj, Q.n)
+    if stuck:
+        return WeakOrderFailure(frozenset(ids_of(Q.ids, stuck)))
+    qualifying = {Q.ids[k]: ids_of(Q.ids, later) for k, later in order}
+    order = tuple(Q.ids[k] for k, _ in order)
     status = {i: ("verified" if not qualifying[i] else "unknown") for i in order}
-    return WeakOrdering(tuple(order), qualifying, status)
+    return WeakOrdering(order, qualifying, status)
 
 
 def check_weak_ordering(Q, ordering):
     """Independent validator: every facet has <= n order-2 ridges to
     higher-indexed facets under the given facet order."""
-    pos = {facet: k for k, facet in enumerate(ordering)}
-    if sorted(ordering) != sorted(Q.base.facets):
+    if sorted(ordering) != list(Q.ids):
         return False
-    for i in Q.base.facets:
-        later = [j for j in Q.order2_neighbors(i) if pos[j] > pos[i]]
-        if len(later) > Q.n:
+    pos = {i: k for k, i in enumerate(Q.ids)}
+    later = 0
+    for i in reversed(ordering):
+        if (Q.order2_adj[pos[i]] & later).bit_count() > Q.n:
             return False
+        later |= 1 << pos[i]
     return True
 
 

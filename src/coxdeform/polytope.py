@@ -159,7 +159,8 @@ class PolytopeCombinatorics:
             if ends in endpoint_pairs:
                 raise CombinatoricsError(f"two ridges share endpoints {ends} (multi-edge)")
             endpoint_pairs.add(ends)
-        G = nx.Graph(endpoint_pairs)
+        # a list, not a set: networkx probes optional array libraries for sets
+        G = nx.Graph(list(endpoint_pairs))
         G.add_nodes_from(range(v))
         if not nx.is_connected(G):
             raise CombinatoricsError("skeleton is disconnected")
@@ -198,7 +199,7 @@ def _vertices_from_planar_dual(facets, ridges):
     (Whitney), and for a simple polytope the facet-adjacency graph is a
     planar triangulation whose faces are the polytope vertices.
     """
-    G = nx.Graph(ridges)
+    G = nx.Graph(list(ridges))
     G.add_nodes_from(facets)
     if not nx.is_connected(G):
         raise CombinatoricsError("facet adjacency graph is disconnected")

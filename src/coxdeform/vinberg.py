@@ -220,25 +220,11 @@ def gauge_directions(p):
         v[i * dim:(i + 1) * dim] = p.alphas[i]
         v[(f + i) * dim:(f + i + 1) * dim] = -p.bs[i]
         rows.append(v)
-    basis = []
-    for k in range(dim):
-        for l in range(dim):
-            if k == l:
-                continue
-            X = np.zeros((dim, dim))
-            X[k, l] = 1.0
-            basis.append(X)
-    for k in range(dim - 1):
-        X = np.zeros((dim, dim))
-        X[k, k] = 1.0
-        X[k + 1, k + 1] = -1.0
-        basis.append(X)
+    E = np.eye(dim)
+    basis = [np.outer(E[k], E[l]) for k in range(dim) for l in range(dim) if k != l]
+    basis += [np.diag(E[k] - E[k + 1]) for k in range(dim - 1)]
     for X in basis:
-        v = np.zeros(2 * dim * f)
-        for i in range(f):
-            v[i * dim:(i + 1) * dim] = -p.alphas[i] @ X
-            v[(f + i) * dim:(f + i + 1) * dim] = X @ p.bs[i]
-        rows.append(v)
+        rows.append(np.concatenate([-(p.alphas @ X).ravel(), (p.bs @ X.T).ravel()]))
     return np.array(rows)
 
 
@@ -282,6 +268,11 @@ def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
     which the report cross-checks against the closed form e_+ - n - 2 delta_P.
     Otherwise kernel-minus-gauge is reported as an upper-bound witness only.
     """
+    return _phi_analysis(Q, p, policy)[2]
+
+
+def _phi_analysis(Q, p, policy):
+    """The dimension report together with the equation index and Jacobian."""
     from coxdeform import orbifold as ob
 
     index = EquationIndex.from_orbifold(Q)
@@ -307,7 +298,7 @@ def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
             raise VinbergError("dimension bookkeeping identity failed")  # integer identity
     else:
         report.kernel_minus_gauge = report.kernel_dim - report.gauge_dim
-    return report
+    return index, M, report
 
 
 @dataclass
@@ -332,14 +323,12 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     non-E2a rows must vanish on the left (they become two copies of the
     hyperbolic-equation Jacobian), and the surviving E2a block must have full
     row rank e2 exactly when the orbifold is weakly orderable with qualifying
-    sets in general position.
+    sets in general position.  ``rank_phi`` is the full
+    :func:`local_deformation_dimension` report, and this raises where it does.
     """
     from coxdeform import orbifold as ob
 
-    index = EquationIndex.from_orbifold(Q)
-    resid = phi_eval(index, p)
-    if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
-        raise VinbergError("point is not a solution of the equation system")
+    index, M, rphi = _phi_analysis(Q, p, policy)
     J = lorentz.LorentzForm(p.dim).matrix
     if np.abs(p.alphas - 2.0 * p.bs @ J).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
@@ -347,11 +336,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     f, dim = p.f, p.dim
     a = p.cartan()
     pos = index.pos
-    M = phi_jacobian(index, p)
-    psi = lorentz.psi_jacobian(Q, p.bs)
-    rphi = jacobian_report("phi", M, policy)
-    rpsi = jacobian_report("psi", psi, policy)
-    e2 = len(index.e2)
+    rpsi = jacobian_report("psi", lorentz.psi_jacobian(Q, p.bs), policy)
     wo = bool(ob.weak_order_combinatorial(Q))
 
     R = M.copy()
@@ -362,8 +347,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
         R[2 * n2 + k] /= a[pos[i], pos[j]]
     R[2 * n2 + len(index.e3):] *= 2.0
     R[:, :dim * f] *= 2.0
-    for i in range(f):
-        R[:, i * dim] *= -1.0
+    R[:, :dim * f:dim] *= -1.0
     R[:, :dim * f] -= R[:, dim * f:]
 
     zero_block = float(np.abs(R[n2:, :dim * f]).max())
@@ -371,8 +355,8 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     reduced_rank = numerical_rank(R, policy).rank
 
     return RankSumReport(
-        rank_phi=rphi, rank_psi=rpsi, e2=e2, weakly_orderable=wo,
-        identity_holds=(rphi.rank == rpsi.rank + e2),
+        rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=wo,
+        identity_holds=(rphi.rank == rpsi.rank + n2),
         reduction_zero_block=zero_block,
         staircase_rank=staircase,
         reduction_rank_match=(reduced_rank == rphi.rank))
@@ -382,6 +366,9 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
 
 @dataclass
 class UMembershipReport:
+    """``has_interior_point`` is True or False when a certificate verified,
+    and None when neither did (possible only off the solution set)."""
+
     has_interior_point: bool
     interior_point: np.ndarray
     alphas_span: bool
@@ -391,15 +378,22 @@ class UMembershipReport:
 
     @property
     def passed(self):
-        return self.has_interior_point and self.alphas_span and \
+        return bool(self.has_interior_point) and self.alphas_span and \
             self.signs_ok and self.open_condition_ok
 
 
 def check_U_membership(Q_or_index, p, tol=1e-9):
     """Open conditions cutting out the solution domain: a common point v with
     alpha_i(v) > 0 for every i, the alphas spanning the dual space, negative
-    off-diagonal entries on E3 and E4 pairs, and a_ij a_ji > 4 on E4 pairs."""
-    from scipy.optimize import linprog
+    off-diagonal entries on E3 and E4 pairs, and a_ij a_ji > 4 on E4 pairs.
+
+    The point is certified per component of A = alpha b^T (Vinberg 1971): the
+    smallest real eigenvalue lambda with eigenvector u > 0 gives x =
+    sign(lambda) u with A x > 0, and v = b^T x is checked directly; a
+    zero-type component's left null vector y >= 0 with y^T alpha = 0 rules v
+    out (Gordan).  Off the solution set neither may verify: then None.
+    """
+    from coxdeform import cartan
 
     index = _as_index(Q_or_index)
     a = p.cartan()
@@ -407,17 +401,33 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
     failures = []
 
     scale = max(np.abs(p.alphas).max(), 1e-30)
-    nvar = p.dim
-    A_ub = np.hstack([-p.alphas, np.ones((p.f, 1))])
-    c = np.zeros(nvar + 1)
-    c[-1] = -1.0
-    bounds = [(-1, 1)] * nvar + [(None, 1)]
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(p.f), bounds=bounds, method="highs")
-    margin = -res.fun if res.success else -np.inf
-    has_point = bool(res.success and margin > tol * scale)
-    point = res.x[:nvar] if res.success else np.zeros(nvar)
-    if not has_point:
+    adj = cartan._nonzero_graph(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
+    zero_tol = cartan.ZERO_TYPE_TOL * np.linalg.norm(a)
+    x = np.zeros(p.f)
+    has_point = None
+    for comp in cartan._components(adj, p.f):
+        sub = a[np.ix_(comp, comp)]
+        try:
+            lam, u = cartan.smallest_real_eigenpair(sub)
+        except cartan.CartanError:
+            continue  # possible only off the solution set: x stays 0 here
+        if abs(lam) <= zero_tol:
+            y = cartan.smallest_real_eigenpair(sub.T)[1]
+            if y.sum() > 0 and y.min() >= 0 and \
+                    np.abs(y @ p.alphas[comp]).max() <= tol * scale * y.sum():
+                has_point = False
+                break
+        x[comp] = np.sign(lam) * u
+    point = np.zeros(p.dim)
+    if has_point is None:
+        v = x @ p.bs
+        v = v / max(np.abs(v).max(), 1e-300)
+        if (p.alphas @ v).min() > tol * scale:
+            has_point, point = True, v
+    if has_point is False:
         failures.append("no common interior point")
+    elif has_point is None:
+        failures.append("interior point undecided")
 
     span = numerical_rank(p.alphas).rank == p.dim
     if not span:
@@ -436,6 +446,7 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
             failures.append(f"open condition fails on ({i},{j}): product {prod:.6f}")
 
     return UMembershipReport(has_point, point, span, signs_ok, open_ok, failures)
+
 
 
 # -- parametrized Cartan families and curve extraction --------------------------

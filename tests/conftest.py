@@ -141,6 +141,21 @@ def brute_force_weak_order(Q):
     return None
 
 
+def interior_point_oracle(p, tol=1e-9):
+    """Reference decision for a common point v with alpha_i(v) > 0: maximize
+    the margin t subject to alpha_i(v) >= t and v in [-1, 1]^(n+1) by linear
+    programming (independent of the library's eigenvector certificates)."""
+    from scipy.optimize import linprog
+
+    scale = max(np.abs(p.alphas).max(), 1e-30)
+    A_ub = np.hstack([-p.alphas, np.ones((p.f, 1))])
+    c = np.zeros(p.dim + 1)
+    c[-1] = -1.0
+    bounds = [(-1, 1)] * p.dim + [(None, 1)]
+    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(p.f), bounds=bounds, method="highs")
+    return bool(res.success and -res.fun > tol * scale)
+
+
 def random_parity_labels(P, rng):
     """Uniform random labeling with odd sums at every vertex: free values on
     non-tree edges, tree edges solved leaf-up."""

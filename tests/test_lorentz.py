@@ -138,6 +138,7 @@ def test_lorentz_invariance(tetra_orbifold, tetra_realization):
         g = lorentz.random_lorentz_transform(4, rng)
         J = lorentz.LorentzForm(4).matrix
         assert np.abs(g.T @ J @ g - J).max() < 1e-10
+        assert g[0, 0] > 0  # time-orientation preserving
         moved = nus @ g.T
         assert np.abs(lorentz.psi_eval(tetra_orbifold, moved)).max() < 1e-10
         assert numerical_rank(lorentz.psi_jacobian(tetra_orbifold, moved)).rank == r0

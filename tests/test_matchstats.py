@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coxdeform import matchstats as ms, orbifold as ob, polytope as pt
-from conftest import enumerate_perfect_matchings, random_parity_labels
+from conftest import brute_force_weak_order, enumerate_perfect_matchings, random_parity_labels
 
 
 def test_find_factor_simplex():
@@ -248,3 +248,39 @@ def test_montecarlo_strata_match_exact_d8():
         got = mc.nj.get(j, 0)
         sigma = np.sqrt(p * (1 - p) * mc.samples)
         assert abs(got - p * mc.samples) <= 4 * sigma + 3
+
+
+def _mask_path_agrees_with_brute_force(P, masks):
+    # order 2 on the mask's edges and 3 elsewhere; no ellipticity is needed,
+    # the oracle only reads the order-2 ridge graph
+    model = ms._AssignmentModel(P, 3)
+    outcomes = set()
+    for mask in masks:
+        orders = {r: (2 if mask >> t & 1 else 3) for t, r in enumerate(model.edges)}
+        expected = brute_force_weak_order(ob.CoxeterOrbifold(P, orders)) is not None
+        assert model.weakly_orderable(mask) == expected, mask
+        outcomes.add(expected)
+    return outcomes
+
+
+def test_mask_peel_matches_brute_force_prism3():
+    # every prism(3) mask is weakly orderable: the caps have three
+    # neighbours, and once one is peeled every side face has at most three
+    P = pt.prism(3)
+    assert _mask_path_agrees_with_brute_force(P, range(1 << P.e)) == {True}
+
+
+def test_mask_peel_matches_brute_force_cube_sample():
+    P = pt.cube()
+    rng = np.random.default_rng(5)
+    masks = [(1 << P.e) - 1] + [int(m) for m in rng.integers(0, 1 << P.e, size=150)]
+    assert _mask_path_agrees_with_brute_force(P, masks) == {True, False}
+
+
+def test_validate_face_order_rejects_bad_ordering():
+    # all labels 0 on the dodecahedron: whichever face comes first has five
+    # 0-edges into later faces
+    P = pt.dodecahedron()
+    labels = {r: 0 for r in P.ridges}
+    assert not ms.validate_face_order(P, labels, tuple(sorted(P.facets)))
+    assert not ms.validate_face_order(P, labels, tuple(sorted(P.facets))[:-1])

@@ -2,10 +2,13 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import coxdeform
 from coxdeform import bundled, cli, orbifold as ob, serialize
 
 
@@ -169,3 +172,23 @@ def test_cli_esselmann_dim(capsys):
     assert report["rank_phi"]["full_rank"] is False
     assert report["rank_phi"]["kernel_minus_gauge"] == 2
     assert report["rank_sum"]["identity_holds"] is True
+
+
+def test_runtime_does_not_import_scipy(tmp_path):
+    # a fresh interpreter: the dim pipeline (including U-membership) and the
+    # random Lorentz transform must not pull in scipy
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from coxdeform import cli, lorentz\n"
+        f"assert cli.main(['dim', 'loebell5_factor', '--out', {str(tmp_path / 'dim.json')!r}]) == 0\n"
+        "lorentz.random_lorentz_transform(4, np.random.default_rng(0))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxdeform.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "dim.json").read_text())["dimension"] == 7

@@ -1,10 +1,12 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from coxdeform import bundled, lorentz, orbifold as ob, polytope as pt, vinberg
+from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
+from conftest import interior_point_oracle
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -211,6 +213,56 @@ def test_u_membership_open_condition():
     assert a[0, 1] * a[1, 0] == pytest.approx(3.9)
     report = vinberg.check_U_membership(index, p)
     assert not report.open_condition_ok
+
+
+def test_u_membership_matches_oracle_on_bundled_points():
+    defaults = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
+    for name in bundled.BUILTIN_NAMES:
+        Q = bundled.load_builtin(name)
+        p = vinberg.hyperbolic_point(cli._realize(Q, defaults)[0])
+        report = vinberg.check_U_membership(Q, p)
+        assert report.has_interior_point is interior_point_oracle(p) is True, name
+        assert report.passed, name
+        assert np.all(p.alphas @ report.interior_point > 0), name
+
+
+def test_u_membership_matches_oracle_on_esselmann_cartan_points():
+    fam = vinberg.esselmann_family()
+    for (x, y), n in [((1.0, 1.0), 4), ((1.2, 0.9), 5), ((0.8, 1.5), 5), ((1.5, 1.5), 5)]:
+        A = cartan.CartanMatrix(fam.matrix(x, y), orders=vinberg.ESSELMANN_ORDERS)
+        p = cartan.realize_point_from_cartan(A, n)
+        report = vinberg.check_U_membership(A.equation_index(n), p)
+        assert report.has_interior_point is interior_point_oracle(p) is True, (x, y)
+
+
+def test_u_membership_affine_point_has_no_interior_point():
+    # affine A~1: A = [[2, -2], [-2, 2]] is of zero type; y = (1, 1) has
+    # y^T alpha = 0, so no v has alpha_1(v) > 0 and alpha_2(v) > 0
+    index = vinberg.EquationIndex([1, 2], 1, [], {}, [(1, 2)])
+    p = vinberg.VinbergPoint([[2.0, 0.0], [-2.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]])
+    assert np.allclose(p.cartan(), [[2, -2], [-2, 2]])
+    assert np.all(np.ones(2) @ p.alphas == 0)
+    report = vinberg.check_U_membership(index, p)
+    assert report.has_interior_point is False
+    assert interior_point_oracle(p) is False
+    assert "no common interior point" in report.failures and not report.passed
+
+
+def test_u_membership_undecided_off_solution_set(tetra_orbifold, tetra_point):
+    # move the order-2 entries of the Cartan matrix from 0 to +1; the alphas
+    # are a basis, so new bs realize it exactly.  An interior point still
+    # exists (the alphas span), but neither certificate applies off the
+    # solution set
+    A = tetra_point.cartan()
+    for i, j in tetra_orbifold.e2_pairs():
+        A[i - 1, j - 1] = A[j - 1, i - 1] = 1.0
+    bad = vinberg.VinbergPoint(tetra_point.alphas, np.linalg.solve(tetra_point.alphas, A).T)
+    assert np.allclose(bad.cartan(), A)
+    assert np.abs(vinberg.phi_eval(tetra_orbifold, bad)).max() > 0.5
+    report = vinberg.check_U_membership(tetra_orbifold, bad)
+    assert report.has_interior_point is None
+    assert "interior point undecided" in report.failures and not report.passed
+    assert interior_point_oracle(bad) is True
 
 
 def test_family_quintic_identity():
