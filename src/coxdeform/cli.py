@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from coxdeform import bundled, cartan, lorentz, matchstats, orbifold, polytope, serialize, vinberg
-from coxdeform.numerics import RankPolicy, numerical_rank
+from coxdeform.numerics import RankPolicy
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -208,6 +208,8 @@ def cmd_cartan(args):
         doc = json.load(fh)
     A = serialize.load_cartan(doc)
     policy = RankPolicy(rel_tol=args.rank_tol)
+    from coxdeform.numerics import numerical_rank
+
     rank = numerical_rank(A.entries, policy)
     n = args.n if args.n is not None else rank.rank - 1
     conditions = cartan.check_vinberg_conditions(A)
@@ -289,7 +291,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report, status = COMMANDS[args.command](args)
-    except (NumericalFailure, *NUMERICAL_ERRORS) as exc:
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except VALIDATION_ERRORS as exc:

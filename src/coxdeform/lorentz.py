@@ -271,8 +271,13 @@ def kernel_dimension(Q, normals, policy=DEFAULT_RANK_POLICY):
 
 def random_lorentz_transform(dim, rng, scale=0.3):
     """A random element of SO(1, dim-1)+ via the Cayley map
-    (I - X/2)^{-1} (I + X/2) of a small so(1, dim-1) matrix X, which lands
-    in the group exactly."""
+    (I - X/2)^{-1} (I + X/2) of a random so(1, dim-1) matrix X.
+
+    The map lands in SO(1, dim-1) exactly; it preserves time orientation
+    only while every real eigenvalue of X has modulus below 2 (for a pure
+    boost v: |v| < 2), which at the default scale fails only far in the
+    tail.  A draw outside SO(1, dim-1)+ raises ValueError.
+    """
     X = np.zeros((dim, dim))
     v = rng.normal(size=dim - 1) * scale
     W = rng.normal(size=(dim - 1, dim - 1)) * scale
@@ -280,7 +285,10 @@ def random_lorentz_transform(dim, rng, scale=0.3):
     X[1:, 0] = v
     X[1:, 1:] = (W - W.T) / 2.0
     I = np.eye(dim)
-    return np.linalg.solve(I - X / 2.0, I + X / 2.0)
+    g = np.linalg.solve(I - X / 2.0, I + X / 2.0)
+    if g[0, 0] <= 0:
+        raise ValueError(f"scale {scale} gave a transform that reverses time")
+    return g
 
 
 # -- seed library --------------------------------------------------------------

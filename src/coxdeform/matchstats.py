@@ -369,8 +369,11 @@ class _AssignmentModel:
 
     def wo_table(self):
         """Weak orderability for every 0-edge pattern (2^e entries)."""
-        return np.array([self.weakly_orderable(mask)
-                         for mask in range(1 << len(self.edges))], dtype=bool)
+        e = len(self.edges)
+        table = np.zeros(1 << e, dtype=bool)
+        for mask in range(1 << e):
+            table[mask] = self.weakly_orderable(mask)
+        return table
 
 
 def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=None):
@@ -625,7 +628,11 @@ def _montecarlo_stats(P, d, samples, seed, name):
         attempts += used
         j = int(np.sum(orders >= 7))
         nj[j] = nj.get(j, 0) + 1
-        if model.weakly_orderable(sum(1 << t for t in range(e) if orders[t] == 2)):
+        zero_mask = 0
+        for t in range(e):
+            if orders[t] == 2:
+                zero_mask |= 1 << t
+        if model.weakly_orderable(zero_mask):
             wo += 1
     fraction, lo, hi = _wilson_interval(wo, samples)
     return StatsReport(polytope=name, d=d, mode="montecarlo", valid_count=samples,

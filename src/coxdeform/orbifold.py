@@ -63,7 +63,8 @@ class CoxeterOrbifold:
                       if p not in self.base.ridges)
 
     def order2_neighbors(self, i):
-        return list(ids_of(self.ids, self.order2_adj[self.ids.index(i)]))
+        return sorted(j for j in self.base.facets
+                      if j != i and self.orders.get(_pair(i, j)) == 2)
 
 
 @dataclass(frozen=True)
@@ -209,14 +210,13 @@ def weak_order_combinatorial(Q):
 def check_weak_ordering(Q, ordering):
     """Independent validator: every facet has <= n order-2 ridges to
     higher-indexed facets under the given facet order."""
-    if sorted(ordering) != list(Q.ids):
+    pos = {facet: k for k, facet in enumerate(ordering)}
+    if sorted(ordering) != sorted(Q.base.facets):
         return False
-    pos = {i: k for k, i in enumerate(Q.ids)}
-    later = 0
-    for i in reversed(ordering):
-        if (Q.order2_adj[pos[i]] & later).bit_count() > Q.n:
+    for i in Q.base.facets:
+        later = [j for j in Q.order2_neighbors(i) if pos[j] > pos[i]]
+        if len(later) > Q.n:
             return False
-        later |= 1 << pos[i]
     return True
 
 

@@ -220,11 +220,25 @@ def gauge_directions(p):
         v[i * dim:(i + 1) * dim] = p.alphas[i]
         v[(f + i) * dim:(f + i + 1) * dim] = -p.bs[i]
         rows.append(v)
-    E = np.eye(dim)
-    basis = [np.outer(E[k], E[l]) for k in range(dim) for l in range(dim) if k != l]
-    basis += [np.diag(E[k] - E[k + 1]) for k in range(dim - 1)]
+    basis = []
+    for k in range(dim):
+        for l in range(dim):
+            if k == l:
+                continue
+            X = np.zeros((dim, dim))
+            X[k, l] = 1.0
+            basis.append(X)
+    for k in range(dim - 1):
+        X = np.zeros((dim, dim))
+        X[k, k] = 1.0
+        X[k + 1, k + 1] = -1.0
+        basis.append(X)
     for X in basis:
-        rows.append(np.concatenate([-(p.alphas @ X).ravel(), (p.bs @ X.T).ravel()]))
+        v = np.zeros(2 * dim * f)
+        for i in range(f):
+            v[i * dim:(i + 1) * dim] = -p.alphas[i] @ X
+            v[(f + i) * dim:(f + i + 1) * dim] = X @ p.bs[i]
+        rows.append(v)
     return np.array(rows)
 
 
@@ -347,7 +361,8 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
         R[2 * n2 + k] /= a[pos[i], pos[j]]
     R[2 * n2 + len(index.e3):] *= 2.0
     R[:, :dim * f] *= 2.0
-    R[:, :dim * f:dim] *= -1.0
+    for i in range(f):
+        R[:, i * dim] *= -1.0
     R[:, :dim * f] -= R[:, dim * f:]
 
     zero_block = float(np.abs(R[n2:, :dim * f]).max())
@@ -446,7 +461,6 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
             failures.append(f"open condition fails on ({i},{j}): product {prod:.6f}")
 
     return UMembershipReport(has_point, point, span, signs_ok, open_ok, failures)
-
 
 
 # -- parametrized Cartan families and curve extraction --------------------------

@@ -145,6 +145,13 @@ def test_lorentz_invariance(tetra_orbifold, tetra_realization):
         assert lorentz.kernel_dimension(tetra_orbifold, moved) == 6
 
 
+def test_random_lorentz_transform_rejects_time_reversal():
+    # at scale 3 the boost of this draw has rapidity above 2, where the
+    # Cayley map leaves the time-orientation preserving component
+    with pytest.raises(ValueError, match="reverses time"):
+        lorentz.random_lorentz_transform(4, np.random.default_rng(1), scale=3.0)
+
+
 def test_seed_library_available():
     for gen, name in [(pt.cube, "prism"), (pt.dodecahedron, "loebell"),
                       (pt.doubled_cube, "doubled_cube")]:
