@@ -23,16 +23,17 @@ labels = matchstats.labels_from_factor(P, factor)
 ordering = matchstats.construct_weak_order(P, labels)
 print("constructive weak ordering:", ordering)
 
-# exact counts are feasible on the triangular prism; the identity
-# N_j(8) = N_j(7) * 2^j stratifies assignments by edges of order >= 7
+# exact counts sum over the 2^9 sets of order-2 edges of the triangular
+# prism; the identity N_j(8) = N_j(7) * 2^j stratifies assignments by edges
+# of order >= 7
 prism = polytope.prism(3)
 r7 = matchstats.estimate_wo_fraction(prism, 7, mode="exact")
 r8 = matchstats.estimate_wo_fraction(prism, 8, mode="exact")
 print(f"prism exact: N_j(7) = {r7.nj}, N_j(8) = {r8.nj}, "
       f"identity holds: {r8.identity_holds}")
 
-# the dodecahedron needs sampling (6^30 assignments); the sampler draws
-# exactly uniform valid assignments
+# the dodecahedron needs sampling (2^30 sets of order-2 edges, 6^30
+# assignments at d = 7); the sampler draws exactly uniform valid assignments
 for d in (7, 20, 100):
     report = matchstats.estimate_wo_fraction(P, d, mode="montecarlo",
                                              samples=2000, seed=1)

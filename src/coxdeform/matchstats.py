@@ -7,7 +7,8 @@ indicator plus a cycle-space element).  The module finds factors through a
 required edge, lists removable edges, runs the constructive weak-ordering
 induction (delete a removable edge of a face with few 0-edges, recurse,
 reinsert), builds orbifolds from factors, and counts or estimates the share
-of weakly orderable orbifolds among valid ones up to an order bound.
+of weakly orderable orbifolds among valid ones up to an order bound: exactly,
+as a sum over the sets of order-2 edges, or by uniform Monte Carlo sampling.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from coxdeform import orbifold as ob
 from coxdeform import polytope as pt
 from coxdeform.polytope import _pair
 
-EXACT_EDGE_LIMIT = 14
-EXACT_BUDGET = 2 ** 28
+EXACT_EDGE_LIMIT = 18
 
 
 class GraphConditionError(ValueError):
@@ -308,7 +308,7 @@ def _wilson_interval(successes, total, z=1.959963984540054):
 
 
 class _AssignmentModel:
-    """Edge indexing, constraint tables and weak-orderability cache for order
+    """Edge indexing, circuit tests and weak-orderability cache for order
     assignments on one polytope."""
 
     def __init__(self, P, d):
@@ -329,24 +329,7 @@ class _AssignmentModel:
                    for c in pt.prismatic_circuits(P, 3)]
         self.c4 = [tuple(self.edge_pos[_pair(c[t], c[(t + 1) % 4])] for t in range(4))
                    for c in pt.prismatic_circuits(P, 4)]
-        inv = np.array([1.0 / m for m in range(2, d + 1)])
-        s3 = inv[:, None, None] + inv[None, :, None] + inv[None, None, :]
-        self.vertex_ok = s3 > 1.0
-        self.circuit3_ok = s3 < 1.0
-        self.circuit4_ok = (s3[:, :, :, None] + inv[None, None, None, :] < 2.0
-                            if self.c4 else None)
         self._wo_cache = {}
-
-    def valid_mask(self, digits):
-        """Vectorized validity; ``digits`` are per-edge arrays of order - 2."""
-        ok = np.ones(np.shape(digits[0]), dtype=bool)
-        for t1, t2, t3 in self.vertex_triples:
-            ok &= self.vertex_ok[digits[t1], digits[t2], digits[t3]]
-        for t1, t2, t3 in self.c3:
-            ok &= self.circuit3_ok[digits[t1], digits[t2], digits[t3]]
-        for t1, t2, t3, t4 in self.c4:
-            ok &= self.circuit4_ok[digits[t1], digits[t2], digits[t3], digits[t4]]
-        return ok
 
     def circuits_ok(self, orders):
         for idxs in self.c3:
@@ -367,25 +350,18 @@ class _AssignmentModel:
             self._wo_cache[zero_mask] = out
         return out
 
-    def wo_table(self):
-        """Weak orderability for every 0-edge pattern (2^e entries)."""
-        e = len(self.edges)
-        table = np.zeros(1 << e, dtype=bool)
-        for mask in range(1 << e):
-            table[mask] = self.weakly_orderable(mask)
-        return table
-
 
 def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=None):
     """Share of weakly orderable orbifolds among valid order assignments.
 
     Every edge takes an order in {2..d}; validity is the package's
     Andreev-type necessary conditions (vertex ellipticity plus prismatic
-    circuit inequalities).  Exact mode enumerates the full product space
-    (refused beyond 14 edges or (d-1)^e > 2^28 assignments) and tabulates
-    N_j(d), the number of valid assignments with exactly j edges of order
-    >= 7; for d in {7, 8} it checks N_j(d) = N_j(7) * (d-6)^j against a fresh
-    d = 7 enumeration.  Monte Carlo mode draws exactly uniform valid
+    circuit inequalities).  Exact mode sums, over every set Z of order-2
+    edges, the number of valid assignments with exactly those order-2 edges
+    when Z is weakly orderable (2^e sets, refused beyond 18 edges whatever d
+    is).  It tabulates N_j(d), the number of valid assignments with exactly j
+    edges of order >= 7; for d in {7, 8} it checks N_j(d) = N_j(7) * (d-6)^j
+    against a fresh d = 7 count.  Monte Carlo mode draws exactly uniform valid
     assignments (dynamic-programming sampler, one counter-keyed substream per
     sample) and reports a 95% Wilson interval.
     """
@@ -397,35 +373,176 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
     raise GraphConditionError(f"unknown mode {mode!r}")
 
 
+class _EdgeSetCounter:
+    """Valid assignments with a given set Z of order-2 edges, by number of
+    orders >= 7.
+
+    Three orders >= 3 fail the vertex test, so Z must meet every vertex, and
+    a prismatic 4-circuit fails exactly when all of its edges lie in Z.  The
+    edges outside Z form paths and cycles, joined at the vertices with one
+    Z-edge; there the two orders must satisfy 1/a + 1/b > 1/2, which leaves
+    (3, 3), (3, 4), (3, 5) and their mirrors.  A path or cycle of two or more
+    edges is therefore counted by a product of that 3x3 pair matrix, and only
+    an isolated edge (two Z-edges at both ends) takes an order >= 6.  Orders
+    >= 7 are interchangeable in every test, so they form one class of weight
+    d - 6, represented by 7.  The non-2 edges of prismatic 3-circuits are
+    pinned to each class in turn and the circuit test applied to them.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        d = model.d
+        self.e = len(model.edges)
+        self.classes = tuple(range(3, min(d, 7) + 1))
+        self.big_weight = max(d - 6, 0)
+        self.small = sum(c < 7 for c in self.classes)
+        self.pair_classes = tuple(c for c in self.classes if c <= 5)
+        k = len(self.pair_classes)
+        self.pair = np.array([[2 * (a + b) > a * b for b in self.pair_classes]
+                              for a in self.pair_classes],
+                             dtype=np.int64).reshape(k, k)
+        self.ends = [[] for _ in range(self.e)]
+        self.others = {}
+        for v, triple in enumerate(model.vertex_triples):
+            for t in triple:
+                self.ends[t].append(v)
+                self.others[v, t] = tuple(s for s in triple if s != t)
+        self.circuit_edges = {t for c in model.c3 for t in c}
+        self._memo = {}
+
+    def masks(self):
+        """Order-2 edge sets that pass the tests reading Z alone: each
+        vertex meets Z and no prismatic 4-circuit lies in Z."""
+        m = np.arange(1 << self.e, dtype=np.int64)
+        keep = np.ones(len(m), dtype=bool)
+        for triple in self.model.vertex_triples:
+            keep &= (m & _bits(triple)) != 0
+        for c in self.model.c4:
+            keep &= (m & _bits(c)) != _bits(c)
+        return np.flatnonzero(keep).tolist()
+
+    def _step(self, mask, t, v):
+        """The non-2 edge continuing t through v, when v has one Z-edge."""
+        a, b = self.others[v, t]
+        if (mask >> a & 1) == (mask >> b & 1):
+            return None
+        return b if mask >> a & 1 else a
+
+    def _far(self, t, v):
+        u, w = self.ends[t]
+        return w if u == v else u
+
+    def _components(self, mask):
+        """Maximal paths and cycles of non-2 edges as (edges, closed)."""
+        seen = mask
+        for t in range(self.e):
+            if seen >> t & 1:
+                continue
+            # rewind to an end of the path; meeting t again closes a cycle
+            s, v = t, self.ends[t][0]
+            while (n := self._step(mask, s, v)) is not None and n != t:
+                s, v = n, self._far(n, v)
+            comp = [s]
+            w = self._far(s, v)
+            while (n := self._step(mask, comp[-1], w)) is not None and n != s:
+                comp.append(n)
+                w = self._far(n, w)
+            for x in comp:
+                seen |= 1 << x
+            yield tuple(comp), n == s
+
+    def _chain_count(self, pins, closed):
+        """Orders in 3..5 along a path or cycle of two or more edges with
+        every consecutive pair allowed; ``pins[i]`` fixes edge i or is None."""
+        key = (pins, closed)
+        n = self._memo.get(key)
+        if n is None:
+            cs = self.pair_classes
+            diags = [np.array([p is None or p == c for c in cs], dtype=np.int64)
+                     for p in pins]
+            x = np.diag(diags[0]) if closed else diags[0]
+            for dg in diags[1:]:
+                x = (x @ self.pair) * dg
+            n = int(np.trace(x @ self.pair)) if closed else int(x.sum())
+            self._memo[key] = n
+        return n
+
+    def counts(self, mask):
+        """{j: valid assignments whose order-2 edges are exactly ``mask``
+        and which have j orders >= 7}."""
+        const, free, pinned = 1, 0, []
+        for comp, closed in self._components(mask):
+            if self.circuit_edges.intersection(comp):
+                pinned.append((comp, closed))
+            elif len(comp) == 1:
+                free += 1
+            else:
+                const *= self._chain_count((None,) * len(comp), closed)
+        if not const:
+            return {}
+        out = {}
+        for big, n in self._pinned_counts(mask, pinned).items():
+            for j in range(free + 1):
+                out[big + j] = out.get(big + j, 0) + (
+                    const * n * math.comb(free, j)
+                    * self.small ** (free - j) * self.big_weight ** j)
+        return out
+
+    def _pinned_counts(self, mask, pinned):
+        """{big: count} over the classes of the non-2 circuit edges that pass
+        the circuit tests; ``big`` counts the pinned edges of order >= 7."""
+        pins = [t for comp, _ in pinned for t in comp if t in self.circuit_edges]
+        isolated = {comp[0] for comp, _ in pinned if len(comp) == 1}
+        choices = [self.classes if t in isolated else self.pair_classes for t in pins]
+        orders = [2 if mask >> t & 1 else 3 for t in range(self.e)]
+        out = {}
+        for combo in itertools.product(*choices):
+            for t, c in zip(pins, combo):
+                orders[t] = c
+            # the sampler's floating-point test, so both modes agree on
+            # circuits whose sum is 1 up to rounding
+            if not self.model.circuits_ok(orders):
+                continue
+            pin = dict(zip(pins, combo))
+            n, big = 1, 0
+            for comp, closed in pinned:
+                if len(comp) > 1:
+                    n *= self._chain_count(tuple(pin.get(t) for t in comp), closed)
+                elif pin[comp[0]] == 7:
+                    n *= self.big_weight
+                    big += 1
+            if n:
+                out[big] = out.get(big, 0) + n
+        return out
+
+
+def _bits(edge_ids):
+    return sum(1 << t for t in edge_ids)
+
+
 def _exact_counts(P, d):
+    """(valid, weakly orderable, N_j) as a sum of WO(Z) * C_j(Z) over the
+    order-2 edge sets Z; see ``_EdgeSetCounter``."""
     model = _AssignmentModel(P, d)
     e = len(model.edges)
-    k = d - 1
-    total = k ** e
-    if e > EXACT_EDGE_LIMIT or total > EXACT_BUDGET:
+    if e > EXACT_EDGE_LIMIT:
         raise GraphConditionError(
-            f"exact enumeration refused: {k}^{e} assignments exceeds the budget")
-    wo_table = model.wo_table()
+            f"exact enumeration refused: 2^{e} order-2 edge sets exceeds the "
+            f"limit of 2^{EXACT_EDGE_LIMIT}")
+    counter = _EdgeSetCounter(model)
     valid = 0
     wo = 0
-    nj = np.zeros(e + 1, dtype=np.int64)
-    weights = np.array([k ** t for t in range(e)], dtype=np.int64)
-    chunk = 1 << 21
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = [(ids // weights[t]) % k for t in range(e)]
-        ok = model.valid_mask(digits)
-        if not ok.any():
+    nj = [0] * (e + 1)
+    for mask in counter.masks():
+        counts = counter.counts(mask)
+        total = sum(counts.values())
+        if not total:
             continue
-        digits = [dg[ok] for dg in digits]
-        valid += int(ok.sum())
-        zero_mask = np.zeros(digits[0].shape, dtype=np.int64)
-        big = np.zeros(digits[0].shape, dtype=np.int64)
-        for t in range(e):
-            zero_mask |= (digits[t] == 0).astype(np.int64) << t
-            big += digits[t] >= 5  # order >= 7
-        wo += int(wo_table[zero_mask].sum())
-        nj += np.bincount(big, minlength=e + 1)
+        valid += total
+        if model.weakly_orderable(mask):
+            wo += total
+        for j, n in counts.items():
+            nj[j] += n
     return valid, wo, nj
 
 

@@ -156,6 +156,67 @@ def interior_point_oracle(p, tol=1e-9):
     return bool(res.success and -res.fun > tol * scale)
 
 
+def assignment_validity_oracle(P, d):
+    """Validity of order assignments in {2..d}, from 1/m sums over sorted
+    vertex triples and over the circuits of ``prismatic_oracle`` (shares no
+    table with the library's exact engine).  The floating-point sums run in
+    the canonical circuit order the library uses, so a circuit summing to 1
+    rounds as it does there.  Returns ``ok(digits)``, where ``digits`` are
+    per-edge arrays of order - 2 over the sorted edges."""
+    pos = {r: t for t, r in enumerate(sorted(P.ridges))}
+    inv = np.array([1.0 / m for m in range(2, d + 1)])
+    s3 = inv[:, None, None] + inv[None, :, None] + inv[None, None, :]
+    tests = []
+    for V in P.vertices:
+        a, b, c = sorted(V)
+        tests.append((s3 > 1.0, (pos[a, b], pos[a, c], pos[b, c])))
+    for k, table in ((3, s3 < 1.0), (4, s3[..., None] + inv < 2.0)):
+        for cyc in sorted(prismatic_oracle(P, k)):
+            tests.append((table, tuple(pos[tuple(sorted((cyc[t], cyc[(t + 1) % k])))]
+                                       for t in range(k))))
+
+    def ok(digits):
+        out = np.ones(np.shape(digits[0]), dtype=bool)
+        for table, idx in tests:
+            out &= table[tuple(digits[t] for t in idx)]
+        return out
+
+    return ok
+
+
+def exact_counts_oracle(P, d):
+    """(valid, weakly orderable, N_j) by brute force over all (d-1)^e order
+    assignments, in chunks; N_j counts valid assignments with j orders >= 7.
+    Weak orderability comes from the mask peel, which the mask-peel tests
+    check against ``brute_force_weak_order``."""
+    from coxdeform import matchstats as ms
+
+    ok = assignment_validity_oracle(P, d)
+    model = ms._AssignmentModel(P, d)
+    e = P.e
+    wo_table = np.array([model.weakly_orderable(m) for m in range(1 << e)])
+    k = d - 1
+    total = k ** e
+    weights = np.array([k ** t for t in range(e)], dtype=np.int64)
+    valid = wo = 0
+    nj = np.zeros(e + 1, dtype=np.int64)
+    chunk = 1 << 21
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = [(ids // weights[t]) % k for t in range(e)]
+        keep = ok(digits)
+        digits = [dg[keep] for dg in digits]
+        valid += int(keep.sum())
+        zero_mask = np.zeros(digits[0].shape, dtype=np.int64)
+        big = np.zeros(digits[0].shape, dtype=np.int64)
+        for t in range(e):
+            zero_mask |= (digits[t] == 0).astype(np.int64) << t
+            big += digits[t] >= 5  # order >= 7
+        wo += int(wo_table[zero_mask].sum())
+        nj += np.bincount(big, minlength=e + 1)
+    return valid, wo, [int(n) for n in nj]
+
+
 def random_parity_labels(P, rng):
     """Uniform random labeling with odd sums at every vertex: free values on
     non-tree edges, tree edges solved leaf-up."""

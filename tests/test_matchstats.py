@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from coxdeform import matchstats as ms, orbifold as ob, polytope as pt
-from conftest import brute_force_weak_order, enumerate_perfect_matchings, random_parity_labels
+from conftest import (assignment_validity_oracle, brute_force_weak_order,
+                      enumerate_perfect_matchings, exact_counts_oracle,
+                      random_parity_labels)
 
 
 def test_find_factor_simplex():
@@ -138,10 +140,38 @@ def test_orbifold_from_factor_loebell6():
 
 
 def test_exact_budget_refusal():
+    # the limit is on the 2^e order-2 edge sets, whatever d is
     with pytest.raises(ms.GraphConditionError, match="refused"):
         ms.estimate_wo_fraction(pt.dodecahedron(), 7, mode="exact")
     with pytest.raises(ms.GraphConditionError, match="refused"):
-        ms.estimate_wo_fraction(pt.cube(), 30, mode="exact")
+        ms.estimate_wo_fraction(pt.prism(7), 7, mode="exact")  # e = 21
+    r30 = ms.estimate_wo_fraction(pt.cube(), 30, mode="exact")
+    r7 = ms.estimate_wo_fraction(pt.cube(), 7, mode="exact")
+    assert r30.valid_count == sum(r30.nj.values())
+    assert r30.nj == {j: n * 24 ** j for j, n in r7.nj.items()}
+
+
+def _cut_prism():
+    P = pt.truncate_vertex(pt.prism(3), 0)
+    assert len(pt.prismatic_circuits(P, 3)) == 2
+    return P
+
+
+ORACLE_POLYTOPES = {"simplex3": lambda: pt.simplex(3), "prism3": lambda: pt.prism(3),
+                    "cube": pt.cube, "cut_prism3": _cut_prism}
+
+
+@pytest.mark.parametrize("name,d", [
+    *[("simplex3", d) for d in (2, 7, 8, 9)],
+    *[("prism3", d) for d in range(2, 8)],
+    *[("cube", d) for d in (3, 4)],
+    *[("cut_prism3", d) for d in (3, 4)],
+])
+def test_exact_counts_match_brute_force(name, d):
+    # at d = 8 and 9 the orders 7, 8 and 9 are enumerated one by one, so
+    # this checks the engine's single weighted ">= 7" class
+    P = ORACLE_POLYTOPES[name]()
+    assert ms._exact_counts(P, d) == exact_counts_oracle(P, d)
 
 
 def test_exact_small_prism():
@@ -234,7 +264,7 @@ def test_all_right_angles_dodecahedron_is_valid_but_not_orderable():
     P = pt.dodecahedron()
     model = ms._AssignmentModel(P, 7)
     cols = [np.zeros(1, dtype=np.int64) for _ in range(30)]
-    assert model.valid_mask(cols)[0]
+    assert assignment_validity_oracle(P, 7)(cols)[0]
     assert not model.weakly_orderable((1 << 30) - 1)
 
 

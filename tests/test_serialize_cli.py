@@ -120,6 +120,19 @@ def test_cli_stats_deterministic(capsys):
     assert out1 == out2  # byte-identical reports
 
 
+def test_cli_stats_exact(capsys):
+    code, out, _ = run_cli(capsys, "stats", "cube", "--d", "5", "--mode", "exact")
+    report = json.loads(out)["report"]
+    assert code == 0
+    assert report["valid_count"] == 72194 and report["fraction"] == 1.0
+
+    code, out, _ = run_cli(capsys, "stats", "prism3", "--d", "8", "--mode", "exact")
+    report = json.loads(out)["report"]
+    assert code == 0
+    assert report["identity_holds"] is True
+    assert report["nj"] == {"0": 998, "1": 630, "2": 60, "3": 8}
+
+
 def test_cli_stats_csv(capsys):
     code, out, _ = run_cli(capsys, "stats", "cube", "--d", "4",
                            "--mode", "montecarlo", "--samples", "50",
