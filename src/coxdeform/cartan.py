@@ -407,13 +407,8 @@ def realize_point_from_cartan(A, n, policy=DEFAULT_RANK_POLICY, tol=1e-9):
     err = np.abs(point.cartan() - A.entries).max()
     if err > tol * scale:
         raise CartanError(f"factorization error {err:.3e} exceeds tolerance")
-    index = A.equation_index(n)
-    membership = check_U_membership_of(A, point, n)
+    membership = vinberg.check_U_membership(A.equation_index(n), point)
     if not membership.passed:
         raise CartanError(f"factorized point fails domain membership: "
                           f"{membership.failures}")
     return point
-
-
-def check_U_membership_of(A, point, n):
-    return vinberg.check_U_membership(A.equation_index(n), point)

@@ -45,7 +45,6 @@ def build_parser():
                         help="relative singular-value threshold (default 1e-12)")
     common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--force", action="store_true",
                         help="downgrade uncertain rank decisions to warnings")
 
@@ -86,6 +85,7 @@ def build_parser():
     p.add_argument("--d", type=int, required=True, help="order bound")
     p.add_argument("--mode", choices=("exact", "montecarlo"), default="montecarlo")
     p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     return ap
 
 

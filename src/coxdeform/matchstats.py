@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from coxdeform import orbifold as ob
@@ -82,6 +81,8 @@ def find_factor(P, edge):
     blossom-capable maximum-cardinality search.  Existence is guaranteed on
     3-connected cubic graphs, so a miss signals a bug or bad input.
     """
+    import networkx as nx
+
     edge = _pair(*edge)
     if edge not in P.ridges:
         raise GraphConditionError(f"{edge} is not an edge")

@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 
 class CombinatoricsError(ValueError):
     """Raised when input data does not describe a valid simple polytope."""
@@ -43,13 +41,16 @@ class PolytopeCombinatorics:
             self.vertices = _vertices_from_planar_dual(self.facets, self.ridges)
         else:
             self.vertices = None
-        if validate:
-            self._validate()
         self._ridge_vertices = None
         if self.vertices is not None:
-            self._ridge_vertices = {r: tuple(k for k, V in enumerate(self.vertices)
-                                             if r[0] in V and r[1] in V)
-                                    for r in self.ridges}
+            ends = {r: [] for r in self.ridges}
+            for k, V in enumerate(self.vertices):
+                for r in itertools.combinations(sorted(V), 2):
+                    if r in ends:
+                        ends[r].append(k)
+            self._ridge_vertices = {r: tuple(ks) for r, ks in ends.items()}
+        if validate:
+            self._validate()
 
     # -- basic counts -------------------------------------------------------
 
@@ -75,15 +76,10 @@ class PolytopeCombinatorics:
         """Indices (into .vertices) of the vertices on a ridge. Two for n=3."""
         return self._ridge_vertices[_pair(*ridge)]
 
-    def dual_graph(self):
-        """The dual 1-skeleton: nodes are facets, arcs are ridges."""
-        G = nx.Graph()
-        G.add_nodes_from(self.facets)
-        G.add_edges_from(self.ridges)
-        return G
-
     def skeleton(self):
         """The polytope 1-skeleton as a graph on vertex indices (n=3 only)."""
+        import networkx as nx
+
         if self.n != 3:
             raise CombinatoricsError("1-skeleton is only built for n=3")
         G = nx.Graph()
@@ -94,7 +90,8 @@ class PolytopeCombinatorics:
         return G
 
     def face_boundary(self, facet):
-        """Ridges of one facet of a 3-polytope, in cyclic order."""
+        """Ridges of one facet of a 3-polytope, in cyclic order; raises
+        CombinatoricsError unless they form a single cycle."""
         if self.n != 3:
             raise CombinatoricsError("face cycles are only defined for n=3")
         incident = [r for r in self.ridges if facet in r]
@@ -104,18 +101,19 @@ class PolytopeCombinatorics:
         for r in incident:
             for k in self.ridge_endpoints(r):
                 by_vertex.setdefault(k, []).append(r)
+        # walk once around; the walk must close having met every ridge once
         cycle = [incident[0]]
-        prev_vertex = self.ridge_endpoints(incident[0])[0]
-        while len(cycle) < len(incident):
-            cur = cycle[-1]
-            a, b = self.ridge_endpoints(cur)
-            nxt_vertex = b if a == prev_vertex else a
-            step = [r for r in by_vertex[nxt_vertex] if r != cur]
+        vertex = self.ridge_endpoints(incident[0])[0]
+        for _ in incident:
+            a, b = self.ridge_endpoints(cycle[-1])
+            vertex = b if a == vertex else a
+            step = [r for r in by_vertex[vertex] if r != cycle[-1]]
             if len(step) != 1:
                 raise CombinatoricsError(f"facet {facet} boundary is not a cycle")
             cycle.append(step[0])
-            prev_vertex = nxt_vertex
-        return cycle
+        if cycle[-1] != cycle[0] or len(set(cycle)) != len(incident):
+            raise CombinatoricsError(f"facet {facet} boundary is not a single cycle")
+        return cycle[:-1]
 
     # -- validation ---------------------------------------------------------
 
@@ -145,51 +143,42 @@ class PolytopeCombinatorics:
             self._validate_skeleton_3d()
 
     def _validate_skeleton_3d(self):
-        # Conditions (E1)-(E2): simple, planar, 3-connected, cubic.
+        # Conditions (E1)-(E2): simple, planar, 3-connected, cubic, shown from
+        # the facets themselves.  Glue a disk into each facet cycle: every
+        # ridge borders two facets and the three facets at a vertex close up
+        # around it, so this is a closed surface.  It is connected, and with
+        # v - e + f = 2 it is a sphere, so the skeleton is planar.  Two facets
+        # meet in their ridge or not at all (the facets at a vertex are
+        # pairwise ridges), so the embedding is polyhedral, and the graph of
+        # a polyhedral embedding in the sphere is 3-connected (Whitney 1932;
+        # Mohar-Thomassen, Graphs on Surfaces, polyhedral embeddings).
         v, e, f = len(self.vertices), len(self.ridges), len(self.facets)
         if v - e + f != 2:
             raise CombinatoricsError(f"Euler relation fails: v-e+f = {v - e + f}")
         if 2 * e != 3 * v:
             raise CombinatoricsError("skeleton is not cubic (2e != 3v)")
         endpoint_pairs = set()
-        for r in self.ridges:
-            ends = tuple(k for k, V in enumerate(self.vertices) if r[0] in V and r[1] in V)
+        for r, ends in self._ridge_vertices.items():
             if len(ends) != 2:
                 raise CombinatoricsError(f"ridge {r} lies on {len(ends)} vertices, expected 2")
             if ends in endpoint_pairs:
                 raise CombinatoricsError(f"two ridges share endpoints {ends} (multi-edge)")
             endpoint_pairs.add(ends)
-        # a list, not a set: networkx probes optional array libraries for sets
-        G = nx.Graph(list(endpoint_pairs))
-        G.add_nodes_from(range(v))
-        if not nx.is_connected(G):
-            raise CombinatoricsError("skeleton is disconnected")
-        ok, _ = nx.check_planarity(G)
-        if not ok:
-            raise CombinatoricsError("skeleton is not planar")
-        if not _is_three_connected(G):
-            raise CombinatoricsError("skeleton is not 3-connected")
-
-
-def _is_three_connected(G):
-    """Exhaustive 2-vertex-cut search; fine at desk scale."""
-    nodes = list(G.nodes)
-    if len(nodes) < 4:
-        return False
-    adj = {u: set(G.neighbors(u)) for u in nodes}
-    for cut in itertools.combinations(nodes, 2):
-        seen = set(cut)
-        start = next(u for u in nodes if u not in seen)
-        stack = [start]
-        seen.add(start)
+        nbrs = {i: [] for i in self.facets}
+        for i, j in self.ridges:
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        seen = {self.facets[0]}
+        stack = [self.facets[0]]
         while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) < len(nodes):
-            return False
-    return True
+            for j in nbrs[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != f:
+            raise CombinatoricsError("skeleton is disconnected")
+        for i in self.facets:
+            self.face_boundary(i)
 
 
 def _vertices_from_planar_dual(facets, ridges):
@@ -199,6 +188,9 @@ def _vertices_from_planar_dual(facets, ridges):
     (Whitney), and for a simple polytope the facet-adjacency graph is a
     planar triangulation whose faces are the polytope vertices.
     """
+    import networkx as nx
+
+    # a list, not a set: networkx probes optional array libraries for sets
     G = nx.Graph(list(ridges))
     G.add_nodes_from(facets)
     if not nx.is_connected(G):
@@ -278,16 +270,19 @@ def prismatic_circuits(P, k):
 
 
 def _dual_cycles(P, k):
-    """Every k-cycle of the dual graph, one orientation/rotation per cycle."""
-    for combo in itertools.combinations(P.facets, k):
-        if k == 3:
-            arrangements = [combo]
-        else:
-            a, b, c, d = combo
-            arrangements = [(a, b, c, d), (a, b, d, c), (a, c, b, d)]
-        for arr in arrangements:
-            if all(P.adjacent(arr[t], arr[(t + 1) % k]) for t in range(k)):
-                yield arr
+    """Every k-cycle of the dual graph, from neighbour sets, starting at its
+    smallest facet (a 4-cycle comes once in each orientation)."""
+    nbrs = {i: set() for i in P.facets}
+    for i, j in P.ridges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    for a in P.facets:
+        for b in (x for x in nbrs[a] if x > a):
+            if k == 3:
+                yield from ((a, b, c) for c in nbrs[a] & nbrs[b] if c > b)
+                continue
+            for c in (x for x in nbrs[b] if x > a):
+                yield from ((a, b, c, d) for d in nbrs[a] & nbrs[c] if d > a and d != b)
 
 
 def _canonical_cycle(cyc):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from coxdeform import lorentz
-from coxdeform.numerics import DEFAULT_RANK_POLICY, RankPolicy, numerical_rank  # noqa: F401
+from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
 
 RESIDUAL_TOL = 1e-9
 

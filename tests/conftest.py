@@ -112,6 +112,48 @@ def prismatic_oracle(P, k):
     return out
 
 
+def three_connected_planar_oracle(P):
+    """Reference decision: is the 1-skeleton of a 3-polytope (possibly built
+    with ``validate=False``) simple, connected, planar and 3-connected?
+    Endpoints come from the vertex sets, planarity from networkx and
+    3-connectivity from an exhaustive 2-vertex-cut search (independent of
+    the library's facet-cycle validation)."""
+    import itertools
+
+    import networkx as nx
+
+    pairs = set()
+    for i, j in P.ridges:
+        ends = tuple(k for k, V in enumerate(P.vertices) if i in V and j in V)
+        if len(ends) != 2 or ends in pairs:
+            return False
+        pairs.add(ends)
+    G = nx.Graph(list(pairs))
+    G.add_nodes_from(range(len(P.vertices)))
+    if len(G) < 4 or not nx.is_connected(G) or not nx.check_planarity(G)[0]:
+        return False
+    adj = {u: set(G.neighbors(u)) for u in G}
+    for cut in itertools.combinations(G, 2):
+        rest = [u for u in G if u not in cut]
+        seen = {rest[0]}
+        stack = [rest[0]]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen and w not in cut:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) < len(rest):
+            return False
+    return True
+
+
+def random_truncation(P, cuts, rng):
+    """P with ``cuts`` vertices truncated, each chosen uniformly at random."""
+    for _ in range(cuts):
+        P = pt.truncate_vertex(P, int(rng.integers(len(P.vertices))))
+    return P
+
+
 def enumerate_perfect_matchings(P):
     """Exhaustive matching enumeration on the 1-skeleton (oracle)."""
     edges = sorted(P.ridges)

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from coxdeform import polytope as pt
-from conftest import enumerate_dual_cycles, prismatic_oracle
+from conftest import (enumerate_dual_cycles, prismatic_oracle, random_truncation,
+                      three_connected_planar_oracle)
 
 
 def cube_description():
@@ -79,11 +82,6 @@ def test_delta_invariant_values():
         assert pt.delta_invariant(gen()) == 0
 
 
-def test_dual_graph_arc_count():
-    for P in (pt.cube(), pt.loebell(5)):
-        assert pt.PolytopeCombinatorics.dual_graph(P).number_of_edges() == P.e
-
-
 def test_prismatic_circuit_examples():
     assert len(pt.prismatic_circuits(pt.prism(3), 3)) == 1
     assert len(pt.prismatic_circuits(pt.cube(), 4)) == 3
@@ -95,9 +93,14 @@ def test_prismatic_circuit_examples():
 
 
 def test_prismatic_circuits_against_oracle():
-    for gen in (pt.cube, pt.dodecahedron, pt.doubled_cube,
-                lambda: pt.prism(3), lambda: pt.prism(5), lambda: pt.loebell(6)):
-        P = gen()
+    rng = np.random.default_rng(11)
+    polytopes = [gen() for gen in (
+        pt.cube, pt.dodecahedron, pt.doubled_cube, lambda: pt.prism(3),
+        lambda: pt.prism(5), lambda: pt.prism(8), lambda: pt.loebell(6),
+        lambda: pt.loebell(8))]
+    polytopes += [random_truncation(base, cuts, rng)
+                  for base in (pt.prism(4), pt.loebell(4)) for cuts in (1, 2, 3)]
+    for P in polytopes:
         for k in (3, 4):
             assert set(pt.prismatic_circuits(P, k)) == prismatic_oracle(P, k)
 
@@ -119,7 +122,7 @@ def test_truncate_simplex_once_and_twice():
 
     P = pt.truncate_vertex(pt.simplex(3), 0)
     assert (P.f, P.e) == (5, 9)
-    assert nx.is_isomorphic(P.dual_graph(), pt.prism(3).dual_graph())
+    assert nx.is_isomorphic(nx.Graph(list(P.ridges)), nx.Graph(list(pt.prism(3).ridges)))
     P2 = pt.truncate_vertex(P, 0)
     assert (P2.f, P2.e) == (6, 12)
 
@@ -172,6 +175,117 @@ def test_face_boundary_cycles():
         assert len(cyc) == 4 and all(facet in r for r in cyc)
     assert len(pt.dodecahedron().face_boundary(1)) == 5
     assert len(pt.doubled_cube().face_boundary(1)) == 6
+
+
+def test_face_boundary_rejects_two_cycles():
+    # merge the dodecahedron's two disjoint caps: facet 1 now has two 5-cycles
+    P = pt.dodecahedron()
+
+    def ren(i):
+        return 1 if i == 2 else i
+
+    Q = pt.PolytopeCombinatorics(
+        3, [i for i in P.facets if i != 2], {pt._pair(ren(a), ren(b)) for a, b in P.ridges},
+        [frozenset(map(ren, V)) for V in P.vertices], validate=False)
+    with pytest.raises(pt.CombinatoricsError, match="single cycle"):
+        Q.face_boundary(1)
+
+
+# the 10 triangles of the 6-vertex (hemi-icosahedral) triangulation of RP^2
+HEMI_ICOSAHEDRON = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                    (2, 3, 5), (3, 4, 6), (2, 4, 5), (3, 5, 6), (2, 4, 6)]
+
+
+def _hemi_dodecahedron(shift=0):
+    """Facets 1-6 (plus shift), all 15 pairs as ridges, the hemi-icosahedron
+    triangles as vertices: a cellulation of RP^2 with the Petersen skeleton."""
+    ids = range(1 + shift, 7 + shift)
+    return (list(ids), list(itertools.combinations(ids, 2)),
+            [frozenset(i + shift for i in T) for T in HEMI_ICOSAHEDRON])
+
+
+def _two_dodecahedra_caps_merged():
+    """Two dodecahedra whose top caps are one facet and whose bottom caps are
+    another: two facets bounded by two 5-cycles each (a torus)."""
+    P = pt.dodecahedron()
+
+    def ren(i, shift):
+        return i if i in (1, 2) else i + shift
+
+    facets = [1, 2] + [ren(i, s) for s in (0, 10) for i in P.facets if i > 2]
+    ridges = [(ren(a, s), ren(b, s)) for s in (0, 10) for a, b in P.ridges]
+    vertices = [frozenset(ren(i, s) for i in V) for s in (0, 10) for V in P.vertices]
+    return facets, ridges, vertices
+
+
+def _two_hemi_dodecahedra():
+    # each copy has chi = 1; together v - e + f = 20 - 30 + 12 = 2
+    (f1, r1, v1), (f2, r2, v2) = _hemi_dodecahedron(), _hemi_dodecahedron(6)
+    return f1 + f2, r1 + r2, v1 + v2
+
+
+@pytest.mark.parametrize("build,message", [
+    (_hemi_dodecahedron, "Euler"),                  # RP^2: non-planar Petersen skeleton
+    (_two_hemi_dodecahedra, "disconnected"),        # chi = 2, but two components
+    (_two_dodecahedra_caps_merged, "single cycle"),  # chi = 2, but a torus
+])
+def test_non_spheres_rejected(build, message):
+    # every ridge has two ends, no multi-edge, cubic: only the surface checks fail
+    facets, ridges, vertices = build()
+    raw = pt.PolytopeCombinatorics(3, facets, ridges, vertices, validate=False)
+    assert all(len(raw.ridge_endpoints(r)) == 2 for r in raw.ridges)
+    assert 2 * raw.e == 3 * raw.v
+    assert not three_connected_planar_oracle(raw)
+    with pytest.raises(pt.CombinatoricsError, match=message):
+        pt.PolytopeCombinatorics(3, facets, ridges, vertices)
+
+
+def _merge_across(P, ridge):
+    """Facets, ridges and vertices of P with ``ridge`` deleted and its two
+    facets merged, unchecked: often not a polytope."""
+    F, G = ridge
+
+    def ren(i):
+        return F if i == G else i
+
+    u, v = P.ridge_endpoints(ridge)
+    ridges = {pt._pair(ren(a), ren(b)) for a, b in P.ridges if (a, b) != ridge}
+    vertices = [frozenset(map(ren, V)) for k, V in enumerate(P.vertices) if k not in (u, v)]
+    return [i for i in P.facets if i != G], ridges, vertices
+
+
+def _accepts(build, *args):
+    try:
+        build(*args)
+    except pt.CombinatoricsError:
+        return False
+    return True
+
+
+def _build_document(facets, ridges):
+    return pt.build_combinatorics({"n": 3, "facets": facets,
+                                   "ridges": [list(r) for r in sorted(ridges)]})
+
+
+def test_validator_agrees_with_oracle():
+    # random truncations of prisms and Loebell polytopes, and every single-edge
+    # merge of them (both outcomes occur), with vertices and without
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for base in (pt.prism(3), pt.prism(5), pt.loebell(4), pt.loebell(5)):
+        for cuts in (0, 2, 3):
+            P = random_truncation(base, cuts, rng)
+            assert three_connected_planar_oracle(P)
+            Q = _build_document(list(P.facets), P.ridges)
+            assert set(Q.vertices) == set(P.vertices)
+            for r in sorted(P.ridges):
+                data = _merge_across(P, r)
+                expected = three_connected_planar_oracle(
+                    pt.PolytopeCombinatorics(3, *data, validate=False))
+                assert _accepts(lambda *a: pt.PolytopeCombinatorics(3, *a), *data) == expected
+                assert _accepts(_build_document, *data[:2]) == expected
+                outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_esselmann_combinatorics():

@@ -141,6 +141,9 @@ def test_cli_stats_csv(capsys):
     header, row = out.splitlines()
     assert header == "d,fraction,ci_low,ci_high"
     assert row.startswith("4,")
+    with pytest.raises(SystemExit) as exc:  # --format is a stats flag only
+        cli.main(["check", "tetrahedron353", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_cli_validation_exit_codes(capsys, tmp_path):
@@ -188,15 +191,19 @@ def test_cli_esselmann_dim(capsys):
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # a fresh interpreter: the dim pipeline (including U-membership) and the
-    # random Lorentz transform must not pull in scipy
+    # a fresh interpreter: the dim pipeline (including U-membership), check,
+    # Monte Carlo stats and the random Lorentz transform on built-in inputs
+    # must pull in neither scipy nor networkx
     code = (
         "import sys\n"
         "import numpy as np\n"
         "from coxdeform import cli, lorentz\n"
         f"assert cli.main(['dim', 'loebell5_factor', '--out', {str(tmp_path / 'dim.json')!r}]) == 0\n"
+        f"assert cli.main(['check', 'tetrahedron353', '--out', {str(tmp_path / 'check.json')!r}]) == 0\n"
+        "assert cli.main(['stats', 'dodecahedron', '--d', '20', '--samples', '50',\n"
+        f"                 '--out', {str(tmp_path / 'stats.json')!r}]) == 0\n"
         "lorentz.random_lorentz_transform(4, np.random.default_rng(0))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(coxdeform.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -205,3 +212,5 @@ def test_runtime_does_not_import_scipy(tmp_path):
                          env=env, check=True)
     assert out.stdout.strip() == "[]"
     assert json.loads((tmp_path / "dim.json").read_text())["dimension"] == 7
+    assert json.loads((tmp_path / "check.json").read_text())["valid"] is True
+    assert json.loads((tmp_path / "stats.json").read_text())["report"]["d"] == 20
