@@ -10,6 +10,7 @@ general case by Gauss-Newton iteration from a library of seed guesses.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ RESIDUAL_TOL = 1e-10
 SIGNATURE_EIG_TOL = 1e-9
 DIVERGENCE_THRESHOLD = -1.0   # non-adjacent facets: <nu_i, nu_j> below this
 DIVERGENCE_MARGIN = 1e-6      # rejects boundary (asymptotic-hyperplane) noise
+LM_SHIFT = 1e-12              # Gauss-Newton: mu = LM_SHIFT * trace(J J^t) / rows
 
 
 class RealizationError(ValueError):
@@ -80,21 +82,90 @@ def psi_rows(Q):
     return diag + pairs
 
 
+class PsiStructure:
+    """The row structure of the hyperbolic equations, built once per orbifold.
+
+    Row r reads 2<nu_a, nu_b> + shift with facet positions ``a[r]`` and
+    ``b[r]`` (equal on the diagonal rows).  In the block of each facet c it
+    touches, its Jacobian row carries k alpha_o, where o is the row's other
+    facet; the slot arrays list these entries as (row, c, o, k).  The pair
+    arrays list every two slots that share a facet, flattened to their entry
+    of J J^t, so that J J^t is assembled from the Gram matrix of the alphas.
+    """
+
+    def __init__(self, Q):
+        pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+        rows = psi_rows(Q)
+        self.f = Q.f
+        a = self.a = np.array([pos[i] for i, _ in rows], dtype=np.intp)
+        b = self.b = np.array([pos[j] for _, j in rows], dtype=np.intp)
+        self.shift = np.array([-2.0 if i == j else 2.0 * math.cos(math.pi / Q.order(i, j))
+                               for i, j in rows])
+        diag = a == b
+        ridge = np.flatnonzero(~diag)
+        self.slot_row = np.concatenate([np.flatnonzero(diag), ridge, ridge])
+        self.slot_facet = np.concatenate([a[diag], a[ridge], b[ridge]])
+        self.slot_other = np.concatenate([a[diag], b[ridge], a[ridge]])
+        self.slot_k = np.concatenate([np.full(int(diag.sum()), 2.0), np.ones(2 * len(ridge))])
+        p, q = [], []
+        for c in range(Q.f):
+            slots = np.flatnonzero(self.slot_facet == c)
+            p.append(np.repeat(slots, len(slots)))
+            q.append(np.tile(slots, len(slots)))
+        p, q = np.concatenate(p), np.concatenate(q)
+        self.pair_entry = self.slot_row[p] * len(rows) + self.slot_row[q]
+        self.pair_p, self.pair_q = self.slot_other[p], self.slot_other[q]
+        self.pair_k = self.slot_k[p] * self.slot_k[q]
+
+    @property
+    def nrows(self):
+        return len(self.a)
+
+    def eval(self, normals):
+        return 2.0 * lorentz_gram(normals)[self.a, self.b] + self.shift
+
+    def jacobian(self, alphas):
+        dim = alphas.shape[1]
+        M = np.zeros((self.nrows, self.f, dim))
+        M[self.slot_row, self.slot_facet] = self.slot_k[:, None] * alphas[self.slot_other]
+        return M.reshape(self.nrows, self.f * dim)
+
+    def gauss_newton_step(self, alphas, r):
+        """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
+        f x (n+1) array; J J^t is built from the Gram matrix of the alphas
+        and J itself is never formed."""
+        gram = alphas @ alphas.T
+        weights = self.pair_k * gram[self.pair_p, self.pair_q]
+        R = self.nrows
+        G = np.bincount(self.pair_entry, weights=weights, minlength=R * R).reshape(R, R)
+        G.flat[::R + 1] += LM_SHIFT * G.trace() / R
+        y = np.linalg.solve(G, r)
+        step = np.zeros_like(alphas)
+        np.add.at(step, self.slot_facet,
+                  (self.slot_k * y[self.slot_row])[:, None] * alphas[self.slot_other])
+        return step
+
+
+_PSI_STRUCTURES = weakref.WeakKeyDictionary()
+
+
+def psi_structure(Q):
+    """The cached :class:`PsiStructure` of an orbifold."""
+    S = _PSI_STRUCTURES.get(Q)
+    if S is None:
+        S = _PSI_STRUCTURES[Q] = PsiStructure(Q)
+    return S
+
+
+def _alphas(normals):
+    return 2.0 * normals @ LorentzForm(normals.shape[1]).matrix
+
+
 def psi_eval(Q, normals):
     """Residuals of the hyperbolic equations at the given normals:
     2<nu_i,nu_i> - 2 on diagonal rows, 2<nu_i,nu_j> + 2cos(pi/n_ij) on ridge
     rows.  Length f + e."""
-    normals = np.asarray(normals, dtype=float)
-    pos = {facet: k for k, facet in enumerate(Q.base.facets)}
-    gram = lorentz_gram(normals)
-    out = []
-    for i, j in psi_rows(Q):
-        a, b = pos[i], pos[j]
-        if i == j:
-            out.append(2.0 * gram[a, a] - 2.0)
-        else:
-            out.append(2.0 * gram[a, b] + 2.0 * math.cos(math.pi / Q.order(i, j)))
-    return np.array(out)
+    return psi_structure(Q).eval(np.asarray(normals, dtype=float))
 
 
 def psi_jacobian(Q, normals):
@@ -102,21 +173,7 @@ def psi_jacobian(Q, normals):
     (f+e) x (n+1)f matrix of (n+1)-entry blocks: row (i,i) carries
     2 alpha_i in block i; row (i,j) carries alpha_j in block i and alpha_i in
     block j, where alpha_i = 2 nu_i^t J."""
-    normals = np.asarray(normals, dtype=float)
-    f, dim = normals.shape
-    J = LorentzForm(dim).matrix
-    alphas = 2.0 * normals @ J
-    pos = {facet: k for k, facet in enumerate(Q.base.facets)}
-    rows = psi_rows(Q)
-    M = np.zeros((len(rows), dim * f))
-    for r, (i, j) in enumerate(rows):
-        a, b = pos[i], pos[j]
-        if i == j:
-            M[r, a * dim:(a + 1) * dim] = 2.0 * alphas[a]
-        else:
-            M[r, a * dim:(a + 1) * dim] = alphas[b]
-            M[r, b * dim:(b + 1) * dim] = alphas[a]
-    return M
+    return psi_structure(Q).jacobian(_alphas(np.asarray(normals, dtype=float)))
 
 
 # -- realizations -------------------------------------------------------------
@@ -226,31 +283,33 @@ def realize_gram(Q):
 def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     """Gauss-Newton solve of the hyperbolic equations.
 
-    Steps are minimum-norm least-squares solutions, which quotients out the
-    Lorentz gauge freedom (the Jacobian kernel is dim so(1,n) on the solution
-    manifold), with step halving as a safeguard.  Raises ConvergenceError on
-    divergence and RealizationError if the converged point fails the
-    compactness or divergence checks.
+    Each step is the minimum-norm step J^t y with (J J^t + mu I) y = r, which
+    quotients out the Lorentz gauge freedom (the Jacobian kernel is
+    dim so(1,n) on the solution manifold) without pinning a gauge, so it does
+    not depend on facet labels.  J J^t comes from the Gram matrix of the
+    alphas (:meth:`PsiStructure.gauss_newton_step`).  The Levenberg-Marquardt
+    shift mu = LM_SHIFT trace(J J^t) / (f + e) keeps the system positive
+    definite when J loses row rank; at full row rank the step is the
+    least-squares step J^+ r up to rounding.  Step halving is the safeguard.
+    Raises ConvergenceError on divergence and RealizationError if the
+    converged point fails the compactness or divergence checks.
     """
     if initial is None:
         initial = initial_guess(Q)
     x = np.asarray(initial, dtype=float).copy()
-    f = Q.f
-    dim = Q.n + 1
-    if x.shape != (f, dim):
-        raise RealizationError(f"initial guess must have shape {(f, dim)}")
-    r = psi_eval(Q, x)
+    if x.shape != (Q.f, Q.n + 1):
+        raise RealizationError(f"initial guess must have shape {(Q.f, Q.n + 1)}")
+    S = psi_structure(Q)
+    r = S.eval(x)
     for _ in range(max_iter):
         norm = np.linalg.norm(r)
         if norm < tol:
             return HyperbolicRealization(Q, x)
-        J = psi_jacobian(Q, x)
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        step = step.reshape(f, dim)
+        step = S.gauss_newton_step(_alphas(x), r)
         t = 1.0
         for _ in range(25):
             x_new = x - t * step
-            r_new = psi_eval(Q, x_new)
+            r_new = S.eval(x_new)
             if np.linalg.norm(r_new) < norm:
                 break
             t *= 0.5

@@ -332,39 +332,48 @@ class TruncationWitness:
 def is_truncation_polytope(P):
     """Decide whether P is an iterated vertex truncation of a simplex.
 
-    For n >= 4 this is the statement delta_P = 0.  For n = 3 a backtracking
-    reverse-truncation search is run; on success the witness history lists the
+    For n >= 4 this is the statement delta_P = 0.  For n = 3 a greedy
+    reverse-truncation peel is run; on success the witness history lists the
     facets removed, in reverse-truncation order down to the simplex.
     """
     if P.n >= 4:
         return TruncationWitness(delta_invariant(P) == 0, [], method="delta")
-    return _reverse_truncation_search(P, [])
+    return _reverse_truncation_search(P)
 
 
 def _is_simplex(P):
     return P.f == P.n + 1 and P.e == P.f * (P.f - 1) // 2
 
 
-def _reverse_truncation_search(P, history):
-    if _is_simplex(P):
-        return TruncationWitness(True, list(history))
-    for facet in sorted(P.facets):
-        nbrs = P.neighbors(facet)
-        if len(nbrs) != P.n:
-            continue
-        restored = frozenset(nbrs)
-        if not all(P.adjacent(i, j) for i, j in itertools.combinations(nbrs, 2)):
-            continue
-        if restored in P.vertices:
-            continue
-        try:
-            Q = _untruncate(P, facet, restored)
-        except CombinatoricsError:
-            continue
-        result = _reverse_truncation_search(Q, history + [facet])
-        if result:
-            return result
-    return TruncationWitness(False, [])
+def _reverse_truncation_search(P):
+    """Un-truncate the lowest qualifying facet until a simplex remains.
+
+    The dual of a truncation 3-polytope is a stacked triangulation (a planar
+    3-tree).  In a planar 3-tree with more than 4 vertices every degree-3
+    vertex is simplicial, and removing it leaves a planar 3-tree.  So
+    un-truncation is confluent: any qualifying facet may go first, and one
+    greedy pass decides membership without backtracking.
+    """
+    history = []
+    while not _is_simplex(P):
+        for facet in sorted(P.facets):
+            nbrs = P.neighbors(facet)
+            if len(nbrs) != P.n:
+                continue
+            restored = frozenset(nbrs)
+            if not all(P.adjacent(i, j) for i, j in itertools.combinations(nbrs, 2)):
+                continue
+            if restored in P.vertices:
+                continue
+            try:
+                P = _untruncate(P, facet, restored)
+            except CombinatoricsError:
+                continue
+            history.append(facet)
+            break
+        else:
+            return TruncationWitness(False, [])
+    return TruncationWitness(True, history)
 
 
 def _untruncate(P, facet, restored):

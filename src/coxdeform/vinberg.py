@@ -342,7 +342,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     """
     from coxdeform import orbifold as ob
 
-    index, M, rphi = _phi_analysis(Q, p, policy)
+    index, R, rphi = _phi_analysis(Q, p, policy)  # R: D phi, reduced in place below
     J = lorentz.LorentzForm(p.dim).matrix
     if np.abs(p.alphas - 2.0 * p.bs @ J).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
@@ -353,7 +353,6 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     rpsi = jacobian_report("psi", lorentz.psi_jacobian(Q, p.bs), policy)
     wo = bool(ob.weak_order_combinatorial(Q))
 
-    R = M.copy()
     n2 = len(index.e2)
     for k, (i, j) in enumerate(index.e2):
         R[n2 + k] += R[k]

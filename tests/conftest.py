@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -79,8 +82,6 @@ def enumerate_dual_cycles(P, k):
     """Brute-force enumeration of k-cycles in the facet adjacency graph,
     canonicalized up to rotation and reflection (independent of the library's
     circuit search)."""
-    import itertools
-
     ridges = set(P.ridges)
 
     def adjacent(i, j):
@@ -118,8 +119,6 @@ def three_connected_planar_oracle(P):
     Endpoints come from the vertex sets, planarity from networkx and
     3-connectivity from an exhaustive 2-vertex-cut search (independent of
     the library's facet-cycle validation)."""
-    import itertools
-
     import networkx as nx
 
     pairs = set()
@@ -154,6 +153,88 @@ def random_truncation(P, cuts, rng):
     return P
 
 
+def reverse_truncation_oracle(P, history=()):
+    """Backtracking search over every un-truncation order of a 3-polytope
+    (no memo, so factorial on "no" answers): the witness of the first order
+    that ends at a simplex, else a negative witness."""
+    if pt._is_simplex(P):
+        return pt.TruncationWitness(True, list(history))
+    for facet in sorted(P.facets):
+        nbrs = P.neighbors(facet)
+        if len(nbrs) != P.n:
+            continue
+        restored = frozenset(nbrs)
+        if not all(P.adjacent(i, j) for i, j in itertools.combinations(nbrs, 2)):
+            continue
+        if restored in P.vertices:
+            continue
+        try:
+            Q = pt._untruncate(P, facet, restored)
+        except pt.CombinatoricsError:
+            continue
+        result = reverse_truncation_oracle(Q, list(history) + [facet])
+        if result:
+            return result
+    return pt.TruncationWitness(False, [])
+
+
+def psi_eval_oracle(Q, normals):
+    """The hyperbolic residuals, one Python step per equation row."""
+    pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+    gram = lorentz.lorentz_gram(normals)
+    out = []
+    for i, j in lorentz.psi_rows(Q):
+        a, b = pos[i], pos[j]
+        if i == j:
+            out.append(2.0 * gram[a, a] - 2.0)
+        else:
+            out.append(2.0 * gram[a, b] + 2.0 * math.cos(math.pi / Q.order(i, j)))
+    return np.array(out)
+
+
+def psi_jacobian_oracle(Q, normals):
+    """The dense hyperbolic Jacobian, one Python step per equation row."""
+    normals = np.asarray(normals, dtype=float)
+    f, dim = normals.shape
+    alphas = 2.0 * normals @ lorentz.LorentzForm(dim).matrix
+    pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+    rows = lorentz.psi_rows(Q)
+    M = np.zeros((len(rows), dim * f))
+    for r, (i, j) in enumerate(rows):
+        a, b = pos[i], pos[j]
+        if i == j:
+            M[r, a * dim:(a + 1) * dim] = 2.0 * alphas[a]
+        else:
+            M[r, a * dim:(a + 1) * dim] = alphas[b]
+            M[r, b * dim:(b + 1) * dim] = alphas[a]
+    return M
+
+
+def newton_lstsq_oracle(Q, initial, tol=lorentz.RESIDUAL_TOL, max_iter=100):
+    """Gauss-Newton with SVD-based least-squares steps on the dense Jacobian,
+    with step halving; returns the converged normals (unvalidated)."""
+    f, dim = Q.f, Q.n + 1
+    x = np.asarray(initial, dtype=float).copy()
+    r = psi_eval_oracle(Q, x)
+    for _ in range(max_iter):
+        norm = np.linalg.norm(r)
+        if norm < tol:
+            return x
+        step, *_ = np.linalg.lstsq(psi_jacobian_oracle(Q, x), r, rcond=None)
+        step = step.reshape(f, dim)
+        t = 1.0
+        for _ in range(25):
+            x_new = x - t * step
+            r_new = psi_eval_oracle(Q, x_new)
+            if np.linalg.norm(r_new) < norm:
+                break
+            t *= 0.5
+        else:
+            raise lorentz.ConvergenceError(f"no descent step found at residual {norm:.3e}")
+        x, r = x_new, r_new
+    raise lorentz.ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
 def enumerate_perfect_matchings(P):
     """Exhaustive matching enumeration on the 1-skeleton (oracle)."""
     edges = sorted(P.ridges)
@@ -175,8 +256,6 @@ def enumerate_perfect_matchings(P):
 
 def brute_force_weak_order(Q):
     """Try every facet permutation (f <= 8)."""
-    import itertools
-
     for perm in itertools.permutations(sorted(Q.base.facets)):
         if ob.check_weak_ordering(Q, perm):
             return perm

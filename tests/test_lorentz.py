@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coxdeform import lorentz, orbifold as ob, polytope as pt
+from coxdeform import bundled, lorentz, matchstats, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
+from conftest import newton_lstsq_oracle, psi_eval_oracle, psi_jacobian_oracle
 
 
 def simplex_orbifold(orders_by_pair):
@@ -188,3 +189,104 @@ def test_degenerate_euclidean_cube_rejected():
     Q = ob.CoxeterOrbifold(P, {r: 2 for r in P.ridges})
     with pytest.raises((lorentz.RealizationError, lorentz.ConvergenceError)):
         lorentz.solve_hyperbolic_newton(Q)
+
+
+# -- the Gram-system Gauss-Newton step against the SVD least-squares oracle ---
+
+def loebell_factor_orbifold(P):
+    """Order 3 on the factor through the smallest ridge, order 2 elsewhere."""
+    factor = set(matchstats.find_factor(P, min(P.ridges)))
+    return ob.make_orbifold(P, {r: (3 if r in factor else 2) for r in P.ridges})
+
+
+def prism_cap_orbifold(m):
+    """Order 3 on the ridges of the two caps, order 2 on the sides."""
+    P = pt.prism(m)
+    return ob.make_orbifold(P, {r: (3 if r[0] in (1, 2) else 2) for r in P.ridges})
+
+
+# the bundled orbifolds that cli._realize solves by Newton, and two larger ones
+NEWTON_CASES = ["cube_flex", "cube_mixed", "cube_rigid", "doubled_cube", "loebell5_factor",
+                "loebell6_factor", "loebell7_factor", "loebell8_factor", "loebell16", "prism16"]
+
+
+def newton_case(name):
+    if name == "loebell16":
+        return loebell_factor_orbifold(pt.loebell(16))
+    if name == "prism16":
+        return prism_cap_orbifold(16)
+    return bundled.load_builtin(name)
+
+
+@pytest.mark.parametrize("name", NEWTON_CASES)
+def test_newton_matches_lstsq_oracle(name):
+    Q = newton_case(name)
+    seed = lorentz.initial_guess(Q)
+    R = lorentz.solve_hyperbolic_newton(Q, seed)
+    oracle = lorentz.HyperbolicRealization(Q, newton_lstsq_oracle(Q, seed), validate=False)
+    # the Gram matrix is gauge-invariant; the normals themselves are not
+    assert np.abs(lorentz.lorentz_gram(R.normals)
+                  - lorentz.lorentz_gram(oracle.normals)).max() < 1e-9
+    assert R.vertex_flags == oracle.vertex_flags
+
+
+def _rank_deficient_seeds(Q):
+    """The seed with facet 1's normal set to 0, and one with every normal equal."""
+    seed = lorentz.initial_guess(Q)
+    zeroed = seed.copy()
+    zeroed[Q.base.facets.index(1)] = 0.0
+    return zeroed, np.tile(seed[0], (Q.f, 1))
+
+
+def test_newton_rank_deficient_jacobian(cube_orbifolds):
+    Q = cube_orbifolds["cube_flex"]
+    zeroed, equal = _rank_deficient_seeds(Q)
+    for x in (zeroed, equal):
+        assert numerical_rank(lorentz.psi_jacobian(Q, x)).rank < Q.f + Q.base.e
+    # the shifted Gram system stays solvable where J J^t is singular
+    R = lorentz.solve_hyperbolic_newton(Q, zeroed)
+    assert R.residual_norm < 1e-10
+    with pytest.raises(lorentz.ConvergenceError):
+        lorentz.solve_hyperbolic_newton(Q, equal)
+
+
+@pytest.mark.parametrize("name", NEWTON_CASES)
+def test_psi_structure_matches_row_loop(name):
+    Q = newton_case(name)
+    seed = lorentz.initial_guess(Q)
+    points = [seed, lorentz.solve_hyperbolic_newton(Q, seed).normals]
+    if name == "cube_flex":
+        points += _rank_deficient_seeds(Q)
+    for x in points:
+        assert np.abs(lorentz.psi_eval(Q, x) - psi_eval_oracle(Q, x)).max() < 1e-14
+        assert np.abs(lorentz.psi_jacobian(Q, x) - psi_jacobian_oracle(Q, x)).max() < 1e-14
+
+
+def _relabelled(P, rng):
+    """P with its facet ids permuted at random, listed in increasing new id."""
+    new = dict(zip(P.facets, (int(k) + 1 for k in rng.permutation(P.f))))
+    return pt.PolytopeCombinatorics(
+        P.n, sorted(new.values()), [(new[i], new[j]) for i, j in P.ridges],
+        [frozenset(new[i] for i in V) for V in P.vertices])
+
+
+def _dimension_report(Q):
+    R = lorentz.solve_hyperbolic_newton(Q)
+    rank_sum = vinberg.check_rank_sum(Q, vinberg.hyperbolic_point(R))
+    return rank_sum.rank_phi.deformation_dim, rank_sum.rank_phi.rank, rank_sum.rank_psi.rank
+
+
+def test_newton_independent_of_facet_labels():
+    P = pt.loebell(16)
+    base = _dimension_report(loebell_factor_orbifold(P))
+    assert base[0] == 29  # 2m - 3
+    rng = np.random.default_rng(20)
+    for _ in range(8):
+        assert _dimension_report(loebell_factor_orbifold(_relabelled(P, rng))) == base
+
+
+def test_newton_loebell128():
+    Q = loebell_factor_orbifold(pt.loebell(128))
+    R = lorentz.solve_hyperbolic_newton(Q)
+    assert R.check_valid()
+    assert lorentz.kernel_dimension(Q, R.normals) == 6

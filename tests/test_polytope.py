@@ -5,7 +5,7 @@ import pytest
 
 from coxdeform import polytope as pt
 from conftest import (enumerate_dual_cycles, prismatic_oracle, random_truncation,
-                      three_connected_planar_oracle)
+                      reverse_truncation_oracle, three_connected_planar_oracle)
 
 
 def cube_description():
@@ -166,6 +166,28 @@ def test_truncation_recognition_iterated():
         assert witness.method == "combinatorial recognition"
         # replay the witness: un-truncating in the listed order ends at a simplex
         assert len(witness.history) == P.f - 4
+
+
+def test_truncation_recognition_matches_backtracking_oracle():
+    # the greedy peel returns the backtracking search's witness, history included
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for base in (pt.simplex(3), pt.prism(3), pt.cube(), pt.prism(5), pt.loebell(5)):
+        for cuts in range(5):
+            for _ in range(3):
+                P = random_truncation(base, cuts, rng)
+                witness = pt.is_truncation_polytope(P)
+                assert witness == reverse_truncation_oracle(P)
+                outcomes.add(witness.is_truncation)
+    assert outcomes == {True, False}
+
+
+def test_truncation_recognition_cube_with_seven_corners_cut():
+    # the backtracking search tries every un-truncation order here
+    P = pt.cube()
+    for V in pt.cube().vertices[:7]:
+        P = pt.truncate_vertex(P, V)
+    assert not pt.is_truncation_polytope(P).is_truncation
 
 
 def test_face_boundary_cycles():
