@@ -266,8 +266,10 @@ def cmd_stats(args):
     report = matchstats.estimate_wo_fraction(
         P, args.d, mode=args.mode, samples=args.samples, seed=args.seed, name=name)
     if args.format == "csv":
-        text = "d,fraction,ci_low,ci_high\n" + \
-            f"{report.d},{report.fraction:.12g},{report.ci_low:.12g},{report.ci_high:.12g}\n"
+        # an empty field where there is no fraction (no valid assignment)
+        cells = ["" if x is None else f"{x:.12g}"
+                 for x in (report.fraction, report.ci_low, report.ci_high)]
+        text = "d,fraction,ci_low,ci_high\n" + ",".join([str(report.d), *cells]) + "\n"
         _write_text(args, text)
         return None, EXIT_OK
     out = {"command": "stats", "input": name, "config": config_echo(args),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,12 @@ from coxdeform import polytope as pt
 from coxdeform.polytope import _pair
 
 EXACT_EDGE_LIMIT = 18
+# Monte Carlo rejection: rows drawn at once, round cap, and the acceptance
+# rate below which sampling is refused once enough attempts are made
+MC_ROW_CHUNK = 4096
+MC_MAX_ROUNDS = 24
+MC_MIN_ACCEPTANCE = 1e-3
+MC_RATE_PILOT = 20000
 
 
 class GraphConditionError(ValueError):
@@ -284,9 +291,9 @@ class StatsReport:
     mode: str
     valid_count: int
     wo_count: int
-    fraction: float
-    ci_low: float
-    ci_high: float
+    fraction: float | None  # None when there is no valid assignment
+    ci_low: float | None
+    ci_high: float | None
     nj: dict
     seed: int = None
     samples: int = None
@@ -333,13 +340,17 @@ class _AssignmentModel:
         self._wo_cache = {}
 
     def circuits_ok(self, orders):
-        for idxs in self.c3:
-            if not sum(1.0 / orders[t] for t in idxs) < 1.0:
-                return False
-        for idxs in self.c4:
-            if not sum(1.0 / orders[t] for t in idxs) < 2.0:
-                return False
-        return True
+        """Prismatic-circuit inequalities, one verdict per assignment along
+        the last axis of ``orders``; each sum of 1/m runs in circuit order."""
+        inv = 1.0 / np.asarray(orders, dtype=float)
+        ok = np.ones(inv.shape[:-1], dtype=bool)
+        for circuits, bound in ((self.c3, 1.0), (self.c4, 2.0)):
+            for first, *rest in circuits:
+                total = inv[..., first]
+                for t in rest:
+                    total = total + inv[..., t]
+                ok &= total < bound
+        return ok
 
     def weakly_orderable(self, zero_mask):
         """Weak orderability when exactly the edges in ``zero_mask`` (bit t
@@ -362,9 +373,14 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
     when Z is weakly orderable (2^e sets, refused beyond 18 edges whatever d
     is).  It tabulates N_j(d), the number of valid assignments with exactly j
     edges of order >= 7; for d in {7, 8} it checks N_j(d) = N_j(7) * (d-6)^j
-    against a fresh d = 7 count.  Monte Carlo mode draws exactly uniform valid
-    assignments (dynamic-programming sampler, one counter-keyed substream per
-    sample) and reports a 95% Wilson interval.
+    against a fresh d = 7 count.  With no valid assignment the fraction and
+    its interval are None.  Monte Carlo mode draws exactly uniform valid
+    assignments in batches (dynamic-programming sampler with circuit
+    rejection; sample i reads only the Philox stream keyed (seed, i), so it
+    does not depend on the sample count) and reports a 95% Wilson interval.
+    It refuses up front when no assignment can pass the circuit inequalities
+    and stops with "circuit rejection rate too high" when fewer than
+    MC_MIN_ACCEPTANCE of its draws pass them.
     """
     name = name or f"f{P.f}-e{P.e}"
     if mode == "exact":
@@ -409,7 +425,9 @@ class _EdgeSetCounter:
                 self.ends[t].append(v)
                 self.others[v, t] = tuple(s for s in triple if s != t)
         self.circuit_edges = {t for c in model.c3 for t in c}
+        self.circuit_bits = _bits(self.circuit_edges)
         self._memo = {}
+        self._passing = {}
 
     def masks(self):
         """Order-2 edge sets that pass the tests reading Z alone: each
@@ -494,16 +512,9 @@ class _EdgeSetCounter:
         the circuit tests; ``big`` counts the pinned edges of order >= 7."""
         pins = [t for comp, _ in pinned for t in comp if t in self.circuit_edges]
         isolated = {comp[0] for comp, _ in pinned if len(comp) == 1}
-        choices = [self.classes if t in isolated else self.pair_classes for t in pins]
-        orders = [2 if mask >> t & 1 else 3 for t in range(self.e)]
+        choices = tuple(self.classes if t in isolated else self.pair_classes for t in pins)
         out = {}
-        for combo in itertools.product(*choices):
-            for t, c in zip(pins, combo):
-                orders[t] = c
-            # the sampler's floating-point test, so both modes agree on
-            # circuits whose sum is 1 up to rounding
-            if not self.model.circuits_ok(orders):
-                continue
+        for combo in self._passing_combos(mask, tuple(pins), choices):
             pin = dict(zip(pins, combo))
             n, big = 1, 0
             for comp, closed in pinned:
@@ -515,6 +526,25 @@ class _EdgeSetCounter:
             if n:
                 out[big] = out.get(big, 0) + n
         return out
+
+    def _passing_combos(self, mask, pins, choices):
+        """The class combinations of ``pins`` that pass the circuit tests.
+        A 4-circuit with an edge outside Z always passes and ``masks`` admits
+        no other, so the verdicts read only the 3-circuit edges: memoized on
+        those in Z, the pins and their choices."""
+        key = (mask & self.circuit_bits, pins, choices)
+        combos = self._passing.get(key)
+        if combos is None:
+            combos = list(itertools.product(*choices))
+            orders = np.tile(np.where([mask >> t & 1 for t in range(self.e)], 2, 3),
+                             (len(combos), 1))
+            orders[:, list(pins)] = np.reshape(combos, (len(combos), len(pins)))
+            # the sampler's floating-point test, so both modes agree on
+            # circuits whose sum is 1 up to rounding
+            ok = self.model.circuits_ok(orders).tolist()
+            combos = [c for c, good in zip(combos, ok) if good]
+            self._passing[key] = combos
+        return combos
 
 
 def _bits(edge_ids):
@@ -549,7 +579,7 @@ def _exact_counts(P, d):
 
 def _exact_stats(P, d, name):
     valid, wo, nj = _exact_counts(P, d)
-    fraction = wo / valid if valid else 0.0
+    fraction = wo / valid if valid else None
     report = StatsReport(polytope=name, d=d, mode="exact", valid_count=valid,
                          wo_count=wo, fraction=fraction, ci_low=fraction,
                          ci_high=fraction,
@@ -562,8 +592,17 @@ def _exact_stats(P, d, name):
     return report
 
 
+class _Step(NamedTuple):
+    """One vertex of the elimination order: the boundary slots of its edges
+    already open, the slots that stay open, and the positions of the edges
+    it opens (appended to the boundary in this order)."""
+    arr: tuple
+    keep: tuple
+    new: tuple
+
+
 class _UniformValidSampler:
-    """Exactly uniform sampling of valid order assignments.
+    """Exactly uniform sampling of valid order assignments, drawn in batches.
 
     Rejection from the product distribution is hopeless here (nearly every
     vertex needs an order-2 edge), so vertex-valid assignments are counted by
@@ -573,27 +612,29 @@ class _UniformValidSampler:
     d - 5 on the last; a sampled >=6 class expands to a uniform order in
     {6..d}.  The few prismatic-circuit conditions are then applied by
     rejection, which preserves exact uniformity over the valid set.
+
+    ``counts[t]`` holds the weighted number of vertex-valid completions from
+    step t, one axis per open boundary slot; each step is one contraction of
+    the weighted vertex kernel against ``counts[t + 1]``.  The counts are
+    float64: they set the sampling probabilities and are exact while they
+    stay below 2^53.  ``draw`` moves every row through the steps together.
     """
 
     def __init__(self, model):
         self.model = model
-        P = model.P
         d = model.d
-        self.class_orders = list(range(2, min(d, 6) + 1))  # representatives
+        self.class_orders = np.arange(2, min(d, 6) + 1)  # representatives
         self.nclasses = len(self.class_orders)
-        self.class_weight = [1] * self.nclasses
+        self.class_weight = np.ones(self.nclasses)
         if d >= 6:
             self.class_weight[-1] = d - 5
-        inv = [1.0 / m for m in self.class_orders]
-        self.class_ok = np.zeros((self.nclasses,) * 3, dtype=bool)
-        for a in range(self.nclasses):
-            for b in range(self.nclasses):
-                for c in range(self.nclasses):
-                    self.class_ok[a, b, c] = inv[a] + inv[b] + inv[c] > 1.0
-
-        self.order_of_vertices = self._elimination_order(P)
-        self.steps = self._plan_steps(P)
-        self.counts = self._backward_counts()
+        inv = 1.0 / self.class_orders
+        self.class_ok = inv[:, None, None] + inv[None, :, None] + inv[None, None, :] > 1.0
+        self.steps = self._plan_steps(model, self._elimination_order(model.P))
+        # uniforms per attempt: one per step, one per edge for the >=6 class,
+        # padded to whole Philox blocks of four
+        self.block = -(-(len(self.steps) + len(model.edges)) // 4) * 4
+        self.counts, self.tables = self._backward_counts()
 
     @staticmethod
     def _elimination_order(P):
@@ -621,9 +662,10 @@ class _UniformValidSampler:
                     open_edges.add(r)
         return done
 
-    def _plan_steps(self, P):
-        """Per vertex: arriving boundary slots, newly opened edges, and the
-        boundary layout before/after."""
+    @staticmethod
+    def _plan_steps(model, order):
+        """The ``_Step`` of each vertex in ``order``."""
+        P = model.P
         incident = {k: [] for k in range(len(P.vertices))}
         for r in P.ridges:
             a, b = P.ridge_endpoints(r)
@@ -631,129 +673,165 @@ class _UniformValidSampler:
             incident[b].append(r)
         steps = []
         boundary = []  # list of open edges, order = slot order
-        for w in self.order_of_vertices:
-            arriving = [r for r in incident[w] if r in boundary]
+        for w in order:
+            arr = tuple(boundary.index(r) for r in incident[w] if r in boundary)
             new = sorted(r for r in incident[w] if r not in boundary)
-            arr_slots = [boundary.index(r) for r in arriving]
-            keep_slots = [s for s in range(len(boundary)) if s not in arr_slots]
-            steps.append({
-                "vertex": w,
-                "arr_slots": arr_slots,
-                "arriving": arriving,
-                "new": new,
-                "pre_size": len(boundary),
-            })
-            boundary = [boundary[s] for s in keep_slots] + new
+            keep = tuple(s for s in range(len(boundary)) if s not in arr)
+            steps.append(_Step(arr, keep, tuple(model.edge_pos[r] for r in new)))
+            boundary = [boundary[s] for s in keep] + new
         if boundary:
             raise GraphConditionError("elimination order left open edges")
         return steps
 
     def _backward_counts(self):
-        """counts[t][code] = weighted number of vertex-valid completions from
-        step t given the open-edge classes encoded little-endian in ``code``."""
+        """``counts[t]`` for every step, and per step the weighted kernel and
+        ``counts[t + 1]`` as matrices: rows indexed by the arriving classes
+        and by the kept classes respectively, columns by the new classes."""
         k = self.nclasses
         counts = [None] * (len(self.steps) + 1)
-        counts[-1] = np.ones(1)
+        counts[-1] = np.ones(())
+        tables = [None] * len(self.steps)
         for t in range(len(self.steps) - 1, -1, -1):
-            step = self.steps[t]
-            pre = step["pre_size"]
-            narr = len(step["arr_slots"])
-            nnew = len(step["new"])
-            codes = np.arange(k ** pre, dtype=np.int64)
-            arr_cls = [(codes // k ** s) % k for s in step["arr_slots"]]
-            keep_slots = [s for s in range(pre) if s not in step["arr_slots"]]
-            base = np.zeros(len(codes), dtype=np.int64)
-            for newpos, s in enumerate(keep_slots):
-                base += ((codes // k ** s) % k) * k ** newpos
-            total = np.zeros(len(codes))
-            nxt = counts[t + 1]
-            for combo in itertools.product(range(k), repeat=nnew):
-                triple = arr_cls + [np.full(len(codes), c, dtype=np.int64)
-                                    for c in combo]
-                ok = self.class_ok[triple[0], triple[1], triple[2]]
-                w = 1
-                for c in combo:
-                    w *= self.class_weight[c]
-                post = base.copy()
-                for j, c in enumerate(combo):
-                    post += c * k ** (len(keep_slots) + j)
-                total += w * ok * nxt[post]
-            counts[t] = total
-        return counts
+            arr, keep, new = self.steps[t]
+            weight = np.ones(())
+            for _ in new:
+                weight = np.multiply.outer(weight, self.class_weight)
+            kernel = (self.class_ok * weight).reshape(k ** len(arr), k ** len(new))
+            nxt = counts[t + 1].reshape(k ** len(keep), k ** len(new))
+            tables[t] = (kernel, nxt)
+            out = (kernel @ nxt.T).reshape((k,) * (len(arr) + len(keep)))
+            counts[t] = out.transpose(np.argsort(arr + keep)).copy()
+        return counts, tables
 
     @property
     def vertex_valid_count(self):
-        return float(self.counts[0][0])
+        return float(self.counts[0])
 
-    def sample(self, rng, max_attempts=100000):
-        """One exactly uniform valid assignment; returns (orders, attempts)."""
-        model = self.model
+    def _vertex_valid_rows(self, u):
+        """One vertex-valid assignment per row of the uniforms ``u``: column
+        t picks the classes opened at step t, column len(steps) + s expands
+        a >=6 class on edge s."""
         k = self.nclasses
-        for attempt in range(1, max_attempts + 1):
-            classes = {}
-            code = 0
-            for t, step in enumerate(self.steps):
-                pre = step["pre_size"]
-                arr_cls = [(code // k ** s) % k for s in step["arr_slots"]]
-                keep_slots = [s for s in range(pre) if s not in step["arr_slots"]]
-                base = sum(((code // k ** s) % k) * k ** j
-                           for j, s in enumerate(keep_slots))
-                combos = []
-                weights = []
-                for combo in itertools.product(range(k), repeat=len(step["new"])):
-                    triple = arr_cls + list(combo)
-                    if not self.class_ok[triple[0], triple[1], triple[2]]:
-                        continue
-                    post = base + sum(c * k ** (len(keep_slots) + j)
-                                      for j, c in enumerate(combo))
-                    w = self.counts[t + 1][post]
-                    for c in combo:
-                        w *= self.class_weight[c]
-                    if w > 0:
-                        combos.append((combo, post))
-                        weights.append(w)
-                if not combos:
-                    raise GraphConditionError("sampler dead end (count bug)")
-                weights = np.array(weights)
-                pick = rng.choice(len(combos), p=weights / weights.sum())
-                combo, code = combos[pick]
-                for r, c in zip(step["new"], combo):
-                    classes[r] = c
-            orders = np.empty(len(model.edges), dtype=np.int64)
-            for r, c in classes.items():
-                o = self.class_orders[c]
-                if c == self.nclasses - 1 and model.d >= 6:
-                    o = int(rng.integers(6, model.d + 1))
-                orders[model.edge_pos[r]] = o
-            if model.circuits_ok(orders):
-                return orders, attempt
-        raise GraphConditionError("circuit rejection rate too high")
+        rows = len(u)
+        cls = np.empty((rows, len(self.model.edges)), dtype=np.int64)
+        slots = []  # class of each open boundary slot, one array per slot
+        for t, ((arr, keep, new), (kernel, nxt)) in enumerate(zip(self.steps, self.tables)):
+            weights = kernel[_place_value([slots[s] for s in arr], k, rows)] * \
+                nxt[_place_value([slots[s] for s in keep], k, rows)]
+            cum = np.cumsum(weights, axis=1)
+            total = cum[:, -1]
+            if not (total > 0).all():
+                raise GraphConditionError("sampler dead end (count bug)")
+            # searchsorted(cum[i], u[i, t] * total[i], side="right") for every
+            # row i at once; a zero-weight column never gets picked
+            pick = (cum <= (u[:, t] * total)[:, None]).sum(axis=1)
+            opened = [pick // k ** (len(new) - 1 - j) % k for j in range(len(new))]
+            for pos, c in zip(new, opened):
+                cls[:, pos] = c
+            slots = [slots[s] for s in keep] + opened
+        orders = self.class_orders[cls]
+        if self.model.d >= 6:
+            expand = u[:, len(self.steps):len(self.steps) + cls.shape[1]]
+            big = cls == self.nclasses - 1
+            orders[big] = 6 + (expand[big] * (self.model.d - 5)).astype(np.int64)
+        return orders
+
+    def stream(self, gen, seed, i, first, count):
+        """Uniforms for attempts ``first .. first + count - 1`` of sample i,
+        one row each: block ``first`` onwards of the Philox stream keyed
+        (seed, i), read as ``Generator.random`` reads it from the start."""
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([first * self.block // 4, 0, 0, 0], dtype=np.uint64),
+                      "key": np.array([seed % 2 ** 64, i], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return gen.random(count * self.block).reshape(count, self.block)
+
+    def draw(self, seed, indices):
+        """Exactly uniform valid assignments for samples ``indices``; returns
+        (orders, attempts), one row per sample.
+
+        Rejection runs in rounds over the samples still pending; in round r
+        each makes min(2^r, MC_ROW_CHUNK) further attempts and keeps its first
+        accepted one.  Attempt a of sample i reads block a of its own stream,
+        so a row does not depend on the other samples of the call.  Raises
+        when the acceptance rate falls below MC_MIN_ACCEPTANCE once
+        MC_RATE_PILOT attempts are made, or when MC_MAX_ROUNDS rounds leave a
+        sample pending.
+        """
+        indices = np.asarray(indices, dtype=np.uint64)
+        e = len(self.model.edges)
+        orders = np.empty((len(indices), e), dtype=np.int64)
+        attempts = np.zeros(len(indices), dtype=np.int64)
+        gen = np.random.Generator(np.random.Philox())
+        pending = np.arange(len(indices))
+        made = 0  # attempts made so far by each pending sample
+        for r in range(MC_MAX_ROUNDS):
+            if not len(pending):
+                break
+            m = min(1 << r, MC_ROW_CHUNK)
+            accepted = np.zeros(len(indices), dtype=bool)
+            group = max(MC_ROW_CHUNK // m, 1)
+            for g in range(0, len(pending), group):
+                part = pending[g:g + group]
+                u = np.concatenate([self.stream(gen, seed, indices[i], made, m) for i in part])
+                rows = self._vertex_valid_rows(u).reshape(len(part), m, e)
+                ok = self.model.circuits_ok(rows)
+                hit = ok.any(axis=1)
+                first = ok.argmax(axis=1)
+                attempts[part] += np.where(hit, first + 1, m)
+                orders[part[hit]] = rows[hit, first[hit]]
+                accepted[part[hit]] = True
+            made += m
+            pending = pending[~accepted[pending]]
+            tried = int(attempts.sum())
+            if tried >= MC_RATE_PILOT and len(indices) - len(pending) < MC_MIN_ACCEPTANCE * tried:
+                break
+        if len(pending):
+            raise GraphConditionError("circuit rejection rate too high")
+        return orders, attempts
+
+
+def _place_value(digits, k, rows):
+    """Row index of the class columns ``digits`` in a C-ordered (k,)*n axis
+    block: the first column is the most significant base-k digit."""
+    out = np.zeros(rows, dtype=np.int64)
+    for c in digits:
+        out = out * k + c
+    return out
+
+
+def _zero_masks(orders):
+    """Per row, the order-2 columns as a bitmask (bit t for column t), as a
+    Python int of any width."""
+    packed = np.packbits(orders == 2, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _montecarlo_stats(P, d, samples, seed, name):
+    if samples < 1:
+        raise GraphConditionError("Monte Carlo needs at least one sample")
     model = _AssignmentModel(P, d)
+    # every circuit sum is smallest with every order d
+    if not model.circuits_ok(np.full(len(model.edges), d)):
+        raise GraphConditionError(
+            "no valid assignments exist: a prismatic circuit inequality fails "
+            f"even with every order {d}")
     sampler = _UniformValidSampler(model)
     if sampler.vertex_valid_count == 0:
         raise GraphConditionError("no valid assignments exist")
-    e = len(model.edges)
     wo = 0
-    nj = {}
+    big = np.zeros(len(model.edges) + 1, dtype=np.int64)
     attempts = 0
-    for i in range(samples):
-        rng = np.random.Generator(np.random.Philox(
-            key=np.array([seed % 2 ** 64, i], dtype=np.uint64)))
-        orders, used = sampler.sample(rng)
-        attempts += used
-        j = int(np.sum(orders >= 7))
-        nj[j] = nj.get(j, 0) + 1
-        zero_mask = 0
-        for t in range(e):
-            if orders[t] == 2:
-                zero_mask |= 1 << t
-        if model.weakly_orderable(zero_mask):
-            wo += 1
+    for start in range(0, samples, MC_ROW_CHUNK):
+        orders, used = sampler.draw(seed, range(start, min(start + MC_ROW_CHUNK, samples)))
+        attempts += int(used.sum())
+        big += np.bincount((orders >= 7).sum(axis=1), minlength=len(big))
+        wo += sum(map(model.weakly_orderable, _zero_masks(orders)))
     fraction, lo, hi = _wilson_interval(wo, samples)
     return StatsReport(polytope=name, d=d, mode="montecarlo", valid_count=samples,
                        wo_count=wo, fraction=fraction, ci_low=lo, ci_high=hi,
-                       nj=dict(sorted(nj.items())), seed=seed, samples=samples,
-                       attempts=attempts, acceptance_rate=samples / attempts)
+                       nj={j: int(n) for j, n in enumerate(big) if n}, seed=seed,
+                       samples=samples, attempts=attempts,
+                       acceptance_rate=samples / attempts)

@@ -338,6 +338,44 @@ def exact_counts_oracle(P, d):
     return valid, wo, [int(n) for n in nj]
 
 
+def backward_counts_oracle(sampler):
+    """The sampler's vertex DP by one fancy-indexed gather per combination of
+    new classes, over flat codes: ``counts[t][code]`` is the weighted number
+    of vertex-valid completions from step t, with the class of open slot s
+    as base-k digit s of ``code`` (least significant first).  The vertex
+    kernel and class weights are rebuilt from the order bound."""
+    d = sampler.model.d
+    orders = list(range(2, min(d, 6) + 1))
+    k = len(orders)
+    weight = [1] * k
+    if d >= 6:
+        weight[-1] = d - 5
+    inv = [1.0 / m for m in orders]
+    ok = np.array([[[inv[a] + inv[b] + inv[c] > 1.0 for c in range(k)]
+                    for b in range(k)] for a in range(k)])
+    counts = [None] * (len(sampler.steps) + 1)
+    counts[-1] = np.ones(1)
+    for t in range(len(sampler.steps) - 1, -1, -1):
+        step = sampler.steps[t]
+        pre = len(step.arr) + len(step.keep)
+        codes = np.arange(k ** pre, dtype=np.int64)
+        arr_cls = [(codes // k ** s) % k for s in step.arr]
+        keep_slots = [s for s in range(pre) if s not in step.arr]
+        base = np.zeros(len(codes), dtype=np.int64)
+        for newpos, s in enumerate(keep_slots):
+            base += ((codes // k ** s) % k) * k ** newpos
+        total = np.zeros(len(codes))
+        for combo in itertools.product(range(k), repeat=len(step.new)):
+            triple = arr_cls + [np.full(len(codes), c, dtype=np.int64) for c in combo]
+            w = math.prod(weight[c] for c in combo)
+            post = base.copy()
+            for j, c in enumerate(combo):
+                post += c * k ** (len(keep_slots) + j)
+            total += w * ok[triple[0], triple[1], triple[2]] * counts[t + 1][post]
+        counts[t] = total
+    return counts
+
+
 def random_parity_labels(P, rng):
     """Uniform random labeling with odd sums at every vertex: free values on
     non-tree edges, tree edges solved leaf-up."""

@@ -1,10 +1,13 @@
+import time
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from coxdeform import matchstats as ms, orbifold as ob, polytope as pt
-from conftest import (assignment_validity_oracle, brute_force_weak_order,
-                      enumerate_perfect_matchings, exact_counts_oracle,
-                      random_parity_labels)
+from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
+from conftest import (assignment_validity_oracle, backward_counts_oracle,
+                      brute_force_weak_order, enumerate_perfect_matchings,
+                      exact_counts_oracle, random_parity_labels)
 
 
 def test_find_factor_simplex():
@@ -245,6 +248,12 @@ def test_unknown_mode():
         ms.estimate_wo_fraction(pt.cube(), 5, mode="magic")
 
 
+@pytest.mark.parametrize("samples", [0, -5])
+def test_montecarlo_refuses_without_samples(samples):
+    with pytest.raises(ms.GraphConditionError, match="at least one sample"):
+        ms.estimate_wo_fraction(pt.cube(), 5, samples=samples)
+
+
 def test_face_flip_preserves_parity():
     # reversing every label on one face changes each incident vertex sum by 2
     P = pt.dodecahedron()
@@ -278,6 +287,125 @@ def test_montecarlo_strata_match_exact_d8():
         got = mc.nj.get(j, 0)
         sigma = np.sqrt(p * (1 - p) * mc.samples)
         assert abs(got - p * mc.samples) <= 4 * sigma + 3
+
+
+SAMPLER_POLYTOPES = {"cube": pt.cube, "prism3": lambda: pt.prism(3),
+                     "prism8": lambda: pt.prism(8), "dodecahedron": pt.dodecahedron}
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 20, 100])
+@pytest.mark.parametrize("name", sorted(SAMPLER_POLYTOPES))
+def test_backward_counts_match_oracle(name, d):
+    # exact while the counts stay below 2^53 (both sides sum integers), else
+    # the two summation orders round apart by at most a few ulps
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(SAMPLER_POLYTOPES[name](), d))
+    oracle = backward_counts_oracle(sampler)
+    assert len(sampler.counts) == len(oracle)
+    for got, want in zip(sampler.counts, oracle):
+        got = got.ravel(order="F")  # axis s is slot s: little-endian codes
+        small = want < 2.0 ** 53
+        np.testing.assert_array_equal(got[small], want[small])
+        np.testing.assert_allclose(got[~small], want[~small], rtol=1e-12)
+    if d <= 20:
+        assert sampler.vertex_valid_count < 2.0 ** 53
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+def test_vertex_valid_count_simplex3(d):
+    # no prismatic circuits, so every vertex-valid assignment is valid
+    P = pt.simplex(3)
+    assert not pt.prismatic_circuits(P, 3) and not pt.prismatic_circuits(P, 4)
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(P, d))
+    assert sampler.vertex_valid_count == exact_counts_oracle(P, d)[0]
+
+
+def test_sampler_uniform_over_order2_edge_sets():
+    from scipy.stats import chi2
+
+    P, d, n = pt.cube(), 4, 20000
+    model = ms._AssignmentModel(P, d)
+    rows, attempts = ms._UniformValidSampler(model).draw(2024, range(n))
+    assert (attempts >= 1).all()
+    assert assignment_validity_oracle(P, d)([rows[:, t] - 2 for t in range(P.e)]).all()
+    counter = ms._EdgeSetCounter(model)
+    weight = {m: sum(counter.counts(m).values()) for m in counter.masks()}
+    weight = {m: w for m, w in weight.items() if w}
+    valid = sum(weight.values())
+    observed = Counter(((rows == 2) * (1 << np.arange(P.e))).sum(axis=1).tolist())
+    assert set(observed) <= set(weight)
+    # chi-square over the order-2 edge sets, pooling those expected < 5 times
+    expected = {m: n * w / valid for m, w in weight.items()}
+    big = [m for m in expected if expected[m] >= 5]
+    rest = [m for m in expected if expected[m] < 5]
+    obs = [observed[m] for m in big]
+    exp = [expected[m] for m in big]
+    if rest:
+        obs.append(sum(observed[m] for m in rest))
+        exp.append(sum(expected[m] for m in rest))
+    stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
+    assert len(big) > 50
+    assert chi2.sf(stat, len(obs) - 1) > 1e-3
+
+
+def test_sample_rows_do_not_depend_on_the_batch():
+    # prism(8) at d = 20 accepts about 6% of vertex-valid draws, so most rows
+    # come from a later rejection round
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(pt.prism(8), 20))
+    rows, attempts = sampler.draw(7, range(200))
+    part_rows, part_attempts = sampler.draw(7, range(150, 200))
+    assert (attempts[150:] > 1).sum() > 25
+    np.testing.assert_array_equal(part_rows, rows[150:])
+    np.testing.assert_array_equal(part_attempts, attempts[150:])
+    # attempt a reads block a of the stream a fresh Philox(key=(seed, i)) gives
+    whole = np.random.Generator(np.random.Philox(key=[7, 160])).random(5 * sampler.block)
+    gen = np.random.Generator(np.random.Philox())
+    np.testing.assert_array_equal(sampler.stream(gen, 7, 160, 2, 3).ravel(),
+                                  whole[2 * sampler.block:])
+
+
+def test_montecarlo_wide_masks_loebell12():
+    P, d, n, seed = pt.loebell(12), 4, 200, 3
+    assert P.e == 72
+    report = ms.estimate_wo_fraction(P, d, samples=n, seed=seed)
+    model = ms._AssignmentModel(P, d)
+    rows, _ = ms._UniformValidSampler(model).draw(seed, range(n))
+    masks = []
+    for row in rows:
+        mask = 0
+        for t in range(P.e):
+            if row[t] == 2:
+                mask |= 1 << t
+        masks.append(mask)
+    assert any(m >> 63 for m in masks)
+    assert ms._zero_masks(rows) == masks
+    assert report.wo_count == sum(model.weakly_orderable(m) for m in masks)
+
+
+@pytest.mark.parametrize("P", [pt.prism(3), bundled.load_builtin("doubled_cube").base],
+                         ids=["prism3", "doubled_cube"])
+def test_montecarlo_refuses_without_valid_assignments(P):
+    # a prismatic 3-circuit needs sum 1/m < 1, impossible with orders <= 3
+    with pytest.raises(ms.GraphConditionError, match="no valid assignments"):
+        ms.estimate_wo_fraction(P, 3, samples=1000, seed=0)
+
+
+def test_montecarlo_refuses_low_acceptance():
+    # four prismatic 3-circuits: 629 valid assignments at d = 4, about 1.5
+    # in 10^4 vertex-valid draws
+    P = pt.prism(3)
+    for _ in range(3):
+        P = pt.truncate_vertex(P, len(P.vertices) - 1)
+    assert len(pt.prismatic_circuits(P, 3)) == 4
+    start = time.perf_counter()
+    with pytest.raises(ms.GraphConditionError, match="rejection rate too high"):
+        ms.estimate_wo_fraction(P, 4, samples=10000, seed=1)
+    assert time.perf_counter() - start < 10
+
+
+def test_exact_without_valid_assignments_has_no_fraction():
+    report = ms.estimate_wo_fraction(pt.prism(3), 3, mode="exact")
+    assert report.valid_count == report.wo_count == 0 and report.nj == {}
+    assert report.fraction is report.ci_low is report.ci_high is None
 
 
 def _mask_path_agrees_with_brute_force(P, masks):

@@ -146,6 +146,18 @@ def test_cli_stats_csv(capsys):
     assert exc.value.code == 2
 
 
+def test_cli_stats_without_valid_assignments(capsys):
+    # prism(3) at d = 3: no assignment passes its 3-circuit, so no fraction
+    code, out, _ = run_cli(capsys, "stats", "prism3", "--d", "3", "--mode", "exact")
+    report = json.loads(out)["report"]
+    assert code == 0 and report["valid_count"] == 0
+    assert report["fraction"] is report["ci_low"] is report["ci_high"] is None
+    code, out, _ = run_cli(capsys, "stats", "prism3", "--d", "3", "--mode", "exact",
+                           "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["d,fraction,ci_low,ci_high", "3,,,"]
+
+
 def test_cli_validation_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     doc = bundled.builtin_document("tetrahedron353")
