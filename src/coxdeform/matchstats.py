@@ -25,8 +25,9 @@ from coxdeform import polytope as pt
 from coxdeform.polytope import _pair
 
 EXACT_EDGE_LIMIT = 18
-# Monte Carlo rejection: rows drawn at once, round cap, and the acceptance
-# rate below which sampling is refused once enough attempts are made
+# rows drawn (Monte Carlo) or decided (exact) at once; Monte Carlo rejection
+# round cap, and the acceptance rate below which sampling is refused once
+# enough attempts are made
 MC_ROW_CHUNK = 4096
 MC_MAX_ROUNDS = 24
 MC_MIN_ACCEPTANCE = 1e-3
@@ -316,8 +317,8 @@ def _wilson_interval(successes, total, z=1.959963984540054):
 
 
 class _AssignmentModel:
-    """Edge indexing, circuit tests and weak-orderability cache for order
-    assignments on one polytope."""
+    """Edge indexing, circuit tests and weak-orderability verdicts for order
+    assignments on one polytope; both tests give one verdict per row."""
 
     def __init__(self, P, d):
         if d < 2:
@@ -337,7 +338,17 @@ class _AssignmentModel:
                    for c in pt.prismatic_circuits(P, 3)]
         self.c4 = [tuple(self.edge_pos[_pair(c[t], c[(t + 1) % 4])] for t in range(4))
                    for c in pt.prismatic_circuits(P, 4)]
-        self._wo_cache = {}
+        # the facet positions of each edge, and the edges of each facet padded
+        # with column e, which is never of order 2
+        fpos = {i: k for k, i in enumerate(self.ids)}
+        self.edge_facets = np.array([[fpos[i] for i in r] for r in self.edges]).T
+        incident = [[] for _ in self.ids]
+        for t, r in enumerate(self.edges):
+            for i in r:
+                incident[fpos[i]].append(t)
+        width = max(map(len, incident))
+        self.facet_edges = np.array([ts + [len(self.edges)] * (width - len(ts))
+                                     for ts in incident])
 
     def circuits_ok(self, orders):
         """Prismatic-circuit inequalities, one verdict per assignment along
@@ -352,15 +363,34 @@ class _AssignmentModel:
                 ok &= total < bound
         return ok
 
-    def weakly_orderable(self, zero_mask):
-        """Weak orderability when exactly the edges in ``zero_mask`` (bit t
-        for ``edges[t]``) have order 2."""
-        out = self._wo_cache.get(zero_mask)
-        if out is None:
-            adj = ob.bitmask_adjacency(self.ids, ob.ids_of(self.edges, zero_mask))
-            out = not ob.greedy_peel(adj, 3)[1]
-            self._wo_cache[zero_mask] = out
-        return out
+    def weakly_orderable(self, order2):
+        """Weak orderability, one verdict per row along the last axis of the
+        boolean ``order2`` (True where edge t has order 2).
+
+        The faces can be ordered with at most three order-2 edges from each
+        face to later ones exactly when the facet graph on the order-2 edges
+        has an empty 4-core.  All rows peel together: each round removes
+        every live facet with at most three order-2 edges to live facets,
+        until no row changes.  The 4-core is unique, so the verdicts are
+        those of the sequential ``orbifold.greedy_peel``."""
+        order2 = np.asarray(order2, dtype=bool)
+        shape = order2.shape[:-1]
+        e = len(self.edges)
+        z = np.zeros((math.prod(shape), e + 1), dtype=bool)
+        z[:, :e] = order2.reshape(-1, e)
+        a, b = self.edge_facets
+        live = np.ones((len(z), len(self.ids)), dtype=bool)
+        rows = np.arange(len(z))
+        while len(rows):
+            lv = live[rows]
+            on = z[rows]
+            on[:, :e] &= lv[:, a] & lv[:, b]
+            drop = lv & (on[:, self.facet_edges].sum(axis=2) <= 3)
+            lv &= ~drop
+            live[rows] = lv
+            # a row with no live facet left is decided
+            rows = rows[drop.any(axis=1) & lv.any(axis=1)]
+        return ~live.any(axis=1).reshape(shape)
 
 
 def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=None):
@@ -380,7 +410,11 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
     does not depend on the sample count) and reports a 95% Wilson interval.
     It refuses up front when no assignment can pass the circuit inequalities
     and stops with "circuit rejection rate too high" when fewer than
-    MC_MIN_ACCEPTANCE of its draws pass them.
+    MC_MIN_ACCEPTANCE of its draws pass them.  Both modes decide weak
+    orderability for many order-2 edge sets at once, as an empty 4-core of
+    the facet graph on those edges (``_AssignmentModel.weakly_orderable``):
+    Monte Carlo per batch of drawn rows, exact mode for the sets with a
+    nonzero count, MC_ROW_CHUNK at a time.
     """
     name = name or f"f{P.f}-e{P.e}"
     if mode == "exact":
@@ -561,20 +595,23 @@ def _exact_counts(P, d):
             f"exact enumeration refused: 2^{e} order-2 edge sets exceeds the "
             f"limit of 2^{EXACT_EDGE_LIMIT}")
     counter = _EdgeSetCounter(model)
-    valid = 0
-    wo = 0
+    masks, totals = [], []
     nj = [0] * (e + 1)
     for mask in counter.masks():
         counts = counter.counts(mask)
         total = sum(counts.values())
         if not total:
             continue
-        valid += total
-        if model.weakly_orderable(mask):
-            wo += total
+        masks.append(mask)
+        totals.append(total)
         for j, n in counts.items():
             nj[j] += n
-    return valid, wo, nj
+    wo = 0
+    for start in range(0, len(masks), MC_ROW_CHUNK):
+        chunk = np.array(masks[start:start + MC_ROW_CHUNK], dtype=np.int64)
+        ok = model.weakly_orderable((chunk[:, None] >> np.arange(e)) & 1)
+        wo += sum(itertools.compress(totals[start:start + MC_ROW_CHUNK], ok.tolist()))
+    return sum(totals), wo, nj
 
 
 def _exact_stats(P, d, name):
@@ -802,13 +839,6 @@ def _place_value(digits, k, rows):
     return out
 
 
-def _zero_masks(orders):
-    """Per row, the order-2 columns as a bitmask (bit t for column t), as a
-    Python int of any width."""
-    packed = np.packbits(orders == 2, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def _montecarlo_stats(P, d, samples, seed, name):
     if samples < 1:
         raise GraphConditionError("Monte Carlo needs at least one sample")
@@ -828,7 +858,7 @@ def _montecarlo_stats(P, d, samples, seed, name):
         orders, used = sampler.draw(seed, range(start, min(start + MC_ROW_CHUNK, samples)))
         attempts += int(used.sum())
         big += np.bincount((orders >= 7).sum(axis=1), minlength=len(big))
-        wo += sum(map(model.weakly_orderable, _zero_masks(orders)))
+        wo += int(model.weakly_orderable(orders == 2).sum())
     fraction, lo, hi = _wilson_interval(wo, samples)
     return StatsReport(polytope=name, d=d, mode="montecarlo", valid_count=samples,
                        wo_count=wo, fraction=fraction, ci_low=lo, ci_high=hi,

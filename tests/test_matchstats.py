@@ -7,7 +7,8 @@ import pytest
 from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
 from conftest import (assignment_validity_oracle, backward_counts_oracle,
                       brute_force_weak_order, enumerate_perfect_matchings,
-                      exact_counts_oracle, random_parity_labels)
+                      exact_counts_oracle, mask_edge_sets, peel_oracle,
+                      random_parity_labels, row_edge_sets)
 
 
 def test_find_factor_simplex():
@@ -274,7 +275,10 @@ def test_all_right_angles_dodecahedron_is_valid_but_not_orderable():
     model = ms._AssignmentModel(P, 7)
     cols = [np.zeros(1, dtype=np.int64) for _ in range(30)]
     assert assignment_validity_oracle(P, 7)(cols)[0]
-    assert not model.weakly_orderable((1 << 30) - 1)
+    order2 = np.ones((1, 30), dtype=bool)
+    assert model.weakly_orderable(order2).tolist() == [False]
+    assert model.weakly_orderable(order2[0]).shape == ()
+    assert not model.weakly_orderable(order2[0])
 
 
 def test_montecarlo_strata_match_exact_d8():
@@ -369,16 +373,11 @@ def test_montecarlo_wide_masks_loebell12():
     report = ms.estimate_wo_fraction(P, d, samples=n, seed=seed)
     model = ms._AssignmentModel(P, d)
     rows, _ = ms._UniformValidSampler(model).draw(seed, range(n))
-    masks = []
-    for row in rows:
-        mask = 0
-        for t in range(P.e):
-            if row[t] == 2:
-                mask |= 1 << t
-        masks.append(mask)
-    assert any(m >> 63 for m in masks)
-    assert ms._zero_masks(rows) == masks
-    assert report.wo_count == sum(model.weakly_orderable(m) for m in masks)
+    # order-2 edges at columns past 63 would be lost by 64-bit masks
+    assert (rows[:, 63:] == 2).any()
+    expected = peel_oracle(P, row_edge_sets(P, rows == 2))
+    np.testing.assert_array_equal(model.weakly_orderable(rows == 2), expected)
+    assert report.wo_count == int(expected.sum())
 
 
 @pytest.mark.parametrize("P", [pt.prism(3), bundled.load_builtin("doubled_cube").base],
@@ -412,11 +411,14 @@ def _mask_path_agrees_with_brute_force(P, masks):
     # order 2 on the mask's edges and 3 elsewhere; no ellipticity is needed,
     # the oracle only reads the order-2 ridge graph
     model = ms._AssignmentModel(P, 3)
+    masks = list(masks)
+    order2 = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(P.e)) & 1
+    got = model.weakly_orderable(order2).tolist()
     outcomes = set()
-    for mask in masks:
+    for mask, verdict in zip(masks, got):
         orders = {r: (2 if mask >> t & 1 else 3) for t, r in enumerate(model.edges)}
         expected = brute_force_weak_order(ob.CoxeterOrbifold(P, orders)) is not None
-        assert model.weakly_orderable(mask) == expected, mask
+        assert verdict == expected, mask
         outcomes.add(expected)
     return outcomes
 
@@ -433,6 +435,45 @@ def test_mask_peel_matches_brute_force_cube_sample():
     rng = np.random.default_rng(5)
     masks = [(1 << P.e) - 1] + [int(m) for m in rng.integers(0, 1 << P.e, size=150)]
     assert _mask_path_agrees_with_brute_force(P, masks) == {True, False}
+
+
+@pytest.mark.parametrize("P", [pt.cube(), pt.prism(5), pt.prism(6)],
+                         ids=["cube", "prism5", "prism6"])
+def test_batched_verdict_matches_peel_on_every_edge_set(P):
+    # all 2^e order-2 edge sets, row i holding the bits of i; with every edge
+    # of order 2 (the last row) each face has at least four neighbours, a
+    # nonempty 4-core
+    model = ms._AssignmentModel(P, 3)
+    order2 = (np.arange(1 << P.e)[:, None] >> np.arange(P.e)) & 1
+    got = model.weakly_orderable(order2)
+    expected = peel_oracle(P, mask_edge_sets(P))
+    np.testing.assert_array_equal(got, expected)
+    assert got.any() and not got[-1]
+
+
+@pytest.mark.parametrize("P", [pt.dodecahedron(), pt.loebell(12)],
+                         ids=["dodecahedron", "loebell12"])
+def test_batched_verdict_matches_peel_on_random_rows(P):
+    # loebell(12) has 72 edges, so columns past 63 carry order-2 edges
+    model = ms._AssignmentModel(P, 3)
+    rng = np.random.default_rng(8)
+    verdicts = set()
+    for density in (0.5, 0.8, 0.95, 1.0):
+        order2 = rng.random((500, P.e)) < density
+        got = model.weakly_orderable(order2)
+        np.testing.assert_array_equal(got, peel_oracle(P, row_edge_sets(P, order2)))
+        verdicts.update(got.tolist())
+    assert verdicts == {True, False}
+
+
+def test_montecarlo_counts_non_orderable_rows():
+    # the dodecahedron at d = 3 draws a row that is not weakly orderable about
+    # twice in 10^4; this seed draws two of them
+    P, d, n, seed = pt.dodecahedron(), 3, 10000, 4
+    report = ms.estimate_wo_fraction(P, d, samples=n, seed=seed)
+    rows, _ = ms._UniformValidSampler(ms._AssignmentModel(P, d)).draw(seed, range(n))
+    assert report.wo_count < n
+    assert report.wo_count == int(peel_oracle(P, row_edge_sets(P, rows == 2)).sum())
 
 
 def test_validate_face_order_rejects_bad_ordering():
