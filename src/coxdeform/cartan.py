@@ -165,13 +165,11 @@ class ComponentType:
 
 
 def _nonzero_graph(M, tol):
-    f = M.shape[0]
-    adj = {k: [] for k in range(f)}
-    for a in range(f):
-        for b in range(f):
-            if a != b and (abs(M[a, b]) > tol or abs(M[b, a]) > tol):
-                adj[a].append(b)
-    return adj
+    """Ascending neighbour lists of the pattern where a_ij or a_ji is nonzero."""
+    big = np.abs(M) > tol
+    big |= big.T
+    np.fill_diagonal(big, False)
+    return {a: np.flatnonzero(row).tolist() for a, row in enumerate(big)}
 
 
 def _components(adj, f):

@@ -187,17 +187,22 @@ class HyperbolicRealization:
         self.Q = Q
         self.normals = np.asarray(normals, dtype=float)
         self.residual_norm = float(np.linalg.norm(psi_eval(Q, self.normals)))
-        self.vertex_flags = {}
-        self.nonadjacent_products = {}
-        if Q.base.vertices is not None:
-            for V in Q.base.vertices:
-                x = self.vertex_point(V)
-                self.vertex_flags[V] = bool(
-                    LorentzForm(self.normals.shape[1]).inner(x, x) < 0)
-        gram = lorentz_gram(self.normals)
         pos = {facet: k for k, facet in enumerate(Q.base.facets)}
-        for i, j in Q.e4_pairs():
-            self.nonadjacent_products[(i, j)] = float(gram[pos[i], pos[j]])
+        # every vertex's point at once, as vertex_point finds it
+        self.vertex_flags = {}
+        if Q.base.vertices:
+            rows = np.array([[pos[i] for i in sorted(V)] for V in Q.base.vertices])
+            x = np.linalg.svd((self.normals @ LorentzForm(self.dim).matrix)[rows])[2][:, -1]
+            x = np.where(np.abs(x[:, :1]) > 1e-12, x / x[:, :1], x)
+            inside = LorentzForm(self.dim).inner(x, x) < 0
+            self.vertex_flags = dict(zip(Q.base.vertices, inside.tolist()))
+        nonadjacent = ~np.eye(Q.f, dtype=bool)
+        for i, j in Q.base.ridges:
+            nonadjacent[pos[i], pos[j]] = nonadjacent[pos[j], pos[i]] = False
+        a, b = np.nonzero(np.triu(nonadjacent))
+        ids = np.array(Q.base.facets)
+        pairs = zip(np.minimum(ids[a], ids[b]).tolist(), np.maximum(ids[a], ids[b]).tolist())
+        self.nonadjacent_products = dict(zip(pairs, lorentz_gram(self.normals)[a, b].tolist()))
         if validate:
             self.check_valid()
 
@@ -363,32 +368,42 @@ def _klein_plane(unit_normal, offset):
     return nu / math.sqrt(1.0 - c * c)
 
 
+def _neighbour_sets(P):
+    """Facet -> the set of facets adjacent to it."""
+    nbrs = {x: set() for x in P.facets}
+    for i, j in P.ridges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    return nbrs
+
+
 def _prism_structure(P):
     """Detect prism combinatorics: two non-adjacent caps, quadrilateral sides.
     Returns (cap_a, cap_b, cyclic side order) or None."""
+    nbrs = _neighbour_sets(P)
     for a in sorted(P.facets):
-        others = [x for x in P.facets if x != a]
-        non = [x for x in others if not P.adjacent(a, x)]
-        if len(non) != 1:
-            continue
-        b = non[0]
-        sides = [x for x in others if x != b]
-        if all(P.adjacent(b, x) and len(P.neighbors(x)) == 4 for x in sides):
-            return a, b, _cyclic_order(P, sides)
+        if len(nbrs[a]) != P.f - 2:
+            continue  # a is not adjacent to exactly one other facet
+        b = next(x for x in P.facets if x != a and x not in nbrs[a])
+        sides = [x for x in P.facets if x != a and x != b]
+        if all(x in nbrs[b] and len(nbrs[x]) == 4 for x in sides):
+            return a, b, _cyclic_order(nbrs, sides)
     return None
 
 
-def _cyclic_order(P, ring):
-    """Arrange mutually adjacent ring facets in cyclic adjacency order."""
+def _cyclic_order(nbrs, ring):
+    """Arrange mutually adjacent ring facets in cyclic adjacency order, each
+    step to the lowest unvisited neighbour; ``nbrs`` maps a facet to its
+    neighbour set."""
     order = [min(ring)]
     rest = set(ring) - {order[0]}
     while rest:
-        nxt = sorted(x for x in rest if P.adjacent(order[-1], x))
+        nxt = rest & nbrs[order[-1]]
         if not nxt:
             return None
-        order.append(nxt[0])
-        rest.remove(nxt[0])
-    if not P.adjacent(order[0], order[-1]):
+        order.append(min(nxt))
+        rest.remove(order[-1])
+    if order[0] not in nbrs[order[-1]]:
         return None
     return order
 
@@ -400,30 +415,30 @@ def _loebell_structure(P):
     if P.f < 10 or P.f % 2 != 0:
         return None
     m = (P.f - 2) // 2
-    caps = [x for x in sorted(P.facets) if len(P.neighbors(x)) == m] or sorted(P.facets)
+    nbrs = _neighbour_sets(P)
+    caps = [x for x in sorted(P.facets) if len(nbrs[x]) == m] or sorted(P.facets)
     for top in caps:
-        U = P.neighbors(top)
+        U = nbrs[top]
         if len(U) != m:
             continue
         rest = [x for x in P.facets if x != top and x not in U]
-        bottoms = [x for x in rest if not any(P.adjacent(x, u) for u in U)]
+        bottoms = [x for x in rest if not nbrs[x] & U]
         if len(bottoms) != 1:
             continue
         bottom = bottoms[0]
-        W = P.neighbors(bottom)
-        if len(W) != m or set(W) != set(rest) - {bottom}:
+        W = nbrs[bottom]
+        if len(W) != m or W != set(rest) - {bottom}:
             continue
-        upper = _cyclic_order(P, U)
+        upper = _cyclic_order(nbrs, U)
         if upper is None:
             continue
         lower = []
         for j in range(m):
-            common = [w for w in W
-                      if P.adjacent(w, upper[j - 1]) and P.adjacent(w, upper[j])]
+            common = W & nbrs[upper[j - 1]] & nbrs[upper[j]]
             if len(common) != 1:
                 lower = None
                 break
-            lower.append(common[0])
+            lower.append(common.pop())
         if lower:
             return top, bottom, upper, lower
     return None

@@ -104,6 +104,12 @@ class EquationIndex:
         out += [("e1", (i, i)) for i in self.facets]
         return out
 
+    def positions(self, pairs):
+        """The facet positions of a sequence of pairs, as two index arrays."""
+        flat = np.fromiter((self.pos[x] for pair in pairs for x in pair), dtype=np.intp,
+                           count=2 * len(pairs))
+        return flat[0::2], flat[1::2]
+
     def e3_target(self, pair):
         m = self.e3_orders[tuple(pair)]
         return 4.0 * math.cos(math.pi / m) ** 2
@@ -211,35 +217,22 @@ def random_gauge(f, dim, rng):
 
 def gauge_directions(p):
     """Tangent vectors of the gauge orbit at p, one row per generator:
-    the f rescaling directions and the (n+1)^2 - 1 traceless basis directions.
+    the f rescaling directions and the (n+1)^2 - 1 traceless basis directions
+    (the units E_kl, k != l, in row-major order, then E_kk - E_k+1,k+1).
     All rows lie in ker(D phi) at any solution point."""
     f, dim = p.f, p.dim
-    rows = []
-    for i in range(f):
-        v = np.zeros(2 * dim * f)
-        v[i * dim:(i + 1) * dim] = p.alphas[i]
-        v[(f + i) * dim:(f + i + 1) * dim] = -p.bs[i]
-        rows.append(v)
-    basis = []
-    for k in range(dim):
-        for l in range(dim):
-            if k == l:
-                continue
-            X = np.zeros((dim, dim))
-            X[k, l] = 1.0
-            basis.append(X)
-    for k in range(dim - 1):
-        X = np.zeros((dim, dim))
-        X[k, k] = 1.0
-        X[k + 1, k + 1] = -1.0
-        basis.append(X)
-    for X in basis:
-        v = np.zeros(2 * dim * f)
-        for i in range(f):
-            v[i * dim:(i + 1) * dim] = -p.alphas[i] @ X
-            v[(f + i) * dim:(f + i + 1) * dim] = X @ p.bs[i]
-        rows.append(v)
-    return np.array(rows)
+    k, l = np.nonzero(~np.eye(dim, dtype=bool))
+    d = np.arange(dim - 1)
+    basis = np.zeros((dim * dim - 1, dim, dim))
+    basis[np.arange(len(k)), k, l] = 1.0
+    basis[len(k) + d, d, d] = 1.0
+    basis[len(k) + d, d + 1, d + 1] = -1.0
+    rows = np.zeros((f + len(basis), 2, f, dim))  # generator, alpha/b half, facet, entry
+    rows[np.arange(f), 0, np.arange(f)] = p.alphas
+    rows[np.arange(f), 1, np.arange(f)] = -p.bs
+    rows[f:, 0] = -p.alphas @ basis
+    rows[f:, 1] = (basis @ p.bs.T).transpose(0, 2, 1)
+    return rows.reshape(len(rows), 2 * f * dim)
 
 
 def gauge_dimension(f, dim):
@@ -323,22 +316,37 @@ class RankSumReport:
     weakly_orderable: bool
     identity_holds: bool
     reduction_zero_block: float = None
+    reduction_psi_block: float = None
     staircase_rank: int = None
     reduction_rank_match: bool = None
 
 
 def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
-    """Verify rank(D phi) = rank(D psi) + e2 at a hyperbolic point.
+    """Verify rank(D phi) = rank(D psi) + e2 at a hyperbolic point, and
+    certify the reduction behind it.
 
-    Also replays the row/column reduction behind the identity: add each E2
-    first-slot row to its second-slot row, scale E3 rows by 1/a_ij and E1
-    rows by 2, scale the alpha-columns by 2 with the first coordinate of each
-    block negated, then subtract the right half from the left.  The remaining
-    non-E2a rows must vanish on the left (they become two copies of the
-    hyperbolic-equation Jacobian), and the surviving E2a block must have full
-    row rank e2 exactly when the orbifold is weakly orderable with qualifying
-    sets in general position.  ``rank_phi`` is the full
-    :func:`local_deformation_dimension` report, and this raises where it does.
+    The reduction is replayed on D phi in place: add each E2 first-slot row
+    to its second-slot row, scale E3 rows by 1/a_ij and E1 rows by 2, scale
+    the alpha-columns by 2 with the first coordinate of each block negated,
+    then subtract the right half from the left.  The result R is meant to
+    have the block form [[A, B], [0, D psi]] with A the E2 staircase (the
+    E2a rows on the left half).  Row and column operations that are
+    invertible never change rank, so ranking R again would only repeat
+    rank(D phi) and could not catch a wrong reduction; the block form is
+    certified instead:
+
+    - ``reduction_zero_block``: max |R[e2:, left half]|, 0 up to rounding.
+    - ``reduction_psi_block``: max |R[e2:, right half] - D psi| / max |D psi|,
+      with the rows of D psi (:func:`lorentz.psi_jacobian` at the bs) put in
+      EquationIndex order; 0 up to rounding.
+    - ``staircase_rank``: the numerical rank of A; it is e2 exactly when the
+      orbifold is weakly orderable with qualifying sets in general position.
+    - ``reduction_rank_match``: the bounds the block form puts on the rank,
+      staircase_rank + rank(D psi) <= rank(D phi) <= e2 + rank(D psi); both
+      are equalities when the staircase is full.
+
+    ``rank_phi`` is the full :func:`local_deformation_dimension` report, and
+    this raises where it does.
     """
     from coxdeform import orbifold as ob
 
@@ -349,31 +357,31 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
 
     f, dim = p.f, p.dim
     a = p.cartan()
-    pos = index.pos
-    rpsi = jacobian_report("psi", lorentz.psi_jacobian(Q, p.bs), policy)
+    Dpsi = lorentz.psi_jacobian(Q, p.bs)
+    rpsi = jacobian_report("psi", Dpsi, policy)
     wo = bool(ob.weak_order_combinatorial(Q))
 
-    n2 = len(index.e2)
-    for k, (i, j) in enumerate(index.e2):
-        R[n2 + k] += R[k]
-    for k, (i, j) in enumerate(index.e3):
-        R[2 * n2 + k] /= a[pos[i], pos[j]]
-    R[2 * n2 + len(index.e3):] *= 2.0
+    n2, n3 = len(index.e2), len(index.e3)
+    R[n2:2 * n2] += R[:n2]
+    R[2 * n2:2 * n2 + n3] /= a[index.positions(index.e3)][:, None]
+    R[2 * n2 + n3:] *= 2.0
     R[:, :dim * f] *= 2.0
-    for i in range(f):
-        R[:, i * dim] *= -1.0
+    R[:, :dim * f:dim] *= -1.0
     R[:, :dim * f] -= R[:, dim * f:]
 
+    psi_row = {pair: r for r, pair in enumerate(lorentz.psi_rows(Q))}
+    order = [psi_row[pair] for _, pair in index.rows()[n2:]]
     zero_block = float(np.abs(R[n2:, :dim * f]).max())
+    psi_block = float(np.abs(R[n2:, dim * f:] - Dpsi[order]).max() / np.abs(Dpsi).max())
     staircase = numerical_rank(R[:n2, :dim * f], policy).rank
-    reduced_rank = numerical_rank(R, policy).rank
 
     return RankSumReport(
         rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=wo,
         identity_holds=(rphi.rank == rpsi.rank + n2),
         reduction_zero_block=zero_block,
+        reduction_psi_block=psi_block,
         staircase_rank=staircase,
-        reduction_rank_match=(reduced_rank == rphi.rank))
+        reduction_rank_match=(staircase + rpsi.rank <= rphi.rank <= n2 + rpsi.rank))
 
 
 # -- membership in the open solution domain ------------------------------------
@@ -411,7 +419,6 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
 
     index = _as_index(Q_or_index)
     a = p.cartan()
-    pos = index.pos
     failures = []
 
     scale = max(np.abs(p.alphas).max(), 1e-30)
@@ -447,19 +454,18 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
     if not span:
         failures.append("alphas do not span the dual space")
 
-    signs_ok = True
-    for i, j in index.e3 + index.e4:
-        if not (a[pos[i], pos[j]] < 0 and a[pos[j], pos[i]] < 0):
-            signs_ok = False
-            failures.append(f"non-negative entry on pair ({i},{j})")
-    open_ok = True
-    for i, j in index.e4:
-        prod = a[pos[i], pos[j]] * a[pos[j], pos[i]]
-        if not prod > 4.0:
-            open_ok = False
-            failures.append(f"open condition fails on ({i},{j}): product {prod:.6f}")
+    pairs = index.e3 + index.e4
+    ii, jj = index.positions(pairs)
+    signs_bad = np.flatnonzero(~((a[ii, jj] < 0) & (a[jj, ii] < 0)))
+    failures += ["non-negative entry on pair ({},{})".format(*pairs[k]) for k in signs_bad]
+    ii, jj = ii[len(index.e3):], jj[len(index.e3):]
+    prods = a[ii, jj] * a[jj, ii]
+    open_bad = np.flatnonzero(~(prods > 4.0))
+    failures += ["open condition fails on ({},{}): product {:.6f}".format(*index.e4[k], prods[k])
+                 for k in open_bad]
 
-    return UMembershipReport(has_point, point, span, signs_ok, open_ok, failures)
+    return UMembershipReport(has_point, point, span, not len(signs_bad), not len(open_bad),
+                             failures)
 
 
 # -- parametrized Cartan families and curve extraction --------------------------

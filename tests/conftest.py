@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from coxdeform import bundled, cartan, lorentz, orbifold as ob, polytope as pt, vinberg
+from coxdeform import bundled, cartan, lorentz, matchstats, orbifold as ob, polytope as pt, vinberg
+from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
 
 
 @pytest.fixture(scope="session")
@@ -74,6 +75,29 @@ def loebell5_orbifold():
 @pytest.fixture(scope="session")
 def loebell5_realization(loebell5_orbifold):
     return lorentz.solve_hyperbolic_newton(loebell5_orbifold)
+
+
+# -- generated orbifolds used by several test modules ----------------------------
+
+def loebell_factor_orbifold(P):
+    """Order 3 on the factor through the smallest ridge, order 2 elsewhere."""
+    factor = set(matchstats.find_factor(P, min(P.ridges)))
+    return ob.make_orbifold(P, {r: (3 if r in factor else 2) for r in P.ridges})
+
+
+def prism_cap_orbifold(m):
+    """Order 3 on the ridges of the two caps, order 2 on the sides."""
+    P = pt.prism(m)
+    return ob.make_orbifold(P, {r: (3 if r[0] in (1, 2) else 2) for r in P.ridges})
+
+
+def newton_case(name):
+    """A bundled orbifold, or the loebell(16) factor or prism(16) cap orbifold."""
+    if name == "loebell16":
+        return loebell_factor_orbifold(pt.loebell(16))
+    if name == "prism16":
+        return prism_cap_orbifold(16)
+    return bundled.load_builtin(name)
 
 
 # -- independent oracles used by several test modules --------------------------
@@ -233,6 +257,154 @@ def newton_lstsq_oracle(Q, initial, tol=lorentz.RESIDUAL_TOL, max_iter=100):
             raise lorentz.ConvergenceError(f"no descent step found at residual {norm:.3e}")
         x, r = x_new, r_new
     raise lorentz.ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
+def reduced_rank_oracle(Q, p, policy=DEFAULT_RANK_POLICY):
+    """Numerical rank of the rank-sum reduction of D phi, with the row and
+    column operations written out as matrices: R = L (D phi) C.  Both are
+    invertible, so this equals rank(D phi) whenever the ranks are decided."""
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    M = vinberg.phi_jacobian(index, p)
+    a = p.cartan()
+    n2, n3 = len(index.e2), len(index.e3)
+    L = np.eye(index.N)
+    for k in range(n2):
+        L[n2 + k, k] = 1.0                      # E2b row += E2a row
+    for k, (i, j) in enumerate(index.e3):
+        L[2 * n2 + k, 2 * n2 + k] = 1.0 / a[index.pos[i], index.pos[j]]
+    for k in range(2 * n2 + n3, index.N):
+        L[k, k] = 2.0
+    half = p.f * p.dim
+    scale = np.full(half, 2.0)
+    scale[::p.dim] = -2.0                       # alpha-columns, first coordinate negated
+    C = np.eye(2 * half)
+    C[:half, :half] = np.diag(scale)
+    C[half:, :half] = -np.eye(half)             # left half -= right half
+    return numerical_rank(L @ M @ C, policy).rank
+
+
+def gauge_directions_oracle(p):
+    """The gauge-orbit tangent rows, one Python step per generator and facet."""
+    f, dim = p.f, p.dim
+    rows = []
+    for i in range(f):
+        v = np.zeros(2 * dim * f)
+        v[i * dim:(i + 1) * dim] = p.alphas[i]
+        v[(f + i) * dim:(f + i + 1) * dim] = -p.bs[i]
+        rows.append(v)
+    basis = []
+    for k in range(dim):
+        for l in range(dim):
+            if k == l:
+                continue
+            X = np.zeros((dim, dim))
+            X[k, l] = 1.0
+            basis.append(X)
+    for k in range(dim - 1):
+        X = np.zeros((dim, dim))
+        X[k, k] = 1.0
+        X[k + 1, k + 1] = -1.0
+        basis.append(X)
+    for X in basis:
+        v = np.zeros(2 * dim * f)
+        for i in range(f):
+            v[i * dim:(i + 1) * dim] = -p.alphas[i] @ X
+            v[(f + i) * dim:(f + i + 1) * dim] = X @ p.bs[i]
+        rows.append(v)
+    return np.array(rows)
+
+
+def nonzero_graph_oracle(M, tol):
+    """Neighbour lists of the nonzero pattern, one entry pair at a time."""
+    f = M.shape[0]
+    adj = {k: [] for k in range(f)}
+    for a in range(f):
+        for b in range(f):
+            if a != b and (abs(M[a, b]) > tol or abs(M[b, a]) > tol):
+                adj[a].append(b)
+    return adj
+
+
+def open_conditions_oracle(index, p):
+    """The E3/E4 sign and E4 product conditions of U-membership, one pair at
+    a time: (signs_ok, open_ok, failure messages in report order)."""
+    a = p.cartan()
+    pos = index.pos
+    failures = []
+    signs_ok = True
+    for i, j in index.e3 + index.e4:
+        if not (a[pos[i], pos[j]] < 0 and a[pos[j], pos[i]] < 0):
+            signs_ok = False
+            failures.append(f"non-negative entry on pair ({i},{j})")
+    open_ok = True
+    for i, j in index.e4:
+        prod = a[pos[i], pos[j]] * a[pos[j], pos[i]]
+        if not prod > 4.0:
+            open_ok = False
+            failures.append(f"open condition fails on ({i},{j}): product {prod:.6f}")
+    return signs_ok, open_ok, failures
+
+
+def seed_structure_oracle(P):
+    """The prism and two-ring detections of the seed library, from
+    ``P.adjacent`` and ``P.neighbors`` queries: (prism, loebell)."""
+
+    def cyclic_order(ring):
+        order = [min(ring)]
+        rest = set(ring) - {order[0]}
+        while rest:
+            nxt = sorted(x for x in rest if P.adjacent(order[-1], x))
+            if not nxt:
+                return None
+            order.append(nxt[0])
+            rest.remove(nxt[0])
+        return order if P.adjacent(order[0], order[-1]) else None
+
+    def prism():
+        for a in sorted(P.facets):
+            others = [x for x in P.facets if x != a]
+            non = [x for x in others if not P.adjacent(a, x)]
+            if len(non) != 1:
+                continue
+            b = non[0]
+            sides = [x for x in others if x != b]
+            if all(P.adjacent(b, x) and len(P.neighbors(x)) == 4 for x in sides):
+                return a, b, cyclic_order(sides)
+        return None
+
+    def loebell():
+        if P.f < 10 or P.f % 2 != 0:
+            return None
+        m = (P.f - 2) // 2
+        caps = [x for x in sorted(P.facets) if len(P.neighbors(x)) == m] or sorted(P.facets)
+        for top in caps:
+            U = P.neighbors(top)
+            if len(U) != m:
+                continue
+            rest = [x for x in P.facets if x != top and x not in U]
+            bottoms = [x for x in rest if not any(P.adjacent(x, u) for u in U)]
+            if len(bottoms) != 1:
+                continue
+            bottom = bottoms[0]
+            W = P.neighbors(bottom)
+            if len(W) != m or set(W) != set(rest) - {bottom}:
+                continue
+            upper = cyclic_order(U)
+            if upper is None:
+                continue
+            lower = []
+            for j in range(m):
+                common = [w for w in W
+                          if P.adjacent(w, upper[j - 1]) and P.adjacent(w, upper[j])]
+                if len(common) != 1:
+                    lower = None
+                    break
+                lower.append(common[0])
+            if lower:
+                return top, bottom, upper, lower
+        return None
+
+    return prism(), loebell()
 
 
 def enumerate_perfect_matchings(P):

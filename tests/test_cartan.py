@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coxdeform import cartan, orbifold as ob, polytope as pt, vinberg
+from conftest import nonzero_graph_oracle
 
 
 def test_conditions_pass_at_hyperbolic_point(tetra_orbifold, tetra_point):
@@ -171,3 +172,16 @@ def test_smallest_real_eigenvalue_asymmetric():
     M = np.array([[2.0, -4.0], [-1.0, 2.0]])
     lam = cartan.smallest_real_eigenvalue(M)
     assert lam == pytest.approx(0.0, abs=1e-12)
+
+
+def test_nonzero_graph_matches_entry_loop(tetra_point, esselmann_matrix):
+    rng = np.random.default_rng(14)
+    mats = [tetra_point.cartan(), esselmann_matrix.entries, np.zeros((3, 3)), np.eye(1)]
+    for f in (2, 5, 9):
+        M = rng.normal(size=(f, f)) * (rng.random((f, f)) < 0.3)
+        M[rng.random((f, f)) < 0.2] = 1e-12  # below the tolerance
+        mats.append(M)
+    for M in mats:
+        assert cartan._nonzero_graph(M, 1e-9) == nonzero_graph_oracle(M, 1e-9)
+    assert any(cartan._nonzero_graph(M, 1e-9) != {k: [] for k in range(len(M))}
+               for M in mats[4:])

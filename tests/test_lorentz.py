@@ -1,11 +1,13 @@
+import argparse
 import math
 
 import numpy as np
 import pytest
 
-from coxdeform import bundled, lorentz, matchstats, orbifold as ob, polytope as pt, vinberg
+from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
-from conftest import newton_lstsq_oracle, psi_eval_oracle, psi_jacobian_oracle
+from conftest import (loebell_factor_orbifold, newton_case, newton_lstsq_oracle,
+                      psi_eval_oracle, psi_jacobian_oracle, seed_structure_oracle)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -193,29 +195,9 @@ def test_degenerate_euclidean_cube_rejected():
 
 # -- the Gram-system Gauss-Newton step against the SVD least-squares oracle ---
 
-def loebell_factor_orbifold(P):
-    """Order 3 on the factor through the smallest ridge, order 2 elsewhere."""
-    factor = set(matchstats.find_factor(P, min(P.ridges)))
-    return ob.make_orbifold(P, {r: (3 if r in factor else 2) for r in P.ridges})
-
-
-def prism_cap_orbifold(m):
-    """Order 3 on the ridges of the two caps, order 2 on the sides."""
-    P = pt.prism(m)
-    return ob.make_orbifold(P, {r: (3 if r[0] in (1, 2) else 2) for r in P.ridges})
-
-
 # the bundled orbifolds that cli._realize solves by Newton, and two larger ones
 NEWTON_CASES = ["cube_flex", "cube_mixed", "cube_rigid", "doubled_cube", "loebell5_factor",
                 "loebell6_factor", "loebell7_factor", "loebell8_factor", "loebell16", "prism16"]
-
-
-def newton_case(name):
-    if name == "loebell16":
-        return loebell_factor_orbifold(pt.loebell(16))
-    if name == "prism16":
-        return prism_cap_orbifold(16)
-    return bundled.load_builtin(name)
 
 
 @pytest.mark.parametrize("name", NEWTON_CASES)
@@ -290,3 +272,60 @@ def test_newton_loebell128():
     R = lorentz.solve_hyperbolic_newton(Q)
     assert R.check_valid()
     assert lorentz.kernel_dimension(Q, R.normals) == 6
+
+
+# -- batched realization checks and seed detection against their oracles -----
+
+def _realization_matches_oracle(R):
+    """vertex_flags against ``vertex_point`` per vertex, and the non-adjacent
+    products against the Gram matrix at ``e4_pairs``, both in their order."""
+    Q, form = R.Q, lorentz.LorentzForm(R.dim)
+    flags = {V: bool(form.inner(R.vertex_point(V), R.vertex_point(V)) < 0)
+             for V in Q.base.vertices}
+    pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+    gram = lorentz.lorentz_gram(R.normals)
+    products = {(i, j): float(gram[pos[i], pos[j]]) for i, j in Q.e4_pairs()}
+    assert list(R.vertex_flags.items()) == list(flags.items())
+    assert list(R.nonadjacent_products.items()) == list(products.items())
+    return flags
+
+
+def test_vertex_flags_match_vertex_point_oracle():
+    defaults = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
+    for name in bundled.BUILTIN_NAMES:
+        Q = bundled.load_builtin(name)
+        if Q.n == 3:
+            assert all(_realization_matches_oracle(cli._realize(Q, defaults)[0]).values())
+    R = lorentz.solve_hyperbolic_newton(loebell_factor_orbifold(pt.loebell(64)))
+    assert all(_realization_matches_oracle(R).values())
+    rng = np.random.default_rng(9)
+    seen = set()
+    for Q in (bundled.load_builtin("cube_flex"), loebell_factor_orbifold(pt.loebell(8))):
+        for _ in range(4):
+            normals = rng.normal(size=(Q.f, 4))
+            R = lorentz.HyperbolicRealization(Q, normals, validate=False)
+            seen |= set(_realization_matches_oracle(R).values())
+    assert seen == {True, False}
+
+
+def _seed_polytopes():
+    rng = np.random.default_rng(31)
+    base = [bundled.load_builtin(name).base for name in bundled.BUILTIN_NAMES]
+    base += [pt.prism(m) for m in (3, 4, 5, 8, 16, 64)]
+    base += [pt.loebell(m) for m in (5, 6, 8, 16, 64)]
+    base += [pt.cube(), pt.dodecahedron(), pt.doubled_cube()]
+    out = []
+    for P in base:
+        out.append(P)
+        if P.n == 3:
+            out += [_relabelled(P, rng), pt.truncate_vertex(P, 0)]
+    return out
+
+
+def test_seed_structures_match_adjacency_oracle():
+    found = [0, 0]
+    for P in _seed_polytopes():
+        got = (lorentz._prism_structure(P), lorentz._loebell_structure(P))
+        assert got == seed_structure_oracle(P)
+        found = [k + (g is not None) for k, g in zip(found, got)]
+    assert min(found) > 0

@@ -6,7 +6,8 @@ import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
-from conftest import interior_point_oracle
+from conftest import (gauge_directions_oracle, interior_point_oracle, newton_case,
+                      open_conditions_oracle, reduced_rank_oracle)
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -98,6 +99,17 @@ def test_gauge_directions_lie_in_kernel(tetra_orbifold, tetra_point):
     assert numerical_rank(G).rank == 19
 
 
+def test_gauge_directions_match_loop_oracle():
+    points = [_hyperbolic_case(name)[1] for name in bundled.BUILTIN_NAMES]
+    rng = np.random.default_rng(12)
+    points += [vinberg.VinbergPoint(rng.normal(size=(f, dim)), rng.normal(size=(f, dim)))
+               for f, dim in ((1, 2), (5, 3), (7, 4), (6, 5))]
+    for p in points:
+        G = vinberg.gauge_directions(p)
+        assert G.shape == (vinberg.gauge_dimension(p.f, p.dim), 2 * p.f * p.dim)
+        assert G.tobytes() == gauge_directions_oracle(p).tobytes()
+
+
 def test_numerical_rank_basics():
     assert numerical_rank(np.eye(5)).rank == 5
     u = np.arange(1.0, 5.0)
@@ -127,6 +139,7 @@ def test_rank_sum_tetrahedron(tetra_orbifold, tetra_point):
     assert report.e2 == 3
     assert report.identity_holds and report.weakly_orderable
     assert report.reduction_zero_block < 1e-9
+    assert report.reduction_psi_block < 1e-9
     assert report.staircase_rank == 3
     assert report.reduction_rank_match
 
@@ -137,6 +150,7 @@ def test_rank_sum_esselmann(esselmann_orbifold, esselmann_point):
     assert report.rank_psi.rank == 20
     assert report.identity_holds  # 28 = 20 + 8: weakly orderable, delta != 0
     assert report.staircase_rank == 8
+    assert report.reduction_psi_block < 1e-9
 
 
 def test_rank_sum_doubled_cube_deficient(doubled_cube_orbifold,
@@ -147,6 +161,37 @@ def test_rank_sum_doubled_cube_deficient(doubled_cube_orbifold,
     N = vinberg.EquationIndex.from_orbifold(doubled_cube_orbifold).N
     assert report.rank_phi.rank <= N - 1
     assert not report.identity_holds  # rank deficiency from the bending direction
+    assert report.reduction_psi_block < 1e-9
+
+
+RANK_SUM_CASES = list(bundled.BUILTIN_NAMES) + ["loebell16", "prism16"]
+
+
+def _hyperbolic_case(name):
+    defaults = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
+    Q = newton_case(name)
+    if name in bundled.BUILTIN_NAMES:
+        R = cli._realize(Q, defaults)[0]
+    else:
+        R = lorentz.solve_hyperbolic_newton(Q)
+    return Q, vinberg.hyperbolic_point(R)
+
+
+@pytest.mark.parametrize("name", RANK_SUM_CASES)
+def test_rank_sum_block_form_against_rerank_oracle(name):
+    Q, p = _hyperbolic_case(name)
+    report = vinberg.check_rank_sum(Q, p)
+    staircase, psi, phi = report.staircase_rank, report.rank_psi.rank, report.rank_phi.rank
+    assert reduced_rank_oracle(Q, p) == phi
+    assert staircase + psi <= phi <= report.e2 + psi
+    assert report.reduction_rank_match
+    assert report.reduction_zero_block < 1e-9
+    assert report.reduction_psi_block < 1e-9
+    if staircase == report.e2:
+        assert report.identity_holds
+    if name == "doubled_cube":  # the staircase is one short, and so is rank D phi
+        assert (staircase, report.e2) == (17, 18)
+        assert phi == staircase + psi and not report.identity_holds
 
 
 def test_rank_sum_rejects_non_solution(tetra_orbifold, tetra_point):
@@ -213,6 +258,32 @@ def test_u_membership_open_condition():
     assert a[0, 1] * a[1, 0] == pytest.approx(3.9)
     report = vinberg.check_U_membership(index, p)
     assert not report.open_condition_ok
+
+
+def test_u_membership_conditions_match_pair_loop():
+    # a Cartan matrix with E3/E4 signs flipped and E4 products pushed below 4,
+    # carried by the point alpha = I, b = A^T so that a = A exactly
+    Q, p = _hyperbolic_case("loebell5_factor")
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    A = p.cartan()
+    rng = np.random.default_rng(5)
+    pos = index.pos
+    e4 = rng.permutation(len(index.e4))
+    flipped = [index.e3[t] for t in rng.choice(len(index.e3), 3, replace=False)]
+    flipped += [index.e4[t] for t in e4[:4]]
+    for k, (i, j) in enumerate(flipped):  # a_ij on even k, a_ji on odd k
+        A[(pos[i], pos[j])[k % 2], (pos[j], pos[i])[k % 2]] *= -1.0
+    for i, j in (index.e4[t] for t in e4[4:9]):
+        A[pos[i], pos[j]] *= 3.9 / (A[pos[i], pos[j]] * A[pos[j], pos[i]])
+    for q in (p, vinberg.VinbergPoint(np.eye(Q.f), A.T, p.facets)):
+        signs_ok, open_ok, failures = open_conditions_oracle(index, q)
+        report = vinberg.check_U_membership(Q, q)
+        assert (report.signs_ok, report.open_condition_ok) == (signs_ok, open_ok)
+        assert [m for m in report.failures
+                if m.startswith(("non-negative", "open condition"))] == failures
+    assert not signs_ok and not open_ok
+    assert sum(m.startswith("non-negative") for m in failures) == 7
+    assert sum(m.startswith("open condition") for m in failures) == 9
 
 
 def test_u_membership_matches_oracle_on_bundled_points():
