@@ -15,7 +15,7 @@ import numpy as np
 
 from coxdeform import vinberg
 from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
-from coxdeform.polytope import _pair
+from coxdeform.polytope import _pair, missing_pairs
 
 ZERO_TYPE_TOL = 1e-9
 ENTRY_TOL = 1e-9
@@ -69,14 +69,7 @@ class CartanMatrix:
         return {p: m for p, m in sorted(self.orders.items()) if m >= 3}
 
     def e4_pairs(self):
-        known = set(self.orders)
-        out = []
-        for a in range(self.f):
-            for b in range(a + 1, self.f):
-                pair = (self.facets[a], self.facets[b])
-                if pair not in known:
-                    out.append(pair)
-        return out
+        return missing_pairs(self.facets, self.orders)
 
     def equation_index(self, n):
         return vinberg.EquationIndex(self.facets, n, self.e2_pairs(),

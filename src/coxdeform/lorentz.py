@@ -196,12 +196,9 @@ class HyperbolicRealization:
             x = np.where(np.abs(x[:, :1]) > 1e-12, x / x[:, :1], x)
             inside = LorentzForm(self.dim).inner(x, x) < 0
             self.vertex_flags = dict(zip(Q.base.vertices, inside.tolist()))
-        nonadjacent = ~np.eye(Q.f, dtype=bool)
-        for i, j in Q.base.ridges:
-            nonadjacent[pos[i], pos[j]] = nonadjacent[pos[j], pos[i]] = False
-        a, b = np.nonzero(np.triu(nonadjacent))
-        ids = np.array(Q.base.facets)
-        pairs = zip(np.minimum(ids[a], ids[b]).tolist(), np.maximum(ids[a], ids[b]).tolist())
+        pairs = Q.base.nonadjacent_pairs
+        a = [pos[i] for i, _ in pairs]
+        b = [pos[j] for _, j in pairs]
         self.nonadjacent_products = dict(zip(pairs, lorentz_gram(self.normals)[a, b].tolist()))
         if validate:
             self.check_valid()
@@ -209,12 +206,6 @@ class HyperbolicRealization:
     @property
     def dim(self):
         return self.normals.shape[1]
-
-    def alphas(self):
-        """Facet covectors alpha_i = 2 <nu_i, .> as a dict facet -> row."""
-        J = LorentzForm(self.dim).matrix
-        rows = 2.0 * self.normals @ J
-        return {facet: rows[k] for k, facet in enumerate(self.Q.base.facets)}
 
     def vertex_point(self, vertex):
         """The point where the facet hyperplanes of ``vertex`` meet, scaled to
@@ -368,19 +359,10 @@ def _klein_plane(unit_normal, offset):
     return nu / math.sqrt(1.0 - c * c)
 
 
-def _neighbour_sets(P):
-    """Facet -> the set of facets adjacent to it."""
-    nbrs = {x: set() for x in P.facets}
-    for i, j in P.ridges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
-    return nbrs
-
-
 def _prism_structure(P):
     """Detect prism combinatorics: two non-adjacent caps, quadrilateral sides.
     Returns (cap_a, cap_b, cyclic side order) or None."""
-    nbrs = _neighbour_sets(P)
+    nbrs = P.nbrs
     for a in sorted(P.facets):
         if len(nbrs[a]) != P.f - 2:
             continue  # a is not adjacent to exactly one other facet
@@ -415,7 +397,7 @@ def _loebell_structure(P):
     if P.f < 10 or P.f % 2 != 0:
         return None
     m = (P.f - 2) // 2
-    nbrs = _neighbour_sets(P)
+    nbrs = P.nbrs
     caps = [x for x in sorted(P.facets) if len(nbrs[x]) == m] or sorted(P.facets)
     for top in caps:
         U = nbrs[top]
@@ -438,7 +420,7 @@ def _loebell_structure(P):
             if len(common) != 1:
                 lower = None
                 break
-            lower.append(common.pop())
+            lower.extend(common)
         if lower:
             return top, bottom, upper, lower
     return None
@@ -450,8 +432,8 @@ def _doubled_cube_structure(P):
     opposite square of that half, or None."""
     if P.f != 9:
         return None
-    hexes = sorted(x for x in P.facets if len(P.neighbors(x)) == 6)
-    squares = [x for x in P.facets if len(P.neighbors(x)) == 4]
+    hexes = sorted(x for x in P.facets if len(P.nbrs[x]) == 6)
+    squares = [x for x in P.facets if len(P.nbrs[x]) == 4]
     if len(hexes) != 3 or len(squares) != 6:
         return None
     comp1 = sorted([squares[0]] + [s for s in squares[1:] if P.adjacent(squares[0], s)])

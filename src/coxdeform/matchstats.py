@@ -229,7 +229,7 @@ def construct_weak_order(P, labels):
 
 
 def _zero_count(P, labels, face):
-    return sum(1 for r in P.ridges if face in r and labels[r] == 0)
+    return sum(1 for j in P.nbrs[face] if labels[_pair(face, j)] == 0)
 
 
 def _weak_order_rec(P, labels):
@@ -667,55 +667,31 @@ class _UniformValidSampler:
             self.class_weight[-1] = d - 5
         inv = 1.0 / self.class_orders
         self.class_ok = inv[:, None, None] + inv[None, :, None] + inv[None, None, :] > 1.0
-        self.steps = self._plan_steps(model, self._elimination_order(model.P))
+        self.steps = self._plan_steps(model.vertex_triples)
         # uniforms per attempt: one per step, one per edge for the >=6 class,
         # padded to whole Philox blocks of four
         self.block = -(-(len(self.steps) + len(model.edges)) // 4) * 4
         self.counts, self.tables = self._backward_counts()
 
     @staticmethod
-    def _elimination_order(P):
-        """Greedy order keeping the open-edge boundary small: always process
-        the vertex with the most already-open incident edges."""
-        incident = {k: set() for k in range(len(P.vertices))}
-        for r in P.ridges:
-            a, b = P.ridge_endpoints(r)
-            incident[a].add(r)
-            incident[b].add(r)
-        done = []
-        open_edges = set()
-        remaining = set(range(len(P.vertices)))
-        while remaining:
-            def key(w):
-                arriving = len(incident[w] & open_edges)
-                return (-arriving, len(incident[w] - open_edges), w)
-            w = min(remaining, key=key)
-            remaining.remove(w)
-            done.append(w)
-            for r in incident[w]:
-                if r in open_edges:
-                    open_edges.remove(r)
-                else:
-                    open_edges.add(r)
-        return done
-
-    @staticmethod
-    def _plan_steps(model, order):
-        """The ``_Step`` of each vertex in ``order``."""
-        P = model.P
-        incident = {k: [] for k in range(len(P.vertices))}
-        for r in P.ridges:
-            a, b = P.ridge_endpoints(r)
-            incident[a].append(r)
-            incident[b].append(r)
+    def _plan_steps(triples):
+        """The ``_Step`` of each vertex, given by its ``triples`` of edge
+        positions, in a greedy elimination order that keeps the open-edge
+        boundary small: next comes the vertex with the most open edges,
+        lowest index first."""
         steps = []
         boundary = []  # list of open edges, order = slot order
-        for w in order:
-            arr = tuple(boundary.index(r) for r in incident[w] if r in boundary)
-            new = sorted(r for r in incident[w] if r not in boundary)
+        slot = {}  # open edge -> its slot
+        remaining = set(range(len(triples)))
+        while remaining:
+            w = min(remaining, key=lambda v: (-sum(t in slot for t in triples[v]), v))
+            remaining.remove(w)
+            arr = tuple(slot[t] for t in triples[w] if t in slot)
+            new = tuple(sorted(t for t in triples[w] if t not in slot))
             keep = tuple(s for s in range(len(boundary)) if s not in arr)
-            steps.append(_Step(arr, keep, tuple(model.edge_pos[r] for r in new)))
-            boundary = [boundary[s] for s in keep] + new
+            steps.append(_Step(arr, keep, new))
+            boundary = [boundary[s] for s in keep] + list(new)
+            slot = {t: s for s, t in enumerate(boundary)}
         if boundary:
             raise GraphConditionError("elimination order left open edges")
         return steps

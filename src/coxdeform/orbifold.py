@@ -59,12 +59,10 @@ class CoxeterOrbifold:
 
     def e4_pairs(self):
         """Non-adjacent facet pairs (no ridge, no equation, open condition)."""
-        return sorted(p for p in itertools.combinations(self.base.facets, 2)
-                      if p not in self.base.ridges)
+        return list(self.base.nonadjacent_pairs)
 
     def order2_neighbors(self, i):
-        return sorted(j for j in self.base.facets
-                      if j != i and self.orders.get(_pair(i, j)) == 2)
+        return sorted(j for j in self.base.nbrs[i] if self.orders.get(_pair(i, j)) == 2)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ simple, planar, 3-connected cubic graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -22,12 +23,21 @@ def _pair(i, j):
     return (i, j) if i < j else (j, i)
 
 
+def missing_pairs(ids, pairs):
+    """The pairs (i, j), i < j, of ``ids`` that are not in the set ``pairs``
+    of sorted pairs, in sorted order."""
+    return [p for p in itertools.combinations(sorted(ids), 2) if p not in pairs]
+
+
 class PolytopeCombinatorics:
     """Validated facet/ridge/vertex data of a simple n-polytope.
 
-    Treat instances as immutable after construction; all derived structures
-    are precomputed.  Use :func:`build_combinatorics` or one of the built-in
-    generators rather than calling the constructor with unchecked data.
+    Treat instances as immutable after construction: derived tables are built
+    once and read by every layer.  ``nbrs`` maps each facet to the frozenset
+    of its neighbours; ``nonadjacent_pairs``, the sorted facet pairs that are
+    not ridges, is computed on first use and cached.  Use
+    :func:`build_combinatorics` or one of the built-in generators rather than
+    calling the constructor with unchecked data.
     """
 
     def __init__(self, n, facets, ridges, vertices=None, names=None, validate=True):
@@ -35,6 +45,11 @@ class PolytopeCombinatorics:
         self.facets = tuple(facets)
         self.ridges = frozenset(_pair(i, j) for i, j in ridges)
         self.names = dict(names) if names else {i: str(i) for i in self.facets}
+        nbrs = {i: set() for i in self.facets}
+        for i, j in self.ridges:
+            nbrs.setdefault(i, set()).add(j)
+            nbrs.setdefault(j, set()).add(i)
+        self.nbrs = {i: frozenset(js) for i, js in nbrs.items()}
         if vertices is not None:
             self.vertices = tuple(frozenset(v) for v in vertices)
         elif self.n == 3:
@@ -70,7 +85,11 @@ class PolytopeCombinatorics:
         return _pair(i, j) in self.ridges
 
     def neighbors(self, i):
-        return sorted(j for j in self.facets if j != i and self.adjacent(i, j))
+        return sorted(self.nbrs[i])
+
+    @functools.cached_property
+    def nonadjacent_pairs(self):
+        return tuple(missing_pairs(self.facets, self.ridges))
 
     def ridge_endpoints(self, ridge):
         """Indices (into .vertices) of the vertices on a ridge. Two for n=3."""
@@ -164,14 +183,10 @@ class PolytopeCombinatorics:
             if ends in endpoint_pairs:
                 raise CombinatoricsError(f"two ridges share endpoints {ends} (multi-edge)")
             endpoint_pairs.add(ends)
-        nbrs = {i: [] for i in self.facets}
-        for i, j in self.ridges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
         seen = {self.facets[0]}
         stack = [self.facets[0]]
         while stack:
-            for j in nbrs[stack.pop()]:
+            for j in self.nbrs[stack.pop()]:
                 if j not in seen:
                     seen.add(j)
                     stack.append(j)
@@ -272,10 +287,7 @@ def prismatic_circuits(P, k):
 def _dual_cycles(P, k):
     """Every k-cycle of the dual graph, from neighbour sets, starting at its
     smallest facet (a 4-cycle comes once in each orientation)."""
-    nbrs = {i: set() for i in P.facets}
-    for i, j in P.ridges:
-        nbrs[i].add(j)
-        nbrs[j].add(i)
+    nbrs = P.nbrs
     for a in P.facets:
         for b in (x for x in nbrs[a] if x > a):
             if k == 3:

@@ -81,6 +81,8 @@ class EquationIndex:
         self.e2 = tuple(sorted(tuple(p) for p in e2))
         self.e3_orders = {tuple(p): int(m) for p, m in dict(e3_orders).items()}
         self.e3 = tuple(sorted(self.e3_orders))
+        self.e3_targets = np.array([4.0 * math.cos(math.pi / self.e3_orders[p]) ** 2
+                                    for p in self.e3])
         self.e4 = tuple(sorted(tuple(p) for p in e4))
         self.pos = {facet: k for k, facet in enumerate(self.facets)}
 
@@ -110,63 +112,41 @@ class EquationIndex:
                            count=2 * len(pairs))
         return flat[0::2], flat[1::2]
 
-    def e3_target(self, pair):
-        m = self.e3_orders[tuple(pair)]
-        return 4.0 * math.cos(math.pi / m) ** 2
-
 
 def phi_eval(Q_or_index, p):
     """Residuals of Vinberg's equations at a point, length N = f + e + e2."""
     index = _as_index(Q_or_index)
     a = p.cartan()
-    pos = index.pos
-    out = []
-    for kind, (i, j) in index.rows():
-        ii, jj = pos[i], pos[j]
-        if kind == "e2a":
-            out.append(a[ii, jj])
-        elif kind == "e2b":
-            out.append(a[jj, ii])
-        elif kind == "e3":
-            out.append(a[ii, jj] * a[jj, ii] - index.e3_target((i, j)))
-        else:
-            out.append(a[ii, ii] - 2.0)
-    return np.array(out)
+    i2, j2 = index.positions(index.e2)
+    i3, j3 = index.positions(index.e3)
+    return np.concatenate([a[i2, j2], a[j2, i2], a[i3, j3] * a[j3, i3] - index.e3_targets,
+                           a.diagonal() - 2.0])
 
 
 def phi_jacobian(Q_or_index, p):
     """Jacobian of :func:`phi_eval`, an N x 2(n+1)f matrix of (n+1)-entry
-    blocks: columns are grouped as the f alpha-blocks then the f b-blocks."""
+    blocks: columns are grouped as the f alpha-blocks then the f b-blocks.
+
+    Each row is a sum of terms w d(a_xy) = w (d alpha_x b_y + alpha_x d b_y),
+    which put w b_y in alpha-block x and w alpha_x in b-block y: one term
+    with w = 1 on an E2 row (a_ij, then a_ji) and an E1 row (a_ii), and two
+    on the E3 row of (i, j), a_ji d(a_ij) + a_ij d(a_ji)."""
     index = _as_index(Q_or_index)
     a = p.cartan()
     f, dim = p.f, p.dim
-    pos = index.pos
-    rows = index.rows()
-    M = np.zeros((len(rows), 2 * dim * f))
-
-    def ablock(k):
-        return slice(k * dim, (k + 1) * dim)
-
-    def bblock(k):
-        return slice((f + k) * dim, (f + k + 1) * dim)
-
-    for r, (kind, (i, j)) in enumerate(rows):
-        ii, jj = pos[i], pos[j]
-        if kind == "e2a":
-            M[r, ablock(ii)] = p.bs[jj]
-            M[r, bblock(jj)] = p.alphas[ii]
-        elif kind == "e2b":
-            M[r, ablock(jj)] = p.bs[ii]
-            M[r, bblock(ii)] = p.alphas[jj]
-        elif kind == "e3":
-            M[r, ablock(ii)] = a[jj, ii] * p.bs[jj]
-            M[r, ablock(jj)] = a[ii, jj] * p.bs[ii]
-            M[r, bblock(ii)] = a[ii, jj] * p.alphas[jj]
-            M[r, bblock(jj)] = a[jj, ii] * p.alphas[ii]
-        else:
-            M[r, ablock(ii)] = p.bs[ii]
-            M[r, bblock(ii)] = p.alphas[ii]
-    return M
+    i2, j2 = index.positions(index.e2)
+    i3, j3 = index.positions(index.e3)
+    n2, n3 = len(i2), len(i3)
+    diag = np.arange(f)
+    e3_rows = np.arange(2 * n2, 2 * n2 + n3)
+    row = np.concatenate([np.arange(2 * n2), e3_rows, e3_rows, 2 * n2 + n3 + diag])
+    x = np.concatenate([i2, j2, i3, j3, diag])
+    y = np.concatenate([j2, i2, j3, i3, diag])
+    w = np.concatenate([np.ones(2 * n2), a[j3, i3], a[i3, j3], np.ones(f)])[:, None]
+    M = np.zeros((index.N, 2, f, dim))  # row, alpha/b half, facet, entry
+    M[row, 0, x] = w * p.bs[y]
+    M[row, 1, y] = w * p.alphas[x]
+    return M.reshape(index.N, 2 * f * dim)
 
 
 def _as_index(Q_or_index):

@@ -234,6 +234,59 @@ def psi_jacobian_oracle(Q, normals):
     return M
 
 
+def phi_eval_oracle(index, p):
+    """Vinberg's residuals, one Python step per equation row of ``index``."""
+    a = p.cartan()
+    pos = index.pos
+    out = []
+    for kind, (i, j) in index.rows():
+        ii, jj = pos[i], pos[j]
+        if kind == "e2a":
+            out.append(a[ii, jj])
+        elif kind == "e2b":
+            out.append(a[jj, ii])
+        elif kind == "e3":
+            target = 4.0 * math.cos(math.pi / index.e3_orders[(i, j)]) ** 2
+            out.append(a[ii, jj] * a[jj, ii] - target)
+        else:
+            out.append(a[ii, ii] - 2.0)
+    return np.array(out)
+
+
+def phi_jacobian_oracle(index, p):
+    """The dense Jacobian of Vinberg's equations, one Python step per
+    equation row of ``index``."""
+    a = p.cartan()
+    f, dim = p.f, p.dim
+    pos = index.pos
+    rows = index.rows()
+    M = np.zeros((len(rows), 2 * dim * f))
+
+    def ablock(k):
+        return slice(k * dim, (k + 1) * dim)
+
+    def bblock(k):
+        return slice((f + k) * dim, (f + k + 1) * dim)
+
+    for r, (kind, (i, j)) in enumerate(rows):
+        ii, jj = pos[i], pos[j]
+        if kind == "e2a":
+            M[r, ablock(ii)] = p.bs[jj]
+            M[r, bblock(jj)] = p.alphas[ii]
+        elif kind == "e2b":
+            M[r, ablock(jj)] = p.bs[ii]
+            M[r, bblock(ii)] = p.alphas[jj]
+        elif kind == "e3":
+            M[r, ablock(ii)] = a[jj, ii] * p.bs[jj]
+            M[r, ablock(jj)] = a[ii, jj] * p.bs[ii]
+            M[r, bblock(ii)] = a[ii, jj] * p.alphas[jj]
+            M[r, bblock(jj)] = a[jj, ii] * p.alphas[ii]
+        else:
+            M[r, ablock(ii)] = p.bs[ii]
+            M[r, bblock(ii)] = p.alphas[ii]
+    return M
+
+
 def newton_lstsq_oracle(Q, initial, tol=lorentz.RESIDUAL_TOL, max_iter=100):
     """Gauss-Newton with SVD-based least-squares steps on the dense Jacobian,
     with step halving; returns the converged normals (unvalidated)."""
@@ -407,6 +460,18 @@ def seed_structure_oracle(P):
     return prism(), loebell()
 
 
+def neighbours_oracle(P, i):
+    """The neighbours of facet i, by scanning every facet against the ridges."""
+    return sorted(j for j in P.facets if j != i and tuple(sorted((i, j))) in P.ridges)
+
+
+def nonadjacent_oracle(P):
+    """Every facet pair (i, j), i < j, that is not a ridge, by scanning all
+    f^2 ordered pairs."""
+    return sorted((i, j) for i in P.facets for j in P.facets
+                  if i < j and (i, j) not in P.ridges)
+
+
 def enumerate_perfect_matchings(P):
     """Exhaustive matching enumeration on the 1-skeleton (oracle)."""
     edges = sorted(P.ridges)
@@ -566,6 +631,40 @@ def backward_counts_oracle(sampler):
             total += w * ok[triple[0], triple[1], triple[2]] * counts[t + 1][post]
         counts[t] = total
     return counts
+
+
+def plan_steps_oracle(model):
+    """The sampler's elimination steps in two passes: a greedy vertex order
+    (most already-open incident edges first, then fewest edges still to
+    open, then lowest index), then the open-edge boundary along it, with
+    the vertex-edge incidence rebuilt from ``P.ridge_endpoints``."""
+    P = model.P
+    incident = {k: [] for k in range(len(P.vertices))}
+    for r in P.ridges:
+        a, b = P.ridge_endpoints(r)
+        incident[a].append(r)
+        incident[b].append(r)
+    order = []
+    open_edges = set()
+    remaining = set(range(len(P.vertices)))
+    while remaining:
+        def key(w):
+            arriving = len(set(incident[w]) & open_edges)
+            return (-arriving, len(set(incident[w]) - open_edges), w)
+        w = min(remaining, key=key)
+        remaining.remove(w)
+        order.append(w)
+        open_edges ^= set(incident[w])
+    steps = []
+    boundary = []
+    for w in order:
+        arr = tuple(boundary.index(r) for r in incident[w] if r in boundary)
+        new = sorted(r for r in incident[w] if r not in boundary)
+        keep = tuple(s for s in range(len(boundary)) if s not in arr)
+        steps.append((arr, keep, tuple(model.edge_pos[r] for r in new)))
+        boundary = [boundary[s] for s in keep] + new
+    assert not boundary
+    return steps
 
 
 def random_parity_labels(P, rng):

@@ -1,3 +1,4 @@
+import copy
 import time
 from collections import Counter
 
@@ -8,7 +9,8 @@ from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
 from conftest import (assignment_validity_oracle, backward_counts_oracle,
                       brute_force_weak_order, enumerate_perfect_matchings,
                       exact_counts_oracle, mask_edge_sets, peel_oracle,
-                      random_parity_labels, row_edge_sets)
+                      plan_steps_oracle, random_parity_labels, random_truncation,
+                      row_edge_sets)
 
 
 def test_find_factor_simplex():
@@ -483,3 +485,26 @@ def test_validate_face_order_rejects_bad_ordering():
     labels = {r: 0 for r in P.ridges}
     assert not ms.validate_face_order(P, labels, tuple(sorted(P.facets)))
     assert not ms.validate_face_order(P, labels, tuple(sorted(P.facets))[:-1])
+
+
+def test_plan_steps_match_two_pass_oracle():
+    rng = np.random.default_rng(23)
+    polytopes = [pt.cube(), pt.prism(3), pt.prism(8), pt.dodecahedron(), pt.loebell(12),
+                 pt.doubled_cube()]
+    polytopes += [random_truncation(base, cuts, rng)
+                  for base in (pt.cube(), pt.dodecahedron()) for cuts in (1, 3)]
+    for P in polytopes:
+        model = ms._AssignmentModel(P, 5)
+        steps = ms._UniformValidSampler._plan_steps(model.vertex_triples)
+        oracle = plan_steps_oracle(model)
+        # the arriving slots may be listed in another order; the vertex kernel
+        # is symmetric in them
+        assert [(sorted(arr), keep, new) for arr, keep, new in steps] == \
+            [(sorted(arr), keep, new) for arr, keep, new in oracle]
+        sampler = ms._UniformValidSampler(model)
+        twin = copy.copy(sampler)
+        twin.steps = [ms._Step(*step) for step in oracle]
+        twin.counts, twin.tables = twin._backward_counts()
+        # the same uniforms give the same vertex-valid rows
+        u = rng.random((40, sampler.block))
+        assert np.array_equal(sampler._vertex_valid_rows(u), twin._vertex_valid_rows(u))

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from coxdeform import cartan, orbifold as ob, polytope as pt, vinberg
+from coxdeform import bundled, cartan, orbifold as ob, polytope as pt, vinberg
 from conftest import brute_force_weak_order
 
 
@@ -187,3 +187,16 @@ def test_vertex_cosine_matrix_values(tetra_orbifold):
     assert M[0, 1] == pytest.approx(-1.0)
     assert M[0, 2] == pytest.approx(0.0)
     assert M[1, 2] == pytest.approx(-2 * np.cos(np.pi / 5))
+
+
+def test_e4_pairs_with_descending_facet_list():
+    # facets listed 6..1: every layer still reports only the 3 opposite pairs
+    cube = pt.cube()
+    P = pt.PolytopeCombinatorics(3, (6, 5, 4, 3, 2, 1), cube.ridges, cube.vertices)
+    flex = bundled.load_builtin("cube_flex")
+    Q = ob.make_orbifold(P, flex.orders)
+    opposite = [(1, 2), (3, 5), (4, 6)]
+    assert Q.e4_pairs() == opposite
+    assert list(vinberg.EquationIndex.from_orbifold(Q).e4) == opposite
+    A = cartan.CartanMatrix(2.0 * np.eye(6), orders=flex.orders, facets=(6, 5, 4, 3, 2, 1))
+    assert A.e4_pairs() == opposite

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from coxdeform import polytope as pt
-from conftest import (enumerate_dual_cycles, prismatic_oracle, random_truncation,
-                      reverse_truncation_oracle, three_connected_planar_oracle)
+from coxdeform import bundled, polytope as pt
+from conftest import (enumerate_dual_cycles, neighbours_oracle, nonadjacent_oracle,
+                      prismatic_oracle, random_truncation, reverse_truncation_oracle,
+                      three_connected_planar_oracle)
 
 
 def cube_description():
@@ -315,3 +316,24 @@ def test_esselmann_combinatorics():
     assert (P.n, P.f, P.e, len(P.vertices)) == (4, 6, 15, 9)
     for V in P.vertices:
         assert len(V) == 4
+
+
+def _adjacency_cases():
+    """Bundled bases, prism(3..16), loebell(5..16) and random truncations,
+    each also with its facet list shuffled."""
+    rng = np.random.default_rng(17)
+    cases = [bundled.load_builtin(name).base for name in bundled.BUILTIN_NAMES]
+    cases += [pt.prism(m) for m in range(3, 17)] + [pt.loebell(m) for m in range(5, 17)]
+    cases += [random_truncation(base, cuts, rng)
+              for base in (pt.simplex(3), pt.cube(), pt.dodecahedron()) for cuts in (1, 3, 6)]
+    shuffled = [pt.PolytopeCombinatorics(P.n, [P.facets[k] for k in rng.permutation(P.f)],
+                                         P.ridges, P.vertices, P.names) for P in cases]
+    return cases + shuffled
+
+
+def test_adjacency_tables_match_scans():
+    for P in _adjacency_cases():
+        for i in P.facets:
+            assert sorted(P.nbrs[i]) == P.neighbors(i) == neighbours_oracle(P, i)
+        assert list(P.nonadjacent_pairs) == nonadjacent_oracle(P)
+        assert P.nonadjacent_pairs is P.nonadjacent_pairs  # built once

@@ -7,7 +7,8 @@ import pytest
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
 from conftest import (gauge_directions_oracle, interior_point_oracle, newton_case,
-                      open_conditions_oracle, reduced_rank_oracle)
+                      open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
+                      reduced_rank_oracle)
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -192,6 +193,35 @@ def test_rank_sum_block_form_against_rerank_oracle(name):
     if name == "doubled_cube":  # the staircase is one short, and so is rank D phi
         assert (staircase, report.e2) == (17, 18)
         assert phi == staircase + psi and not report.identity_holds
+
+
+def _assert_phi_matches_oracle(index, p):
+    assert np.array_equal(vinberg.phi_eval(index, p), phi_eval_oracle(index, p))
+    assert np.array_equal(vinberg.phi_jacobian(index, p), phi_jacobian_oracle(index, p))
+
+
+def _random_point(p, rng):
+    """A point off the solution set: E2 entries nonzero and a_ij != a_ji, so
+    the two weights of an E3 row differ."""
+    return vinberg.VinbergPoint(rng.normal(size=(p.f, p.dim)), rng.normal(size=(p.f, p.dim)),
+                                p.facets)
+
+
+@pytest.mark.parametrize("name", RANK_SUM_CASES)
+def test_phi_matches_row_loop_oracle(name):
+    Q, p = _hyperbolic_case(name)
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    _assert_phi_matches_oracle(index, p)
+    _assert_phi_matches_oracle(index, _random_point(p, np.random.default_rng(41)))
+
+
+def test_phi_matches_row_loop_oracle_on_bare_pattern():
+    A = cartan.CartanMatrix(vinberg.esselmann_family().matrix(1.2, 0.9),
+                            orders=vinberg.ESSELMANN_ORDERS)
+    index = A.equation_index(5)
+    p = cartan.realize_point_from_cartan(A, 5)
+    _assert_phi_matches_oracle(index, p)
+    _assert_phi_matches_oracle(index, _random_point(p, np.random.default_rng(42)))
 
 
 def test_rank_sum_rejects_non_solution(tetra_orbifold, tetra_point):
