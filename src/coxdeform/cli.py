@@ -187,7 +187,8 @@ def cmd_dim(args):
         "rank_phi": dim_report,
         "rank_psi": {"rank": rank_sum.rank_psi.rank,
                      "kernel_dim": rank_sum.rank_psi.kernel_dim,
-                     "uncertain": rank_sum.rank_psi.uncertain},
+                     "uncertain": rank_sum.rank_psi.uncertain,
+                     "method": rank_sum.rank_psi.method},
         "rank_sum": {"identity_holds": rank_sum.identity_holds,
                      "e2": rank_sum.e2,
                      "weakly_orderable": rank_sum.weakly_orderable,

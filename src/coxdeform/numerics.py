@@ -1,16 +1,23 @@
 """Numerical rank with an explicit tolerance policy, plus finite differences.
 
 Rank decisions drive every conclusion drawn from the Jacobians, so the policy
-is never implicit: the full spectrum, the threshold actually used, and the
-spectral gap at the cut are always reported.  A small gap marks the decision
-as uncertain instead of silently picking a side.
+is never implicit.  A full-rank decision is first certified by a Cholesky
+factorisation of the shifted Gram matrix; it then reports the threshold it
+certified, method "cholesky" and no spectrum.  Every other decision comes
+from the dense SVD (method "svd"), which reports the full spectrum, the
+threshold actually used and the spectral gap at the cut.  A small gap marks
+the decision as uncertain instead of silently picking a side.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+UNIT_ROUNDOFF = 2.0 ** -53
+SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
 @dataclass(frozen=True)
@@ -30,23 +37,101 @@ DEFAULT_RANK_POLICY = RankPolicy()
 
 @dataclass
 class RankResult:
+    """``method`` is "cholesky" for a certified full rank, whose
+    ``singular_values`` are empty and whose ``threshold`` is the certified
+    lower bound on sigma_min; "svd" otherwise."""
+
     rank: int
     singular_values: np.ndarray
     threshold: float
     gap: float
     uncertain: bool
+    method: str
 
     def kernel_dimension(self, ncols):
         return ncols - self.rank
 
 
 def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
+    """Numerical rank of a matrix: certified full when
+    :func:`_full_rank_certificate` holds, else from :func:`svd_rank`.
+
+    ``M`` is a matrix, or a function of no arguments that builds one.  A
+    function is called for the Gram matrix and its result dropped before the
+    factorisation, and called again only if the SVD is needed, so a large
+    matrix and the Cholesky buffers are never held at once."""
+    build = M if callable(M) else (lambda: M)
+    X = _finite(build())
+    if X.size == 0:
+        return svd_rank(X, policy)
+    shape = X.shape
+    W = X if shape[0] <= shape[1] else X.T
+    A = W @ W.T
+    del X, W
+    tau = _full_rank_certificate(A, shape, policy)
+    if tau is not None:
+        return RankResult(min(shape), np.zeros(0), tau, np.inf, False, "cholesky")
+    return svd_rank(build(), policy)
+
+
+def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY):
+    """A threshold tau_bar, at least the SVD path's tau, with sigma_min(M) >
+    tau_bar; None when the certificate fails.  ``A`` = fl(W W^T) is the Gram
+    matrix of the short side W (k x q, k <= q) of M, and ``shape`` is M's.
+    ``A`` is overwritten.
+
+    With u = 2^-53, gamma_j = j u / (1 - j u) and eta = 2^-1074:
+
+    - Gram formation: |A - W W^T| <= gamma_q |W| |W|^T + q eta entrywise,
+      for any summation order and with underflow, so ||A - W W^T||_2 <=
+      gamma_q ||W||_F^2 + k q eta.
+    - sigma_bar^2 = fl(trace A) (1 + gamma_{2(q+k)}) + k q eta >= ||W||_F^2
+      >= sigma_max^2: each A_ii loses at most a factor 1 - gamma_q, the trace
+      sum at most 1 - gamma_k, and 1 / ((1 - gamma_q)(1 - gamma_k)) <=
+      1 + gamma_{2(q+k)}.  sigma_bar^2 also bounds the exact trace of A.
+    - tau_bar = policy.threshold(shape, sigma_bar) >= the SVD path's tau.
+    - Cholesky (Rump, "Verification of positive definiteness", BIT 46, 2006):
+      if the floating-point Cholesky factorisation of a symmetric B runs to
+      completion, then lambda_min(B) > -c, with c = gamma_{k+1} / (1 -
+      gamma_{k+1}) trace(B) plus his underflow term 4k(2(k+2) + max B_ii)
+      eta.  Here B = fl(A - s I), so trace(B) <= trace(A) <= sigma_bar^2.
+    - Diagonal subtraction: B = A - s I + D with |D_ii| <= u (max A_ii + s).
+
+    So if B factors, lambda_min(W W^T) > s (1 - u) - c - u max A_ii -
+    gamma_q sigma_bar^2 - k q eta, and the shift
+
+        s = (tau_bar^2 + gamma_q sigma_bar^2 + k q eta + c + u max A_ii)
+            * (1 + gamma_64)
+
+    makes that at least tau_bar^2.  The factor 1 + gamma_64 covers the
+    1 / (1 - u) and the fewer than 30 roundings made in evaluating s; the
+    + eta in c covers the rounding of its subnormal product.
+    """
+    k, q = min(shape), max(shape)
+    diag = np.diagonal(A)
+    trace, dmax = float(diag.sum()), float(diag.max())
+    underflow = k * q * SMALLEST_SUBNORMAL
+    sigma2 = trace * (1.0 + _gamma(2 * (q + k))) + underflow
+    tau = policy.threshold(shape, math.sqrt(sigma2))
+    g = _gamma(k + 1)
+    c = g / (1.0 - g) * sigma2 + (4.0 * k * (2.0 * (k + 2) + dmax) + 1.0) * SMALLEST_SUBNORMAL
+    s = tau * tau + _gamma(q) * sigma2 + underflow + c + UNIT_ROUNDOFF * dmax
+    s *= 1.0 + _gamma(64)
+    if not math.isfinite(s):
+        return None
+    A[np.diag_indices(k)] -= s
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    return tau
+
+
+def svd_rank(M, policy=DEFAULT_RANK_POLICY):
     """Numerical rank of a matrix from its full singular spectrum."""
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix has non-finite entries")
+    M = _finite(M)
     if M.size == 0:
-        return RankResult(0, np.zeros(0), 0.0, np.inf, False)
+        return RankResult(0, np.zeros(0), 0.0, np.inf, False, "svd")
     s = np.linalg.svd(M, compute_uv=False)
     smax = s[0] if len(s) else 0.0
     tau = policy.threshold(M.shape, smax)
@@ -56,7 +141,18 @@ def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
     else:
         gap = s[rank - 1] / s[rank]
     uncertain = gap < policy.gap_threshold
-    return RankResult(rank, s, tau, gap, uncertain)
+    return RankResult(rank, s, tau, gap, uncertain, "svd")
+
+
+def _gamma(j):
+    return j * UNIT_ROUNDOFF / (1.0 - j * UNIT_ROUNDOFF)
+
+
+def _finite(M):
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix has non-finite entries")
+    return M
 
 
 def finite_difference_jacobian(func, x, step=1e-6):

@@ -223,8 +223,10 @@ def gauge_dimension(f, dim):
 
 @dataclass
 class JacobianReport:
-    """Numerical-rank analysis of one Jacobian, with the full spectrum kept
-    for auditability."""
+    """Numerical-rank analysis of one Jacobian, saying how the rank was
+    decided: ``method`` "cholesky" is a certified full rank with
+    sigma_min > ``threshold`` and no spectrum; "svd" keeps the full spectrum
+    and the gap at the cut for auditability (see :mod:`coxdeform.numerics`)."""
 
     label: str
     shape: tuple
@@ -234,6 +236,7 @@ class JacobianReport:
     threshold: float
     gap: float
     uncertain: bool
+    method: str
     gauge_dim: int = None
     full_rank: bool = None
     deformation_dim: int = None
@@ -241,10 +244,10 @@ class JacobianReport:
     formula_dim: int = None
 
 
-def jacobian_report(label, M, policy=DEFAULT_RANK_POLICY):
-    rr = numerical_rank(M, policy)
-    return JacobianReport(label, M.shape, rr.singular_values, rr.rank,
-                          M.shape[1] - rr.rank, rr.threshold, rr.gap, rr.uncertain)
+def jacobian_report(label, shape, rr):
+    """The report of the rank decision ``rr`` on a matrix of ``shape``."""
+    return JacobianReport(label, shape, rr.singular_values, rr.rank, shape[1] - rr.rank,
+                          rr.threshold, rr.gap, rr.uncertain, rr.method)
 
 
 def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
@@ -255,11 +258,13 @@ def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
     which the report cross-checks against the closed form e_+ - n - 2 delta_P.
     Otherwise kernel-minus-gauge is reported as an upper-bound witness only.
     """
-    return _phi_analysis(Q, p, policy)[2]
+    return _phi_analysis(Q, p, policy)[1]
 
 
 def _phi_analysis(Q, p, policy):
-    """The dimension report together with the equation index and Jacobian."""
+    """The dimension report together with the equation index.  D phi is
+    built for the rank decision and dropped before its Gram matrix is
+    factored (see :func:`numerical_rank`)."""
     from coxdeform import orbifold as ob
 
     index = EquationIndex.from_orbifold(Q)
@@ -267,8 +272,8 @@ def _phi_analysis(Q, p, policy):
     if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
         raise VinbergError(
             f"point is not a solution (max residual {np.abs(resid).max():.3e})")
-    M = phi_jacobian(index, p)
-    report = jacobian_report("phi", M, policy)
+    report = jacobian_report("phi", (index.N, 2 * p.dim * p.f),
+                             numerical_rank(lambda: phi_jacobian(index, p), policy))
     report.gauge_dim = gauge_dimension(p.f, p.dim)
     G = gauge_directions(p)
     gauge_rank = numerical_rank(G, policy).rank
@@ -285,7 +290,7 @@ def _phi_analysis(Q, p, policy):
             raise VinbergError("dimension bookkeeping identity failed")  # integer identity
     else:
         report.kernel_minus_gauge = report.kernel_dim - report.gauge_dim
-    return index, M, report
+    return index, report
 
 
 @dataclass
@@ -305,15 +310,15 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     """Verify rank(D phi) = rank(D psi) + e2 at a hyperbolic point, and
     certify the reduction behind it.
 
-    The reduction is replayed on D phi in place: add each E2 first-slot row
-    to its second-slot row, scale E3 rows by 1/a_ij and E1 rows by 2, scale
-    the alpha-columns by 2 with the first coordinate of each block negated,
-    then subtract the right half from the left.  The result R is meant to
-    have the block form [[A, B], [0, D psi]] with A the E2 staircase (the
-    E2a rows on the left half).  Row and column operations that are
-    invertible never change rank, so ranking R again would only repeat
-    rank(D phi) and could not catch a wrong reduction; the block form is
-    certified instead:
+    The reduction is replayed on D phi (:func:`reduced_phi_jacobian`): add
+    each E2 first-slot row to its second-slot row, scale E3 rows by 1/a_ij
+    and E1 rows by 2, scale the alpha-columns by 2 with the first coordinate
+    of each block negated, then subtract the right half from the left.  The
+    result R is meant to have the block form [[A, B], [0, D psi]] with A the
+    E2 staircase (the E2a rows on the left half).  Row and column operations
+    that are invertible never change rank, so ranking R again would only
+    repeat rank(D phi) and could not catch a wrong reduction; the block form
+    is certified instead:
 
     - ``reduction_zero_block``: max |R[e2:, left half]|, 0 up to rounding.
     - ``reduction_psi_block``: max |R[e2:, right half] - D psi| / max |D psi|,
@@ -330,30 +335,23 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     """
     from coxdeform import orbifold as ob
 
-    index, R, rphi = _phi_analysis(Q, p, policy)  # R: D phi, reduced in place below
+    index, rphi = _phi_analysis(Q, p, policy)
     J = lorentz.LorentzForm(p.dim).matrix
     if np.abs(p.alphas - 2.0 * p.bs @ J).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
 
-    f, dim = p.f, p.dim
-    a = p.cartan()
+    half = p.f * p.dim
     Dpsi = lorentz.psi_jacobian(Q, p.bs)
-    rpsi = jacobian_report("psi", Dpsi, policy)
+    rpsi = jacobian_report("psi", Dpsi.shape, numerical_rank(Dpsi, policy))
     wo = bool(ob.weak_order_combinatorial(Q))
 
-    n2, n3 = len(index.e2), len(index.e3)
-    R[n2:2 * n2] += R[:n2]
-    R[2 * n2:2 * n2 + n3] /= a[index.positions(index.e3)][:, None]
-    R[2 * n2 + n3:] *= 2.0
-    R[:, :dim * f] *= 2.0
-    R[:, :dim * f:dim] *= -1.0
-    R[:, :dim * f] -= R[:, dim * f:]
-
+    n2 = len(index.e2)
+    R = reduced_phi_jacobian(index, p)
     psi_row = {pair: r for r, pair in enumerate(lorentz.psi_rows(Q))}
     order = [psi_row[pair] for _, pair in index.rows()[n2:]]
-    zero_block = float(np.abs(R[n2:, :dim * f]).max())
-    psi_block = float(np.abs(R[n2:, dim * f:] - Dpsi[order]).max() / np.abs(Dpsi).max())
-    staircase = numerical_rank(R[:n2, :dim * f], policy).rank
+    zero_block = float(np.abs(R[n2:, :half]).max())
+    psi_block = float(np.abs(R[n2:, half:] - Dpsi[order]).max() / np.abs(Dpsi).max())
+    staircase = numerical_rank(R[:n2, :half], policy).rank
 
     return RankSumReport(
         rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=wo,
@@ -362,6 +360,21 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
         reduction_psi_block=psi_block,
         staircase_rank=staircase,
         reduction_rank_match=(staircase + rpsi.rank <= rphi.rank <= n2 + rpsi.rank))
+
+
+def reduced_phi_jacobian(index, p):
+    """D phi after the row and column operations of :func:`check_rank_sum`;
+    its first e2 rows, left half, are the E2 staircase."""
+    f, dim = p.f, p.dim
+    n2, n3 = len(index.e2), len(index.e3)
+    R = phi_jacobian(index, p)
+    R[n2:2 * n2] += R[:n2]
+    R[2 * n2:2 * n2 + n3] /= p.cartan()[index.positions(index.e3)][:, None]
+    R[2 * n2 + n3:] *= 2.0
+    R[:, :dim * f] *= 2.0
+    R[:, :dim * f:dim] *= -1.0
+    R[:, :dim * f] -= R[:, dim * f:]
+    return R
 
 
 # -- membership in the open solution domain ------------------------------------
