@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-10
 SIGNATURE_EIG_TOL = 1e-9
@@ -88,34 +88,39 @@ class PsiStructure:
     Row r reads 2<nu_a, nu_b> + shift with facet positions ``a[r]`` and
     ``b[r]`` (equal on the diagonal rows).  In the block of each facet c it
     touches, its Jacobian row carries k alpha_o, where o is the row's other
-    facet; the slot arrays list these entries as (row, c, o, k).  The pair
-    arrays list every two slots that share a facet, flattened to their entry
-    of J J^t, so that J J^t is assembled from the Gram matrix of the alphas.
+    facet; slot s is such an entry, with c = ``slot_facet[s]``, o =
+    ``slot_other[s]`` and k = ``slot_k[s]`` (2 on the f diagonal rows, which
+    come first, and 1 on the e ridge rows).  ``rows`` is the
+    :class:`BlockRows` pattern of all slots and ``ridge`` that of the ridge
+    slots alone, whose pairs give the Newton system without the diagonal rows
+    (:meth:`gauss_newton_step`).
     """
 
     def __init__(self, Q):
         pos = {facet: k for k, facet in enumerate(Q.base.facets)}
         rows = psi_rows(Q)
-        self.f = Q.f
+        f = self.f = Q.f
         a = self.a = np.array([pos[i] for i, _ in rows], dtype=np.intp)
         b = self.b = np.array([pos[j] for _, j in rows], dtype=np.intp)
         self.shift = np.array([-2.0 if i == j else 2.0 * math.cos(math.pi / Q.order(i, j))
                                for i, j in rows])
-        diag = a == b
-        ridge = np.flatnonzero(~diag)
-        self.slot_row = np.concatenate([np.flatnonzero(diag), ridge, ridge])
-        self.slot_facet = np.concatenate([a[diag], a[ridge], b[ridge]])
-        self.slot_other = np.concatenate([a[diag], b[ridge], a[ridge]])
-        self.slot_k = np.concatenate([np.full(int(diag.sum()), 2.0), np.ones(2 * len(ridge))])
-        p, q = [], []
-        for c in range(Q.f):
-            slots = np.flatnonzero(self.slot_facet == c)
-            p.append(np.repeat(slots, len(slots)))
-            q.append(np.tile(slots, len(slots)))
-        p, q = np.concatenate(p), np.concatenate(q)
-        self.pair_entry = self.slot_row[p] * len(rows) + self.slot_row[q]
-        self.pair_p, self.pair_q = self.slot_other[p], self.slot_other[q]
-        self.pair_k = self.slot_k[p] * self.slot_k[q]
+        e = len(rows) - f
+        ridge = np.arange(e)
+        self.slot_facet = np.concatenate([a[:f], a[f:], b[f:]]).astype(np.int32)
+        self.slot_other = np.concatenate([a[:f], b[f:], a[f:]]).astype(np.int32)
+        self.slot_k = np.concatenate([np.full(f, 2.0), np.ones(2 * e)])
+        self.rows = BlockRows(len(rows), f, np.concatenate([np.arange(f), f + ridge, f + ridge]),
+                              self.slot_facet)
+        R = self.ridge = BlockRows(e, f, np.concatenate([ridge, ridge]), self.slot_facet[f:])
+        # flat indices into f x f arrays of each ridge slot's (c, o) and of
+        # each ridge pair's (o, o'), and each pair's entry of the e x e system
+        c, o = R.block, self.slot_other[f:]
+        p, q = R.pairs
+        self.ridge_cell = c * f + o
+        self.ridge_pair_cell = o[p] * f + o[q]
+        self.ridge_entry = R.row[p] * e + R.row[q]
+        # trace(J J^t) = sum over facets of (4 + degree) |alpha_c|^2
+        self.trace_weight = 4.0 + np.bincount(c, minlength=f)
 
     @property
     def nrows(self):
@@ -124,26 +129,41 @@ class PsiStructure:
     def eval(self, normals):
         return 2.0 * lorentz_gram(normals)[self.a, self.b] + self.shift
 
-    def jacobian(self, alphas):
-        dim = alphas.shape[1]
-        M = np.zeros((self.nrows, self.f, dim))
-        M[self.slot_row, self.slot_facet] = self.slot_k[:, None] * alphas[self.slot_other]
-        return M.reshape(self.nrows, self.f * dim)
+    def values(self, alphas):
+        """The vector of each slot, k alpha_o."""
+        return self.slot_k[:, None] * np.take(alphas, self.slot_other, axis=0)
 
     def gauss_newton_step(self, alphas, r):
         """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
-        f x (n+1) array; J J^t is built from the Gram matrix of the alphas
-        and J itself is never formed."""
+        f x (n+1) array, where J itself is never formed.
+
+        The f diagonal rows share no facet, so their block of J J^t + mu I
+        is the diagonal D = 4|alpha_c|^2 + mu; a ridge slot in block c
+        couples its row to diagonal row c by B = 2 alpha_c . alpha_o.  Those
+        rows are eliminated exactly: the ridge part y_2 of y solves the
+        e x e Schur complement (C - B^t D^-1 B) y_2 = r_2 - B^t D^-1 r_1,
+        whose entries are sums over the ridge pairs of alpha_o . alpha_o' -
+        B B' / D_c (plus mu on the diagonal), and then y_1 = D^-1 (r_1 -
+        B y_2)."""
+        f, R = self.f, self.ridge
+        e, c, row = R.nrows, R.block, R.row
         gram = alphas @ alphas.T
-        weights = self.pair_k * gram[self.pair_p, self.pair_q]
-        R = self.nrows
-        G = np.bincount(self.pair_entry, weights=weights, minlength=R * R).reshape(R, R)
-        G.flat[::R + 1] += LM_SHIFT * G.trace() / R
-        y = np.linalg.solve(G, r)
-        step = np.zeros_like(alphas)
-        np.add.at(step, self.slot_facet,
-                  (self.slot_k * y[self.slot_row])[:, None] * alphas[self.slot_other])
-        return step
+        flat = gram.ravel()
+        g = gram.diagonal()
+        mu = LM_SHIFT * (g @ self.trace_weight) / self.nrows
+        d = 4.0 * g + mu
+        B = 2.0 * flat.take(self.ridge_cell)
+        s = B / np.sqrt(d).take(c)
+        p, q = R.pairs
+        S = np.bincount(self.ridge_entry, flat.take(self.ridge_pair_cell) - s.take(p) * s.take(q),
+                        minlength=e * e).reshape(e, e)
+        S.flat[::e + 1] += mu
+        t = r[:f] / d
+        y2 = np.linalg.solve(S, r[f:] - np.bincount(row, B * t.take(c), minlength=e))
+        y1 = t - np.bincount(c, B * y2.take(row), minlength=f) / d
+        coef = np.bincount(self.ridge_cell, y2.take(row), minlength=f * f).reshape(f, f)
+        coef.flat[::f + 1] += 2.0 * y1
+        return coef @ alphas
 
 
 _PSI_STRUCTURES = weakref.WeakKeyDictionary()
@@ -168,12 +188,19 @@ def psi_eval(Q, normals):
     return psi_structure(Q).eval(np.asarray(normals, dtype=float))
 
 
+def psi_matrix(Q, normals):
+    """Jacobian of :func:`psi_eval` in the flattened normals, as a
+    :class:`StructuredMatrix` over the pattern of :class:`PsiStructure`."""
+    S = psi_structure(Q)
+    return S.rows.matrix(S.values(_alphas(np.asarray(normals, dtype=float))))
+
+
 def psi_jacobian(Q, normals):
     """Jacobian of :func:`psi_eval` in the flattened normals, an
     (f+e) x (n+1)f matrix of (n+1)-entry blocks: row (i,i) carries
     2 alpha_i in block i; row (i,j) carries alpha_j in block i and alpha_i in
     block j, where alpha_i = 2 nu_i^t J."""
-    return psi_structure(Q).jacobian(_alphas(np.asarray(normals, dtype=float)))
+    return psi_matrix(Q, normals).build()
 
 
 # -- realizations -------------------------------------------------------------
@@ -283,7 +310,9 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     quotients out the Lorentz gauge freedom (the Jacobian kernel is
     dim so(1,n) on the solution manifold) without pinning a gauge, so it does
     not depend on facet labels.  J J^t comes from the Gram matrix of the
-    alphas (:meth:`PsiStructure.gauss_newton_step`).  The Levenberg-Marquardt
+    alphas, and the f diagonal rows, whose block of J J^t is diagonal, are
+    eliminated exactly, so each step solves an e x e system
+    (:meth:`PsiStructure.gauss_newton_step`).  The Levenberg-Marquardt
     shift mu = LM_SHIFT trace(J J^t) / (f + e) keeps the system positive
     definite when J loses row rank; at full row rank the step is the
     least-squares step J^+ r up to rounding.  Step halving is the safeguard.
@@ -320,7 +349,7 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
 def kernel_dimension(Q, normals, policy=DEFAULT_RANK_POLICY):
     """Numerical kernel dimension of the hyperbolic-equation Jacobian; equals
     dim so(1,n) = n(n+1)/2 at every genuine realization."""
-    J = psi_jacobian(Q, normals)
+    J = psi_matrix(Q, normals)
     return numerical_rank(J, policy).kernel_dimension(J.shape[1])
 
 

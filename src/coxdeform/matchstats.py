@@ -32,6 +32,9 @@ MC_ROW_CHUNK = 4096
 MC_MAX_ROUNDS = 24
 MC_MIN_ACCEPTANCE = 1e-3
 MC_RATE_PILOT = 20000
+# the sampler's DP tables grow as 5^width in the width of its boundary; a
+# plan above this many bytes is refused before any table is allocated
+SAMPLER_TABLE_BUDGET = 512 * 2 ** 20
 
 
 class GraphConditionError(ValueError):
@@ -655,6 +658,8 @@ class _UniformValidSampler:
     the weighted vertex kernel against ``counts[t + 1]``.  The counts are
     float64: they set the sampling probabilities and are exact while they
     stay below 2^53.  ``draw`` moves every row through the steps together.
+    A plan whose tables exceed ``SAMPLER_TABLE_BUDGET`` raises
+    GraphConditionError before any table is built.
     """
 
     def __init__(self, model):
@@ -671,6 +676,13 @@ class _UniformValidSampler:
         # uniforms per attempt: one per step, one per edge for the >=6 class,
         # padded to whole Philox blocks of four
         self.block = -(-(len(self.steps) + len(model.edges)) // 4) * 4
+        width = max((len(arr) + len(keep) for arr, keep, _ in self.steps), default=0)
+        size = self.table_bytes(self.steps, self.nclasses)
+        if size > SAMPLER_TABLE_BUDGET:
+            raise GraphConditionError(
+                f"sampler refused: its DP boundary is {width} edges wide and its tables "
+                f"would take {size / 2 ** 20:.0f} MiB, over the budget of "
+                f"{SAMPLER_TABLE_BUDGET / 2 ** 20:.0f} MiB")
         self.counts, self.tables = self._backward_counts()
 
     @staticmethod
@@ -695,6 +707,15 @@ class _UniformValidSampler:
         if boundary:
             raise GraphConditionError("elimination order left open edges")
         return steps
+
+    @staticmethod
+    def table_bytes(steps, k):
+        """The bytes of the float64 tables :meth:`_backward_counts` keeps for
+        ``steps`` and k classes: ``counts[t]``, one axis per slot open before
+        step t, and the kernel, one per arriving and per new slot."""
+        cells = 1 + sum(k ** (len(arr) + len(keep)) + k ** (len(arr) + len(new))
+                        for arr, keep, new in steps)
+        return 8 * cells
 
     def _backward_counts(self):
         """``counts[t]`` for every step, and per step the weighted kernel and

@@ -34,6 +34,8 @@ def to_jsonable(obj):
         return obj
     if isinstance(obj, float):
         return canonical_float(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):

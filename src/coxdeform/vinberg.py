@@ -13,12 +13,13 @@ dimension f + (n+1)^2 - 1.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from coxdeform import lorentz
-from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-9
 
@@ -113,6 +114,41 @@ class EquationIndex:
         return flat[0::2], flat[1::2]
 
 
+class PhiStructure:
+    """The row structure of Vinberg's equations (see :func:`phi_jacobian`).
+
+    Term t of the T terms is w d(a_xy), with facet positions ``x[t]`` and
+    ``y[t]``; w is 1 except on the E3 terms, the slice ``e3``, where it is
+    a_yx.  It puts w b_y in alpha-block x and w alpha_x in b-block y: cells t
+    and T + t of ``rows``, whose blocks 0..f-1 are the alpha half and
+    f..2f-1 the b half.
+    """
+
+    def __init__(self, index):
+        f = index.f
+        i2, j2 = index.positions(index.e2)
+        i3, j3 = index.positions(index.e3)
+        n2, n3 = len(i2), len(i3)
+        diag = np.arange(f)
+        e3_rows = np.arange(2 * n2, 2 * n2 + n3)
+        row = np.concatenate([np.arange(2 * n2), e3_rows, e3_rows, 2 * n2 + n3 + diag])
+        self.x = np.concatenate([i2, j2, i3, j3, diag]).astype(np.int32)
+        self.y = np.concatenate([j2, i2, j3, i3, diag]).astype(np.int32)
+        self.e3 = slice(2 * n2, 2 * n2 + 2 * n3)
+        self.rows = BlockRows(index.N, 2 * f, np.concatenate([row, row]),
+                              np.concatenate([self.x, f + self.y]))
+
+    def values(self, p):
+        """The vector of each cell: w b_y for the alpha-blocks, then w alpha_x
+        for the b-blocks, each stored as the product fl(w v)."""
+        w = np.ones(len(self.x))
+        x, y = self.x[self.e3], self.y[self.e3]
+        w[self.e3] = p.cartan()[y, x]
+        w = w[:, None]
+        return np.concatenate([w * np.take(p.bs, self.y, axis=0),
+                               w * np.take(p.alphas, self.x, axis=0)])
+
+
 def phi_eval(Q_or_index, p):
     """Residuals of Vinberg's equations at a point, length N = f + e + e2."""
     index = _as_index(Q_or_index)
@@ -123,6 +159,27 @@ def phi_eval(Q_or_index, p):
                            a.diagonal() - 2.0])
 
 
+_PHI_STRUCTURES = weakref.WeakKeyDictionary()
+
+
+def phi_structure(Q_or_index):
+    """The :class:`PhiStructure` of an equation index, or the cached one of
+    an orbifold (its lifetime is the orbifold's)."""
+    if isinstance(Q_or_index, EquationIndex):
+        return PhiStructure(Q_or_index)
+    S = _PHI_STRUCTURES.get(Q_or_index)
+    if S is None:
+        S = _PHI_STRUCTURES[Q_or_index] = PhiStructure(EquationIndex.from_orbifold(Q_or_index))
+    return S
+
+
+def phi_matrix(Q_or_index, p):
+    """Jacobian of :func:`phi_eval` as a :class:`StructuredMatrix` over the
+    pattern of :class:`PhiStructure`."""
+    S = phi_structure(Q_or_index)
+    return S.rows.matrix(S.values(p))
+
+
 def phi_jacobian(Q_or_index, p):
     """Jacobian of :func:`phi_eval`, an N x 2(n+1)f matrix of (n+1)-entry
     blocks: columns are grouped as the f alpha-blocks then the f b-blocks.
@@ -131,22 +188,7 @@ def phi_jacobian(Q_or_index, p):
     which put w b_y in alpha-block x and w alpha_x in b-block y: one term
     with w = 1 on an E2 row (a_ij, then a_ji) and an E1 row (a_ii), and two
     on the E3 row of (i, j), a_ji d(a_ij) + a_ij d(a_ji)."""
-    index = _as_index(Q_or_index)
-    a = p.cartan()
-    f, dim = p.f, p.dim
-    i2, j2 = index.positions(index.e2)
-    i3, j3 = index.positions(index.e3)
-    n2, n3 = len(i2), len(i3)
-    diag = np.arange(f)
-    e3_rows = np.arange(2 * n2, 2 * n2 + n3)
-    row = np.concatenate([np.arange(2 * n2), e3_rows, e3_rows, 2 * n2 + n3 + diag])
-    x = np.concatenate([i2, j2, i3, j3, diag])
-    y = np.concatenate([j2, i2, j3, i3, diag])
-    w = np.concatenate([np.ones(2 * n2), a[j3, i3], a[i3, j3], np.ones(f)])[:, None]
-    M = np.zeros((index.N, 2, f, dim))  # row, alpha/b half, facet, entry
-    M[row, 0, x] = w * p.bs[y]
-    M[row, 1, y] = w * p.alphas[x]
-    return M.reshape(index.N, 2 * f * dim)
+    return phi_matrix(Q_or_index, p).build()
 
 
 def _as_index(Q_or_index):
@@ -262,9 +304,10 @@ def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
 
 
 def _phi_analysis(Q, p, policy):
-    """The dimension report together with the equation index.  D phi is
-    built for the rank decision and dropped before its Gram matrix is
-    factored (see :func:`numerical_rank`)."""
+    """The dimension report together with the equation index.  The rank of
+    D phi is decided from its Gram matrix, assembled from the row structure;
+    the dense D phi is built only if the SVD must decide (see
+    :func:`numerical_rank`)."""
     from coxdeform import orbifold as ob
 
     index = EquationIndex.from_orbifold(Q)
@@ -272,8 +315,8 @@ def _phi_analysis(Q, p, policy):
     if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
         raise VinbergError(
             f"point is not a solution (max residual {np.abs(resid).max():.3e})")
-    report = jacobian_report("phi", (index.N, 2 * p.dim * p.f),
-                             numerical_rank(lambda: phi_jacobian(index, p), policy))
+    M = phi_matrix(Q, p)
+    report = jacobian_report("phi", M.shape, numerical_rank(M, policy))
     report.gauge_dim = gauge_dimension(p.f, p.dim)
     G = gauge_directions(p)
     gauge_rank = numerical_rank(G, policy).rank
@@ -341,16 +384,18 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
 
     half = p.f * p.dim
-    Dpsi = lorentz.psi_jacobian(Q, p.bs)
-    rpsi = jacobian_report("psi", Dpsi.shape, numerical_rank(Dpsi, policy))
+    M = lorentz.psi_matrix(Q, p.bs)
+    rpsi = jacobian_report("psi", M.shape, numerical_rank(M, policy))
     wo = bool(ob.weak_order_combinatorial(Q))
 
     n2 = len(index.e2)
+    Dpsi = M.build()
     R = reduced_phi_jacobian(index, p)
     psi_row = {pair: r for r, pair in enumerate(lorentz.psi_rows(Q))}
     order = [psi_row[pair] for _, pair in index.rows()[n2:]]
-    zero_block = float(np.abs(R[n2:, :half]).max())
-    psi_block = float(np.abs(R[n2:, half:] - Dpsi[order]).max() / np.abs(Dpsi).max())
+    zero_block = _max_abs(R[n2:, :half])
+    R[n2:, half:] -= Dpsi[order]
+    psi_block = _max_abs(R[n2:, half:]) / _max_abs(Dpsi)
     staircase = numerical_rank(R[:n2, :half], policy).rank
 
     return RankSumReport(
@@ -360,6 +405,11 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
         reduction_psi_block=psi_block,
         staircase_rank=staircase,
         reduction_rank_match=(staircase + rpsi.rank <= rphi.rank <= n2 + rpsi.rank))
+
+
+def _max_abs(X):
+    """max |X_ij| without a temporary array."""
+    return float(max(X.max(), -X.min()))
 
 
 def reduced_phi_jacobian(index, p):
@@ -407,6 +457,14 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
     sign(lambda) u with A x > 0, and v = b^T x is checked directly; a
     zero-type component's left null vector y >= 0 with y^T alpha = 0 rules v
     out (Gordan).  Off the solution set neither may verify: then None.
+
+    A component block alpha_C b_C^T has rank at most n+1 and the nonzero
+    eigenvalues of the (n+1) x (n+1) matrix b_C^T alpha_C, with eigenvectors
+    u = alpha_C w (:func:`factored_smallest_real_eigenpair`).  A real
+    eigenvalue of the small matrix below -zero_tol is therefore the smallest
+    real eigenvalue of the block, as at every hyperbolic point.  Otherwise
+    the general eigensolve of the block decides.  Either way the verdict
+    rests on the direct checks above.
     """
     from coxdeform import cartan
 
@@ -420,11 +478,13 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
     x = np.zeros(p.f)
     has_point = None
     for comp in cartan._components(adj, p.f):
-        sub = a[np.ix_(comp, comp)]
-        try:
-            lam, u = cartan.smallest_real_eigenpair(sub)
-        except cartan.CartanError:
-            continue  # possible only off the solution set: x stays 0 here
+        lam, u = factored_smallest_real_eigenpair(p.alphas[comp], p.bs[comp])
+        if not lam < -zero_tol:
+            sub = a[np.ix_(comp, comp)]
+            try:
+                lam, u = cartan.smallest_real_eigenpair(sub)
+            except cartan.CartanError:
+                continue  # possible only off the solution set: x stays 0 here
         if abs(lam) <= zero_tol:
             y = cartan.smallest_real_eigenpair(sub.T)[1]
             if y.sum() > 0 and y.min() >= 0 and \
@@ -459,6 +519,25 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
 
     return UMembershipReport(has_point, point, span, not len(signs_bad), not len(open_bad),
                              failures)
+
+
+def factored_smallest_real_eigenpair(alphas, bs):
+    """The smallest real eigenvalue of bs^T alphas, with u = alphas w for its
+    eigenvector w, scaled to unit length and a non-negative sum: an
+    eigenpair of alphas bs^T whenever the eigenvalue is nonzero.  (nan,
+    None) when bs^T alphas has no real eigenvalue or u vanishes."""
+    from coxdeform import cartan
+
+    try:
+        lam, w = cartan.smallest_real_eigenpair(bs.T @ alphas)
+    except cartan.CartanError:
+        return math.nan, None
+    u = alphas @ w
+    norm = np.linalg.norm(u)
+    if not norm > 0:
+        return math.nan, None
+    u /= norm
+    return lam, (u if u.sum() >= 0 else -u)
 
 
 # -- parametrized Cartan families and curve extraction --------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -89,6 +90,14 @@ def prism_cap_orbifold(m):
     """Order 3 on the ridges of the two caps, order 2 on the sides."""
     P = pt.prism(m)
     return ob.make_orbifold(P, {r: (3 if r[0] in (1, 2) else 2) for r in P.ridges})
+
+
+@functools.cache
+def family_realization(family, m):
+    """The loebell(m) factor or prism(m) cap orbifold and its Newton
+    realization, solved once per test session."""
+    Q = loebell_factor_orbifold(pt.loebell(m)) if family == "loebell" else prism_cap_orbifold(m)
+    return Q, lorentz.solve_hyperbolic_newton(Q)
 
 
 def newton_case(name):
@@ -310,6 +319,62 @@ def newton_lstsq_oracle(Q, initial, tol=lorentz.RESIDUAL_TOL, max_iter=100):
             raise lorentz.ConvergenceError(f"no descent step found at residual {norm:.3e}")
         x, r = x_new, r_new
     raise lorentz.ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
+def dense_gram_oracle(M):
+    """fl(W W^t) for the short side W of M, by one dense product."""
+    W = M if M.shape[0] <= M.shape[1] else M.T
+    return W @ W.T
+
+
+def gauss_newton_step_oracle(Q, normals, r):
+    """The minimum-norm step J^t y with (J J^t + mu I) y = r, from the dense
+    Jacobian and one solve of the full (f+e) x (f+e) system; returns the
+    step and the shifted system."""
+    normals = np.asarray(normals, dtype=float)
+    J = psi_jacobian_oracle(Q, normals)
+    G = J @ J.T
+    R = len(G)
+    G.flat[::R + 1] += lorentz.LM_SHIFT * G.trace() / R
+    return (J.T @ np.linalg.solve(G, r)).reshape(normals.shape), G
+
+
+def component_eigenpairs_oracle(p):
+    """(component, smallest real eigenvalue, eigenvector) of every component
+    block of the Cartan matrix, by a general eigensolve of the whole block;
+    (component, None, None) where the block has no real eigenvalue."""
+    a = p.cartan()
+    adj = cartan._nonzero_graph(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
+    out = []
+    for comp in cartan._components(adj, p.f):
+        try:
+            out.append((comp, *cartan.smallest_real_eigenpair(a[np.ix_(comp, comp)])))
+        except cartan.CartanError:
+            out.append((comp, None, None))
+    return out
+
+
+def interior_point_eig_oracle(p, tol=1e-9):
+    """The interior-point decision of ``check_U_membership`` from the
+    eigenpairs of ``component_eigenpairs_oracle``: (has_point, point)."""
+    a = p.cartan()
+    scale = max(np.abs(p.alphas).max(), 1e-30)
+    zero_tol = cartan.ZERO_TYPE_TOL * np.linalg.norm(a)
+    x = np.zeros(p.f)
+    for comp, lam, u in component_eigenpairs_oracle(p):
+        if lam is None:
+            continue
+        if abs(lam) <= zero_tol:
+            y = cartan.smallest_real_eigenpair(a[np.ix_(comp, comp)].T)[1]
+            if y.sum() > 0 and y.min() >= 0 and \
+                    np.abs(y @ p.alphas[comp]).max() <= tol * scale * y.sum():
+                return False, np.zeros(p.dim)
+        x[comp] = np.sign(lam) * u
+    v = x @ p.bs
+    v = v / max(np.abs(v).max(), 1e-300)
+    if (p.alphas @ v).min() > tol * scale:
+        return True, v
+    return None, np.zeros(p.dim)
 
 
 def reduced_rank_oracle(Q, p, policy=DEFAULT_RANK_POLICY):

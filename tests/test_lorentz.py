@@ -6,8 +6,9 @@ import pytest
 
 from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
-from conftest import (loebell_factor_orbifold, newton_case, newton_lstsq_oracle,
-                      psi_eval_oracle, psi_jacobian_oracle, seed_structure_oracle)
+from conftest import (family_realization, gauss_newton_step_oracle, loebell_factor_orbifold,
+                      newton_case, newton_lstsq_oracle, psi_eval_oracle, psi_jacobian_oracle,
+                      seed_structure_oracle)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -242,6 +243,49 @@ def test_psi_structure_matches_row_loop(name):
     for x in points:
         assert np.abs(lorentz.psi_eval(Q, x) - psi_eval_oracle(Q, x)).max() < 1e-14
         assert np.abs(lorentz.psi_jacobian(Q, x) - psi_jacobian_oracle(Q, x)).max() < 1e-14
+
+
+def _assert_step_matches_full_solve(Q, x):
+    """The Schur step equals the full-system solve to 1e-12 relative, or to
+    4 kappa(G) u where the shifted system G is worse conditioned: both are
+    backward-stable solves of G, so each is accurate only to about
+    kappa(G) u."""
+    S = lorentz.psi_structure(Q)
+    r = S.eval(x)
+    step = S.gauss_newton_step(lorentz._alphas(x), r)
+    ref, G = gauss_newton_step_oracle(Q, x, r)
+    tol = max(1e-12, 4.0 * np.linalg.cond(G) * 2.0 ** -53)
+    assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
+
+
+def _step_points(x, rng):
+    """x, two perturbations of it and one random point."""
+    return [x, x + 0.05 * rng.normal(size=x.shape), x + 0.05 * rng.normal(size=x.shape),
+            rng.normal(size=x.shape)]
+
+
+@pytest.mark.parametrize("name", NEWTON_CASES + ["esselmann", "tetrahedron353"])
+def test_schur_step_matches_full_solve(name):
+    Q = newton_case(name)
+    if name in bundled.BUILTIN_NAMES:
+        R = cli._realize(Q, argparse.Namespace(seed_name=None, seed=0, tol=1e-10))[0]
+    else:
+        R = lorentz.solve_hyperbolic_newton(Q)
+    rng = np.random.default_rng(17)
+    points = _step_points(R.normals, rng)
+    if name in NEWTON_CASES:
+        points.append(lorentz.initial_guess(Q))
+    for x in points:
+        _assert_step_matches_full_solve(Q, x)
+
+
+@pytest.mark.parametrize("family", ["loebell", "prism"])
+def test_schur_step_matches_full_solve_on_families(family):
+    rng = np.random.default_rng(19)
+    for m in range(5, 33):
+        Q, R = family_realization(family, m)
+        for x in _step_points(R.normals, rng) + [lorentz.initial_guess(Q)]:
+            _assert_step_matches_full_solve(Q, x)
 
 
 def _relabelled(P, rng):

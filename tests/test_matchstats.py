@@ -508,3 +508,43 @@ def test_plan_steps_match_two_pass_oracle():
         # the same uniforms give the same vertex-valid rows
         u = rng.random((40, sampler.block))
         assert np.array_equal(sampler._vertex_valid_rows(u), twin._vertex_valid_rows(u))
+
+
+def _wide_truncation():
+    """The dodecahedron with 5 vertices cut at random (17 facets): the fourth
+    polytope drawn by ``random_truncation`` from one ``default_rng(23)``,
+    after the cube with 2 and 5 cuts and the dodecahedron with 2."""
+    rng = np.random.default_rng(23)
+    draws = [random_truncation(base, cuts, rng)
+             for base, cuts in ((pt.cube(), 2), (pt.cube(), 5),
+                                (pt.dodecahedron(), 2), (pt.dodecahedron(), 5))]
+    return draws[-1]
+
+
+def test_sampler_refuses_tables_over_budget(monkeypatch):
+    P = _wide_truncation()
+    assert P.f == 17
+    model = ms._AssignmentModel(P, 7)
+
+    def no_tables(self):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(ms._UniformValidSampler, "_backward_counts", no_tables)
+    with pytest.raises(ms.GraphConditionError, match=r"11 edges wide .* 935 MiB"):
+        ms._UniformValidSampler(model)
+    with pytest.raises(ms.GraphConditionError, match="sampler refused"):
+        ms.estimate_wo_fraction(P, 7, samples=10, seed=1)
+
+
+def test_sampler_budget_separates_the_planned_sizes():
+    """Planned bytes at d = 7: prism(8) 0.19 MiB, the dodecahedron 9.6 MiB
+    (width 8), loebell(64) 263 MiB (width 8) stay under the budget, which the
+    17-facet truncation (935 MiB, width 11) exceeds.  The planned bytes are
+    the bytes the tables take once built."""
+    for P in (pt.prism(8), pt.dodecahedron(), pt.loebell(64)):
+        steps = ms._UniformValidSampler._plan_steps(ms._AssignmentModel(P, 7).vertex_triples)
+        assert ms._UniformValidSampler.table_bytes(steps, 5) < ms.SAMPLER_TABLE_BUDGET
+    for P in (pt.prism(8), pt.dodecahedron()):
+        sampler = ms._UniformValidSampler(ms._AssignmentModel(P, 7))
+        held = sum(c.nbytes for c in sampler.counts) + sum(t[0].nbytes for t in sampler.tables)
+        assert held == sampler.table_bytes(sampler.steps, sampler.nclasses)

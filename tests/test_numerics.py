@@ -1,23 +1,30 @@
 """The certified full-rank path of ``numerical_rank`` against the dense SVD
 it falls back to (``svd_rank``): the same rank, uncertain flag and kernel
 dimension on every bundled orbifold, on generated factor and cap points, on
-random points off the solution set, and on planted spectra at the margin."""
+random points off the solution set, and on planted spectra at the margin.
+The Gram matrices assembled from the row structure of D phi and D psi are
+checked against the dense product and its rounding bound."""
 
 import argparse
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from coxdeform import bundled, cli, lorentz, polytope as pt, vinberg
-from coxdeform.numerics import numerical_rank, svd_rank
-from conftest import loebell_factor_orbifold, prism_cap_orbifold
+from coxdeform.numerics import StructuredMatrix, numerical_rank, svd_rank
+from conftest import (dense_gram_oracle, family_realization, loebell_factor_orbifold,
+                      phi_jacobian_oracle, prism_cap_orbifold, psi_jacobian_oracle)
 
 UNIT_ROUNDOFF = 2.0 ** -53
+SMALLEST_SUBNORMAL = 2.0 ** -1074
 REALIZE_DEFAULTS = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
 
 
-def _assert_same_decision(M):
-    cert, ref = numerical_rank(M), svd_rank(M)
+def _assert_same_decision(M, structured=None):
+    """The decision on M, or on ``structured`` (M given by its row
+    structure), equals the SVD's on M."""
+    cert, ref = numerical_rank(M if structured is None else structured), svd_rank(M)
     assert cert.rank == ref.rank
     assert cert.uncertain == ref.uncertain
     assert cert.kernel_dimension(M.shape[1]) == ref.kernel_dimension(M.shape[1])
@@ -162,3 +169,84 @@ def test_matrix_builder_is_called_again_only_for_the_svd():
         assert rr.method == method and len(calls) == n_calls
         ref = numerical_rank(M)
         assert (rr.rank, rr.method, rr.threshold) == (ref.rank, ref.method, ref.threshold)
+
+
+# -- Gram matrices from the row structure ----------------------------------------
+
+def _gamma(j):
+    return j * UNIT_ROUNDOFF / (1.0 - j * UNIT_ROUNDOFF)
+
+
+def _structured_cases(Q, p):
+    """(dense oracle, structured matrix) for D phi at p and D psi at its bs."""
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    return [(phi_jacobian_oracle(index, p), vinberg.phi_matrix(Q, p)),
+            (psi_jacobian_oracle(Q, p.bs), lorentz.psi_matrix(Q, p.bs))]
+
+
+def _assert_structured_matches(M, structured):
+    """The dense builder gives M bit for bit; the assembled Gram matrix and
+    the dense product W W^t both lie within gamma_q |W| |W|^t + q eta of the
+    exact Gram matrix, so within twice that of each other; and the rank
+    decision equals the SVD's."""
+    assert structured.shape == M.shape and M.shape[0] <= M.shape[1]
+    assert np.array_equal(structured.build(), M)
+    q = M.shape[1]
+    bound = _gamma(q) * (np.abs(M) @ np.abs(M).T) + q * SMALLEST_SUBNORMAL
+    assert np.all(np.abs(structured.gram() - dense_gram_oracle(M)) <= 2.0 * bound)
+    return _assert_same_decision(M, structured)
+
+
+def _off_solution_points(Q, rng, count=2):
+    return [vinberg.VinbergPoint(rng.normal(size=(Q.f, Q.n + 1)),
+                                 rng.normal(size=(Q.f, Q.n + 1))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", bundled.BUILTIN_NAMES)
+def test_structured_gram_matches_dense_on_bundled(name):
+    Q, p = _bundled_point(name)
+    rng = np.random.default_rng(41)
+    for q in [p] + _off_solution_points(Q, rng):
+        for M, structured in _structured_cases(Q, q):
+            _assert_structured_matches(M, structured)
+
+
+@pytest.mark.parametrize("family", ["loebell", "prism"])
+def test_structured_gram_matches_dense_on_families(family):
+    rng = np.random.default_rng(43)
+    for m in range(5, 33):
+        Q, R = family_realization(family, m)
+        p = vinberg.hyperbolic_point(R)
+        for M, structured in _structured_cases(Q, p):
+            assert _assert_structured_matches(M, structured).method == "cholesky", (family, m)
+        for q in _off_solution_points(Q, rng, 1):
+            for M, structured in _structured_cases(Q, q):
+                _assert_structured_matches(M, structured)
+
+
+def test_rank_deficient_structured_matrix_takes_the_svd_path():
+    Q, p = _bundled_point("doubled_cube")
+    M, structured = _structured_cases(Q, p)[0]
+    rr = _assert_structured_matches(M, structured)
+    assert rr.method == "svd" and rr.rank == 47
+
+
+def test_gram_matrix_is_released_before_the_svd():
+    """A rank-deficient matrix M = U V whose Gram matrix A is formed without
+    M: the certificate fails and the SVD decides.  Holding A through the
+    SVD would put the traced peak at A + M + the finiteness mask of M, above
+    M + A; releasing it keeps the peak below.  (LAPACK's work buffers are not
+    traced.)"""
+    rng = np.random.default_rng(7)
+    U, V = rng.normal(size=(100, 60)), rng.normal(size=(60, 300))
+    M = U @ V
+    A = dense_gram_oracle(M)
+    planted = StructuredMatrix(M.shape, lambda: U @ (V @ V.T) @ U.T, lambda: U @ V)
+    tracemalloc.start()
+    try:
+        rr = numerical_rank(planted)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rr.method == "svd" and rr.rank == 60
+    assert peak < M.nbytes + A.nbytes

@@ -226,3 +226,30 @@ def test_runtime_does_not_import_scipy(tmp_path):
     assert json.loads((tmp_path / "dim.json").read_text())["dimension"] == 7
     assert json.loads((tmp_path / "check.json").read_text())["valid"] is True
     assert json.loads((tmp_path / "stats.json").read_text())["report"]["d"] == 20
+
+
+def _flags(doc, keys=("uncertain", "rank_uncertain")):
+    """Every value under one of ``keys``, anywhere in a parsed report."""
+    if isinstance(doc, dict):
+        for k, v in doc.items():
+            if k in keys:
+                yield v
+            yield from _flags(v, keys)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from _flags(v, keys)
+
+
+def test_dim_reports_print_json_booleans(capsys):
+    for name in bundled.BUILTIN_NAMES:
+        code, out, _ = run_cli(capsys, "dim", name)
+        assert code == 0, name
+        report = json.loads(out)
+        flags = list(_flags(report))
+        assert len(flags) == 3, name  # rank_phi, rank_psi and rank_uncertain
+        assert all(type(v) is bool for v in flags), (name, flags)
+
+
+def test_to_jsonable_maps_numpy_booleans():
+    assert serialize.to_jsonable({"a": np.bool_(False), "b": [np.bool_(True)]}) == \
+        {"a": False, "b": [True]}

@@ -6,8 +6,9 @@ import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
-from conftest import (gauge_directions_oracle, interior_point_oracle, newton_case,
-                      open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
+from conftest import (component_eigenpairs_oracle, family_realization,
+                      gauge_directions_oracle, interior_point_eig_oracle, interior_point_oracle,
+                      newton_case, open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
                       reduced_rank_oracle)
 
 
@@ -364,6 +365,58 @@ def test_u_membership_undecided_off_solution_set(tetra_orbifold, tetra_point):
     assert report.has_interior_point is None
     assert "interior point undecided" in report.failures and not report.passed
     assert interior_point_oracle(bad) is True
+
+
+def _assert_membership_matches_eig_oracle(Q_or_index, p, hyperbolic):
+    """Where the (n+1) x (n+1) factor gives a real eigenvalue below -zero_tol
+    it is the whole block's smallest real eigenvalue; at a hyperbolic point
+    it gives the block's eigenvector too, and does so for one component.  The
+    membership verdict and point equal the whole-block eigensolve's."""
+    a = p.cartan()
+    zero_tol = cartan.ZERO_TYPE_TOL * np.linalg.norm(a)
+    factored = 0
+    for comp, lam, u in component_eigenpairs_oracle(p):
+        mu, w = vinberg.factored_smallest_real_eigenpair(p.alphas[comp], p.bs[comp])
+        if mu < -zero_tol:
+            factored += 1
+            assert lam is not None and abs(mu - lam) <= 1e-10 * np.linalg.norm(a)
+            if hyperbolic:
+                assert np.abs(w - u).max() <= 1e-9
+    if hyperbolic:
+        assert factored == 1
+    report = vinberg.check_U_membership(Q_or_index, p)
+    has_point, point = interior_point_eig_oracle(p)
+    assert report.has_interior_point is has_point
+    assert np.allclose(report.interior_point, point, rtol=1e-9, atol=1e-12)
+
+
+def _off_solution_points(f, dim, rng, count=2):
+    return [vinberg.VinbergPoint(rng.normal(size=(f, dim)), rng.normal(size=(f, dim)))
+            for _ in range(count)]
+
+
+def test_factored_membership_matches_eig_oracle_on_bundled():
+    rng = np.random.default_rng(23)
+    for name in bundled.BUILTIN_NAMES:
+        Q, p = _hyperbolic_case(name)
+        _assert_membership_matches_eig_oracle(Q, p, True)
+        for q in _off_solution_points(Q.f, Q.n + 1, rng):
+            _assert_membership_matches_eig_oracle(Q, q, False)
+    fam = vinberg.esselmann_family()
+    for (x, y), n in [((1.0, 1.0), 4), ((1.2, 0.9), 5), ((0.8, 1.5), 5), ((1.5, 1.5), 5)]:
+        A = cartan.CartanMatrix(fam.matrix(x, y), orders=vinberg.ESSELMANN_ORDERS)
+        p = cartan.realize_point_from_cartan(A, n)
+        _assert_membership_matches_eig_oracle(A.equation_index(n), p, True)
+
+
+@pytest.mark.parametrize("family", ["loebell", "prism"])
+def test_factored_membership_matches_eig_oracle_on_families(family):
+    rng = np.random.default_rng(29)
+    for m in range(5, 33):
+        Q, R = family_realization(family, m)
+        _assert_membership_matches_eig_oracle(Q, vinberg.hyperbolic_point(R), True)
+        for q in _off_solution_points(Q.f, Q.n + 1, rng, 1):
+            _assert_membership_matches_eig_oracle(Q, q, False)
 
 
 def test_family_quintic_identity():
