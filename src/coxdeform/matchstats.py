@@ -32,7 +32,7 @@ MC_ROW_CHUNK = 4096
 MC_MAX_ROUNDS = 24
 MC_MIN_ACCEPTANCE = 1e-3
 MC_RATE_PILOT = 20000
-# the sampler's DP tables grow as 5^width in the width of its boundary; a
+# the sampler's DP tables grow as 4^width in the width of its boundary; a
 # plan above this many bytes is refused before any table is allocated
 SAMPLER_TABLE_BUDGET = 512 * 2 ** 20
 
@@ -269,9 +269,9 @@ def orbifold_from_factor(P, factor, k):
     factor = [_pair(*e) for e in factor]
     if not is_factor(P, factor):
         raise GraphConditionError("not a factor of the skeleton")
-    if pt.prismatic_circuits(P, 3):
+    if P.prismatic(3):
         raise GraphConditionError("polytope has a prismatic 3-circuit")
-    circuits4 = pt.prismatic_circuits(P, 4)
+    circuits4 = P.prismatic(4)
     if len(circuits4) > 1:
         raise GraphConditionError("polytope has more than one prismatic 4-circuit")
     if circuits4:
@@ -338,9 +338,9 @@ class _AssignmentModel:
                 self.edge_pos[_pair(Vs[a], Vs[b])]
                 for a in range(3) for b in range(a + 1, 3)))
         self.c3 = [tuple(self.edge_pos[_pair(c[t], c[(t + 1) % 3])] for t in range(3))
-                   for c in pt.prismatic_circuits(P, 3)]
+                   for c in P.prismatic(3)]
         self.c4 = [tuple(self.edge_pos[_pair(c[t], c[(t + 1) % 4])] for t in range(4))
-                   for c in pt.prismatic_circuits(P, 4)]
+                   for c in P.prismatic(4)]
         # the facet positions of each edge, and the edges of each facet padded
         # with column e, which is never of order 2
         fpos = {i: k for k, i in enumerate(self.ids)}
@@ -408,9 +408,14 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
     edges of order >= 7; for d in {7, 8} it checks N_j(d) = N_j(7) * (d-6)^j
     against a fresh d = 7 count.  With no valid assignment the fraction and
     its interval are None.  Monte Carlo mode draws exactly uniform valid
-    assignments in batches (dynamic-programming sampler with circuit
-    rejection; sample i reads only the Philox stream keyed (seed, i), so it
-    does not depend on the sample count) and reports a 95% Wilson interval.
+    assignments in batches and reports a 95% Wilson interval.  Its
+    dynamic-programming sampler (``_UniformValidSampler``) counts vertex-valid
+    assignments over the order classes {2}, {3}, {4, 5} and {6..d}, weighted
+    by their sizes, since vertex validity reads only the classes; it draws a
+    class per edge from the exact conditionals, expands it to a uniform order
+    of the class and rejects draws that fail a circuit inequality.  Sample i
+    reads only the Philox stream keyed (seed, i), so it does not depend on
+    the sample count.
     It refuses up front when no assignment can pass the circuit inequalities
     and stops with "circuit rejection rate too high" when fewer than
     MC_MIN_ACCEPTANCE of its draws pass them.  Both modes decide weak
@@ -647,11 +652,18 @@ class _UniformValidSampler:
     Rejection from the product distribution is hopeless here (nearly every
     vertex needs an order-2 edge), so vertex-valid assignments are counted by
     a backward dynamic program over a vertex elimination order and sampled
-    forward from the exact conditionals.  Orders >= 6 are interchangeable in
-    every vertex inequality, so DP classes are {2, 3, 4, 5, >=6} with weight
-    d - 5 on the last; a sampled >=6 class expands to a uniform order in
-    {6..d}.  The few prismatic-circuit conditions are then applied by
-    rejection, which preserves exact uniformity over the valid set.
+    forward from the exact conditionals.  The DP runs over the order classes
+    {2}, {3}, {4, 5} and {6..d}, each cut to 2..d, with weight its size (1,
+    1, 2 and d - 5): three classes at d = 5, {2}, {3}, {4} at d = 4, four at
+    d >= 6.  In the integer form of the vertex test, ab + bc + ca > abc, the
+    valid triples other than (2, 2, c) are (2, 3, 3), (2, 3, 4) and
+    (2, 3, 5), so vertex validity depends only on the classes of the three
+    orders.  A class vector is therefore drawn with probability proportional
+    to the product of its class sizes over the vertex-valid class vectors,
+    and each order is then drawn uniformly within its class: every
+    vertex-valid assignment is equally likely.  The prismatic-circuit
+    conditions, which do tell 4 from 5, are then applied to the expanded
+    orders by rejection, which preserves exact uniformity over the valid set.
 
     ``counts[t]`` holds the weighted number of vertex-valid completions from
     step t, one axis per open boundary slot; each step is one contraction of
@@ -665,16 +677,16 @@ class _UniformValidSampler:
     def __init__(self, model):
         self.model = model
         d = model.d
-        self.class_orders = np.arange(2, min(d, 6) + 1)  # representatives
-        self.nclasses = len(self.class_orders)
-        self.class_weight = np.ones(self.nclasses)
-        if d >= 6:
-            self.class_weight[-1] = d - 5
-        inv = 1.0 / self.class_orders
-        self.class_ok = inv[:, None, None] + inv[None, :, None] + inv[None, None, :] > 1.0
+        # the lowest order and the size of each class {2}, {3}, {4, 5}, {6..d}
+        low, high = np.array([2, 3, 4, 6]), np.minimum([2, 3, 5, d], d)
+        self.class_low = low[low <= d]
+        self.class_size = high[low <= d] - self.class_low + 1
+        self.nclasses = len(self.class_low)
+        a, b, c = np.ix_(self.class_low, self.class_low, self.class_low)
+        self.class_ok = a * b + b * c + c * a > a * b * c
         self.steps = self._plan_steps(model.vertex_triples)
-        # uniforms per attempt: one per step, one per edge for the >=6 class,
-        # padded to whole Philox blocks of four
+        # uniforms per attempt: one per step, one per edge to expand its
+        # class, padded to whole Philox blocks of four
         self.block = -(-(len(self.steps) + len(model.edges)) // 4) * 4
         width = max((len(arr) + len(keep) for arr, keep, _ in self.steps), default=0)
         size = self.table_bytes(self.steps, self.nclasses)
@@ -729,7 +741,7 @@ class _UniformValidSampler:
             arr, keep, new = self.steps[t]
             weight = np.ones(())
             for _ in new:
-                weight = np.multiply.outer(weight, self.class_weight)
+                weight = np.multiply.outer(weight, self.class_size)
             kernel = (self.class_ok * weight).reshape(k ** len(arr), k ** len(new))
             nxt = counts[t + 1].reshape(k ** len(keep), k ** len(new))
             tables[t] = (kernel, nxt)
@@ -743,8 +755,9 @@ class _UniformValidSampler:
 
     def _vertex_valid_rows(self, u):
         """One vertex-valid assignment per row of the uniforms ``u``: column
-        t picks the classes opened at step t, column len(steps) + s expands
-        a >=6 class on edge s."""
+        t picks the classes opened at step t, and column len(steps) + s
+        expands the class of edge s to the order low + floor(u * size), a
+        uniform order of that class (always its one order when size is 1)."""
         k = self.nclasses
         rows = len(u)
         cls = np.empty((rows, len(self.model.edges)), dtype=np.int64)
@@ -763,12 +776,8 @@ class _UniformValidSampler:
             for pos, c in zip(new, opened):
                 cls[:, pos] = c
             slots = [slots[s] for s in keep] + opened
-        orders = self.class_orders[cls]
-        if self.model.d >= 6:
-            expand = u[:, len(self.steps):len(self.steps) + cls.shape[1]]
-            big = cls == self.nclasses - 1
-            orders[big] = 6 + (expand[big] * (self.model.d - 5)).astype(np.int64)
-        return orders
+        expand = u[:, len(self.steps):len(self.steps) + cls.shape[1]]
+        return self.class_low[cls] + (expand * self.class_size[cls]).astype(np.int64)
 
     def stream(self, gen, seed, i, first, count):
         """Uniforms for attempts ``first .. first + count - 1`` of sample i,

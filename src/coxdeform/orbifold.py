@@ -301,11 +301,11 @@ def andreev_necessary_check(Q):
         s = sum(1.0 / Q.order(i, j) for i, j in itertools.combinations(sorted(V), 2))
         if not s > 1.0:
             report.vertex_violations.append((tuple(sorted(V)), s))
-    for circuit in pt.prismatic_circuits(Q.base, 3):
+    for circuit in Q.base.prismatic(3):
         s = _circuit_angle_sum(Q, circuit)
         if not s < 1.0:
             report.circuit3_violations.append((circuit, s))
-    for circuit in pt.prismatic_circuits(Q.base, 4):
+    for circuit in Q.base.prismatic(4):
         s = _circuit_angle_sum(Q, circuit)
         if not s < 2.0:
             report.circuit4_violations.append((circuit, s))

@@ -35,7 +35,8 @@ class PolytopeCombinatorics:
     Treat instances as immutable after construction: derived tables are built
     once and read by every layer.  ``nbrs`` maps each facet to the frozenset
     of its neighbours; ``nonadjacent_pairs``, the sorted facet pairs that are
-    not ridges, is computed on first use and cached.  Use
+    not ridges, and ``prismatic(k)``, the prismatic k-circuits, are computed
+    on first use and cached as tuples.  Use
     :func:`build_combinatorics` or one of the built-in generators rather than
     calling the constructor with unchecked data.
     """
@@ -57,6 +58,7 @@ class PolytopeCombinatorics:
         else:
             self.vertices = None
         self._ridge_vertices = None
+        self._prismatic = {}
         if self.vertices is not None:
             ends = {r: [] for r in self.ridges}
             for k, V in enumerate(self.vertices):
@@ -90,6 +92,14 @@ class PolytopeCombinatorics:
     @functools.cached_property
     def nonadjacent_pairs(self):
         return tuple(missing_pairs(self.facets, self.ridges))
+
+    def prismatic(self, k):
+        """The prismatic k-circuits of :func:`prismatic_circuits` as a tuple,
+        enumerated on first use."""
+        found = self._prismatic.get(k)
+        if found is None:
+            found = self._prismatic[k] = tuple(_enumerate_prismatic(self, k))
+        return found
 
     def ridge_endpoints(self, ridge):
         """Indices (into .vertices) of the vertices on a ridge. Two for n=3."""
@@ -269,8 +279,13 @@ def prismatic_circuits(P, k):
 
     A k-circuit is a k-cycle in the dual graph; it is prismatic when the k
     crossed polytope edges have pairwise distinct endpoints.  Circuits are
-    returned as tuples of facet ids in a canonical cyclic order.
+    returned as a new sorted list of tuples of facet ids in a canonical
+    cyclic order, copied from the polytope's cache (``P.prismatic(k)``).
     """
+    return list(P.prismatic(k))
+
+
+def _enumerate_prismatic(P, k):
     if k not in (3, 4):
         raise CombinatoricsError("only 3- and 4-circuits are supported")
     if P.n != 3:

@@ -90,7 +90,10 @@ class EquationIndex:
     @classmethod
     def from_orbifold(cls, Q):
         e3 = {p: Q.order(*p) for p in Q.e3_pairs()}
-        return cls(Q.base.facets, Q.n, Q.e2_pairs(), e3, Q.e4_pairs())
+        index = cls(Q.base.facets, Q.n, Q.e2_pairs(), e3, ())
+        # the polytope's cached tuple: sorted pairs in sorted order already
+        index.e4 = Q.base.nonadjacent_pairs
+        return index
 
     @property
     def f(self):
@@ -169,7 +172,7 @@ def phi_structure(Q_or_index):
         return PhiStructure(Q_or_index)
     S = _PHI_STRUCTURES.get(Q_or_index)
     if S is None:
-        S = _PHI_STRUCTURES[Q_or_index] = PhiStructure(EquationIndex.from_orbifold(Q_or_index))
+        S = _PHI_STRUCTURES[Q_or_index] = PhiStructure(_as_index(Q_or_index))
     return S
 
 
@@ -191,10 +194,18 @@ def phi_jacobian(Q_or_index, p):
     return phi_matrix(Q_or_index, p).build()
 
 
+_INDEXES = weakref.WeakKeyDictionary()
+
+
 def _as_index(Q_or_index):
+    """An equation index itself, or the cached :class:`EquationIndex` of an
+    orbifold (its lifetime is the orbifold's)."""
     if isinstance(Q_or_index, EquationIndex):
         return Q_or_index
-    return EquationIndex.from_orbifold(Q_or_index)
+    index = _INDEXES.get(Q_or_index)
+    if index is None:
+        index = _INDEXES[Q_or_index] = EquationIndex.from_orbifold(Q_or_index)
+    return index
 
 
 def hyperbolic_point(realization):
@@ -310,7 +321,7 @@ def _phi_analysis(Q, p, policy):
     :func:`numerical_rank`)."""
     from coxdeform import orbifold as ob
 
-    index = EquationIndex.from_orbifold(Q)
+    index = _as_index(Q)
     resid = phi_eval(index, p)
     if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
         raise VinbergError(

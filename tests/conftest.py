@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -661,22 +662,25 @@ def exact_counts_oracle(P, d):
 
 
 def backward_counts_oracle(sampler):
-    """The sampler's vertex DP by one fancy-indexed gather per combination of
-    new classes, over flat codes: ``counts[t][code]`` is the weighted number
-    of vertex-valid completions from step t, with the class of open slot s
-    as base-k digit s of ``code`` (least significant first).  The vertex
-    kernel and class weights are rebuilt from the order bound."""
+    """The sampler's vertex DP over the five order classes {2}, {3}, {4},
+    {5} and {6..d} (cut to 2..d), in Python integers, by one fancy-indexed
+    gather per combination of new classes over flat codes: ``counts[t][code]``
+    is the weighted number of vertex-valid completions from step t, with the
+    five-class index of open slot s as base-k digit s of ``code`` (least
+    significant first).  The vertex kernel comes from ``Fraction`` sums of
+    1/m and the class weights from the order bound; only the sampler's
+    elimination steps are read."""
     d = sampler.model.d
     orders = list(range(2, min(d, 6) + 1))
     k = len(orders)
     weight = [1] * k
     if d >= 6:
         weight[-1] = d - 5
-    inv = [1.0 / m for m in orders]
-    ok = np.array([[[inv[a] + inv[b] + inv[c] > 1.0 for c in range(k)]
+    inv = [Fraction(1, m) for m in orders]
+    ok = np.array([[[inv[a] + inv[b] + inv[c] > 1 for c in range(k)]
                     for b in range(k)] for a in range(k)])
     counts = [None] * (len(sampler.steps) + 1)
-    counts[-1] = np.ones(1)
+    counts[-1] = np.array([1], dtype=object)
     for t in range(len(sampler.steps) - 1, -1, -1):
         step = sampler.steps[t]
         pre = len(step.arr) + len(step.keep)
@@ -686,14 +690,14 @@ def backward_counts_oracle(sampler):
         base = np.zeros(len(codes), dtype=np.int64)
         for newpos, s in enumerate(keep_slots):
             base += ((codes // k ** s) % k) * k ** newpos
-        total = np.zeros(len(codes))
+        total = np.zeros(len(codes), dtype=object)
         for combo in itertools.product(range(k), repeat=len(step.new)):
             triple = arr_cls + [np.full(len(codes), c, dtype=np.int64) for c in combo]
             w = math.prod(weight[c] for c in combo)
             post = base.copy()
             for j, c in enumerate(combo):
                 post += c * k ** (len(keep_slots) + j)
-            total += w * ok[triple[0], triple[1], triple[2]] * counts[t + 1][post]
+            total += np.where(ok[triple[0], triple[1], triple[2]], counts[t + 1][post], 0) * w
         counts[t] = total
     return counts
 

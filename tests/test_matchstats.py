@@ -1,6 +1,8 @@
 import copy
+import itertools
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,21 +301,58 @@ SAMPLER_POLYTOPES = {"cube": pt.cube, "prism3": lambda: pt.prism(3),
                      "prism8": lambda: pt.prism(8), "dodecahedron": pt.dodecahedron}
 
 
+def _sampler_classes(d):
+    """The order classes {2}, {3}, {4, 5} and {6..d}, each cut to 2..d."""
+    classes = ([2], [3], [4, 5], list(range(6, d + 1)))
+    return [cut for c in classes if (cut := [m for m in c if m <= d])]
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 20, 100])
 @pytest.mark.parametrize("name", sorted(SAMPLER_POLYTOPES))
 def test_backward_counts_match_oracle(name, d):
-    # exact while the counts stay below 2^53 (both sides sum integers), else
-    # the two summation orders round apart by at most a few ulps
+    # the oracle counts over five classes in Python integers; every entry of
+    # the sampler's tables equals the oracle's with each class read as its
+    # lowest order and again as its highest (4 and 5 for the class {4, 5}):
+    # exactly while the counts stay below 2^53, else within a few ulps
     sampler = ms._UniformValidSampler(ms._AssignmentModel(SAMPLER_POLYTOPES[name](), d))
+    classes = _sampler_classes(d)
+    assert sampler.nclasses == len(classes)
     oracle = backward_counts_oracle(sampler)
     assert len(sampler.counts) == len(oracle)
+    k, k5 = len(classes), min(d, 6) - 1
     for got, want in zip(sampler.counts, oracle):
+        digits = [np.arange(got.size) // k ** s % k for s in range(got.ndim)]
         got = got.ravel(order="F")  # axis s is slot s: little-endian codes
-        small = want < 2.0 ** 53
-        np.testing.assert_array_equal(got[small], want[small])
-        np.testing.assert_allclose(got[~small], want[~small], rtol=1e-12)
+        for read in (min, max):
+            five = np.array([min(read(c), 6) - 2 for c in classes])
+            code = sum((five[dg] * k5 ** s for s, dg in enumerate(digits)),
+                       np.zeros(got.size, dtype=np.int64))
+            exact = want[code]
+            small = (exact < 2 ** 53).astype(bool)
+            np.testing.assert_array_equal(got[small], exact[small].astype(float))
+            np.testing.assert_allclose(got[~small], exact[~small].astype(float), rtol=1e-12)
     if d <= 20:
         assert sampler.vertex_valid_count < 2.0 ** 53
+
+
+def test_vertex_validity_reads_only_the_sampler_classes():
+    # over orders 2..12 the exact vertex test 1/a + 1/b + 1/c > 1 takes one
+    # value on each triple of classes, the sampler's kernel entry: true on
+    # the 10 triples with two {2} and the 3 + 6 orderings of ({2}, {3}, {3})
+    # and ({2}, {3}, {4, 5}).  4 and 5 still differ on a 3-circuit, where
+    # the sum must be below 1
+    d = 12
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(pt.simplex(3), d))
+    cls = {m: i for i, c in enumerate(_sampler_classes(d)) for m in c}
+    verdicts = {}
+    for a, b, c in itertools.product(range(2, d + 1), repeat=3):
+        ok = Fraction(1, a) + Fraction(1, b) + Fraction(1, c) > 1
+        key = (cls[a], cls[b], cls[c])
+        assert verdicts.setdefault(key, ok) == ok, (a, b, c)
+        assert sampler.class_ok[key] == ok, (a, b, c)
+    assert len(verdicts) == 4 ** 3 and sum(verdicts.values()) == 10 + 3 + 6
+    assert not Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 4) < 1
+    assert Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 5) < 1
 
 
 @pytest.mark.parametrize("d", range(3, 10))
@@ -351,6 +390,25 @@ def test_sampler_uniform_over_order2_edge_sets():
     stat = sum((o - e) ** 2 / e for o, e in zip(obs, exp))
     assert len(big) > 50
     assert chi2.sf(stat, len(obs) - 1) > 1e-3
+
+
+def test_sampler_uniform_over_whole_assignments():
+    # simplex(3) has no prismatic circuit, so all 377 vertex-valid order
+    # vectors at d = 7 are valid; whole vectors show a biased split within
+    # the class {4, 5} or {6, 7}, which the order-2 edge sets cannot
+    from scipy.stats import chi2
+
+    P, d, n = pt.simplex(3), 7, 20000
+    grid = np.array(list(itertools.product(range(d - 1), repeat=P.e)))
+    valid = [tuple(v) for v in (grid[assignment_validity_oracle(P, d)(grid.T)] + 2).tolist()]
+    assert len(valid) == 377
+    rows, attempts = ms._UniformValidSampler(ms._AssignmentModel(P, d)).draw(2026, range(n))
+    assert (attempts == 1).all()
+    observed = Counter(map(tuple, rows.tolist()))
+    assert set(observed) <= set(valid)
+    expected = n / len(valid)  # about 53 per cell
+    stat = sum((observed[v] - expected) ** 2 / expected for v in valid)
+    assert chi2.sf(stat, len(valid) - 1) > 1e-3
 
 
 def test_sample_rows_do_not_depend_on_the_batch():
@@ -510,41 +568,51 @@ def test_plan_steps_match_two_pass_oracle():
         assert np.array_equal(sampler._vertex_valid_rows(u), twin._vertex_valid_rows(u))
 
 
-def _wide_truncation():
-    """The dodecahedron with 5 vertices cut at random (17 facets): the fourth
-    polytope drawn by ``random_truncation`` from one ``default_rng(23)``,
-    after the cube with 2 and 5 cuts and the dodecahedron with 2."""
+def _truncation_draws():
+    """The polytopes ``random_truncation`` draws from one ``default_rng(23)``:
+    the cube with 2 and 5 vertices cut, then the dodecahedron with 2, 5 and 8
+    (8, 11, 14, 17 and 20 facets)."""
     rng = np.random.default_rng(23)
-    draws = [random_truncation(base, cuts, rng)
-             for base, cuts in ((pt.cube(), 2), (pt.cube(), 5),
-                                (pt.dodecahedron(), 2), (pt.dodecahedron(), 5))]
-    return draws[-1]
+    return [random_truncation(base, cuts, rng)
+            for base, cuts in ((pt.cube(), 2), (pt.cube(), 5), (pt.dodecahedron(), 2),
+                               (pt.dodecahedron(), 5), (pt.dodecahedron(), 8))]
 
 
 def test_sampler_refuses_tables_over_budget(monkeypatch):
-    P = _wide_truncation()
-    assert P.f == 17
+    P = _truncation_draws()[4]
+    assert P.f == 20
     model = ms._AssignmentModel(P, 7)
 
     def no_tables(self):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(ms._UniformValidSampler, "_backward_counts", no_tables)
-    with pytest.raises(ms.GraphConditionError, match=r"11 edges wide .* 935 MiB"):
+    with pytest.raises(ms.GraphConditionError, match=r"14 edges wide .* 5982 MiB"):
         ms._UniformValidSampler(model)
     with pytest.raises(ms.GraphConditionError, match="sampler refused"):
         ms.estimate_wo_fraction(P, 7, samples=10, seed=1)
 
 
 def test_sampler_budget_separates_the_planned_sizes():
-    """Planned bytes at d = 7: prism(8) 0.19 MiB, the dodecahedron 9.6 MiB
-    (width 8), loebell(64) 263 MiB (width 8) stay under the budget, which the
-    17-facet truncation (935 MiB, width 11) exceeds.  The planned bytes are
+    """Planned bytes at d = 7 (four classes): prism(8) 0.07 MiB, the
+    dodecahedron 1.8 MiB (width 8), loebell(64) 48 MiB (width 8) and the
+    17-facet truncation 96 MiB (width 11) stay under the budget, which the
+    20-facet truncation (5982 MiB, width 14) exceeds.  The planned bytes are
     the bytes the tables take once built."""
-    for P in (pt.prism(8), pt.dodecahedron(), pt.loebell(64)):
-        steps = ms._UniformValidSampler._plan_steps(ms._AssignmentModel(P, 7).vertex_triples)
-        assert ms._UniformValidSampler.table_bytes(steps, 5) < ms.SAMPLER_TABLE_BUDGET
+    wide = _truncation_draws()[3]
+    assert wide.f == 17
+    for P in (pt.prism(8), pt.dodecahedron(), pt.loebell(64), wide):
+        model = ms._AssignmentModel(P, 7)
+        steps = ms._UniformValidSampler._plan_steps(model.vertex_triples)
+        planned = ms._UniformValidSampler.table_bytes(steps, len(_sampler_classes(7)))
+        assert planned < ms.SAMPLER_TABLE_BUDGET
+    assert round(planned / 2 ** 20) == 96
     for P in (pt.prism(8), pt.dodecahedron()):
         sampler = ms._UniformValidSampler(ms._AssignmentModel(P, 7))
         held = sum(c.nbytes for c in sampler.counts) + sum(t[0].nbytes for t in sampler.tables)
         assert held == sampler.table_bytes(sampler.steps, sampler.nclasses)
+    # the 17-facet truncation builds now; its five prismatic 3-circuits stop
+    # Monte Carlo by rejection instead
+    assert len(pt.prismatic_circuits(wide, 3)) == 5
+    with pytest.raises(ms.GraphConditionError, match="circuit rejection rate too high"):
+        ms.estimate_wo_fraction(wide, 7, samples=10, seed=1)

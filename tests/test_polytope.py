@@ -106,6 +106,27 @@ def test_prismatic_circuits_against_oracle():
             assert set(pt.prismatic_circuits(P, k)) == prismatic_oracle(P, k)
 
 
+def test_prismatic_circuits_are_cached():
+    # the cache is a tuple of tuples built once, equal to a fresh
+    # enumeration; callers get a list they may change freely
+    rng = np.random.default_rng(12)
+    polytopes = [Q.base for Q in map(bundled.load_builtin, bundled.BUILTIN_NAMES) if Q.n == 3]
+    polytopes += [pt.dodecahedron(), pt.prism(3), pt.loebell(8)]
+    polytopes += [random_truncation(base, cuts, rng)
+                  for base in (pt.cube(), pt.dodecahedron(), pt.prism(4)) for cuts in (1, 3, 5)]
+    for P in polytopes:
+        for k in (3, 4):
+            cached = P.prismatic(k)
+            assert isinstance(cached, tuple) and all(type(c) is tuple for c in cached)
+            assert P.prismatic(k) is cached
+            assert list(cached) == pt._enumerate_prismatic(P, k)
+            assert set(cached) == prismatic_oracle(P, k)
+            listed = pt.prismatic_circuits(P, k)
+            listed.append((0,) * k)
+            assert P.prismatic(k) is cached and len(cached) == len(listed) - 1
+    assert any(P.prismatic(3) for P in polytopes) and any(P.prismatic(4) for P in polytopes)
+
+
 def test_circuit_bad_k():
     with pytest.raises(pt.CombinatoricsError):
         pt.prismatic_circuits(pt.cube(), 5)

@@ -1,5 +1,7 @@
 import argparse
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,6 +23,31 @@ def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
     # adjacent entries are -2 cos(pi/n_ij)
     assert a[0, 1] == pytest.approx(-2 * math.cos(math.pi / 3))
     assert a[1, 2] == pytest.approx(-2 * math.cos(math.pi / 5))
+
+
+def test_equation_index_is_built_once_per_orbifold(monkeypatch):
+    # dim's rank analysis, the phi structure and U-membership share one
+    # cached index, equal to one built from the orbifold's pair lists, and
+    # released with the orbifold; its E4 pairs are the polytope's own tuple
+    Q = bundled.load_builtin("cube_rigid")
+    p = vinberg.hyperbolic_point(lorentz.solve_hyperbolic_newton(Q))
+    fresh = vinberg.EquationIndex(Q.base.facets, Q.n, Q.e2_pairs(),
+                                  {r: Q.order(*r) for r in Q.e3_pairs()}, Q.e4_pairs())
+    built = []
+    build = vinberg.EquationIndex.from_orbifold
+    monkeypatch.setattr(vinberg.EquationIndex, "from_orbifold",
+                        lambda Q: built.append(Q) or build(Q))
+    vinberg.local_deformation_dimension(Q, p)
+    vinberg.check_U_membership(Q, p)
+    assert built == [Q]
+    index = vinberg._as_index(Q)
+    assert (index.facets, index.n, index.e2, index.e3_orders, index.e4) == \
+        (fresh.facets, fresh.n, fresh.e2, fresh.e3_orders, fresh.e4)
+    assert index.e4 is Q.base.nonadjacent_pairs
+    ref = weakref.ref(Q)
+    del Q, built
+    gc.collect()
+    assert ref() is None
 
 
 def test_equation_row_order(tetra_orbifold):
