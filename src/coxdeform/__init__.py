@@ -4,18 +4,9 @@ The package realizes hyperbolic Coxeter polytopes, assembles the reflection
 (Vinberg) and hyperbolic equation systems with their Jacobians, measures
 numerical ranks and kernel dimensions, decides weak orderability, and runs the
 matching-based statistics for cubic polytope graphs.
-"""
 
-from coxdeform import (  # noqa: F401
-    bundled,
-    cartan,
-    lorentz,
-    matchstats,
-    numerics,
-    orbifold,
-    polytope,
-    serialize,
-    vinberg,
-)
+Importing the package loads none of its modules; import the one you need,
+e.g. ``from coxdeform import orbifold``.
+"""
 
 __version__ = "0.1.0"

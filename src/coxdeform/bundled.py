@@ -22,7 +22,6 @@ import importlib.resources
 import json
 import os
 
-from coxdeform import matchstats as ms
 from coxdeform import polytope as pt
 from coxdeform import serialize
 
@@ -60,6 +59,8 @@ def _builders():
         return P, orders
 
     def _loebell_factor(m, k):
+        from coxdeform import matchstats as ms
+
         P = pt.loebell(m)
         factor = ms.find_factor(P, sorted(P.ridges)[0])
         return P, {r: (k if r in set(factor) else 2) for r in P.ridges}

@@ -14,15 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from coxdeform import vinberg
+from coxdeform.errors import CartanError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
 from coxdeform.polytope import _pair, missing_pairs
 
 ZERO_TYPE_TOL = 1e-9
 ENTRY_TOL = 1e-9
-
-
-class CartanError(ValueError):
-    pass
 
 
 class CartanMatrix:

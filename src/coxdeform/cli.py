@@ -7,6 +7,9 @@ form), ``curve esselmann`` (determinant zero-set sampling), and ``stats``
 (weak-orderability statistics).  Exit status: 0 success, 1 validation
 failure, 2 numerical failure (divergence or an uncertain rank decision
 without --force).
+
+Each command imports the modules it uses, so ``check`` on a 3-dimensional
+orbifold runs without numpy.
 """
 
 from __future__ import annotations
@@ -17,20 +20,17 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from coxdeform import bundled, cartan, lorentz, matchstats, orbifold, polytope, serialize, vinberg
-from coxdeform.numerics import RankPolicy, numerical_rank
+from coxdeform import bundled, errors, orbifold, polytope, serialize
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-VALIDATION_ERRORS = (serialize.SchemaError, polytope.CombinatoricsError,
-                     orbifold.OrbifoldError, cartan.CartanError,
-                     matchstats.GraphConditionError, vinberg.VinbergError,
+VALIDATION_ERRORS = (errors.SchemaError, errors.CombinatoricsError,
+                     errors.OrbifoldError, errors.CartanError,
+                     errors.GraphConditionError, errors.VinbergError,
                      KeyError, FileNotFoundError, json.JSONDecodeError)
-NUMERICAL_ERRORS = (lorentz.ConvergenceError, lorentz.RealizationError)
+NUMERICAL_ERRORS = (errors.ConvergenceError, errors.RealizationError)
 
 
 class NumericalFailure(RuntimeError):
@@ -146,6 +146,10 @@ def cmd_check(args):
 
 
 def _realize(Q, args):
+    import numpy as np
+
+    from coxdeform import lorentz
+
     if Q.f == Q.n + 1:
         return lorentz.realize_simplex(Q), "direct"
     G = lorentz.gram_matrix(Q)
@@ -170,6 +174,9 @@ def cmd_realize(args):
 
 
 def cmd_dim(args):
+    from coxdeform import vinberg
+    from coxdeform.numerics import RankPolicy
+
     Q, name = load_orbifold_arg(args.orbifold)
     policy = RankPolicy(rel_tol=args.rank_tol)
     R, method = _realize(Q, args)
@@ -205,6 +212,9 @@ def cmd_dim(args):
 
 
 def cmd_cartan(args):
+    from coxdeform import cartan
+    from coxdeform.numerics import RankPolicy, numerical_rank
+
     with open(args.matrix, encoding="utf-8") as fh:
         doc = json.load(fh)
     A = serialize.load_cartan(doc)
@@ -234,6 +244,8 @@ def cmd_cartan(args):
 
 
 def cmd_curve(args):
+    from coxdeform import vinberg
+
     family = vinberg.esselmann_family()
     samples = vinberg.family_curve(family, box=tuple(args.box), res=args.res)
     lines = ["x,y,det"]
@@ -261,6 +273,8 @@ def cmd_curve(args):
 
 
 def cmd_stats(args):
+    from coxdeform import matchstats
+
     P, name = load_polytope_arg(args.polytope)
     report = matchstats.estimate_wo_fraction(
         P, args.d, mode=args.mode, samples=args.samples, seed=args.seed, name=name)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from coxdeform.errors import ConvergenceError, RealizationError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-10
@@ -22,14 +23,6 @@ SIGNATURE_EIG_TOL = 1e-9
 DIVERGENCE_THRESHOLD = -1.0   # non-adjacent facets: <nu_i, nu_j> below this
 DIVERGENCE_MARGIN = 1e-6      # rejects boundary (asymptotic-hyperplane) noise
 LM_SHIFT = 1e-12              # Gauss-Newton: mu = LM_SHIFT * trace(J J^t) / rows
-
-
-class RealizationError(ValueError):
-    """Raised when data cannot describe a compact hyperbolic polytope."""
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when the Gauss-Newton iteration fails to converge."""
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import numpy as np
 
 from coxdeform import orbifold as ob
 from coxdeform import polytope as pt
+from coxdeform.errors import GraphConditionError
 from coxdeform.polytope import _pair
 
 EXACT_EDGE_LIMIT = 18
@@ -35,10 +36,6 @@ MC_RATE_PILOT = 20000
 # the sampler's DP tables grow as 4^width in the width of its boundary; a
 # plan above this many bytes is refused before any table is allocated
 SAMPLER_TABLE_BUDGET = 512 * 2 ** 20
-
-
-class GraphConditionError(ValueError):
-    pass
 
 
 # -- labelings ----------------------------------------------------------------

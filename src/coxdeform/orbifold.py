@@ -12,17 +12,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from coxdeform import polytope as pt
-from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+from coxdeform.errors import OrbifoldError
 from coxdeform.polytope import _pair
 
 ELLIPTIC_EIG_TOL = 1e-9
-
-
-class OrbifoldError(ValueError):
-    """Raised for invalid ridge orders or non-elliptic vertex groups."""
 
 
 class CoxeterOrbifold:
@@ -75,9 +69,27 @@ class OrbifoldCounts:
     delta: int
 
 
+def reciprocal_sum_sign(orders, k):
+    """The sign (-1, 0 or 1) of sum(1/m for m in orders) - k, decided in
+    integers: the sum is compared with k after multiplying through by the
+    product of the orders.  The vertex, 3-circuit and 4-circuit inequalities
+    of Coxeter 3-orbifolds are all of this form."""
+    prod = math.prod(orders)
+    total = sum(prod // m for m in orders)
+    return (total > k * prod) - (total < k * prod)
+
+
+def _vertex_orders(Q, vertex):
+    """The orders of the ridges at a vertex of a 3-orbifold, over the facet
+    pairs of the vertex in sorted order."""
+    return [Q.order(i, j) for i, j in itertools.combinations(sorted(vertex), 2)]
+
+
 def vertex_cosine_matrix(Q, vertex):
     """Principal cosine matrix at a vertex: 2 on the diagonal and
     -2 cos(pi/n_ij) for the incident facet pairs."""
+    import numpy as np
+
     V = sorted(vertex)
     k = len(V)
     M = 2.0 * np.eye(k)
@@ -93,8 +105,9 @@ def make_orbifold(P, orders):
 
     ``orders`` maps ridge pairs to integers >= 2 and must cover the ridge set
     exactly.  Every vertex group has to be elliptic: the principal cosine
-    matrix at each vertex must be positive definite (for n = 3 this is
-    1/a + 1/b + 1/c > 1).
+    matrix at each vertex must be positive definite.  For n = 3 this is
+    1/a + 1/b + 1/c > 1, decided exactly as ab + bc + ca > abc; for n >= 4
+    the smallest eigenvalue is tested against ELLIPTIC_EIG_TOL.
     """
     normalized = {}
     for (i, j), m in dict(orders).items():
@@ -110,7 +123,16 @@ def make_orbifold(P, orders):
     if missing:
         raise OrbifoldError(f"missing orders for ridges {sorted(missing)}")
     Q = CoxeterOrbifold(P, normalized)
-    if P.vertices is not None:
+    if P.vertices is not None and P.n == 3:
+        for V in P.vertices:
+            orders = _vertex_orders(Q, V)
+            if reciprocal_sum_sign(orders, 1) <= 0:
+                raise OrbifoldError(
+                    f"vertex {sorted(V)} is not elliptic "
+                    f"({' + '.join(f'1/{m}' for m in orders)} <= 1)")
+    elif P.vertices is not None:
+        import numpy as np
+
         for V in P.vertices:
             M = vertex_cosine_matrix(Q, V)
             lam = np.linalg.eigvalsh(M)[0]
@@ -218,15 +240,21 @@ def check_weak_ordering(Q, ordering):
     return True
 
 
-def weak_order_geometric(Q, alphas, policy=DEFAULT_RANK_POLICY):
+def weak_order_geometric(Q, alphas, policy=None):
     """Weak ordering whose qualifying sets are in general position.
 
     ``alphas`` maps facet ids to covectors (rows of length n+1) from a
     realization.  For n = 3 general position is automatic, so the greedy
     ordering is returned with every set marked verified.  For n >= 4 the
     search backtracks over admissible greedy choices, testing each qualifying
-    set for full numerical rank as it is formed.
+    set for full numerical rank as it is formed (under ``policy``, default
+    ``numerics.DEFAULT_RANK_POLICY``).
     """
+    import numpy as np
+
+    from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+
+    policy = DEFAULT_RANK_POLICY if policy is None else policy
     if alphas is None:
         raise OrbifoldError("weak_order_geometric needs a realization")
     alphas = {i: np.asarray(a, dtype=float).ravel() for i, a in dict(alphas).items()}
@@ -298,21 +326,19 @@ def andreev_necessary_check(Q):
         raise OrbifoldError("Andreev conditions apply to n=3")
     report = AndreevReport(is_tetrahedron=(Q.f == 4))
     for V in Q.base.vertices:
-        s = sum(1.0 / Q.order(i, j) for i, j in itertools.combinations(sorted(V), 2))
-        if not s > 1.0:
-            report.vertex_violations.append((tuple(sorted(V)), s))
-    for circuit in Q.base.prismatic(3):
-        s = _circuit_angle_sum(Q, circuit)
-        if not s < 1.0:
-            report.circuit3_violations.append((circuit, s))
-    for circuit in Q.base.prismatic(4):
-        s = _circuit_angle_sum(Q, circuit)
-        if not s < 2.0:
-            report.circuit4_violations.append((circuit, s))
+        orders = _vertex_orders(Q, V)
+        if reciprocal_sum_sign(orders, 1) <= 0:
+            report.vertex_violations.append((tuple(sorted(V)), _angle_sum(orders)))
+    for k, bound, violations in ((3, 1, report.circuit3_violations),
+                                 (4, 2, report.circuit4_violations)):
+        for circuit in Q.base.prismatic(k):
+            orders = [Q.order(circuit[t], circuit[(t + 1) % k]) for t in range(k)]
+            if reciprocal_sum_sign(orders, bound) >= 0:
+                violations.append((circuit, _angle_sum(orders)))
     return report
 
 
-def _circuit_angle_sum(Q, circuit):
-    """Sum of crossed-edge angles along a circuit, in units of pi."""
-    k = len(circuit)
-    return sum(1.0 / Q.order(circuit[t], circuit[(t + 1) % k]) for t in range(k))
+def _angle_sum(orders):
+    """The angle sum pi/m over ``orders`` in units of pi, as a float (the
+    value printed with a violation; the verdict is exact)."""
+    return sum(1.0 / m for m in orders)

@@ -14,9 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-
-class CombinatoricsError(ValueError):
-    """Raised when input data does not describe a valid simple polytope."""
+from coxdeform.errors import CombinatoricsError
 
 
 def _pair(i, j):

@@ -12,16 +12,9 @@ from __future__ import annotations
 import dataclasses
 import json
 
-import numpy as np
-
-from coxdeform import cartan as ct
 from coxdeform import orbifold as ob
 from coxdeform import polytope as pt
-
-
-class SchemaError(ValueError):
-    """Input file does not match the expected schema; message lists all
-    offending locations."""
+from coxdeform.errors import SchemaError
 
 
 def canonical_float(x):
@@ -32,16 +25,10 @@ def to_jsonable(obj):
     """Recursively convert reports, dataclasses and arrays to JSON data."""
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
-    if isinstance(obj, float):
+    if isinstance(obj, float):  # numpy.float64 included
         return canonical_float(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return canonical_float(float(obj))
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
+    if hasattr(obj, "tolist"):  # other numpy scalars, and arrays
+        return to_jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj):
         return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
     if isinstance(obj, dict):
@@ -112,6 +99,10 @@ def load_cartan(doc):
         doc = {"matrix": doc}
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise SchemaError('Cartan document needs a "matrix" key or a bare row array')
+    import numpy as np
+
+    from coxdeform import cartan as ct
+
     entries = np.asarray(doc["matrix"], dtype=float)
     orders = None
     if "orders" in doc:

@@ -15,17 +15,15 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from coxdeform import lorentz
+from coxdeform.errors import VinbergError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-9
-
-
-class VinbergError(ValueError):
-    pass
 
 
 @dataclass
@@ -115,6 +113,12 @@ class EquationIndex:
         flat = np.fromiter((self.pos[x] for pair in pairs for x in pair), dtype=np.intp,
                            count=2 * len(pairs))
         return flat[0::2], flat[1::2]
+
+    @cached_property
+    def sign_positions(self):
+        """The facet positions of the E3 then the E4 pairs (the pairs whose
+        entries must be negative), as two int32 arrays; built on first use."""
+        return tuple(k.astype(np.int32) for k in self.positions(self.e3 + self.e4))
 
 
 class PhiStructure:
@@ -519,7 +523,7 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
         failures.append("alphas do not span the dual space")
 
     pairs = index.e3 + index.e4
-    ii, jj = index.positions(pairs)
+    ii, jj = index.sign_positions
     signs_bad = np.flatnonzero(~((a[ii, jj] < 0) & (a[jj, ii] < 0)))
     failures += ["non-negative entry on pair ({},{})".format(*pairs[k]) for k in signs_bad]
     ii, jj = ii[len(index.e3):], jj[len(index.e3):]

@@ -147,6 +147,23 @@ def prismatic_oracle(P, k):
     return out
 
 
+def andreev_oracle(Q):
+    """Andreev violations of a 3-orbifold from ``Fraction`` sums of 1/m: the
+    sorted vertex triples whose sum is not above 1, and the circuits of
+    ``prismatic_oracle`` whose sum is not below 1 (k = 3) or 2 (k = 4)."""
+    def total(orders):
+        return sum(Fraction(1, m) for m in orders)
+
+    def crossed(cyc):
+        return [Q.order(cyc[t], cyc[(t + 1) % len(cyc)]) for t in range(len(cyc))]
+
+    vertices = {tuple(sorted(V)) for V in Q.base.vertices
+                if not total(Q.order(i, j) for i, j in itertools.combinations(sorted(V), 2)) > 1}
+    circuits = {k: {cyc for cyc in prismatic_oracle(Q.base, k) if not total(crossed(cyc)) < k - 2}
+                for k in (3, 4)}
+    return vertices, circuits[3], circuits[4]
+
+
 def three_connected_planar_oracle(P):
     """Reference decision: is the 1-skeleton of a 3-polytope (possibly built
     with ``validate=False``) simple, connected, planar and 3-connected?

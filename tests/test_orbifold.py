@@ -1,10 +1,14 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, orbifold as ob, polytope as pt, vinberg
-from conftest import brute_force_weak_order
+from conftest import andreev_oracle, brute_force_weak_order
+
+# the order triples whose sum of 1/m is exactly 1; (2, 2, 2, 2) sums to 2
+EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
 
 
 def cube_orders(high=()):
@@ -169,7 +173,7 @@ def test_andreev_matching_orders_pass():
 def test_andreev_all_right_angles_cube_fails():
     P, orders = cube_orders()
     Q = ob.make_orbifold(P, orders)
-    report = ob.andreev_necessary_check(Q)
+    report = _assert_andreev_exact(Q)
     assert not report.passed
     assert len(report.circuit4_violations) == 3  # each equator sums to exactly 2 pi
     for _, s in report.circuit4_violations:
@@ -179,6 +183,107 @@ def test_andreev_all_right_angles_cube_fails():
 def test_andreev_tetrahedron_flag(tetra_orbifold):
     report = ob.andreev_necessary_check(tetra_orbifold)
     assert report.is_tetrahedron and report.passed
+
+
+def test_reciprocal_sum_sign_matches_fractions():
+    near = ((2, 3, 5), (2, 3, 7), (3, 3, 4), (2, 2, 2, 3), (2, 2, 3, 7), (7, 7, 7, 7))
+    for base in EUCLIDEAN_TRIPLES + ((2, 2, 2, 2),) + near:
+        for orders in itertools.permutations(base):
+            s = sum(Fraction(1, m) for m in orders)
+            for k in (1, 2):
+                want = (s > k) - (s < k)
+                assert ob.reciprocal_sum_sign(orders, k) == want, (orders, k)
+
+
+def _assert_andreev_exact(Q):
+    """The report's violations are the Fraction oracle's, each printed with
+    the float sum of 1/m over its orders."""
+    report = ob.andreev_necessary_check(Q)
+    vertices, c3, c4 = andreev_oracle(Q)
+    assert {V for V, _ in report.vertex_violations} == vertices
+    assert {c for c, _ in report.circuit3_violations} == c3
+    assert {c for c, _ in report.circuit4_violations} == c4
+    for V, s in report.vertex_violations:
+        assert s == sum(1.0 / Q.order(i, j) for i, j in itertools.combinations(V, 2))
+    for c, s in report.circuit3_violations + report.circuit4_violations:
+        assert s == sum(1.0 / Q.order(c[t], c[(t + 1) % len(c)]) for t in range(len(c)))
+    assert report.passed == (not (vertices or c3 or c4))
+    return report
+
+
+def test_andreev_circuit_sums_are_exact():
+    # prism(3): caps 1 and 2, sides 3, 4, 5; the sides form the one prismatic
+    # 3-circuit.  A Euclidean triple on it fails in every order, although
+    # 1/2 + 1/6 + 1/3 rounds to 0.9999999999999999 in floats.
+    P = pt.prism(3)
+    sides = [(3, 4), (3, 5), (4, 5)]
+    for base in EUCLIDEAN_TRIPLES + ((2, 3, 7),):
+        for perm in itertools.permutations(base):
+            orders = {r: 2 for r in P.ridges}
+            orders.update(zip(sides, perm))
+            report = _assert_andreev_exact(ob.make_orbifold(P, orders))
+            assert report.passed == (base == (2, 3, 7)), perm
+
+
+def test_andreev_vertex_sums_are_exact():
+    # make_orbifold refuses these vertices, so the orbifold is built directly;
+    # with right angles elsewhere no other vertex fails
+    P = pt.cube()
+    V = tuple(sorted(P.vertices[0]))
+    for base in EUCLIDEAN_TRIPLES + ((2, 3, 5),):
+        for perm in itertools.permutations(base):
+            orders = {r: 2 for r in P.ridges}
+            orders.update(zip(itertools.combinations(V, 2), perm))
+            report = _assert_andreev_exact(ob.CoxeterOrbifold(P, orders))
+            assert [W for W, _ in report.vertex_violations] == \
+                ([] if base == (2, 3, 5) else [V]), perm
+
+
+SIMPLEX = pt.simplex(3)
+
+
+def _eigenvalue_vertex_oracle(orders):
+    """The vertex test as it was for n = 3 and still is for n >= 4: the
+    smallest eigenvalue of the cosine matrix against ELLIPTIC_EIG_TOL."""
+    Q = ob.CoxeterOrbifold(SIMPLEX, _simplex_orders(orders))
+    M = ob.vertex_cosine_matrix(Q, {1, 2, 3})
+    return np.linalg.eigvalsh(M)[0] > ob.ELLIPTIC_EIG_TOL * np.linalg.norm(M)
+
+
+def _simplex_orders(orders):
+    """Orders on the tetrahedron: ``orders`` on the ridges of vertex {1,2,3},
+    2 elsewhere, so that the other three vertices are always elliptic."""
+    return {(1, 2): orders[0], (1, 3): orders[1], (2, 3): orders[2],
+            (1, 4): 2, (2, 4): 2, (3, 4): 2}
+
+
+def _integer_vertex_test(orders):
+    try:
+        ob.make_orbifold(SIMPLEX, _simplex_orders(orders))
+    except ob.OrbifoldError:
+        return False
+    return True
+
+
+def test_integer_vertex_test_matches_eigenvalue_oracle():
+    # both tests are symmetric in the three orders, so sorted triples suffice
+    rejected_at_one = set()
+    for orders in itertools.combinations_with_replacement(range(2, 41), 3):
+        verdict = _integer_vertex_test(orders)
+        assert verdict == _eigenvalue_vertex_oracle(orders), orders
+        if not verdict and sum(Fraction(1, m) for m in orders) == 1:
+            rejected_at_one.add(orders)
+    assert rejected_at_one == set(EUCLIDEAN_TRIPLES)
+
+
+def test_vertex_test_accepts_large_dihedral_orders():
+    # (2, 2, m) is elliptic for every m; the eigenvalue test's tolerance
+    # rejected it from m of about 5 * 10^4 (smallest eigenvalue ~ (pi/m)^2)
+    for m in (10 ** 5, 10 ** 9):
+        assert _integer_vertex_test((2, 2, m))
+        assert not _eigenvalue_vertex_oracle((2, 2, m))
+    with pytest.raises(ob.OrbifoldError, match=r"1/3 \+ 1/3 \+ 1/3 <= 1"):
+        ob.make_orbifold(SIMPLEX, _simplex_orders((3, 3, 3)))
 
 
 def test_vertex_cosine_matrix_values(tetra_orbifold):

@@ -12,6 +12,15 @@ import coxdeform
 from coxdeform import bundled, cli, orbifold as ob, serialize
 
 
+def fresh_python(*args, check=False):
+    """Run ``python *args`` in a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxdeform.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, check=check)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -217,11 +226,7 @@ def test_runtime_does_not_import_scipy(tmp_path):
         "lorentz.random_lorentz_transform(4, np.random.default_rng(0))\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))\n"
     )
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coxdeform.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
+    out = fresh_python("-c", code, check=True)
     assert out.stdout.strip() == "[]"
     assert json.loads((tmp_path / "dim.json").read_text())["dimension"] == 7
     assert json.loads((tmp_path / "check.json").read_text())["valid"] is True
@@ -253,3 +258,63 @@ def test_dim_reports_print_json_booleans(capsys):
 def test_to_jsonable_maps_numpy_booleans():
     assert serialize.to_jsonable({"a": np.bool_(False), "b": [np.bool_(True)]}) == \
         {"a": False, "b": [True]}
+
+
+# the modules ``check`` loads on a 3-dimensional orbifold
+CHECK_MODULES = ["coxdeform", "coxdeform.bundled", "coxdeform.cli", "coxdeform.errors",
+                 "coxdeform.orbifold", "coxdeform.polytope", "coxdeform.serialize"]
+
+
+def test_import_coxdeform_loads_no_submodule():
+    out = fresh_python("-c", "import sys, coxdeform\n"
+                       "print(sorted(m for m in sys.modules if m.startswith('coxdeform')))",
+                       check=True)
+    assert out.stdout.strip() == "['coxdeform']"
+
+
+def test_check_runs_without_numpy(tmp_path):
+    # every bundled 3-dimensional name, in one fresh interpreter; esselmann
+    # (n = 4) is left out: its vertex test takes eigenvalues with numpy
+    names = [n for n in bundled.BUILTIN_NAMES if n != "esselmann"]
+    assert len(names) == 9
+    code = (
+        "import os, sys\n"
+        "from coxdeform import cli\n"
+        f"for name in {names!r}:\n"
+        f"    assert cli.main(['check', name, '--out', os.path.join({str(tmp_path)!r}, name)]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'coxdeform'))))\n"
+    )
+    out = fresh_python("-c", code, check=True)
+    assert out.stdout.strip() == repr(CHECK_MODULES)
+    for name in names:
+        assert json.loads((tmp_path / name).read_text())["valid"] is True
+
+
+def test_exit_codes_from_a_cold_start(tmp_path):
+    # each error class reaches its exit code in a fresh interpreter, where
+    # only the modules the command imports are loaded
+    def write(name, doc):
+        (tmp_path / name).write_text(json.dumps(doc))
+        return str(tmp_path / name)
+
+    doc = bundled.builtin_document("tetrahedron353")
+    doc["orders"][0][2] = 1
+    bad_order = write("bad_order.json", doc)
+    doc = bundled.builtin_document("tetrahedron353")
+    doc["orders"] = [[i, j, 6 if m == 5 else m] for i, j, m in doc["orders"]]
+    euclidean_vertex = write("euclidean_vertex.json", doc)
+    no_real_eigenvalue = write("no_real_eigenvalue.json", {"matrix": [[2, -1], [1, 2]]})
+    cases = [
+        (["check", bad_order], 1, "validation failure: ridge (1,2) has order 1"),
+        (["check", euclidean_vertex], 1,
+         "validation failure: orbifold: vertex [1, 2, 3] is not elliptic (1/3 + 1/2 + 1/6 <= 1)"),
+        (["cartan", no_real_eigenvalue], 1, "validation failure: no real eigenvalue found"),
+        (["stats", "prism3", "--d", "3", "--mode", "montecarlo"], 1,
+         "validation failure: no valid assignments exist"),
+        (["realize", "doubled_cube", "--seed-name", "random", "--seed", "123"], 2,
+         "numerical failure: no convergence"),
+    ]
+    for argv, code, message in cases:
+        out = fresh_python("-c", f"import sys\nfrom coxdeform import cli\nsys.exit(cli.main({argv!r}))")
+        assert (out.returncode, out.stdout) == (code, ""), (argv, out.stderr)
+        assert out.stderr.startswith(message), (argv, out.stderr)

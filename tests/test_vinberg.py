@@ -50,6 +50,21 @@ def test_equation_index_is_built_once_per_orbifold(monkeypatch):
     assert ref() is None
 
 
+def test_sign_positions_are_cached_with_the_index():
+    # U-membership's E3 and E4 positions, built once per index; the
+    # descending facet list makes positions differ from facet ids
+    cube = pt.cube()
+    P = pt.PolytopeCombinatorics(3, (6, 5, 4, 3, 2, 1), cube.ridges, cube.vertices)
+    descending = ob.make_orbifold(P, bundled.load_builtin("cube_mixed").orders)
+    for Q in (descending, bundled.load_builtin("loebell8_factor"),
+              bundled.load_builtin("esselmann")):
+        index = vinberg._as_index(Q)
+        ii, jj = index.sign_positions
+        want_i, want_j = index.positions(index.e3 + index.e4)
+        assert np.array_equal(ii, want_i) and np.array_equal(jj, want_j)
+        assert vinberg._as_index(Q).sign_positions is index.sign_positions
+
+
 def test_equation_row_order(tetra_orbifold):
     index = vinberg.EquationIndex.from_orbifold(tetra_orbifold)
     kinds = [kind for kind, _ in index.rows()]
