@@ -85,29 +85,221 @@ def is_factor(P, edges):
 def find_factor(P, edge):
     """A perfect matching of the skeleton containing ``edge``.
 
-    The edge is forced by deleting its endpoints and matching the rest with a
-    blossom-capable maximum-cardinality search.  Existence is guaranteed on
-    3-connected cubic graphs, so a miss signals a bug or bad input.
+    The edge is forced by deleting its endpoints and matching the rest with
+    :func:`_maximum_matching`.  Existence is guaranteed on 3-connected cubic
+    graphs, so a miss signals a bug or bad input.
     """
-    import networkx as nx
-
     edge = _pair(*edge)
     if edge not in P.ridges:
         raise GraphConditionError(f"{edge} is not an edge")
-    G = P.skeleton()
-    if G.number_of_nodes() % 2 != 0:
+    if P.n != 3:
+        raise GraphConditionError("factors live on 3-polytope skeletons")
+    nv = len(P.vertices)
+    if nv % 2 != 0:
         raise GraphConditionError("odd vertex count")
+    # Neighbour lists in a fixed order: the ridges in ``P.ridges`` order at
+    # both ends, then the smaller neighbours moved to the front in increasing
+    # order (the order that decides which factor the search returns).
+    later = [[] for _ in range(nv)]
+    for r in P.ridges:
+        a, b = P.ridge_endpoints(r)
+        later[a].append(b)
+        later[b].append(a)
+    adj = [sorted(x for x in ws if x < a) + [x for x in ws if x > a]
+           for a, ws in enumerate(later)]
     u, v = P.ridge_endpoints(edge)
-    H = G.copy()
-    H.remove_nodes_from([u, v])
-    matching = nx.max_weight_matching(H, maxcardinality=True)
-    if 2 * len(matching) != H.number_of_nodes():
+    for w in (u, v):
+        for x in adj[w]:
+            adj[x].remove(w)
+        adj[w] = None
+    nodes = [w for w in range(nv) if adj[w] is not None]
+    mate = _maximum_matching(nodes, adj)
+    if len(mate) != len(nodes):
         raise GraphConditionError(
             "no perfect matching found; input violates the preconditions")
-    result = sorted([edge] + [G.edges[a, b]["ridge"] for a, b in matching])
+    # two adjacent vertices of a simple 3-polytope share exactly their ridge
+    result = sorted([edge] + [tuple(sorted(P.vertices[a] & P.vertices[b]))
+                              for a, b in mate.items() if a < b])
     if not is_factor(P, result):
         raise GraphConditionError("matching verification failed")
     return result
+
+
+class _Blossom:
+    """An odd cycle of sub-blossoms, contracted during one search stage.
+
+    ``childs`` starts at the sub-blossom holding the base vertex ``base`` and
+    goes round the cycle; ``edges[k]`` joins a vertex of ``childs[k]`` to one
+    of ``childs[k + 1]``."""
+
+    __slots__ = ("childs", "edges", "base")
+
+    def leaves(self):
+        stack = list(self.childs)
+        while stack:
+            t = stack.pop()
+            if isinstance(t, _Blossom):
+                stack.extend(t.childs)
+            else:
+                yield t
+
+
+def _maximum_matching(nodes, adj):
+    """A maximum-cardinality matching by Edmonds' blossom search (Edmonds
+    1965, "Paths, trees, and flowers"), as ``{vertex: mate}``.
+
+    Each stage labels every single vertex S in ``nodes`` order, takes
+    S-vertices last in first out, scans neighbours in ``adj`` order, and ends
+    at the first augmenting path, when every blossom is dissolved.  This is
+    the search order of the primal-dual weighted matcher with unit weights:
+    every edge stays tight until the matching is maximum, so no dual update
+    or T-blossom expansion ever happens.  The search stops at the first
+    stage that finds no augmenting path.
+    """
+    mate = {}
+    inblossom = {w: w for w in nodes}
+    label, labeledge, parent, queue = {}, {}, {}, []
+
+    def reach(w, v):
+        # w is unlabelled, reached from the S-vertex v.  Blossoms are formed
+        # labelled S out of labelled vertices, so neither w nor its mate lies
+        # in one: w becomes T and its mate S.
+        x = mate[w]
+        label[w], labeledge[w] = 2, (v, w)
+        label[x], labeledge[x] = 1, (w, x)
+        queue.append(x)
+
+    def base(b):
+        return b.base if isinstance(b, _Blossom) else b
+
+    def scan_blossom(v, w):
+        # walk back from v and w alternately; the first blossom met twice
+        # is the base of a new blossom, none means an augmenting path
+        path, found = [], None
+        while v is not None:
+            b = inblossom[v]
+            if label[b] & 4:
+                found = base(b)
+                break
+            path.append(b)
+            label[b] = 5
+            # a step back over an S-blossom and the T-vertex it was reached from
+            v = None if labeledge[b] is None else labeledge[labeledge[b][0]][0]
+            if w is not None:
+                v, w = w, v
+        for b in path:
+            label[b] = 1
+        return found
+
+    def add_blossom(stem, v, w):
+        bb, bv, bw = inblossom[stem], inblossom[v], inblossom[w]
+        b = _Blossom()
+        b.base = stem
+        parent[bb] = b
+        b.childs = path = []
+        b.edges = edges = [(v, w)]
+        while bv != bb:
+            parent[bv] = b
+            path.append(bv)
+            edges.append(labeledge[bv])
+            bv = inblossom[labeledge[bv][0]]
+        path.append(bb)
+        path.reverse()
+        edges.reverse()
+        while bw != bb:
+            parent[bw] = b
+            path.append(bw)
+            edges.append((labeledge[bw][1], labeledge[bw][0]))
+            bw = inblossom[labeledge[bw][0]]
+        label[b] = 1
+        labeledge[b] = labeledge[bb]
+        for x in b.leaves():
+            if label[inblossom[x]] == 2:
+                queue.append(x)
+            inblossom[x] = b
+
+    def augment_blossom(b, v):
+        # make v the base of b, swapping matched and unmatched edges on
+        # the even path round b; nested blossoms through an explicit stack
+        def rotate(b, v):
+            t = v
+            while parent[t] is not b:
+                t = parent[t]
+            if isinstance(t, _Blossom):
+                yield t, v
+            i = j = b.childs.index(t)
+            if i & 1:
+                j -= len(b.childs)
+                step = 1
+            else:
+                step = -1
+            while j != 0:
+                j += step
+                t = b.childs[j]
+                w, x = b.edges[j] if step == 1 else b.edges[j - 1][::-1]
+                if isinstance(t, _Blossom):
+                    yield t, w
+                j += step
+                t = b.childs[j]
+                if isinstance(t, _Blossom):
+                    yield t, x
+                mate[w] = x
+                mate[x] = w
+            b.childs = b.childs[i:] + b.childs[:i]
+            b.edges = b.edges[i:] + b.edges[:i]
+            b.base = base(b.childs[0])
+
+        stack = [rotate(b, v)]
+        while stack:
+            for args in stack[-1]:
+                stack.append(rotate(*args))
+                break
+            else:
+                stack.pop()
+
+    def augment_matching(v, w):
+        for s, j in ((v, w), (w, v)):
+            while True:
+                bs = inblossom[s]
+                if isinstance(bs, _Blossom):
+                    augment_blossom(bs, s)
+                mate[s] = j
+                if labeledge[bs] is None:
+                    break
+                s, j = labeledge[labeledge[bs][0]]
+                mate[j] = s
+
+    while True:
+        for v in nodes:
+            if v not in mate:
+                label[v], labeledge[v] = 1, None
+                queue.append(v)
+        augmented = formed = False
+        while queue and not augmented:
+            v = queue.pop()
+            for w in adj[v]:
+                bv, bw = inblossom[v], inblossom[w]
+                if bv == bw:
+                    continue
+                t = label.get(bw)
+                if t is None:
+                    reach(w, v)
+                elif t == 1:
+                    stem = scan_blossom(v, w)
+                    if stem is not None:
+                        add_blossom(stem, v, w)
+                        formed = True
+                    else:
+                        augment_matching(v, w)
+                        augmented = True
+                        break
+        if not augmented:
+            return mate
+        if formed:
+            inblossom.update((w, w) for w in nodes)
+        for table in (label, labeledge, parent):
+            table.clear()
+        queue.clear()
 
 
 # -- edge deletion and removability ----------------------------------------------

@@ -52,7 +52,7 @@ class PolytopeCombinatorics:
         if vertices is not None:
             self.vertices = tuple(frozenset(v) for v in vertices)
         elif self.n == 3:
-            self.vertices = _vertices_from_planar_dual(self.facets, self.ridges)
+            self.vertices = _vertices_from_planar_dual(self)
         else:
             self.vertices = None
         self._ridge_vertices = None
@@ -102,19 +102,6 @@ class PolytopeCombinatorics:
     def ridge_endpoints(self, ridge):
         """Indices (into .vertices) of the vertices on a ridge. Two for n=3."""
         return self._ridge_vertices[_pair(*ridge)]
-
-    def skeleton(self):
-        """The polytope 1-skeleton as a graph on vertex indices (n=3 only)."""
-        import networkx as nx
-
-        if self.n != 3:
-            raise CombinatoricsError("1-skeleton is only built for n=3")
-        G = nx.Graph()
-        G.add_nodes_from(range(len(self.vertices)))
-        for r in self.ridges:
-            a, b = self.ridge_endpoints(r)
-            G.add_edge(a, b, ridge=r)
-        return G
 
     def face_boundary(self, facet):
         """Ridges of one facet of a 3-polytope, in cyclic order; raises
@@ -191,44 +178,46 @@ class PolytopeCombinatorics:
             if ends in endpoint_pairs:
                 raise CombinatoricsError(f"two ridges share endpoints {ends} (multi-edge)")
             endpoint_pairs.add(ends)
-        seen = {self.facets[0]}
-        stack = [self.facets[0]]
-        while stack:
-            for j in self.nbrs[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != f:
+        if _separates(self, ()):
             raise CombinatoricsError("skeleton is disconnected")
         for i in self.facets:
             self.face_boundary(i)
 
 
-def _vertices_from_planar_dual(facets, ridges):
+def _vertices_from_planar_dual(P):
     """Reconstruct vertex sets of a simple 3-polytope from facet adjacency.
 
-    A 3-connected planar graph has an essentially unique embedding
-    (Whitney), and for a simple polytope the facet-adjacency graph is a
-    planar triangulation whose faces are the polytope vertices.
+    The facet graph of a simple 3-polytope is a 3-connected planar
+    triangulation whose faces are the polytope vertices, and the faces of a
+    3-connected planar graph are its induced cycles that do not separate it
+    (Tutte 1963, "How to draw a graph").  Every edge of a triangulation lies
+    on exactly two faces, so a triangle with an edge on only two triangles is
+    a face, and only the others are tested for separation.  Input that is not
+    a polytope gives some triangle list that ``_validate`` rejects.
     """
-    import networkx as nx
+    triangles = sorted(_dual_cycles(P, 3))
+    on_edge = {}
+    for t in triangles:
+        for r in itertools.combinations(t, 2):
+            on_edge[r] = on_edge.get(r, 0) + 1
+    return tuple(frozenset(t) for t in triangles
+                 if any(on_edge[r] == 2 for r in itertools.combinations(t, 2))
+                 or not _separates(P, t))
 
-    # a list, not a set: networkx probes optional array libraries for sets
-    G = nx.Graph(list(ridges))
-    G.add_nodes_from(facets)
-    if not nx.is_connected(G):
-        raise CombinatoricsError("facet adjacency graph is disconnected")
-    ok, emb = nx.check_planarity(G)
-    if not ok:
-        raise CombinatoricsError("facet adjacency graph is not planar")
-    faces = set()
-    for u, v in emb.edges:
-        face = emb.traverse_face(u, v)
-        if len(face) != 3:
-            raise CombinatoricsError(
-                "facet adjacency graph is not a triangulation (polytope not simple?)")
-        faces.add(frozenset(face))
-    return tuple(sorted(faces, key=sorted))
+
+def _separates(P, cut):
+    """Whether the facet graph without the facets ``cut`` is disconnected."""
+    start = next((i for i in P.facets if i not in cut), None)
+    if start is None:
+        return False
+    seen = set(cut) | {start}
+    stack = [start]
+    while stack:
+        for j in P.nbrs[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) < P.f
 
 
 def build_combinatorics(raw):

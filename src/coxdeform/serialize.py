@@ -103,10 +103,18 @@ def load_cartan(doc):
 
     from coxdeform import cartan as ct
 
-    entries = np.asarray(doc["matrix"], dtype=float)
+    try:
+        entries = np.asarray(doc["matrix"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"cartan: matrix is not an array of numbers ({exc})") from exc
+    if not np.isfinite(entries).all():
+        raise SchemaError("cartan: matrix has non-finite entries")
     orders = None
     if "orders" in doc:
-        orders = {(int(i), int(j)): int(m) for i, j, m in doc["orders"]}
+        try:
+            orders = {(int(i), int(j)): int(m) for i, j, m in doc["orders"]}
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"cartan: orders must be [i, j, m] integer triples ({exc})") from exc
     try:
         return ct.CartanMatrix(entries, orders=orders)
     except ct.CartanError as exc:

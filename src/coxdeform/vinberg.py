@@ -650,6 +650,8 @@ def family_curve(family, box=(0.5, 2.0, 0.5, 2.0), res=101):
     contouring (marching squares with linear interpolation)."""
     if family.nparams != 2:
         raise VinbergError("curve extraction needs exactly two parameters")
+    if res < 2:
+        raise VinbergError(f"curve sampling needs res >= 2 grid points per axis, got {res}")
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)

@@ -164,6 +164,52 @@ def andreev_oracle(Q):
     return vertices, circuits[3], circuits[4]
 
 
+def skeleton(P):
+    """The 1-skeleton of a 3-polytope as a networkx graph on vertex indices,
+    each edge carrying its ``ridge``."""
+    import networkx as nx
+
+    G = nx.Graph()
+    G.add_nodes_from(range(len(P.vertices)))
+    for r in P.ridges:
+        a, b = P.ridge_endpoints(r)
+        G.add_edge(a, b, ridge=r)
+    return G
+
+
+def find_factor_oracle(P, edge):
+    """A perfect matching of the skeleton through ``edge`` from networkx's
+    blossom matcher, or None if there is none."""
+    import networkx as nx
+
+    G = skeleton(P)
+    H = G.copy()
+    H.remove_nodes_from(P.ridge_endpoints(edge))
+    matching = nx.max_weight_matching(H, maxcardinality=True)
+    if 2 * len(matching) != H.number_of_nodes():
+        return None
+    return sorted([edge] + [G.edges[a, b]["ridge"] for a, b in matching])
+
+
+def planar_dual_vertices_oracle(facets, ridges):
+    """Vertex sets of a simple 3-polytope as the faces of networkx's planar
+    embedding of the facet graph (Whitney: the embedding is unique)."""
+    import networkx as nx
+
+    # a list, not a set: networkx probes optional array libraries for sets
+    G = nx.Graph(list(ridges))
+    G.add_nodes_from(facets)
+    assert nx.is_connected(G)
+    ok, emb = nx.check_planarity(G)
+    assert ok
+    faces = set()
+    for u, v in emb.edges:
+        face = emb.traverse_face(u, v)
+        assert len(face) == 3
+        faces.add(frozenset(face))
+    return faces
+
+
 def three_connected_planar_oracle(P):
     """Reference decision: is the 1-skeleton of a 3-polytope (possibly built
     with ``validate=False``) simple, connected, planar and 3-connected?
@@ -202,6 +248,44 @@ def random_truncation(P, cuts, rng):
     for _ in range(cuts):
         P = pt.truncate_vertex(P, int(rng.integers(len(P.vertices))))
     return P
+
+
+def relabelled(P, rng):
+    """P with its facet ids permuted at random, listed in increasing new id."""
+    new = dict(zip(P.facets, (int(k) + 1 for k in rng.permutation(P.f))))
+    return pt.PolytopeCombinatorics(
+        P.n, sorted(new.values()), [(new[i], new[j]) for i, j in P.ridges],
+        [frozenset(new[i] for i in V) for V in P.vertices])
+
+
+def factor_corpus():
+    """(case id, polytope, ridges to force) for the factor golden: every
+    ridge of the bundled 3-dimensional polytopes, the dodecahedron, cube,
+    simplex(3), prism(3..11), eight relabelled L(16) and seeded truncations,
+    and the smallest ridge of L(5..64)."""
+    cases = [(f"bundled-{name}", bundled.load_builtin(name).base)
+             for name in bundled.BUILTIN_NAMES if name != "esselmann"]
+    cases += [("dodecahedron", pt.dodecahedron()), ("cube", pt.cube()),
+              ("simplex3", pt.simplex(3))]
+    cases += [(f"prism{m}", pt.prism(m)) for m in range(3, 12)]
+    rng = np.random.default_rng(20)  # the relabellings of test_newton_independent_of_facet_labels
+    cases += [(f"loebell16-relabelled{k}", relabelled(pt.loebell(16), rng)) for k in range(8)]
+    bases = [pt.simplex(3), pt.cube(), pt.prism(5), pt.dodecahedron()]
+    for seed in range(16):
+        base = bases[seed % 4]
+        cases.append((f"truncation{seed}",
+                      random_truncation(base, 1 + seed % 7, np.random.default_rng(seed))))
+    out = [(cid, P, sorted(P.ridges)) for cid, P in cases]
+    for m in range(5, 65):
+        P = pt.loebell(m)
+        out.append((f"loebell{m}", P, [min(P.ridges)]))
+    return out
+
+
+def factor_mask(P, factor):
+    """A factor as a hex bit mask over ``sorted(P.ridges)``."""
+    bit = {r: k for k, r in enumerate(sorted(P.ridges))}
+    return format(sum(1 << bit[r] for r in factor), "x")
 
 
 def reverse_truncation_oracle(P, history=()):
@@ -758,7 +842,7 @@ def random_parity_labels(P, rng):
     non-tree edges, tree edges solved leaf-up."""
     import networkx as nx
 
-    G = P.skeleton()
+    G = skeleton(P)
     T = nx.minimum_spanning_tree(G)
     labels = {}
     for a, b, data in G.edges(data=True):

@@ -25,6 +25,9 @@ CASES.update({
     "stats-dodecahedron-d3-mc": ["stats", "dodecahedron", "--d", "3",
                                  "--samples", "3000", "--seed", "4"],
     "stats-prism8-d20-mc": ["stats", "prism8", "--d", "20", "--samples", "500"],
+    # a cut dodecahedron without vertices, facets renamed and lists shuffled:
+    # loading rebuilds the vertices from the facet adjacency
+    "check-vertexless_truncation": ["check", str(GOLDEN / "vertexless_truncation.json")],
 })
 
 

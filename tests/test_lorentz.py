@@ -8,7 +8,7 @@ from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vin
 from coxdeform.numerics import finite_difference_jacobian, numerical_rank
 from conftest import (family_realization, gauss_newton_step_oracle, loebell_factor_orbifold,
                       newton_case, newton_lstsq_oracle, psi_eval_oracle, psi_jacobian_oracle,
-                      seed_structure_oracle)
+                      relabelled, seed_structure_oracle)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -288,14 +288,6 @@ def test_schur_step_matches_full_solve_on_families(family):
             _assert_step_matches_full_solve(Q, x)
 
 
-def _relabelled(P, rng):
-    """P with its facet ids permuted at random, listed in increasing new id."""
-    new = dict(zip(P.facets, (int(k) + 1 for k in rng.permutation(P.f))))
-    return pt.PolytopeCombinatorics(
-        P.n, sorted(new.values()), [(new[i], new[j]) for i, j in P.ridges],
-        [frozenset(new[i] for i in V) for V in P.vertices])
-
-
 def _dimension_report(Q):
     R = lorentz.solve_hyperbolic_newton(Q)
     rank_sum = vinberg.check_rank_sum(Q, vinberg.hyperbolic_point(R))
@@ -308,7 +300,7 @@ def test_newton_independent_of_facet_labels():
     assert base[0] == 29  # 2m - 3
     rng = np.random.default_rng(20)
     for _ in range(8):
-        assert _dimension_report(loebell_factor_orbifold(_relabelled(P, rng))) == base
+        assert _dimension_report(loebell_factor_orbifold(relabelled(P, rng))) == base
 
 
 def test_newton_loebell128():
@@ -362,7 +354,7 @@ def _seed_polytopes():
     for P in base:
         out.append(P)
         if P.n == 3:
-            out += [_relabelled(P, rng), pt.truncate_vertex(P, 0)]
+            out += [relabelled(P, rng), pt.truncate_vertex(P, 0)]
     return out
 
 

@@ -1,6 +1,9 @@
 import copy
 import itertools
+import json
+import pathlib
 import time
+import types
 from collections import Counter
 from fractions import Fraction
 
@@ -10,9 +13,11 @@ import pytest
 from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
 from conftest import (assignment_validity_oracle, backward_counts_oracle,
                       brute_force_weak_order, enumerate_perfect_matchings,
-                      exact_counts_oracle, mask_edge_sets, peel_oracle,
-                      plan_steps_oracle, random_parity_labels, random_truncation,
-                      row_edge_sets)
+                      exact_counts_oracle, factor_corpus, factor_mask, find_factor_oracle,
+                      mask_edge_sets, peel_oracle, plan_steps_oracle, random_parity_labels,
+                      random_truncation, row_edge_sets)
+
+FACTOR_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "factors.json"
 
 
 def test_find_factor_simplex():
@@ -44,6 +49,81 @@ def test_find_factor_dodecahedron():
 def test_find_factor_rejects_non_edge():
     with pytest.raises(ms.GraphConditionError):
         ms.find_factor(pt.cube(), (1, 2))  # caps are not adjacent
+
+
+def corpus_factors():
+    """{case id: hex masks of ``find_factor`` over the forced ridges} on
+    ``factor_corpus``."""
+    return {cid: [factor_mask(P, ms.find_factor(P, e)) for e in edges]
+            for cid, P, edges in factor_corpus()}
+
+
+def test_find_factor_matches_golden():
+    # tests/golden/factors.json holds the factors of networkx's matcher,
+    # which find_factor replaced; which factor is chosen decides whether
+    # Newton converges from the two-ring seed, so the choice is pinned
+    golden = json.loads(FACTOR_GOLDEN.read_text(encoding="utf-8"))
+    assert corpus_factors() == golden
+    assert sum(map(len, golden.values())) > 1500
+
+
+def test_find_factor_matches_networkx_oracle():
+    rng = np.random.default_rng(11)
+    cases = [pt.dodecahedron(), pt.loebell(9)]
+    cases += [random_truncation(pt.prism(6), 5, rng) for _ in range(3)]
+    for P in cases:
+        for edge in sorted(P.ridges):
+            assert ms.find_factor(P, edge) == find_factor_oracle(P, edge)
+
+
+def _random_graphs(rng, count):
+    """Seeded gnp and 3-regular graphs, rebuilt with their node and edge
+    lists shuffled and each edge in a random orientation."""
+    import networkx as nx
+
+    out = []
+    for k in range(count):
+        n = int(rng.integers(1, 15)) * 2 + k % 2
+        seed = int(rng.integers(2 ** 31))
+        if k % 3 == 0 and n % 2 == 0 and n >= 4:
+            G = nx.random_regular_graph(3, n, seed=seed)
+        else:
+            G = nx.gnp_random_graph(n, float(rng.uniform(0.05, 0.5)), seed=seed)
+        nodes = [int(v) for v in rng.permutation(list(G))]
+        edge_list = list(G.edges)
+        edges = [(a, b) if rng.random() < 0.5 else (b, a)
+                 for a, b in (edge_list[t] for t in rng.permutation(len(edge_list)))]
+        H = nx.Graph()
+        H.add_nodes_from(nodes)
+        H.add_edges_from(edges)
+        out.append(H)
+    return out
+
+
+def test_maximum_matching_size_matches_networkx():
+    import networkx as nx
+
+    sizes = Counter()
+    for H in _random_graphs(np.random.default_rng(3), 300):
+        nodes = list(H)
+        mate = ms._maximum_matching(nodes, {v: list(H.neighbors(v)) for v in nodes})
+        assert all(mate[mate[v]] == v != mate[v] and H.has_edge(v, mate[v]) for v in mate)
+        want = len(nx.max_weight_matching(H, maxcardinality=True))
+        assert len(mate) == 2 * want
+        sizes[2 * want == len(nodes)] += 1
+    assert sizes[True] > 50 and sizes[False] > 50  # perfect and imperfect both occur
+
+
+def test_find_factor_reports_a_missing_matching():
+    # two K4s, each with edge (0, 1) subdivided by vertex 4, joined by a
+    # bridge between the subdivision vertices: every perfect matching takes
+    # the bridge, so none contains (0, 4).  Only the skeleton is given.
+    half = [(0, 4), (1, 4), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    edges = half + [(a + 5, b + 5) for a, b in half] + [(4, 9)]
+    P = types.SimpleNamespace(n=3, ridges=frozenset(edges), vertices=[frozenset()] * 10,
+                              ridge_endpoints=lambda r: r)
+    with pytest.raises(ms.GraphConditionError, match="no perfect matching found"):
+        ms.find_factor(P, (0, 4))
 
 
 def test_removable_edges_cube():
@@ -616,3 +696,10 @@ def test_sampler_budget_separates_the_planned_sizes():
     assert len(pt.prismatic_circuits(wide, 3)) == 5
     with pytest.raises(ms.GraphConditionError, match="circuit rejection rate too high"):
         ms.estimate_wo_fraction(wide, 7, samples=10, seed=1)
+
+
+if __name__ == "__main__":
+    # rewrite the factor golden; only when the chosen factors are meant to change
+    FACTOR_GOLDEN.write_text("{\n" + ",\n".join(
+        f"  {json.dumps(cid)}: {json.dumps(masks)}" for cid, masks in corpus_factors().items())
+        + "\n}\n", encoding="utf-8")

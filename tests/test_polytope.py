@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from coxdeform import bundled, polytope as pt
 from conftest import (enumerate_dual_cycles, neighbours_oracle, nonadjacent_oracle,
-                      prismatic_oracle, random_truncation, reverse_truncation_oracle,
-                      three_connected_planar_oracle)
+                      planar_dual_vertices_oracle, prismatic_oracle, random_truncation,
+                      reverse_truncation_oracle, three_connected_planar_oracle)
 
 
 def cube_description():
@@ -58,6 +59,41 @@ def test_vertices_reconstructed_for_3d():
     del doc["vertices"]
     P = pt.build_combinatorics(doc)
     assert set(P.vertices) == set(pt.cube().vertices)
+
+
+def _vertexless_document(P, rng):
+    """P without vertices, facets renamed and every list shuffled."""
+    names = [f"F{k}" for k in range(P.f)]
+    rng.shuffle(names)
+    rename = dict(zip(P.facets, names))
+    facets = [rename[i] for i in P.facets]
+    rng.shuffle(facets)
+    ridges = [[rename[i], rename[j]] if rng.random() < 0.5 else [rename[j], rename[i]]
+              for i, j in sorted(P.ridges)]
+    rng.shuffle(ridges)
+    return {"n": 3, "facets": facets, "ridges": ridges}
+
+
+def test_vertex_reconstruction_matches_planar_dual_oracle():
+    # the reconstructed vertices are the faces of networkx's planar
+    # embedding; truncations have separating facet triangles to reject
+    rng, cuts_rng = random.Random(9), np.random.default_rng(9)
+    cases = [pt.loebell(m) for m in (4, 5, 8, 16, 64, 128)] + [pt.doubled_cube()]
+    cases += [pt.prism(m) for m in (3, 4, 16, 64)]
+    cases += [random_truncation(base, cuts, cuts_rng)
+              for base in (pt.simplex(3), pt.cube(), pt.dodecahedron(), pt.loebell(8))
+              for cuts in (1, 3, 8, 20)]
+    separating = 0
+    for P in cases:
+        doc = _vertexless_document(P, rng)
+        Q = pt.build_combinatorics(doc)
+        ids = {name: k for k, name in enumerate(doc["facets"], start=1)}
+        oracle = planar_dual_vertices_oracle(
+            list(ids.values()), [(ids[a], ids[b]) for a, b in doc["ridges"]])
+        assert set(Q.vertices) == oracle and len(Q.vertices) == len(P.vertices)
+        assert list(Q.vertices) == sorted(Q.vertices, key=sorted)
+        separating += sum(1 for _ in pt._dual_cycles(Q, 3)) - len(Q.vertices)
+    assert separating > 40
 
 
 @pytest.mark.parametrize("gen,f,e,v", [

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 import coxdeform
 from coxdeform import bundled, cli, orbifold as ob, serialize
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def fresh_python(*args, check=False):
@@ -212,17 +215,32 @@ def test_cli_esselmann_dim(capsys):
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # a fresh interpreter: the dim pipeline (including U-membership), check,
-    # Monte Carlo stats and the random Lorentz transform on built-in inputs
+    # a fresh interpreter: the dim pipeline (including U-membership), check
+    # (also on a document without vertices), realize, cartan, curve, Monte
+    # Carlo stats, a factor orbifold of L(8) and the random Lorentz transform
     # must pull in neither scipy nor networkx
+    from coxdeform import vinberg
+
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"matrix": vinberg.esselmann_base_matrix().tolist()}))
+    vertexless = GOLDEN / "vertexless_truncation.json"
+    assert "vertices" not in json.loads(vertexless.read_text())
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from coxdeform import cli, lorentz\n"
+        "from coxdeform import cli, lorentz, matchstats, polytope\n"
         f"assert cli.main(['dim', 'loebell5_factor', '--out', {str(tmp_path / 'dim.json')!r}]) == 0\n"
         f"assert cli.main(['check', 'tetrahedron353', '--out', {str(tmp_path / 'check.json')!r}]) == 0\n"
+        f"assert cli.main(['check', {str(vertexless)!r}, '--out', {str(tmp_path / 'vl.json')!r}]) == 0\n"
+        f"assert cli.main(['realize', 'loebell6_factor', '--out', {str(tmp_path / 're.json')!r}]) == 0\n"
+        f"assert cli.main(['cartan', {str(matrix)!r}, '--out', {str(tmp_path / 'ca.json')!r}]) == 0\n"
+        "assert cli.main(['curve', 'esselmann', '--res', '5',\n"
+        f"                 '--out', {str(tmp_path / 'curve')!r}]) == 0\n"
         "assert cli.main(['stats', 'dodecahedron', '--d', '20', '--samples', '50',\n"
         f"                 '--out', {str(tmp_path / 'stats.json')!r}]) == 0\n"
+        "P = polytope.loebell(8)\n"
+        "Q = matchstats.orbifold_from_factor(P, matchstats.find_factor(P, min(P.ridges)), 3)\n"
+        "assert Q.f == 18\n"
         "lorentz.random_lorentz_transform(4, np.random.default_rng(0))\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))\n"
     )
@@ -230,7 +248,36 @@ def test_runtime_does_not_import_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
     assert json.loads((tmp_path / "dim.json").read_text())["dimension"] == 7
     assert json.loads((tmp_path / "check.json").read_text())["valid"] is True
+    assert json.loads((tmp_path / "vl.json").read_text())["valid"] is True
+    assert json.loads((tmp_path / "re.json").read_text())["method"] == "newton"
+    assert json.loads((tmp_path / "ca.json").read_text())["rank"] == 5
+    assert len((tmp_path / "curve.csv").read_text().splitlines()) == 1 + 5 * 5
     assert json.loads((tmp_path / "stats.json").read_text())["report"]["d"] == 20
+
+
+def test_cli_refuses_malformed_cartan_matrices(capsys, tmp_path):
+    cases = [({"matrix": [[2, -1], [-1]]}, "matrix is not an array of numbers"),
+             ([[2, "a"], [-1, 2]], "matrix is not an array of numbers"),
+             ({"matrix": [[2, None], [-1, 2]]}, "matrix has non-finite entries"),
+             ({"matrix": [[2, -1], [-1, 2]], "orders": [[1, 2]]}, "orders must be"),
+             ({"matrix": [2, -1]}, "Cartan matrix must be square")]
+    for doc, message in cases:
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "cartan", str(path))
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("validation failure: cartan: ") and message in err, (doc, err)
+
+
+def test_cli_curve_refuses_fewer_than_two_grid_points(capsys, tmp_path):
+    for res in ("-3", "0", "1"):
+        base = tmp_path / f"curve{res}"
+        code, out, err = run_cli(capsys, "curve", "esselmann", "--res", res, "--out", str(base))
+        assert (code, out) == (1, "")
+        assert err == f"validation failure: curve sampling needs res >= 2 grid points per axis, got {res}\n"
+        assert not (tmp_path / f"curve{res}.csv").exists()
+    code, out, _ = run_cli(capsys, "curve", "esselmann", "--res", "2")
+    assert code == 0 and len(out.splitlines()) == 1 + 2 * 2
 
 
 def _flags(doc, keys=("uncertain", "rank_uncertain")):
@@ -304,11 +351,13 @@ def test_exit_codes_from_a_cold_start(tmp_path):
     doc["orders"] = [[i, j, 6 if m == 5 else m] for i, j, m in doc["orders"]]
     euclidean_vertex = write("euclidean_vertex.json", doc)
     no_real_eigenvalue = write("no_real_eigenvalue.json", {"matrix": [[2, -1], [1, 2]]})
+    ragged = write("ragged.json", {"matrix": [[2, -1], [-1]]})
     cases = [
         (["check", bad_order], 1, "validation failure: ridge (1,2) has order 1"),
         (["check", euclidean_vertex], 1,
          "validation failure: orbifold: vertex [1, 2, 3] is not elliptic (1/3 + 1/2 + 1/6 <= 1)"),
         (["cartan", no_real_eigenvalue], 1, "validation failure: no real eigenvalue found"),
+        (["cartan", ragged], 1, "validation failure: cartan: matrix is not an array of numbers"),
         (["stats", "prism3", "--d", "3", "--mode", "montecarlo"], 1,
          "validation failure: no valid assignments exist"),
         (["realize", "doubled_cube", "--seed-name", "random", "--seed", "123"], 2,
