@@ -2,7 +2,9 @@
 
 Each example ships as a JSON document under ``coxdeform/data/`` (overridable
 via the COXDEFORM_BUILTIN_DIR environment variable) and round-trips through
-the standard loader.  Names:
+the standard loader.  The documents are the source: the builders that made
+them live in ``tests/test_bundled.py``, which checks each document against
+its builder byte for byte and rewrites them when run as a script.  Names:
 
 - ``tetrahedron353``: the compact [3,5,3] simplex orbifold.
 - ``cube_rigid``: cube, three order-3 edges meeting every equator (rigid).
@@ -22,72 +24,12 @@ import importlib.resources
 import json
 import os
 
-from coxdeform import polytope as pt
 from coxdeform import serialize
 
 BUILTIN_DIR_ENV = "COXDEFORM_BUILTIN_DIR"
-
-
-def _cube_orders(high):
-    P = pt.cube()
-    orders = {r: 2 for r in P.ridges}
-    for ridge, m in high.items():
-        orders[ridge] = m
-    return P, orders
-
-
-def _builders():
-    def tetrahedron353():
-        return pt.simplex(3), {(1, 2): 3, (2, 3): 5, (3, 4): 3,
-                               (1, 3): 2, (1, 4): 2, (2, 4): 2}
-
-    def cube_rigid():
-        # one order-3 edge on each prismatic 4-circuit: a vertical, a top, a bottom
-        return _cube_orders({(3, 4): 3, (1, 5): 3, (2, 6): 3})
-
-    def cube_flex():
-        return _cube_orders({(3, 4): 3, (1, 5): 3, (2, 6): 3, (5, 6): 3})
-
-    def cube_mixed():
-        return _cube_orders({(3, 4): 4, (1, 5): 3, (2, 6): 3, (5, 6): 5})
-
-    def doubled_cube():
-        P = pt.doubled_cube()
-        orders = {r: 2 for r in P.ridges}
-        for r in [(1, 2), (1, 3), (2, 3)]:
-            orders[r] = 4
-        return P, orders
-
-    def _loebell_factor(m, k):
-        from coxdeform import matchstats as ms
-
-        P = pt.loebell(m)
-        factor = ms.find_factor(P, sorted(P.ridges)[0])
-        return P, {r: (k if r in set(factor) else 2) for r in P.ridges}
-
-    def loebell5_factor():
-        return _loebell_factor(5, 7)
-
-    def loebell6_factor():
-        return _loebell_factor(6, 3)
-
-    def loebell7_factor():
-        return _loebell_factor(7, 3)
-
-    def loebell8_factor():
-        return _loebell_factor(8, 3)
-
-    def esselmann():
-        from coxdeform.vinberg import ESSELMANN_ORDERS
-        return pt.esselmann_polytope(), dict(ESSELMANN_ORDERS)
-
-    return {fn.__name__: fn for fn in (tetrahedron353, cube_rigid, cube_flex,
-                                       cube_mixed, doubled_cube, loebell5_factor,
-                                       loebell6_factor, loebell7_factor,
-                                       loebell8_factor, esselmann)}
-
-
-BUILTIN_NAMES = tuple(sorted(_builders()))
+BUILTIN_NAMES = ("cube_flex", "cube_mixed", "cube_rigid", "doubled_cube", "esselmann",
+                 "loebell5_factor", "loebell6_factor", "loebell7_factor", "loebell8_factor",
+                 "tetrahedron353")
 
 
 def builtin_document(name):
@@ -106,16 +48,3 @@ def load_builtin(name):
     if name not in BUILTIN_NAMES:
         raise KeyError(f"unknown builtin {name!r}; have {BUILTIN_NAMES}")
     return serialize.load_orbifold(builtin_document(name))
-
-
-def regenerate_data(directory):
-    """Write the bundled JSON files from their builders (maintenance)."""
-    from coxdeform import orbifold as ob
-
-    os.makedirs(directory, exist_ok=True)
-    for name, build in _builders().items():
-        P, orders = build()
-        Q = ob.make_orbifold(P, orders)
-        doc = serialize.dump_orbifold(Q)
-        with open(os.path.join(directory, f"{name}.json"), "w", encoding="utf-8") as fh:
-            fh.write(serialize.dumps(doc))

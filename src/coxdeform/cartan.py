@@ -19,7 +19,7 @@ from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
 from coxdeform.polytope import _pair, missing_pairs
 
 ZERO_TYPE_TOL = 1e-9
-ENTRY_TOL = 1e-9
+ENTRY_TOL = 1e-9  # relative to max |a_ij|: zero entries, conditions, normal forms
 
 
 class CartanMatrix:
@@ -40,17 +40,6 @@ class CartanMatrix:
             self.orders = {_pair(*p): int(m) for p, m in dict(orders).items()}
         else:
             self.orders = self._infer_pattern()
-
-    @classmethod
-    def from_orbifold(cls, Q, entries):
-        return cls(entries, orders=Q.orders, facets=Q.base.facets)
-
-    @classmethod
-    def from_point(cls, p, Q_or_index):
-        index = vinberg._as_index(Q_or_index)
-        orders = {pair: 2 for pair in index.e2}
-        orders.update(index.e3_orders)
-        return cls(p.cartan(), orders=orders, facets=index.facets)
 
     @property
     def f(self):
@@ -108,14 +97,14 @@ class ConditionsReport:
                     or self.open_violations)
 
 
-def check_vinberg_conditions(A, tol=1e-9):
+def check_vinberg_conditions(A):
     """Verify the defining conditions against A's pattern: a_ii = 2; for
     i != j, a_ij <= 0 with symmetric zero pattern; a_ij = a_ji = 0 on order-2
     pairs; a_ij a_ji = 4 cos^2(pi/n_ij) on ridges of order >= 3; and the
     strict open condition a_ij a_ji > 4 on non-adjacent pairs."""
     M = A.entries
     scale = max(np.abs(M).max(), 1.0)
-    atol = tol * scale
+    atol = ENTRY_TOL * scale
     report = ConditionsReport()
     for k, facet in enumerate(A.facets):
         if abs(M[k, k] - 2.0) > atol:
@@ -180,26 +169,34 @@ def _components(adj, f):
     return comps
 
 
-def _symmetrizing_diagonal(M, adj, tol):
-    """Positive d with (D M D^{-1}) symmetric on a spanning tree, or None."""
-    f = M.shape[0]
-    d = np.ones(f)
-    seen = {0}
-    stack = [0]
+def _spanning_tree(M, adj):
+    """The depth-first spanning tree of the pattern ``adj`` from position 0,
+    lowest neighbour first, and the positive d with (D M D^{-1}) symmetric
+    on it: (d, parent, tree pairs (u, v) of positions in visiting order).
+    ``parent`` covers only the positions reached.  Raises CartanError on a
+    tree pair whose entries have opposite signs."""
+    d = np.ones(M.shape[0])
+    parent = {0: None}
+    tree = []
+    stack = [(0, iter(adj[0]))]
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v in seen:
+        u, nbrs = stack[-1]
+        for v in nbrs:
+            if v in parent:
                 continue
             if M[u, v] * M[v, u] <= 0:
-                return None
+                raise CartanError(f"pair {u},{v} has entries of opposite sign")
             d[v] = d[u] * math.sqrt(M[u, v] / M[v, u])
-            seen.add(v)
-            stack.append(v)
-    return d if len(seen) == f else None
+            parent[v] = u
+            tree.append((u, v))
+            stack.append((v, iter(adj[v])))
+            break
+        else:
+            stack.pop()
+    return d, parent, tree
 
 
-def smallest_real_eigenvalue(M, tol=1e-12):
+def smallest_real_eigenvalue(M):
     """Smallest real eigenvalue of a matrix with non-positive off-diagonal
     entries (always exists by Frobenius theory).  A diagonal similarity makes
     the matrix symmetric whenever the cycle products allow it; otherwise a
@@ -209,9 +206,11 @@ def smallest_real_eigenvalue(M, tol=1e-12):
     if M.shape == (1, 1):
         return float(M[0, 0])
     scale = max(np.abs(M).max(), 1.0)
-    adj = _nonzero_graph(M, ENTRY_TOL * scale)
-    d = _symmetrizing_diagonal(M, adj, tol)
-    if d is not None:
+    try:
+        d, parent, _ = _spanning_tree(M, _nonzero_graph(M, ENTRY_TOL * scale))
+    except CartanError:
+        return smallest_real_eigenpair(M)[0]
+    if len(parent) == len(M):
         S = (d[:, None] * M) / d[None, :]
         if np.abs(S - S.T).max() <= 1e-8 * scale:
             return float(np.linalg.eigvalsh((S + S.T) / 2.0)[0])
@@ -230,7 +229,7 @@ def smallest_real_eigenpair(M):
     return float(lam[k].real), (u if u.sum() >= 0 else -u)
 
 
-def decompose_components(A, zero_tol=ZERO_TYPE_TOL):
+def decompose_components(A):
     """Connected components of the nonzero pattern, each classified by the
     sign of its smallest real eigenvalue (zero within tolerance)."""
     M = A.entries
@@ -241,7 +240,7 @@ def decompose_components(A, zero_tol=ZERO_TYPE_TOL):
     for comp in comps:
         sub = M[np.ix_(comp, comp)]
         lam = smallest_real_eigenvalue(sub)
-        if abs(lam) <= zero_tol * norm:
+        if abs(lam) <= ZERO_TYPE_TOL * norm:
             cls = "zero"
         elif lam > 0:
             cls = "positive"
@@ -276,7 +275,7 @@ class NormalForm:
     tree: list                       # spanning-tree pairs (facet ids)
 
 
-def diagonal_normalize(A, tol=1e-9):
+def diagonal_normalize(A):
     """Rescale by the positive diagonal action a_ij -> d_i a_ij / d_j so the
     matrix becomes symmetric on a spanning tree of its nonzero pattern.
 
@@ -293,52 +292,34 @@ def diagonal_normalize(A, tol=1e-9):
     if len(comps) != 1:
         raise CartanError("matrix is decomposable; normalize components separately")
 
-    d = np.ones(f)
-    parent = {0: None}
-    tree = []
-    seen = {0}
-
-    def dfs(u):
-        for v in sorted(adj[u]):
-            if v in seen:
-                continue
-            if M[u, v] * M[v, u] <= 0:
-                raise CartanError(f"pair {u},{v} has entries of opposite sign")
-            d[v] = d[u] * math.sqrt(M[u, v] / M[v, u])
-            parent[v] = u
-            seen.add(v)
-            tree.append(_pair(A.facets[u], A.facets[v]))
-            dfs(v)
-
-    dfs(0)
+    d, parent, walk = _spanning_tree(M, adj)
+    tree = [_pair(A.facets[u], A.facets[v]) for u, v in walk]
 
     N = (d[:, None] * M) / d[None, :]
     tree_set = set(tree)
-    for pair in tree:
-        a, b = A.pos[pair[0]], A.pos[pair[1]]
+    for a, b in walk:
         sym = 0.5 * (N[a, b] + N[b, a])
         N[a, b] = N[b, a] = sym
 
     coords = {}
     nontree = []
     for u in range(f):
-        for v in range(u + 1, f):
+        for v in adj[u]:
             pair = (A.facets[u], A.facets[v])
-            if v in adj[u] and pair not in tree_set:
+            if v > u and pair not in tree_set:
                 nontree.append((u, v))
                 coords[pair] = math.sqrt(N[u, v] / N[v, u])
 
     # invariance checks: pair products and directed fundamental-cycle products
     for u in range(f):
-        for v in range(u + 1, f):
-            if v in adj[u]:
-                if abs(N[u, v] * N[v, u] - M[u, v] * M[v, u]) > tol * scale * scale:
-                    raise CartanError("pair product changed under normalization")
+        for v in adj[u]:
+            if v > u and abs(N[u, v] * N[v, u] - M[u, v] * M[v, u]) > ENTRY_TOL * scale * scale:
+                raise CartanError("pair product changed under normalization")
     for u, v in nontree:
         path = _tree_path(parent, u, v)
         prod_m = _cycle_product(M, path, v, u)
         prod_n = _cycle_product(N, path, v, u)
-        if abs(prod_m - prod_n) > tol * max(abs(prod_m), 1.0):
+        if abs(prod_m - prod_n) > ENTRY_TOL * max(abs(prod_m), 1.0):
             raise CartanError("directed cycle product changed under normalization")
 
     return NormalForm(CartanMatrix(N, orders=A.orders, facets=A.facets),
@@ -368,7 +349,7 @@ def _cycle_product(X, path, v, u):
 
 # -- realization by rank factorization --------------------------------------------
 
-def realize_point_from_cartan(A, n, policy=DEFAULT_RANK_POLICY, tol=1e-9):
+def realize_point_from_cartan(A, n):
     """Reflection data with the given Cartan matrix, via a rank-(n+1)
     factorization A = U W (rows of U are the covectors, columns of W the
     vectors).  Any two such factorizations differ by a change of basis, which
@@ -381,7 +362,7 @@ def realize_point_from_cartan(A, n, policy=DEFAULT_RANK_POLICY, tol=1e-9):
     comps = decompose_components(A)
     if any(c.classification == "zero" for c in comps):
         raise CartanError("zero-type component present")
-    rr = numerical_rank(A.entries, policy)
+    rr = numerical_rank(A.entries)
     if rr.rank != n + 1:
         raise CartanError(f"rank is {rr.rank}, expected n+1 = {n + 1}")
 
@@ -393,7 +374,7 @@ def realize_point_from_cartan(A, n, policy=DEFAULT_RANK_POLICY, tol=1e-9):
 
     scale = max(np.abs(A.entries).max(), 1.0)
     err = np.abs(point.cartan() - A.entries).max()
-    if err > tol * scale:
+    if err > ENTRY_TOL * scale:
         raise CartanError(f"factorization error {err:.3e} exceeds tolerance")
     membership = vinberg.check_U_membership(A.equation_index(n), point)
     if not membership.passed:

@@ -23,6 +23,10 @@ SIGNATURE_EIG_TOL = 1e-9
 DIVERGENCE_THRESHOLD = -1.0   # non-adjacent facets: <nu_i, nu_j> below this
 DIVERGENCE_MARGIN = 1e-6      # rejects boundary (asymptotic-hyperplane) noise
 LM_SHIFT = 1e-12              # Gauss-Newton: mu = LM_SHIFT * trace(J J^t) / rows
+# seed library: Klein-model plane offsets, ring tilt, corner cut / face offset
+PRISM_CAP_OFFSET, PRISM_SIDE_OFFSET = 0.55, 0.5
+LOEBELL_OFFSET, LOEBELL_TILT = 0.78, 0.5
+DOUBLED_CUBE_OFFSET, DOUBLED_CUBE_CUT = 0.52, 2.35
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,7 @@ class HyperbolicRealization:
         self.normals = np.asarray(normals, dtype=float)
         self.residual_norm = float(np.linalg.norm(psi_eval(Q, self.normals)))
         pos = {facet: k for k, facet in enumerate(Q.base.facets)}
-        # every vertex's point at once, as vertex_point finds it
+        # every vertex's point at once: the null vector of its facets' <nu_i, .>
         self.vertex_flags = {}
         if Q.base.vertices:
             rows = np.array([[pos[i] for i in sorted(V)] for V in Q.base.vertices])
@@ -227,19 +231,7 @@ class HyperbolicRealization:
     def dim(self):
         return self.normals.shape[1]
 
-    def vertex_point(self, vertex):
-        """The point where the facet hyperplanes of ``vertex`` meet, scaled to
-        first coordinate 1 when possible."""
-        pos = {facet: k for k, facet in enumerate(self.Q.base.facets)}
-        J = LorentzForm(self.dim).matrix
-        A = np.array([self.normals[pos[i]] @ J for i in sorted(vertex)])
-        _, _, Vt = np.linalg.svd(A)
-        x = Vt[-1]
-        if abs(x[0]) > 1e-12:
-            x = x / x[0]
-        return x
-
-    def check_valid(self, divergence_threshold=DIVERGENCE_THRESHOLD):
+    def check_valid(self):
         if self.residual_norm > 1e-8:
             raise RealizationError(
                 f"normals do not satisfy the hyperbolic equations "
@@ -250,7 +242,7 @@ class HyperbolicRealization:
         for (i, j), val in self.nonadjacent_products.items():
             # strict margin: a product at the threshold up to solver noise is
             # an asymptotic hyperplane pair, not a compact polytope
-            if not val < divergence_threshold - DIVERGENCE_MARGIN:
+            if not val < DIVERGENCE_THRESHOLD - DIVERGENCE_MARGIN:
                 raise RealizationError(
                     f"non-adjacent facets {i},{j} do not diverge "
                     f"(<nu_i,nu_j> = {val:.6f})")
@@ -344,28 +336,6 @@ def kernel_dimension(Q, normals, policy=DEFAULT_RANK_POLICY):
     dim so(1,n) = n(n+1)/2 at every genuine realization."""
     J = psi_matrix(Q, normals)
     return numerical_rank(J, policy).kernel_dimension(J.shape[1])
-
-
-def random_lorentz_transform(dim, rng, scale=0.3):
-    """A random element of SO(1, dim-1)+ via the Cayley map
-    (I - X/2)^{-1} (I + X/2) of a random so(1, dim-1) matrix X.
-
-    The map lands in SO(1, dim-1) exactly; it preserves time orientation
-    only while every real eigenvalue of X has modulus below 2 (for a pure
-    boost v: |v| < 2), which at the default scale fails only far in the
-    tail.  A draw outside SO(1, dim-1)+ raises ValueError.
-    """
-    X = np.zeros((dim, dim))
-    v = rng.normal(size=dim - 1) * scale
-    W = rng.normal(size=(dim - 1, dim - 1)) * scale
-    X[0, 1:] = v
-    X[1:, 0] = v
-    X[1:, 1:] = (W - W.T) / 2.0
-    I = np.eye(dim)
-    g = np.linalg.solve(I - X / 2.0, I + X / 2.0)
-    if g[0, 0] <= 0:
-        raise ValueError(f"scale {scale} gave a transform that reverses time")
-    return g
 
 
 # -- seed library --------------------------------------------------------------
@@ -474,45 +444,45 @@ def _doubled_cube_structure(P):
     return hexes, halves[0], halves[1]
 
 
-def _prism_seed(P, offset_cap=0.55, offset_side=0.5):
-    a, b, ring = _prism_structure(P)
+def _prism_seed(P, structure):
+    a, b, ring = structure
     m = len(ring)
-    rows = {a: _klein_plane([0.0, 0.0, 1.0], offset_cap),
-            b: _klein_plane([0.0, 0.0, -1.0], offset_cap)}
+    rows = {a: _klein_plane([0.0, 0.0, 1.0], PRISM_CAP_OFFSET),
+            b: _klein_plane([0.0, 0.0, -1.0], PRISM_CAP_OFFSET)}
     for i, s in enumerate(ring):
         th = 2.0 * math.pi * i / m
-        rows[s] = _klein_plane([math.cos(th), math.sin(th), 0.0], offset_side)
+        rows[s] = _klein_plane([math.cos(th), math.sin(th), 0.0], PRISM_SIDE_OFFSET)
     return np.array([rows[x] for x in P.facets])
 
 
-def _loebell_seed(P, offset=0.78, tilt=0.5):
+def _loebell_seed(P, structure):
     """Barrel seed: two caps and two interlocking tilted rings."""
-    top, bottom, upper, lower = _loebell_structure(P)
+    top, bottom, upper, lower = structure
     m = len(upper)
-    s = math.sqrt(1.0 + tilt * tilt)
-    rows = {top: _klein_plane([0.0, 0.0, 1.0], offset),
-            bottom: _klein_plane([0.0, 0.0, -1.0], offset)}
+    s = math.sqrt(1.0 + LOEBELL_TILT * LOEBELL_TILT)
+    rows = {top: _klein_plane([0.0, 0.0, 1.0], LOEBELL_OFFSET),
+            bottom: _klein_plane([0.0, 0.0, -1.0], LOEBELL_OFFSET)}
     for i in range(m):
         th = 2.0 * math.pi * i / m
         rows[upper[i]] = _klein_plane(
-            [math.cos(th) / s, math.sin(th) / s, tilt / s], offset)
+            [math.cos(th) / s, math.sin(th) / s, LOEBELL_TILT / s], LOEBELL_OFFSET)
         th = 2.0 * math.pi * i / m - math.pi / m
         rows[lower[i]] = _klein_plane(
-            [math.cos(th) / s, math.sin(th) / s, -tilt / s], offset)
+            [math.cos(th) / s, math.sin(th) / s, -LOEBELL_TILT / s], LOEBELL_OFFSET)
     return np.array([rows[x] for x in P.facets])
 
 
-def _doubled_cube_seed(P, offset=0.52, cut=2.35):
+def _doubled_cube_seed(P, structure):
     """A corner-truncated Euclidean cube reflected across the cut plane.
 
     Hexagon seeds are the symmetrized images of the three cube faces at the
     truncated corner; square seeds come from the three opposite faces and
     their mirror images.
     """
-    hexes, half1, half2 = _doubled_cube_structure(P)
-    c = offset
+    hexes, half1, half2 = structure
+    c = DOUBLED_CUBE_OFFSET
     e3 = np.eye(3)
-    q = cut * c / math.sqrt(3.0)
+    q = DOUBLED_CUBE_CUT * c / math.sqrt(3.0)
     nu_t = _klein_plane(np.ones(3) / math.sqrt(3.0), q)
     J = LorentzForm(4).matrix
     R = np.eye(4) - 2.0 * np.outer(nu_t, J @ nu_t)
@@ -526,35 +496,34 @@ def _doubled_cube_seed(P, offset=0.52, cut=2.35):
     return np.array([rows[x] for x in P.facets])
 
 
+# seed name -> (structure detector, seed builder, combinatorics), in inference order
+_SEEDS = {
+    "doubled_cube": (_doubled_cube_structure, _doubled_cube_seed, "doubled-cube"),
+    "prism": (_prism_structure, _prism_seed, "prism"),
+    "loebell": (_loebell_structure, _loebell_seed, "two-ring"),
+}
+
+
 def initial_guess(Q, name=None):
     """Documented seed for Gauss-Newton, chosen by ``name`` or inferred from
     the base polytope's combinatorial structure.  Available: 'simplex'
     (exact), 'prism' / 'cube', 'doubled_cube', 'loebell' (any m, including
     the dodecahedron L(5))."""
     P = Q.base
-    if name is None:
-        if P.f == P.n + 1 and P.e == P.f * (P.f - 1) // 2:
-            name = "simplex"
-        elif P.n == 3 and _doubled_cube_structure(P):
-            name = "doubled_cube"
-        elif P.n == 3 and _prism_structure(P):
-            name = "prism"
-        elif P.n == 3 and _loebell_structure(P):
-            name = "loebell"
-        else:
-            raise RealizationError("no bundled seed for this polytope; pass initial=")
-    if name == "simplex":
+    if name == "simplex" or (name is None and P.f == P.n + 1
+                             and P.e == P.f * (P.f - 1) // 2):
         return realize_simplex(Q).normals
-    if name in ("prism", "cube"):
-        if _prism_structure(P) is None:
-            raise RealizationError("polytope does not have prism combinatorics")
-        return _prism_seed(P)
-    if name == "doubled_cube":
-        if _doubled_cube_structure(P) is None:
-            raise RealizationError("polytope does not have doubled-cube combinatorics")
-        return _doubled_cube_seed(P)
-    if name == "loebell":
-        if _loebell_structure(P) is None:
-            raise RealizationError("polytope does not have two-ring combinatorics")
-        return _loebell_seed(P)
-    raise RealizationError(f"unknown seed name {name!r}")
+    if name is None:
+        for detect, seed, _ in _SEEDS.values():
+            structure = detect(P) if P.n == 3 else None
+            if structure:
+                return seed(P, structure)
+        raise RealizationError("no bundled seed for this polytope; pass initial=")
+    name = "prism" if name == "cube" else name
+    if name not in _SEEDS:
+        raise RealizationError(f"unknown seed name {name!r}")
+    detect, seed, kind = _SEEDS[name]
+    structure = detect(P)
+    if structure is None:
+        raise RealizationError(f"polytope does not have {kind} combinatorics")
+    return seed(P, structure)

@@ -36,6 +36,7 @@ MC_RATE_PILOT = 20000
 # the sampler's DP tables grow as 4^width in the width of its boundary; a
 # plan above this many bytes is refused before any table is allocated
 SAMPLER_TABLE_BUDGET = 512 * 2 ** 20
+WILSON_Z = 1.959963984540054  # normal 97.5% quantile: 95% Wilson intervals
 
 
 # -- labelings ----------------------------------------------------------------
@@ -498,7 +499,8 @@ class StatsReport:
                  "necessary conditions of this package")
 
 
-def _wilson_interval(successes, total, z=1.959963984540054):
+def _wilson_interval(successes, total):
+    z = WILSON_Z
     if total == 0:
         return 0.0, 0.0, 1.0
     phat = successes / total

@@ -1,4 +1,4 @@
-"""Numerical rank with an explicit tolerance policy, plus finite differences.
+"""Numerical rank with an explicit tolerance policy.
 
 Rank decisions drive every conclusion drawn from the Jacobians, so the policy
 is never implicit.  A full-rank decision is first certified by a Cholesky
@@ -124,19 +124,19 @@ def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
     """Numerical rank of a matrix: certified full when
     :func:`_full_rank_certificate` holds, else from :func:`svd_rank`.
 
-    ``M`` is a matrix, a function of no arguments that builds one, or a
-    :class:`StructuredMatrix`, whose Gram matrix serves when its rows are the
-    short side.  Otherwise the matrix is built for the Gram matrix of its
-    short side and dropped before the factorisation.  The Gram matrix is
-    dropped before the SVD, which builds the matrix again, so a large matrix
-    and the Cholesky buffers are never held at once."""
+    ``M`` is a matrix or a :class:`StructuredMatrix`, whose Gram matrix
+    serves when its rows are the short side.  Otherwise the matrix is built
+    for the Gram matrix of its short side and dropped before the
+    factorisation.  The Gram matrix is dropped before the SVD, which builds
+    the matrix again, so a large matrix and the Cholesky buffers are never
+    held at once."""
     if isinstance(M, StructuredMatrix) and M.shape[0] <= M.shape[1]:
         shape, build = M.shape, M.build
         if min(shape) == 0:
             return svd_rank(build(), policy)
         A = M.gram()
     else:
-        build = M.build if isinstance(M, StructuredMatrix) else M if callable(M) else (lambda: M)
+        build = M.build if isinstance(M, StructuredMatrix) else (lambda: M)
         X = _finite(build())
         if X.size == 0:
             return svd_rank(X, policy)
@@ -236,16 +236,3 @@ def _finite(M):
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     return M
-
-
-def finite_difference_jacobian(func, x, step=1e-6):
-    """Central-difference Jacobian of ``func`` at ``x`` (both 1-d arrays)."""
-    x = np.asarray(x, dtype=float)
-    f0 = np.asarray(func(x), dtype=float)
-    J = np.zeros((f0.size, x.size))
-    for j in range(x.size):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        J[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * step)
-    return J

@@ -240,21 +240,20 @@ def check_weak_ordering(Q, ordering):
     return True
 
 
-def weak_order_geometric(Q, alphas, policy=None):
+def weak_order_geometric(Q, alphas):
     """Weak ordering whose qualifying sets are in general position.
 
     ``alphas`` maps facet ids to covectors (rows of length n+1) from a
     realization.  For n = 3 general position is automatic, so the greedy
     ordering is returned with every set marked verified.  For n >= 4 the
     search backtracks over admissible greedy choices, testing each qualifying
-    set for full numerical rank as it is formed (under ``policy``, default
-    ``numerics.DEFAULT_RANK_POLICY``).
+    set for full numerical rank under ``numerics.DEFAULT_RANK_POLICY`` as it
+    is formed.
     """
     import numpy as np
 
-    from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+    from coxdeform.numerics import numerical_rank
 
-    policy = DEFAULT_RANK_POLICY if policy is None else policy
     if alphas is None:
         raise OrbifoldError("weak_order_geometric needs a realization")
     alphas = {i: np.asarray(a, dtype=float).ravel() for i, a in dict(alphas).items()}
@@ -273,7 +272,7 @@ def weak_order_geometric(Q, alphas, policy=None):
         if not facets:
             return True
         M = np.array([alphas[j] for j in facets])
-        return numerical_rank(M, policy).rank == len(facets)
+        return numerical_rank(M).rank == len(facets)
 
     deepest = [set(Q.base.facets)]
 

@@ -45,10 +45,15 @@ class PolytopeCombinatorics:
         self.ridges = frozenset(_pair(i, j) for i, j in ridges)
         self.names = dict(names) if names else {i: str(i) for i in self.facets}
         nbrs = {i: set() for i in self.facets}
-        for i, j in self.ridges:
+        incident = {}  # each facet's ridges, in the iteration order of ridges
+        for r in self.ridges:
+            i, j = r
             nbrs.setdefault(i, set()).add(j)
             nbrs.setdefault(j, set()).add(i)
+            incident.setdefault(i, []).append(r)
+            incident.setdefault(j, []).append(r)
         self.nbrs = {i: frozenset(js) for i, js in nbrs.items()}
+        self._incident_ridges = incident
         if vertices is not None:
             self.vertices = tuple(frozenset(v) for v in vertices)
         elif self.n == 3:
@@ -108,7 +113,7 @@ class PolytopeCombinatorics:
         CombinatoricsError unless they form a single cycle."""
         if self.n != 3:
             raise CombinatoricsError("face cycles are only defined for n=3")
-        incident = [r for r in self.ridges if facet in r]
+        incident = self._incident_ridges.get(facet, [])
         if not incident:
             raise CombinatoricsError(f"facet {facet} has no ridges")
         by_vertex = {}

@@ -1,6 +1,7 @@
-"""Vinberg's equation system for projective reflection data, its gauge action
-and Jacobian, rank analysis, the rank-sum identity, the local deformation
-dimension count, and parametrized Cartan families with curve extraction.
+"""Vinberg's equation system for projective reflection data, its Jacobian
+and gauge directions, rank analysis, the rank-sum identity, the local
+deformation dimension count, and parametrized Cartan families with curve
+extraction.
 
 A point is a tuple of covectors alpha_1..alpha_f and vectors b_1..b_f in
 R^{n+1}.  The equations fix alpha_i b_i = 2, force alpha_i b_j = alpha_j b_i
@@ -24,6 +25,7 @@ from coxdeform.errors import VinbergError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-9
+INTERIOR_TOL = 1e-9  # U-membership margins, relative to max |alpha|
 
 
 @dataclass
@@ -54,14 +56,6 @@ class VinbergPoint:
     def cartan(self):
         """Entries a_ij = alpha_i b_j."""
         return self.alphas @ self.bs.T
-
-    def flatten(self):
-        return np.concatenate([self.alphas.ravel(), self.bs.ravel()])
-
-    @classmethod
-    def unflatten(cls, x, f, dim, facets=None):
-        x = np.asarray(x, dtype=float)
-        return cls(x[:f * dim].reshape(f, dim), x[f * dim:].reshape(f, dim), facets)
 
 
 class EquationIndex:
@@ -218,38 +212,6 @@ def hyperbolic_point(realization):
     nus = realization.normals
     J = lorentz.LorentzForm(nus.shape[1]).matrix
     return VinbergPoint(2.0 * nus @ J, nus.copy(), tuple(realization.Q.base.facets))
-
-
-def apply_gauge(p, d, g):
-    """The action (d, g): alpha_i -> d_i alpha_i g^{-1}, b_i -> d_i^{-1} g b_i.
-
-    Requires positive d_i and invertible g with |det g| = 1; the residuals of
-    phi_eval are unchanged.
-    """
-    d = np.asarray(d, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if d.shape != (p.f,) or np.any(d <= 0):
-        raise VinbergError("need f positive rescaling factors")
-    det = np.linalg.det(g)
-    if abs(det) < 1e-12:
-        raise VinbergError("gauge matrix is singular")
-    if abs(abs(det) - 1.0) > 1e-9:
-        raise VinbergError(f"gauge matrix must have |det| = 1, got {det}")
-    ginv = np.linalg.inv(g)
-    return VinbergPoint(d[:, None] * (p.alphas @ ginv),
-                        (p.bs @ g.T) / d[:, None], p.facets)
-
-
-def random_gauge(f, dim, rng):
-    """A random gauge element: log-uniform rescalings and |det| = 1 matrix."""
-    d = np.exp(rng.uniform(-0.7, 0.7, size=f))
-    while True:
-        g = rng.normal(size=(dim, dim))
-        det = np.linalg.det(g)
-        if abs(det) > 1e-6:
-            break
-    g = g / abs(det) ** (1.0 / dim)
-    return d, g
 
 
 def gauge_directions(p):
@@ -462,7 +424,7 @@ class UMembershipReport:
             self.signs_ok and self.open_condition_ok
 
 
-def check_U_membership(Q_or_index, p, tol=1e-9):
+def check_U_membership(Q_or_index, p):
     """Open conditions cutting out the solution domain: a common point v with
     alpha_i(v) > 0 for every i, the alphas spanning the dual space, negative
     off-diagonal entries on E3 and E4 pairs, and a_ij a_ji > 4 on E4 pairs.
@@ -503,7 +465,7 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
         if abs(lam) <= zero_tol:
             y = cartan.smallest_real_eigenpair(sub.T)[1]
             if y.sum() > 0 and y.min() >= 0 and \
-                    np.abs(y @ p.alphas[comp]).max() <= tol * scale * y.sum():
+                    np.abs(y @ p.alphas[comp]).max() <= INTERIOR_TOL * scale * y.sum():
                 has_point = False
                 break
         x[comp] = np.sign(lam) * u
@@ -511,7 +473,7 @@ def check_U_membership(Q_or_index, p, tol=1e-9):
     if has_point is None:
         v = x @ p.bs
         v = v / max(np.abs(v).max(), 1e-300)
-        if (p.alphas @ v).min() > tol * scale:
+        if (p.alphas @ v).min() > INTERIOR_TOL * scale:
             has_point, point = True, v
     if has_point is False:
         failures.append("no common interior point")

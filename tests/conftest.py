@@ -110,6 +110,95 @@ def newton_case(name):
     return bundled.load_builtin(name)
 
 
+# -- test-only helpers: gauge action, flattening, finite differences ------------
+
+def apply_gauge(p, d, g):
+    """The action (d, g): alpha_i -> d_i alpha_i g^{-1}, b_i -> d_i^{-1} g b_i.
+
+    Requires positive d_i and invertible g with |det g| = 1; the residuals of
+    phi_eval are unchanged.
+    """
+    d = np.asarray(d, dtype=float)
+    g = np.asarray(g, dtype=float)
+    if d.shape != (p.f,) or np.any(d <= 0):
+        raise vinberg.VinbergError("need f positive rescaling factors")
+    det = np.linalg.det(g)
+    if abs(det) < 1e-12:
+        raise vinberg.VinbergError("gauge matrix is singular")
+    if abs(abs(det) - 1.0) > 1e-9:
+        raise vinberg.VinbergError(f"gauge matrix must have |det| = 1, got {det}")
+    ginv = np.linalg.inv(g)
+    return vinberg.VinbergPoint(d[:, None] * (p.alphas @ ginv),
+                                (p.bs @ g.T) / d[:, None], p.facets)
+
+
+def random_gauge(f, dim, rng):
+    """A random gauge element: log-uniform rescalings and |det| = 1 matrix."""
+    d = np.exp(rng.uniform(-0.7, 0.7, size=f))
+    while True:
+        g = rng.normal(size=(dim, dim))
+        det = np.linalg.det(g)
+        if abs(det) > 1e-6:
+            break
+    g = g / abs(det) ** (1.0 / dim)
+    return d, g
+
+
+def flatten(p):
+    """A point's alphas then bs, as one vector."""
+    return np.concatenate([p.alphas.ravel(), p.bs.ravel()])
+
+
+def unflatten(x, f, dim, facets=None):
+    x = np.asarray(x, dtype=float)
+    return vinberg.VinbergPoint(x[:f * dim].reshape(f, dim), x[f * dim:].reshape(f, dim),
+                                facets)
+
+
+def finite_difference_jacobian(func, x, step=1e-6):
+    """Central-difference Jacobian of ``func`` at ``x`` (both 1-d arrays)."""
+    x = np.asarray(x, dtype=float)
+    f0 = np.asarray(func(x), dtype=float)
+    J = np.zeros((f0.size, x.size))
+    for j in range(x.size):
+        xp, xm = x.copy(), x.copy()
+        xp[j] += step
+        xm[j] -= step
+        J[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2 * step)
+    return J
+
+
+def random_lorentz_transform(dim, rng, scale=0.3):
+    """A random element of SO(1, dim-1)+ via the Cayley map
+    (I - X/2)^{-1} (I + X/2) of a random so(1, dim-1) matrix X.
+
+    The map lands in SO(1, dim-1) exactly; it preserves time orientation
+    only while every real eigenvalue of X has modulus below 2 (for a pure
+    boost v: |v| < 2), which at the default scale fails only far in the
+    tail.  A draw outside SO(1, dim-1)+ raises ValueError.
+    """
+    X = np.zeros((dim, dim))
+    v = rng.normal(size=dim - 1) * scale
+    W = rng.normal(size=(dim - 1, dim - 1)) * scale
+    X[0, 1:] = v
+    X[1:, 0] = v
+    X[1:, 1:] = (W - W.T) / 2.0
+    I = np.eye(dim)
+    g = np.linalg.solve(I - X / 2.0, I + X / 2.0)
+    if g[0, 0] <= 0:
+        raise ValueError(f"scale {scale} gave a transform that reverses time")
+    return g
+
+
+def cartan_from_point(p, Q_or_index):
+    """The Cartan matrix of a point, with the pattern of an orbifold or
+    equation index."""
+    index = vinberg._as_index(Q_or_index)
+    orders = {pair: 2 for pair in index.e2}
+    orders.update(index.e3_orders)
+    return cartan.CartanMatrix(p.cartan(), orders=orders, facets=index.facets)
+
+
 # -- independent oracles used by several test modules --------------------------
 
 def enumerate_dual_cycles(P, k):
@@ -545,6 +634,41 @@ def nonzero_graph_oracle(M, tol):
     return adj
 
 
+def tree_walk_oracle(M, adj):
+    """(d, parent, tree) of the recursive depth-first walk from position 0,
+    lowest neighbour first, that symmetrizes M on its tree."""
+    d = np.ones(M.shape[0])
+    parent = {0: None}
+    tree = []
+
+    def dfs(u):
+        for v in sorted(adj[u]):
+            if v in parent:
+                continue
+            if M[u, v] * M[v, u] <= 0:
+                raise cartan.CartanError(f"pair {u},{v} has entries of opposite sign")
+            d[v] = d[u] * math.sqrt(M[u, v] / M[v, u])
+            parent[v] = u
+            tree.append((u, v))
+            dfs(v)
+
+    dfs(0)
+    return d, parent, tree
+
+
+def vertex_point(R, vertex):
+    """The point where the facet hyperplanes of ``vertex`` meet in the
+    realization R, scaled to first coordinate 1 when possible."""
+    pos = {facet: k for k, facet in enumerate(R.Q.base.facets)}
+    J = lorentz.LorentzForm(R.dim).matrix
+    A = np.array([R.normals[pos[i]] @ J for i in sorted(vertex)])
+    _, _, Vt = np.linalg.svd(A)
+    x = Vt[-1]
+    if abs(x[0]) > 1e-12:
+        x = x / x[0]
+    return x
+
+
 def open_conditions_oracle(index, p):
     """The E3/E4 sign and E4 product conditions of U-membership, one pair at
     a time: (signs_ok, open_ok, failure messages in report order)."""
@@ -625,6 +749,30 @@ def seed_structure_oracle(P):
         return None
 
     return prism(), loebell()
+
+
+def face_boundary_oracle(P, facet):
+    """``face_boundary`` with each facet's ridges found by scanning every
+    ridge of P, in the iteration order of ``P.ridges``."""
+    incident = [r for r in P.ridges if facet in r]
+    if not incident:
+        raise pt.CombinatoricsError(f"facet {facet} has no ridges")
+    by_vertex = {}
+    for r in incident:
+        for k in P.ridge_endpoints(r):
+            by_vertex.setdefault(k, []).append(r)
+    cycle = [incident[0]]
+    vertex = P.ridge_endpoints(incident[0])[0]
+    for _ in incident:
+        a, b = P.ridge_endpoints(cycle[-1])
+        vertex = b if a == vertex else a
+        step = [r for r in by_vertex[vertex] if r != cycle[-1]]
+        if len(step) != 1:
+            raise pt.CombinatoricsError(f"facet {facet} boundary is not a cycle")
+        cycle.append(step[0])
+    if cycle[-1] != cycle[0] or len(set(cycle)) != len(incident):
+        raise pt.CombinatoricsError(f"facet {facet} boundary is not a single cycle")
+    return cycle[:-1]
 
 
 def neighbours_oracle(P, i):

@@ -8,8 +8,9 @@ import pytest
 
 from coxdeform import (bundled, cartan, lorentz, matchstats as ms,
                        orbifold as ob, polytope as pt, vinberg)
-from coxdeform.numerics import finite_difference_jacobian, numerical_rank
-from conftest import enumerate_perfect_matchings, random_parity_labels
+from coxdeform.numerics import numerical_rank
+from conftest import (apply_gauge, enumerate_perfect_matchings, finite_difference_jacobian,
+                      flatten, random_gauge, random_parity_labels, unflatten)
 
 GAP_REQUIRED = 1e3
 
@@ -129,8 +130,8 @@ def test_criterion_06_gauge_properties(tetra_orbifold, tetra_point):
     base_rank = _rank_with_gap(vinberg.phi_jacobian(index, tetra_point)).rank
     worst = 0.0
     for _ in range(100):
-        d, g = vinberg.random_gauge(4, 4, rng)
-        moved = vinberg.apply_gauge(tetra_point, d, g)
+        d, g = random_gauge(4, 4, rng)
+        moved = apply_gauge(tetra_point, d, g)
         worst = max(worst, np.abs(vinberg.phi_eval(index, moved)).max())
         assert numerical_rank(vinberg.phi_jacobian(index, moved)).rank == base_rank
     assert worst < 1e-9
@@ -216,8 +217,8 @@ def test_criterion_10_jacobians_vs_finite_differences(
         p = vinberg.hyperbolic_point(R)
         phi = vinberg.phi_jacobian(index, p)
         fd = finite_difference_jacobian(
-            lambda x: vinberg.phi_eval(index, vinberg.VinbergPoint.unflatten(x, f, dim)),
-            p.flatten())
+            lambda x: vinberg.phi_eval(index, unflatten(x, f, dim)),
+            flatten(p))
         scale = max(1.0, np.abs(phi).max())
         worst = max(worst, np.abs(fd - phi).max() / scale)
     assert worst < 1e-5

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from coxdeform import cartan, orbifold as ob, polytope as pt, vinberg
-from conftest import nonzero_graph_oracle
+from conftest import cartan_from_point, nonzero_graph_oracle, tree_walk_oracle
 
 
 def test_conditions_pass_at_hyperbolic_point(tetra_orbifold, tetra_point):
-    A = cartan.CartanMatrix.from_point(tetra_point, tetra_orbifold)
+    A = cartan_from_point(tetra_point, tetra_orbifold)
     report = cartan.check_vinberg_conditions(A)
     assert report.passed
 
@@ -77,7 +77,7 @@ def test_classify_affine_triangle_parabolic():
 
 
 def test_classify_hyperbolic_tetrahedron(tetra_orbifold, tetra_point):
-    A = cartan.CartanMatrix.from_point(tetra_point, tetra_orbifold)
+    A = cartan_from_point(tetra_point, tetra_orbifold)
     assert cartan.classify_group(A, 3) == "negative-irreducible"
 
 
@@ -107,7 +107,7 @@ def test_normalize_recovers_family_parameters(esselmann_orbifold):
 
 
 def test_normalize_idempotent_after_random_rescale(tetra_orbifold, tetra_point):
-    A = cartan.CartanMatrix.from_point(tetra_point, tetra_orbifold)
+    A = cartan_from_point(tetra_point, tetra_orbifold)
     nf = cartan.diagonal_normalize(A)
     rng = np.random.default_rng(5)
     d = np.exp(rng.uniform(-1, 1, 4))
@@ -135,7 +135,7 @@ def test_normalize_decomposable_rejected():
 
 
 def test_realize_tetrahedron_from_cartan(tetra_orbifold, tetra_point):
-    A = cartan.CartanMatrix.from_point(tetra_point, tetra_orbifold)
+    A = cartan_from_point(tetra_point, tetra_orbifold)
     p = cartan.realize_point_from_cartan(A, 3)
     resid = vinberg.phi_eval(tetra_orbifold, p)
     assert np.abs(resid).max() < 1e-9
@@ -185,3 +185,35 @@ def test_nonzero_graph_matches_entry_loop(tetra_point, esselmann_matrix):
         assert cartan._nonzero_graph(M, 1e-9) == nonzero_graph_oracle(M, 1e-9)
     assert any(cartan._nonzero_graph(M, 1e-9) != {k: [] for k in range(len(M))}
                for M in mats[4:])
+
+
+def test_normalize_long_path():
+    # the A_1100 path: one tree pair per edge, no cycles, already symmetric
+    f = 1100
+    M = 2.0 * np.eye(f) - np.eye(f, k=1) - np.eye(f, k=-1)
+    nf = cartan.diagonal_normalize(cartan.CartanMatrix(M))
+    assert nf.tree == [(k, k + 1) for k in range(1, f)]
+    assert nf.cycle_coordinates == {}
+    assert np.all(nf.rescaling == 1.0)
+
+
+def test_spanning_tree_matches_recursive_walk(tetra_orbifold, tetra_point, esselmann_matrix):
+    rng = np.random.default_rng(21)
+    base = [esselmann_matrix.entries, cartan_from_point(tetra_point, tetra_orbifold).entries]
+    mats = list(base)
+    for M in base:
+        for _ in range(4):
+            d = np.exp(rng.uniform(-2, 2, len(M)))
+            mats.append((d[:, None] * M) / d[None, :])
+    for M in mats:
+        adj = cartan._nonzero_graph(M, cartan.ENTRY_TOL * max(np.abs(M).max(), 1.0))
+        d, parent, tree = cartan._spanning_tree(M, adj)
+        d0, parent0, tree0 = tree_walk_oracle(M, adj)
+        assert np.array_equal(d, d0) and parent == parent0 and tree == tree0
+        assert len(tree) == len(M) - 1
+    # opposite signs on a tree pair are refused the same way
+    M = np.array([[2.0, -1.0], [1.0, 2.0]])
+    adj = cartan._nonzero_graph(M, 1e-9)
+    for walk in (cartan._spanning_tree, tree_walk_oracle):
+        with pytest.raises(cartan.CartanError, match="pair 0,1 has entries of opposite sign"):
+            walk(M, adj)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import finite_difference_jacobian, numerical_rank
-from conftest import (family_realization, gauss_newton_step_oracle, loebell_factor_orbifold,
-                      newton_case, newton_lstsq_oracle, psi_eval_oracle, psi_jacobian_oracle,
-                      relabelled, seed_structure_oracle)
+from coxdeform.numerics import numerical_rank
+from conftest import (family_realization, finite_difference_jacobian, gauss_newton_step_oracle,
+                      loebell_factor_orbifold, newton_case, newton_lstsq_oracle, psi_eval_oracle,
+                      psi_jacobian_oracle, random_lorentz_transform, relabelled,
+                      seed_structure_oracle, vertex_point)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -139,7 +140,7 @@ def test_lorentz_invariance(tetra_orbifold, tetra_realization):
     r0 = numerical_rank(lorentz.psi_jacobian(tetra_orbifold, nus)).rank
     assert r0 == 10
     for _ in range(5):
-        g = lorentz.random_lorentz_transform(4, rng)
+        g = random_lorentz_transform(4, rng)
         J = lorentz.LorentzForm(4).matrix
         assert np.abs(g.T @ J @ g - J).max() < 1e-10
         assert g[0, 0] > 0  # time-orientation preserving
@@ -153,7 +154,7 @@ def test_random_lorentz_transform_rejects_time_reversal():
     # at scale 3 the boost of this draw has rapidity above 2, where the
     # Cayley map leaves the time-orientation preserving component
     with pytest.raises(ValueError, match="reverses time"):
-        lorentz.random_lorentz_transform(4, np.random.default_rng(1), scale=3.0)
+        random_lorentz_transform(4, np.random.default_rng(1), scale=3.0)
 
 
 def test_seed_library_available():
@@ -175,11 +176,45 @@ def test_seed_inference_no_match():
         lorentz.initial_guess(Q)
 
 
+def test_seed_table_detects_each_structure_once(monkeypatch):
+    calls = []
+
+    def counted(name, detect):
+        def run(P):
+            calls.append(name)
+            return detect(P)
+        return run
+
+    for name, (detect, seed, kind) in list(lorentz._SEEDS.items()):
+        monkeypatch.setitem(lorentz._SEEDS, name, (counted(name, detect), seed, kind))
+    # inference tries the doubled cube, then the prism, then the two rings
+    order = ["doubled_cube", "prism", "loebell"]
+    for builtin, name in [("cube_flex", "prism"), ("doubled_cube", "doubled_cube"),
+                          ("loebell6_factor", "loebell"), ("loebell5_factor", "loebell")]:
+        Q = bundled.load_builtin(builtin)
+        calls.clear()
+        inferred = lorentz.initial_guess(Q)
+        assert calls == order[:order.index(name) + 1]
+        calls.clear()
+        assert np.array_equal(lorentz.initial_guess(Q, name), inferred) and calls == [name]
+    Q = bundled.load_builtin("cube_flex")
+    assert np.array_equal(lorentz.initial_guess(Q, "cube"), lorentz.initial_guess(Q))
+    refusals = [("cube_flex", "loebell", "polytope does not have two-ring combinatorics"),
+                ("cube_flex", "doubled_cube", "polytope does not have doubled-cube combinatorics"),
+                ("loebell6_factor", "cube", "polytope does not have prism combinatorics"),
+                ("cube_flex", "simplex", "base polytope is not a simplex"),
+                ("cube_flex", "bogus", "unknown seed name 'bogus'")]
+    for builtin, name, message in refusals:
+        with pytest.raises(lorentz.RealizationError) as info:
+            lorentz.initial_guess(bundled.load_builtin(builtin), name)
+        assert str(info.value) == message
+
+
 def test_vertex_points_inside_ball(loebell5_realization):
     R = loebell5_realization
     form = lorentz.LorentzForm(4)
     for V in R.Q.base.vertices:
-        x = R.vertex_point(V)
+        x = vertex_point(R, V)
         assert x[0] == pytest.approx(1.0)
         assert form.inner(x, x) < 0
 
@@ -316,7 +351,7 @@ def _realization_matches_oracle(R):
     """vertex_flags against ``vertex_point`` per vertex, and the non-adjacent
     products against the Gram matrix at ``e4_pairs``, both in their order."""
     Q, form = R.Q, lorentz.LorentzForm(R.dim)
-    flags = {V: bool(form.inner(R.vertex_point(V), R.vertex_point(V)) < 0)
+    flags = {V: bool(form.inner(vertex_point(R, V), vertex_point(R, V)) < 0)
              for V in Q.base.vertices}
     pos = {facet: k for k, facet in enumerate(Q.base.facets)}
     gram = lorentz.lorentz_gram(R.normals)

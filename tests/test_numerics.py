@@ -156,16 +156,19 @@ def test_planted_spectrum_at_the_margin(shape):
 def test_matrix_builder_is_called_again_only_for_the_svd():
     calls = []
 
-    def build(M):
-        def make():
+    def counted(M):
+        def build():
             calls.append(1)
             return M.copy()
-        return make
+        return StructuredMatrix(M.shape, lambda: M @ M.T, build)
 
-    full, deficient = np.eye(6)[:4], np.diag([1.0, 1.0, 0.0])
-    for M, method, n_calls in ((full, "cholesky", 1), (deficient, "svd", 2)):
+    # wide: the Gram matrix serves, so the only build is the SVD's; tall: one
+    # build for the Gram matrix of the short side, then one for the SVD
+    cases = [(np.eye(6)[:4], "cholesky", 0), (np.diag([1.0, 1.0, 0.0]), "svd", 1),
+             (np.eye(6)[:, :4], "cholesky", 1), (np.outer([1.0, 2.0, 3.0], [1.0, 1.0]), "svd", 2)]
+    for M, method, n_calls in cases:
         calls.clear()
-        rr = numerical_rank(build(M))
+        rr = numerical_rank(counted(M))
         assert rr.method == method and len(calls) == n_calls
         ref = numerical_rank(M)
         assert (rr.rank, rr.method, rr.threshold) == (ref.rank, ref.method, ref.threshold)

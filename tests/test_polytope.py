@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, polytope as pt
-from conftest import (enumerate_dual_cycles, neighbours_oracle, nonadjacent_oracle,
-                      planar_dual_vertices_oracle, prismatic_oracle, random_truncation,
-                      reverse_truncation_oracle, three_connected_planar_oracle)
+from conftest import (enumerate_dual_cycles, face_boundary_oracle, neighbours_oracle,
+                      nonadjacent_oracle, planar_dual_vertices_oracle, prismatic_oracle,
+                      random_truncation, reverse_truncation_oracle,
+                      three_connected_planar_oracle)
 
 
 def cube_description():
@@ -255,6 +256,19 @@ def test_face_boundary_cycles():
         assert len(cyc) == 4 and all(facet in r for r in cyc)
     assert len(pt.dodecahedron().face_boundary(1)) == 5
     assert len(pt.doubled_cube().face_boundary(1)) == 6
+
+
+def test_face_boundary_matches_ridge_scan():
+    rng = np.random.default_rng(17)
+    cases = [Q.base for Q in map(bundled.load_builtin, bundled.BUILTIN_NAMES) if Q.n == 3]
+    cases += [pt.loebell(64), pt.prism(9)]
+    cases += [random_truncation(cases[k % len(cases)], 1 + k % 4, rng) for k in range(12)]
+    for P in cases:
+        for facet in P.facets:
+            assert P.face_boundary(facet) == face_boundary_oracle(P, facet)
+    for bad in (0, max(P.facets) + 1):
+        with pytest.raises(pt.CombinatoricsError, match="has no ridges"):
+            P.face_boundary(bad)
 
 
 def test_face_boundary_rejects_two_cycles():

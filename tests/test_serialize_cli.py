@@ -241,7 +241,6 @@ def test_runtime_does_not_import_scipy(tmp_path):
         "P = polytope.loebell(8)\n"
         "Q = matchstats.orbifold_from_factor(P, matchstats.find_factor(P, min(P.ridges)), 3)\n"
         "assert Q.f == 18\n"
-        "lorentz.random_lorentz_transform(4, np.random.default_rng(0))\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))\n"
     )
     out = fresh_python("-c", code, check=True)

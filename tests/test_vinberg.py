@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import finite_difference_jacobian, numerical_rank
-from conftest import (component_eigenpairs_oracle, family_realization,
-                      gauge_directions_oracle, interior_point_eig_oracle, interior_point_oracle,
-                      newton_case, open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
-                      reduced_rank_oracle)
+from coxdeform.numerics import numerical_rank
+from conftest import (apply_gauge, component_eigenpairs_oracle, family_realization,
+                      finite_difference_jacobian, flatten, gauge_directions_oracle,
+                      interior_point_eig_oracle, interior_point_oracle, newton_case,
+                      open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
+                      random_gauge, reduced_rank_oracle, unflatten)
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -80,9 +81,9 @@ def test_jacobian_matches_finite_differences(tetra_orbifold, tetra_point):
     assert M.shape == (13, 32)
 
     def func(x):
-        return vinberg.phi_eval(index, vinberg.VinbergPoint.unflatten(x, 4, 4))
+        return vinberg.phi_eval(index, unflatten(x, 4, 4))
 
-    fd = finite_difference_jacobian(func, tetra_point.flatten())
+    fd = finite_difference_jacobian(func, flatten(tetra_point))
     assert np.abs(fd - M).max() < 1e-5
 
 
@@ -108,14 +109,14 @@ def test_gauge_invariance(tetra_orbifold, tetra_point):
     index = vinberg.EquationIndex.from_orbifold(tetra_orbifold)
     rank0 = numerical_rank(vinberg.phi_jacobian(index, tetra_point)).rank
     for _ in range(20):
-        d, g = vinberg.random_gauge(4, 4, rng)
-        moved = vinberg.apply_gauge(tetra_point, d, g)
+        d, g = random_gauge(4, 4, rng)
+        moved = apply_gauge(tetra_point, d, g)
         assert np.abs(vinberg.phi_eval(index, moved)).max() < 1e-9
         assert numerical_rank(vinberg.phi_jacobian(index, moved)).rank == rank0
 
 
 def test_identity_gauge_is_identity(tetra_point):
-    moved = vinberg.apply_gauge(tetra_point, np.ones(4), np.eye(4))
+    moved = apply_gauge(tetra_point, np.ones(4), np.eye(4))
     assert np.allclose(moved.alphas, tetra_point.alphas)
     assert np.allclose(moved.bs, tetra_point.bs)
 
@@ -123,7 +124,7 @@ def test_identity_gauge_is_identity(tetra_point):
 def test_diagonal_gauge_rescales_cartan(tetra_point):
     rng = np.random.default_rng(8)
     d = np.exp(rng.uniform(-1, 1, 4))
-    moved = vinberg.apply_gauge(tetra_point, d, np.eye(4))
+    moved = apply_gauge(tetra_point, d, np.eye(4))
     a0 = tetra_point.cartan()
     a1 = moved.cartan()
     assert np.allclose(a1, (d[:, None] / d[None, :]) * a0)
@@ -131,7 +132,7 @@ def test_diagonal_gauge_rescales_cartan(tetra_point):
 
 def test_gauge_rejects_singular_matrix(tetra_point):
     with pytest.raises(vinberg.VinbergError):
-        vinberg.apply_gauge(tetra_point, np.ones(4), np.zeros((4, 4)))
+        apply_gauge(tetra_point, np.ones(4), np.zeros((4, 4)))
 
 
 def test_gauge_directions_lie_in_kernel(tetra_orbifold, tetra_point):
