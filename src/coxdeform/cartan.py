@@ -8,6 +8,7 @@ coordinates, and realization of reflection data by rank factorization.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -52,7 +53,7 @@ class CartanMatrix:
         return sorted(p for p, m in self.orders.items() if m == 2)
 
     def e3_orders(self):
-        return {p: m for p, m in sorted(self.orders.items()) if m >= 3}
+        return dict(sorted((p, m) for p, m in self.orders.items() if m >= 3))
 
     def e4_pairs(self):
         return missing_pairs(self.facets, self.orders)
@@ -62,23 +63,23 @@ class CartanMatrix:
                                      self.e3_orders(), self.e4_pairs())
 
     def _infer_pattern(self):
-        scale = max(np.abs(self.entries).max(), 1.0)
+        """Orders of the pairs a < b in row-major order: 2 where both entries
+        vanish, 0 for a product <= 0 (the conditions report flags it), the
+        nearest order m >= 2 with 4 cos^2(pi/m) near a product in (0, 4),
+        and no entry for a product >= 4 (a non-adjacent pair)."""
+        M = self.entries
+        scale = max(np.abs(M).max(), 1.0)
         tol = ENTRY_TOL * scale
+        small = np.abs(M) <= tol
+        zero = small & small.T
+        prod = M * M.T
+        rows, cols = np.nonzero(np.triu(zero | (prod < 4.0 - tol), 1))
+        codes = np.where(zero, 2, np.where(prod <= 0, 0, -1))[rows, cols].tolist()
         orders = {}
-        for a in range(self.f):
-            for b in range(a + 1, self.f):
-                x, y = self.entries[a, b], self.entries[b, a]
-                pair = (self.facets[a], self.facets[b])
-                if abs(x) <= tol and abs(y) <= tol:
-                    orders[pair] = 2
-                else:
-                    prod = x * y
-                    if prod < 4.0 - tol:
-                        if prod <= 0:
-                            orders[pair] = 0  # nonsensical; conditions report flags it
-                        else:
-                            orders[pair] = max(2, round(math.pi / math.acos(math.sqrt(prod) / 2.0)))
-                    # else: product >= 4 -> non-adjacent pair, no order entry
+        for a, b, m in zip(rows.tolist(), cols.tolist(), codes):
+            if m < 0:
+                m = max(2, round(math.pi / math.acos(math.sqrt(prod[a, b]) / 2.0)))
+            orders[self.facets[a], self.facets[b]] = m
         return orders
 
 
@@ -106,22 +107,25 @@ def check_vinberg_conditions(A):
     scale = max(np.abs(M).max(), 1.0)
     atol = ENTRY_TOL * scale
     report = ConditionsReport()
-    for k, facet in enumerate(A.facets):
-        if abs(M[k, k] - 2.0) > atol:
-            report.diagonal_violations.append((facet, M[k, k]))
-    for a in range(A.f):
-        for b in range(A.f):
-            if a == b:
-                continue
-            if M[a, b] > atol:
-                report.sign_violations.append(((A.facets[a], A.facets[b]), M[a, b]))
-            if (abs(M[a, b]) <= atol) != (abs(M[b, a]) <= atol):
-                report.sign_violations.append(((A.facets[a], A.facets[b]),
-                                               (M[a, b], M[b, a])))
-    for i, j in A.e2_pairs():
-        x, y = A.entry(i, j), A.entry(j, i)
-        if abs(x) > atol or abs(y) > atol:
-            report.order2_violations.append(((i, j), (x, y)))
+    for k in np.flatnonzero(np.abs(M.diagonal() - 2.0) > atol).tolist():
+        report.diagonal_violations.append((A.facets[k], M[k, k]))
+    positive = M > atol
+    np.fill_diagonal(positive, False)
+    small = np.abs(M) <= atol
+    unpaired = small != small.T             # a zero facing a nonzero entry
+    for a, b in np.argwhere(positive | unpaired).tolist():
+        pair = (A.facets[a], A.facets[b])
+        if positive[a, b]:
+            report.sign_violations.append((pair, M[a, b]))
+        if unpaired[a, b]:
+            report.sign_violations.append((pair, (M[a, b], M[b, a])))
+    e2 = [p for p, m in A.orders.items() if m == 2]
+    a, b = np.fromiter(map(A.pos.__getitem__, itertools.chain.from_iterable(e2)),
+                       dtype=np.intp, count=2 * len(e2)).reshape(-1, 2).T
+    big = np.abs(M) > atol
+    hits = np.flatnonzero(big[a, b] | big[b, a]).tolist()
+    for i, j in sorted(e2[k] for k in hits):
+        report.order2_violations.append(((i, j), (A.entry(i, j), A.entry(j, i))))
     for (i, j), m in A.e3_orders().items():
         prod = A.entry(i, j) * A.entry(j, i)
         target = 4.0 * math.cos(math.pi / m) ** 2

@@ -248,10 +248,11 @@ def cmd_curve(args):
 
     family = vinberg.esselmann_family()
     samples = vinberg.family_curve(family, box=tuple(args.box), res=args.res)
+    xs = [f"{x:.12g}" for x in samples.xs.tolist()]
+    ys = [f"{y:.12g}" for y in samples.ys.tolist()]
     lines = ["x,y,det"]
-    for r, y in enumerate(samples.ys):
-        for c, x in enumerate(samples.xs):
-            lines.append(f"{x:.12g},{y:.12g},{samples.values[r, c]:.12g}")
+    for y, row in zip(ys, samples.values.tolist()):
+        lines.extend([f"{x},{y},{v:.12g}" for x, v in zip(xs, row)])
     csv_text = "\n".join(lines) + "\n"
     contour = serialize.dumps({
         "command": "curve",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from coxdeform.errors import ConvergenceError, RealizationError
+from coxdeform.errors import CombinatoricsError, ConvergenceError, RealizationError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-10
@@ -257,7 +257,7 @@ def realize_simplex(Q):
     are read off a factorization G = L J L^t.
     """
     if Q.f != Q.n + 1:
-        raise RealizationError("base polytope is not a simplex")
+        raise CombinatoricsError("base polytope is not a simplex")
     return realize_gram(Q)
 
 
@@ -508,7 +508,9 @@ def initial_guess(Q, name=None):
     """Documented seed for Gauss-Newton, chosen by ``name`` or inferred from
     the base polytope's combinatorial structure.  Available: 'simplex'
     (exact), 'prism' / 'cube', 'doubled_cube', 'loebell' (any m, including
-    the dodecahedron L(5))."""
+    the dodecahedron L(5)).  A name that is unknown or does not fit the
+    polytope raises CombinatoricsError, an input error; a polytope that no
+    seed fits raises RealizationError."""
     P = Q.base
     if name == "simplex" or (name is None and P.f == P.n + 1
                              and P.e == P.f * (P.f - 1) // 2):
@@ -521,9 +523,9 @@ def initial_guess(Q, name=None):
         raise RealizationError("no bundled seed for this polytope; pass initial=")
     name = "prism" if name == "cube" else name
     if name not in _SEEDS:
-        raise RealizationError(f"unknown seed name {name!r}")
+        raise CombinatoricsError(f"unknown seed name {name!r}")
     detect, seed, kind = _SEEDS[name]
     structure = detect(P)
     if structure is None:
-        raise RealizationError(f"polytope does not have {kind} combinatorics")
+        raise CombinatoricsError(f"polytope does not have {kind} combinatorics")
     return seed(P, structure)

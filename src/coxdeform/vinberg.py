@@ -536,14 +536,18 @@ class ParametrizedFamily:
         return len(self.param_pairs)
 
     def matrix(self, *params):
+        """A(params): an (f, f) matrix for scalar parameters, and a stack of
+        shape (..., f, f) for parameter arrays, which broadcast together."""
         if len(params) != self.nparams:
             raise VinbergError(f"family takes {self.nparams} parameters")
-        A = self.base.copy()
+        params = [np.asarray(t, dtype=float) for t in params]
+        if any(np.any(t <= 0) for t in params):
+            raise VinbergError("family parameters must be positive")
+        shape = np.broadcast_shapes(*(t.shape for t in params))
+        A = np.broadcast_to(self.base, shape + self.base.shape).copy()
         for (i, j), prod, t in zip(self.param_pairs, self.products, params):
-            if t <= 0:
-                raise VinbergError("family parameters must be positive")
-            A[i - 1, j - 1] = -t
-            A[j - 1, i - 1] = -prod / t
+            A[..., i - 1, j - 1] = -t
+            A[..., j - 1, i - 1] = -prod / t
         return A
 
 
@@ -617,48 +621,50 @@ def family_curve(family, box=(0.5, 2.0, 0.5, 2.0), res=101):
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)
-    values = np.empty((res, res))
-    for r, y in enumerate(ys):
-        mats = np.stack([family.matrix(x, y) for x in xs])
-        values[r] = np.linalg.det(mats)
+    values = np.linalg.det(family.matrix(*np.meshgrid(xs, ys)))
     segments = marching_squares(xs, ys, values)
     return CurveSamples(xs, ys, values, segments)
 
 
 def marching_squares(xs, ys, values):
-    """Zero-level segments of a sampled scalar field, one or two per cell."""
+    """Zero-level segments of a sampled scalar field, one or two per cell,
+    in row-major cell order.  Cells whose four corners are all positive or
+    all negative have no crossing and are skipped; the rest (sign changes,
+    zero and NaN corners) are contoured one by one."""
 
     def cross(xa, ya, va, xb, yb, vb):
         t = va / (va - vb)
         return (xa + t * (xb - xa), ya + t * (yb - ya))
 
+    pos, neg = values > 0, values < 0
+    quiet = ((pos[:-1, :-1] & pos[:-1, 1:] & pos[1:, :-1] & pos[1:, 1:])
+             | (neg[:-1, :-1] & neg[:-1, 1:] & neg[1:, :-1] & neg[1:, 1:]))
     segments = []
-    for r in range(len(ys) - 1):
-        for c in range(len(xs) - 1):
-            corners = [
-                (xs[c], ys[r], values[r, c]),
-                (xs[c + 1], ys[r], values[r, c + 1]),
-                (xs[c + 1], ys[r + 1], values[r + 1, c + 1]),
-                (xs[c], ys[r + 1], values[r + 1, c]),
-            ]
-            crossings = []
-            for k in range(4):
-                xa, ya, va = corners[k]
-                xb, yb, vb = corners[(k + 1) % 4]
-                if va == 0.0 and vb == 0.0:
+    for r, c in np.argwhere(~quiet).tolist():
+        corners = [
+            (xs[c], ys[r], values[r, c]),
+            (xs[c + 1], ys[r], values[r, c + 1]),
+            (xs[c + 1], ys[r + 1], values[r + 1, c + 1]),
+            (xs[c], ys[r + 1], values[r + 1, c]),
+        ]
+        crossings = []
+        for k in range(4):
+            xa, ya, va = corners[k]
+            xb, yb, vb = corners[(k + 1) % 4]
+            if va == 0.0 and vb == 0.0:
+                crossings.append((xa, ya))
+                crossings.append((xb, yb))
+            elif (va < 0) != (vb < 0) or (va == 0.0) != (vb == 0.0):
+                if va == 0.0:
                     crossings.append((xa, ya))
-                    crossings.append((xb, yb))
-                elif (va < 0) != (vb < 0) or (va == 0.0) != (vb == 0.0):
-                    if va == 0.0:
-                        crossings.append((xa, ya))
-                    elif vb == 0.0:
-                        pass  # counted as the next corner's start
-                    else:
-                        crossings.append(cross(xa, ya, va, xb, yb, vb))
-            if len(crossings) >= 2:
-                if len(crossings) == 4:
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
+                elif vb == 0.0:
+                    pass  # counted as the next corner's start
                 else:
-                    segments.append((crossings[0], crossings[-1]))
+                    crossings.append(cross(xa, ya, va, xb, yb, vb))
+        if len(crossings) >= 2:
+            if len(crossings) == 4:
+                segments.append((crossings[0], crossings[1]))
+                segments.append((crossings[2], crossings[3]))
+            else:
+                segments.append((crossings[0], crossings[-1]))
     return segments

@@ -656,6 +656,63 @@ def tree_walk_oracle(M, adj):
     return d, parent, tree
 
 
+def infer_pattern_oracle(M, facets):
+    """The orders ``CartanMatrix`` infers from entries M, one pair a < b at
+    a time in row-major order."""
+    scale = max(np.abs(M).max(), 1.0)
+    tol = cartan.ENTRY_TOL * scale
+    orders = {}
+    for a in range(len(facets)):
+        for b in range(a + 1, len(facets)):
+            x, y = M[a, b], M[b, a]
+            pair = (facets[a], facets[b])
+            if abs(x) <= tol and abs(y) <= tol:
+                orders[pair] = 2
+            else:
+                prod = x * y
+                if prod < 4.0 - tol:
+                    if prod <= 0:
+                        orders[pair] = 0
+                    else:
+                        orders[pair] = max(2, round(math.pi / math.acos(math.sqrt(prod) / 2.0)))
+    return orders
+
+
+def conditions_oracle(A):
+    """``check_vinberg_conditions`` with one loop over all ordered entry
+    pairs and one over the sorted order-2 pairs."""
+    M = A.entries
+    scale = max(np.abs(M).max(), 1.0)
+    atol = cartan.ENTRY_TOL * scale
+    report = cartan.ConditionsReport()
+    for k, facet in enumerate(A.facets):
+        if abs(M[k, k] - 2.0) > atol:
+            report.diagonal_violations.append((facet, M[k, k]))
+    for a in range(A.f):
+        for b in range(A.f):
+            if a == b:
+                continue
+            if M[a, b] > atol:
+                report.sign_violations.append(((A.facets[a], A.facets[b]), M[a, b]))
+            if (abs(M[a, b]) <= atol) != (abs(M[b, a]) <= atol):
+                report.sign_violations.append(((A.facets[a], A.facets[b]),
+                                               (M[a, b], M[b, a])))
+    for i, j in A.e2_pairs():
+        x, y = A.entry(i, j), A.entry(j, i)
+        if abs(x) > atol or abs(y) > atol:
+            report.order2_violations.append(((i, j), (x, y)))
+    for (i, j), m in A.e3_orders().items():
+        prod = A.entry(i, j) * A.entry(j, i)
+        target = 4.0 * math.cos(math.pi / m) ** 2
+        if abs(prod - target) > atol:
+            report.product_violations.append(((i, j), prod, target))
+    for i, j in A.e4_pairs():
+        prod = A.entry(i, j) * A.entry(j, i)
+        if not prod > 4.0:
+            report.open_violations.append(((i, j), prod))
+    return report
+
+
 def vertex_point(R, vertex):
     """The point where the facet hyperplanes of ``vertex`` meet in the
     realization R, scaled to first coordinate 1 when possible."""
@@ -1011,3 +1068,74 @@ def random_parity_labels(P, rng):
         labels[pending] = (1 - s) % 2
     # the root's sum is forced odd by parity: v is even and each edge flips two
     return labels
+
+
+# -- family curves: per-point determinants and all-cells contouring -------------
+
+def family_matrix_oracle(family, *params):
+    """A(params) of a ``ParametrizedFamily`` for scalar parameters."""
+    if len(params) != family.nparams:
+        raise vinberg.VinbergError(f"family takes {family.nparams} parameters")
+    A = family.base.copy()
+    for (i, j), prod, t in zip(family.param_pairs, family.products, params):
+        if t <= 0:
+            raise vinberg.VinbergError("family parameters must be positive")
+        A[i - 1, j - 1] = -t
+        A[j - 1, i - 1] = -prod / t
+    return A
+
+
+def det_grid_oracle(family, xs, ys):
+    """det A(x, y) on the grid, one row of stacked matrices at a time."""
+    values = np.empty((len(ys), len(xs)))
+    for r, y in enumerate(ys):
+        values[r] = np.linalg.det(np.stack([family_matrix_oracle(family, x, y) for x in xs]))
+    return values
+
+
+def marching_squares_oracle(xs, ys, values):
+    """``marching_squares`` visiting every cell in row-major order."""
+
+    def cross(xa, ya, va, xb, yb, vb):
+        t = va / (va - vb)
+        return (xa + t * (xb - xa), ya + t * (yb - ya))
+
+    segments = []
+    for r in range(len(ys) - 1):
+        for c in range(len(xs) - 1):
+            corners = [
+                (xs[c], ys[r], values[r, c]),
+                (xs[c + 1], ys[r], values[r, c + 1]),
+                (xs[c + 1], ys[r + 1], values[r + 1, c + 1]),
+                (xs[c], ys[r + 1], values[r + 1, c]),
+            ]
+            crossings = []
+            for k in range(4):
+                xa, ya, va = corners[k]
+                xb, yb, vb = corners[(k + 1) % 4]
+                if va == 0.0 and vb == 0.0:
+                    crossings.append((xa, ya))
+                    crossings.append((xb, yb))
+                elif (va < 0) != (vb < 0) or (va == 0.0) != (vb == 0.0):
+                    if va == 0.0:
+                        crossings.append((xa, ya))
+                    elif vb == 0.0:
+                        pass  # counted as the next corner's start
+                    else:
+                        crossings.append(cross(xa, ya, va, xb, yb, vb))
+            if len(crossings) >= 2:
+                if len(crossings) == 4:
+                    segments.append((crossings[0], crossings[1]))
+                    segments.append((crossings[2], crossings[3]))
+                else:
+                    segments.append((crossings[0], crossings[-1]))
+    return segments
+
+
+def curve_csv_oracle(samples):
+    """The ``curve`` CSV of ``CurveSamples``, formatted one cell at a time."""
+    lines = ["x,y,det"]
+    for r, y in enumerate(samples.ys):
+        for c, x in enumerate(samples.xs):
+            lines.append(f"{x:.12g},{y:.12g},{samples.values[r, c]:.12g}")
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from coxdeform import cartan, orbifold as ob, polytope as pt, vinberg
-from conftest import cartan_from_point, nonzero_graph_oracle, tree_walk_oracle
+from conftest import (cartan_from_point, conditions_oracle, infer_pattern_oracle,
+                      nonzero_graph_oracle, tree_walk_oracle)
 
 
 def test_conditions_pass_at_hyperbolic_point(tetra_orbifold, tetra_point):
@@ -217,3 +218,55 @@ def test_spanning_tree_matches_recursive_walk(tetra_orbifold, tetra_point, essel
     for walk in (cartan._spanning_tree, tree_walk_oracle):
         with pytest.raises(cartan.CartanError, match="pair 0,1 has entries of opposite sign"):
             walk(M, adj)
+
+
+def _planted_matrix(rng, f):
+    """Non-positive entries with zeros, products 4 cos^2(pi/m) for m in 3..7,
+    products >= 4, a few positive and one-sided zero entries, and diagonal
+    entries off 2."""
+    M = -np.abs(rng.normal(size=(f, f))) * 1.5
+    for a, b in zip(*np.triu_indices(f, 1)):
+        kind = rng.integers(4)
+        if kind == 0:
+            M[a, b] = M[b, a] = 0.0
+        elif kind == 1:
+            t = rng.uniform(0.3, 3.0)
+            M[a, b], M[b, a] = -t, -4.0 * math.cos(math.pi / rng.integers(3, 8)) ** 2 / t
+    M[rng.random((f, f)) < 0.05] *= -1.0
+    M[rng.random((f, f)) < 0.05] = 0.0
+    np.fill_diagonal(M, 2.0 + (rng.random(f) < 0.2) * rng.normal(size=f))
+    return M
+
+
+def test_conditions_and_pattern_match_pair_loops(tetra_orbifold, tetra_point, esselmann_matrix):
+    # inferred orders (in insertion order) and every violation list (in
+    # order, with the same values) equal the pair-by-pair loops
+    rng = np.random.default_rng(31)
+    mats = [esselmann_matrix.entries, cartan_from_point(tetra_point, tetra_orbifold).entries,
+            2.0 * np.eye(7) - np.eye(7, k=1) - np.eye(7, k=-1), np.eye(1)]
+    mats += [_planted_matrix(rng, f) for f in (2, 3, 5, 8, 12) for _ in range(4)]
+    nan = _planted_matrix(rng, 6)
+    nan[1, 4] = np.nan
+    mixed = _planted_matrix(rng, 4)
+    mixed[0, 3], mixed[3, 0] = 0.5, 0.0     # positive, and facing a zero
+    mats += [nan, mixed]
+    seen, inferred, non_adjacent = set(), set(), 0
+    for M in mats:
+        f = len(M)
+        for facets in (tuple(range(1, f + 1)), tuple(rng.permutation(f).tolist())):
+            A = cartan.CartanMatrix(M, facets=facets)
+            assert list(A.orders.items()) == list(infer_pattern_oracle(M, facets).items())
+            # the pattern of another matrix of the same size puts order-2
+            # and product conditions on pairs that do not meet them
+            B = cartan.CartanMatrix(M, orders=cartan.CartanMatrix(_planted_matrix(rng, f)).orders,
+                                    facets=tuple(range(1, f + 1)))
+            for X in (A, B):
+                report = cartan.check_vinberg_conditions(X)
+                assert repr(report) == repr(conditions_oracle(X))
+                seen.update(name for name, v in vars(report).items() if v)
+        inferred.update(A.orders.values())
+        non_adjacent += len(A.orders) < f * (f - 1) // 2
+    assert inferred >= {0, 2, 3, 4, 5, 6, 7} and non_adjacent > 0
+    assert seen == {"diagonal_violations", "sign_violations", "order2_violations",
+                    "product_violations", "open_violations"}
+

@@ -28,6 +28,8 @@ CASES.update({
     # a cut dodecahedron without vertices, facets renamed and lists shuffled:
     # loading rebuilds the vertices from the facet adjacency
     "check-vertexless_truncation": ["check", str(GOLDEN / "vertexless_truncation.json")],
+    # the det grid of the Esselmann family as CSV on stdout
+    "curve-esselmann-r21": ["curve", "esselmann", "--res", "21"],
 })
 
 

@@ -205,7 +205,7 @@ def test_seed_table_detects_each_structure_once(monkeypatch):
                 ("cube_flex", "simplex", "base polytope is not a simplex"),
                 ("cube_flex", "bogus", "unknown seed name 'bogus'")]
     for builtin, name, message in refusals:
-        with pytest.raises(lorentz.RealizationError) as info:
+        with pytest.raises(lorentz.CombinatoricsError) as info:
             lorentz.initial_guess(bundled.load_builtin(builtin), name)
         assert str(info.value) == message
 

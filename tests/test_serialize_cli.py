@@ -11,6 +11,7 @@ import pytest
 
 import coxdeform
 from coxdeform import bundled, cli, orbifold as ob, serialize
+from conftest import curve_csv_oracle
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -119,6 +120,32 @@ def test_cli_curve_contains_singular_point(capsys, tmp_path):
     rows = (tmp_path / "ess.csv").read_text().splitlines()
     assert rows[0] == "x,y,det"
     assert len(rows) == 1 + 61 * 61
+
+
+def test_cli_curve_default_files_are_pinned(capsys, tmp_path):
+    # sha256 of the res-101 CSV and contour JSON, recorded from the
+    # per-cell implementation that the array code replaced
+    import hashlib
+
+    code, out, err = run_cli(capsys, "curve", "esselmann", "--out", str(tmp_path / "ess.csv"))
+    assert (code, out, err) == (0, "", "")
+    digests = {ext: hashlib.sha256((tmp_path / f"ess.{ext}").read_bytes()).hexdigest()
+               for ext in ("csv", "json")}
+    assert digests == {
+        "csv": "e9c7d3d85e26aa053c5c15a5e8d6901644c1ddce8073d325a84ad0c00def7d33",
+        "json": "ebbc94a7a41748b679589d4f44814c859b309e1e62f80ce25c3892cc4c555141",
+    }
+
+
+def test_cli_curve_csv_matches_per_cell_format(capsys):
+    from coxdeform import vinberg
+
+    box = ["0.3", "1.7", "0.45", "1.9"]
+    code, out, _ = run_cli(capsys, "curve", "esselmann", "--box", *box, "--res", "13")
+    samples = vinberg.family_curve(vinberg.esselmann_family(),
+                                   box=tuple(map(float, box)), res=13)
+    assert code == 0 and out == curve_csv_oracle(samples)
+    assert len({len(line) for line in out.splitlines()}) > 3     # digits vary along each axis
 
 
 def test_cli_stats_deterministic(capsys):
@@ -279,6 +306,15 @@ def test_cli_curve_refuses_fewer_than_two_grid_points(capsys, tmp_path):
     assert code == 0 and len(out.splitlines()) == 1 + 2 * 2
 
 
+def test_cli_curve_refuses_non_positive_box(capsys, tmp_path):
+    for box in (["0", "2", "0.5", "2"], ["0.5", "2", "-1", "2"]):
+        code, out, err = run_cli(capsys, "curve", "esselmann", "--box", *box,
+                                 "--out", str(tmp_path / "curve"))
+        assert (code, out) == (1, "")
+        assert err == "validation failure: family parameters must be positive\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 def _flags(doc, keys=("uncertain", "rank_uncertain")):
     """Every value under one of ``keys``, anywhere in a parsed report."""
     if isinstance(doc, dict):
@@ -359,6 +395,8 @@ def test_exit_codes_from_a_cold_start(tmp_path):
         (["cartan", ragged], 1, "validation failure: cartan: matrix is not an array of numbers"),
         (["stats", "prism3", "--d", "3", "--mode", "montecarlo"], 1,
          "validation failure: no valid assignments exist"),
+        (["realize", "cube_flex", "--seed-name", "loebell"], 1,
+         "validation failure: polytope does not have two-ring combinatorics"),
         (["realize", "doubled_cube", "--seed-name", "random", "--seed", "123"], 2,
          "numerical failure: no convergence"),
     ]

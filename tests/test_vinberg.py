@@ -8,9 +8,10 @@ import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import numerical_rank
-from conftest import (apply_gauge, component_eigenpairs_oracle, family_realization,
-                      finite_difference_jacobian, flatten, gauge_directions_oracle,
-                      interior_point_eig_oracle, interior_point_oracle, newton_case,
+from conftest import (apply_gauge, component_eigenpairs_oracle, det_grid_oracle,
+                      family_matrix_oracle, family_realization, finite_difference_jacobian,
+                      flatten, gauge_directions_oracle, interior_point_eig_oracle,
+                      interior_point_oracle, marching_squares_oracle, newton_case,
                       open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
                       random_gauge, reduced_rank_oracle, unflatten)
 
@@ -512,6 +513,78 @@ def test_family_parameter_validation():
     one_param = vinberg.ParametrizedFamily(vinberg.esselmann_base_matrix(), [(1, 4)])
     with pytest.raises(vinberg.VinbergError):
         vinberg.family_curve(one_param)
+
+
+def test_family_matrix_broadcasts():
+    fam = vinberg.esselmann_family()
+    base = fam.base.copy()
+    X, Y = np.meshgrid(np.linspace(0.3, 2.5, 7), np.linspace(0.4, 1.9, 5))
+    stack = fam.matrix(X, Y)
+    assert stack.shape == (5, 7, 6, 6)
+    for r, c in np.ndindex(X.shape):
+        assert np.array_equal(stack[r, c], family_matrix_oracle(fam, X[r, c], Y[r, c]))
+    assert np.array_equal(fam.matrix(X[0], Y[:, :1]), stack)
+    assert fam.matrix(1.3, 0.7).shape == (6, 6)
+    assert np.array_equal(fam.matrix(1.3, 0.7), family_matrix_oracle(fam, 1.3, 0.7))
+    for bad in (np.where(Y > 1.5, 0.0, Y), np.where(Y > 1.5, -1.0, Y)):
+        with pytest.raises(vinberg.VinbergError, match="^family parameters must be positive$"):
+            fam.matrix(X, bad)
+        with pytest.raises(vinberg.VinbergError, match="^family parameters must be positive$"):
+            fam.matrix(bad, Y)
+    assert np.array_equal(fam.base, base)
+    # pair products other than 1 (the Esselmann pairs have a_14 a_41 = 1)
+    fam = vinberg.ParametrizedFamily(base, [(1, 2), (5, 6)])
+    stack = fam.matrix(X, Y)
+    for r, c in np.ndindex(X.shape):
+        assert np.array_equal(stack[r, c], family_matrix_oracle(fam, X[r, c], Y[r, c]))
+
+
+def test_det_grid_and_contour_match_per_cell_oracles():
+    # the det grid equals the per-point determinants bit for bit, and the
+    # segments equal those of the contour that visits every cell
+    fam = vinberg.esselmann_family()
+    for box in [(0.5, 2.0, 0.5, 2.0), (0.9, 1.1, 0.95, 1.2), (2.5, 0.3, 1.5, 0.4)]:
+        for res in (2, 5, 61, 101):
+            samples = vinberg.family_curve(fam, box=box, res=res)
+            xs, ys = np.linspace(*box[:2], res), np.linspace(*box[2:], res)
+            assert np.array_equal(samples.xs, xs) and np.array_equal(samples.ys, ys)
+            assert np.array_equal(samples.values, det_grid_oracle(fam, xs, ys))
+            segments = marching_squares_oracle(xs, ys, samples.values)
+            assert repr(samples.segments) == repr(segments), (box, res)
+            assert len(segments) > 0 or res == 2
+
+
+def test_marching_squares_matches_all_cells_oracle():
+    rng = np.random.default_rng(29)
+    xs, ys = np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 7)
+    fields = []
+    for _ in range(12):
+        v = rng.normal(size=(7, 9))
+        fields.append(v)
+        corner = v.copy()
+        corner[3, 4] = 0.0
+        fields.append(corner)
+        edge = v.copy()
+        edge[2, 1:3] = 0.0
+        edge[4:6, 7] = 0.0
+        fields.append(edge)
+        row = v.copy()
+        row[rng.integers(7)] = 0.0
+        fields.append(row)
+        neg_zero = v.copy()
+        neg_zero[rng.random(v.shape) < 0.2] = -0.0
+        fields.append(neg_zero)
+        nan = v.copy()
+        nan[rng.random(v.shape) < 0.1] = np.nan
+        fields.append(nan)
+        fields.append(rng.choice([-1.0, -0.0, 0.0, 1.0, np.nan], size=v.shape))
+    fields += [np.ones((7, 9)), -np.ones((7, 9)), np.zeros((7, 9)), np.full((7, 9), -0.0)]
+    crossed = 0
+    for v in fields:
+        segments = vinberg.marching_squares(xs, ys, v)
+        assert repr(segments) == repr(marching_squares_oracle(xs, ys, v))
+        crossed += bool(segments)
+    assert crossed == len(fields) - 2       # only the constant +-1 fields are quiet
 
 
 def test_loebell_pipeline(loebell5_orbifold, loebell5_realization):
