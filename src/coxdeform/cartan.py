@@ -8,6 +8,7 @@ coordinates, and realization of reflection data by rank factorization.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -326,8 +327,9 @@ def diagonal_normalize(A):
         if abs(prod_m - prod_n) > ENTRY_TOL * max(abs(prod_m), 1.0):
             raise CartanError("directed cycle product changed under normalization")
 
-    return NormalForm(CartanMatrix(N, orders=A.orders, facets=A.facets),
-                      coords, d, tree)
+    normal = copy.copy(A)  # shares A's facets and its normalized orders
+    normal.entries = N
+    return NormalForm(normal, coords, d, tree)
 
 
 def _tree_path(parent, u, v):

@@ -23,9 +23,10 @@ SIGNATURE_EIG_TOL = 1e-9
 DIVERGENCE_THRESHOLD = -1.0   # non-adjacent facets: <nu_i, nu_j> below this
 DIVERGENCE_MARGIN = 1e-6      # rejects boundary (asymptotic-hyperplane) noise
 LM_SHIFT = 1e-12              # Gauss-Newton: mu = LM_SHIFT * trace(J J^t) / rows
-# seed library: Klein-model plane offsets, ring tilt, corner cut / face offset
-PRISM_CAP_OFFSET, PRISM_SIDE_OFFSET = 0.55, 0.5
-LOEBELL_OFFSET, LOEBELL_TILT = 0.78, 0.5
+# seed library: the Klein-model plane offset of the prism seed where its
+# mean-angle system has no solution; the doubled cube's face offset and
+# corner cut
+OFFSET_FLOOR = 0.05
 DOUBLED_CUBE_OFFSET, DOUBLED_CUBE_CUT = 0.52, 2.35
 
 
@@ -301,8 +302,9 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     shift mu = LM_SHIFT trace(J J^t) / (f + e) keeps the system positive
     definite when J loses row rank; at full row rank the step is the
     least-squares step J^+ r up to rounding.  Step halving is the safeguard.
-    Raises ConvergenceError on divergence and RealizationError if the
-    converged point fails the compactness or divergence checks.
+    At most ``max_iter`` steps are taken.  Raises ConvergenceError on
+    divergence and RealizationError if the converged point fails the
+    compactness or divergence checks.
     """
     if initial is None:
         initial = initial_guess(Q)
@@ -311,10 +313,12 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
         raise RealizationError(f"initial guess must have shape {(Q.f, Q.n + 1)}")
     S = psi_structure(Q)
     r = S.eval(x)
-    for _ in range(max_iter):
+    for k in range(max_iter + 1):
         norm = np.linalg.norm(r)
         if norm < tol:
             return HyperbolicRealization(Q, x)
+        if k == max_iter:
+            break
         step = S.gauss_newton_step(_alphas(x), r)
         t = 1.0
         for _ in range(25):
@@ -327,8 +331,7 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
             raise ConvergenceError(f"no descent step found at residual {norm:.3e}")
         x, r = x_new, r_new
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations "
-        f"(residual {np.linalg.norm(r):.3e})")
+        f"no convergence after {max_iter} iterations (residual {norm:.3e})")
 
 
 def kernel_dimension(Q, normals, policy=DEFAULT_RANK_POLICY):
@@ -444,35 +447,78 @@ def _doubled_cube_structure(P):
     return hexes, halves[0], halves[1]
 
 
-def _prism_seed(P, structure):
+def _mean_cos(Q, pairs):
+    """The mean of cos(pi/m) over the ridges ``pairs`` of Q."""
+    return sum(math.cos(math.pi / Q.order(i, j)) for i, j in pairs) / len(pairs)
+
+
+def _offset(c):
+    """A prism seed's plane offset, replaced by OFFSET_FLOOR where the mean
+    system has no solution in (0, 1) because it puts the plane through the
+    origin up to rounding (the all-right-angled cube).  No offset of the
+    closed forms reaches 1."""
+    return c if c > 1e-6 else OFFSET_FLOOR
+
+
+def _prism_seed(Q, structure):
+    """The rotationally symmetric prism: caps x_3 = +-c_c and sides at
+    offset c_s with normals 2 pi/m apart.
+
+    Every ridge of a class (cap-side, side-side) gets the class's mean
+    kappa = mean cos(pi/m_ij); with theta = 2 pi/m the side-side and
+    cap-side equations then read c_s^2 = (cos theta + k_ss) / (1 + k_ss)
+    and c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s.  The seed solves
+    psi exactly when the orders are constant on each class."""
     a, b, ring = structure
     m = len(ring)
-    rows = {a: _klein_plane([0.0, 0.0, 1.0], PRISM_CAP_OFFSET),
-            b: _klein_plane([0.0, 0.0, -1.0], PRISM_CAP_OFFSET)}
+    k_ss = _mean_cos(Q, [(ring[j - 1], ring[j]) for j in range(m)])
+    k_cs = _mean_cos(Q, [(cap, s) for cap in (a, b) for s in ring])
+    c_s = _offset(math.sqrt(max(math.cos(2.0 * math.pi / m) + k_ss, 0.0) / (1.0 + k_ss)))
+    t = k_cs * math.sqrt(1.0 - c_s * c_s) / c_s
+    c_c = _offset(t / math.sqrt(1.0 + t * t))
+    rows = {a: _klein_plane([0.0, 0.0, 1.0], c_c), b: _klein_plane([0.0, 0.0, -1.0], c_c)}
     for i, s in enumerate(ring):
         th = 2.0 * math.pi * i / m
-        rows[s] = _klein_plane([math.cos(th), math.sin(th), 0.0], PRISM_SIDE_OFFSET)
-    return np.array([rows[x] for x in P.facets])
+        rows[s] = _klein_plane([math.cos(th), math.sin(th), 0.0], c_s)
+    return np.array([rows[x] for x in Q.base.facets])
 
 
-def _loebell_seed(P, structure):
-    """Barrel seed: two caps and two interlocking tilted rings."""
+def _loebell_seed(Q, structure):
+    """Barrel seed: two caps x_3 = +-c_c and two interlocking rings at
+    offset c_r, tilted by +-tilt, the lower ring turned by -pi/m.
+
+    Every ridge of a class (cap-ring, within a ring, across the rings) gets
+    the class's mean kappa_1, kappa_2, kappa_3.  With X = c_r^2 and
+    A = 1 / (1 + tilt^2), the squared horizontal part of a ring normal, the
+    ring equations are linear, (1 + k_2) X + (1 - cos 2 pi/m) A = 1 + k_2
+    and -(1 + k_3) X + (1 + cos pi/m) A = 1 - k_3, with a solution in
+    (0, 1)^2 for every m >= 4; c_c then solves
+    -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2).  The seed
+    solves psi exactly when the orders are constant on each class."""
     top, bottom, upper, lower = structure
     m = len(upper)
-    s = math.sqrt(1.0 + LOEBELL_TILT * LOEBELL_TILT)
-    rows = {top: _klein_plane([0.0, 0.0, 1.0], LOEBELL_OFFSET),
-            bottom: _klein_plane([0.0, 0.0, -1.0], LOEBELL_OFFSET)}
+    k1 = _mean_cos(Q, [(cap, u) for cap, ring in ((top, upper), (bottom, lower)) for u in ring])
+    k2 = _mean_cos(Q, [(ring[j - 1], ring[j]) for ring in (upper, lower) for j in range(m)])
+    k3 = _mean_cos(Q, [(w, upper[j + d]) for j, w in enumerate(lower) for d in (-1, 0)])
+    cos1, cos2 = math.cos(math.pi / m), math.cos(2.0 * math.pi / m)
+    A = 2.0 * (1.0 + k2) / ((1.0 + k2) * (1.0 + cos1) + (1.0 - cos2) * (1.0 + k3))
+    X = 1.0 - (1.0 - cos2) * A / (1.0 + k2)
+    h, v = math.sqrt(A), math.sqrt(1.0 - A)
+    # c_c = cos(acos(v / R) - delta), where R e^{i delta} = c_r + i gamma
+    c_r, gamma = math.sqrt(X), k1 * math.sqrt(1.0 - X)
+    R2 = X + gamma * gamma
+    c_c = (c_r * v + gamma * math.sqrt(max(R2 - v * v, 0.0))) / R2
+    rows = {top: _klein_plane([0.0, 0.0, 1.0], c_c),
+            bottom: _klein_plane([0.0, 0.0, -1.0], c_c)}
     for i in range(m):
         th = 2.0 * math.pi * i / m
-        rows[upper[i]] = _klein_plane(
-            [math.cos(th) / s, math.sin(th) / s, LOEBELL_TILT / s], LOEBELL_OFFSET)
+        rows[upper[i]] = _klein_plane([h * math.cos(th), h * math.sin(th), v], c_r)
         th = 2.0 * math.pi * i / m - math.pi / m
-        rows[lower[i]] = _klein_plane(
-            [math.cos(th) / s, math.sin(th) / s, -LOEBELL_TILT / s], LOEBELL_OFFSET)
-    return np.array([rows[x] for x in P.facets])
+        rows[lower[i]] = _klein_plane([h * math.cos(th), h * math.sin(th), -v], c_r)
+    return np.array([rows[x] for x in Q.base.facets])
 
 
-def _doubled_cube_seed(P, structure):
+def _doubled_cube_seed(Q, structure):
     """A corner-truncated Euclidean cube reflected across the cut plane.
 
     Hexagon seeds are the symmetrized images of the three cube faces at the
@@ -493,7 +539,7 @@ def _doubled_cube_seed(P, structure):
         rows[h] = v / math.sqrt(LorentzForm(4).inner(v, v))
         rows[half1[h]] = _klein_plane(-e3[k], c)
         rows[half2[h]] = R @ _klein_plane(-e3[k], c)
-    return np.array([rows[x] for x in P.facets])
+    return np.array([rows[x] for x in Q.base.facets])
 
 
 # seed name -> (structure detector, seed builder, combinatorics), in inference order
@@ -510,7 +556,21 @@ def initial_guess(Q, name=None):
     (exact), 'prism' / 'cube', 'doubled_cube', 'loebell' (any m, including
     the dodecahedron L(5)).  A name that is unknown or does not fit the
     polytope raises CombinatoricsError, an input error; a polytope that no
-    seed fits raises RealizationError."""
+    seed fits raises RealizationError.
+
+    The prism and two-ring seeds are built from Q's own angles.  Each is the
+    rotationally symmetric configuration of Klein planes x . u = c, with
+    nu = (-c, -u) / sqrt(1 - c^2), that solves psi exactly when every ridge
+    of a symmetry class has the class's mean kappa = mean cos(pi/m_ij):
+
+    - prism (theta = 2 pi/m): c_s^2 = (cos theta + k_ss) / (1 + k_ss) and
+      c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s;
+    - two rings (X = c_r^2, A = 1 / (1 + tilt^2)):
+      (1 + k_2) X + (1 - cos 2 pi/m) A = 1 + k_2 within a ring,
+      -(1 + k_3) X + (1 + cos pi/m) A = 1 - k_3 across the rings, and
+      -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2) at the caps.
+
+    An offset the mean system puts at the origin becomes OFFSET_FLOOR."""
     P = Q.base
     if name == "simplex" or (name is None and P.f == P.n + 1
                              and P.e == P.f * (P.f - 1) // 2):
@@ -519,7 +579,7 @@ def initial_guess(Q, name=None):
         for detect, seed, _ in _SEEDS.values():
             structure = detect(P) if P.n == 3 else None
             if structure:
-                return seed(P, structure)
+                return seed(Q, structure)
         raise RealizationError("no bundled seed for this polytope; pass initial=")
     name = "prism" if name == "cube" else name
     if name not in _SEEDS:
@@ -528,4 +588,4 @@ def initial_guess(Q, name=None):
     structure = detect(P)
     if structure is None:
         raise CombinatoricsError(f"polytope does not have {kind} combinatorics")
-    return seed(P, structure)
+    return seed(Q, structure)

@@ -227,6 +227,12 @@ def weak_order_combinatorial(Q):
     return WeakOrdering(order, qualifying, status)
 
 
+def is_weakly_orderable(Q):
+    """Whether :func:`weak_order_combinatorial` succeeds, without building
+    its ordering: the greedy peel leaves nothing stuck."""
+    return not greedy_peel(Q.order2_adj, Q.n)[1]
+
+
 def check_weak_ordering(Q, ordering):
     """Independent validator: every facet has <= n order-2 ridges to
     higher-indexed facets under the given facet order."""

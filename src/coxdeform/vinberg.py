@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from coxdeform import lorentz
 from coxdeform.errors import VinbergError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
@@ -209,6 +208,8 @@ def _as_index(Q_or_index):
 def hyperbolic_point(realization):
     """The solution obtained from a hyperbolic realization:
     alpha_i = 2 <nu_i, .> and b_i = nu_i."""
+    from coxdeform import lorentz
+
     nus = realization.normals
     J = lorentz.LorentzForm(nus.shape[1]).matrix
     return VinbergPoint(2.0 * nus @ J, nus.copy(), tuple(realization.Q.base.facets))
@@ -353,7 +354,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     ``rank_phi`` is the full :func:`local_deformation_dimension` report, and
     this raises where it does.
     """
-    from coxdeform import orbifold as ob
+    from coxdeform import lorentz, orbifold as ob
 
     index, rphi = _phi_analysis(Q, p, policy)
     J = lorentz.LorentzForm(p.dim).matrix
@@ -363,7 +364,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     half = p.f * p.dim
     M = lorentz.psi_matrix(Q, p.bs)
     rpsi = jacobian_report("psi", M.shape, numerical_rank(M, policy))
-    wo = bool(ob.weak_order_combinatorial(Q))
+    wo = ob.is_weakly_orderable(Q)
 
     n2 = len(index.e2)
     Dpsi = M.build()

@@ -371,6 +371,30 @@ def factor_corpus():
     return out
 
 
+def shuffled_factor(P, rng):
+    """A factor through the smallest ridge from ``matchstats._maximum_matching``
+    with the node order and every neighbour list permuted at random, so that
+    the blossom search returns some other factor than ``find_factor``."""
+    edge = min(P.ridges)
+    adj = [[] for _ in P.vertices]
+    for r in P.ridges:
+        a, b = P.ridge_endpoints(r)
+        adj[a].append(b)
+        adj[b].append(a)
+    u, v = P.ridge_endpoints(edge)
+    nodes = [w for w in range(len(adj)) if w not in (u, v)]
+    adj = [[x for x in ws if x not in (u, v)] for ws in adj]
+    for ws in adj:
+        rng.shuffle(ws)
+    rng.shuffle(nodes)
+    mate = matchstats._maximum_matching(nodes, adj)
+    assert len(mate) == len(nodes)
+    factor = sorted([edge] + [tuple(sorted(P.vertices[a] & P.vertices[b]))
+                              for a, b in mate.items() if a < b])
+    assert matchstats.is_factor(P, factor)
+    return factor
+
+
 def factor_mask(P, factor):
     """A factor as a hex bit mask over ``sorted(P.ridges)``."""
     bit = {r: k for k, r in enumerate(sorted(P.ridges))}
@@ -510,6 +534,36 @@ def newton_lstsq_oracle(Q, initial, tol=lorentz.RESIDUAL_TOL, max_iter=100):
             raise lorentz.ConvergenceError(f"no descent step found at residual {norm:.3e}")
         x, r = x_new, r_new
     raise lorentz.ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
+def constant_seed_oracle(Q):
+    """The prism and two-ring seeds from fixed Klein offsets that ignore m
+    and the orders (caps 0.55, sides 0.5; rings and caps 0.78, tilt 0.5);
+    other polytopes get ``initial_guess``."""
+    P = Q.base
+    prism = lorentz._prism_structure(P)
+    two_ring = None if prism else lorentz._loebell_structure(P)
+    if prism:
+        a, b, ring = prism
+        rows = {a: lorentz._klein_plane([0.0, 0.0, 1.0], 0.55),
+                b: lorentz._klein_plane([0.0, 0.0, -1.0], 0.55)}
+        for i, s in enumerate(ring):
+            th = 2.0 * math.pi * i / len(ring)
+            rows[s] = lorentz._klein_plane([math.cos(th), math.sin(th), 0.0], 0.5)
+    elif two_ring:
+        top, bottom, upper, lower = two_ring
+        m, tilt = len(upper), 0.5
+        s = math.sqrt(1.0 + tilt * tilt)
+        rows = {top: lorentz._klein_plane([0.0, 0.0, 1.0], 0.78),
+                bottom: lorentz._klein_plane([0.0, 0.0, -1.0], 0.78)}
+        for i in range(m):
+            for ring, th, z in ((upper, 2.0 * math.pi * i / m, tilt),
+                                (lower, 2.0 * math.pi * i / m - math.pi / m, -tilt)):
+                rows[ring[i]] = lorentz._klein_plane(
+                    [math.cos(th) / s, math.sin(th) / s, z / s], 0.78)
+    else:
+        return lorentz.initial_guess(Q)
+    return np.array([rows[x] for x in P.facets])
 
 
 def dense_gram_oracle(M):

@@ -118,6 +118,15 @@ def test_normalize_idempotent_after_random_rescale(tetra_orbifold, tetra_point):
     assert np.allclose(nf.matrix.entries, nf2.matrix.entries, atol=1e-12)
 
 
+def test_normal_form_keeps_pattern(esselmann_matrix, tetra_orbifold, tetra_point):
+    for A in (esselmann_matrix, cartan_from_point(tetra_point, tetra_orbifold),
+              cartan.CartanMatrix(esselmann_matrix.entries)):
+        nf = cartan.diagonal_normalize(A).matrix
+        assert list(nf.orders.items()) == list(A.orders.items())
+        assert nf.facets == A.facets and nf.pos == A.pos
+        assert not np.shares_memory(nf.entries, A.entries)
+
+
 def test_component_types_invariant_under_rescaling(esselmann_matrix):
     rng = np.random.default_rng(9)
     base = [c.classification for c in cartan.decompose_components(esselmann_matrix)]

@@ -6,10 +6,11 @@ import pytest
 
 from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import numerical_rank
-from conftest import (family_realization, finite_difference_jacobian, gauss_newton_step_oracle,
-                      loebell_factor_orbifold, newton_case, newton_lstsq_oracle, psi_eval_oracle,
+from conftest import (constant_seed_oracle, family_realization, finite_difference_jacobian,
+                      gauss_newton_step_oracle, loebell_factor_orbifold, newton_case,
+                      newton_lstsq_oracle, prism_cap_orbifold, psi_eval_oracle,
                       psi_jacobian_oracle, random_lorentz_transform, relabelled,
-                      seed_structure_oracle, vertex_point)
+                      seed_structure_oracle, shuffled_factor, vertex_point)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -321,6 +322,78 @@ def test_schur_step_matches_full_solve_on_families(family):
         Q, R = family_realization(family, m)
         for x in _step_points(R.normals, rng) + [lorentz.initial_guess(Q)]:
             _assert_step_matches_full_solve(Q, x)
+
+
+# -- the mean-angle seeds against the constant-offset seeds they replace ------
+
+def _assert_same_realization(Q, R):
+    """Newton from the constant-offset seed reaches R's Gram matrix (unique
+    by Andreev's theorem) and R's vertex flags."""
+    old = lorentz.solve_hyperbolic_newton(Q, constant_seed_oracle(Q))
+    G = lorentz.lorentz_gram(R.normals)
+    assert np.abs(lorentz.lorentz_gram(old.normals) - G).max() <= 1e-9 * np.abs(G).max()
+    assert old.vertex_flags == R.vertex_flags
+
+
+@pytest.mark.parametrize("name", NEWTON_CASES)
+def test_seed_reaches_constant_seed_realization(name):
+    Q = newton_case(name)
+    _assert_same_realization(Q, lorentz.solve_hyperbolic_newton(Q))
+
+
+@pytest.mark.parametrize("family", ["loebell", "prism"])
+def test_seed_reaches_constant_seed_realization_on_families(family):
+    for m in range(5, 33):
+        _assert_same_realization(*family_realization(family, m))
+
+
+def _two_ring_class_orbifold(m, cap, within, across):
+    """L(m) with one order on each ridge class of the two-ring seed."""
+    P = pt.loebell(m)
+    top, bottom, upper, lower = lorentz._loebell_structure(P)
+    orders = {}
+    for c, ring in ((top, upper), (bottom, lower)):
+        for j in range(m):
+            orders[tuple(sorted((c, ring[j])))] = cap
+            orders[tuple(sorted((ring[j - 1], ring[j])))] = within
+    for j, w in enumerate(lower):
+        for u in (upper[j - 1], upper[j]):
+            orders[tuple(sorted((w, u)))] = across
+    return ob.make_orbifold(P, orders)
+
+
+def test_seeds_solve_psi_on_class_constant_orders():
+    # where the orders are constant on each ridge class the seed is exact
+    cases = []
+    for m in range(5, 33):
+        cases.append(prism_cap_orbifold(m))
+        cases += [_two_ring_class_orbifold(m, *orders)
+                  for orders in ((2, 3, 2), (3, 2, 2), (2, 2, 3))]
+    for Q in cases:
+        assert np.linalg.norm(lorentz.psi_eval(Q, lorentz.initial_guess(Q))) < lorentz.RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("m", [16, 24])
+def test_two_ring_seed_converges_on_every_factor(m):
+    # factors from a reshuffled blossom search; the constant-offset seed
+    # failed on about half of those of L(16)
+    P = pt.loebell(m)
+    rng = np.random.default_rng(m)
+    for _ in range(60):
+        factor = set(shuffled_factor(P, rng))
+        Q = ob.make_orbifold(P, {r: (3 if r in factor else 2) for r in P.ridges})
+        assert lorentz.solve_hyperbolic_newton(Q, max_iter=6).residual_norm < lorentz.RESIDUAL_TOL
+
+
+def test_newton_step_counts():
+    # the bundled orbifolds on the prism and two-ring seeds, and the
+    # benchmark's families
+    for name in ("cube_flex", "cube_mixed", "cube_rigid", "loebell5_factor",
+                 "loebell6_factor", "loebell7_factor", "loebell8_factor"):
+        lorentz.solve_hyperbolic_newton(bundled.load_builtin(name), max_iter=5)
+    for m in (8, 16, 32, 48, 64):
+        lorentz.solve_hyperbolic_newton(loebell_factor_orbifold(pt.loebell(m)), max_iter=6)
+        lorentz.solve_hyperbolic_newton(prism_cap_orbifold(m), max_iter=0)
 
 
 def _dimension_report(Q):

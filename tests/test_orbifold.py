@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, orbifold as ob, polytope as pt, vinberg
-from conftest import andreev_oracle, brute_force_weak_order
+from conftest import andreev_oracle, brute_force_weak_order, random_truncation
 
 # the order triples whose sum of 1/m is exactly 1; (2, 2, 2, 2) sums to 2
 EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
@@ -110,6 +110,19 @@ def test_weak_order_against_brute_force():
             assert bool(greedy) == (brute is not None)
             if greedy:
                 assert ob.check_weak_ordering(Q, greedy.order)
+
+
+def test_weak_orderability_verdict_matches_ordering():
+    cases = [bundled.load_builtin(name) for name in bundled.BUILTIN_NAMES]
+    rng = np.random.default_rng(29)
+    for base in (pt.cube(), pt.prism(5), pt.dodecahedron()):
+        for cuts in range(1, 6):
+            P = random_truncation(base, cuts, rng)
+            cases += [ob.CoxeterOrbifold(P, {r: int(rng.choice([2, 2, 2, 3])) for r in P.ridges})
+                      for _ in range(4)]
+    verdicts = [ob.is_weakly_orderable(Q) for Q in cases]
+    assert verdicts == [bool(ob.weak_order_combinatorial(Q)) for Q in cases]
+    assert set(verdicts) == {True, False}
 
 
 def test_truncation_orbifolds_weakly_orderable():

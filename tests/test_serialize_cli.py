@@ -372,6 +372,24 @@ def test_check_runs_without_numpy(tmp_path):
         assert json.loads((tmp_path / name).read_text())["valid"] is True
 
 
+def test_curve_and_cartan_do_not_load_lorentz(tmp_path):
+    # neither command realizes anything, so the Lorentz solver stays unloaded
+    from coxdeform import vinberg
+
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"matrix": vinberg.esselmann_base_matrix().tolist()}))
+    code = (
+        "import sys\n"
+        "from coxdeform import cli\n"
+        f"assert cli.main(['cartan', {str(matrix)!r}, '--out', {str(tmp_path / 'ca.json')!r}]) == 0\n"
+        "assert cli.main(['curve', 'esselmann', '--res', '5',\n"
+        f"                 '--out', {str(tmp_path / 'curve')!r}]) == 0\n"
+        "print('coxdeform.vinberg' in sys.modules, 'coxdeform.lorentz' in sys.modules)\n"
+    )
+    out = fresh_python("-c", code, check=True)
+    assert out.stdout.strip() == "True False"
+
+
 def test_exit_codes_from_a_cold_start(tmp_path):
     # each error class reaches its exit code in a fresh interpreter, where
     # only the modules the command imports are loaded
