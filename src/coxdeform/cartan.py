@@ -40,6 +40,9 @@ class CartanMatrix:
         self.pos = {facet: k for k, facet in enumerate(self.facets)}
         if orders is not None:
             self.orders = {_pair(*p): int(m) for p, m in dict(orders).items()}
+            outside = {i for p in self.orders for i in p} - set(self.pos)
+            if outside:
+                raise CartanError(f"orders name facet {min(outside)}, outside the {f} x {f} matrix")
         else:
             self.orders = self._infer_pattern()
 

@@ -4,9 +4,11 @@ Commands: ``check`` (validity, counts, weak orderability, Andreev report),
 ``realize`` (hyperbolic realization), ``dim`` (full pipeline to the local
 deformation dimension), ``cartan`` (matrix conditions, components, normal
 form), ``curve esselmann`` (determinant zero-set sampling), and ``stats``
-(weak-orderability statistics).  Exit status: 0 success, 1 validation
-failure, 2 numerical failure (divergence or an uncertain rank decision
-without --force).
+(weak-orderability statistics).  Each command takes only the shared options
+it reads (--tol, --rank-tol, --seed, --force), plus --out, and its report's
+"config" echoes their values (``coxdeform <command> -h``).  Exit status: 0
+success, 1 validation failure, 2 numerical failure (divergence or an
+uncertain rank decision without --force) or a command-line usage error.
 
 Each command imports the modules it uses, so ``check`` on a 3-dimensional
 orbifold runs without numpy.
@@ -26,61 +28,68 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-VALIDATION_ERRORS = (errors.SchemaError, errors.CombinatoricsError,
-                     errors.OrbifoldError, errors.CartanError,
-                     errors.GraphConditionError, errors.VinbergError,
-                     KeyError, FileNotFoundError, json.JSONDecodeError)
-NUMERICAL_ERRORS = (errors.ConvergenceError, errors.RealizationError)
-
 
 class NumericalFailure(RuntimeError):
     pass
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10,
-                        help="residual tolerance for solvers (default 1e-10)")
-    common.add_argument("--rank-tol", type=float, default=1e-12,
-                        help="relative singular-value threshold (default 1e-12)")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--force", action="store_true",
-                        help="downgrade uncertain rank decisions to warnings")
+VALIDATION_ERRORS = (errors.SchemaError, errors.CombinatoricsError,
+                     errors.OrbifoldError, errors.CartanError,
+                     errors.GraphConditionError, errors.VinbergError,
+                     KeyError, FileNotFoundError, json.JSONDecodeError)
+NUMERICAL_ERRORS = (NumericalFailure, errors.ConvergenceError, errors.RealizationError)
 
+# Each command takes exactly its shared options listed here, plus --out, and
+# its report's "config" echoes their values.
+SHARED_OPTIONS = {
+    "tol": {"type": float, "default": 1e-10,
+            "help": "residual tolerance for solvers (default 1e-10)"},
+    "rank_tol": {"type": float, "default": 1e-12,
+                 "help": "relative singular-value threshold (default 1e-12)"},
+    "seed": {"type": int, "default": 0, "help": "random seed (default 0)"},
+    "force": {"action": "store_true", "help": "downgrade uncertain rank decisions to warnings"},
+}
+COMMAND_OPTIONS = {"check": (), "realize": ("tol", "seed"),
+                   "dim": ("tol", "rank_tol", "seed", "force"),
+                   "cartan": ("rank_tol",), "curve": (), "stats": ("seed",)}
+
+
+def build_parser():
     ap = argparse.ArgumentParser(prog="coxdeform", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
-                       help="validate an orbifold and report its invariants")
+    def command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        for key in COMMAND_OPTIONS[name]:
+            p.add_argument("--" + key.replace("_", "-"), **SHARED_OPTIONS[key])
+        p.add_argument("--out", help="write the report here instead of stdout")
+        return p
+
+    p = command("check", "validate an orbifold and report its invariants")
     p.add_argument("orbifold", help="path to an orbifold JSON or a builtin name")
 
-    p = sub.add_parser("realize", parents=[common],
-                       help="compute a hyperbolic realization")
+    p = command("realize", "compute a hyperbolic realization")
     p.add_argument("orbifold")
     p.add_argument("--seed-name", default=None,
                    help="initial-guess family: simplex, prism, cube, "
                         "doubled_cube, loebell, random")
 
-    p = sub.add_parser("dim", parents=[common],
-                       help="realize and measure the local deformation dimension")
+    p = command("dim", "realize and measure the local deformation dimension")
     p.add_argument("orbifold")
     p.add_argument("--seed-name", default=None)
 
-    p = sub.add_parser("cartan", parents=[common], help="analyze a Cartan matrix")
+    p = command("cartan", "analyze a Cartan matrix")
     p.add_argument("matrix", help="path to a matrix JSON")
     p.add_argument("--n", type=int, default=None,
                    help="ambient dimension for classification (default: rank - 1)")
 
-    p = sub.add_parser("curve", parents=[common],
-                       help="sample a parametrized family's determinant zero set")
+    p = command("curve", "sample a parametrized family's determinant zero set")
     p.add_argument("family", choices=("esselmann",))
     p.add_argument("--box", type=float, nargs=4, default=(0.5, 2.0, 0.5, 2.0),
                    metavar=("X0", "X1", "Y0", "Y1"))
     p.add_argument("--res", type=int, default=101)
 
-    p = sub.add_parser("stats", parents=[common],
-                       help="weak-orderability statistics over order assignments")
+    p = command("stats", "weak-orderability statistics over order assignments")
     p.add_argument("polytope", help="path to a polytope JSON or a builtin name")
     p.add_argument("--d", type=int, required=True, help="order bound")
     p.add_argument("--mode", choices=("exact", "montecarlo"), default="montecarlo")
@@ -114,8 +123,7 @@ def load_polytope_arg(value):
 
 
 def config_echo(args):
-    return {"tol": args.tol, "rank_tol": args.rank_tol, "seed": args.seed,
-            "force": args.force}
+    return {key: getattr(args, key) for key in COMMAND_OPTIONS[args.command]}
 
 
 def cmd_check(args):
@@ -146,21 +154,16 @@ def cmd_check(args):
 
 
 def _realize(Q, args):
-    import numpy as np
-
     from coxdeform import lorentz
 
-    if Q.f == Q.n + 1:
-        return lorentz.realize_simplex(Q), "direct"
-    G = lorentz.gram_matrix(Q)
-    if not np.isnan(G).any():
-        return lorentz.realize_gram(Q), "direct-gram"
-    seed_name = getattr(args, "seed_name", None)
-    if seed_name == "random":
-        rng = np.random.default_rng(args.seed)
-        initial = rng.normal(size=(Q.f, Q.n + 1))
+    if not Q.base.nonadjacent_pairs:  # the prescribed Gram matrix is complete
+        return lorentz.realize_gram(Q), "direct" if Q.f == Q.n + 1 else "direct-gram"
+    if args.seed_name == "random":
+        import numpy as np
+
+        initial = np.random.default_rng(args.seed).normal(size=(Q.f, Q.n + 1))
     else:
-        initial = lorentz.initial_guess(Q, seed_name)
+        initial = lorentz.initial_guess(Q, args.seed_name)
     R = lorentz.solve_hyperbolic_newton(Q, initial, tol=args.tol)
     return R, "newton"
 
@@ -307,9 +310,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report, status = COMMANDS[args.command](args)
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

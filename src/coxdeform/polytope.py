@@ -238,23 +238,35 @@ def build_combinatorics(raw):
         ridge_entries = list(raw["ridges"])
     except (KeyError, TypeError) as exc:
         raise CombinatoricsError(f"malformed polytope description: {exc}") from exc
+    except ValueError:
+        raise CombinatoricsError(f"n = {raw['n']!r} is not an integer") from None
     ids = {}
     names = {}
     for k, entry in enumerate(facet_entries, start=1):
-        ids[entry] = k
+        try:
+            ids[entry] = k
+        except TypeError:
+            raise CombinatoricsError(f"facet entry {entry!r} is not an id or a name") from None
         names[k] = str(entry)
     if len(ids) != len(facet_entries):
         raise CombinatoricsError("duplicate facet entries")
 
-    def facet_id(entry):
-        if entry in ids:
-            return ids[entry]
-        raise CombinatoricsError(f"unknown facet {entry!r}")
+    def facet_ids(entry, kind):
+        pair = kind == "ridge"
+        if not isinstance(entry, (list, tuple)) or (pair and len(entry) != 2):
+            raise CombinatoricsError(
+                f"{kind} {entry!r} is not a {'pair' if pair else 'list'} of facets")
+        try:
+            return [ids[x] for x in entry]
+        except (KeyError, TypeError):
+            raise CombinatoricsError(f"{kind} {entry!r} names an unknown facet") from None
 
-    ridges = [(facet_id(a), facet_id(b)) for a, b in ridge_entries]
+    ridges = [tuple(facet_ids(r, "ridge")) for r in ridge_entries]
     vertices = raw.get("vertices")
     if vertices is not None:
-        vertices = [frozenset(facet_id(x) for x in V) for V in vertices]
+        if not isinstance(vertices, (list, tuple)):
+            raise CombinatoricsError(f"vertices {vertices!r} is not a list of facet lists")
+        vertices = [frozenset(facet_ids(V, "vertex")) for V in vertices]
     return PolytopeCombinatorics(n, sorted(ids.values()), ridges, vertices, names)
 
 

@@ -68,6 +68,8 @@ def load_orbifold(doc):
     P = load_polytope(doc)
     if "orders" not in doc:
         raise SchemaError('missing key "orders"')
+    if not isinstance(doc["orders"], list):
+        raise SchemaError(f'"orders" must be a list of [i, j, m] triples, got {doc["orders"]!r}')
     name_to_id = {entry: k for k, entry in enumerate(doc["facets"], start=1)}
     problems = []
     orders = {}
@@ -77,7 +79,11 @@ def load_orbifold(doc):
         except (TypeError, ValueError):
             problems.append(f"orders entry {item!r} is not a triple")
             continue
-        if i not in name_to_id or j not in name_to_id:
+        try:
+            known = i in name_to_id and j in name_to_id
+        except TypeError:  # a list or an object in place of a facet
+            known = False
+        if not known:
             problems.append(f"orders entry ({i},{j}) names an unknown facet")
             continue
         if not isinstance(m, int) or m < 2:

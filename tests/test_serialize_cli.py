@@ -1,7 +1,9 @@
+import argparse
 import json
 import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -76,7 +78,7 @@ def test_cli_dim_tetrahedron(capsys):
     code, out, _ = run_cli(capsys, "dim", "tetrahedron353")
     assert code == 0
     report = json.loads(out)
-    assert report["dimension"] == 0
+    assert report["dimension"] == 0 and report["method"] == "direct"
     assert report["rank_phi"]["rank"] == 13
     assert report["rank_psi"]["kernel_dim"] == 6
     assert report["config"]["seed"] == 0
@@ -123,8 +125,9 @@ def test_cli_curve_contains_singular_point(capsys, tmp_path):
 
 
 def test_cli_curve_default_files_are_pinned(capsys, tmp_path):
-    # sha256 of the res-101 CSV and contour JSON, recorded from the
-    # per-cell implementation that the array code replaced
+    # sha256 of the res-101 CSV and contour JSON: the CSV recorded from the
+    # per-cell implementation that the array code replaced, the JSON since its
+    # config block echoes only the options curve reads (none)
     import hashlib
 
     code, out, err = run_cli(capsys, "curve", "esselmann", "--out", str(tmp_path / "ess.csv"))
@@ -133,7 +136,7 @@ def test_cli_curve_default_files_are_pinned(capsys, tmp_path):
                for ext in ("csv", "json")}
     assert digests == {
         "csv": "e9c7d3d85e26aa053c5c15a5e8d6901644c1ddce8073d325a84ad0c00def7d33",
-        "json": "ebbc94a7a41748b679589d4f44814c859b309e1e62f80ce25c3892cc4c555141",
+        "json": "d05d1c32765b1be5a68f62cd19074af2a6b23776764311fa03ff2f0d97fd1a01",
     }
 
 
@@ -235,7 +238,7 @@ def test_cli_esselmann_dim(capsys):
     code, out, _ = run_cli(capsys, "dim", "esselmann")
     assert code == 0
     report = json.loads(out)
-    assert report["formula_dimension"] == 1
+    assert report["formula_dimension"] == 1 and report["method"] == "direct-gram"
     assert report["rank_phi"]["full_rank"] is False
     assert report["rank_phi"]["kernel_minus_gauge"] == 2
     assert report["rank_sum"]["identity_holds"] is True
@@ -286,13 +289,86 @@ def test_cli_refuses_malformed_cartan_matrices(capsys, tmp_path):
              ([[2, "a"], [-1, 2]], "matrix is not an array of numbers"),
              ({"matrix": [[2, None], [-1, 2]]}, "matrix has non-finite entries"),
              ({"matrix": [[2, -1], [-1, 2]], "orders": [[1, 2]]}, "orders must be"),
-             ({"matrix": [2, -1]}, "Cartan matrix must be square")]
+             ({"matrix": [2, -1]}, "Cartan matrix must be square"),
+             ({"matrix": [[2, -1], [-1, 2]], "orders": [[1, 3, 3]]},
+              "orders name facet 3, outside the 2 x 2 matrix")]
     for doc, message in cases:
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "cartan", str(path))
         assert (code, out) == (1, ""), doc
         assert err.startswith("validation failure: cartan: ") and message in err, (doc, err)
+
+
+def test_cli_refuses_malformed_orbifold_documents(capsys, tmp_path):
+    def edit(path, value):
+        doc = bundled.builtin_document("tetrahedron353")
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return doc
+
+    cases = [(edit(["n"], "x"), "n = 'x' is not an integer"),
+             (edit(["ridges", 0], [1, 2, 3]), "ridge [1, 2, 3] is not a pair of facets"),
+             (edit(["facets", 0], [1]), "facet entry [1] is not an id or a name"),
+             (edit(["vertices"], 5), "vertices 5 is not a list of facet lists"),
+             (edit(["vertices", 0], [1, [2], 3]), "vertex [1, [2], 3] names an unknown facet"),
+             (edit(["orders"], 5), '"orders" must be a list of [i, j, m] triples, got 5'),
+             (edit(["orders", 0, 0], [1]), "orders entry ([1],2) names an unknown facet")]
+    for doc, message in cases:
+        path = tmp_path / "orbifold.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, out) == (1, ""), doc
+        assert err.startswith("validation failure: ") and message in err, (doc, err)
+
+
+def _readme_option_table():
+    """{command: (flags echoed in config, other flags)} from README's
+    "Command line" section."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in re.findall(r"^\| `(\w+)` \|(.*)\|(.*)\|$", section, re.M):
+        command, echoed, other = row
+        table[command] = (re.findall(r"`(--[\w-]+)`", echoed),
+                          re.findall(r"`(--[\w-]+)`", other))
+    return table
+
+
+def test_readme_option_table_matches_parser_and_config(capsys, tmp_path):
+    # every option a command takes is in README's table and the reverse, and
+    # the report's config echoes exactly the table's middle column
+    from coxdeform import vinberg
+
+    table = _readme_option_table()
+    assert sorted(table) == sorted(cli.COMMANDS)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, (echoed, other) in table.items():
+        flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == set(echoed) | set(other), command
+
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"matrix": vinberg.esselmann_base_matrix().tolist()}))
+    runs = {"check": ["tetrahedron353"], "realize": ["tetrahedron353"],
+            "dim": ["tetrahedron353"], "cartan": [str(matrix)],
+            "curve": ["esselmann", "--res", "5", "--out", str(tmp_path / "curve")],
+            "stats": ["cube", "--d", "3", "--mode", "exact"]}
+    for command, argv in runs.items():
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0, command
+        report = json.loads(out or (tmp_path / "curve.json").read_text())
+        keys = [flag[2:].replace("-", "_") for flag in table[command][0]]
+        assert sorted(report["config"]) == sorted(keys), command
+
+    # an option the command does not read is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "tetrahedron353", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
 def test_cli_curve_refuses_fewer_than_two_grid_points(capsys, tmp_path):
