@@ -36,7 +36,7 @@ class NumericalFailure(RuntimeError):
 VALIDATION_ERRORS = (errors.SchemaError, errors.CombinatoricsError,
                      errors.OrbifoldError, errors.CartanError,
                      errors.GraphConditionError, errors.VinbergError,
-                     KeyError, FileNotFoundError, json.JSONDecodeError)
+                     FileNotFoundError, json.JSONDecodeError)
 NUMERICAL_ERRORS = (NumericalFailure, errors.ConvergenceError, errors.RealizationError)
 
 # Each command takes exactly its shared options listed here, plus --out, and

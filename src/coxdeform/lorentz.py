@@ -393,11 +393,8 @@ def _loebell_structure(P):
         return None
     m = (P.f - 2) // 2
     nbrs = P.nbrs
-    caps = [x for x in sorted(P.facets) if len(nbrs[x]) == m] or sorted(P.facets)
-    for top in caps:
+    for top in (x for x in sorted(P.facets) if len(nbrs[x]) == m):
         U = nbrs[top]
-        if len(U) != m:
-            continue
         rest = [x for x in P.facets if x != top and x not in U]
         bottoms = [x for x in rest if not nbrs[x] & U]
         if len(bottoms) != 1:

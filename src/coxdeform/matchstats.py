@@ -5,10 +5,11 @@ The 1-skeleton of a simple 3-polytope is a simple planar 3-connected cubic
 graph; edges carry labels in {0, 1} with an odd sum at every vertex (a factor
 indicator plus a cycle-space element).  The module finds factors through a
 required edge, lists removable edges, runs the constructive weak-ordering
-induction (delete a removable edge of a face with few 0-edges, recurse,
-reinsert), builds orbifolds from factors, and counts or estimates the share
-of weakly orderable orbifolds among valid ones up to an order bound: exactly,
-as a sum over the sets of order-2 edges, or by uniform Monte Carlo sampling.
+induction on the facet graph (delete a removable edge of a face with few
+0-edges, order the smaller graph, put the face first), builds orbifolds from
+factors, and counts or estimates the share of weakly orderable orbifolds
+among valid ones up to an order bound: exactly, as a sum over the sets of
+order-2 edges, or by uniform Monte Carlo sampling.
 """
 
 from __future__ import annotations
@@ -373,17 +374,14 @@ def edge_delete(P, edge, labels=None, keep=None):
 
 def removable_edges(P, face):
     """Edges of a face whose deletion keeps the graph simple, planar and
-    3-connected.  Guaranteed to find at least two on any face once the graph
-    has more than 6 edges; asserted."""
+    3-connected, in boundary order.  Deleting ridge (F, G) contracts the
+    edge FG of the facet graph, a triangulation; the result is again a
+    simple triangulation exactly when F and G have no common neighbours but
+    the two at the ridge's ends (FG lies on no separating triangle).  At
+    least two on any face once the graph has more than 6 edges; asserted."""
     if P.e <= 6:
         raise GraphConditionError("graph too small (need more than 6 edges)")
-    out = []
-    for r in P.face_boundary(face):
-        try:
-            edge_delete(P, r)
-        except GraphConditionError:
-            continue
-        out.append(r)
+    out = [r for r in P.face_boundary(face) if len(P.nbrs[r[0]] & P.nbrs[r[1]]) == 2]
     assert len(out) >= 2, f"face {face} has fewer than two removable edges"
     return out
 
@@ -398,13 +396,15 @@ def validate_face_order(P, labels, ordering):
 
 def construct_weak_order(P, labels):
     """Face ordering with at most three 0-edges into later faces, built by
-    the deletion induction.
+    the deletion induction on copies of the facet neighbour sets and labels.
 
-    Pick a face F with at most three 0-edges and a removable edge e on its
-    boundary; if e is labeled 0, flip every label on F's boundary (vertex
-    sums stay odd) so the pairs at e's endpoints agree; delete e, order the
-    smaller graph recursively, then put F first.  The result is validated
-    independently before returning.
+    Take the lowest face F with at most three 0-edges and a removable edge
+    (F, G), G its lowest such neighbour (see :func:`removable_edges`).  If
+    the edge is labeled 0, flip every label on F's boundary (vertex sums
+    stay odd); by parity the pairs at the edge's ends then carry equal
+    labels.  Delete the edge by merging F into G, order the smaller graph
+    and put F first.  The result is validated independently before
+    returning.
 
     On four faces any ordering works (each face has only three edges), so the
     odd-sum condition is not required there.
@@ -415,34 +415,35 @@ def construct_weak_order(P, labels):
             raise GraphConditionError("labels must cover the edge set exactly")
     else:
         work = dict(EdgeLabeledGraph(P, labels).labels)
-    ordering = _weak_order_rec(P, work)
+    nbrs = {i: set(js) for i, js in P.nbrs.items()}
+    ordering = []
+    while len(nbrs) > 4:
+        F, G = _deletion_step(nbrs, work)
+        if work[_pair(F, G)] == 0:
+            for j in nbrs[F]:
+                work[_pair(F, j)] ^= 1
+        for j in nbrs.pop(F):
+            nbrs[j].discard(F)
+            label = work.pop(_pair(F, j))
+            if j != G:  # at the two common neighbours the labels agree
+                nbrs[G].add(j)
+                nbrs[j].add(G)
+                work[_pair(G, j)] = label
+        ordering.append(F)
+    ordering = tuple(ordering) + tuple(sorted(nbrs))
     if not validate_face_order(P, labels, ordering):
         raise GraphConditionError("constructed ordering failed validation")
     return ordering
 
 
-def _zero_count(P, labels, face):
-    return sum(1 for j in P.nbrs[face] if labels[_pair(face, j)] == 0)
-
-
-def _weak_order_rec(P, labels):
-    if P.f == 4:
-        return tuple(sorted(P.facets))
-    for F in (i for i in sorted(P.facets) if _zero_count(P, labels, i) <= 3):
-        # the first removable boundary edge suffices; removability is the
-        # edge_delete validation itself
-        for e in P.face_boundary(F):
-            work = dict(labels)
-            if work[e] == 0:
-                for r in P.face_boundary(F):
-                    work[r] = 1 - work[r]
-            try:
-                Q, sub_labels = edge_delete(P, e, work,
-                                            keep=(e[1] if e[0] == F else e[0]))
-            except GraphConditionError:
-                continue
-            rest = _weak_order_rec(Q, sub_labels)
-            return (F,) + rest
+def _deletion_step(nbrs, labels):
+    """The faces (F, G) of the next step of :func:`construct_weak_order`."""
+    for F in sorted(nbrs):
+        if sum(labels[_pair(F, j)] == 0 for j in nbrs[F]) > 3:
+            continue
+        for G in sorted(nbrs[F]):
+            if len(nbrs[F] & nbrs[G]) == 2:
+                return F, G
     raise GraphConditionError("no face with at most three 0-edges had a usable edge")
 
 
@@ -592,10 +593,12 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
 
     Every edge takes an order in {2..d}; validity is the package's
     Andreev-type necessary conditions (vertex ellipticity plus prismatic
-    circuit inequalities).  Exact mode sums, over every set Z of order-2
-    edges, the number of valid assignments with exactly those order-2 edges
-    when Z is weakly orderable (2^e sets, refused beyond 18 edges whatever d
-    is).  It tabulates N_j(d), the number of valid assignments with exactly j
+    circuit inequalities), without the triangular-prism condition of
+    :func:`orbifold.andreev_necessary_check`: on ``prism(3)`` orbifolds with
+    right-angled caps count as valid.  Exact mode sums, over every set Z of
+    order-2 edges, the number of valid assignments with exactly those
+    order-2 edges when Z is weakly orderable (2^e sets, refused beyond 18
+    edges whatever d is).  It tabulates N_j(d), the number of valid assignments with exactly j
     edges of order >= 7; for d in {7, 8} it checks N_j(d) = N_j(7) * (d-6)^j
     against a fresh d = 7 count.  With no valid assignment the fraction and
     its interval are None.  Monte Carlo mode draws exactly uniform valid

@@ -314,19 +314,22 @@ class AndreevReport:
     vertex_violations: list = field(default_factory=list)
     circuit3_violations: list = field(default_factory=list)
     circuit4_violations: list = field(default_factory=list)
+    prism_violations: list = field(default_factory=list)
     is_tetrahedron: bool = False
 
     @property
     def passed(self):
         return not (self.vertex_violations or self.circuit3_violations
-                    or self.circuit4_violations)
+                    or self.circuit4_violations or self.prism_violations)
 
 
 def andreev_necessary_check(Q):
     """Necessary inequalities for a compact hyperbolic realization, n = 3:
     angle sum > pi at every vertex, < pi around every prismatic 3-circuit,
-    < 2 pi around every prismatic 4-circuit.  The tetrahedron case is only
-    flagged (these conditions do not govern the simplex)."""
+    < 2 pi around every prismatic 4-circuit, and on the triangular prism not
+    every angle at the two caps pi/2 (the violation lists the caps).  The
+    tetrahedron case is only flagged (these conditions do not govern the
+    simplex)."""
     if Q.n != 3:
         raise OrbifoldError("Andreev conditions apply to n=3")
     report = AndreevReport(is_tetrahedron=(Q.f == 4))
@@ -340,6 +343,10 @@ def andreev_necessary_check(Q):
             orders = [Q.order(circuit[t], circuit[(t + 1) % k]) for t in range(k)]
             if reciprocal_sum_sign(orders, bound) >= 0:
                 violations.append((circuit, _angle_sum(orders)))
+    if Q.f == 5:  # the triangular prism: its caps are the one non-adjacent pair
+        (caps,) = Q.base.nonadjacent_pairs
+        if all(Q.order(c, j) == 2 for c in caps for j in Q.base.nbrs[c]):
+            report.prism_violations.append(caps)
     return report
 
 

@@ -11,6 +11,7 @@ simple, planar, 3-connected cubic graph.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -233,17 +234,19 @@ def build_combinatorics(raw):
     String facet names are mapped to ids 1..f in listed order.
     """
     try:
-        n = int(raw["n"])
+        n = raw["n"]
         facet_entries = list(raw["facets"])
         ridge_entries = list(raw["ridges"])
     except (KeyError, TypeError) as exc:
         raise CombinatoricsError(f"malformed polytope description: {exc}") from exc
-    except ValueError:
-        raise CombinatoricsError(f"n = {raw['n']!r} is not an integer") from None
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise CombinatoricsError(f"n = {n!r} is not an integer")
     ids = {}
     names = {}
     for k, entry in enumerate(facet_entries, start=1):
         try:
+            if isinstance(entry, bool):  # true would share the key of 1
+                raise TypeError
             ids[entry] = k
         except TypeError:
             raise CombinatoricsError(f"facet entry {entry!r} is not an id or a name") from None
@@ -257,6 +260,8 @@ def build_combinatorics(raw):
             raise CombinatoricsError(
                 f"{kind} {entry!r} is not a {'pair' if pair else 'list'} of facets")
         try:
+            if any(isinstance(x, bool) for x in entry):
+                raise KeyError
             return [ids[x] for x in entry]
         except (KeyError, TypeError):
             raise CombinatoricsError(f"{kind} {entry!r} names an unknown facet") from None
@@ -294,13 +299,12 @@ def _enumerate_prismatic(P, k):
         raise CombinatoricsError("only 3- and 4-circuits are supported")
     if P.n != 3:
         raise CombinatoricsError("prismatic circuits are defined for n=3")
-    found = {}
+    found = set()
     for cyc in _dual_cycles(P, k):
-        crossed = [_pair(cyc[t], cyc[(t + 1) % k]) for t in range(k)]
-        ends = [w for r in crossed for w in P.ridge_endpoints(r)]
-        if len(set(ends)) == 2 * k:
-            found[_canonical_cycle(cyc)] = tuple(crossed)
-    return sorted(found.keys())
+        ends = {w for t in range(k) for w in P.ridge_endpoints((cyc[t], cyc[(t + 1) % k]))}
+        if len(ends) == 2 * k:
+            found.add(_canonical_cycle(cyc))
+    return sorted(found)
 
 
 def _dual_cycles(P, k):
@@ -363,57 +367,34 @@ class TruncationWitness:
 def is_truncation_polytope(P):
     """Decide whether P is an iterated vertex truncation of a simplex.
 
-    For n >= 4 this is the statement delta_P = 0.  For n = 3 a greedy
-    reverse-truncation peel is run; on success the witness history lists the
-    facets removed, in reverse-truncation order down to the simplex.
+    For n >= 4 this is the statement delta_P = 0.  For n = 3 it is decided
+    in the facet graph, a planar triangulation (the dual of the skeleton):
+    P is a truncation polytope exactly when that triangulation is stacked (a
+    planar 3-tree).  Un-truncating a triangle deletes a degree-3 vertex,
+    which leaves a triangulation while more than four facets remain, and in
+    a planar 3-tree any degree-3 vertex may go first.  So the lowest
+    triangle is removed from a copy of the neighbour sets until four facets
+    remain; the answer is no if none is left first.  On success the witness
+    history lists the facets removed, in reverse-truncation order.
     """
     if P.n >= 4:
         return TruncationWitness(delta_invariant(P) == 0, [], method="delta")
-    return _reverse_truncation_search(P)
-
-
-def _is_simplex(P):
-    return P.f == P.n + 1 and P.e == P.f * (P.f - 1) // 2
-
-
-def _reverse_truncation_search(P):
-    """Un-truncate the lowest qualifying facet until a simplex remains.
-
-    The dual of a truncation 3-polytope is a stacked triangulation (a planar
-    3-tree).  In a planar 3-tree with more than 4 vertices every degree-3
-    vertex is simplicial, and removing it leaves a planar 3-tree.  So
-    un-truncation is confluent: any qualifying facet may go first, and one
-    greedy pass decides membership without backtracking.
-    """
+    nbrs = {i: set(js) for i, js in P.nbrs.items()}
+    # a facet of degree 3 keeps it until removed: a triangulation with four
+    # or more vertices has none of degree 2
+    triangles = [i for i, js in nbrs.items() if len(js) == 3]
+    heapq.heapify(triangles)
     history = []
-    while not _is_simplex(P):
-        for facet in sorted(P.facets):
-            nbrs = P.neighbors(facet)
-            if len(nbrs) != P.n:
-                continue
-            restored = frozenset(nbrs)
-            if not all(P.adjacent(i, j) for i, j in itertools.combinations(nbrs, 2)):
-                continue
-            if restored in P.vertices:
-                continue
-            try:
-                P = _untruncate(P, facet, restored)
-            except CombinatoricsError:
-                continue
-            history.append(facet)
-            break
-        else:
+    while len(nbrs) > 4:
+        if not triangles:
             return TruncationWitness(False, [])
+        facet = heapq.heappop(triangles)
+        for j in nbrs.pop(facet):
+            nbrs[j].discard(facet)
+            if len(nbrs[j]) == 3:
+                heapq.heappush(triangles, j)
+        history.append(facet)
     return TruncationWitness(True, history)
-
-
-def _untruncate(P, facet, restored):
-    facets = tuple(i for i in P.facets if i != facet)
-    ridges = {r for r in P.ridges if facet not in r}
-    vertices = [V for V in P.vertices if facet not in V]
-    vertices.append(restored)
-    names = {i: P.names[i] for i in facets}
-    return PolytopeCombinatorics(P.n, facets, ridges, vertices, names)
 
 
 # -- built-in generators -----------------------------------------------------

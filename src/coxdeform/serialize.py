@@ -80,7 +80,7 @@ def load_orbifold(doc):
             problems.append(f"orders entry {item!r} is not a triple")
             continue
         try:
-            known = i in name_to_id and j in name_to_id
+            known = all(x in name_to_id and not isinstance(x, bool) for x in (i, j))
         except TypeError:  # a list or an object in place of a facet
             known = False
         if not known:

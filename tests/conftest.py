@@ -238,8 +238,10 @@ def prismatic_oracle(P, k):
 
 def andreev_oracle(Q):
     """Andreev violations of a 3-orbifold from ``Fraction`` sums of 1/m: the
-    sorted vertex triples whose sum is not above 1, and the circuits of
-    ``prismatic_oracle`` whose sum is not below 1 (k = 3) or 2 (k = 4)."""
+    sorted vertex triples whose sum is not above 1, the circuits of
+    ``prismatic_oracle`` whose sum is not below 1 (k = 3) or 2 (k = 4), and
+    the caps of a triangular prism (its two triangles) when every ridge of
+    both has order 2."""
     def total(orders):
         return sum(Fraction(1, m) for m in orders)
 
@@ -250,7 +252,11 @@ def andreev_oracle(Q):
                 if not total(Q.order(i, j) for i, j in itertools.combinations(sorted(V), 2)) > 1}
     circuits = {k: {cyc for cyc in prismatic_oracle(Q.base, k) if not total(crossed(cyc)) < k - 2}
                 for k in (3, 4)}
-    return vertices, circuits[3], circuits[4]
+    triangles = tuple(i for i in Q.base.facets if len(Q.base.neighbors(i)) == 3)
+    prism = set()
+    if Q.f == 5 and all(Q.order(i, j) == 2 for i in triangles for j in Q.base.neighbors(i)):
+        prism.add(triangles)
+    return vertices, circuits[3], circuits[4], prism
 
 
 def skeleton(P):
@@ -401,12 +407,13 @@ def factor_mask(P, factor):
     return format(sum(1 << bit[r] for r in factor), "x")
 
 
-def reverse_truncation_oracle(P, history=()):
-    """Backtracking search over every un-truncation order of a 3-polytope
-    (no memo, so factorial on "no" answers): the witness of the first order
-    that ends at a simplex, else a negative witness."""
-    if pt._is_simplex(P):
-        return pt.TruncationWitness(True, list(history))
+def _is_simplex(P):
+    return P.f == P.n + 1 and P.e == P.f * (P.f - 1) // 2
+
+
+def _untruncates(P):
+    """(facet, the polytope with that facet un-truncated) for each facet of
+    a 3-polytope that passes every check of the rebuild, lowest id first."""
     for facet in sorted(P.facets):
         nbrs = P.neighbors(facet)
         if len(nbrs) != P.n:
@@ -416,14 +423,84 @@ def reverse_truncation_oracle(P, history=()):
             continue
         if restored in P.vertices:
             continue
+        facets = tuple(i for i in P.facets if i != facet)
+        ridges = {r for r in P.ridges if facet not in r}
+        vertices = [V for V in P.vertices if facet not in V] + [restored]
         try:
-            Q = pt._untruncate(P, facet, restored)
+            yield facet, pt.PolytopeCombinatorics(P.n, facets, ridges, vertices,
+                                                  {i: P.names[i] for i in facets})
         except pt.CombinatoricsError:
             continue
+
+
+def greedy_truncation_oracle(P):
+    """Un-truncate the lowest facet that rebuilds into a valid polytope,
+    until a simplex remains: one validated polytope per step."""
+    history = []
+    while not _is_simplex(P):
+        step = next(_untruncates(P), None)
+        if step is None:
+            return pt.TruncationWitness(False, [])
+        history.append(step[0])
+        P = step[1]
+    return pt.TruncationWitness(True, history)
+
+
+def reverse_truncation_oracle(P, history=()):
+    """Backtracking search over every un-truncation order of a 3-polytope
+    (no memo, so factorial on "no" answers): the witness of the first order
+    that ends at a simplex, else a negative witness."""
+    if _is_simplex(P):
+        return pt.TruncationWitness(True, list(history))
+    for facet, Q in _untruncates(P):
         result = reverse_truncation_oracle(Q, list(history) + [facet])
         if result:
             return result
     return pt.TruncationWitness(False, [])
+
+
+def _induction_steps(P, labels):
+    """(F, smaller polytope, its labels) for each deletion the weak-order
+    induction may make next, in its order of preference: the lowest face F
+    with at most three 0-edges, merged into its lowest neighbour G for
+    which ``edge_delete`` succeeds, after flipping F's labels if (F, G) is
+    labeled 0."""
+    for F in sorted(P.facets):
+        if sum(labels[(min(F, j), max(F, j))] == 0 for j in P.nbrs[F]) > 3:
+            continue
+        for G in sorted(P.nbrs[F]):
+            work = dict(labels)
+            if work[(min(F, G), max(F, G))] == 0:
+                for r in P.face_boundary(F):
+                    work[r] = 1 - work[r]
+            try:
+                Q, sub = matchstats.edge_delete(P, (F, G), work, keep=G)
+            except matchstats.GraphConditionError:
+                continue
+            yield F, Q, sub
+
+
+def weak_order_induction_oracle(P, labels):
+    """The ordering of ``construct_weak_order``, from one validated
+    ``edge_delete`` per step (which asserts that vertex sums stay odd)."""
+    ordering = []
+    while P.f > 4:
+        F, P, labels = next(_induction_steps(P, labels))
+        ordering.append(F)
+    return tuple(ordering) + tuple(sorted(P.facets))
+
+
+def removable_edges_oracle(P, face):
+    """The boundary ridges of ``face`` on which a trial ``edge_delete``
+    succeeds, in boundary order."""
+    out = []
+    for r in P.face_boundary(face):
+        try:
+            matchstats.edge_delete(P, r)
+        except matchstats.GraphConditionError:
+            continue
+        out.append(r)
+    return out
 
 
 def psi_eval_oracle(Q, normals):

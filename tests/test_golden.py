@@ -28,6 +28,9 @@ CASES.update({
     # a cut dodecahedron without vertices, facets renamed and lists shuffled:
     # loading rebuilds the vertices from the facet adjacency
     "check-vertexless_truncation": ["check", str(GOLDEN / "vertexless_truncation.json")],
+    # simplex(3) with 30 cuts (conftest.random_truncation, default_rng(30))
+    # and order 3 on a factor: pins a 30-step truncation history
+    "check-truncated_simplex": ["check", str(GOLDEN / "truncated_simplex.json")],
     # the det grid of the Esselmann family as CSV on stdout
     "curve-esselmann-r21": ["curve", "esselmann", "--res", "21"],
 })

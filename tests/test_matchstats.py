@@ -15,7 +15,8 @@ from conftest import (assignment_validity_oracle, backward_counts_oracle,
                       brute_force_weak_order, enumerate_perfect_matchings,
                       exact_counts_oracle, factor_corpus, factor_mask, find_factor_oracle,
                       mask_edge_sets, peel_oracle, plan_steps_oracle, random_parity_labels,
-                      random_truncation, row_edge_sets)
+                      random_truncation, removable_edges_oracle, row_edge_sets,
+                      weak_order_induction_oracle)
 
 FACTOR_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "factors.json"
 
@@ -136,6 +137,40 @@ def test_removable_edges_cube():
             assert Q.f == P.f - 1 and Q.e == P.e - 3
 
 
+def test_removable_edges_match_trial_deletion():
+    # the facet-graph rule equals a trial edge_delete on every boundary ridge
+    rng = np.random.default_rng(29)
+    polytopes = [bundled.load_builtin(name).base for name in bundled.BUILTIN_NAMES]
+    polytopes += [pt.prism(m) for m in range(3, 13)] + [pt.loebell(m) for m in range(5, 13)]
+    for base in (pt.simplex(3), pt.cube(), pt.prism(5), pt.dodecahedron()):
+        polytopes += [random_truncation(base, cuts, rng) for cuts in range(1, 16)]
+    for P in polytopes:
+        if P.n != 3 or P.e <= 6:
+            continue
+        for face in P.facets:
+            assert ms.removable_edges(P, face) == removable_edges_oracle(P, face)
+
+
+def test_facet_graph_decisions_build_no_polytope(monkeypatch):
+    P = random_truncation(pt.simplex(3), 12, np.random.default_rng(31))
+    Q = random_truncation(pt.dodecahedron(), 3, np.random.default_rng(31))
+    labels = ms.labels_from_factor(Q, ms.find_factor(Q, min(Q.ridges)))
+    built = []
+    init = pt.PolytopeCombinatorics.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pt.PolytopeCombinatorics, "__init__", counting_init)
+    assert pt.is_truncation_polytope(P).is_truncation
+    assert not pt.is_truncation_polytope(Q).is_truncation
+    for face in Q.facets:
+        ms.removable_edges(Q, face)
+    ms.construct_weak_order(Q, labels)
+    assert built == []
+
+
 def test_removable_edges_too_small():
     with pytest.raises(ms.GraphConditionError):
         ms.removable_edges(pt.simplex(3), 1)
@@ -194,8 +229,11 @@ def test_construct_weak_order_dodecahedron_factor():
     assert ms.validate_face_order(P, labels, ordering)
 
 
-@pytest.mark.parametrize("gen", [pt.cube, lambda: pt.prism(3), lambda: pt.prism(5),
-                                 pt.dodecahedron, lambda: pt.loebell(6)])
+@pytest.mark.parametrize("gen", [
+    pt.cube, lambda: pt.prism(3), lambda: pt.prism(5), pt.dodecahedron, lambda: pt.loebell(6),
+    # cut corners give separating triangles, so some ridges are not removable
+    lambda: random_truncation(pt.cube(), 4, np.random.default_rng(3)),
+    lambda: random_truncation(pt.dodecahedron(), 6, np.random.default_rng(5))])
 def test_construct_weak_order_random_labelings(gen):
     P = gen()
     rng = np.random.default_rng(P.f)
@@ -203,6 +241,16 @@ def test_construct_weak_order_random_labelings(gen):
         labels = random_parity_labels(P, rng)
         ordering = ms.construct_weak_order(P, labels)
         assert ms.validate_face_order(P, labels, ordering)
+        assert ordering == weak_order_induction_oracle(P, labels)
+
+
+def test_construct_weak_order_large_loebell():
+    # one facet per step without recursion: L(500) has 1002 facets
+    P = pt.loebell(500)
+    labels = ms.labels_from_factor(P, ms.find_factor(P, min(P.ridges)))
+    ordering = ms.construct_weak_order(P, labels)
+    assert sorted(ordering) == sorted(P.facets)
+    assert ms.validate_face_order(P, labels, ordering)
 
 
 def test_orbifold_from_factor_dodecahedron():

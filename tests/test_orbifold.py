@@ -1,10 +1,13 @@
+import argparse
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, orbifold as ob, polytope as pt, vinberg
+from coxdeform.errors import ConvergenceError, RealizationError
 from conftest import andreev_oracle, brute_force_weak_order, random_truncation
 
 # the order triples whose sum of 1/m is exactly 1; (2, 2, 2, 2) sums to 2
@@ -193,6 +196,38 @@ def test_andreev_all_right_angles_cube_fails():
         assert s == pytest.approx(2.0)
 
 
+def test_andreev_passes_exactly_the_realizable_triangular_prisms():
+    # seeded prism(3) orders: 2 or 3 on the cap ridges (2 twice as likely),
+    # 2..6 on the sides.  Right-angled caps meet at infinity, so the
+    # realization is refused; on some draws only the prism condition says so.
+    from coxdeform import cli
+
+    P = pt.prism(3)
+    caps = [r for r in sorted(P.ridges) if r[0] in (1, 2)]
+    sides = [r for r in sorted(P.ridges) if r[0] > 2]
+    args = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
+    rng = np.random.default_rng(1)
+    outcomes = Counter()
+    for _ in range(400):
+        orders = dict(zip(caps, rng.choice([2, 2, 3], size=6).tolist()))
+        orders.update(zip(sides, rng.integers(2, 7, size=3).tolist()))
+        try:
+            Q = ob.make_orbifold(P, orders)
+        except ob.OrbifoldError:
+            continue
+        report = _assert_andreev_exact(Q)
+        try:
+            cli._realize(Q, args)
+            realized = True
+        except (ConvergenceError, RealizationError):
+            realized = False
+        assert report.passed == realized, orders
+        outcomes[report.passed, bool(report.prism_violations),
+                 bool(report.vertex_violations or report.circuit3_violations)] += 1
+    assert set(outcomes) == {(True, False, False), (False, True, False),
+                             (False, False, True), (False, True, True)}
+
+
 def test_andreev_tetrahedron_flag(tetra_orbifold):
     report = ob.andreev_necessary_check(tetra_orbifold)
     assert report.is_tetrahedron and report.passed
@@ -212,22 +247,24 @@ def _assert_andreev_exact(Q):
     """The report's violations are the Fraction oracle's, each printed with
     the float sum of 1/m over its orders."""
     report = ob.andreev_necessary_check(Q)
-    vertices, c3, c4 = andreev_oracle(Q)
+    vertices, c3, c4, prism = andreev_oracle(Q)
     assert {V for V, _ in report.vertex_violations} == vertices
     assert {c for c, _ in report.circuit3_violations} == c3
     assert {c for c, _ in report.circuit4_violations} == c4
+    assert set(report.prism_violations) == prism
     for V, s in report.vertex_violations:
         assert s == sum(1.0 / Q.order(i, j) for i, j in itertools.combinations(V, 2))
     for c, s in report.circuit3_violations + report.circuit4_violations:
         assert s == sum(1.0 / Q.order(c[t], c[(t + 1) % len(c)]) for t in range(len(c)))
-    assert report.passed == (not (vertices or c3 or c4))
+    assert report.passed == (not (vertices or c3 or c4 or prism))
     return report
 
 
 def test_andreev_circuit_sums_are_exact():
     # prism(3): caps 1 and 2, sides 3, 4, 5; the sides form the one prismatic
     # 3-circuit.  A Euclidean triple on it fails in every order, although
-    # 1/2 + 1/6 + 1/3 rounds to 0.9999999999999999 in floats.
+    # 1/2 + 1/6 + 1/3 rounds to 0.9999999999999999 in floats.  The caps are
+    # right-angled, which the prism condition rejects in every case.
     P = pt.prism(3)
     sides = [(3, 4), (3, 5), (4, 5)]
     for base in EUCLIDEAN_TRIPLES + ((2, 3, 7),):
@@ -235,7 +272,8 @@ def test_andreev_circuit_sums_are_exact():
             orders = {r: 2 for r in P.ridges}
             orders.update(zip(sides, perm))
             report = _assert_andreev_exact(ob.make_orbifold(P, orders))
-            assert report.passed == (base == (2, 3, 7)), perm
+            assert (not report.circuit3_violations) == (base == (2, 3, 7)), perm
+            assert report.prism_violations == [(1, 2)] and not report.passed
 
 
 def test_andreev_vertex_sums_are_exact():

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, polytope as pt
-from conftest import (enumerate_dual_cycles, face_boundary_oracle, neighbours_oracle,
-                      nonadjacent_oracle, planar_dual_vertices_oracle, prismatic_oracle,
-                      random_truncation, reverse_truncation_oracle,
+from conftest import (enumerate_dual_cycles, face_boundary_oracle, greedy_truncation_oracle,
+                      neighbours_oracle, nonadjacent_oracle, planar_dual_vertices_oracle,
+                      prismatic_oracle, random_truncation, reverse_truncation_oracle,
                       three_connected_planar_oracle)
 
 
@@ -238,6 +238,20 @@ def test_truncation_recognition_matches_backtracking_oracle():
                 witness = pt.is_truncation_polytope(P)
                 assert witness == reverse_truncation_oracle(P)
                 outcomes.add(witness.is_truncation)
+    assert outcomes == {True, False}
+
+
+def test_truncation_recognition_matches_greedy_rebuild_oracle():
+    # deciding in the facet graph gives the witness of rebuilding and
+    # validating the polytope at every step, history included
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for base in (pt.simplex(3), pt.cube(), pt.prism(5), pt.dodecahedron()):
+        for cuts in (0, 1, 2, 5, 12, 30, 60):
+            P = random_truncation(base, cuts, rng)
+            witness = pt.is_truncation_polytope(P)
+            assert witness == greedy_truncation_oracle(P), (base.f, cuts)
+            outcomes.add(witness.is_truncation)
     assert outcomes == {True, False}
 
 

@@ -316,13 +316,30 @@ def test_cli_refuses_malformed_orbifold_documents(capsys, tmp_path):
              (edit(["vertices"], 5), "vertices 5 is not a list of facet lists"),
              (edit(["vertices", 0], [1, [2], 3]), "vertex [1, [2], 3] names an unknown facet"),
              (edit(["orders"], 5), '"orders" must be a list of [i, j, m] triples, got 5'),
-             (edit(["orders", 0, 0], [1]), "orders entry ([1],2) names an unknown facet")]
+             (edit(["orders", 0, 0], [1]), "orders entry ([1],2) names an unknown facet"),
+             (edit(["n"], 3.5), "n = 3.5 is not an integer"),
+             (edit(["n"], "3"), "n = '3' is not an integer"),
+             (edit(["n"], True), "n = True is not an integer"),
+             (edit(["facets", 0], True), "facet entry True is not an id or a name"),
+             (edit(["ridges", 0, 0], True), "ridge [True, 2] names an unknown facet"),
+             (edit(["vertices", 0, 0], True), "vertex [True, 2, 3] names an unknown facet"),
+             (edit(["orders", 0, 0], True), "orders entry (True,2) names an unknown facet")]
     for doc, message in cases:
         path = tmp_path / "orbifold.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "check", str(path))
         assert (code, out) == (1, ""), doc
         assert err.startswith("validation failure: ") and message in err, (doc, err)
+
+
+def test_cli_lets_an_unexpected_key_error_escape(monkeypatch):
+    # only the package's input errors are validation failures
+    def lookup_bug(Q):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(ob, "counts", lookup_bug)
+    with pytest.raises(KeyError, match="bug"):
+        cli.main(["check", "tetrahedron353"])
 
 
 def _readme_option_table():
