@@ -8,6 +8,7 @@ realization), and runs the Andreev-type necessary inequalities for n = 3.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,16 +24,19 @@ class CoxeterOrbifold:
     """A simple polytope with an order n_ij >= 2 on each ridge.
 
     Immutable after construction; built via :func:`make_orbifold`.
-    ``order2_adj[k]`` is the bitmask of order-2 neighbours of ``ids[k]``,
-    the k-th facet in increasing id order.
+    ``order2_nbrs`` maps each facet to the frozenset of its order-2
+    neighbours.
     """
 
     def __init__(self, base, orders):
         self.base = base
         self.orders = {_pair(i, j): int(m) for (i, j), m in orders.items()}
-        self.ids = tuple(sorted(base.facets))
-        self.order2_adj = bitmask_adjacency(
-            self.ids, (r for r, m in self.orders.items() if m == 2))
+        nbrs = {i: set() for i in base.facets}
+        for (i, j), m in self.orders.items():
+            if m == 2:
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+        self.order2_nbrs = {i: frozenset(js) for i, js in nbrs.items()}
 
     def order(self, i, j):
         return self.orders[_pair(i, j)]
@@ -56,7 +60,7 @@ class CoxeterOrbifold:
         return list(self.base.nonadjacent_pairs)
 
     def order2_neighbors(self, i):
-        return sorted(j for j in self.base.nbrs[i] if self.orders.get(_pair(i, j)) == 2)
+        return sorted(self.order2_nbrs[i])
 
 
 @dataclass(frozen=True)
@@ -171,8 +175,10 @@ class WeakOrdering:
 
 @dataclass
 class WeakOrderFailure:
-    """Certificate of failure: a facet subset in which every member has more
-    than n order-2 ridges to the other members."""
+    """Certificate of failure.  From :func:`weak_order_combinatorial` it is
+    the facet subset left by the peel, in which every member has more than n
+    order-2 ridges to the other members; from :func:`weak_order_geometric`
+    it is the smallest set of remaining facets the search reached."""
 
     certificate: frozenset
     reason: str = "stuck"
@@ -181,48 +187,39 @@ class WeakOrderFailure:
         return False
 
 
-def bitmask_adjacency(ids, pairs):
-    """Neighbour bitmasks of the graph on ``ids`` with edge list ``pairs``;
-    bit k stands for ``ids[k]``."""
-    pos = {i: k for k, i in enumerate(ids)}
-    adj = [0] * len(ids)
-    for i, j in pairs:
-        adj[pos[i]] |= 1 << pos[j]
-        adj[pos[j]] |= 1 << pos[i]
-    return tuple(adj)
-
-
-def ids_of(ids, mask):
-    """The items of ``ids`` whose bits are set in ``mask``, in order."""
-    return tuple(i for k, i in enumerate(ids) if mask >> k & 1)
-
-
-def greedy_peel(adj, n):
-    """Greedy weak-order peel on bitmask adjacency, lowest index first: an
-    item may go when at most n of its neighbours remain.  A degeneracy
-    computation, so greedy is complete.  Returns the removal order as pairs
-    (index, bitmask of neighbours still present) and the bitmask left when
-    stuck (0 on success), each of whose items has > n neighbours inside it."""
-    remaining = (1 << len(adj)) - 1
+def greedy_peel(nbrs, n):
+    """Greedy weak-order peel of the graph ``nbrs`` (item -> set of
+    neighbours), lowest item first: an item may go when at most n of its
+    neighbours remain.  A degeneracy computation, so greedy is complete.
+    Degrees only fall, so a heap holds the items that may go, each pushed
+    once.  Returns the removal order as pairs (item, sorted tuple of its
+    neighbours still present) and the frozenset left when stuck (empty on
+    success), each of whose items has > n neighbours inside it."""
+    remaining = set(nbrs)
+    degree = {i: len(js) for i, js in nbrs.items()}
+    ready = [i for i, d in degree.items() if d <= n]
+    heapq.heapify(ready)
     order = []
-    while remaining:
-        k = next((k for k in range(len(adj)) if remaining >> k & 1
-                  and (adj[k] & remaining).bit_count() <= n), None)
-        if k is None:
-            return order, remaining
-        order.append((k, adj[k] & remaining))
-        remaining ^= 1 << k
-    return order, 0
+    while ready:
+        i = heapq.heappop(ready)
+        remaining.remove(i)
+        later = tuple(sorted(j for j in nbrs[i] if j in remaining))
+        order.append((i, later))
+        for j in later:
+            degree[j] -= 1
+            if degree[j] == n:
+                heapq.heappush(ready, j)
+    return order, frozenset(remaining)
 
 
 def weak_order_combinatorial(Q):
     """Greedy peel on the order-2 ridge graph, lowest facet id first; the
     qualifying set of a facet is its order-2 neighbours peeled after it."""
-    order, stuck = greedy_peel(Q.order2_adj, Q.n)
+    order, stuck = greedy_peel(Q.order2_nbrs, Q.n)
     if stuck:
-        return WeakOrderFailure(frozenset(ids_of(Q.ids, stuck)))
-    qualifying = {Q.ids[k]: ids_of(Q.ids, later) for k, later in order}
-    order = tuple(Q.ids[k] for k, _ in order)
+        return WeakOrderFailure(stuck)
+    qualifying = dict(order)
+    order = tuple(i for i, _ in order)
     status = {i: ("verified" if not qualifying[i] else "unknown") for i in order}
     return WeakOrdering(order, qualifying, status)
 
@@ -230,7 +227,7 @@ def weak_order_combinatorial(Q):
 def is_weakly_orderable(Q):
     """Whether :func:`weak_order_combinatorial` succeeds, without building
     its ordering: the greedy peel leaves nothing stuck."""
-    return not greedy_peel(Q.order2_adj, Q.n)[1]
+    return not greedy_peel(Q.order2_nbrs, Q.n)[1]
 
 
 def check_weak_ordering(Q, ordering):

@@ -295,21 +295,23 @@ def prismatic_circuits(P, k):
 
 
 def _enumerate_prismatic(P, k):
+    """Two crossed edges share an endpoint only when they are consecutive
+    and their three facets form a vertex, so a cycle is prismatic exactly
+    when no three consecutive facets of it are a vertex."""
     if k not in (3, 4):
         raise CombinatoricsError("only 3- and 4-circuits are supported")
     if P.n != 3:
         raise CombinatoricsError("prismatic circuits are defined for n=3")
-    found = set()
-    for cyc in _dual_cycles(P, k):
-        ends = {w for t in range(k) for w in P.ridge_endpoints((cyc[t], cyc[(t + 1) % k]))}
-        if len(ends) == 2 * k:
-            found.add(_canonical_cycle(cyc))
-    return sorted(found)
+    vertices = set(P.vertices)
+    return sorted(cyc for cyc in _dual_cycles(P, k)
+                  if not any(frozenset((cyc[t - 2], cyc[t - 1], cyc[t])) in vertices
+                             for t in range(k)))
 
 
 def _dual_cycles(P, k):
-    """Every k-cycle of the dual graph, from neighbour sets, starting at its
-    smallest facet (a 4-cycle comes once in each orientation)."""
+    """Every k-cycle of the dual graph once, from neighbour sets, in its
+    canonical order: the smallest facet first, then the smaller of its two
+    neighbours on the cycle."""
     nbrs = P.nbrs
     for a in P.facets:
         for b in (x for x in nbrs[a] if x > a):
@@ -317,18 +319,7 @@ def _dual_cycles(P, k):
                 yield from ((a, b, c) for c in nbrs[a] & nbrs[b] if c > b)
                 continue
             for c in (x for x in nbrs[b] if x > a):
-                yield from ((a, b, c, d) for d in nbrs[a] & nbrs[c] if d > a and d != b)
-
-
-def _canonical_cycle(cyc):
-    k = len(cyc)
-    best = None
-    for seq in (cyc, tuple(reversed(cyc))):
-        for s in range(k):
-            rot = tuple(seq[(s + t) % k] for t in range(k))
-            if best is None or rot < best:
-                best = rot
-    return best
+                yield from ((a, b, c, d) for d in nbrs[a] & nbrs[c] if d > b)
 
 
 def truncate_vertex(P, vertex):

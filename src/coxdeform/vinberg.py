@@ -321,36 +321,30 @@ class RankSumReport:
     e2: int
     weakly_orderable: bool
     identity_holds: bool
-    reduction_zero_block: float = None
-    reduction_psi_block: float = None
     staircase_rank: int = None
     reduction_rank_match: bool = None
 
 
 def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     """Verify rank(D phi) = rank(D psi) + e2 at a hyperbolic point, and
-    certify the reduction behind it.
+    bound rank(D phi) by the reduction behind it.
 
-    The reduction is replayed on D phi (:func:`reduced_phi_jacobian`): add
-    each E2 first-slot row to its second-slot row, scale E3 rows by 1/a_ij
-    and E1 rows by 2, scale the alpha-columns by 2 with the first coordinate
-    of each block negated, then subtract the right half from the left.  The
-    result R is meant to have the block form [[A, B], [0, D psi]] with A the
-    E2 staircase (the E2a rows on the left half).  Row and column operations
-    that are invertible never change rank, so ranking R again would only
-    repeat rank(D phi) and could not catch a wrong reduction; the block form
-    is certified instead:
+    Add each E2 first-slot row of D phi to its second-slot row, scale E3
+    rows by 1/a_ij and E1 rows by 2, scale the alpha-columns by 2 with the
+    first coordinate of each block negated, then subtract the right half
+    from the left.  At a hyperbolic point, where alpha_i = 2 J b_i with J =
+    diag(-1, 1, ..., 1), this reaches the block form [[A, B], [0, D psi]],
+    with D psi's rows in EquationIndex order and A the E2 staircase
+    (:func:`e2_staircase`).  The operations are invertible, so the block
+    form bounds the rank:
 
-    - ``reduction_zero_block``: max |R[e2:, left half]|, 0 up to rounding.
-    - ``reduction_psi_block``: max |R[e2:, right half] - D psi| / max |D psi|,
-      with the rows of D psi (:func:`lorentz.psi_jacobian` at the bs) put in
-      EquationIndex order; 0 up to rounding.
     - ``staircase_rank``: the numerical rank of A; it is e2 exactly when the
       orbifold is weakly orderable with qualifying sets in general position.
-    - ``reduction_rank_match``: the bounds the block form puts on the rank,
-      staircase_rank + rank(D psi) <= rank(D phi) <= e2 + rank(D psi); both
-      are equalities when the staircase is full.
+    - ``reduction_rank_match``: staircase_rank + rank(D psi) <= rank(D phi)
+      <= e2 + rank(D psi); both are equalities when the staircase is full.
 
+    A is formed directly from its closed form; the block form itself is
+    verified in the tests, against the reduction written out as matrices.
     ``rank_phi`` is the full :func:`local_deformation_dimension` report, and
     this raises where it does.
     """
@@ -361,48 +355,27 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     if np.abs(p.alphas - 2.0 * p.bs @ J).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
 
-    half = p.f * p.dim
     M = lorentz.psi_matrix(Q, p.bs)
     rpsi = jacobian_report("psi", M.shape, numerical_rank(M, policy))
-    wo = ob.is_weakly_orderable(Q)
-
     n2 = len(index.e2)
-    Dpsi = M.build()
-    R = reduced_phi_jacobian(index, p)
-    psi_row = {pair: r for r, pair in enumerate(lorentz.psi_rows(Q))}
-    order = [psi_row[pair] for _, pair in index.rows()[n2:]]
-    zero_block = _max_abs(R[n2:, :half])
-    R[n2:, half:] -= Dpsi[order]
-    psi_block = _max_abs(R[n2:, half:]) / _max_abs(Dpsi)
-    staircase = numerical_rank(R[:n2, :half], policy).rank
-
+    staircase = numerical_rank(e2_staircase(index, p), policy).rank
     return RankSumReport(
-        rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=wo,
+        rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=ob.is_weakly_orderable(Q),
         identity_holds=(rphi.rank == rpsi.rank + n2),
-        reduction_zero_block=zero_block,
-        reduction_psi_block=psi_block,
         staircase_rank=staircase,
         reduction_rank_match=(staircase + rpsi.rank <= rphi.rank <= n2 + rpsi.rank))
 
 
-def _max_abs(X):
-    """max |X_ij| without a temporary array."""
-    return float(max(X.max(), -X.min()))
-
-
-def reduced_phi_jacobian(index, p):
-    """D phi after the row and column operations of :func:`check_rank_sum`;
-    its first e2 rows, left half, are the E2 staircase."""
-    f, dim = p.f, p.dim
-    n2, n3 = len(index.e2), len(index.e3)
-    R = phi_jacobian(index, p)
-    R[n2:2 * n2] += R[:n2]
-    R[2 * n2:2 * n2 + n3] /= p.cartan()[index.positions(index.e3)][:, None]
-    R[2 * n2 + n3:] *= 2.0
-    R[:, :dim * f] *= 2.0
-    R[:, :dim * f:dim] *= -1.0
-    R[:, :dim * f] -= R[:, dim * f:]
-    return R
+def e2_staircase(index, p):
+    """The E2 staircase of :func:`check_rank_sum` as a :class:`StructuredMatrix`
+    with f column blocks: the row of (i, j) carries 2 J b_j in block i and
+    -alpha_i in block j, with J = diag(-1, 1, ..., 1)."""
+    i, j = index.positions(index.e2)
+    rows = np.arange(len(i))
+    twice_Jb = 2.0 * p.bs[j]
+    twice_Jb[:, 0] *= -1.0
+    pattern = BlockRows(len(i), p.f, np.concatenate([rows, rows]), np.concatenate([i, j]))
+    return pattern.matrix(np.concatenate([twice_Jb, -p.alphas[i]]))
 
 
 # -- membership in the open solution domain ------------------------------------

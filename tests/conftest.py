@@ -700,9 +700,10 @@ def interior_point_eig_oracle(p, tol=1e-9):
 
 
 def reduced_rank_oracle(Q, p, policy=DEFAULT_RANK_POLICY):
-    """Numerical rank of the rank-sum reduction of D phi, with the row and
-    column operations written out as matrices: R = L (D phi) C.  Both are
-    invertible, so this equals rank(D phi) whenever the ranks are decided."""
+    """The rank-sum reduction of D phi, with the row and column operations
+    written out as matrices, R = L (D phi) C, and its numerical rank: (rank,
+    R).  L and C are invertible, so the rank equals rank(D phi) whenever the
+    ranks are decided."""
     index = vinberg.EquationIndex.from_orbifold(Q)
     M = vinberg.phi_jacobian(index, p)
     a = p.cartan()
@@ -720,7 +721,8 @@ def reduced_rank_oracle(Q, p, policy=DEFAULT_RANK_POLICY):
     C = np.eye(2 * half)
     C[:half, :half] = np.diag(scale)
     C[half:, :half] = -np.eye(half)             # left half -= right half
-    return numerical_rank(L @ M @ C, policy).rank
+    R = L @ M @ C
+    return numerical_rank(R, policy).rank, R
 
 
 def gauge_directions_oracle(p):
@@ -1045,19 +1047,46 @@ def assignment_validity_oracle(P, d):
     return ok
 
 
+def ids_of(ids, mask):
+    """The items of ``ids`` whose bits are set in ``mask``, in order."""
+    return tuple(i for k, i in enumerate(ids) if mask >> k & 1)
+
+
+def bitmask_peel(ids, pairs, n):
+    """The weak-order peel of the graph on ``ids`` with edge list ``pairs``,
+    by rescanning neighbour bitmasks (bit k for ``ids[k]``) from the lowest
+    index at every step.  Returns the removal order as pairs (index, bitmask
+    of neighbours still present) and the bitmask left when stuck (0 on
+    success).  Shares no code with ``orbifold.greedy_peel``."""
+    pos = {i: k for k, i in enumerate(ids)}
+    adj = [0] * len(ids)
+    for i, j in pairs:
+        adj[pos[i]] |= 1 << pos[j]
+        adj[pos[j]] |= 1 << pos[i]
+    remaining = (1 << len(ids)) - 1
+    order = []
+    while remaining:
+        k = next((k for k in range(len(ids)) if remaining >> k & 1
+                  and (adj[k] & remaining).bit_count() <= n), None)
+        if k is None:
+            return order, remaining
+        order.append((k, adj[k] & remaining))
+        remaining ^= 1 << k
+    return order, 0
+
+
 def peel_oracle(P, edge_sets):
     """Weak orderability of P with order 2 on exactly the edges of each set
-    in ``edge_sets``, by one sequential ``orbifold.greedy_peel`` per set."""
+    in ``edge_sets``, by one ``bitmask_peel`` per set."""
     ids = tuple(sorted(P.facets))
-    return np.array([not ob.greedy_peel(ob.bitmask_adjacency(ids, Z), 3)[1]
-                     for Z in edge_sets], dtype=bool)
+    return np.array([not bitmask_peel(ids, Z, 3)[1] for Z in edge_sets], dtype=bool)
 
 
 def mask_edge_sets(P):
     """Every set of edges of P, in the order of the bitmasks 0 .. 2^e - 1
     (bit t for the t-th sorted edge)."""
     edges = sorted(P.ridges)
-    return (ob.ids_of(edges, m) for m in range(1 << len(edges)))
+    return (ids_of(edges, m) for m in range(1 << len(edges)))
 
 
 def row_edge_sets(P, order2):

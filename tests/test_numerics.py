@@ -43,11 +43,10 @@ def _assert_same_decision(M, structured=None):
 def _rank_matrices(Q, p):
     """D phi, D psi, the gauge directions and the E2 staircase at p."""
     index = vinberg.EquationIndex.from_orbifold(Q)
-    R = vinberg.reduced_phi_jacobian(index, p)
     return {"phi": vinberg.phi_jacobian(index, p),
             "psi": lorentz.psi_jacobian(Q, p.bs),
             "gauge": vinberg.gauge_directions(p),
-            "staircase": R[:len(index.e2), :p.f * p.dim]}
+            "staircase": vinberg.e2_staircase(index, p).build()}
 
 
 def _bundled_point(name):
@@ -76,6 +75,8 @@ def test_certified_rank_matches_svd_on_families(family):
         Q, p = _generated_point(family, m)
         for label, M in _rank_matrices(Q, p).items():
             assert _assert_same_decision(M).method == "cholesky", (family, m, label)
+        S = vinberg.e2_staircase(vinberg.EquationIndex.from_orbifold(Q), p)
+        assert _assert_same_decision(S.build(), S).method == "cholesky", (family, m)
 
 
 @pytest.mark.parametrize("name", ["tetrahedron353", "cube_mixed", "doubled_cube",

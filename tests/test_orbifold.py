@@ -8,7 +8,8 @@ import pytest
 
 from coxdeform import bundled, cartan, orbifold as ob, polytope as pt, vinberg
 from coxdeform.errors import ConvergenceError, RealizationError
-from conftest import andreev_oracle, brute_force_weak_order, random_truncation
+from conftest import (andreev_oracle, bitmask_peel, brute_force_weak_order, ids_of,
+                      loebell_factor_orbifold, random_truncation)
 
 # the order triples whose sum of 1/m is exactly 1; (2, 2, 2, 2) sums to 2
 EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
@@ -126,6 +127,41 @@ def test_weak_orderability_verdict_matches_ordering():
     verdicts = [ob.is_weakly_orderable(Q) for Q in cases]
     assert verdicts == [bool(ob.weak_order_combinatorial(Q)) for Q in cases]
     assert set(verdicts) == {True, False}
+
+
+def test_weak_order_matches_bitmask_scan():
+    # orderings, qualifying sets and failure certificates of the heap peel
+    # equal the rescanning bitmask peel's, on bundled, family and truncated
+    # bases with random order-2 sets
+    rng = np.random.default_rng(37)
+    bases = [bundled.load_builtin(name).base for name in bundled.BUILTIN_NAMES]
+    bases += [pt.prism(m) for m in range(3, 13)] + [pt.loebell(m) for m in range(4, 13)]
+    bases += [random_truncation(base, int(rng.integers(1, 12)), rng)
+              for base in (pt.simplex(3), pt.cube(), pt.prism(5), pt.dodecahedron())
+              for _ in range(8)]
+    cases = [bundled.load_builtin(name) for name in bundled.BUILTIN_NAMES]
+    cases += [ob.CoxeterOrbifold(P, {r: int(rng.choice([2] * 8 + [3])) for r in P.ridges})
+              for P in bases for _ in range(5)]
+    outcomes = []
+    for Q in cases:
+        ids = tuple(sorted(Q.base.facets))
+        order, stuck = bitmask_peel(ids, Q.e2_pairs(), Q.n)
+        result = ob.weak_order_combinatorial(Q)
+        outcomes.append(bool(result))
+        if stuck:
+            assert not result and result.certificate == frozenset(ids_of(ids, stuck))
+        else:
+            assert list(result.qualifying.items()) == [(ids[k], ids_of(ids, later))
+                                                       for k, later in order]
+            assert result.order == tuple(result.qualifying)
+    assert outcomes.count(False) > 50 and outcomes.count(True) > 50
+
+
+def test_weak_order_of_a_large_factor_orbifold():
+    Q = loebell_factor_orbifold(pt.loebell(2000))
+    result = ob.weak_order_combinatorial(Q)
+    assert result and ob.check_weak_ordering(Q, result.order)
+    assert ob.is_weakly_orderable(Q)
 
 
 def test_truncation_orbifolds_weakly_orderable():

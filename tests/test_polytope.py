@@ -170,10 +170,12 @@ def test_circuit_bad_k():
 
 
 def test_dual_cycles_cover_oracle():
-    P = pt.prism(4)
-    for k in (3, 4):
-        lib = {pt._canonical_cycle(c) for c in pt._dual_cycles(P, k)}
-        assert lib == enumerate_dual_cycles(P, k)
+    # each cycle comes once, already in the oracle's canonical form
+    for P in (pt.prism(4), pt.cube(), pt.loebell(5), pt.dodecahedron()):
+        for k in (3, 4):
+            lib = list(pt._dual_cycles(P, k))
+            assert len(lib) == len(set(lib))
+            assert set(lib) == enumerate_dual_cycles(P, k)
 
 
 def test_truncate_simplex_once_and_twice():

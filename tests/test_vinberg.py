@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import numerical_rank
+from coxdeform.numerics import BlockRows, numerical_rank
 from conftest import (apply_gauge, component_eigenpairs_oracle, det_grid_oracle,
                       family_matrix_oracle, family_realization, finite_difference_jacobian,
                       flatten, gauge_directions_oracle, interior_point_eig_oracle,
@@ -178,14 +178,27 @@ def test_psi_rank_formula(tetra_orbifold, tetra_realization):
     assert numerical_rank(M).rank == c.f + c.e - c.delta == 10
 
 
+def _assert_block_form(Q, p, R):
+    """The reduction R of D phi (``reduced_rank_oracle``) has the block form
+    [[A, B], [0, D psi]] up to rounding, with the rows of D psi put in
+    EquationIndex order."""
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    n2, half = len(index.e2), p.f * p.dim
+    Dpsi = lorentz.psi_jacobian(Q, p.bs)
+    psi_row = {pair: r for r, pair in enumerate(lorentz.psi_rows(Q))}
+    order = [psi_row[pair] for _, pair in index.rows()[n2:]]
+    assert np.abs(R[n2:, :half]).max() < 1e-9
+    assert np.abs(R[n2:, half:] - Dpsi[order]).max() < 1e-9 * np.abs(Dpsi).max()
+
+
 def test_rank_sum_tetrahedron(tetra_orbifold, tetra_point):
     report = vinberg.check_rank_sum(tetra_orbifold, tetra_point)
     assert report.rank_phi.rank == 13
     assert report.rank_psi.rank == 10
     assert report.e2 == 3
     assert report.identity_holds and report.weakly_orderable
-    assert report.reduction_zero_block < 1e-9
-    assert report.reduction_psi_block < 1e-9
+    _assert_block_form(tetra_orbifold, tetra_point,
+                       reduced_rank_oracle(tetra_orbifold, tetra_point)[1])
     assert report.staircase_rank == 3
     assert report.reduction_rank_match
 
@@ -196,7 +209,8 @@ def test_rank_sum_esselmann(esselmann_orbifold, esselmann_point):
     assert report.rank_psi.rank == 20
     assert report.identity_holds  # 28 = 20 + 8: weakly orderable, delta != 0
     assert report.staircase_rank == 8
-    assert report.reduction_psi_block < 1e-9
+    _assert_block_form(esselmann_orbifold, esselmann_point,
+                       reduced_rank_oracle(esselmann_orbifold, esselmann_point)[1])
 
 
 def test_rank_sum_doubled_cube_deficient(doubled_cube_orbifold,
@@ -207,7 +221,7 @@ def test_rank_sum_doubled_cube_deficient(doubled_cube_orbifold,
     N = vinberg.EquationIndex.from_orbifold(doubled_cube_orbifold).N
     assert report.rank_phi.rank <= N - 1
     assert not report.identity_holds  # rank deficiency from the bending direction
-    assert report.reduction_psi_block < 1e-9
+    _assert_block_form(doubled_cube_orbifold, p, reduced_rank_oracle(doubled_cube_orbifold, p)[1])
 
 
 RANK_SUM_CASES = list(bundled.BUILTIN_NAMES) + ["loebell16", "prism16"]
@@ -228,16 +242,30 @@ def test_rank_sum_block_form_against_rerank_oracle(name):
     Q, p = _hyperbolic_case(name)
     report = vinberg.check_rank_sum(Q, p)
     staircase, psi, phi = report.staircase_rank, report.rank_psi.rank, report.rank_phi.rank
-    assert reduced_rank_oracle(Q, p) == phi
+    rank, R = reduced_rank_oracle(Q, p)
+    assert rank == phi
     assert staircase + psi <= phi <= report.e2 + psi
     assert report.reduction_rank_match
-    assert report.reduction_zero_block < 1e-9
-    assert report.reduction_psi_block < 1e-9
+    _assert_block_form(Q, p, R)
     if staircase == report.e2:
         assert report.identity_holds
     if name == "doubled_cube":  # the staircase is one short, and so is rank D phi
         assert (staircase, report.e2) == (17, 18)
         assert phi == staircase + psi and not report.identity_holds
+
+
+def test_rank_sum_builds_no_dense_matrix_when_certified(monkeypatch):
+    # D phi, D psi and the staircase are all decided from their row
+    # structure on loebell16, so no BlockRows pattern is made dense
+    Q, p = _hyperbolic_case("loebell16")
+    built = []
+    dense = BlockRows.dense
+    monkeypatch.setattr(BlockRows, "dense",
+                        lambda self, values: built.append(self.nrows) or dense(self, values))
+    report = vinberg.check_rank_sum(Q, p)
+    assert report.rank_phi.method == report.rank_psi.method == "cholesky"
+    assert report.identity_holds and report.staircase_rank == report.e2
+    assert built == []
 
 
 def _assert_phi_matches_oracle(index, p):
@@ -250,6 +278,18 @@ def _random_point(p, rng):
     the two weights of an E3 row differ."""
     return vinberg.VinbergPoint(rng.normal(size=(p.f, p.dim)), rng.normal(size=(p.f, p.dim)),
                                 p.facets)
+
+
+@pytest.mark.parametrize("name", RANK_SUM_CASES)
+def test_staircase_is_the_reduced_e2_block(name):
+    # off the solution set alpha_j != 2 J b_j, so the two blocks of each row
+    # are told apart there
+    Q, p = _hyperbolic_case(name)
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    for q in (p, _random_point(p, np.random.default_rng(43))):
+        R = reduced_rank_oracle(Q, q)[1]
+        staircase = vinberg.e2_staircase(index, q).build()
+        assert np.array_equal(staircase, R[:len(index.e2), :q.f * q.dim])
 
 
 @pytest.mark.parametrize("name", RANK_SUM_CASES)
