@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,11 +92,19 @@ class PsiStructure:
     come first, and 1 on the e ridge rows).  ``rows`` is the
     :class:`BlockRows` pattern of all slots and ``ridge`` that of the ridge
     slots alone, whose pairs give the Newton system without the diagonal rows
-    (:meth:`gauss_newton_step`).
+    (:meth:`gauss_newton_step`).  ``vertex_rows`` (one row of facet
+    positions per vertex, sorted by facet) and ``nonadjacent`` (the positions
+    of the polytope's non-adjacent pairs, in its order) serve
+    :class:`HyperbolicRealization`.
     """
 
     def __init__(self, Q):
         pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+        self.vertex_rows = np.array([[pos[i] for i in sorted(V)] for V in Q.base.vertices or ()],
+                                    dtype=np.intp)
+        pairs = Q.base.nonadjacent_pairs
+        self.nonadjacent = (np.array([pos[i] for i, _ in pairs], dtype=np.intp),
+                            np.array([pos[j] for _, j in pairs], dtype=np.intp))
         rows = psi_rows(Q)
         f = self.f = Q.f
         a = self.a = np.array([pos[i] for i, _ in rows], dtype=np.intp)
@@ -206,31 +215,35 @@ def psi_jacobian(Q, normals):
 class HyperbolicRealization:
     """Unit spacelike normals of a realized compact polytope, with the
     residual norm, per-vertex compactness flags, and divergence checks for
-    non-adjacent facet pairs."""
+    non-adjacent facet pairs.  The facet positions come from the
+    orbifold's cached :class:`PsiStructure`."""
 
     def __init__(self, Q, normals, validate=True):
         self.Q = Q
         self.normals = np.asarray(normals, dtype=float)
-        self.residual_norm = float(np.linalg.norm(psi_eval(Q, self.normals)))
-        pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+        S = psi_structure(Q)
+        self.residual_norm = float(np.linalg.norm(S.eval(self.normals)))
         # every vertex's point at once: the null vector of its facets' <nu_i, .>
         self.vertex_flags = {}
-        if Q.base.vertices:
-            rows = np.array([[pos[i] for i in sorted(V)] for V in Q.base.vertices])
-            x = np.linalg.svd((self.normals @ LorentzForm(self.dim).matrix)[rows])[2][:, -1]
+        if len(S.vertex_rows):
+            forms = self.normals @ LorentzForm(self.dim).matrix
+            x = np.linalg.svd(forms[S.vertex_rows])[2][:, -1]
             x = np.where(np.abs(x[:, :1]) > 1e-12, x / x[:, :1], x)
             inside = LorentzForm(self.dim).inner(x, x) < 0
             self.vertex_flags = dict(zip(Q.base.vertices, inside.tolist()))
-        pairs = Q.base.nonadjacent_pairs
-        a = [pos[i] for i, _ in pairs]
-        b = [pos[j] for _, j in pairs]
-        self.nonadjacent_products = dict(zip(pairs, lorentz_gram(self.normals)[a, b].tolist()))
+        self._nonadjacent_values = lorentz_gram(self.normals)[S.nonadjacent]
         if validate:
             self.check_valid()
 
     @property
     def dim(self):
         return self.normals.shape[1]
+
+    @cached_property
+    def nonadjacent_products(self):
+        """<nu_i, nu_j> of each non-adjacent pair (i, j), in the polytope's
+        order; built on first use."""
+        return dict(zip(self.Q.base.nonadjacent_pairs, self._nonadjacent_values.tolist()))
 
     def check_valid(self):
         if self.residual_norm > 1e-8:
@@ -240,13 +253,15 @@ class HyperbolicRealization:
         bad = [sorted(V) for V, ok in self.vertex_flags.items() if not ok]
         if bad:
             raise RealizationError(f"vertices outside the ball: {bad}")
-        for (i, j), val in self.nonadjacent_products.items():
-            # strict margin: a product at the threshold up to solver noise is
-            # an asymptotic hyperplane pair, not a compact polytope
-            if not val < DIVERGENCE_THRESHOLD - DIVERGENCE_MARGIN:
-                raise RealizationError(
-                    f"non-adjacent facets {i},{j} do not diverge "
-                    f"(<nu_i,nu_j> = {val:.6f})")
+        # strict margin: a product at the threshold up to solver noise is an
+        # asymptotic hyperplane pair, not a compact polytope
+        vals = self._nonadjacent_values
+        bad = np.flatnonzero(~(vals < DIVERGENCE_THRESHOLD - DIVERGENCE_MARGIN))
+        if len(bad):
+            i, j = self.Q.base.nonadjacent_pairs[bad[0]]
+            raise RealizationError(
+                f"non-adjacent facets {i},{j} do not diverge "
+                f"(<nu_i,nu_j> = {vals[bad[0]]:.6f})")
         return True
 
 

@@ -3,10 +3,13 @@
 Rank decisions drive every conclusion drawn from the Jacobians, so the policy
 is never implicit.  A full-rank decision is first certified by a Cholesky
 factorisation of the shifted Gram matrix; it then reports the threshold it
-certified, method "cholesky" and no spectrum.  Every other decision comes
-from the dense SVD (method "svd"), which reports the full spectrum, the
-threshold actually used and the spectral gap at the cut.  A small gap marks
-the decision as uncertain instead of silently picking a side.
+certified, method "cholesky" and no spectrum.  A block upper-triangular
+matrix can instead be certified from its diagonal blocks
+(:func:`triangular_sigma_bound`); :mod:`coxdeform.vinberg` does so for D phi
+(method "block").  Every other decision comes from the dense SVD (method
+"svd"), which reports the full spectrum, the threshold actually used and the
+spectral gap at the cut.  A small gap marks the decision as uncertain
+instead of silently picking a side.
 
 The Jacobians are sparse with a block pattern (:class:`BlockRows`), so their
 Gram matrices are assembled from that pattern and the dense matrix is built
@@ -43,7 +46,7 @@ DEFAULT_RANK_POLICY = RankPolicy()
 
 @dataclass
 class RankResult:
-    """``method`` is "cholesky" for a certified full rank, whose
+    """``method`` is "cholesky" or "block" for a certified full rank, whose
     ``singular_values`` are empty and whose ``threshold`` is the certified
     lower bound on sigma_min; "svd" otherwise."""
 
@@ -84,8 +87,13 @@ class BlockRows:
         self.block = np.asarray(block, dtype=np.int32)
 
     @cached_property
+    def block_order(self):
+        """The terms sorted by block, stably."""
+        return np.argsort(self.block, kind="stable")
+
+    @cached_property
     def pairs(self):
-        order = np.argsort(self.block, kind="stable")
+        order = self.block_order
         size = np.bincount(self.block, minlength=self.nblocks)
         start = np.cumsum(size) - size
         npairs = size * size
@@ -114,6 +122,18 @@ class BlockRows:
             dots += products[:, j]
         entry = self.row[p].astype(np.intp) * R + self.row[q]
         return np.bincount(entry, weights=dots, minlength=R * R).reshape(R, R)
+
+    def gram_diagonal(self, values):
+        """The diagonal of :meth:`gram`, bit for bit, without the pairs: a
+        diagonal entry gets only the pairs (t, t), which come in block order,
+        and each one's dot product is summed in column order."""
+        order = self.block_order
+        v = np.take(values, order, axis=0)
+        v *= v
+        dots = v[:, 0].copy()
+        for j in range(1, v.shape[1]):
+            dots += v[:, j]
+        return np.bincount(self.row[order], weights=dots, minlength=self.nrows)
 
     def matrix(self, values):
         return StructuredMatrix(self.shape(values), lambda: self.gram(values),
@@ -151,11 +171,11 @@ def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
     return svd_rank(build(), policy)
 
 
-def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY):
+def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     """A threshold tau_bar, at least the SVD path's tau, with sigma_min(M) >
-    tau_bar; None when the certificate fails.  ``A`` = fl(W W^T) is the Gram
-    matrix of the short side W (k x q, k <= q) of M, and ``shape`` is M's.
-    ``A`` is overwritten.
+    max(tau_bar, ``floor``); None when the certificate fails.  ``A`` =
+    fl(W W^T) is the Gram matrix of the short side W (k x q, k <= q) of M,
+    and ``shape`` is M's.  ``A`` is overwritten.
 
     With u = 2^-53, gamma_j = j u / (1 - j u) and eta = 2^-1074:
 
@@ -168,11 +188,7 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY):
       pattern (:meth:`BlockRows.gram`: dot products of the terms' stored
       vectors, summed per entry), provided the terms are stored exactly as
       the dense matrix stores them.
-    - sigma_bar^2 = fl(trace A) (1 + gamma_{2(q+k)}) + k q eta >= ||W||_F^2
-      >= sigma_max^2: each A_ii loses at most a factor 1 - gamma_q, the trace
-      sum at most 1 - gamma_k, and 1 / ((1 - gamma_q)(1 - gamma_k)) <=
-      1 + gamma_{2(q+k)}.  sigma_bar^2 also bounds the exact trace of A.
-    - tau_bar = policy.threshold(shape, sigma_bar) >= the SVD path's tau.
+    - sigma_bar and tau_bar as in :func:`_sigma_bound`.
     - Cholesky (Rump, "Verification of positive definiteness", BIT 46, 2006):
       if the floating-point Cholesky factorisation of a symmetric B runs to
       completion, then lambda_min(B) > -c, with c = gamma_{k+1} / (1 -
@@ -181,33 +197,62 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY):
     - Diagonal subtraction: B = A - s I + D with |D_ii| <= u (max A_ii + s).
 
     So if B factors, lambda_min(W W^T) > s (1 - u) - c - u max A_ii -
-    gamma_q sigma_bar^2 - k q eta, and the shift
+    gamma_q sigma_bar^2 - k q eta, and the shift, with t = max(tau_bar,
+    floor),
 
-        s = (tau_bar^2 + gamma_q sigma_bar^2 + k q eta + c + u max A_ii)
+        s = (t^2 + gamma_q sigma_bar^2 + k q eta + c + u max A_ii)
             * (1 + gamma_64)
 
-    makes that at least tau_bar^2.  The factor 1 + gamma_64 covers the
-    1 / (1 - u) and the fewer than 30 roundings made in evaluating s; the
-    + eta in c covers the rounding of its subnormal product.
+    makes that at least t^2.  The factor 1 + gamma_64 covers the 1 / (1 -
+    u) and the fewer than 30 roundings made in evaluating s; the + eta in c
+    covers the rounding of its subnormal product.
     """
     k, q = min(shape), max(shape)
     diag = np.diagonal(A)
-    trace, dmax = float(diag.sum()), float(diag.max())
+    dmax = float(diag.max())
+    sigma2, tau = _sigma_bound(diag, shape, policy)
     underflow = k * q * SMALLEST_SUBNORMAL
-    sigma2 = trace * (1.0 + _gamma(2 * (q + k))) + underflow
-    tau = policy.threshold(shape, math.sqrt(sigma2))
     g = _gamma(k + 1)
     c = g / (1.0 - g) * sigma2 + (4.0 * k * (2.0 * (k + 2) + dmax) + 1.0) * SMALLEST_SUBNORMAL
-    s = tau * tau + _gamma(q) * sigma2 + underflow + c + UNIT_ROUNDOFF * dmax
+    t = max(tau, floor)
+    s = t * t + _gamma(q) * sigma2 + underflow + c + UNIT_ROUNDOFF * dmax
     s *= 1.0 + _gamma(64)
     if not math.isfinite(s):
         return None
-    A[np.diag_indices(k)] -= s
+    A.flat[::k + 1] -= s
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return None
     return tau
+
+
+def _sigma_bound(diag, shape, policy=DEFAULT_RANK_POLICY):
+    """(sigma_bar^2, tau_bar) from the diagonal ``diag`` of A = fl(W W^T),
+    W the short side (k x q) of a matrix M of ``shape``:
+
+    - sigma_bar^2 = fl(trace A) (1 + gamma_{2(q+k)}) + k q eta >= ||W||_F^2
+      >= sigma_max^2: each A_ii loses at most a factor 1 - gamma_q, the trace
+      sum at most 1 - gamma_k, and 1 / ((1 - gamma_q)(1 - gamma_k)) <=
+      1 + gamma_{2(q+k)}.  sigma_bar^2 also bounds the exact trace of A.
+    - tau_bar = policy.threshold(shape, sigma_bar) >= the SVD path's tau.
+    """
+    k, q = min(shape), max(shape)
+    sigma2 = float(diag.sum()) * (1.0 + _gamma(2 * (q + k))) + k * q * SMALLEST_SUBNORMAL
+    return sigma2, policy.threshold(shape, math.sqrt(sigma2))
+
+
+def triangular_sigma_bound(beta_a, beta_d, norm_b):
+    """A lower bound on sigma_min(T) for T = [[A, B], [0, D]] with A and D
+    of full row rank, sigma_min(A) >= ``beta_a``, sigma_min(D) >= ``beta_d``
+    and ||B||_2 <= ``norm_b``.
+
+    T then has full row rank, and [[A^+, -A^+ B D^+], [0, D^+]] is a right
+    inverse of it, so sigma_min(T) >= 1 / ||that|| >= 1 / (1/beta_a +
+    1/beta_d + norm_b / (beta_a beta_d)).  The six roundings of the
+    denominator and the two of the quotient are covered by 1 + gamma_16."""
+    den = 1.0 / beta_a + 1.0 / beta_d + norm_b / (beta_a * beta_d)
+    return 1.0 / (den * (1.0 + _gamma(16)))
 
 
 def svd_rank(M, policy=DEFAULT_RANK_POLICY):

@@ -21,7 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from coxdeform.errors import VinbergError
-from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF,
+                                BlockRows, RankResult, _full_rank_certificate, _gamma,
+                                _sigma_bound, numerical_rank, triangular_sigma_bound)
 
 RESIDUAL_TOL = 1e-9
 INTERIOR_TOL = 1e-9  # U-membership margins, relative to max |alpha|
@@ -108,6 +110,24 @@ class EquationIndex:
         return flat[0::2], flat[1::2]
 
     @cached_property
+    def e2_positions(self):
+        """The facet positions of the E2 pairs, built on first use."""
+        return self.positions(self.e2)
+
+    @cached_property
+    def e3_positions(self):
+        """The facet positions of the E3 pairs, built on first use."""
+        return self.positions(self.e3)
+
+    @cached_property
+    def staircase_rows(self):
+        """The :class:`BlockRows` pattern of :func:`e2_staircase`, built on
+        first use: row k has a term in the blocks of both facets of E2 pair k."""
+        i, j = self.e2_positions
+        rows = np.arange(len(i))
+        return BlockRows(len(i), self.f, np.concatenate([rows, rows]), np.concatenate([i, j]))
+
+    @cached_property
     def sign_positions(self):
         """The facet positions of the E3 then the E4 pairs (the pairs whose
         entries must be negative), as two int32 arrays; built on first use."""
@@ -126,8 +146,8 @@ class PhiStructure:
 
     def __init__(self, index):
         f = index.f
-        i2, j2 = index.positions(index.e2)
-        i3, j3 = index.positions(index.e3)
+        i2, j2 = index.e2_positions
+        i3, j3 = index.e3_positions
         n2, n3 = len(i2), len(i3)
         diag = np.arange(f)
         e3_rows = np.arange(2 * n2, 2 * n2 + n3)
@@ -153,8 +173,8 @@ def phi_eval(Q_or_index, p):
     """Residuals of Vinberg's equations at a point, length N = f + e + e2."""
     index = _as_index(Q_or_index)
     a = p.cartan()
-    i2, j2 = index.positions(index.e2)
-    i3, j3 = index.positions(index.e3)
+    i2, j2 = index.e2_positions
+    i3, j3 = index.e3_positions
     return np.concatenate([a[i2, j2], a[j2, i2], a[i3, j3] * a[j3, i3] - index.e3_targets,
                            a.diagonal() - 2.0])
 
@@ -244,9 +264,11 @@ def gauge_dimension(f, dim):
 @dataclass
 class JacobianReport:
     """Numerical-rank analysis of one Jacobian, saying how the rank was
-    decided: ``method`` "cholesky" is a certified full rank with
-    sigma_min > ``threshold`` and no spectrum; "svd" keeps the full spectrum
-    and the gap at the cut for auditability (see :mod:`coxdeform.numerics`)."""
+    decided: ``method`` "cholesky" or "block" is a certified full rank with
+    sigma_min > ``threshold`` and no spectrum ("block": D phi certified from
+    the blocks of the rank-sum reduction, see :func:`_block_decisions`);
+    "svd" keeps the full spectrum and the gap at the cut for auditability
+    (see :mod:`coxdeform.numerics`)."""
 
     label: str
     shape: tuple
@@ -282,9 +304,12 @@ def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
 
 
 def _phi_analysis(Q, p, policy):
-    """The dimension report together with the equation index.  The rank of
-    D phi is decided from its Gram matrix, assembled from the row structure;
-    the dense D phi is built only if the SVD must decide (see
+    """The equation index, the dimension report, and the rank decisions on
+    D psi and the E2 staircase made on the way, each None where none was.
+    Full rank of D phi is first certified from the block form of the
+    rank-sum reduction (:func:`_block_decisions`).  Failing that, its rank
+    is decided from its Gram matrix, assembled from the row structure; the
+    dense D phi is built only if the SVD must decide (see
     :func:`numerical_rank`)."""
     from coxdeform import orbifold as ob
 
@@ -293,8 +318,12 @@ def _phi_analysis(Q, p, policy):
     if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
         raise VinbergError(
             f"point is not a solution (max residual {np.abs(resid).max():.3e})")
-    M = phi_matrix(Q, p)
-    report = jacobian_report("phi", M.shape, numerical_rank(M, policy))
+    S = phi_structure(Q)
+    values = S.values(p)
+    rr, psi, staircase = _block_decisions(Q, index, p, S.rows, values, policy)
+    if rr is None:
+        rr = numerical_rank(S.rows.matrix(values), policy)
+    report = jacobian_report("phi", S.rows.shape(values), rr)
     report.gauge_dim = gauge_dimension(p.f, p.dim)
     G = gauge_directions(p)
     gauge_rank = numerical_rank(G, policy).rank
@@ -311,7 +340,104 @@ def _phi_analysis(Q, p, policy):
             raise VinbergError("dimension bookkeeping identity failed")  # integer identity
     else:
         report.kernel_minus_gauge = report.kernel_dim - report.gauge_dim
-    return index, report
+    return index, report, psi, staircase
+
+
+def _block_decisions(Q, index, p, rows, values, policy):
+    """Full rank of D phi (pattern ``rows``, stored ``values``) certified
+    from the block form [[A, B], [0, D psi]] of :func:`check_rank_sum`:
+    (phi, psi, staircase), the rank decisions on D phi, D psi and the
+    staircase A, each None where none was made.
+
+    It is tried where alpha_i = 2 J b_i holds bit for bit (as
+    :func:`hyperbolic_point` makes it) and A and D psi are wide.  With L and
+    C the reduction's operations, L with 1/a_ij on the E3 rows, and B the
+    block with alpha_i in block j on the row of (i, j), M~ = L^-1 [[A, B],
+    [0, D psi]] C^-1 formed from the stored A, B and D psi equals the stored
+    D phi except on the E3 rows.  There D phi stores fl(a_ji b_j) and
+    fl(a_ji alpha_i) in alpha-block i and b-block j, and fl(a_ij b_i) and
+    fl(a_ij alpha_j) in alpha-block j and b-block i, where M~ has the exact
+    products with a_ij.  So ||D phi - M~||_F <= delta = 2 u sigma_bar + N q
+    eta + 2 max |a_ij - a_ji| sqrt(e3) (max_c |b_c|_1 + max_c |alpha_c|_1),
+    with sigma_bar >= ||D phi||_F from :func:`_sigma_bound`; the last term
+    is zero where the computed Cartan matrix is symmetric on E3.
+
+    Once the shifted Cholesky certifies sigma_min(A) > beta_A and
+    sigma_min(D psi) > beta_psi (:func:`_full_rank_certificate` with those
+    floors), sigma_min(D phi) >= :func:`triangular_sigma_bound` (beta_A,
+    beta_psi, ||B||) / (||L|| ||C||) - delta, with the norms bounded by
+    :func:`_reduction_norms`.  Rank N is certified when that exceeds tau_bar,
+    computed from the diagonal of D phi's Gram matrix as on the Cholesky
+    path, so the reported threshold is the same.  To leading order only
+    beta_A beta_psi matters; sigma_min(A) stays near 1.5 on the two-ring
+    factors and 5.6 on the prisms while sigma_min(D psi) falls like 1/m, so
+    the floors are beta_A = 8 s and beta_psi = s / 8, with s 1% above the
+    root of the quadratic at which the bound meets tau_bar + delta."""
+    from coxdeform import lorentz
+
+    n2, q = len(index.e2), p.f * p.dim
+    if not 0 < n2 <= q or p.f + n2 + len(index.e3) > q:
+        return None, None, None
+    if not np.array_equal(p.alphas, _twice_Jb(p.bs)):
+        return None, None, None
+    shape = rows.shape(values)
+    sigma2, tau = _sigma_bound(rows.gram_diagonal(values), shape, policy)
+    i3, j3 = index.e3_positions
+    a = p.cartan()
+    asym = float(np.max(np.abs(a[i3, j3] - a[j3, i3]), initial=0.0))
+    if asym:
+        asym *= 2.0 * math.sqrt(len(i3)) * float(np.abs(p.bs).sum(axis=1).max()
+                                                 + np.abs(p.alphas).sum(axis=1).max())
+    delta = (2.0 * UNIT_ROUNDOFF * math.sqrt(sigma2) + asym
+             + shape[0] * shape[1] * SMALLEST_SUBNORMAL)
+    norm_L, norm_C, norm_B = _reduction_norms(index, p, a)
+    # the bound must exceed target; four roundings in forming it
+    target = (tau + delta) * (norm_L * norm_C) * (1.0 + _gamma(8))
+    # with beta_A = 8 s and beta_psi = s / 8, 1 / bound = (8.125 s + ||B||) / s^2
+    b = 8.125 * target
+    s = 1.01 * (b + math.sqrt(b * b + 4.0 * target * norm_B)) / 2.0
+
+    staircase = _floored_rank(e2_staircase(index, p), policy, 8.0 * s)
+    psi = _floored_rank(lorentz.psi_matrix(Q, p.bs), policy, s / 8.0)
+    if staircase is None or psi is None or \
+            not triangular_sigma_bound(8.0 * s, s / 8.0, norm_B) > target:
+        return None, psi, staircase
+    return RankResult(shape[0], np.zeros(0), tau, np.inf, False, "block"), psi, staircase
+
+
+def _reduction_norms(index, p, a):
+    """Upper bounds on the norms of the row operations L and the column
+    operations C of :func:`check_rank_sum`, L with 1/a_ij on the E3 rows
+    (``a`` the Cartan matrix of p), and of B, the block with alpha_i in block
+    j on the row of E2 pair (i, j):
+
+    - ||L|| <= max(2, max over E3 of 1/|a_ij|): L is block diagonal, with
+      [[1, 0], [1, 1]] (norm 1.618) on each E2 row pair, 1/a_ij on the E3
+      rows and 2 on the E1 rows;
+    - ||C|| <= 3: C acts on each coordinate pair (alpha, b) as
+      [[+-2, 0], [-1, 1]], of norm sqrt(3 + sqrt 5);
+    - ||B||^2 <= max over facets j of the sum of |alpha_i|^2 over the E2
+      pairs (i, j), since B^T B is block diagonal with those blocks.  The
+      sum for j has at most q = f (n+1) products, so it is scaled by 1 +
+      gamma_2q, and q eta covers their underflow.
+
+    1 + gamma_2 covers the rounding of 1/|a_ij| and of the square root."""
+    i3, j3 = index.e3_positions
+    norm_L = max(2.0, float(np.max(1.0 / np.abs(a[i3, j3]), initial=0.0))) * (1.0 + _gamma(2))
+    i2, j2 = index.e2_positions
+    q = p.f * p.dim
+    sq = np.einsum("ij,ij->i", p.alphas, p.alphas)
+    norm_B2 = float(np.bincount(j2, sq[i2], minlength=p.f).max())
+    norm_B = math.sqrt(norm_B2 * (1.0 + _gamma(2 * q)) + q * SMALLEST_SUBNORMAL) * (1.0 + _gamma(2))
+    return norm_L, 3.0, norm_B
+
+
+def _floored_rank(M, policy, floor):
+    """Full row rank of the wide :class:`StructuredMatrix` M, certified with
+    sigma_min(M) > ``floor`` as well, or None."""
+    tau = _full_rank_certificate(M.gram(), M.shape, policy, floor)
+    return None if tau is None else RankResult(M.shape[0], np.zeros(0), tau, np.inf, False,
+                                               "cholesky")
 
 
 @dataclass
@@ -346,19 +472,24 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     A is formed directly from its closed form; the block form itself is
     verified in the tests, against the reduction written out as matrices.
     ``rank_phi`` is the full :func:`local_deformation_dimension` report, and
-    this raises where it does.
+    this raises where it does.  Where alpha_i = 2 J b_i holds bit for bit,
+    that report certifies full rank of D phi from the certified ranks of A
+    and D psi and the norms of B and of the operations (method "block",
+    :func:`_block_decisions`), and those decisions on A and D psi are the
+    ones reported here; elsewhere, or where that certificate fails, D phi,
+    D psi and A are each decided on their own.
     """
     from coxdeform import lorentz, orbifold as ob
 
-    index, rphi = _phi_analysis(Q, p, policy)
+    index, rphi, psi, staircase = _phi_analysis(Q, p, policy)
     J = lorentz.LorentzForm(p.dim).matrix
     if np.abs(p.alphas - 2.0 * p.bs @ J).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
 
     M = lorentz.psi_matrix(Q, p.bs)
-    rpsi = jacobian_report("psi", M.shape, numerical_rank(M, policy))
+    rpsi = jacobian_report("psi", M.shape, psi or numerical_rank(M, policy))
     n2 = len(index.e2)
-    staircase = numerical_rank(e2_staircase(index, p), policy).rank
+    staircase = (staircase or numerical_rank(e2_staircase(index, p), policy)).rank
     return RankSumReport(
         rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=ob.is_weakly_orderable(Q),
         identity_holds=(rphi.rank == rpsi.rank + n2),
@@ -370,12 +501,15 @@ def e2_staircase(index, p):
     """The E2 staircase of :func:`check_rank_sum` as a :class:`StructuredMatrix`
     with f column blocks: the row of (i, j) carries 2 J b_j in block i and
     -alpha_i in block j, with J = diag(-1, 1, ..., 1)."""
-    i, j = index.positions(index.e2)
-    rows = np.arange(len(i))
-    twice_Jb = 2.0 * p.bs[j]
-    twice_Jb[:, 0] *= -1.0
-    pattern = BlockRows(len(i), p.f, np.concatenate([rows, rows]), np.concatenate([i, j]))
-    return pattern.matrix(np.concatenate([twice_Jb, -p.alphas[i]]))
+    i, j = index.e2_positions
+    return index.staircase_rows.matrix(np.concatenate([_twice_Jb(p.bs[j]), -p.alphas[i]]))
+
+
+def _twice_Jb(bs):
+    """The rows 2 J b, each computed exactly."""
+    out = 2.0 * bs
+    out[:, 0] *= -1.0
+    return out
 
 
 # -- membership in the open solution domain ------------------------------------

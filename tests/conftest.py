@@ -699,13 +699,14 @@ def interior_point_eig_oracle(p, tol=1e-9):
     return None, np.zeros(p.dim)
 
 
-def reduced_rank_oracle(Q, p, policy=DEFAULT_RANK_POLICY):
-    """The rank-sum reduction of D phi, with the row and column operations
-    written out as matrices, R = L (D phi) C, and its numerical rank: (rank,
-    R).  L and C are invertible, so the rank equals rank(D phi) whenever the
-    ranks are decided."""
+def reduction_operators_oracle(Q, p):
+    """The row and column operations of the rank-sum reduction written out
+    as matrices, (L, C), so that L (D phi) C = [[A, B], [0, D psi]] at a
+    hyperbolic point: each E2 first-slot row added to its second-slot row,
+    E3 rows scaled by 1/a_ij and E1 rows by 2; the alpha-columns scaled by 2
+    with the first coordinate of each block negated, then the right half
+    subtracted from the left."""
     index = vinberg.EquationIndex.from_orbifold(Q)
-    M = vinberg.phi_jacobian(index, p)
     a = p.cartan()
     n2, n3 = len(index.e2), len(index.e3)
     L = np.eye(index.N)
@@ -721,7 +722,16 @@ def reduced_rank_oracle(Q, p, policy=DEFAULT_RANK_POLICY):
     C = np.eye(2 * half)
     C[:half, :half] = np.diag(scale)
     C[half:, :half] = -np.eye(half)             # left half -= right half
-    R = L @ M @ C
+    return L, C
+
+
+def reduced_rank_oracle(Q, p, policy=DEFAULT_RANK_POLICY):
+    """The rank-sum reduction of D phi, R = L (D phi) C with the operations
+    of ``reduction_operators_oracle``, and its numerical rank: (rank, R).
+    L and C are invertible, so the rank equals rank(D phi) whenever the
+    ranks are decided."""
+    L, C = reduction_operators_oracle(Q, p)
+    R = L @ vinberg.phi_jacobian(vinberg.EquationIndex.from_orbifold(Q), p) @ C
     return numerical_rank(R, policy).rank, R
 
 

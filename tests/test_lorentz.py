@@ -434,6 +434,27 @@ def _realization_matches_oracle(R):
     return flags
 
 
+def test_check_valid_names_the_first_pair_that_does_not_diverge():
+    """The right-angled cube's limit: normals (0, +-e_k), which solve the
+    hyperbolic equations with every vertex at the origin, and opposite faces
+    at product -1, on the divergence boundary.  All three non-adjacent pairs
+    fail; the first in the polytope's order is named."""
+    P = pt.cube()
+    Q = ob.CoxeterOrbifold(P, {r: 2 for r in P.ridges})
+    pos = {facet: k for k, facet in enumerate(P.facets)}
+    normals = np.zeros((P.f, 4))
+    for k, (i, j) in enumerate(P.nonadjacent_pairs):
+        normals[pos[i], k + 1], normals[pos[j], k + 1] = 1.0, -1.0
+    R = lorentz.HyperbolicRealization(Q, normals, validate=False)
+    assert R.residual_norm < 1e-15 and all(R.vertex_flags.values())
+    assert list(R.nonadjacent_products.items()) == [(pair, -1.0) for pair in P.nonadjacent_pairs]
+    i, j = P.nonadjacent_pairs[0]
+    with pytest.raises(lorentz.RealizationError,
+                       match=rf"^non-adjacent facets {i},{j} do not diverge "
+                             rf"\(<nu_i,nu_j> = -1\.000000\)$"):
+        R.check_valid()
+
+
 def test_vertex_flags_match_vertex_point_oracle():
     defaults = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
     for name in bundled.BUILTIN_NAMES:

@@ -2,8 +2,10 @@
 it falls back to (``svd_rank``): the same rank, uncertain flag and kernel
 dimension on every bundled orbifold, on generated factor and cap points, on
 random points off the solution set, and on planted spectra at the margin.
-The Gram matrices assembled from the row structure of D phi and D psi are
-checked against the dense product and its rounding bound."""
+The block certificate of D phi is checked against the SVD of the dense
+D phi, and its bound and floors on planted matrices.  The Gram matrices
+assembled from the row structure of D phi and D psi are checked against the
+dense product and its rounding bound."""
 
 import argparse
 import tracemalloc
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cli, lorentz, polytope as pt, vinberg
-from coxdeform.numerics import StructuredMatrix, numerical_rank, svd_rank
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, StructuredMatrix, _full_rank_certificate,
+                                numerical_rank, svd_rank, triangular_sigma_bound)
 from conftest import (dense_gram_oracle, family_realization, loebell_factor_orbifold,
                       phi_jacobian_oracle, prism_cap_orbifold, psi_jacobian_oracle)
 
@@ -49,6 +52,21 @@ def _rank_matrices(Q, p):
             "staircase": vinberg.e2_staircase(index, p).build()}
 
 
+def _assert_block_decision(Q, p):
+    """check_rank_sum's decision on D phi equals the SVD's rank of the dense
+    D phi; a block certificate's threshold lies between the SVD's cut and
+    its sigma_min.  Returns the method."""
+    report = vinberg.check_rank_sum(Q, p).rank_phi
+    ref = svd_rank(vinberg.phi_jacobian(Q, p))
+    assert report.rank == ref.rank
+    if report.method == "block":
+        assert len(report.singular_values) == 0 and report.gap == np.inf
+        assert ref.threshold <= report.threshold < ref.singular_values[-1]
+        # the threshold the Cholesky path certifies, bit for bit
+        assert report.threshold == numerical_rank(vinberg.phi_matrix(Q, p)).threshold
+    return report.method
+
+
 def _bundled_point(name):
     Q = bundled.load_builtin(name)
     return Q, vinberg.hyperbolic_point(cli._realize(Q, REALIZE_DEFAULTS)[0])
@@ -65,6 +83,8 @@ def test_certified_rank_matches_svd_on_bundled(name):
     matrices = _rank_matrices(Q, p)
     for M in matrices.values():
         _assert_same_decision(M)
+    want = "svd" if name in ("doubled_cube", "esselmann") else "block"
+    assert _assert_block_decision(Q, p) == want
     Dpsi = matrices["psi"]
     assert lorentz.kernel_dimension(Q, p.bs) == svd_rank(Dpsi).kernel_dimension(Dpsi.shape[1])
 
@@ -77,6 +97,7 @@ def test_certified_rank_matches_svd_on_families(family):
             assert _assert_same_decision(M).method == "cholesky", (family, m, label)
         S = vinberg.e2_staircase(vinberg.EquationIndex.from_orbifold(Q), p)
         assert _assert_same_decision(S.build(), S).method == "cholesky", (family, m)
+        assert _assert_block_decision(Q, p) == "block", (family, m)
 
 
 @pytest.mark.parametrize("name", ["tetrahedron353", "cube_mixed", "doubled_cube",
@@ -111,7 +132,7 @@ def test_rank_deficient_phi_takes_the_svd_path(name, rank, kernel_minus_gauge):
 def test_fast_path_taken_at_size_16(family):
     Q, p = _generated_point(family, 16)
     report = vinberg.check_rank_sum(Q, p)
-    assert report.rank_phi.method == report.rank_psi.method == "cholesky"
+    assert report.rank_phi.method == "block" and report.rank_psi.method == "cholesky"
     assert len(report.rank_phi.singular_values) == 0
     matrices = _rank_matrices(Q, p)
     assert numerical_rank(matrices["gauge"]).method == "cholesky"
@@ -152,6 +173,59 @@ def test_planted_spectrum_at_the_margin(shape):
     M, _ = _planted(shape, 1e-3 * tau, rng)
     rr = _assert_same_decision(M)
     assert rr.method == "svd" and rr.rank == k - 1 and not rr.uncertain
+
+
+@pytest.mark.parametrize("shape", [(30, 40), (40, 30)])
+def test_floored_certificate_at_the_floor(shape):
+    """With a floor beta far above the rounding margin, the certificate holds
+    for sigma_min = 1.01 beta and fails for 0.99 beta, and still returns the
+    policy's threshold."""
+    rng = np.random.default_rng(11)
+    beta = 1e-3
+    k = min(shape)
+    for factor, holds in ((1.01, True), (0.99, False)):
+        M, _ = _planted(shape, factor * beta, rng)
+        W = M if shape[0] <= shape[1] else M.T
+        tau = _full_rank_certificate(W @ W.T, shape, DEFAULT_RANK_POLICY, floor=beta)
+        assert (tau is not None) == holds, factor
+        plain = _full_rank_certificate(W @ W.T, shape, DEFAULT_RANK_POLICY)
+        assert plain is not None and plain < beta and (tau is None or tau == plain)
+        assert numerical_rank(M).rank == k
+
+
+def _planted_triangular(beta_a, beta_d, norm_b, rng):
+    """T = [[A, B], [0, D]] with A 6 x 10 and D 8 x 12 of smallest singular
+    values beta_a and beta_d, and B = norm_b u v^t rank one, u the left
+    singular vector of A at beta_a and v the right one of D at beta_d, so
+    that A^+ B D^+ has norm norm_b / (beta_a beta_d)."""
+    def planted(k, q, smin):
+        s = np.geomspace(1.0, 0.5, k)
+        s[-1] = smin
+        U = np.linalg.qr(rng.normal(size=(k, k)))[0]
+        V = np.linalg.qr(rng.normal(size=(q, k)))[0]
+        return (U * s) @ V.T, U[:, -1], V[:, -1]
+    A, u, _ = planted(6, 10, beta_a)
+    D, _, v = planted(8, 12, beta_d)
+    T = np.zeros((14, 22))
+    T[:6, :10], T[6:, 10:], T[:6, 10:] = A, D, norm_b * np.outer(u, v)
+    return T
+
+
+@pytest.mark.parametrize("beta_a, beta_d, norm_b", [(0.2, 0.3, 0.0), (0.2, 0.3, 50.0)])
+def test_triangular_bound_against_true_sigma_min(beta_a, beta_d, norm_b):
+    """The bound lies below the true sigma_min and within a factor 3 of it.
+    With B = 0 the 1/beta terms carry it (min(beta_a, beta_d) >= sigma_min >
+    bound), and with a large B its ||B|| term: there sigma_min is about
+    beta_a beta_d / ||B||, far below 1 / (1/beta_a + 1/beta_d)."""
+    rng = np.random.default_rng(17)
+    T = _planted_triangular(beta_a, beta_d, norm_b, rng)
+    true = np.linalg.svd(T, compute_uv=False)[-1]
+    bound = triangular_sigma_bound(beta_a, beta_d, norm_b)
+    assert true / 3.0 < bound <= true
+    if norm_b:
+        assert true < 0.1 / (1.0 / beta_a + 1.0 / beta_d)
+    else:
+        assert true == pytest.approx(min(beta_a, beta_d), rel=1e-9)
 
 
 def test_matrix_builder_is_called_again_only_for_the_svd():
@@ -226,6 +300,17 @@ def test_structured_gram_matches_dense_on_families(family):
         for q in _off_solution_points(Q, rng, 1):
             for M, structured in _structured_cases(Q, q):
                 _assert_structured_matches(M, structured)
+
+
+@pytest.mark.parametrize("name", ["tetrahedron353", "doubled_cube", "esselmann",
+                                  "loebell8_factor"])
+def test_gram_diagonal_is_the_gram_matrix_diagonal(name):
+    Q, p = _bundled_point(name)
+    rng = np.random.default_rng(47)
+    for q in [p] + _off_solution_points(Q, rng):
+        S, T = vinberg.phi_structure(Q), lorentz.psi_structure(Q)
+        for rows, values in ((S.rows, S.values(q)), (T.rows, T.values(q.alphas))):
+            assert np.array_equal(rows.gram_diagonal(values), np.diagonal(rows.gram(values)))
 
 
 def test_rank_deficient_structured_matrix_takes_the_svd_path():

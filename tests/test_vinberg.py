@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import BlockRows, numerical_rank
+from coxdeform.numerics import BlockRows, RankPolicy, numerical_rank
 from conftest import (apply_gauge, component_eigenpairs_oracle, det_grid_oracle,
                       family_matrix_oracle, family_realization, finite_difference_jacobian,
                       flatten, gauge_directions_oracle, interior_point_eig_oracle,
                       interior_point_oracle, marching_squares_oracle, newton_case,
                       open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
-                      random_gauge, reduced_rank_oracle, unflatten)
+                      random_gauge, reduced_rank_oracle, reduction_operators_oracle,
+                      unflatten)
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -263,9 +264,83 @@ def test_rank_sum_builds_no_dense_matrix_when_certified(monkeypatch):
     monkeypatch.setattr(BlockRows, "dense",
                         lambda self, values: built.append(self.nrows) or dense(self, values))
     report = vinberg.check_rank_sum(Q, p)
-    assert report.rank_phi.method == report.rank_psi.method == "cholesky"
+    assert report.rank_phi.method == "block" and report.rank_psi.method == "cholesky"
     assert report.identity_holds and report.staircase_rank == report.e2
     assert built == []
+
+
+@pytest.mark.parametrize("name", ["loebell16", "prism16"])
+def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
+    """The block certificate forms the Gram matrices of D psi and of the
+    staircase once each, which check_rank_sum reuses, and never D phi's:
+    that is read only through its diagonal."""
+    Q, p = _hyperbolic_case(name)
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    grams, diagonals = [], []
+    gram, diagonal = BlockRows.gram, BlockRows.gram_diagonal
+    monkeypatch.setattr(BlockRows, "gram",
+                        lambda self, values: grams.append(self.nrows) or gram(self, values))
+    monkeypatch.setattr(BlockRows, "gram_diagonal",
+                        lambda self, values: diagonals.append(self.nrows) or diagonal(self, values))
+    report = vinberg.check_rank_sum(Q, p)
+    assert report.rank_phi.method == "block" and report.rank_phi.full_rank
+    assert sorted(grams) == sorted([len(index.e2), index.f + len(index.e2) + len(index.e3)])
+    assert diagonals == [index.N]
+
+
+def test_reduction_norms_bound_the_oracle_operators():
+    """||L||, ||C|| and ||B|| from ``_reduction_norms`` against the
+    operations written out as matrices and the B block of R = L (D phi) C.
+    ||L|| = 2 from the E1 rows, ||C|| = sqrt(3 + sqrt 5), and the B bound
+    lies between ||B||_2 and ||B||_F."""
+    for name in RANK_SUM_CASES:
+        Q, p = _hyperbolic_case(name)
+        index = vinberg.EquationIndex.from_orbifold(Q)
+        L, C = reduction_operators_oracle(Q, p)
+        R = reduced_rank_oracle(Q, p)[1]
+        B = R[:len(index.e2), p.f * p.dim:]
+        norm_L, norm_C, norm_B = vinberg._reduction_norms(index, p, p.cartan())
+        assert 2.0 <= np.linalg.norm(L, 2) <= norm_L, name
+        assert math.sqrt(3.0 + math.sqrt(5.0)) - 1e-12 < np.linalg.norm(C, 2) <= norm_C, name
+        if len(index.e2):
+            assert np.linalg.norm(B, 2) <= norm_B <= np.linalg.norm(B) * (1.0 + 1e-12), name
+
+
+def test_one_ulp_off_the_hyperbolic_form_takes_the_phi_path():
+    """The block form needs alpha_i = 2 J b_i bit for bit; one ulp off it,
+    D phi is certified on its own, with the same rank and threshold."""
+    Q, p = _hyperbolic_case("loebell16")
+    block = vinberg.check_rank_sum(Q, p)
+    alphas = p.alphas.copy()
+    alphas[3, 2] = np.nextafter(alphas[3, 2], np.inf)
+    off = vinberg.check_rank_sum(Q, vinberg.VinbergPoint(alphas, p.bs, p.facets))
+    assert block.rank_phi.method == "block" and off.rank_phi.method == "cholesky"
+    assert off.rank_phi.rank == block.rank_phi.rank == vinberg._as_index(Q).N
+    assert off.rank_psi.method == "cholesky" and off.identity_holds
+    assert off.rank_phi.threshold == pytest.approx(block.rank_phi.threshold, rel=1e-12)
+
+
+def test_block_certificate_honours_the_policy_threshold():
+    """A policy whose threshold sits just below sigma_min(D phi), far above
+    the block bound: D phi's own Cholesky certificate decides."""
+    Q, p = _hyperbolic_case("loebell16")
+    sigma_min = np.linalg.svd(vinberg.phi_jacobian(Q, p), compute_uv=False)[-1]
+    base = vinberg.local_deformation_dimension(Q, p)
+    assert base.method == "block"
+    policy = RankPolicy(rel_tol=1e-12 * 0.8 * sigma_min / base.threshold)
+    report = vinberg.local_deformation_dimension(Q, p, policy)
+    assert report.method == "cholesky" and report.full_rank
+    assert base.threshold < report.threshold < sigma_min
+
+
+@pytest.mark.parametrize("family", ["loebell", "prism"])
+def test_block_certificate_holds_at_size_128(family):
+    # sigma_min(D psi) falls like 1/m while the target grows, so the split of
+    # the floors between A and D psi decides how far the certificate reaches
+    Q, R = family_realization(family, 128)
+    report = vinberg.check_rank_sum(Q, vinberg.hyperbolic_point(R))
+    assert report.rank_phi.method == "block" and report.identity_holds
+    assert report.rank_phi.deformation_dim == 2 * 128 - 3
 
 
 def _assert_phi_matches_oracle(index, p):
