@@ -134,15 +134,22 @@ class PsiStructure:
         return len(self.a)
 
     def eval(self, normals):
-        return 2.0 * lorentz_gram(normals)[self.a, self.b] + self.shift
+        return self.residuals(lorentz_gram(normals))
+
+    def residuals(self, gram):
+        """The residuals from the Lorentz Gram matrix of the normals."""
+        return 2.0 * gram[self.a, self.b] + self.shift
 
     def values(self, alphas):
         """The vector of each slot, k alpha_o."""
         return self.slot_k[:, None] * np.take(alphas, self.slot_other, axis=0)
 
-    def gauss_newton_step(self, alphas, r):
+    def gauss_newton_step(self, alphas, r, system):
         """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
-        f x (n+1) array, where J itself is never formed.
+        f x (n+1) array, where J itself is never formed.  ``system`` is an
+        e x e work array, zero off the pattern of the ridge pairs, which is
+        all a step writes, so that a solve can reuse one array for all of
+        its steps.
 
         The f diagonal rows share no facet, so their block of J J^t + mu I
         is the diagonal D = 4|alpha_c|^2 + mu; a ridge slot in block c
@@ -162,11 +169,13 @@ class PsiStructure:
         B = 2.0 * flat.take(self.ridge_cell)
         s = B / np.sqrt(d).take(c)
         p, q = R.pairs
-        S = np.bincount(self.ridge_entry, flat.take(self.ridge_pair_cell) - s.take(p) * s.take(q),
-                        minlength=e * e).reshape(e, e)
-        S.flat[::e + 1] += mu
+        # each entry of the pattern summed from zero, in pair order
+        system.flat[self.ridge_entry] = 0.0
+        np.add.at(system.reshape(-1), self.ridge_entry,
+                  flat.take(self.ridge_pair_cell) - s.take(p) * s.take(q))
+        system.flat[::e + 1] += mu
         t = r[:f] / d
-        y2 = np.linalg.solve(S, r[f:] - np.bincount(row, B * t.take(c), minlength=e))
+        y2 = np.linalg.solve(system, r[f:] - np.bincount(row, B * t.take(c), minlength=e))
         y1 = t - np.bincount(c, B * y2.take(row), minlength=f) / d
         coef = np.bincount(self.ridge_cell, y2.take(row), minlength=f * f).reshape(f, f)
         coef.flat[::f + 1] += 2.0 * y1
@@ -222,16 +231,16 @@ class HyperbolicRealization:
         self.Q = Q
         self.normals = np.asarray(normals, dtype=float)
         S = psi_structure(Q)
-        self.residual_norm = float(np.linalg.norm(S.eval(self.normals)))
-        # every vertex's point at once: the null vector of its facets' <nu_i, .>
+        forms = self.normals @ LorentzForm(self.dim).matrix
+        gram = forms @ self.normals.T  # lorentz_gram(normals)
+        self.residual_norm = float(np.linalg.norm(S.residuals(gram)))
         self.vertex_flags = {}
         if len(S.vertex_rows):
-            forms = self.normals @ LorentzForm(self.dim).matrix
-            x = np.linalg.svd(forms[S.vertex_rows])[2][:, -1]
+            x = vertex_points(forms[S.vertex_rows])
             x = np.where(np.abs(x[:, :1]) > 1e-12, x / x[:, :1], x)
             inside = LorentzForm(self.dim).inner(x, x) < 0
             self.vertex_flags = dict(zip(Q.base.vertices, inside.tolist()))
-        self._nonadjacent_values = lorentz_gram(self.normals)[S.nonadjacent]
+        self._nonadjacent_values = gram[S.nonadjacent]
         if validate:
             self.check_valid()
 
@@ -263,6 +272,17 @@ class HyperbolicRealization:
                 f"non-adjacent facets {i},{j} do not diverge "
                 f"(<nu_i,nu_j> = {vals[bad[0]]:.6f})")
         return True
+
+
+def vertex_points(forms):
+    """The unit null vector of each n x (n+1) matrix of a stack: its
+    generalised cross product, whose entry k is (-1)^k times the minor
+    without column k, scaled to unit length."""
+    dim = forms.shape[-1]
+    keep = np.array([[c for c in range(dim) if c != k] for k in range(dim)])
+    x = np.linalg.det(forms[..., keep].swapaxes(-3, -2))
+    x[..., 1::2] *= -1.0
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
 def realize_simplex(Q):
@@ -313,7 +333,8 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     not depend on facet labels.  J J^t comes from the Gram matrix of the
     alphas, and the f diagonal rows, whose block of J J^t is diagonal, are
     eliminated exactly, so each step solves an e x e system
-    (:meth:`PsiStructure.gauss_newton_step`).  The Levenberg-Marquardt
+    (:meth:`PsiStructure.gauss_newton_step`), assembled in one array that
+    the solve allocates once.  The Levenberg-Marquardt
     shift mu = LM_SHIFT trace(J J^t) / (f + e) keeps the system positive
     definite when J loses row rank; at full row rank the step is the
     least-squares step J^+ r up to rounding.  Step halving is the safeguard.
@@ -328,13 +349,15 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
         raise RealizationError(f"initial guess must have shape {(Q.f, Q.n + 1)}")
     S = psi_structure(Q)
     r = S.eval(x)
+    e = S.ridge.nrows
+    system = np.zeros((e, e))
     for k in range(max_iter + 1):
         norm = np.linalg.norm(r)
         if norm < tol:
             return HyperbolicRealization(Q, x)
         if k == max_iter:
             break
-        step = S.gauss_newton_step(_alphas(x), r)
+        step = S.gauss_newton_step(_alphas(x), r, system)
         t = 1.0
         for _ in range(25):
             x_new = x - t * step

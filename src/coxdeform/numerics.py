@@ -13,7 +13,13 @@ instead of silently picking a side.
 
 The Jacobians are sparse with a block pattern (:class:`BlockRows`), so their
 Gram matrices are assembled from that pattern and the dense matrix is built
-only when the SVD must decide (:class:`StructuredMatrix`).
+only when the SVD must decide (:class:`StructuredMatrix`).  The Cholesky
+factorisation takes the rows of a pattern that share no block with each
+other as its first pivots: their block of the Gram matrix is diagonal, so
+those steps have a closed form, and only the trailing block, the Schur
+complement, is formed and handed to LAPACK (:class:`BorderedGram`).  This is
+the same floating-point Cholesky of the same shifted matrix in another
+pivot order, so the certificate is unchanged (:func:`_full_rank_certificate`).
 """
 
 from __future__ import annotations
@@ -65,12 +71,34 @@ class RankResult:
 class StructuredMatrix:
     """A matrix given by its ``shape`` and two functions of no arguments:
     ``gram`` returns fl(M M^t), each entry a sum of products of M's stored
-    entries (see :func:`_full_rank_certificate`), and ``build`` returns M.
-    The Gram matrix serves when the rows are the short side."""
+    entries (see :func:`_full_rank_certificate`), as a dense array or as a
+    :class:`BorderedGram`, and ``build`` returns M.  The Gram matrix serves
+    when the rows are the short side."""
 
     shape: tuple
     gram: Callable
     build: Callable
+
+
+@dataclass(frozen=True)
+class BorderedGram:
+    """A Gram matrix A = fl(W W^t) in the form that
+    :func:`_full_rank_certificate` factors: its ``diagonal``, and
+    ``trailing(s)``, the trailing block that the Cholesky factorisation of
+    fl(A - s I) leaves after its closed-form pivots, or None when one of
+    those pivots is not positive.  A dense A has no such pivots
+    (:meth:`dense`)."""
+
+    diagonal: np.ndarray
+    trailing: Callable
+
+    @classmethod
+    def dense(cls, A):
+        """fl(A - s I) itself, formed in A, which is overwritten."""
+        def trailing(s):
+            A.flat[::len(A) + 1] -= s
+            return A
+        return cls(np.diagonal(A).copy(), trailing)
 
 
 class BlockRows:
@@ -93,14 +121,66 @@ class BlockRows:
 
     @cached_property
     def pairs(self):
+        return _pairs_within(self.block, self.nblocks, self.block_order)
+
+    @cached_property
+    def pivots(self):
+        """The pivot rows of :meth:`gram`, as a mask: rows whose terms share
+        no block with each other, chosen greedily in row order.  A row is
+        taken when none of its blocks is a block of a row taken before."""
+        blocks = [[] for _ in range(self.nrows)]
+        for r, b in zip(self.row.tolist(), self.block.tolist()):
+            blocks[r].append(b)
+        used = bytearray(self.nblocks)
+        mask = np.zeros(self.nrows, dtype=bool)
+        for r, bs in enumerate(blocks):
+            if not any(used[b] for b in bs):
+                mask[r] = True
+                for b in bs:
+                    used[b] = 1
+        return mask
+
+    @cached_property
+    def elimination(self):
+        """The index arrays of :meth:`gram`, built on first use, with the
+        rows split into the pivots and m trailing rows:
+
+        - ``dot_pairs``: the pairs whose dot products :meth:`gram` forms, in
+          pair order within each of three runs: the ``ndiag`` pairs (t, t),
+          which give the diagonal (in the order of :meth:`gram_diagonal`);
+          the ``ncouple`` pairs with p in a trailing row and q in a pivot
+          row; and the pairs of terms of two trailing rows;
+        - ``couple``: the coupling each of the second run belongs to, one
+          per (trailing row, pivot row) that share a block, and
+          ``couple_pivot``, each coupling's position among the pivots;
+        - ``update`` (a, b): every ordered pair of couplings with a common
+          pivot, grouped by pivot in pivot order;
+        - ``entry``: the flat entry of the m x m trailing block of each pair
+          of the third run, then of each diagonal entry, then of each
+          update."""
+        pivot = self.pivots
+        k, m = self.nrows, int(np.count_nonzero(~pivot))
+        trail_pos = np.cumsum(~pivot) - 1
+        pivot_pos = np.cumsum(pivot) - 1
+        p, q = self.pairs
+        rp, rq = self.row[p], self.row[q]
+        cross = ~pivot[rp] & pivot[rq]
+        both = ~pivot[rp] & ~pivot[rq]
+        keys, couple = np.unique(trail_pos[rp[cross]].astype(np.int64) * k + pivot_pos[rq[cross]],
+                                 return_inverse=True)
+        couple_row, couple_pivot = keys // k, keys % k
+        a, b = _pairs_within(couple_pivot, int(pivot.sum()),
+                             np.argsort(couple_pivot, kind="stable"))
         order = self.block_order
-        size = np.bincount(self.block, minlength=self.nblocks)
-        start = np.cumsum(size) - size
-        npairs = size * size
-        b = np.repeat(np.arange(self.nblocks), npairs)
-        k = np.arange(npairs.sum()) - np.repeat(np.cumsum(npairs) - npairs, npairs)
-        return (order[start[b] + k // size[b]].astype(np.int32),
-                order[start[b] + k % size[b]].astype(np.int32))
+        return _Elimination(
+            pivot_rows=np.flatnonzero(pivot),
+            dot_pairs=(np.concatenate([order, p[cross], p[both]]),
+                       np.concatenate([order, q[cross], q[both]])),
+            ndiag=len(order), ncouple=int(cross.sum()), diag_rows=self.row[order],
+            couple=couple, couple_pivot=couple_pivot, update=(a, b),
+            entry=np.concatenate([trail_pos[rp[both]] * m + trail_pos[rq[both]],
+                                  np.arange(m) * (m + 1), couple_row[a] * m + couple_row[b]]),
+            size=m)
 
     def shape(self, values):
         return (self.nrows, self.nblocks * values.shape[1])
@@ -111,33 +191,89 @@ class BlockRows:
         return M.reshape(self.shape(values))
 
     def gram(self, values):
-        """fl(M M^t): the dot product of each pair's stored vectors, summed
-        per entry in pair order."""
-        R = self.nrows
-        p, q = self.pairs
-        products = np.take(values, p, axis=0)
-        products *= np.take(values, q, axis=0)
-        dots = products[:, 0].copy()
-        for j in range(1, products.shape[1]):
-            dots += products[:, j]
-        entry = self.row[p].astype(np.intp) * R + self.row[q]
-        return np.bincount(entry, weights=dots, minlength=R * R).reshape(R, R)
+        """fl(M M^t) as a :class:`BorderedGram`: Gram entry (r, s) is the
+        dot product of each pair's stored vectors, summed per entry in pair
+        order, and only the diagonal, the entries of the trailing rows and
+        those that couple a trailing row to a pivot are formed.
+
+        The pivot rows share no block, so their Gram entries with each other
+        are exact zeros, and the Cholesky factorisation of fl(A - s I) that
+        takes them first is: pivot l_i = sqrt(fl(A_ii - s)); one multiplier
+        fl(A_ri / l_i) per trailing row r that shares a block with pivot i;
+        and the trailing entry fl(A_rs - s [r = s]) minus the products of
+        the multipliers of r and s, pivot by pivot in pivot order.  All of
+        them go into one accumulation, in that order, so each Gram entry is
+        summed first, then shifted, then eliminated."""
+        E = self.elimination
+        m, ndots = E.size, len(E.dot_pairs[0])
+        a, b = E.update
+        weights = np.empty(ndots + m + len(a))
+        _pair_dots(values, *E.dot_pairs, out=weights[:ndots])
+        diag = np.bincount(E.diag_rows, weights[:E.ndiag], minlength=self.nrows)
+        head = E.ndiag + E.ncouple
+
+        def trailing(s):
+            pivot = diag[E.pivot_rows] - s
+            if not (pivot > 0.0).all():
+                return None
+            coupling = np.bincount(E.couple, weights[E.ndiag:head],
+                                   minlength=len(E.couple_pivot)) / np.sqrt(pivot)[E.couple_pivot]
+            weights[ndots:ndots + m] = -s
+            np.multiply(np.negative(coupling[a]), coupling[b], out=weights[ndots + m:])
+            return np.bincount(E.entry, weights[head:], minlength=m * m).reshape(m, m)
+        return BorderedGram(diag, trailing)
 
     def gram_diagonal(self, values):
-        """The diagonal of :meth:`gram`, bit for bit, without the pairs: a
-        diagonal entry gets only the pairs (t, t), which come in block order,
-        and each one's dot product is summed in column order."""
+        """The diagonal of the Gram matrix, bit for bit, without the pairs:
+        a diagonal entry gets only the pairs (t, t), which come in block
+        order, and each one's dot product is summed in column order."""
         order = self.block_order
-        v = np.take(values, order, axis=0)
-        v *= v
-        dots = v[:, 0].copy()
-        for j in range(1, v.shape[1]):
-            dots += v[:, j]
-        return np.bincount(self.row[order], weights=dots, minlength=self.nrows)
+        return np.bincount(self.row[order], weights=_pair_dots(values, order, order),
+                           minlength=self.nrows)
 
     def matrix(self, values):
         return StructuredMatrix(self.shape(values), lambda: self.gram(values),
                                 lambda: self.dense(values))
+
+
+@dataclass(frozen=True)
+class _Elimination:
+    pivot_rows: np.ndarray
+    dot_pairs: tuple
+    ndiag: int
+    ncouple: int
+    diag_rows: np.ndarray
+    couple: np.ndarray
+    couple_pivot: np.ndarray
+    update: tuple
+    entry: np.ndarray
+    size: int
+
+
+def _pairs_within(group, ngroups, order):
+    """Every ordered pair (p, q) of items in a common group, as two index
+    arrays grouped by group, p-major within a group; ``order`` sorts the
+    items by group, stably."""
+    size = np.bincount(group, minlength=ngroups)
+    start = np.cumsum(size) - size
+    npairs = size * size
+    g = np.repeat(np.arange(ngroups), npairs)
+    k = np.arange(npairs.sum()) - np.repeat(np.cumsum(npairs) - npairs, npairs)
+    return (order[start[g] + k // size[g]].astype(np.int32),
+            order[start[g] + k % size[g]].astype(np.int32))
+
+
+def _pair_dots(values, p, q, out=None):
+    """fl(<values[p], values[q]>) for each pair, summed in column order,
+    into ``out`` when given."""
+    products = np.take(values, p, axis=0)
+    products *= np.take(values, q, axis=0)
+    if out is None:
+        out = np.empty(len(products))
+    out[:] = products[:, 0]
+    for j in range(1, products.shape[1]):
+        out += products[:, j]
+    return out
 
 
 def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
@@ -174,8 +310,9 @@ def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
 def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     """A threshold tau_bar, at least the SVD path's tau, with sigma_min(M) >
     max(tau_bar, ``floor``); None when the certificate fails.  ``A`` =
-    fl(W W^T) is the Gram matrix of the short side W (k x q, k <= q) of M,
-    and ``shape`` is M's.  ``A`` is overwritten.
+    fl(W W^T) is the Gram matrix of the short side W (k x q, k <= q) of M, as
+    a :class:`BorderedGram` or a dense array (which is overwritten), and
+    ``shape`` is M's.
 
     With u = 2^-53, gamma_j = j u / (1 - j u) and eta = 2^-1074:
 
@@ -195,6 +332,22 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
       gamma_{k+1}) trace(B) plus his underflow term 4k(2(k+2) + max B_ii)
       eta.  Here B = fl(A - s I), so trace(B) <= trace(A) <= sigma_bar^2.
     - Diagonal subtraction: B = A - s I + D with |D_ii| <= u (max A_ii + s).
+    - Pivot order.  Rump's argument rests on the backward error of the
+      factorisation, L L^T = B + E with |E| <= gamma_{k+1} |L| |L^T|
+      (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+      Lemma 8.4 and Theorem 10.3), which holds for any order of evaluation
+      of each l_ij = (b_ij - sum_t l_it l_jt) / l_jj.  So it holds for the
+      factorisation of P B P^T, any row permutation P, whose lambda_min is
+      B's.  A :class:`BorderedGram` takes first the rows that share no
+      block with each other: their entries of A, and so of B, are exact
+      zeros, so each of their l_ij is an exact zero, each pivot is l_ii =
+      sqrt(B_ii), each multiplier of a later row r is fl(B_ri / l_ii), and
+      each entry of the trailing block is fl(B_rs - sum_i l_ri l_si), the
+      products subtracted one by one.  LAPACK then factors that block,
+      which completes the floating-point Cholesky factorisation of P B P^T
+      in one order of evaluation.  A pivot that is not positive stops it,
+      as it would stop LAPACK; with no such rows this is LAPACK's
+      factorisation of B.
 
     So if B factors, lambda_min(W W^T) > s (1 - u) - c - u max A_ii -
     gamma_q sigma_bar^2 - k q eta, and the shift, with t = max(tau_bar,
@@ -207,8 +360,10 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     u) and the fewer than 30 roundings made in evaluating s; the + eta in c
     covers the rounding of its subnormal product.
     """
+    if not isinstance(A, BorderedGram):
+        A = BorderedGram.dense(A)
     k, q = min(shape), max(shape)
-    diag = np.diagonal(A)
+    diag = A.diagonal
     dmax = float(diag.max())
     sigma2, tau = _sigma_bound(diag, shape, policy)
     underflow = k * q * SMALLEST_SUBNORMAL
@@ -219,9 +374,11 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     s *= 1.0 + _gamma(64)
     if not math.isfinite(s):
         return None
-    A.flat[::k + 1] -= s
+    B = A.trailing(s)
+    if B is None:
+        return None
     try:
-        np.linalg.cholesky(A)
+        np.linalg.cholesky(B)
     except np.linalg.LinAlgError:
         return None
     return tau

@@ -22,12 +22,26 @@ def canonical_float(x):
 
 
 def to_jsonable(obj):
-    """Recursively convert reports, dataclasses and arrays to JSON data."""
+    """Recursively convert reports, dataclasses and arrays to JSON data.  An
+    array of floats, ints or bools is converted with one ``tolist()``, and
+    a float array's entries are canonicalized in one flat pass."""
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     if isinstance(obj, float):  # numpy.float64 included
         return canonical_float(obj)
     if hasattr(obj, "tolist"):  # other numpy scalars, and arrays
+        kind = obj.dtype.kind if getattr(obj, "ndim", 0) else None
+        if kind in ("b", "i", "u"):
+            return obj.tolist()
+        if kind == "f":
+            import numpy as np
+
+            flat = obj.astype(float).ravel()
+            # an integer below 1e12 prints exactly in 12 digits, the sign of
+            # zero included, so only the other entries are formatted
+            odd = np.flatnonzero(~((np.round(flat) == flat) & (np.abs(flat) < 1e12)))
+            flat[odd] = [canonical_float(x) for x in flat[odd].tolist()]
+            return flat.reshape(obj.shape).tolist()
         return to_jsonable(obj.tolist())
     if dataclasses.is_dataclass(obj):
         return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, lorentz, matchstats, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF, _gamma,
+                                _sigma_bound, numerical_rank, svd_rank)
 
 
 @pytest.fixture(scope="session")
@@ -647,6 +648,158 @@ def dense_gram_oracle(M):
     """fl(W W^t) for the short side W of M, by one dense product."""
     W = M if M.shape[0] <= M.shape[1] else M.T
     return W @ W.T
+
+
+def block_gram_oracle(rows, values):
+    """fl(M M^t) of a ``BlockRows`` pattern as one dense array: the dot
+    product of each pair's stored vectors, summed per entry in pair order."""
+    R = rows.nrows
+    p, q = rows.pairs
+    products = np.take(values, p, axis=0)
+    products *= np.take(values, q, axis=0)
+    dots = products[:, 0].copy()
+    for j in range(1, products.shape[1]):
+        dots += products[:, j]
+    entry = rows.row[p].astype(np.intp) * R + rows.row[q]
+    return np.bincount(entry, weights=dots, minlength=R * R).reshape(R, R)
+
+
+def full_gram_certificate_oracle(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
+    """The full-rank certificate on the whole Gram matrix ``A`` (overwritten):
+    the same shift s and tau_bar, and LAPACK's Cholesky of all of fl(A - s I)
+    in row order; tau_bar or None."""
+    k, q = min(shape), max(shape)
+    diag = np.diagonal(A)
+    dmax = float(diag.max())
+    sigma2, tau = _sigma_bound(diag, shape, policy)
+    g = _gamma(k + 1)
+    c = g / (1.0 - g) * sigma2 + (4.0 * k * (2.0 * (k + 2) + dmax) + 1.0) * SMALLEST_SUBNORMAL
+    t = max(tau, floor)
+    s = t * t + _gamma(q) * sigma2 + k * q * SMALLEST_SUBNORMAL + c + UNIT_ROUNDOFF * dmax
+    s *= 1.0 + _gamma(64)
+    if not math.isfinite(s):
+        return None
+    A.flat[::k + 1] -= s
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    return tau
+
+
+def full_gram_rank_oracle(rows, values, policy=DEFAULT_RANK_POLICY):
+    """(rank, method, threshold) of the wide matrix of a ``BlockRows``
+    pattern, certified from its whole Gram matrix, else from the SVD."""
+    shape = rows.shape(values)
+    tau = full_gram_certificate_oracle(block_gram_oracle(rows, values), shape, policy)
+    if tau is not None:
+        return min(shape), "cholesky", tau
+    rr = svd_rank(rows.dense(values), policy)
+    return rr.rank, "svd", rr.threshold
+
+
+def bordered_trailing_oracle(A, pivots, s):
+    """The trailing block of the Cholesky factorisation of fl(A - s I) that
+    takes the rows of the mask ``pivots`` first (their block of A must be
+    diagonal): the dense matrix with its pivot rows eliminated one by one,
+    in row order, by rank-one updates; None at a pivot that is not
+    positive."""
+    B = A.copy()
+    B.flat[::len(B) + 1] -= s
+    rest = np.flatnonzero(~pivots)
+    T = B[np.ix_(rest, rest)]
+    for i in np.flatnonzero(pivots):
+        if not B[i, i] > 0.0:
+            return None
+        l = B[rest, i] / np.sqrt(B[i, i])
+        T -= np.outer(l, l)
+    return T
+
+
+def newton_bincount_oracle(Q, initial):
+    """``solve_hyperbolic_newton`` with each step's e x e ridge system in a
+    fresh ``np.bincount`` array; returns the converged normals."""
+    S = lorentz.psi_structure(Q)
+    f, R = S.f, S.ridge
+    e, c, row = R.nrows, R.block, R.row
+    p, q = R.pairs
+
+    def step(alphas, r):
+        gram = alphas @ alphas.T
+        flat = gram.ravel()
+        g = gram.diagonal()
+        mu = lorentz.LM_SHIFT * (g @ S.trace_weight) / S.nrows
+        d = 4.0 * g + mu
+        B = 2.0 * flat.take(S.ridge_cell)
+        s = B / np.sqrt(d).take(c)
+        M = np.bincount(S.ridge_entry, flat.take(S.ridge_pair_cell) - s.take(p) * s.take(q),
+                        minlength=e * e).reshape(e, e)
+        M.flat[::e + 1] += mu
+        t = r[:f] / d
+        y2 = np.linalg.solve(M, r[f:] - np.bincount(row, B * t.take(c), minlength=e))
+        y1 = t - np.bincount(c, B * y2.take(row), minlength=f) / d
+        coef = np.bincount(S.ridge_cell, y2.take(row), minlength=f * f).reshape(f, f)
+        coef.flat[::f + 1] += 2.0 * y1
+        return coef @ alphas
+
+    x = np.asarray(initial, dtype=float).copy()
+    r = S.eval(x)
+    for _ in range(100):
+        norm = np.linalg.norm(r)
+        if norm < lorentz.RESIDUAL_TOL:
+            return x
+        d = step(lorentz._alphas(x), r)
+        t = 1.0
+        for _ in range(25):
+            x_new = x - t * d
+            r_new = S.eval(x_new)
+            if np.linalg.norm(r_new) < norm:
+                break
+            t *= 0.5
+        x, r = x_new, r_new
+    raise lorentz.ConvergenceError("no convergence")
+
+
+def realization_oracle(Q, normals):
+    """(residual norm, vertex flags, non-adjacent products) of a realization,
+    each vertex's point from the SVD of its facets' forms, and the Gram
+    matrix formed once per use."""
+    normals = np.asarray(normals, dtype=float)
+    S = lorentz.psi_structure(Q)
+    residual = float(np.linalg.norm(S.eval(normals)))
+    flags = {}
+    if len(S.vertex_rows):
+        form = lorentz.LorentzForm(normals.shape[1])
+        x = np.linalg.svd((normals @ form.matrix)[S.vertex_rows])[2][:, -1]
+        x = np.where(np.abs(x[:, :1]) > 1e-12, x / x[:, :1], x)
+        flags = dict(zip(Q.base.vertices, (form.inner(x, x) < 0).tolist()))
+    values = lorentz.lorentz_gram(normals)[S.nonadjacent]
+    return residual, flags, dict(zip(Q.base.nonadjacent_pairs, values.tolist()))
+
+
+def to_jsonable_oracle(obj):
+    """Report data as JSON data, one recursive call per array entry, each
+    float canonicalized to 12 significant digits on its own."""
+    import dataclasses
+
+    if isinstance(obj, (str, int, bool)) or obj is None:
+        return obj
+    if isinstance(obj, float):
+        return float(f"{float(obj):.12g}")
+    if hasattr(obj, "tolist"):
+        return to_jsonable_oracle(obj.tolist())
+    if dataclasses.is_dataclass(obj):
+        return {k: to_jsonable_oracle(v) for k, v in dataclasses.asdict(obj).items()}
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
+            key = ",".join(str(x) for x in k) if isinstance(k, (tuple, frozenset)) else str(k)
+            out[key] = to_jsonable_oracle(v)
+        return out
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = sorted(obj, key=str) if isinstance(obj, (set, frozenset)) else obj
+        return [to_jsonable_oracle(v) for v in items]
+    return str(obj)
 
 
 def gauss_newton_step_oracle(Q, normals, r):

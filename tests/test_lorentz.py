@@ -1,5 +1,6 @@
 import argparse
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import numerical_rank
 from conftest import (constant_seed_oracle, family_realization, finite_difference_jacobian,
-                      gauss_newton_step_oracle, loebell_factor_orbifold, newton_case,
-                      newton_lstsq_oracle, prism_cap_orbifold, psi_eval_oracle,
-                      psi_jacobian_oracle, random_lorentz_transform, relabelled,
-                      seed_structure_oracle, shuffled_factor, vertex_point)
+                      gauss_newton_step_oracle, loebell_factor_orbifold, newton_bincount_oracle,
+                      newton_case, newton_lstsq_oracle, prism_cap_orbifold, psi_eval_oracle,
+                      psi_jacobian_oracle, random_lorentz_transform, realization_oracle,
+                      relabelled, seed_structure_oracle, shuffled_factor, vertex_point)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -288,7 +289,8 @@ def _assert_step_matches_full_solve(Q, x):
     kappa(G) u."""
     S = lorentz.psi_structure(Q)
     r = S.eval(x)
-    step = S.gauss_newton_step(lorentz._alphas(x), r)
+    e = S.ridge.nrows
+    step = S.gauss_newton_step(lorentz._alphas(x), r, np.zeros((e, e)))
     ref, G = gauss_newton_step_oracle(Q, x, r)
     tol = max(1e-12, 4.0 * np.linalg.cond(G) * 2.0 ** -53)
     assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
@@ -471,6 +473,63 @@ def test_vertex_flags_match_vertex_point_oracle():
             R = lorentz.HyperbolicRealization(Q, normals, validate=False)
             seen |= set(_realization_matches_oracle(R).values())
     assert seen == {True, False}
+
+
+FAMILY_SIZES = range(5, 65)
+
+
+def _assert_realization_matches_svd_oracle(R):
+    """Residual norm, vertex flags and non-adjacent products equal those of
+    the SVD vertex points, bit for bit and in the same order."""
+    residual, flags, products = realization_oracle(R.Q, R.normals)
+    assert R.residual_norm == residual
+    assert list(R.vertex_flags.items()) == list(flags.items())
+    assert list(R.nonadjacent_products.items()) == list(products.items())
+
+
+def test_vertex_flags_match_svd_oracle():
+    defaults = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
+    for name in bundled.BUILTIN_NAMES:
+        R = cli._realize(bundled.load_builtin(name), defaults)[0]
+        _assert_realization_matches_svd_oracle(R)
+    for family in ("loebell", "prism"):
+        for m in FAMILY_SIZES:
+            _assert_realization_matches_svd_oracle(family_realization(family, m)[1])
+
+
+def test_vertex_points_are_unit_null_vectors():
+    rng = np.random.default_rng(23)
+    for n in (3, 4):
+        forms = rng.normal(size=(20, n, n + 1))
+        x = lorentz.vertex_points(forms)
+        assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.abs(np.einsum("vij,vj->vi", forms, x)).max() < 1e-13
+
+
+@pytest.mark.parametrize("family", ["loebell", "prism"])
+def test_newton_iterates_match_per_step_bincount(family):
+    """Newton with one e x e system array per solve lands on the normals of
+    the fresh per-step array, bit for bit."""
+    for m in FAMILY_SIZES:
+        Q, R = family_realization(family, m)
+        assert np.array_equal(R.normals, newton_bincount_oracle(Q, lorentz.initial_guess(Q))), m
+
+
+def test_psi_certificate_never_holds_the_full_gram():
+    """Full row rank of D psi at the loebell(64) factor is certified with a
+    traced peak under 2 (f + e)^2 doubles, which the full Gram matrix and
+    its Cholesky factor together exceed."""
+    Q, R = family_realization("loebell", 64)
+    rows = lorentz.psi_structure(Q).nrows
+    assert lorentz.kernel_dimension(Q, R.normals) == 6  # the pattern's index arrays, once
+    tracemalloc.start()
+    try:
+        kernel = lorentz.kernel_dimension(Q, R.normals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel == 6
+    assert peak < 2 * rows * rows * 8
 
 
 def _seed_polytopes():

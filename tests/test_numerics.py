@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cli, lorentz, polytope as pt, vinberg
-from coxdeform.numerics import (DEFAULT_RANK_POLICY, StructuredMatrix, _full_rank_certificate,
-                                numerical_rank, svd_rank, triangular_sigma_bound)
-from conftest import (dense_gram_oracle, family_realization, loebell_factor_orbifold,
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, StructuredMatrix,
+                                _full_rank_certificate, numerical_rank, svd_rank,
+                                triangular_sigma_bound)
+from conftest import (block_gram_oracle, bordered_trailing_oracle, dense_gram_oracle,
+                      family_realization, full_gram_rank_oracle, loebell_factor_orbifold,
                       phi_jacobian_oracle, prism_cap_orbifold, psi_jacobian_oracle)
 
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -52,6 +54,25 @@ def _rank_matrices(Q, p):
             "staircase": vinberg.e2_staircase(index, p).build()}
 
 
+def _structured_patterns(Q, p):
+    """(pattern, stored values) of D phi, D psi and the E2 staircase at p."""
+    S, T = vinberg.phi_structure(Q), lorentz.psi_structure(Q)
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    i, j = index.e2_positions
+    return {"phi": (S.rows, S.values(p)), "psi": (T.rows, T.values(lorentz._alphas(p.bs))),
+            "staircase": (index.staircase_rows,
+                          np.concatenate([vinberg._twice_Jb(p.bs[j]), -p.alphas[i]]))}
+
+
+def _assert_full_gram_decision(Q, p):
+    """The decision on D phi, D psi and the staircase, each given by its row
+    structure, has the rank, method and threshold of the certificate on
+    the whole Gram matrix."""
+    for label, (rows, values) in _structured_patterns(Q, p).items():
+        rr = numerical_rank(rows.matrix(values))
+        assert (rr.rank, rr.method, rr.threshold) == full_gram_rank_oracle(rows, values), label
+
+
 def _assert_block_decision(Q, p):
     """check_rank_sum's decision on D phi equals the SVD's rank of the dense
     D phi; a block certificate's threshold lies between the SVD's cut and
@@ -85,6 +106,7 @@ def test_certified_rank_matches_svd_on_bundled(name):
         _assert_same_decision(M)
     want = "svd" if name in ("doubled_cube", "esselmann") else "block"
     assert _assert_block_decision(Q, p) == want
+    _assert_full_gram_decision(Q, p)
     Dpsi = matrices["psi"]
     assert lorentz.kernel_dimension(Q, p.bs) == svd_rank(Dpsi).kernel_dimension(Dpsi.shape[1])
 
@@ -98,6 +120,7 @@ def test_certified_rank_matches_svd_on_families(family):
         S = vinberg.e2_staircase(vinberg.EquationIndex.from_orbifold(Q), p)
         assert _assert_same_decision(S.build(), S).method == "cholesky", (family, m)
         assert _assert_block_decision(Q, p) == "block", (family, m)
+        _assert_full_gram_decision(Q, p)
 
 
 @pytest.mark.parametrize("name", ["tetrahedron353", "cube_mixed", "doubled_cube",
@@ -193,6 +216,59 @@ def test_floored_certificate_at_the_floor(shape):
         assert numerical_rank(M).rank == k
 
 
+def _planted_pattern(rng, nblocks=12, width=3, extra=14):
+    """A wide BlockRows pattern whose first nblocks / 2 rows take one block
+    each and share none, then ``extra`` rows with terms in two or three
+    random blocks, with seeded values."""
+    lead = nblocks // 2
+    row, block = list(range(lead)), list(rng.permutation(nblocks)[:lead])
+    for r in range(lead, lead + extra):
+        for b in rng.choice(nblocks, size=rng.integers(2, 4), replace=False):
+            row.append(r)
+            block.append(b)
+    rows = BlockRows(lead + extra, nblocks, row, block)
+    return rows, rng.normal(size=(len(row), width))
+
+
+@pytest.mark.parametrize("seed, extra", [(3, 14), (19, 14), (5, 0)])
+def test_bordered_certificate_at_the_floor(seed, extra):
+    """A BlockRows matrix with block-disjoint leading rows, scaled so that
+    sigma_min = 1.01 beta or 0.99 beta: its certificate with floor beta
+    holds at the first and fails at the second, with the full-Gram
+    certificate's threshold, while its pivots are eliminated in closed form.
+    With no further rows every row is a pivot and LAPACK sees nothing."""
+    rng = np.random.default_rng(seed)
+    rows, values = _planted_pattern(rng, extra=extra)
+    assert rows.pivots[:6].all() and rows.elimination.size <= max(rows.nrows - 7, 0)
+    beta = 1e-2
+    sigma = np.linalg.svd(rows.dense(values), compute_uv=False)[-1]
+    for factor, holds in ((1.01, True), (0.99, False)):
+        scaled = values * (factor * beta / sigma)
+        shape = rows.shape(scaled)
+        tau = _full_rank_certificate(rows.gram(scaled), shape, DEFAULT_RANK_POLICY, floor=beta)
+        assert (tau is not None) == holds, factor
+        plain = _full_rank_certificate(rows.gram(scaled), shape)
+        assert plain is not None and plain < beta and (tau is None or tau == plain)
+        assert full_gram_rank_oracle(rows, scaled)[2] == plain
+
+
+def test_pivots_are_greedy_and_block_disjoint():
+    """Each pivot row shares no block with an earlier pivot, and each other
+    row shares one with an earlier pivot, on the planted patterns and on
+    D phi, D psi and the staircase of the loebell(8) factor."""
+    Q, p = _bundled_point("loebell8_factor")
+    patterns = [rows for rows, _ in _structured_patterns(Q, p).values()]
+    patterns += [_planted_pattern(np.random.default_rng(seed))[0] for seed in (3, 19)]
+    for rows in patterns:
+        used = set()
+        for r in range(rows.nrows):
+            blocks = set(rows.block[rows.row == r].tolist())
+            assert rows.pivots[r] == (not blocks & used), r
+            used |= blocks if rows.pivots[r] else set()
+    psi = lorentz.psi_structure(Q).rows
+    assert np.array_equal(np.flatnonzero(psi.pivots), np.arange(Q.f))
+
+
 def _planted_triangular(beta_a, beta_d, norm_b, rng):
     """T = [[A, B], [0, D]] with A 6 x 10 and D 8 x 12 of smallest singular
     values beta_a and beta_d, and B = norm_b u v^t rank one, u the left
@@ -256,22 +332,33 @@ def _gamma(j):
 
 
 def _structured_cases(Q, p):
-    """(dense oracle, structured matrix) for D phi at p and D psi at its bs."""
+    """(dense oracle, pattern, stored values) for D phi at p and D psi at its
+    bs."""
     index = vinberg.EquationIndex.from_orbifold(Q)
-    return [(phi_jacobian_oracle(index, p), vinberg.phi_matrix(Q, p)),
-            (psi_jacobian_oracle(Q, p.bs), lorentz.psi_matrix(Q, p.bs))]
+    S, T = vinberg.phi_structure(Q), lorentz.psi_structure(Q)
+    return [(phi_jacobian_oracle(index, p), S.rows, S.values(p)),
+            (psi_jacobian_oracle(Q, p.bs), T.rows, T.values(lorentz._alphas(p.bs)))]
 
 
-def _assert_structured_matches(M, structured):
-    """The dense builder gives M bit for bit; the assembled Gram matrix and
-    the dense product W W^t both lie within gamma_q |W| |W|^t + q eta of the
-    exact Gram matrix, so within twice that of each other; and the rank
-    decision equals the SVD's."""
+def _assert_structured_matches(M, rows, values):
+    """The dense builder gives M bit for bit; the Gram matrix assembled from
+    the pattern and the dense product W W^t both lie within gamma_q |W|
+    |W|^t + q eta of the exact Gram matrix, so within twice that of each
+    other; the bordered form has that Gram matrix's diagonal and, at a
+    shift below its smallest diagonal entry, the trailing block of its
+    dense elimination, bit for bit; and the rank decision equals the
+    SVD's."""
+    structured = rows.matrix(values)
     assert structured.shape == M.shape and M.shape[0] <= M.shape[1]
     assert np.array_equal(structured.build(), M)
     q = M.shape[1]
     bound = _gamma(q) * (np.abs(M) @ np.abs(M).T) + q * SMALLEST_SUBNORMAL
-    assert np.all(np.abs(structured.gram() - dense_gram_oracle(M)) <= 2.0 * bound)
+    A = block_gram_oracle(rows, values)
+    assert np.all(np.abs(A - dense_gram_oracle(M)) <= 2.0 * bound)
+    bordered = structured.gram()
+    assert np.array_equal(bordered.diagonal, np.diagonal(A))
+    s = 0.5 * float(np.diagonal(A).min())
+    assert np.array_equal(bordered.trailing(s), bordered_trailing_oracle(A, rows.pivots, s))
     return _assert_same_decision(M, structured)
 
 
@@ -285,8 +372,8 @@ def test_structured_gram_matches_dense_on_bundled(name):
     Q, p = _bundled_point(name)
     rng = np.random.default_rng(41)
     for q in [p] + _off_solution_points(Q, rng):
-        for M, structured in _structured_cases(Q, q):
-            _assert_structured_matches(M, structured)
+        for case in _structured_cases(Q, q):
+            _assert_structured_matches(*case)
 
 
 @pytest.mark.parametrize("family", ["loebell", "prism"])
@@ -295,11 +382,11 @@ def test_structured_gram_matches_dense_on_families(family):
     for m in range(5, 33):
         Q, R = family_realization(family, m)
         p = vinberg.hyperbolic_point(R)
-        for M, structured in _structured_cases(Q, p):
-            assert _assert_structured_matches(M, structured).method == "cholesky", (family, m)
+        for case in _structured_cases(Q, p):
+            assert _assert_structured_matches(*case).method == "cholesky", (family, m)
         for q in _off_solution_points(Q, rng, 1):
-            for M, structured in _structured_cases(Q, q):
-                _assert_structured_matches(M, structured)
+            for case in _structured_cases(Q, q):
+                _assert_structured_matches(*case)
 
 
 @pytest.mark.parametrize("name", ["tetrahedron353", "doubled_cube", "esselmann",
@@ -310,13 +397,14 @@ def test_gram_diagonal_is_the_gram_matrix_diagonal(name):
     for q in [p] + _off_solution_points(Q, rng):
         S, T = vinberg.phi_structure(Q), lorentz.psi_structure(Q)
         for rows, values in ((S.rows, S.values(q)), (T.rows, T.values(q.alphas))):
-            assert np.array_equal(rows.gram_diagonal(values), np.diagonal(rows.gram(values)))
+            diagonal = np.diagonal(block_gram_oracle(rows, values))
+            assert np.array_equal(rows.gram_diagonal(values), diagonal)
+            assert np.array_equal(rows.gram(values).diagonal, diagonal)
 
 
 def test_rank_deficient_structured_matrix_takes_the_svd_path():
     Q, p = _bundled_point("doubled_cube")
-    M, structured = _structured_cases(Q, p)[0]
-    rr = _assert_structured_matches(M, structured)
+    rr = _assert_structured_matches(*_structured_cases(Q, p)[0])
     assert rr.method == "svd" and rr.rank == 47
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import coxdeform
 from coxdeform import bundled, cli, orbifold as ob, serialize
-from conftest import curve_csv_oracle
+from conftest import curve_csv_oracle, to_jsonable_oracle
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -433,6 +433,46 @@ def test_dim_reports_print_json_booleans(capsys):
 def test_to_jsonable_maps_numpy_booleans():
     assert serialize.to_jsonable({"a": np.bool_(False), "b": [np.bool_(True)]}) == \
         {"a": False, "b": [True]}
+
+
+def _json_text(data):
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
+def test_to_jsonable_arrays_match_per_entry_oracle():
+    """Arrays converted with one tolist() and a flat pass print the same
+    bytes as one recursive call per entry: integers up to and past 1e12,
+    signed zeros, non-finite entries, float32, other shapes and kinds."""
+    rng = np.random.default_rng(12)
+    floats = rng.normal(size=(7, 5)) * np.logspace(-20, 20, 5)
+    edge = np.array([0.0, -0.0, 1.0, -2.0, 1e12 - 1, 1e12, -1e12, 1e12 + 1, 2.0 ** 60,
+                     0.5, 1.0 / 3.0, 123456789012.5, np.nan, np.inf, -np.inf, 5e-324])
+    cases = [floats, edge, edge.astype(np.float32), floats.reshape(5, 7, 1), floats[:0],
+             floats[:, :0], np.float64(0.1 + 0.2), np.array(2.5), np.arange(6).reshape(2, 3),
+             np.array([True, False]), np.array([1, 2], dtype=np.uint8), floats[:, 1],
+             np.array([1 + 2j]), {"a": floats, "b": [edge, (np.int64(3), np.float32(0.1))]}]
+    for case in cases:
+        assert _json_text(serialize.to_jsonable(case)) == _json_text(to_jsonable_oracle(case))
+
+
+def test_reports_serialize_as_per_entry_oracle(capsys, tmp_path):
+    """dim, realize and cartan reports print the same bytes as the
+    per-entry conversion."""
+    from coxdeform import vinberg
+
+    path = tmp_path / "path.json"
+    n = 40
+    path.write_text(json.dumps((2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)).tolist()))
+    essel = tmp_path / "essel.json"
+    essel.write_text(json.dumps({"matrix": vinberg.esselmann_base_matrix().tolist()}))
+    commands = [["cartan", str(path)], ["cartan", str(essel)]]
+    commands += [[cmd, name] for cmd in ("dim", "realize")
+                 for name in ("esselmann", "doubled_cube", "loebell5_factor")]
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        report, code = cli.COMMANDS[args.command](args)
+        assert code == 0, argv
+        assert serialize.dumps(report) == _json_text(to_jsonable_oracle(report)) + "\n", argv
 
 
 # the modules ``check`` loads on a 3-dimensional orbifold

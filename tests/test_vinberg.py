@@ -271,21 +271,30 @@ def test_rank_sum_builds_no_dense_matrix_when_certified(monkeypatch):
 
 @pytest.mark.parametrize("name", ["loebell16", "prism16"])
 def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
-    """The block certificate forms the Gram matrices of D psi and of the
+    """The block certificate assembles the Gram matrices of D psi and of the
     staircase once each, which check_rank_sum reuses, and never D phi's:
-    that is read only through its diagonal."""
+    that is read only through its diagonal.  D psi's full (f + e)^2 Gram
+    matrix is never formed: its f diagonal rows are eliminated in closed
+    form, so LAPACK factors only the e x e ridge block, and the staircase's
+    rows less a greedy matching of them; the gauge directions stay dense."""
     Q, p = _hyperbolic_case(name)
     index = vinberg.EquationIndex.from_orbifold(Q)
-    grams, diagonals = [], []
-    gram, diagonal = BlockRows.gram, BlockRows.gram_diagonal
+    f, e, n2 = index.f, len(index.e2) + len(index.e3), len(index.e2)
+    grams, diagonals, factored = [], [], []
+    gram, diagonal, cholesky = BlockRows.gram, BlockRows.gram_diagonal, np.linalg.cholesky
     monkeypatch.setattr(BlockRows, "gram",
                         lambda self, values: grams.append(self.nrows) or gram(self, values))
     monkeypatch.setattr(BlockRows, "gram_diagonal",
                         lambda self, values: diagonals.append(self.nrows) or diagonal(self, values))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda A: factored.append(A.shape) or cholesky(A))
     report = vinberg.check_rank_sum(Q, p)
     assert report.rank_phi.method == "block" and report.rank_phi.full_rank
-    assert sorted(grams) == sorted([len(index.e2), index.f + len(index.e2) + len(index.e3)])
+    assert sorted(grams) == sorted([n2, f + e])
     assert diagonals == [index.N]
+    matching = int(index.staircase_rows.pivots.sum())
+    assert 0 < matching <= f // 2
+    g = vinberg.gauge_dimension(p.f, p.dim)  # the dense gauge directions' Gram matrix
+    assert sorted(factored) == sorted([(e, e), (n2 - matching, n2 - matching), (g, g)])
 
 
 def test_reduction_norms_bound_the_oracle_operators():
