@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -39,14 +40,42 @@ VALIDATION_ERRORS = (errors.SchemaError, errors.CombinatoricsError,
                      FileNotFoundError, json.JSONDecodeError)
 NUMERICAL_ERRORS = (NumericalFailure, errors.ConvergenceError, errors.RealizationError)
 
+
+def _checked(convert, value, accept, expected):
+    """``convert(value)``, refused as a usage error unless ``accept`` holds."""
+    try:
+        x = convert(value)
+        if accept(x):
+            return x
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+
+
+def _tolerance(value):
+    from coxdeform.lorentz import VALID_RESIDUAL  # imports numpy: only realize and dim take --tol
+
+    return _checked(float, value, lambda x: 0.0 < x <= VALID_RESIDUAL,
+                    f"a number in (0, {VALID_RESIDUAL:g}]")
+
+
+def _rank_tolerance(value):
+    return _checked(float, value, lambda x: 0.0 < x < math.inf, "a finite number above 0")
+
+
+def _seed(value):
+    return _checked(int, value, lambda x: x >= 0, "an integer of at least 0")
+
+
 # Each command takes exactly its shared options listed here, plus --out, and
 # its report's "config" echoes their values.
 SHARED_OPTIONS = {
-    "tol": {"type": float, "default": 1e-10,
-            "help": "residual tolerance for solvers (default 1e-10)"},
-    "rank_tol": {"type": float, "default": 1e-12,
-                 "help": "relative singular-value threshold (default 1e-12)"},
-    "seed": {"type": int, "default": 0, "help": "random seed (default 0)"},
+    "tol": {"type": _tolerance, "default": 1e-10,
+            "help": "residual tolerance for solvers, in (0, 1e-8] (default 1e-10)"},
+    "rank_tol": {"type": _rank_tolerance, "default": 1e-12,
+                 "help": "relative singular-value threshold, finite and above 0 "
+                         "(default 1e-12)"},
+    "seed": {"type": _seed, "default": 0, "help": "random seed, at least 0 (default 0)"},
     "force": {"action": "store_true", "help": "downgrade uncertain rank decisions to warnings"},
 }
 COMMAND_OPTIONS = {"check": (), "realize": ("tol", "seed"),

@@ -20,6 +20,7 @@ from coxdeform.errors import CombinatoricsError, ConvergenceError, RealizationEr
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-10
+VALID_RESIDUAL = 1e-8         # the largest residual norm of a valid realization
 SIGNATURE_EIG_TOL = 1e-9
 DIVERGENCE_THRESHOLD = -1.0   # non-adjacent facets: <nu_i, nu_j> below this
 DIVERGENCE_MARGIN = 1e-6      # rejects boundary (asymptotic-hyperplane) noise
@@ -87,14 +88,12 @@ class PsiStructure:
     Row r reads 2<nu_a, nu_b> + shift with facet positions ``a[r]`` and
     ``b[r]`` (equal on the diagonal rows).  In the block of each facet c it
     touches, its Jacobian row carries k alpha_o, where o is the row's other
-    facet; slot s is such an entry, with c = ``slot_facet[s]``, o =
+    facet; slot s is such an entry, with c = ``rows.block[s]``, o =
     ``slot_other[s]`` and k = ``slot_k[s]`` (2 on the f diagonal rows, which
     come first, and 1 on the e ridge rows).  ``rows`` is the
-    :class:`BlockRows` pattern of all slots and ``ridge`` that of the ridge
-    slots alone, whose pairs give the Newton system without the diagonal rows
-    (:meth:`gauss_newton_step`).  ``vertex_rows`` (one row of facet
-    positions per vertex, sorted by facet) and ``nonadjacent`` (the positions
-    of the polytope's non-adjacent pairs, in its order) serve
+    :class:`BlockRows` pattern of all slots.  ``vertex_rows`` (one row of
+    facet positions per vertex, sorted by facet) and ``nonadjacent`` (the
+    positions of the polytope's non-adjacent pairs, in its order) serve
     :class:`HyperbolicRealization`.
     """
 
@@ -112,22 +111,11 @@ class PsiStructure:
         self.shift = np.array([-2.0 if i == j else 2.0 * math.cos(math.pi / Q.order(i, j))
                                for i, j in rows])
         e = len(rows) - f
-        ridge = np.arange(e)
-        self.slot_facet = np.concatenate([a[:f], a[f:], b[f:]]).astype(np.int32)
+        ridge = f + np.arange(e)
         self.slot_other = np.concatenate([a[:f], b[f:], a[f:]]).astype(np.int32)
         self.slot_k = np.concatenate([np.full(f, 2.0), np.ones(2 * e)])
-        self.rows = BlockRows(len(rows), f, np.concatenate([np.arange(f), f + ridge, f + ridge]),
-                              self.slot_facet)
-        R = self.ridge = BlockRows(e, f, np.concatenate([ridge, ridge]), self.slot_facet[f:])
-        # flat indices into f x f arrays of each ridge slot's (c, o) and of
-        # each ridge pair's (o, o'), and each pair's entry of the e x e system
-        c, o = R.block, self.slot_other[f:]
-        p, q = R.pairs
-        self.ridge_cell = c * f + o
-        self.ridge_pair_cell = o[p] * f + o[q]
-        self.ridge_entry = R.row[p] * e + R.row[q]
-        # trace(J J^t) = sum over facets of (4 + degree) |alpha_c|^2
-        self.trace_weight = 4.0 + np.bincount(c, minlength=f)
+        self.rows = BlockRows(len(rows), f, np.concatenate([np.arange(f), ridge, ridge]),
+                              np.concatenate([a[:f], a[f:], b[f:]]))
 
     @property
     def nrows(self):
@@ -146,40 +134,14 @@ class PsiStructure:
 
     def gauss_newton_step(self, alphas, r, system):
         """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
-        f x (n+1) array, where J itself is never formed.  ``system`` is an
-        e x e work array, zero off the pattern of the ridge pairs, which is
-        all a step writes, so that a solve can reuse one array for all of
-        its steps.
-
-        The f diagonal rows share no facet, so their block of J J^t + mu I
-        is the diagonal D = 4|alpha_c|^2 + mu; a ridge slot in block c
-        couples its row to diagonal row c by B = 2 alpha_c . alpha_o.  Those
-        rows are eliminated exactly: the ridge part y_2 of y solves the
-        e x e Schur complement (C - B^t D^-1 B) y_2 = r_2 - B^t D^-1 r_1,
-        whose entries are sums over the ridge pairs of alpha_o . alpha_o' -
-        B B' / D_c (plus mu on the diagonal), and then y_1 = D^-1 (r_1 -
-        B y_2)."""
-        f, R = self.f, self.ridge
-        e, c, row = R.nrows, R.block, R.row
-        gram = alphas @ alphas.T
-        flat = gram.ravel()
-        g = gram.diagonal()
-        mu = LM_SHIFT * (g @ self.trace_weight) / self.nrows
-        d = 4.0 * g + mu
-        B = 2.0 * flat.take(self.ridge_cell)
-        s = B / np.sqrt(d).take(c)
-        p, q = R.pairs
-        # each entry of the pattern summed from zero, in pair order
-        system.flat[self.ridge_entry] = 0.0
-        np.add.at(system.reshape(-1), self.ridge_entry,
-                  flat.take(self.ridge_pair_cell) - s.take(p) * s.take(q))
-        system.flat[::e + 1] += mu
-        t = r[:f] / d
-        y2 = np.linalg.solve(system, r[f:] - np.bincount(row, B * t.take(c), minlength=e))
-        y1 = t - np.bincount(c, B * y2.take(row), minlength=f) / d
-        coef = np.bincount(self.ridge_cell, y2.take(row), minlength=f * f).reshape(f, f)
-        coef.flat[::f + 1] += 2.0 * y1
-        return coef @ alphas
+        f x (n+1) array, without forming J: the Gram matrix of ``rows`` is
+        solved at the shift -mu (:meth:`BorderedGram.solve`) with its e x e
+        trailing block in ``system``, which a solve reuses for each step."""
+        values = self.values(alphas)
+        A = self.rows.gram(values)
+        mu = LM_SHIFT * A.diagonal.sum() / self.nrows
+        y = A.solve(-mu, r, out=system)
+        return self.rows.transpose_product(values, y).reshape(alphas.shape)
 
 
 _PSI_STRUCTURES = weakref.WeakKeyDictionary()
@@ -255,7 +217,7 @@ class HyperbolicRealization:
         return dict(zip(self.Q.base.nonadjacent_pairs, self._nonadjacent_values.tolist()))
 
     def check_valid(self):
-        if self.residual_norm > 1e-8:
+        if self.residual_norm > VALID_RESIDUAL:
             raise RealizationError(
                 f"normals do not satisfy the hyperbolic equations "
                 f"(residual {self.residual_norm:.3e})")
@@ -330,14 +292,11 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     Each step is the minimum-norm step J^t y with (J J^t + mu I) y = r, which
     quotients out the Lorentz gauge freedom (the Jacobian kernel is
     dim so(1,n) on the solution manifold) without pinning a gauge, so it does
-    not depend on facet labels.  J J^t comes from the Gram matrix of the
-    alphas, and the f diagonal rows, whose block of J J^t is diagonal, are
-    eliminated exactly, so each step solves an e x e system
-    (:meth:`PsiStructure.gauss_newton_step`), assembled in one array that
-    the solve allocates once.  The Levenberg-Marquardt
-    shift mu = LM_SHIFT trace(J J^t) / (f + e) keeps the system positive
-    definite when J loses row rank; at full row rank the step is the
-    least-squares step J^+ r up to rounding.  Step halving is the safeguard.
+    not depend on facet labels (:meth:`PsiStructure.gauss_newton_step`, in
+    one e x e array per solve).  The Levenberg-Marquardt shift mu = LM_SHIFT
+    trace(J J^t) / (f + e) keeps the system positive definite when J loses
+    row rank; at full row rank the step is the least-squares step J^+ r up
+    to rounding.  Step halving is the safeguard.
     At most ``max_iter`` steps are taken.  Raises ConvergenceError on
     divergence and RealizationError if the converged point fails the
     compactness or divergence checks.
@@ -349,8 +308,7 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
         raise RealizationError(f"initial guess must have shape {(Q.f, Q.n + 1)}")
     S = psi_structure(Q)
     r = S.eval(x)
-    e = S.ridge.nrows
-    system = np.zeros((e, e))
+    system = np.zeros((S.rows.elimination.size,) * 2)
     for k in range(max_iter + 1):
         norm = np.linalg.norm(r)
         if norm < tol:

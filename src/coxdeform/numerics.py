@@ -20,6 +20,9 @@ those steps have a closed form, and only the trailing block, the Schur
 complement, is formed and handed to LAPACK (:class:`BorderedGram`).  This is
 the same floating-point Cholesky of the same shifted matrix in another
 pivot order, so the certificate is unchanged (:func:`_full_rank_certificate`).
+The Gauss-Newton step of :mod:`coxdeform.lorentz` solves through the same
+elimination of D psi's Gram matrix at the shift -mu that its certificate
+factors at +s (:meth:`BorderedGram.solve`).
 """
 
 from __future__ import annotations
@@ -84,21 +87,45 @@ class StructuredMatrix:
 class BorderedGram:
     """A Gram matrix A = fl(W W^t) in the form that
     :func:`_full_rank_certificate` factors: its ``diagonal``, and
-    ``trailing(s)``, the trailing block that the Cholesky factorisation of
-    fl(A - s I) leaves after its closed-form pivots, or None when one of
-    those pivots is not positive.  A dense A has no such pivots
-    (:meth:`dense`)."""
+    ``eliminate(s, out=None)``, the Cholesky factorisation of fl(A - s I)
+    through its closed-form pivots, as (pivots, multipliers, trailing
+    block), which raises LinAlgError, as LAPACK does, at a pivot that is not
+    positive.  A dense A has no such pivots (:meth:`dense`).  The Gram
+    matrix of a pattern (:meth:`BlockRows.gram`) carries its
+    ``elimination``, which :meth:`solve` reads."""
 
     diagonal: np.ndarray
-    trailing: Callable
+    eliminate: Callable
+    elimination: _Elimination = None
 
     @classmethod
     def dense(cls, A):
         """fl(A - s I) itself, formed in A, which is overwritten."""
-        def trailing(s):
+        def eliminate(s):
             A.flat[::len(A) + 1] -= s
-            return A
-        return cls(np.diagonal(A).copy(), trailing)
+            return None, None, A
+        return cls(np.diagonal(A).copy(), eliminate)
+
+    def trailing(self, s):
+        """The trailing block of the factorisation of fl(A - s I)."""
+        return self.eliminate(s)[2]
+
+    def solve(self, s, r, out=None):
+        """y with fl(A - s I) y = r, A a pattern's Gram matrix, by the same
+        factorisation: z = r_p / l through the pivots l; the trailing block,
+        formed in ``out`` when given (m x m, zero off the pattern's
+        entries), solved for y_t from r_t - C z, C the multipliers; and
+        y_p = (z - C^t y_t) / l."""
+        E = self.elimination
+        pivot, coupling, block = self.eliminate(s, out)
+        z = r[E.pivot_rows] / pivot
+        t = r[E.trail_rows] - np.bincount(E.couple_row, coupling * z[E.couple_pivot],
+                                          minlength=E.size)
+        y = np.empty(len(r))
+        y[E.trail_rows] = t = np.linalg.solve(block, t)
+        y[E.pivot_rows] = (z - np.bincount(E.couple_pivot, coupling * t[E.couple_row],
+                                           minlength=len(z))) / pivot
+        return y
 
 
 class BlockRows:
@@ -152,7 +179,8 @@ class BlockRows:
           row; and the pairs of terms of two trailing rows;
         - ``couple``: the coupling each of the second run belongs to, one
           per (trailing row, pivot row) that share a block, and
-          ``couple_pivot``, each coupling's position among the pivots;
+          ``couple_row`` and ``couple_pivot``, each coupling's positions
+          among the trailing rows (``trail_rows``) and the pivots;
         - ``update`` (a, b): every ordered pair of couplings with a common
           pivot, grouped by pivot in pivot order;
         - ``entry``: the flat entry of the m x m trailing block of each pair
@@ -173,11 +201,11 @@ class BlockRows:
                              np.argsort(couple_pivot, kind="stable"))
         order = self.block_order
         return _Elimination(
-            pivot_rows=np.flatnonzero(pivot),
+            pivot_rows=np.flatnonzero(pivot), trail_rows=np.flatnonzero(~pivot),
             dot_pairs=(np.concatenate([order, p[cross], p[both]]),
                        np.concatenate([order, q[cross], q[both]])),
             ndiag=len(order), ncouple=int(cross.sum()), diag_rows=self.row[order],
-            couple=couple, couple_pivot=couple_pivot, update=(a, b),
+            couple=couple, couple_row=couple_row, couple_pivot=couple_pivot, update=(a, b),
             entry=np.concatenate([trail_pos[rp[both]] * m + trail_pos[rq[both]],
                                   np.arange(m) * (m + 1), couple_row[a] * m + couple_row[b]]),
             size=m)
@@ -203,7 +231,8 @@ class BlockRows:
         and the trailing entry fl(A_rs - s [r = s]) minus the products of
         the multipliers of r and s, pivot by pivot in pivot order.  All of
         them go into one accumulation, in that order, so each Gram entry is
-        summed first, then shifted, then eliminated."""
+        summed first, then shifted, then eliminated: one ``np.bincount`` or,
+        into ``out``, one ``np.add.at``, which sums in the same order."""
         E = self.elimination
         m, ndots = E.size, len(E.dot_pairs[0])
         a, b = E.update
@@ -212,16 +241,29 @@ class BlockRows:
         diag = np.bincount(E.diag_rows, weights[:E.ndiag], minlength=self.nrows)
         head = E.ndiag + E.ncouple
 
-        def trailing(s):
+        def eliminate(s, out=None):
             pivot = diag[E.pivot_rows] - s
             if not (pivot > 0.0).all():
-                return None
+                raise np.linalg.LinAlgError("a closed-form pivot is not positive")
+            pivot = np.sqrt(pivot)
             coupling = np.bincount(E.couple, weights[E.ndiag:head],
-                                   minlength=len(E.couple_pivot)) / np.sqrt(pivot)[E.couple_pivot]
+                                   minlength=len(E.couple_pivot)) / pivot[E.couple_pivot]
             weights[ndots:ndots + m] = -s
-            np.multiply(np.negative(coupling[a]), coupling[b], out=weights[ndots + m:])
-            return np.bincount(E.entry, weights[head:], minlength=m * m).reshape(m, m)
-        return BorderedGram(diag, trailing)
+            np.multiply(np.negative(coupling.take(a)), coupling.take(b), out=weights[ndots + m:])
+            if out is None:
+                return pivot, coupling, np.bincount(E.entry, weights[head:],
+                                                    minlength=m * m).reshape(m, m)
+            flat = out.reshape(-1)
+            flat[E.entry] = 0.0
+            np.add.at(flat, E.entry, weights[head:])
+            return pivot, coupling, out
+        return BorderedGram(diag, eliminate, E)
+
+    def transpose_product(self, values, y):
+        """M^t y: block c sums y[row[t]] values[t] over its terms t."""
+        weighted = values * y.take(self.row)[:, None]
+        return np.array([np.bincount(self.block, w, minlength=self.nblocks)
+                         for w in weighted.T]).T.reshape(-1)
 
     def gram_diagonal(self, values):
         """The diagonal of the Gram matrix, bit for bit, without the pairs:
@@ -239,11 +281,13 @@ class BlockRows:
 @dataclass(frozen=True)
 class _Elimination:
     pivot_rows: np.ndarray
+    trail_rows: np.ndarray
     dot_pairs: tuple
     ndiag: int
     ncouple: int
     diag_rows: np.ndarray
     couple: np.ndarray
+    couple_row: np.ndarray
     couple_pivot: np.ndarray
     update: tuple
     entry: np.ndarray
@@ -266,13 +310,10 @@ def _pairs_within(group, ngroups, order):
 def _pair_dots(values, p, q, out=None):
     """fl(<values[p], values[q]>) for each pair, summed in column order,
     into ``out`` when given."""
-    products = np.take(values, p, axis=0)
-    products *= np.take(values, q, axis=0)
-    if out is None:
-        out = np.empty(len(products))
-    out[:] = products[:, 0]
-    for j in range(1, products.shape[1]):
-        out += products[:, j]
+    columns = values.T.copy()
+    out = np.multiply(columns[0].take(p), columns[0].take(q), out=out)
+    for column in columns[1:]:
+        out += column.take(p) * column.take(q)
     return out
 
 
@@ -374,11 +415,8 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     s *= 1.0 + _gamma(64)
     if not math.isfinite(s):
         return None
-    B = A.trailing(s)
-    if B is None:
-        return None
     try:
-        np.linalg.cholesky(B)
+        np.linalg.cholesky(A.trailing(s))
     except np.linalg.LinAlgError:
         return None
     return tau

@@ -482,8 +482,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     from coxdeform import lorentz, orbifold as ob
 
     index, rphi, psi, staircase = _phi_analysis(Q, p, policy)
-    J = lorentz.LorentzForm(p.dim).matrix
-    if np.abs(p.alphas - 2.0 * p.bs @ J).max() > 1e-7:
+    if np.abs(p.alphas - _twice_Jb(p.bs)).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
 
     M = lorentz.psi_matrix(Q, p.bs)

@@ -717,30 +717,16 @@ def bordered_trailing_oracle(A, pivots, s):
 
 
 def newton_bincount_oracle(Q, initial):
-    """``solve_hyperbolic_newton`` with each step's e x e ridge system in a
-    fresh ``np.bincount`` array; returns the converged normals."""
+    """``solve_hyperbolic_newton`` with each step's e x e trailing block in a
+    fresh ``np.bincount`` array: ``BorderedGram.solve`` without the work
+    array; returns the converged normals."""
     S = lorentz.psi_structure(Q)
-    f, R = S.f, S.ridge
-    e, c, row = R.nrows, R.block, R.row
-    p, q = R.pairs
 
     def step(alphas, r):
-        gram = alphas @ alphas.T
-        flat = gram.ravel()
-        g = gram.diagonal()
-        mu = lorentz.LM_SHIFT * (g @ S.trace_weight) / S.nrows
-        d = 4.0 * g + mu
-        B = 2.0 * flat.take(S.ridge_cell)
-        s = B / np.sqrt(d).take(c)
-        M = np.bincount(S.ridge_entry, flat.take(S.ridge_pair_cell) - s.take(p) * s.take(q),
-                        minlength=e * e).reshape(e, e)
-        M.flat[::e + 1] += mu
-        t = r[:f] / d
-        y2 = np.linalg.solve(M, r[f:] - np.bincount(row, B * t.take(c), minlength=e))
-        y1 = t - np.bincount(c, B * y2.take(row), minlength=f) / d
-        coef = np.bincount(S.ridge_cell, y2.take(row), minlength=f * f).reshape(f, f)
-        coef.flat[::f + 1] += 2.0 * y1
-        return coef @ alphas
+        values = S.values(alphas)
+        A = S.rows.gram(values)
+        y = A.solve(-lorentz.LM_SHIFT * A.diagonal.sum() / S.nrows, r)
+        return S.rows.transpose_product(values, y).reshape(alphas.shape)
 
     x = np.asarray(initial, dtype=float).copy()
     r = S.eval(x)

@@ -289,7 +289,7 @@ def _assert_step_matches_full_solve(Q, x):
     kappa(G) u."""
     S = lorentz.psi_structure(Q)
     r = S.eval(x)
-    e = S.ridge.nrows
+    e = S.nrows - S.f
     step = S.gauss_newton_step(lorentz._alphas(x), r, np.zeros((e, e)))
     ref, G = gauss_newton_step_oracle(Q, x, r)
     tol = max(1e-12, 4.0 * np.linalg.cond(G) * 2.0 ** -53)
@@ -530,6 +530,28 @@ def test_psi_certificate_never_holds_the_full_gram():
         tracemalloc.stop()
     assert kernel == 6
     assert peak < 2 * rows * rows * 8
+
+
+def test_newton_step_allocates_no_trailing_block():
+    """One Gauss-Newton step at the loebell(64) factor, given its work
+    array, has a traced peak under one e x e array (e^2 doubles): the step
+    forms its trailing block in that array, not in a new one.  LAPACK's
+    copy inside np.linalg.solve is not traced."""
+    Q, _ = family_realization("loebell", 64)
+    S = lorentz.psi_structure(Q)
+    x = lorentz.initial_guess(Q)
+    alphas, r = lorentz._alphas(x), S.eval(x)
+    e = S.nrows - S.f
+    system = np.zeros((e, e))
+    first = S.gauss_newton_step(alphas, r, system)  # the pattern's index arrays, once
+    tracemalloc.start()
+    try:
+        step = S.gauss_newton_step(alphas, r, system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(step, first)
+    assert peak < e * e * 8
 
 
 def _seed_polytopes():

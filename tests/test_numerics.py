@@ -255,7 +255,9 @@ def test_bordered_certificate_at_the_floor(seed, extra):
 def test_pivots_are_greedy_and_block_disjoint():
     """Each pivot row shares no block with an earlier pivot, and each other
     row shares one with an earlier pivot, on the planted patterns and on
-    D phi, D psi and the staircase of the loebell(8) factor."""
+    D phi, D psi and the staircase of the loebell(8) factor.  D psi's pivots
+    are its f diagonal rows, on every bundled orbifold and on the loebell(m)
+    factors and prism(m) cap orbifolds for m = 5..64."""
     Q, p = _bundled_point("loebell8_factor")
     patterns = [rows for rows, _ in _structured_patterns(Q, p).values()]
     patterns += [_planted_pattern(np.random.default_rng(seed))[0] for seed in (3, 19)]
@@ -265,8 +267,55 @@ def test_pivots_are_greedy_and_block_disjoint():
             blocks = set(rows.block[rows.row == r].tolist())
             assert rows.pivots[r] == (not blocks & used), r
             used |= blocks if rows.pivots[r] else set()
-    psi = lorentz.psi_structure(Q).rows
-    assert np.array_equal(np.flatnonzero(psi.pivots), np.arange(Q.f))
+    orbifolds = [bundled.load_builtin(name) for name in bundled.BUILTIN_NAMES]
+    for m in range(5, 65):
+        orbifolds += [loebell_factor_orbifold(pt.loebell(m)), prism_cap_orbifold(m)]
+    for Q in orbifolds:
+        psi = lorentz.psi_structure(Q).rows
+        assert np.array_equal(np.flatnonzero(psi.pivots), np.arange(Q.f))
+
+
+def _bordered_cases():
+    """(pattern, values) of the planted patterns, with and without coupled
+    rows, and of D phi, D psi and the staircase of the loebell(8) factor."""
+    Q, p = _bundled_point("loebell8_factor")
+    cases = [_planted_pattern(np.random.default_rng(seed), extra=extra)
+             for seed, extra in ((3, 14), (19, 14), (5, 0))]
+    return cases + list(_structured_patterns(Q, p).values())
+
+
+def test_bordered_solve_matches_dense_solve():
+    """BorderedGram.solve at a shift below 0 (Newton's -mu) and at one above
+    0 (half the smallest diagonal entry) matches np.linalg.solve of the
+    dense fl(A - s I) to 4 kappa u, both being backward-stable solves; in a
+    reused work array it equals the fresh solve bit for bit."""
+    rng = np.random.default_rng(53)
+    for rows, values in _bordered_cases():
+        A = block_gram_oracle(rows, values)
+        diag = np.diagonal(A)
+        bordered = rows.gram(values)
+        work = np.zeros((rows.elimination.size,) * 2)
+        for s in (-1e-12 * diag.sum() / len(diag), 0.5 * diag.min()):
+            B = A.copy()
+            B.flat[::len(B) + 1] -= s
+            r = rng.normal(size=rows.nrows)
+            ref = np.linalg.solve(B, r)
+            y = bordered.solve(s, r, out=work)
+            tol = 4.0 * np.linalg.cond(B) * UNIT_ROUNDOFF
+            assert np.linalg.norm(y - ref) <= tol * np.linalg.norm(ref), s
+            assert np.array_equal(y, bordered.solve(s, r)), s
+            assert np.array_equal(work, bordered.trailing(s)), s
+
+
+def test_transpose_product_is_the_dense_product():
+    """M^t y from the pattern equals the dense product within the rounding
+    of both sums, 2 gamma_k |M|^t |y| for k rows."""
+    rng = np.random.default_rng(59)
+    for rows, values in _bordered_cases():
+        M = rows.dense(values)
+        y = rng.normal(size=rows.nrows)
+        bound = 2.0 * _gamma(rows.nrows) * (np.abs(M).T @ np.abs(y))
+        assert np.all(np.abs(rows.transpose_product(values, y) - M.T @ y) <= bound)
 
 
 def _planted_triangular(beta_a, beta_d, norm_b, rng):

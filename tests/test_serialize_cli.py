@@ -388,6 +388,42 @@ def test_readme_option_table_matches_parser_and_config(capsys, tmp_path):
     assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["realize", "cube_flex", "--tol", "1e-3"], "--tol: expected a number in (0, 1e-08]"),
+    (["realize", "cube_flex", "--tol", "0"], "--tol: expected a number in (0, 1e-08]"),
+    (["realize", "cube_flex", "--tol", "-1"], "--tol: expected a number in (0, 1e-08]"),
+    (["realize", "cube_flex", "--tol", "nan"], "--tol: expected a number in (0, 1e-08]"),
+    (["realize", "cube_flex", "--tol", "inf"], "--tol: expected a number in (0, 1e-08]"),
+    (["dim", "loebell6_factor", "--rank-tol", "-1"],
+     "--rank-tol: expected a finite number above 0"),
+    (["dim", "loebell6_factor", "--rank-tol", "nan"],
+     "--rank-tol: expected a finite number above 0"),
+    (["realize", "doubled_cube", "--seed-name", "random", "--seed", "-1"],
+     "--seed: expected an integer of at least 0"),
+    (["stats", "cube", "--d", "3", "--seed", "-1"], "--seed: expected an integer of at least 0"),
+])
+def test_cli_refuses_shared_options_out_of_range(capsys, argv, expected):
+    """An out-of-range --tol, --rank-tol or --seed is a usage error that
+    names the range, before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {expected}, got '{argv[-1]}'" in capsys.readouterr().err
+
+
+def test_cli_accepts_shared_options_at_their_bounds(capsys):
+    """--tol at the realization bound itself realizes; --seed 0 and a tiny
+    --rank-tol are accepted."""
+    from coxdeform import lorentz
+
+    code, out, _ = run_cli(capsys, "realize", "cube_flex", "--tol", "1e-8")
+    assert code == 0 and json.loads(out)["config"]["tol"] == lorentz.VALID_RESIDUAL
+    code, out, _ = run_cli(capsys, "dim", "tetrahedron353", "--rank-tol", "5e-324",
+                           "--seed", "0")
+    assert code == 0 and json.loads(out)["config"] == {
+        "tol": 1e-10, "rank_tol": 5e-324, "seed": 0, "force": False}
+
+
 def test_cli_curve_refuses_fewer_than_two_grid_points(capsys, tmp_path):
     for res in ("-3", "0", "1"):
         base = tmp_path / f"curve{res}"
