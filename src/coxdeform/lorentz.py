@@ -135,8 +135,8 @@ class PsiStructure:
     def gauss_newton_step(self, alphas, r, system):
         """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
         f x (n+1) array, without forming J: the Gram matrix of ``rows`` is
-        solved at the shift -mu (:meth:`BorderedGram.solve`) with its e x e
-        trailing block in ``system``, which a solve reuses for each step."""
+        solved at the shift -mu (:meth:`BorderedGram.solve`) with the block
+        left to LAPACK in ``system``, which a solve reuses for each step."""
         values = self.values(alphas)
         A = self.rows.gram(values)
         mu = LM_SHIFT * A.diagonal.sum() / self.nrows
@@ -293,10 +293,11 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     quotients out the Lorentz gauge freedom (the Jacobian kernel is
     dim so(1,n) on the solution manifold) without pinning a gauge, so it does
     not depend on facet labels (:meth:`PsiStructure.gauss_newton_step`, in
-    one e x e array per solve).  The Levenberg-Marquardt shift mu = LM_SHIFT
-    trace(J J^t) / (f + e) keeps the system positive definite when J loses
-    row rank; at full row rank the step is the least-squares step J^+ r up
-    to rounding.  Step halving is the safeguard.
+    one array per solve for the block left to LAPACK).  The
+    Levenberg-Marquardt shift mu = LM_SHIFT trace(J J^t) / (f + e) keeps the
+    system positive definite when J loses row rank; at full row rank the
+    step is the least-squares step J^+ r up to rounding.  Step halving is
+    the safeguard.
     At most ``max_iter`` steps are taken.  Raises ConvergenceError on
     divergence and RealizationError if the converged point fails the
     compactness or divergence checks.

@@ -16,8 +16,14 @@ Gram matrices are assembled from that pattern and the dense matrix is built
 only when the SVD must decide (:class:`StructuredMatrix`).  The Cholesky
 factorisation takes the rows of a pattern that share no block with each
 other as its first pivots: their block of the Gram matrix is diagonal, so
-those steps have a closed form, and only the trailing block, the Schur
-complement, is formed and handed to LAPACK (:class:`BorderedGram`).  This is
+those steps have a closed form.  The trailing block, the Schur complement,
+is sparse too, and is reduced the same way level by level: each level takes
+rows with no structural nonzero between them in the block the levels before
+leave, chosen greedily by fewest nonzeros, as in Liu's multiple minimum
+degree ordering.  A level is taken while its cost model expects it to save
+LAPACK more time than it costs (:func:`_takes_level`), and only the block
+left is formed densely and handed to LAPACK (:class:`BorderedGram`).  The
+pattern of every level is worked out once per pattern and cached.  This is
 the same floating-point Cholesky of the same shifted matrix in another
 pivot order, so the certificate is unchanged (:func:`_full_rank_certificate`).
 The Gauss-Newton step of :mod:`coxdeform.lorentz` solves through the same
@@ -88,43 +94,54 @@ class BorderedGram:
     """A Gram matrix A = fl(W W^t) in the form that
     :func:`_full_rank_certificate` factors: its ``diagonal``, and
     ``eliminate(s, out=None)``, the Cholesky factorisation of fl(A - s I)
-    through its closed-form pivots, as (pivots, multipliers, trailing
-    block), which raises LinAlgError, as LAPACK does, at a pivot that is not
-    positive.  A dense A has no such pivots (:meth:`dense`).  The Gram
-    matrix of a pattern (:meth:`BlockRows.gram`) carries its
-    ``elimination``, which :meth:`solve` reads."""
+    through its ``levels`` of closed-form pivots, as (factors, trailing
+    block): one (pivots, multipliers) per level, and the m x m block left,
+    formed in ``out`` when given.  It raises LinAlgError, as LAPACK does, at
+    a pivot that is not positive.  A dense A has no levels (:meth:`dense`);
+    the Gram matrix of a pattern has those of :attr:`BlockRows.elimination`."""
 
     diagonal: np.ndarray
     eliminate: Callable
-    elimination: _Elimination = None
+    levels: tuple = ()
 
     @classmethod
     def dense(cls, A):
-        """fl(A - s I) itself, formed in A, which is overwritten."""
-        def eliminate(s):
-            A.flat[::len(A) + 1] -= s
-            return None, None, A
-        return cls(np.diagonal(A).copy(), eliminate)
+        """fl(A - s I) itself, formed in A, which is overwritten, or in
+        ``out``; A's diagonal is kept, so A can be eliminated again."""
+        diagonal = np.diagonal(A).copy()
+
+        def eliminate(s, out=None):
+            block = A if out is None else out
+            if block is not A:
+                np.copyto(block, A)
+            np.subtract(diagonal, s, out=block.reshape(-1)[::len(A) + 1])
+            return [], block
+        return cls(diagonal, eliminate)
 
     def trailing(self, s):
         """The trailing block of the factorisation of fl(A - s I)."""
-        return self.eliminate(s)[2]
+        return self.eliminate(s)[1]
 
     def solve(self, s, r, out=None):
-        """y with fl(A - s I) y = r, A a pattern's Gram matrix, by the same
-        factorisation: z = r_p / l through the pivots l; the trailing block,
-        formed in ``out`` when given (m x m, zero off the pattern's
-        entries), solved for y_t from r_t - C z, C the multipliers; and
-        y_p = (z - C^t y_t) / l."""
-        E = self.elimination
-        pivot, coupling, block = self.eliminate(s, out)
-        z = r[E.pivot_rows] / pivot
-        t = r[E.trail_rows] - np.bincount(E.couple_row, coupling * z[E.couple_pivot],
-                                          minlength=E.size)
-        y = np.empty(len(r))
-        y[E.trail_rows] = t = np.linalg.solve(block, t)
-        y[E.pivot_rows] = (z - np.bincount(E.couple_pivot, coupling * t[E.couple_row],
-                                           minlength=len(z))) / pivot
+        """y with fl(A - s I) y = r by the same factorisation, level by
+        level: z = r_p / l through the level's pivots l, then the rest of
+        the system with right-hand side r_t - C z, C the level's
+        multipliers; the trailing block, formed in ``out`` when given, is
+        solved by LAPACK; and back through the levels, y_p = (z - C^t y_t) /
+        l."""
+        factors, block = self.eliminate(s, out)
+        zs = []
+        for L, (pivot, coupling) in zip(self.levels, factors):
+            z = r[L.pivot_rows] / pivot
+            r = r[L.trail_rows] - np.bincount(L.couple_row, coupling * z.take(L.couple_pivot),
+                                              minlength=len(L.trail_rows))
+            zs.append(z)
+        y = np.linalg.solve(block, r)
+        for L, (pivot, coupling), z in zip(self.levels[::-1], factors[::-1], zs[::-1]):
+            rest, y = y, np.empty(len(L.pivot_rows) + len(L.trail_rows))
+            y[L.trail_rows] = rest
+            y[L.pivot_rows] = (z - np.bincount(L.couple_pivot, coupling * rest.take(L.couple_row),
+                                               minlength=len(z))) / pivot
         return y
 
 
@@ -152,9 +169,10 @@ class BlockRows:
 
     @cached_property
     def pivots(self):
-        """The pivot rows of :meth:`gram`, as a mask: rows whose terms share
-        no block with each other, chosen greedily in row order.  A row is
-        taken when none of its blocks is a block of a row taken before."""
+        """The first level of pivot rows of :meth:`gram`, as a mask: rows
+        whose terms share no block with each other, chosen greedily in row
+        order.  A row is taken when none of its blocks is a block of a row
+        taken before."""
         blocks = [[] for _ in range(self.nrows)]
         for r, b in zip(self.row.tolist(), self.block.tolist()):
             blocks[r].append(b)
@@ -169,46 +187,27 @@ class BlockRows:
 
     @cached_property
     def elimination(self):
-        """The index arrays of :meth:`gram`, built on first use, with the
-        rows split into the pivots and m trailing rows:
-
-        - ``dot_pairs``: the pairs whose dot products :meth:`gram` forms, in
-          pair order within each of three runs: the ``ndiag`` pairs (t, t),
-          which give the diagonal (in the order of :meth:`gram_diagonal`);
-          the ``ncouple`` pairs with p in a trailing row and q in a pivot
-          row; and the pairs of terms of two trailing rows;
-        - ``couple``: the coupling each of the second run belongs to, one
-          per (trailing row, pivot row) that share a block, and
-          ``couple_row`` and ``couple_pivot``, each coupling's positions
-          among the trailing rows (``trail_rows``) and the pivots;
-        - ``update`` (a, b): every ordered pair of couplings with a common
-          pivot, grouped by pivot in pivot order;
-        - ``entry``: the flat entry of the m x m trailing block of each pair
-          of the third run, then of each diagonal entry, then of each
-          update."""
-        pivot = self.pivots
-        k, m = self.nrows, int(np.count_nonzero(~pivot))
-        trail_pos = np.cumsum(~pivot) - 1
-        pivot_pos = np.cumsum(pivot) - 1
+        """The index arrays of :meth:`gram`, built on first use:
+        ``dot_pairs``, the pairs (p, q) with p's row at or after q's, in
+        pair order, so that each Gram entry (r, s), r >= s, gets its dot
+        products once; ``entry``, the entry each belongs to among the
+        ``nentries`` structural nonzeros (r, s), r >= s, of the Gram matrix,
+        and ``diag``, the diagonal's; the ``levels`` of closed-form pivots,
+        the :attr:`pivots` and then those of :func:`_block_levels`, which
+        leave a block of ``size`` rows; and ``lower`` and ``upper``, the
+        flat positions in that block of its entries (r, s), r >= s, and of
+        their mirrors (s, r).  Every row has a term, and so a diagonal
+        entry."""
         p, q = self.pairs
         rp, rq = self.row[p], self.row[q]
-        cross = ~pivot[rp] & pivot[rq]
-        both = ~pivot[rp] & ~pivot[rq]
-        keys, couple = np.unique(trail_pos[rp[cross]].astype(np.int64) * k + pivot_pos[rq[cross]],
-                                 return_inverse=True)
-        couple_row, couple_pivot = keys // k, keys % k
-        a, b = _pairs_within(couple_pivot, int(pivot.sum()),
-                             np.argsort(couple_pivot, kind="stable"))
-        order = self.block_order
+        lower = rp >= rq
+        keys, entry = _sorted_unique(rp[lower].astype(np.int64) * self.nrows + rq[lower])
+        levels, last, size = _block_levels(self.nrows, keys, self.pivots)
         return _Elimination(
-            pivot_rows=np.flatnonzero(pivot), trail_rows=np.flatnonzero(~pivot),
-            dot_pairs=(np.concatenate([order, p[cross], p[both]]),
-                       np.concatenate([order, q[cross], q[both]])),
-            ndiag=len(order), ncouple=int(cross.sum()), diag_rows=self.row[order],
-            couple=couple, couple_row=couple_row, couple_pivot=couple_pivot, update=(a, b),
-            entry=np.concatenate([trail_pos[rp[both]] * m + trail_pos[rq[both]],
-                                  np.arange(m) * (m + 1), couple_row[a] * m + couple_row[b]]),
-            size=m)
+            dot_pairs=(p[lower].astype(np.intp), q[lower].astype(np.intp)), entry=entry,
+            nentries=len(keys),
+            diag=keys.searchsorted(np.arange(self.nrows) * (self.nrows + 1)),
+            levels=tuple(levels), lower=last, upper=last % size * size + last // size, size=size)
 
     def shape(self, values):
         return (self.nrows, self.nblocks * values.shape[1])
@@ -221,43 +220,44 @@ class BlockRows:
     def gram(self, values):
         """fl(M M^t) as a :class:`BorderedGram`: Gram entry (r, s) is the
         dot product of each pair's stored vectors, summed per entry in pair
-        order, and only the diagonal, the entries of the trailing rows and
-        those that couple a trailing row to a pivot are formed.
+        order, and only the entries (r, s) with r >= s are formed.
 
-        The pivot rows share no block, so their Gram entries with each other
-        are exact zeros, and the Cholesky factorisation of fl(A - s I) that
-        takes them first is: pivot l_i = sqrt(fl(A_ii - s)); one multiplier
-        fl(A_ri / l_i) per trailing row r that shares a block with pivot i;
-        and the trailing entry fl(A_rs - s [r = s]) minus the products of
-        the multipliers of r and s, pivot by pivot in pivot order.  All of
-        them go into one accumulation, in that order, so each Gram entry is
-        summed first, then shifted, then eliminated: one ``np.bincount`` or,
-        into ``out``, one ``np.add.at``, which sums in the same order."""
+        The pivot rows of a level share no structural nonzero, so their
+        entries with each other are exact zeros, and the Cholesky
+        factorisation of fl(A - s I) that takes them first is: pivot l_i =
+        sqrt(B_ii), B the block the level starts from (fl(A - s I) at the
+        first); one multiplier fl(B_ri / l_i) per trailing row r that has a
+        nonzero with pivot i; and the entries of the next block, fl(B_rs)
+        minus the products of the multipliers of r and s, pivot by pivot in
+        pivot order.  Each level's entries go into one ``np.bincount``, in
+        that order, so each entry of a block is eliminated from its value in
+        the block before.  The last block is filled with its entries and
+        their mirrors."""
         E = self.elimination
-        m, ndots = E.size, len(E.dot_pairs[0])
-        a, b = E.update
-        weights = np.empty(ndots + m + len(a))
-        _pair_dots(values, *E.dot_pairs, out=weights[:ndots])
-        diag = np.bincount(E.diag_rows, weights[:E.ndiag], minlength=self.nrows)
-        head = E.ndiag + E.ncouple
+        entries = np.bincount(E.entry, _pair_dots(values, *E.dot_pairs), minlength=E.nentries)
 
         def eliminate(s, out=None):
-            pivot = diag[E.pivot_rows] - s
-            if not (pivot > 0.0).all():
-                raise np.linalg.LinAlgError("a closed-form pivot is not positive")
-            pivot = np.sqrt(pivot)
-            coupling = np.bincount(E.couple, weights[E.ndiag:head],
-                                   minlength=len(E.couple_pivot)) / pivot[E.couple_pivot]
-            weights[ndots:ndots + m] = -s
-            np.multiply(np.negative(coupling.take(a)), coupling.take(b), out=weights[ndots + m:])
-            if out is None:
-                return pivot, coupling, np.bincount(E.entry, weights[head:],
-                                                    minlength=m * m).reshape(m, m)
-            flat = out.reshape(-1)
-            flat[E.entry] = 0.0
-            np.add.at(flat, E.entry, weights[head:])
-            return pivot, coupling, out
-        return BorderedGram(diag, eliminate, E)
+            block = entries.copy()
+            block[E.diag] -= s
+            factors = []
+            for L in E.levels:
+                pivot = block.take(L.diag)
+                if not (pivot > 0.0).all():
+                    raise np.linalg.LinAlgError("a closed-form pivot is not positive")
+                pivot = np.sqrt(pivot)
+                coupling = block.take(L.couple) / pivot.take(L.couple_pivot)
+                w = np.empty(len(L.entry))
+                block.take(L.keep, out=w[:len(L.keep)], mode="clip")
+                np.negative(coupling).take(L.update[0], out=w[len(L.keep):], mode="clip")
+                w[len(L.keep):] *= coupling.take(L.update[1])
+                block = np.bincount(L.entry, w, minlength=L.nentries)
+                factors.append((pivot, coupling))
+            dense = np.zeros((E.size, E.size)) if out is None else out
+            flat = dense.reshape(-1)
+            flat[E.lower] = block
+            flat[E.upper] = block
+            return factors, dense
+        return BorderedGram(entries[E.diag], eliminate, E.levels)
 
     def transpose_product(self, values, y):
         """M^t y: block c sums y[row[t]] values[t] over its terms t."""
@@ -279,19 +279,162 @@ class BlockRows:
 
 
 @dataclass(frozen=True)
-class _Elimination:
+class _Level:
+    """One level of closed-form pivots of a symmetric block: the block's
+    ``pivot_rows`` and ``trail_rows`` (positions in it); one coupling per
+    (trailing row, pivot) with a structural nonzero between them, sorted by
+    pivot and then by row, at ``couple_row`` and ``couple_pivot`` among the
+    trailing rows and the pivots; ``update`` (a, b), every pair of
+    couplings with a common pivot and couple_row[a] >= couple_row[b],
+    grouped by pivot in pivot order; ``diag``, ``couple`` and ``keep``, the
+    block's entries on the pivots' diagonal, of each coupling, and between
+    two trailing rows; and ``entry``, the entry of the next block, one of
+    its ``nentries``, that each kept entry and then each update goes to."""
+
     pivot_rows: np.ndarray
     trail_rows: np.ndarray
-    dot_pairs: tuple
-    ndiag: int
-    ncouple: int
-    diag_rows: np.ndarray
-    couple: np.ndarray
     couple_row: np.ndarray
     couple_pivot: np.ndarray
     update: tuple
+    diag: np.ndarray
+    couple: np.ndarray
+    keep: np.ndarray
     entry: np.ndarray
+    nentries: int
+
+
+@dataclass(frozen=True)
+class _Elimination:
+    dot_pairs: tuple
+    entry: np.ndarray
+    nentries: int
+    diag: np.ndarray
+    levels: tuple
+    lower: np.ndarray
+    upper: np.ndarray
     size: int
+
+
+def _lower_updates(couple_row, group_size):
+    """The pairs (a, b) of couplings with a common pivot and couple_row[a]
+    >= couple_row[b], grouped by pivot in pivot order, a-major, as int32
+    arrays, for couplings sorted by pivot and then by row, ``group_size``
+    of them per pivot."""
+    n = len(couple_row)
+    position = np.arange(n) - np.repeat(np.cumsum(group_size) - group_size, group_size)
+    count = position + 1
+    first = np.cumsum(count) - count
+    a = np.repeat(np.arange(n, dtype=np.int32), count)
+    b = np.arange(len(a)) - np.repeat(first - np.arange(n) + position, count)
+    return a, b.astype(np.int32)
+
+
+def _block_levels(m, keys, pivot):
+    """The levels of closed-form pivots of a symmetric m x m matrix whose
+    structural nonzeros (r, c), r >= c, have the sorted flat positions
+    ``keys``, the first with the mask ``pivot``, as (levels, keys, size) of
+    the block they leave.
+
+    Each further level's pivots are rows of the block left with no
+    structural nonzero between any two of them, chosen greedily in order of
+    their number of off-diagonal nonzeros, fewest first, ties in row order:
+    a row is taken when no row taken before is its neighbour.  This is the
+    multiple elimination of Liu's multiple minimum degree ordering (ACM TOMS
+    11, 1985).  The next block's pattern is the kept entries and the fill of
+    the updates.  A further level is taken while :func:`_takes_level`
+    expects it to save more LAPACK time than it costs, and the analysis is
+    skipped on a block too small for any level to pay."""
+    levels = []
+    while not levels or _lapack_cost(m) > LEVEL_COST:
+        rows, cols = keys // m, keys % m
+        if levels:
+            pivot = _independent_rows(m, rows, cols)
+        npivots = int(np.count_nonzero(pivot))
+        trail_pos, pivot_pos = np.cumsum(~pivot) - 1, np.cumsum(pivot) - 1
+        pr, pc = pivot[rows], pivot[cols]
+        couples = np.flatnonzero(pr != pc)
+        trail = trail_pos[np.where(pr, cols, rows)[couples]]
+        couple_pivot = pivot_pos[np.where(pr, rows, cols)[couples]]
+        order = np.lexsort((trail, couple_pivot))
+        couples, couple_row, couple_pivot = couples[order], trail[order], couple_pivot[order]
+        a, b = _lower_updates(couple_row, np.bincount(couple_pivot, minlength=npivots))
+        if levels and not _takes_level(m, npivots, len(a)):
+            break
+        keep = np.flatnonzero(~pr & ~pc)
+        size = m - npivots
+        next_keys, entry = _sorted_unique(np.concatenate([
+            trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
+            couple_row[a].astype(np.int64) * size + couple_row[b]]))
+        levels.append(_Level(
+            np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
+            couple_pivot.astype(np.int32), (a, b),
+            keys.searchsorted(np.flatnonzero(pivot) * (m + 1)).astype(np.int32),
+            couples.astype(np.int32), keep.astype(np.int32), entry, len(next_keys)))
+        m, keys = size, next_keys
+    return levels, keys, m
+
+
+def _sorted_unique(keys):
+    """np.unique(keys, return_inverse=True), the inverse as int32."""
+    ordered, order = _stable_sort(keys)
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(keys), dtype=np.int32)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _stable_sort(keys):
+    """(sorted keys, the stable order that sorts them) for keys in [0,
+    2^40): one sort of each key shifted up with its index below it, which is
+    faster than a stable argsort."""
+    bits = max(len(keys), 1).bit_length()
+    packed = keys.astype(np.int64) << bits | np.arange(len(keys))
+    packed.sort()
+    return packed >> bits, packed & ((1 << bits) - 1)
+
+
+def _independent_rows(m, rows, cols):
+    """The pivots of a level, as a mask (see :func:`_block_levels`), from
+    the block's structural nonzeros (rows, cols), sorted by row."""
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    above, by_col = _stable_sort(cols)
+    below = rows[by_col]
+    lower_start = np.searchsorted(rows, np.arange(m + 1))
+    upper_start = np.searchsorted(above, np.arange(m + 1))
+    degree = np.diff(lower_start) + np.diff(upper_start)
+    pivot = np.zeros(m, dtype=bool)
+    blocked = np.zeros(m, dtype=bool)
+    for r in np.argsort(degree, kind="stable").tolist():
+        if not blocked[r]:
+            pivot[r] = True
+            blocked[cols[lower_start[r]:lower_start[r + 1]]] = True
+            blocked[below[upper_start[r]:upper_start[r + 1]]] = True
+    return pivot
+
+
+# The level rule's cost model, in seconds: LAPACK's Cholesky or solve of an
+# m x m block takes about LAPACK_CUBE m^3 + LAPACK_SQUARE m^2, and a level
+# LEVEL_COST plus UPDATE_COST per update, in an elimination and in the
+# forward and back substitution of a solve.  Fitted to timings of LAPACK for
+# m = 128..1922 and of the levels of D psi and the staircase (OpenBLAS 0.3,
+# numpy 2.4, two Xeon cores); CHANGES.md has the measurements.
+LAPACK_CUBE = 5.6e-12
+LAPACK_SQUARE = 9.3e-9
+LEVEL_COST = 2e-5
+UPDATE_COST = 7e-9
+
+
+def _lapack_cost(m):
+    return (LAPACK_CUBE * m + LAPACK_SQUARE) * m * m
+
+
+def _takes_level(m, npivots, nupdates):
+    """Whether a level of ``npivots`` pivots and ``nupdates`` updates on an
+    m x m block is expected to save more LAPACK time than it costs."""
+    return _lapack_cost(m) - _lapack_cost(m - npivots) > LEVEL_COST + UPDATE_COST * nupdates
 
 
 def _pairs_within(group, ngroups, order):
@@ -307,13 +450,14 @@ def _pairs_within(group, ngroups, order):
             order[start[g] + k % size[g]].astype(np.int32))
 
 
-def _pair_dots(values, p, q, out=None):
-    """fl(<values[p], values[q]>) for each pair, summed in column order,
-    into ``out`` when given."""
+def _pair_dots(values, p, q):
+    """fl(<values[p], values[q]>) for each pair, summed in column order."""
     columns = values.T.copy()
-    out = np.multiply(columns[0].take(p), columns[0].take(q), out=out)
+    left, right = np.empty(len(p)), np.empty(len(p))
+    out = columns[0].take(p) * columns[0].take(q)
     for column in columns[1:]:
-        out += column.take(p) * column.take(q)
+        out += np.multiply(column.take(p, out=left, mode="clip"),
+                           column.take(q, out=right, mode="clip"), out=left)
     return out
 
 
@@ -384,11 +528,19 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
       zeros, so each of their l_ij is an exact zero, each pivot is l_ii =
       sqrt(B_ii), each multiplier of a later row r is fl(B_ri / l_ii), and
       each entry of the trailing block is fl(B_rs - sum_i l_ri l_si), the
-      products subtracted one by one.  LAPACK then factors that block,
+      products subtracted one by one.  Each further level does the same on
+      the block the levels before leave, whose entries are the partial
+      sums b_rs - sum_t l_rt l_st over the pivots t taken so far.  An entry
+      that is structurally zero there, with no shared block and no earlier
+      pivot coupled to both rows, is an exact zero: no product was ever
+      added to it.  The level's pivots have only such entries between them,
+      so again their l_ij are exact zeros, and the level's pivots,
+      multipliers and updates are the formulas above, each a continuation
+      of the same sums in pivot order.  LAPACK then factors the block left,
       which completes the floating-point Cholesky factorisation of P B P^T
-      in one order of evaluation.  A pivot that is not positive stops it,
-      as it would stop LAPACK; with no such rows this is LAPACK's
-      factorisation of B.
+      in one order of evaluation, P taking the levels in turn.  A pivot
+      that is not positive stops it, as it would stop LAPACK; with no such
+      rows this is LAPACK's factorisation of B.
 
     So if B factors, lambda_min(W W^T) > s (1 - u) - c - u max A_ii -
     gamma_q sigma_bar^2 - k q eta, and the shift, with t = max(tau_bar,

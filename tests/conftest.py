@@ -698,28 +698,39 @@ def full_gram_rank_oracle(rows, values, policy=DEFAULT_RANK_POLICY):
     return rr.rank, "svd", rr.threshold
 
 
-def bordered_trailing_oracle(A, pivots, s):
+def pivot_levels(rows):
+    """The pivot rows of each level of a ``BlockRows`` pattern's
+    elimination, as row numbers of the pattern."""
+    current, levels = np.arange(rows.nrows), []
+    for L in rows.elimination.levels:
+        levels.append(current[L.pivot_rows])
+        current = current[L.trail_rows]
+    return levels
+
+
+def bordered_trailing_oracle(A, levels, s):
     """The trailing block of the Cholesky factorisation of fl(A - s I) that
-    takes the rows of the mask ``pivots`` first (their block of A must be
-    diagonal): the dense matrix with its pivot rows eliminated one by one,
-    in row order, by rank-one updates; None at a pivot that is not
-    positive."""
-    B = A.copy()
+    takes the rows of each level of ``levels`` (lists of row numbers) first,
+    level by level, each in row order: the dense matrix, permuted to that
+    order, with its pivots eliminated one by one by rank-one updates of
+    everything after them; its other rows stay in row order.  None at a
+    pivot that is not positive."""
+    first = np.concatenate([[]] + [np.asarray(level) for level in levels]).astype(np.intp)
+    order = np.concatenate([first, np.setdiff1d(np.arange(len(A)), first)])
+    B = A[np.ix_(order, order)]
     B.flat[::len(B) + 1] -= s
-    rest = np.flatnonzero(~pivots)
-    T = B[np.ix_(rest, rest)]
-    for i in np.flatnonzero(pivots):
+    for i in range(len(first)):
         if not B[i, i] > 0.0:
             return None
-        l = B[rest, i] / np.sqrt(B[i, i])
-        T -= np.outer(l, l)
-    return T
+        l = B[i + 1:, i] / np.sqrt(B[i, i])
+        B[i + 1:, i + 1:] -= np.outer(l, l)
+    return B[len(first):, len(first):]
 
 
 def newton_bincount_oracle(Q, initial):
-    """``solve_hyperbolic_newton`` with each step's e x e trailing block in a
-    fresh ``np.bincount`` array: ``BorderedGram.solve`` without the work
-    array; returns the converged normals."""
+    """``solve_hyperbolic_newton`` with each step's trailing block in a
+    fresh array: ``BorderedGram.solve`` without the work array; returns the
+    converged normals."""
     S = lorentz.psi_structure(Q)
 
     def step(alphas, r):

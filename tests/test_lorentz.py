@@ -289,8 +289,7 @@ def _assert_step_matches_full_solve(Q, x):
     kappa(G) u."""
     S = lorentz.psi_structure(Q)
     r = S.eval(x)
-    e = S.nrows - S.f
-    step = S.gauss_newton_step(lorentz._alphas(x), r, np.zeros((e, e)))
+    step = S.gauss_newton_step(lorentz._alphas(x), r, np.zeros((S.rows.elimination.size,) * 2))
     ref, G = gauss_newton_step_oracle(Q, x, r)
     tol = max(1e-12, 4.0 * np.linalg.cond(G) * 2.0 ** -53)
     assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
@@ -508,8 +507,8 @@ def test_vertex_points_are_unit_null_vectors():
 
 @pytest.mark.parametrize("family", ["loebell", "prism"])
 def test_newton_iterates_match_per_step_bincount(family):
-    """Newton with one e x e system array per solve lands on the normals of
-    the fresh per-step array, bit for bit."""
+    """Newton with one system array per solve lands on the normals of the
+    fresh per-step array, bit for bit."""
     for m in FAMILY_SIZES:
         Q, R = family_realization(family, m)
         assert np.array_equal(R.normals, newton_bincount_oracle(Q, lorentz.initial_guess(Q))), m
@@ -517,10 +516,12 @@ def test_newton_iterates_match_per_step_bincount(family):
 
 def test_psi_certificate_never_holds_the_full_gram():
     """Full row rank of D psi at the loebell(64) factor is certified with a
-    traced peak under 2 (f + e)^2 doubles, which the full Gram matrix and
-    its Cholesky factor together exceed."""
+    traced peak under three m x m arrays, m the rows of the block left to
+    LAPACK: that block, LAPACK's factor of it and the Gram matrix's working
+    arrays.  The e x e block of the first level alone exceeds that bound."""
     Q, R = family_realization("loebell", 64)
-    rows = lorentz.psi_structure(Q).nrows
+    S = lorentz.psi_structure(Q)
+    m, e = S.rows.elimination.size, S.nrows - S.f
     assert lorentz.kernel_dimension(Q, R.normals) == 6  # the pattern's index arrays, once
     tracemalloc.start()
     try:
@@ -529,21 +530,24 @@ def test_psi_certificate_never_holds_the_full_gram():
     finally:
         tracemalloc.stop()
     assert kernel == 6
-    assert peak < 2 * rows * rows * 8
+    assert peak < 3 * m * m * 8 < e * e * 8
 
 
 def test_newton_step_allocates_no_trailing_block():
     """One Gauss-Newton step at the loebell(64) factor, given its work
-    array, has a traced peak under one e x e array (e^2 doubles): the step
-    forms its trailing block in that array, not in a new one.  LAPACK's
-    copy inside np.linalg.solve is not traced."""
+    array, forms the block left to LAPACK (m = 176 rows) in that array, and
+    has a traced peak under two such blocks (2 m^2 doubles): the Gram
+    entries, each level's multipliers and entries and their index casts.
+    The e x e block of the first level (e = 384) alone is 4.8 times one
+    such block.  LAPACK's copy inside np.linalg.solve is not traced."""
     Q, _ = family_realization("loebell", 64)
     S = lorentz.psi_structure(Q)
     x = lorentz.initial_guess(Q)
     alphas, r = lorentz._alphas(x), S.eval(x)
-    e = S.nrows - S.f
-    system = np.zeros((e, e))
+    m = S.rows.elimination.size
+    system = np.zeros((m, m))
     first = S.gauss_newton_step(alphas, r, system)  # the pattern's index arrays, once
+    system[:] = 0.0
     tracemalloc.start()
     try:
         step = S.gauss_newton_step(alphas, r, system)
@@ -551,7 +555,9 @@ def test_newton_step_allocates_no_trailing_block():
     finally:
         tracemalloc.stop()
     assert np.array_equal(step, first)
-    assert peak < e * e * 8
+    A = S.rows.gram(S.values(alphas))
+    assert np.array_equal(system, A.trailing(-lorentz.LM_SHIFT * A.diagonal.sum() / S.nrows))
+    assert peak < 2 * m * m * 8
 
 
 def _seed_polytopes():

@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cli, lorentz, polytope as pt, vinberg
-from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, StructuredMatrix,
-                                _full_rank_certificate, numerical_rank, svd_rank,
-                                triangular_sigma_bound)
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, LEVEL_COST, BlockRows, BorderedGram,
+                                StructuredMatrix, _full_rank_certificate, _lapack_cost,
+                                _takes_level, numerical_rank, svd_rank, triangular_sigma_bound)
 from conftest import (block_gram_oracle, bordered_trailing_oracle, dense_gram_oracle,
                       family_realization, full_gram_rank_oracle, loebell_factor_orbifold,
-                      phi_jacobian_oracle, prism_cap_orbifold, psi_jacobian_oracle)
+                      phi_jacobian_oracle, pivot_levels, prism_cap_orbifold, psi_jacobian_oracle)
 
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -230,16 +230,50 @@ def _planted_pattern(rng, nblocks=12, width=3, extra=14):
     return rows, rng.normal(size=(len(row), width))
 
 
-@pytest.mark.parametrize("seed, extra", [(3, 14), (19, 14), (5, 0)])
-def test_bordered_certificate_at_the_floor(seed, extra):
-    """A BlockRows matrix with block-disjoint leading rows, scaled so that
-    sigma_min = 1.01 beta or 0.99 beta: its certificate with floor beta
-    holds at the first and fails at the second, with the full-Gram
-    certificate's threshold, while its pivots are eliminated in closed form.
-    With no further rows every row is a pivot and LAPACK sees nothing."""
-    rng = np.random.default_rng(seed)
-    rows, values = _planted_pattern(rng, extra=extra)
-    assert rows.pivots[:6].all() and rows.elimination.size <= max(rows.nrows - 7, 0)
+def _planted_graph(rng, nblocks=100, nedges=280, width=4):
+    """A wide BlockRows pattern shaped like D psi: one row in each of
+    ``nblocks`` blocks, then one row with terms in the two blocks of each of
+    ``nedges`` distinct random pairs, with seeded values.  Its first
+    trailing block, one row per pair, is large and sparse enough that
+    further levels of pivots pay."""
+    edges = set()
+    while len(edges) < nedges:
+        edges.add(tuple(sorted(rng.choice(nblocks, size=2, replace=False).tolist())))
+    edges = sorted(edges)
+    row = list(range(nblocks)) + [nblocks + k for k in range(nedges) for _ in range(2)]
+    block = list(range(nblocks)) + [b for edge in edges for b in edge]
+    rows = BlockRows(nblocks + nedges, nblocks, row, block)
+    return rows, rng.normal(size=(len(row), width))
+
+
+# The planted patterns by seed: "seed-extra" for _planted_pattern,
+# "graph-seed" for _planted_graph.
+PLANTED = {"3-14": (_planted_pattern, 3, {}), "19-14": (_planted_pattern, 19, {}),
+           "5-0": (_planted_pattern, 5, {"extra": 0}),
+           "graph-3": (_planted_graph, 3, {}), "graph-19": (_planted_graph, 19, {})}
+
+
+def _planted_case(name):
+    make, seed, kwargs = PLANTED[name]
+    return make(np.random.default_rng(seed), **kwargs)
+
+
+@pytest.mark.parametrize("name", PLANTED)
+def test_bordered_certificate_at_the_floor(name):
+    """A BlockRows matrix scaled so that sigma_min = 1.01 beta or 0.99 beta:
+    its certificate with floor beta holds at the first and fails at the
+    second, with the full-Gram certificate's threshold, while its pivots are
+    eliminated in closed form.  The patterns of _planted_pattern have 6
+    block-disjoint leading rows, and with no further rows every row is a
+    pivot and LAPACK sees nothing; the planted graphs take at least two
+    further levels of pivots."""
+    rows, values = _planted_case(name)
+    levels = rows.elimination.levels
+    if not name.startswith("graph"):
+        assert rows.pivots[:6].all() and rows.elimination.size <= max(rows.nrows - 7, 0)
+        assert len(levels) == 1
+    else:
+        assert len(levels) >= 3 and rows.elimination.size < len(levels[1].trail_rows)
     beta = 1e-2
     sigma = np.linalg.svd(rows.dense(values), compute_uv=False)[-1]
     for factor, holds in ((1.01, True), (0.99, False)):
@@ -252,15 +286,63 @@ def test_bordered_certificate_at_the_floor(seed, extra):
         assert full_gram_rank_oracle(rows, scaled)[2] == plain
 
 
+def _gram_pattern(rows):
+    """Which rows share a block, from the block incidence of the terms."""
+    incidence = np.zeros((rows.nrows, rows.nblocks), dtype=int)
+    incidence[rows.row, rows.block] = 1
+    return incidence @ incidence.T > 0
+
+
+def _assert_levels_greedy(rows):
+    """Replays the levels of a pattern's elimination on the structural
+    pattern of its Gram matrix, filled in densely level by level.  Each
+    level's pivots share no structural nonzero with each other in the
+    block the levels before leave.  After the first (block-disjoint rows,
+    checked in row order above) a level is greedy in order of degree: a row
+    is taken exactly when none of its neighbours came before it, in order of
+    off-diagonal nonzeros, fewest first, ties in row order.  Each level
+    after the first passes the level rule, and the next one would not."""
+    P = _gram_pattern(rows)
+    levels = pivot_levels(rows)
+    alive = np.ones(rows.nrows, dtype=bool)
+    for j, level in enumerate(levels + [None]):
+        live = np.flatnonzero(alive)
+        block = P[np.ix_(live, live)]
+        m = len(live)
+        degree = block.sum(axis=1) - 1
+        taken = np.zeros(m, dtype=bool)
+        for r in np.argsort(degree, kind="stable"):
+            taken[r] = not (block[r] & taken).any()
+        pivots = live[taken]
+        if j > 0:
+            trail_degree = block[np.ix_(taken, ~taken)].sum(axis=1)
+            updates = int((trail_degree * (trail_degree + 1) // 2).sum())
+            pays = _lapack_cost(m) > LEVEL_COST and _takes_level(m, len(pivots), updates)
+            assert pays == (level is not None), j
+        if level is None:
+            break
+        if j > 0:
+            assert np.array_equal(level, pivots), j
+        inner = P[np.ix_(level, level)]
+        assert not (inner & ~np.eye(len(level), dtype=bool)).any(), j
+        rest = np.flatnonzero(alive & ~np.isin(np.arange(rows.nrows), level))
+        coupled = P[np.ix_(rest, level)].astype(int)
+        P[np.ix_(rest, rest)] |= coupled @ coupled.T > 0
+        alive[level] = False
+    assert m == rows.elimination.size
+
+
 def test_pivots_are_greedy_and_block_disjoint():
     """Each pivot row shares no block with an earlier pivot, and each other
     row shares one with an earlier pivot, on the planted patterns and on
     D phi, D psi and the staircase of the loebell(8) factor.  D psi's pivots
     are its f diagonal rows, on every bundled orbifold and on the loebell(m)
-    factors and prism(m) cap orbifolds for m = 5..64."""
+    factors and prism(m) cap orbifolds for m = 5..64.  Every level is
+    replayed (:func:`_assert_levels_greedy`) on those patterns and on D psi
+    and the staircase of both families at m = 24, 32, 48 and 64."""
     Q, p = _bundled_point("loebell8_factor")
     patterns = [rows for rows, _ in _structured_patterns(Q, p).values()]
-    patterns += [_planted_pattern(np.random.default_rng(seed))[0] for seed in (3, 19)]
+    patterns += [_planted_case(name)[0] for name in PLANTED]
     for rows in patterns:
         used = set()
         for r in range(rows.nrows):
@@ -273,38 +355,50 @@ def test_pivots_are_greedy_and_block_disjoint():
     for Q in orbifolds:
         psi = lorentz.psi_structure(Q).rows
         assert np.array_equal(np.flatnonzero(psi.pivots), np.arange(Q.f))
+    for family in ("loebell", "prism"):
+        for m in (24, 32, 48, 64):
+            Q = family_realization(family, m)[0]
+            patterns += [lorentz.psi_structure(Q).rows,
+                         vinberg.EquationIndex.from_orbifold(Q).staircase_rows]
+    for rows in patterns:
+        _assert_levels_greedy(rows)
+    assert max(len(rows.elimination.levels) for rows in patterns) >= 7
 
 
 def _bordered_cases():
-    """(pattern, values) of the planted patterns, with and without coupled
-    rows, and of D phi, D psi and the staircase of the loebell(8) factor."""
+    """(pattern, values) of the planted patterns and of D phi, D psi and the
+    staircase of the loebell(8) factor."""
     Q, p = _bundled_point("loebell8_factor")
-    cases = [_planted_pattern(np.random.default_rng(seed), extra=extra)
-             for seed, extra in ((3, 14), (19, 14), (5, 0))]
-    return cases + list(_structured_patterns(Q, p).values())
+    return [_planted_case(name) for name in PLANTED] + list(_structured_patterns(Q, p).values())
 
 
 def test_bordered_solve_matches_dense_solve():
     """BorderedGram.solve at a shift below 0 (Newton's -mu) and at one above
-    0 (half the smallest diagonal entry) matches np.linalg.solve of the
-    dense fl(A - s I) to 4 kappa u, both being backward-stable solves; in a
-    reused work array it equals the fresh solve bit for bit."""
+    0 (half the smallest eigenvalue, so that every pivot is positive)
+    matches np.linalg.solve of the dense fl(A - s I) to 4 kappa u, both
+    being backward-stable solves; in a
+    reused work array it equals the fresh solve bit for bit.  The dense form
+    of the same Gram matrix, which has no levels, solves it the same way,
+    again and again."""
     rng = np.random.default_rng(53)
     for rows, values in _bordered_cases():
         A = block_gram_oracle(rows, values)
         diag = np.diagonal(A)
-        bordered = rows.gram(values)
+        bordered, dense = rows.gram(values), BorderedGram.dense(A.copy())
         work = np.zeros((rows.elimination.size,) * 2)
-        for s in (-1e-12 * diag.sum() / len(diag), 0.5 * diag.min()):
+        for s in (-1e-12 * diag.sum() / len(diag), 0.5 * np.linalg.eigvalsh(A)[0]):
             B = A.copy()
             B.flat[::len(B) + 1] -= s
             r = rng.normal(size=rows.nrows)
             ref = np.linalg.solve(B, r)
-            y = bordered.solve(s, r, out=work)
             tol = 4.0 * np.linalg.cond(B) * UNIT_ROUNDOFF
+            y = bordered.solve(s, r, out=work)
             assert np.linalg.norm(y - ref) <= tol * np.linalg.norm(ref), s
             assert np.array_equal(y, bordered.solve(s, r)), s
             assert np.array_equal(work, bordered.trailing(s)), s
+            for out in (None, np.empty_like(A), None):
+                assert np.array_equal(dense.solve(s, r, out=out), ref), s
+            assert np.array_equal(dense.trailing(s), B), s
 
 
 def test_transpose_product_is_the_dense_product():
@@ -406,8 +500,13 @@ def _assert_structured_matches(M, rows, values):
     assert np.all(np.abs(A - dense_gram_oracle(M)) <= 2.0 * bound)
     bordered = structured.gram()
     assert np.array_equal(bordered.diagonal, np.diagonal(A))
-    s = 0.5 * float(np.diagonal(A).min())
-    assert np.array_equal(bordered.trailing(s), bordered_trailing_oracle(A, rows.pivots, s))
+    for s in np.array([-0.5, 0.5]) * np.diagonal(A).min():
+        ref = bordered_trailing_oracle(A, pivot_levels(rows), s)
+        if ref is None:
+            with pytest.raises(np.linalg.LinAlgError):
+                bordered.trailing(s)
+        else:
+            assert np.array_equal(bordered.trailing(s), ref), s
     return _assert_same_decision(M, structured)
 
 

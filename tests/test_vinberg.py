@@ -269,17 +269,45 @@ def test_rank_sum_builds_no_dense_matrix_when_certified(monkeypatch):
     assert built == []
 
 
-@pytest.mark.parametrize("name", ["loebell16", "prism16"])
+def _level_sizes(rows):
+    """The rows of each block a pattern's elimination factors: the whole
+    Gram matrix, each level's trailing block, and the block left to LAPACK."""
+    E = rows.elimination
+    return [len(L.pivot_rows) + len(L.trail_rows) for L in E.levels] + [E.size]
+
+
+# The blocks of D psi and of the staircase, from the Gram matrix down to the
+# block LAPACK factors.  The loebell(48) factor's ridge block takes seven
+# further levels and its staircase one; the loebell(16) factor's ridge block
+# takes one; the prism(16) cap orbifold's blocks are too small for any level
+# to pay.
+LEVEL_SIZES = {"loebell16": ([130, 96, 80], [64, 48]),
+               "prism16": ([66, 48], [16, 8]),
+               "loebell48": ([386, 288, 240, 216, 192, 168, 156, 144, 132], [192, 144, 120])}
+
+
+@pytest.mark.parametrize("name", LEVEL_SIZES)
 def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     """The block certificate assembles the Gram matrices of D psi and of the
     staircase once each, which check_rank_sum reuses, and never D phi's:
     that is read only through its diagonal.  D psi's full (f + e)^2 Gram
     matrix is never formed: its f diagonal rows are eliminated in closed
-    form, so LAPACK factors only the e x e ridge block, and the staircase's
-    rows less a greedy matching of them; the gauge directions stay dense."""
-    Q, p = _hyperbolic_case(name)
+    form, then the levels of its e x e ridge block, and the staircase's
+    rows less a greedy matching of them and its further levels; LAPACK
+    factors only what is left (``LEVEL_SIZES``), and the gauge directions
+    stay dense."""
+    family, m = ("prism", 16) if name == "prism16" else ("loebell", int(name[7:]))
+    Q, R = family_realization(family, m)
+    p = vinberg.hyperbolic_point(R)
     index = vinberg.EquationIndex.from_orbifold(Q)
     f, e, n2 = index.f, len(index.e2) + len(index.e3), len(index.e2)
+    psi_rows = lorentz.psi_structure(Q).rows
+    psi_sizes, staircase_sizes = LEVEL_SIZES[name]
+    assert _level_sizes(psi_rows) == psi_sizes and psi_sizes[:2] == [f + e, e]
+    matching = int(index.staircase_rows.pivots.sum())
+    assert 0 < matching <= f // 2
+    assert _level_sizes(index.staircase_rows) == staircase_sizes
+    assert staircase_sizes[:2] == [n2, n2 - matching]
     grams, diagonals, factored = [], [], []
     gram, diagonal, cholesky = BlockRows.gram, BlockRows.gram_diagonal, np.linalg.cholesky
     monkeypatch.setattr(BlockRows, "gram",
@@ -291,10 +319,9 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     assert report.rank_phi.method == "block" and report.rank_phi.full_rank
     assert sorted(grams) == sorted([n2, f + e])
     assert diagonals == [index.N]
-    matching = int(index.staircase_rows.pivots.sum())
-    assert 0 < matching <= f // 2
     g = vinberg.gauge_dimension(p.f, p.dim)  # the dense gauge directions' Gram matrix
-    assert sorted(factored) == sorted([(e, e), (n2 - matching, n2 - matching), (g, g)])
+    last = psi_sizes[-1], staircase_sizes[-1]
+    assert sorted(factored) == sorted([(last[0],) * 2, (last[1],) * 2, (g, g)])
 
 
 def test_reduction_norms_bound_the_oracle_operators():
