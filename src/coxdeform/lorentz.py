@@ -115,7 +115,7 @@ class PsiStructure:
         self.slot_other = np.concatenate([a[:f], b[f:], a[f:]]).astype(np.int32)
         self.slot_k = np.concatenate([np.full(f, 2.0), np.ones(2 * e)])
         self.rows = BlockRows(len(rows), f, np.concatenate([np.arange(f), ridge, ridge]),
-                              np.concatenate([a[:f], a[f:], b[f:]]))
+                              np.concatenate([a[:f], a[f:], b[f:]]), reused=True)
 
     @property
     def nrows(self):
@@ -136,11 +136,16 @@ class PsiStructure:
         """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
         f x (n+1) array, without forming J: the Gram matrix of ``rows`` is
         solved at the shift -mu (:meth:`BorderedGram.solve`) with the block
-        left to LAPACK in ``system``, which a solve reuses for each step."""
+        left to LAPACK in ``system``, which a solve reuses for each step.
+        Where J loses row rank, rounding can leave a pivot of the shifted
+        system that is not positive; that raises ConvergenceError."""
         values = self.values(alphas)
         A = self.rows.gram(values)
         mu = LM_SHIFT * A.diagonal.sum() / self.nrows
-        y = A.solve(-mu, r, out=system)
+        try:
+            y = A.solve(-mu, r, out=system)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"Gauss-Newton system not positive definite: {exc}") from exc
         return self.rows.transpose_product(values, y).reshape(alphas.shape)
 
 

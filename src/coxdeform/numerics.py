@@ -23,9 +23,11 @@ leave, chosen greedily by fewest nonzeros, as in Liu's multiple minimum
 degree ordering.  A level is taken while its cost model expects it to save
 LAPACK more time than it costs (:func:`_takes_level`), and only the block
 left is formed densely and handed to LAPACK (:class:`BorderedGram`).  The
-pattern of every level is worked out once per pattern and cached.  This is
-the same floating-point Cholesky of the same shifted matrix in another
-pivot order, so the certificate is unchanged (:func:`_full_rank_certificate`).
+pattern of every level is worked out once per pattern and cached; a level
+of a pattern that is not factored again and again must repay that analysis
+in one use.  This is the same floating-point Cholesky of the same shifted
+matrix in another pivot order, so the certificate is unchanged
+(:func:`_full_rank_certificate`).
 The Gauss-Newton step of :mod:`coxdeform.lorentz` solves through the same
 elimination of D psi's Gram matrix at the shift -mu that its certificate
 factors at +s (:meth:`BorderedGram.solve`).
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -128,7 +130,12 @@ class BorderedGram:
         the system with right-hand side r_t - C z, C the level's
         multipliers; the trailing block, formed in ``out`` when given, is
         solved by LAPACK; and back through the levels, y_p = (z - C^t y_t) /
-        l."""
+        l.
+
+        fl(A - s I) must be positive definite.  On an indefinite matrix a
+        level's pivot may not be positive, and the solve raises LinAlgError
+        as :attr:`eliminate` does; a dense form, with no levels, solves any
+        nonsingular fl(A - s I) by LAPACK."""
         factors, block = self.eliminate(s, out)
         zs = []
         for L, (pivot, coupling) in zip(self.levels, factors):
@@ -151,10 +158,17 @@ class BlockRows:
     block ``block[t]`` of row ``row[t]``, and no two terms share a block of
     a row.  The pair arrays (p, q), built on first use, list every ordered
     pair of terms in a common block, so that Gram entry (r, s) is the sum of
-    <values[p], values[q]> over the pairs with p in row r and q in row s."""
+    <values[p], values[q]> over the pairs with p in row r and q in row s.
 
-    def __init__(self, nrows, nblocks, row, block):
-        self.nrows, self.nblocks = nrows, nblocks
+    ``reused`` marks a pattern whose Gram matrix is factored again and
+    again, as D psi's is at every Gauss-Newton step: the analysis of its
+    levels (:attr:`elimination`) is repaid by its uses, so a level is taken
+    when it saves time in each use.  Any other pattern's levels must also
+    repay their analysis in one use, so that no pattern is slower on its
+    first use than with its first level alone."""
+
+    def __init__(self, nrows, nblocks, row, block, reused=False):
+        self.nrows, self.nblocks, self.reused = nrows, nblocks, reused
         self.row = np.asarray(row, dtype=np.int32)
         self.block = np.asarray(block, dtype=np.int32)
 
@@ -168,43 +182,27 @@ class BlockRows:
         return _pairs_within(self.block, self.nblocks, self.block_order)
 
     @cached_property
-    def pivots(self):
-        """The first level of pivot rows of :meth:`gram`, as a mask: rows
-        whose terms share no block with each other, chosen greedily in row
-        order.  A row is taken when none of its blocks is a block of a row
-        taken before."""
-        blocks = [[] for _ in range(self.nrows)]
-        for r, b in zip(self.row.tolist(), self.block.tolist()):
-            blocks[r].append(b)
-        used = bytearray(self.nblocks)
-        mask = np.zeros(self.nrows, dtype=bool)
-        for r, bs in enumerate(blocks):
-            if not any(used[b] for b in bs):
-                mask[r] = True
-                for b in bs:
-                    used[b] = 1
-        return mask
-
-    @cached_property
     def elimination(self):
         """The index arrays of :meth:`gram`, built on first use:
         ``dot_pairs``, the pairs (p, q) with p's row at or after q's, in
         pair order, so that each Gram entry (r, s), r >= s, gets its dot
         products once; ``entry``, the entry each belongs to among the
         ``nentries`` structural nonzeros (r, s), r >= s, of the Gram matrix,
-        and ``diag``, the diagonal's; the ``levels`` of closed-form pivots,
-        the :attr:`pivots` and then those of :func:`_block_levels`, which
-        leave a block of ``size`` rows; and ``lower`` and ``upper``, the
-        flat positions in that block of its entries (r, s), r >= s, and of
-        their mirrors (s, r).  Every row has a term, and so a diagonal
-        entry."""
+        and ``diag``, the diagonal's; the ``levels`` of closed-form pivots
+        of :func:`_block_levels`, which leave a block of ``size`` rows, the
+        first of them the rows that share no block; and ``lower`` and
+        ``upper``, the flat positions in that block of its entries (r, s),
+        r >= s, and of their mirrors (s, r).  Every row has a term, and so a
+        diagonal entry."""
         p, q = self.pairs
         rp, rq = self.row[p], self.row[q]
         lower = rp >= rq
-        keys, entry = _sorted_unique(rp[lower].astype(np.int64) * self.nrows + rq[lower])
-        levels, last, size = _block_levels(self.nrows, keys, self.pivots)
+        keys, entry = np.unique(rp[lower].astype(np.int64) * self.nrows + rq[lower],
+                                return_inverse=True)
+        levels, last, size = _block_levels(self.nrows, keys, self.reused)
         return _Elimination(
-            dot_pairs=(p[lower].astype(np.intp), q[lower].astype(np.intp)), entry=entry,
+            dot_pairs=(p[lower].astype(np.intp), q[lower].astype(np.intp)),
+            entry=entry.astype(np.int32),
             nentries=len(keys),
             diag=keys.searchsorted(np.arange(self.nrows) * (self.nrows + 1)),
             levels=tuple(levels), lower=last, upper=last % size * size + last // size, size=size)
@@ -278,8 +276,7 @@ class BlockRows:
                                 lambda: self.dense(values))
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """One level of closed-form pivots of a symmetric block: the block's
     ``pivot_rows`` and ``trail_rows`` (positions in it); one coupling per
     (trailing row, pivot) with a structural nonzero between them, sorted by
@@ -303,8 +300,7 @@ class _Level:
     nentries: int
 
 
-@dataclass(frozen=True)
-class _Elimination:
+class _Elimination(NamedTuple):
     dot_pairs: tuple
     entry: np.ndarray
     nentries: int
@@ -329,26 +325,28 @@ def _lower_updates(couple_row, group_size):
     return a, b.astype(np.int32)
 
 
-def _block_levels(m, keys, pivot):
+def _block_levels(m, keys, reused):
     """The levels of closed-form pivots of a symmetric m x m matrix whose
     structural nonzeros (r, c), r >= c, have the sorted flat positions
-    ``keys``, the first with the mask ``pivot``, as (levels, keys, size) of
-    the block they leave.
+    ``keys``, as (levels, keys, size) of the block they leave.
 
-    Each further level's pivots are rows of the block left with no
-    structural nonzero between any two of them, chosen greedily in order of
-    their number of off-diagonal nonzeros, fewest first, ties in row order:
-    a row is taken when no row taken before is its neighbour.  This is the
-    multiple elimination of Liu's multiple minimum degree ordering (ACM TOMS
-    11, 1985).  The next block's pattern is the kept entries and the fill of
-    the updates.  A further level is taken while :func:`_takes_level`
-    expects it to save more LAPACK time than it costs, and the analysis is
-    skipped on a block too small for any level to pay."""
+    Each level's pivots are rows with no structural nonzero between any two
+    of them, in the matrix at the first level and in the block the levels
+    before leave at each further one (:func:`_independent_rows`).  The first
+    level visits the rows in row order: two rows of a :class:`BlockRows`
+    pattern share a nonzero exactly when they share a block.  Each further
+    level visits them in order of their number of off-diagonal nonzeros,
+    fewest first, ties in row order, which is the multiple elimination of
+    Liu's multiple minimum degree ordering (ACM TOMS 11, 1985).  The next
+    block's pattern is the kept entries and the fill of the updates.  A
+    further level is taken while :func:`_takes_level` expects it to save
+    more LAPACK time than it costs, the analysis too unless the pattern is
+    ``reused``.  The analysis stops on a block too small for any level to
+    pay: one that took every row as a pivot, with no update."""
     levels = []
-    while not levels or _lapack_cost(m) > LEVEL_COST:
-        rows, cols = keys // m, keys % m
-        if levels:
-            pivot = _independent_rows(m, rows, cols)
+    while not levels or _takes_level(m, m, 0, 0, reused):
+        rows, cols = np.divmod(keys, m)
+        pivot = _independent_rows(m, rows, cols, by_degree=bool(levels))
         npivots = int(np.count_nonzero(pivot))
         trail_pos, pivot_pos = np.cumsum(~pivot) - 1, np.cumsum(pivot) - 1
         pr, pc = pivot[rows], pivot[cols]
@@ -358,83 +356,82 @@ def _block_levels(m, keys, pivot):
         order = np.lexsort((trail, couple_pivot))
         couples, couple_row, couple_pivot = couples[order], trail[order], couple_pivot[order]
         a, b = _lower_updates(couple_row, np.bincount(couple_pivot, minlength=npivots))
-        if levels and not _takes_level(m, npivots, len(a)):
+        if levels and not _takes_level(m, npivots, len(keys), len(a), reused):
             break
         keep = np.flatnonzero(~pr & ~pc)
         size = m - npivots
-        next_keys, entry = _sorted_unique(np.concatenate([
+        next_keys, entry = np.unique(np.concatenate([
             trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
-            couple_row[a].astype(np.int64) * size + couple_row[b]]))
+            couple_row[a].astype(np.int64) * size + couple_row[b]]), return_inverse=True)
         levels.append(_Level(
             np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
             couple_pivot.astype(np.int32), (a, b),
             keys.searchsorted(np.flatnonzero(pivot) * (m + 1)).astype(np.int32),
-            couples.astype(np.int32), keep.astype(np.int32), entry, len(next_keys)))
+            couples.astype(np.int32), keep.astype(np.int32), entry.astype(np.int32),
+            len(next_keys)))
         m, keys = size, next_keys
     return levels, keys, m
 
 
-def _sorted_unique(keys):
-    """np.unique(keys, return_inverse=True), the inverse as int32."""
-    ordered, order = _stable_sort(keys)
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    inverse = np.empty(len(keys), dtype=np.int32)
-    inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
-
-
-def _stable_sort(keys):
-    """(sorted keys, the stable order that sorts them) for keys in [0,
-    2^40): one sort of each key shifted up with its index below it, which is
-    faster than a stable argsort."""
-    bits = max(len(keys), 1).bit_length()
-    packed = keys.astype(np.int64) << bits | np.arange(len(keys))
-    packed.sort()
-    return packed >> bits, packed & ((1 << bits) - 1)
-
-
-def _independent_rows(m, rows, cols):
+def _independent_rows(m, rows, cols, by_degree):
     """The pivots of a level, as a mask (see :func:`_block_levels`), from
-    the block's structural nonzeros (rows, cols), sorted by row."""
+    the block's structural nonzeros (rows, cols), rows >= cols, sorted by
+    row:
+    greedily, a row is taken when no row taken before is its neighbour,
+    visiting the rows in row order or, ``by_degree``, by number of
+    neighbours."""
     off = rows != cols
     rows, cols = rows[off], cols[off]
-    above, by_col = _stable_sort(cols)
-    below = rows[by_col]
+    by_col = np.argsort(cols)
+    above = rows[by_col]
     lower_start = np.searchsorted(rows, np.arange(m + 1))
-    upper_start = np.searchsorted(above, np.arange(m + 1))
+    upper_start = np.searchsorted(cols[by_col], np.arange(m + 1))
     degree = np.diff(lower_start) + np.diff(upper_start)
+    order = np.argsort(degree, kind="stable").tolist() if by_degree else range(m)
+    lower_start, upper_start = lower_start.tolist(), upper_start.tolist()
     pivot = np.zeros(m, dtype=bool)
     blocked = np.zeros(m, dtype=bool)
-    for r in np.argsort(degree, kind="stable").tolist():
+    for r in order:
         if not blocked[r]:
             pivot[r] = True
             blocked[cols[lower_start[r]:lower_start[r + 1]]] = True
-            blocked[below[upper_start[r]:upper_start[r + 1]]] = True
+            blocked[above[upper_start[r]:upper_start[r + 1]]] = True
     return pivot
 
 
 # The level rule's cost model, in seconds: LAPACK's Cholesky or solve of an
-# m x m block takes about LAPACK_CUBE m^3 + LAPACK_SQUARE m^2, and a level
+# m x m block takes about LAPACK_CUBE m^3 + LAPACK_SQUARE m^2; a level
 # LEVEL_COST plus UPDATE_COST per update, in an elimination and in the
-# forward and back substitution of a solve.  Fitted to timings of LAPACK for
-# m = 128..1922 and of the levels of D psi and the staircase (OpenBLAS 0.3,
-# numpy 2.4, two Xeon cores); CHANGES.md has the measurements.
+# forward and back substitution of a solve; and the analysis of a level of
+# an m x m block ANALYSIS_COST plus ANALYSIS_ROW_COST per row,
+# ANALYSIS_ENTRY_COST per structural nonzero r >= s and ANALYSIS_UPDATE_COST
+# per update.  Fitted to timings of LAPACK for m = 128..1922 and of the
+# levels of D phi, D psi and the staircase (OpenBLAS 0.3, numpy 2.4, two
+# Xeon cores); CHANGES.md has the measurements.
 LAPACK_CUBE = 5.6e-12
 LAPACK_SQUARE = 9.3e-9
 LEVEL_COST = 2e-5
 UPDATE_COST = 7e-9
+ANALYSIS_COST = 5.4e-5
+ANALYSIS_ROW_COST = 1.7e-7
+ANALYSIS_ENTRY_COST = 4.2e-8
+ANALYSIS_UPDATE_COST = 2.9e-8
 
 
 def _lapack_cost(m):
     return (LAPACK_CUBE * m + LAPACK_SQUARE) * m * m
 
 
-def _takes_level(m, npivots, nupdates):
+def _takes_level(m, npivots, nentries, nupdates, reused):
     """Whether a level of ``npivots`` pivots and ``nupdates`` updates on an
-    m x m block is expected to save more LAPACK time than it costs."""
-    return _lapack_cost(m) - _lapack_cost(m - npivots) > LEVEL_COST + UPDATE_COST * nupdates
+    m x m block with ``nentries`` structural nonzeros r >= s is expected to
+    save more LAPACK time than it costs: in one use and, unless the pattern
+    is ``reused``, in its analysis."""
+    cost = LEVEL_COST + UPDATE_COST * nupdates
+    if not reused:
+        cost += (ANALYSIS_COST + ANALYSIS_ROW_COST * m + ANALYSIS_ENTRY_COST * nentries
+                 + ANALYSIS_UPDATE_COST * nupdates)
+    return _lapack_cost(m) - _lapack_cost(m - npivots) > cost
 
 
 def _pairs_within(group, ngroups, order):

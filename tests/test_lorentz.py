@@ -270,6 +270,32 @@ def test_newton_rank_deficient_jacobian(cube_orbifolds):
         lorentz.solve_hyperbolic_newton(Q, equal)
 
 
+@pytest.mark.parametrize("family", ["loebell", "prism"])
+def test_rank_deficient_step_fails_only_as_convergence_error(family):
+    """Where J loses row rank, a pivot of a later level of the shifted
+    system can round to one that is not positive.  One Gauss-Newton step at
+    the rank-deficient seeds of the m = 32 family member, whose ridge block
+    takes further levels, is finite or raises ConvergenceError, never
+    LinAlgError.  At the zero seed J = 0 and mu = 0, so the first pivot is
+    0: the step and Newton raise ConvergenceError."""
+    Q = family_realization(family, 32)[0]
+    S = lorentz.psi_structure(Q)
+    assert len(S.rows.elimination.levels) > 1
+    system = np.zeros((S.rows.elimination.size,) * 2)
+    for x in _rank_deficient_seeds(Q):
+        assert numerical_rank(lorentz.psi_jacobian(Q, x)).rank < S.nrows
+        try:
+            step = S.gauss_newton_step(lorentz._alphas(x), S.eval(x), system)
+        except lorentz.ConvergenceError:
+            continue
+        assert np.isfinite(step).all()
+    zero = np.zeros((Q.f, Q.n + 1))
+    with pytest.raises(lorentz.ConvergenceError, match="not positive definite"):
+        S.gauss_newton_step(lorentz._alphas(zero), S.eval(zero), system)
+    with pytest.raises(lorentz.ConvergenceError):
+        lorentz.solve_hyperbolic_newton(Q, zero)
+
+
 @pytest.mark.parametrize("name", NEWTON_CASES)
 def test_psi_structure_matches_row_loop(name):
     Q = newton_case(name)

@@ -13,10 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coxdeform import bundled, cli, lorentz, polytope as pt, vinberg
-from coxdeform.numerics import (DEFAULT_RANK_POLICY, LEVEL_COST, BlockRows, BorderedGram,
-                                StructuredMatrix, _full_rank_certificate, _lapack_cost,
-                                _takes_level, numerical_rank, svd_rank, triangular_sigma_bound)
+from coxdeform import bundled, cli, lorentz, numerics, polytope as pt, vinberg
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, BorderedGram, StructuredMatrix,
+                                _full_rank_certificate, _takes_level, numerical_rank, svd_rank,
+                                triangular_sigma_bound)
 from conftest import (block_gram_oracle, bordered_trailing_oracle, dense_gram_oracle,
                       family_realization, full_gram_rank_oracle, loebell_factor_orbifold,
                       phi_jacobian_oracle, pivot_levels, prism_cap_orbifold, psi_jacobian_oracle)
@@ -233,16 +233,16 @@ def _planted_pattern(rng, nblocks=12, width=3, extra=14):
 def _planted_graph(rng, nblocks=100, nedges=280, width=4):
     """A wide BlockRows pattern shaped like D psi: one row in each of
     ``nblocks`` blocks, then one row with terms in the two blocks of each of
-    ``nedges`` distinct random pairs, with seeded values.  Its first
-    trailing block, one row per pair, is large and sparse enough that
-    further levels of pivots pay."""
+    ``nedges`` distinct random pairs, with seeded values, and reused as D
+    psi's pattern is.  Its first trailing block, one row per pair, is large
+    and sparse enough that further levels of pivots pay."""
     edges = set()
     while len(edges) < nedges:
         edges.add(tuple(sorted(rng.choice(nblocks, size=2, replace=False).tolist())))
     edges = sorted(edges)
     row = list(range(nblocks)) + [nblocks + k for k in range(nedges) for _ in range(2)]
     block = list(range(nblocks)) + [b for edge in edges for b in edge]
-    rows = BlockRows(nblocks + nedges, nblocks, row, block)
+    rows = BlockRows(nblocks + nedges, nblocks, row, block, reused=True)
     return rows, rng.normal(size=(len(row), width))
 
 
@@ -270,7 +270,8 @@ def test_bordered_certificate_at_the_floor(name):
     rows, values = _planted_case(name)
     levels = rows.elimination.levels
     if not name.startswith("graph"):
-        assert rows.pivots[:6].all() and rows.elimination.size <= max(rows.nrows - 7, 0)
+        assert np.isin(np.arange(6), pivot_levels(rows)[0]).all()
+        assert rows.elimination.size <= max(rows.nrows - 7, 0)
         assert len(levels) == 1
     else:
         assert len(levels) >= 3 and rows.elimination.size < len(levels[1].trail_rows)
@@ -297,11 +298,12 @@ def _assert_levels_greedy(rows):
     """Replays the levels of a pattern's elimination on the structural
     pattern of its Gram matrix, filled in densely level by level.  Each
     level's pivots share no structural nonzero with each other in the
-    block the levels before leave.  After the first (block-disjoint rows,
-    checked in row order above) a level is greedy in order of degree: a row
-    is taken exactly when none of its neighbours came before it, in order of
-    off-diagonal nonzeros, fewest first, ties in row order.  Each level
-    after the first passes the level rule, and the next one would not."""
+    block the levels before leave.  Each level is greedy: a row is taken
+    exactly when no neighbour of it was taken before it, visiting the rows
+    in row order at the first level and after it in order of off-diagonal
+    nonzeros, fewest first, ties in row order.  Each level after the first
+    passes the level rule, with the analysis charged unless the pattern is
+    reused, and the next one would not."""
     P = _gram_pattern(rows)
     levels = pivot_levels(rows)
     alive = np.ones(rows.nrows, dtype=bool)
@@ -311,18 +313,19 @@ def _assert_levels_greedy(rows):
         m = len(live)
         degree = block.sum(axis=1) - 1
         taken = np.zeros(m, dtype=bool)
-        for r in np.argsort(degree, kind="stable"):
+        for r in np.argsort(degree, kind="stable") if j else range(m):
             taken[r] = not (block[r] & taken).any()
         pivots = live[taken]
         if j > 0:
             trail_degree = block[np.ix_(taken, ~taken)].sum(axis=1)
             updates = int((trail_degree * (trail_degree + 1) // 2).sum())
-            pays = _lapack_cost(m) > LEVEL_COST and _takes_level(m, len(pivots), updates)
+            nentries = (int(block.sum()) + m) // 2
+            pays = (_takes_level(m, m, 0, 0, rows.reused)
+                    and _takes_level(m, len(pivots), nentries, updates, rows.reused))
             assert pays == (level is not None), j
         if level is None:
             break
-        if j > 0:
-            assert np.array_equal(level, pivots), j
+        assert np.array_equal(level, pivots), j
         inner = P[np.ix_(level, level)]
         assert not (inner & ~np.eye(len(level), dtype=bool)).any(), j
         rest = np.flatnonzero(alive & ~np.isin(np.arange(rows.nrows), level))
@@ -345,16 +348,17 @@ def test_pivots_are_greedy_and_block_disjoint():
     patterns += [_planted_case(name)[0] for name in PLANTED]
     for rows in patterns:
         used = set()
+        first = np.isin(np.arange(rows.nrows), pivot_levels(rows)[0])
         for r in range(rows.nrows):
             blocks = set(rows.block[rows.row == r].tolist())
-            assert rows.pivots[r] == (not blocks & used), r
-            used |= blocks if rows.pivots[r] else set()
+            assert first[r] == (not blocks & used), r
+            used |= blocks if first[r] else set()
     orbifolds = [bundled.load_builtin(name) for name in bundled.BUILTIN_NAMES]
     for m in range(5, 65):
         orbifolds += [loebell_factor_orbifold(pt.loebell(m)), prism_cap_orbifold(m)]
     for Q in orbifolds:
         psi = lorentz.psi_structure(Q).rows
-        assert np.array_equal(np.flatnonzero(psi.pivots), np.arange(Q.f))
+        assert np.array_equal(pivot_levels(psi)[0], np.arange(Q.f))
     for family in ("loebell", "prism"):
         for m in (24, 32, 48, 64):
             Q = family_realization(family, m)[0]
@@ -363,6 +367,24 @@ def test_pivots_are_greedy_and_block_disjoint():
     for rows in patterns:
         _assert_levels_greedy(rows)
     assert max(len(rows.elimination.levels) for rows in patterns) >= 7
+
+
+def test_small_patterns_run_no_level_analysis(monkeypatch):
+    """On the loebell(5) factor and the prism(8) cap orbifold no block is
+    large enough for a further level to pay, with or without its analysis
+    charged, so the elimination of D phi, D psi and the staircase looks for
+    the independent rows of the first level only."""
+    calls = []
+    independent_rows = numerics._independent_rows
+    monkeypatch.setattr(numerics, "_independent_rows",
+                        lambda *args, **kw: calls.append(1) or independent_rows(*args, **kw))
+    for Q in (bundled.load_builtin("loebell5_factor"), prism_cap_orbifold(8)):
+        index = vinberg.EquationIndex.from_orbifold(Q)
+        for rows in (vinberg.phi_structure(index).rows, lorentz.psi_structure(Q).rows,
+                     index.staircase_rows):
+            calls.clear()
+            E = BlockRows(rows.nrows, rows.nblocks, rows.row, rows.block, rows.reused).elimination
+            assert len(calls) == len(E.levels) == 1
 
 
 def _bordered_cases():
@@ -374,31 +396,36 @@ def _bordered_cases():
 
 def test_bordered_solve_matches_dense_solve():
     """BorderedGram.solve at a shift below 0 (Newton's -mu) and at one above
-    0 (half the smallest eigenvalue, so that every pivot is positive)
-    matches np.linalg.solve of the dense fl(A - s I) to 4 kappa u, both
-    being backward-stable solves; in a
-    reused work array it equals the fresh solve bit for bit.  The dense form
-    of the same Gram matrix, which has no levels, solves it the same way,
-    again and again."""
+    0 (half the smallest diagonal entry) matches np.linalg.solve of the
+    dense fl(A - s I) to 4 kappa u, both being backward-stable solves; in a
+    reused work array it equals the fresh solve bit for bit.  Above 0,
+    fl(A - s I) may be indefinite: where the dense elimination of the levels
+    meets a pivot that is not positive, the solve raises LinAlgError, as
+    the factorisation does.  The dense form of the same Gram matrix, which
+    has no levels, solves it as np.linalg.solve does, again and again."""
     rng = np.random.default_rng(53)
     for rows, values in _bordered_cases():
         A = block_gram_oracle(rows, values)
         diag = np.diagonal(A)
         bordered, dense = rows.gram(values), BorderedGram.dense(A.copy())
         work = np.zeros((rows.elimination.size,) * 2)
-        for s in (-1e-12 * diag.sum() / len(diag), 0.5 * np.linalg.eigvalsh(A)[0]):
+        for s in (-1e-12 * diag.sum() / len(diag), 0.5 * diag.min()):
             B = A.copy()
             B.flat[::len(B) + 1] -= s
             r = rng.normal(size=rows.nrows)
             ref = np.linalg.solve(B, r)
+            for out in (None, np.empty_like(A), None):
+                assert np.array_equal(dense.solve(s, r, out=out), ref), s
+            assert np.array_equal(dense.trailing(s), B), s
+            if bordered_trailing_oracle(A, pivot_levels(rows), s) is None:
+                with pytest.raises(np.linalg.LinAlgError):
+                    bordered.solve(s, r, out=work)
+                continue
             tol = 4.0 * np.linalg.cond(B) * UNIT_ROUNDOFF
             y = bordered.solve(s, r, out=work)
             assert np.linalg.norm(y - ref) <= tol * np.linalg.norm(ref), s
             assert np.array_equal(y, bordered.solve(s, r)), s
             assert np.array_equal(work, bordered.trailing(s)), s
-            for out in (None, np.empty_like(A), None):
-                assert np.array_equal(dense.solve(s, r, out=out), ref), s
-            assert np.array_equal(dense.trailing(s), B), s
 
 
 def test_transpose_product_is_the_dense_product():
