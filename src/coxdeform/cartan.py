@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,13 +87,12 @@ class CartanMatrix:
         return orders
 
 
-@dataclass
-class ConditionsReport:
-    diagonal_violations: list = field(default_factory=list)
-    sign_violations: list = field(default_factory=list)       # (L1)
-    order2_violations: list = field(default_factory=list)     # zeros on E2 pairs
-    product_violations: list = field(default_factory=list)    # 4cos^2(pi/m) on E3
-    open_violations: list = field(default_factory=list)       # product > 4 on E4
+class ConditionsReport(NamedTuple):
+    diagonal_violations: list
+    sign_violations: list       # (L1)
+    order2_violations: list     # zeros on E2 pairs
+    product_violations: list    # 4cos^2(pi/m) on E3
+    open_violations: list       # product > 4 on E4
 
     @property
     def passed(self):
@@ -110,42 +109,42 @@ def check_vinberg_conditions(A):
     M = A.entries
     scale = max(np.abs(M).max(), 1.0)
     atol = ENTRY_TOL * scale
-    report = ConditionsReport()
-    for k in np.flatnonzero(np.abs(M.diagonal() - 2.0) > atol).tolist():
-        report.diagonal_violations.append((A.facets[k], M[k, k]))
+    diagonal = [(A.facets[k], M[k, k])
+                for k in np.flatnonzero(np.abs(M.diagonal() - 2.0) > atol).tolist()]
     positive = M > atol
     np.fill_diagonal(positive, False)
     small = np.abs(M) <= atol
     unpaired = small != small.T             # a zero facing a nonzero entry
+    sign = []
     for a, b in np.argwhere(positive | unpaired).tolist():
         pair = (A.facets[a], A.facets[b])
         if positive[a, b]:
-            report.sign_violations.append((pair, M[a, b]))
+            sign.append((pair, M[a, b]))
         if unpaired[a, b]:
-            report.sign_violations.append((pair, (M[a, b], M[b, a])))
+            sign.append((pair, (M[a, b], M[b, a])))
     e2 = [p for p, m in A.orders.items() if m == 2]
     a, b = np.fromiter(map(A.pos.__getitem__, itertools.chain.from_iterable(e2)),
                        dtype=np.intp, count=2 * len(e2)).reshape(-1, 2).T
     big = np.abs(M) > atol
     hits = np.flatnonzero(big[a, b] | big[b, a]).tolist()
-    for i, j in sorted(e2[k] for k in hits):
-        report.order2_violations.append(((i, j), (A.entry(i, j), A.entry(j, i))))
+    order2 = [((i, j), (A.entry(i, j), A.entry(j, i))) for i, j in sorted(e2[k] for k in hits)]
+    product = []
     for (i, j), m in A.e3_orders().items():
         prod = A.entry(i, j) * A.entry(j, i)
         target = 4.0 * math.cos(math.pi / m) ** 2
         if abs(prod - target) > atol:
-            report.product_violations.append(((i, j), prod, target))
+            product.append(((i, j), prod, target))
+    e4 = []
     for i, j in A.e4_pairs():
         prod = A.entry(i, j) * A.entry(j, i)
         if not prod > 4.0:
-            report.open_violations.append(((i, j), prod))
-    return report
+            e4.append(((i, j), prod))
+    return ConditionsReport(diagonal, sign, order2, product, e4)
 
 
 # -- components and classification ----------------------------------------------
 
-@dataclass
-class ComponentType:
+class ComponentType(NamedTuple):
     indices: tuple                  # facet ids in the component
     classification: str             # 'positive' | 'zero' | 'negative'
     smallest_eigenvalue: float
@@ -275,8 +274,7 @@ def classify_group(A, n, policy=DEFAULT_RANK_POLICY):
 
 # -- diagonal gauge normalization -------------------------------------------------
 
-@dataclass
-class NormalForm:
+class NormalForm(NamedTuple):
     matrix: CartanMatrix
     cycle_coordinates: dict          # non-tree pair -> sqrt(a_ij / a_ji)
     rescaling: np.ndarray

@@ -63,7 +63,7 @@ def _rank_tolerance(value):
     return _checked(float, value, lambda x: 0.0 < x < math.inf, "a finite number above 0")
 
 
-def _seed(value):
+def _non_negative(value):
     return _checked(int, value, lambda x: x >= 0, "an integer of at least 0")
 
 
@@ -75,7 +75,7 @@ SHARED_OPTIONS = {
     "rank_tol": {"type": _rank_tolerance, "default": 1e-12,
                  "help": "relative singular-value threshold, finite and above 0 "
                          "(default 1e-12)"},
-    "seed": {"type": _seed, "default": 0, "help": "random seed, at least 0 (default 0)"},
+    "seed": {"type": _non_negative, "default": 0, "help": "random seed, at least 0 (default 0)"},
     "force": {"action": "store_true", "help": "downgrade uncertain rank decisions to warnings"},
 }
 COMMAND_OPTIONS = {"check": (), "realize": ("tol", "seed"),
@@ -109,7 +109,7 @@ def build_parser():
 
     p = command("cartan", "analyze a Cartan matrix")
     p.add_argument("matrix", help="path to a matrix JSON")
-    p.add_argument("--n", type=int, default=None,
+    p.add_argument("--n", type=_non_negative, default=None,
                    help="ambient dimension for classification (default: rank - 1)")
 
     p = command("curve", "sample a parametrized family's determinant zero set")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ OFFSET_FLOOR = 0.05
 DOUBLED_CUBE_OFFSET, DOUBLED_CUBE_CUT = 0.52, 2.35
 
 
-@dataclass(frozen=True)
-class LorentzForm:
+class LorentzForm(NamedTuple):
     """The bilinear form -x_1 y_1 + x_2 y_2 + ... + x_{n+1} y_{n+1}."""
 
     dim: int  # n + 1

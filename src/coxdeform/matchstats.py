@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -479,8 +478,7 @@ def orbifold_from_factor(P, factor, k):
 
 # -- statistics ---------------------------------------------------------------------
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     polytope: str
     d: int
     mode: str
@@ -609,7 +607,8 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
     class per edge from the exact conditionals, expands it to a uniform order
     of the class and rejects draws that fail a circuit inequality.  Sample i
     reads only the Philox stream keyed (seed, i), so it does not depend on
-    the sample count.
+    the sample count.  Its orders are int64, so it refuses d above 2^62;
+    exact mode counts in Python integers and takes any d.
     It refuses up front when no assignment can pass the circuit inequalities
     and stops with "circuit rejection rate too high" when fewer than
     MC_MIN_ACCEPTANCE of its draws pass them.  Both modes decide weak
@@ -819,16 +818,15 @@ def _exact_counts(P, d):
 def _exact_stats(P, d, name):
     valid, wo, nj = _exact_counts(P, d)
     fraction = wo / valid if valid else None
-    report = StatsReport(polytope=name, d=d, mode="exact", valid_count=valid,
-                         wo_count=wo, fraction=fraction, ci_low=fraction,
-                         ci_high=fraction,
-                         nj={j: int(c) for j, c in enumerate(nj) if c})
+    holds = None
     if d in (7, 8):
         nj7 = nj if d == 7 else _exact_counts(P, 7)[2]
-        report.identity_checked = True
-        report.identity_holds = bool(all(
-            int(nj[j]) == int(nj7[j]) * (d - 6) ** j for j in range(len(nj))))
-    return report
+        holds = bool(all(int(nj[j]) == int(nj7[j]) * (d - 6) ** j for j in range(len(nj))))
+    return StatsReport(polytope=name, d=d, mode="exact", valid_count=valid,
+                       wo_count=wo, fraction=fraction, ci_low=fraction,
+                       ci_high=fraction,
+                       nj={j: int(c) for j, c in enumerate(nj) if c},
+                       identity_checked=holds is not None, identity_holds=holds)
 
 
 class _Step(NamedTuple):
@@ -1042,6 +1040,13 @@ def _place_value(digits, k, rows):
 def _montecarlo_stats(P, d, samples, seed, name):
     if samples < 1:
         raise GraphConditionError("Monte Carlo needs at least one sample")
+    # the sampler draws each order as low + floor(u * size) in int64, with
+    # u * size in float64; up to 2^62 that stays far below 2^63, where the
+    # cast to int64 overflows
+    if d > 2 ** 62:
+        raise GraphConditionError(
+            f"Monte Carlo refused: order bound d = {d} is above 2^62, the largest "
+            "the sampler draws in 64-bit integers")
     model = _AssignmentModel(P, d)
     # every circuit sum is smallest with every order d
     if not model.circuits_ok(np.full(len(model.edges), d)):

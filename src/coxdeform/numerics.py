@@ -36,7 +36,6 @@ factors at +s (:meth:`BorderedGram.solve`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -46,8 +45,7 @@ UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
 
 
-@dataclass(frozen=True)
-class RankPolicy:
+class RankPolicy(NamedTuple):
     """Threshold = max(shape) * sigma_max * rel_tol; gap ratios below
     ``gap_threshold`` flag the rank as uncertain."""
 
@@ -61,8 +59,7 @@ class RankPolicy:
 DEFAULT_RANK_POLICY = RankPolicy()
 
 
-@dataclass
-class RankResult:
+class RankResult(NamedTuple):
     """``method`` is "cholesky" or "block" for a certified full rank, whose
     ``singular_values`` are empty and whose ``threshold`` is the certified
     lower bound on sigma_min; "svd" otherwise."""
@@ -78,8 +75,7 @@ class RankResult:
         return ncols - self.rank
 
 
-@dataclass(frozen=True)
-class StructuredMatrix:
+class StructuredMatrix(NamedTuple):
     """A matrix given by its ``shape`` and two functions of no arguments:
     ``gram`` returns fl(M M^t), each entry a sum of products of M's stored
     entries (see :func:`_full_rank_certificate`), as a dense array or as a
@@ -91,8 +87,7 @@ class StructuredMatrix:
     build: Callable
 
 
-@dataclass(frozen=True)
-class BorderedGram:
+class BorderedGram(NamedTuple):
     """A Gram matrix A = fl(W W^t) in the form that
     :func:`_full_rank_certificate` factors: its ``diagonal``, and
     ``eliminate(s, out=None)``, the Cholesky factorisation of fl(A - s I)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from coxdeform import polytope as pt
 from coxdeform.errors import OrbifoldError
@@ -63,8 +63,7 @@ class CoxeterOrbifold:
         return sorted(self.order2_nbrs[i])
 
 
-@dataclass(frozen=True)
-class OrbifoldCounts:
+class OrbifoldCounts(NamedTuple):
     f: int
     e: int
     e2: int
@@ -156,8 +155,7 @@ def counts(Q):
 
 # -- weak orderability --------------------------------------------------------
 
-@dataclass
-class WeakOrdering:
+class WeakOrdering(NamedTuple):
     """Facet order (position 0 gets index 1) with per-facet qualifying sets
     F_i = higher-indexed order-2 neighbors, and their general-position status
     ('unknown', 'verified' or 'failed'; trivially verified when empty)."""
@@ -173,8 +171,7 @@ class WeakOrdering:
         return self.order.index(facet) + 1
 
 
-@dataclass
-class WeakOrderFailure:
+class WeakOrderFailure(NamedTuple):
     """Certificate of failure.  From :func:`weak_order_combinatorial` it is
     the facet subset left by the peel, in which every member has more than n
     order-2 ridges to the other members; from :func:`weak_order_geometric`
@@ -268,8 +265,7 @@ def weak_order_geometric(Q, alphas):
         result = weak_order_combinatorial(Q)
         if not result:
             return result
-        result.general_position = {i: "verified" for i in result.order}
-        return result
+        return result._replace(general_position={i: "verified" for i in result.order})
 
     def in_general_position(facets):
         if not facets:
@@ -306,13 +302,12 @@ def weak_order_geometric(Q, alphas):
 
 # -- Andreev-type necessary conditions (n = 3) -------------------------------
 
-@dataclass
-class AndreevReport:
-    vertex_violations: list = field(default_factory=list)
-    circuit3_violations: list = field(default_factory=list)
-    circuit4_violations: list = field(default_factory=list)
-    prism_violations: list = field(default_factory=list)
-    is_tetrahedron: bool = False
+class AndreevReport(NamedTuple):
+    vertex_violations: list
+    circuit3_violations: list
+    circuit4_violations: list
+    prism_violations: list
+    is_tetrahedron: bool
 
     @property
     def passed(self):
@@ -329,22 +324,23 @@ def andreev_necessary_check(Q):
     simplex)."""
     if Q.n != 3:
         raise OrbifoldError("Andreev conditions apply to n=3")
-    report = AndreevReport(is_tetrahedron=(Q.f == 4))
+    vertex = []
     for V in Q.base.vertices:
         orders = _vertex_orders(Q, V)
         if reciprocal_sum_sign(orders, 1) <= 0:
-            report.vertex_violations.append((tuple(sorted(V)), _angle_sum(orders)))
-    for k, bound, violations in ((3, 1, report.circuit3_violations),
-                                 (4, 2, report.circuit4_violations)):
+            vertex.append((tuple(sorted(V)), _angle_sum(orders)))
+    circuit3, circuit4 = [], []
+    for k, bound, violations in ((3, 1, circuit3), (4, 2, circuit4)):
         for circuit in Q.base.prismatic(k):
             orders = [Q.order(circuit[t], circuit[(t + 1) % k]) for t in range(k)]
             if reciprocal_sum_sign(orders, bound) >= 0:
                 violations.append((circuit, _angle_sum(orders)))
+    prism = []
     if Q.f == 5:  # the triangular prism: its caps are the one non-adjacent pair
         (caps,) = Q.base.nonadjacent_pairs
         if all(Q.order(c, j) == 2 for c in caps for j in Q.base.nbrs[c]):
-            report.prism_violations.append(caps)
-    return report
+            prism.append(caps)
+    return AndreevReport(vertex, circuit3, circuit4, prism, Q.f == 4)
 
 
 def _angle_sum(orders):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from coxdeform.errors import CombinatoricsError
 
@@ -345,10 +345,9 @@ def truncate_vertex(P, vertex):
     return PolytopeCombinatorics(P.n, facets, ridges, vertices, names)
 
 
-@dataclass
-class TruncationWitness:
+class TruncationWitness(NamedTuple):
     is_truncation: bool
-    history: list = field(default_factory=list)
+    history: list
     method: str = "combinatorial recognition"
 
     def __bool__(self):

@@ -9,7 +9,6 @@ sort keys, so identical inputs and configuration produce byte-identical files.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from coxdeform import orbifold as ob
@@ -22,9 +21,11 @@ def canonical_float(x):
 
 
 def to_jsonable(obj):
-    """Recursively convert reports, dataclasses and arrays to JSON data.  An
-    array of floats, ints or bools is converted with one ``tolist()``, and
-    a float array's entries are canonicalized in one flat pass."""
+    """Recursively convert reports and arrays to JSON data.  A report record
+    (a ``NamedTuple``) becomes an object of its fields, tested before any
+    other tuple, which becomes a list.  An array of floats, ints or bools is
+    converted with one ``tolist()``, and a float array's entries are
+    canonicalized in one flat pass."""
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     if isinstance(obj, float):  # numpy.float64 included
@@ -43,8 +44,8 @@ def to_jsonable(obj):
             flat[odd] = [canonical_float(x) for x in flat[odd].tolist()]
             return flat.reshape(obj.shape).tolist()
         return to_jsonable(obj.tolist())
-    if dataclasses.is_dataclass(obj):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    if hasattr(obj, "_asdict"):
+        return {k: to_jsonable(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):
         out = {}
         for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
@@ -132,9 +133,18 @@ def load_cartan(doc):
     orders = None
     if "orders" in doc:
         try:
-            orders = {(int(i), int(j)): int(m) for i, j, m in doc["orders"]}
+            triples = [(i, j, m) for i, j, m in doc["orders"]]
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"cartan: orders must be [i, j, m] integer triples ({exc})") from exc
+        problems = []
+        for i, j, m in triples:
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (i, j)):
+                problems.append(f"orders entry ({i!r},{j!r}) needs integer facet ids")
+            elif not isinstance(m, int) or m < 2:  # True and False are below 2
+                problems.append(f"pair ({i},{j}) has order {m!r}; need an integer >= 2")
+        if problems:
+            raise SchemaError("cartan: " + "; ".join(problems))
+        orders = {(i, j): m for i, j, m in triples}
     try:
         return ct.CartanMatrix(entries, orders=orders)
     except ct.CartanError as exc:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,22 +29,17 @@ RESIDUAL_TOL = 1e-9
 INTERIOR_TOL = 1e-9  # U-membership margins, relative to max |alpha|
 
 
-@dataclass
 class VinbergPoint:
     """Reflection data: covector rows ``alphas`` (f x (n+1)) and vector rows
-    ``bs`` (f x (n+1), the reflection vectors b_i)."""
+    ``bs`` (f x (n+1), the reflection vectors b_i), on ``facets`` (default
+    1..f)."""
 
-    alphas: np.ndarray
-    bs: np.ndarray
-    facets: tuple = None
-
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=float)
-        self.bs = np.asarray(self.bs, dtype=float)
+    def __init__(self, alphas, bs, facets=None):
+        self.alphas = np.asarray(alphas, dtype=float)
+        self.bs = np.asarray(bs, dtype=float)
         if self.alphas.shape != self.bs.shape:
             raise VinbergError("alphas and bs must have matching shapes")
-        if self.facets is None:
-            self.facets = tuple(range(1, self.alphas.shape[0] + 1))
+        self.facets = tuple(range(1, self.f + 1)) if facets is None else facets
 
     @property
     def f(self):
@@ -261,8 +256,7 @@ def gauge_dimension(f, dim):
 
 # -- rank reports --------------------------------------------------------------
 
-@dataclass
-class JacobianReport:
+class JacobianReport(NamedTuple):
     """Numerical-rank analysis of one Jacobian, saying how the rank was
     decided: ``method`` "cholesky" or "block" is a certified full rank with
     sigma_min > ``threshold`` and no spectrum ("block": D phi certified from
@@ -286,10 +280,11 @@ class JacobianReport:
     formula_dim: int = None
 
 
-def jacobian_report(label, shape, rr):
-    """The report of the rank decision ``rr`` on a matrix of ``shape``."""
+def jacobian_report(label, shape, rr, **dimension):
+    """The report of the rank decision ``rr`` on a matrix of ``shape``, with
+    the ``dimension`` fields given."""
     return JacobianReport(label, shape, rr.singular_values, rr.rank, shape[1] - rr.rank,
-                          rr.threshold, rr.gap, rr.uncertain, rr.method)
+                          rr.threshold, rr.gap, rr.uncertain, rr.method, **dimension)
 
 
 def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
@@ -323,23 +318,27 @@ def _phi_analysis(Q, p, policy):
     rr, psi, staircase = _block_decisions(Q, index, p, S.rows, values, policy)
     if rr is None:
         rr = numerical_rank(S.rows.matrix(values), policy)
-    report = jacobian_report("phi", S.rows.shape(values), rr)
-    report.gauge_dim = gauge_dimension(p.f, p.dim)
+    shape = S.rows.shape(values)
+    gauge_dim = gauge_dimension(p.f, p.dim)
     G = gauge_directions(p)
     gauge_rank = numerical_rank(G, policy).rank
-    if gauge_rank < report.gauge_dim:
+    if gauge_rank < gauge_dim:
         raise VinbergError(
             f"gauge orbit is not free at this point "
-            f"(gauge-direction rank {gauge_rank} < {report.gauge_dim})")
+            f"(gauge-direction rank {gauge_rank} < {gauge_dim})")
     c = ob.counts(Q)
-    report.formula_dim = c.eplus - Q.n - 2 * c.delta
-    report.full_rank = report.rank == index.N
-    if report.full_rank:
-        report.deformation_dim = 2 * p.dim * p.f - index.N - report.gauge_dim
-        if report.deformation_dim != report.formula_dim:
+    formula_dim = c.eplus - Q.n - 2 * c.delta
+    full_rank = rr.rank == index.N
+    deformation_dim = kernel_minus_gauge = None
+    if full_rank:
+        deformation_dim = 2 * p.dim * p.f - index.N - gauge_dim
+        if deformation_dim != formula_dim:
             raise VinbergError("dimension bookkeeping identity failed")  # integer identity
     else:
-        report.kernel_minus_gauge = report.kernel_dim - report.gauge_dim
+        kernel_minus_gauge = shape[1] - rr.rank - gauge_dim
+    report = jacobian_report("phi", shape, rr, gauge_dim=gauge_dim, full_rank=full_rank,
+                             deformation_dim=deformation_dim,
+                             kernel_minus_gauge=kernel_minus_gauge, formula_dim=formula_dim)
     return index, report, psi, staircase
 
 
@@ -440,15 +439,14 @@ def _floored_rank(M, policy, floor):
                                                "cholesky")
 
 
-@dataclass
-class RankSumReport:
+class RankSumReport(NamedTuple):
     rank_phi: JacobianReport
     rank_psi: JacobianReport
     e2: int
     weakly_orderable: bool
     identity_holds: bool
-    staircase_rank: int = None
-    reduction_rank_match: bool = None
+    staircase_rank: int
+    reduction_rank_match: bool
 
 
 def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
@@ -513,8 +511,7 @@ def _twice_Jb(bs):
 
 # -- membership in the open solution domain ------------------------------------
 
-@dataclass
-class UMembershipReport:
+class UMembershipReport(NamedTuple):
     """``has_interior_point`` is True or False when a certificate verified,
     and None when neither did (possible only off the solution set)."""
 
@@ -523,7 +520,7 @@ class UMembershipReport:
     alphas_span: bool
     signs_ok: bool
     open_condition_ok: bool
-    failures: list = field(default_factory=list)
+    failures: list
 
     @property
     def passed(self):
@@ -650,6 +647,8 @@ class ParametrizedFamily:
         params = [np.asarray(t, dtype=float) for t in params]
         if any(np.any(t <= 0) for t in params):
             raise VinbergError("family parameters must be positive")
+        if not all(np.isfinite(t).all() for t in params):
+            raise VinbergError("family parameters must be finite")
         shape = np.broadcast_shapes(*(t.shape for t in params))
         A = np.broadcast_to(self.base, shape + self.base.shape).copy()
         for (i, j), prod, t in zip(self.param_pairs, self.products, params):
@@ -699,8 +698,7 @@ def esselmann_polynomial_gradient(x, y):
     return np.array([fx, fy])
 
 
-@dataclass
-class CurveSamples:
+class CurveSamples(NamedTuple):
     xs: np.ndarray
     ys: np.ndarray
     values: np.ndarray              # det grid, shape (len(ys), len(xs))
@@ -725,6 +723,8 @@ def family_curve(family, box=(0.5, 2.0, 0.5, 2.0), res=101):
         raise VinbergError("curve extraction needs exactly two parameters")
     if res < 2:
         raise VinbergError(f"curve sampling needs res >= 2 grid points per axis, got {res}")
+    if not np.isfinite(box).all():
+        raise VinbergError(f"curve box must be finite, got {tuple(box)}")
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, res)
     ys = np.linspace(y0, y1, res)

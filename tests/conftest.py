@@ -777,16 +777,14 @@ def realization_oracle(Q, normals):
 def to_jsonable_oracle(obj):
     """Report data as JSON data, one recursive call per array entry, each
     float canonicalized to 12 significant digits on its own."""
-    import dataclasses
-
     if isinstance(obj, (str, int, bool)) or obj is None:
         return obj
     if isinstance(obj, float):
         return float(f"{float(obj):.12g}")
     if hasattr(obj, "tolist"):
         return to_jsonable_oracle(obj.tolist())
-    if dataclasses.is_dataclass(obj):
-        return {k: to_jsonable_oracle(v) for k, v in dataclasses.asdict(obj).items()}
+    if hasattr(obj, "_asdict"):  # a report record, before the tuple branch
+        return {k: to_jsonable_oracle(v) for k, v in obj._asdict().items()}
     if isinstance(obj, dict):
         out = {}
         for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
@@ -977,7 +975,7 @@ def conditions_oracle(A):
     M = A.entries
     scale = max(np.abs(M).max(), 1.0)
     atol = cartan.ENTRY_TOL * scale
-    report = cartan.ConditionsReport()
+    report = cartan.ConditionsReport([], [], [], [], [])
     for k, facet in enumerate(A.facets):
         if abs(M[k, k] - 2.0) > atol:
             report.diagonal_violations.append((facet, M[k, k]))

@@ -272,7 +272,7 @@ def test_conditions_and_pattern_match_pair_loops(tetra_orbifold, tetra_point, es
             for X in (A, B):
                 report = cartan.check_vinberg_conditions(X)
                 assert repr(report) == repr(conditions_oracle(X))
-                seen.update(name for name, v in vars(report).items() if v)
+                seen.update(name for name, v in report._asdict().items() if v)
         inferred.update(A.orders.values())
         non_adjacent += len(A.orders) < f * (f - 1) // 2
     assert inferred >= {0, 2, 3, 4, 5, 6, 7} and non_adjacent > 0

@@ -381,6 +381,22 @@ def test_unknown_mode():
         ms.estimate_wo_fraction(pt.cube(), 5, mode="magic")
 
 
+def test_montecarlo_order_bound():
+    """Monte Carlo orders are int64, drawn as low + floor(u * size): d = 2^62
+    draws orders up to d, and every larger d is refused, past 2^64 as well.
+    Exact mode counts in Python integers and takes any d."""
+    P, d = pt.dodecahedron(), 2 ** 62
+    report = ms.estimate_wo_fraction(P, d, samples=200)
+    assert report.nj == {10: 200}
+    rows, _ = ms._UniformValidSampler(ms._AssignmentModel(P, d)).draw(0, range(200))
+    assert rows.min() == 2 and rows.max() <= d and (rows > 2 ** 61).any()
+    for big in (d + 1, 12 * 10 ** 18, 2 ** 64, 10 ** 30):
+        with pytest.raises(ms.GraphConditionError, match=r"d = \d+ is above 2\^62"):
+            ms.estimate_wo_fraction(P, big, samples=200)
+    huge, r7 = (ms.estimate_wo_fraction(pt.cube(), k, mode="exact") for k in (10 ** 30, 7))
+    assert huge.nj == {j: n * (10 ** 30 - 6) ** j for j, n in r7.nj.items()}
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_montecarlo_refuses_without_samples(samples):
     with pytest.raises(ms.GraphConditionError, match="at least one sample"):

@@ -292,12 +292,31 @@ def test_cli_refuses_malformed_cartan_matrices(capsys, tmp_path):
              ({"matrix": [2, -1]}, "Cartan matrix must be square"),
              ({"matrix": [[2, -1], [-1, 2]], "orders": [[1, 3, 3]]},
               "orders name facet 3, outside the 2 x 2 matrix")]
+    # what load_orbifold refuses: non-integer or boolean ids and orders, and
+    # orders below 2
+    path_matrix = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    cases += [({"matrix": path_matrix, "orders": orders}, message) for orders, message in [
+        ([[1, 2, 3.7], [2, 3, 3], [1, 3, 2]], "pair (1,2) has order 3.7; need an integer >= 2"),
+        ([[1.9, 2, 3], [2, 3, 3], [1, 3, 2]], "orders entry (1.9,2) needs integer facet ids"),
+        ([[True, 2, 3], [2, 3, 3], [1, 3, 2]], "orders entry (True,2) needs integer facet ids"),
+        ([[1, 2, "3"], [2, 3, 3], [1, 3, 2]], "pair (1,2) has order '3'; need an integer >= 2"),
+        ([[1, 2, 3], [2, 3, True], [1, 3, 2]], "pair (2,3) has order True; need an integer >= 2"),
+        ([[1, 2, 3], [2, 3, 3], [1, 3, 0]], "pair (1,3) has order 0; need an integer >= 2"),
+        ([[1, 2, 3], [2, 3, 1], [1, 3, 2]], "pair (2,3) has order 1; need an integer >= 2")]]
     for doc, message in cases:
         path = tmp_path / "matrix.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "cartan", str(path))
         assert (code, out) == (1, ""), doc
         assert err.startswith("validation failure: cartan: ") and message in err, (doc, err)
+    # the same matrix with integer orders passes its conditions
+    path.write_text(json.dumps({"matrix": path_matrix, "orders": [[1, 2, 3], [2, 3, 3], [1, 3, 2]]}))
+    code, out, _ = run_cli(capsys, "cartan", str(path), "--n", "0")
+    assert code == 0 and json.loads(out)["conditions_passed"] is True
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cartan", str(path), "--n", "-3"])
+    assert exc.value.code == 2
+    assert "argument --n: expected an integer of at least 0, got '-3'" in capsys.readouterr().err
 
 
 def test_cli_refuses_malformed_orbifold_documents(capsys, tmp_path):
@@ -436,11 +455,16 @@ def test_cli_curve_refuses_fewer_than_two_grid_points(capsys, tmp_path):
 
 
 def test_cli_curve_refuses_non_positive_box(capsys, tmp_path):
-    for box in (["0", "2", "0.5", "2"], ["0.5", "2", "-1", "2"]):
+    positive = "family parameters must be positive"
+    for box, message in ((["0", "2", "0.5", "2"], positive), (["0.5", "2", "-1", "2"], positive),
+                         (["0.5", "2", "0.5", "nan"],
+                          "curve box must be finite, got (0.5, 2.0, 0.5, nan)"),
+                         (["inf", "2", "0.5", "2"],
+                          "curve box must be finite, got (inf, 2.0, 0.5, 2.0)")):
         code, out, err = run_cli(capsys, "curve", "esselmann", "--box", *box,
                                  "--out", str(tmp_path / "curve"))
-        assert (code, out) == (1, "")
-        assert err == "validation failure: family parameters must be positive\n"
+        assert (code, out) == (1, ""), box
+        assert err == f"validation failure: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -533,6 +557,7 @@ def test_check_runs_without_numpy(tmp_path):
         "from coxdeform import cli\n"
         f"for name in {names!r}:\n"
         f"    assert cli.main(['check', name, '--out', os.path.join({str(tmp_path)!r}, name)]) == 0\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'coxdeform'))))\n"
     )
     out = fresh_python("-c", code, check=True)
@@ -551,12 +576,30 @@ def test_curve_and_cartan_do_not_load_lorentz(tmp_path):
         "import sys\n"
         "from coxdeform import cli\n"
         f"assert cli.main(['cartan', {str(matrix)!r}, '--out', {str(tmp_path / 'ca.json')!r}]) == 0\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "assert cli.main(['curve', 'esselmann', '--res', '5',\n"
         f"                 '--out', {str(tmp_path / 'curve')!r}]) == 0\n"
+        "assert 'dataclasses' not in sys.modules\n"
         "print('coxdeform.vinberg' in sys.modules, 'coxdeform.lorentz' in sys.modules)\n"
     )
     out = fresh_python("-c", code, check=True)
     assert out.stdout.strip() == "True False"
+
+
+def test_dim_and_stats_do_not_load_dataclasses(tmp_path):
+    # every report is a NamedTuple, so no command pays for importing dataclasses
+    code = (
+        "import sys\n"
+        "from coxdeform import cli\n"
+        f"assert cli.main(['dim', 'doubled_cube', '--out', {str(tmp_path / 'dim.json')!r}]) == 0\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "assert cli.main(['stats', 'cube', '--d', '5', '--samples', '50',\n"
+        f"                 '--out', {str(tmp_path / 'stats.json')!r}]) == 0\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.startswith('coxdeform.')))\n"
+    )
+    out = fresh_python("-c", code, check=True)
+    assert "'coxdeform.lorentz'" in out.stdout and "'coxdeform.matchstats'" in out.stdout
 
 
 def test_exit_codes_from_a_cold_start(tmp_path):

@@ -682,6 +682,9 @@ def test_family_matrix_broadcasts():
             fam.matrix(X, bad)
         with pytest.raises(vinberg.VinbergError, match="^family parameters must be positive$"):
             fam.matrix(bad, Y)
+    for bad in (np.where(Y > 1.5, np.nan, Y), np.where(Y > 1.5, np.inf, Y), np.nan, np.inf):
+        with pytest.raises(vinberg.VinbergError, match="^family parameters must be finite$"):
+            fam.matrix(X, bad)
     assert np.array_equal(fam.base, base)
     # pair products other than 1 (the Esselmann pairs have a_14 a_41 = 1)
     fam = vinberg.ParametrizedFamily(base, [(1, 2), (5, 6)])
