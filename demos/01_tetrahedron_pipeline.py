@@ -17,7 +17,7 @@ counts = orbifold.counts(Q)
 print("counts:", counts)
 
 # the Gram matrix is complete, so the simplex realizes directly
-R = lorentz.realize_simplex(Q)
+R = lorentz.realize_gram(Q)
 print(f"realization residual: {R.residual_norm:.2e}")
 print("vertices inside the ball:", all(R.vertex_flags.values()))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from coxdeform import vinberg
 from coxdeform.errors import CartanError
-from coxdeform.numerics import DEFAULT_RANK_POLICY, numerical_rank
+from coxdeform.numerics import numerical_rank
 from coxdeform.polytope import _pair, missing_pairs
 
 ZERO_TYPE_TOL = 1e-9
@@ -257,12 +257,12 @@ def decompose_components(A):
     return out
 
 
-def classify_group(A, n, policy=DEFAULT_RANK_POLICY):
-    """'elliptic' iff every component is positive; 'parabolic' iff every
-    component is zero with rank n; 'negative-irreducible' iff a single
-    negative component of rank n+1; anything else is 'other'."""
-    comps = decompose_components(A)
-    rank = numerical_rank(A.entries, policy).rank
+def classify_group(comps, rank, n):
+    """The group type of a Cartan matrix from its components ``comps`` (from
+    :func:`decompose_components`) and its numerical ``rank``: 'elliptic' iff
+    every component is positive; 'parabolic' iff every component is zero
+    with rank n; 'negative-irreducible' iff a single negative component of
+    rank n+1; anything else is 'other'."""
     if all(c.classification == "positive" for c in comps):
         return "elliptic"
     if all(c.classification == "zero" for c in comps) and rank == n:

@@ -99,13 +99,13 @@ def build_parser():
 
     p = command("realize", "compute a hyperbolic realization")
     p.add_argument("orbifold")
-    p.add_argument("--seed-name", default=None,
-                   help="initial-guess family: simplex, prism, cube, "
-                        "doubled_cube, loebell, random")
+    p.add_argument("--seed-name", choices=("random",), default=None,
+                   help="random: start Newton from a --seed draw instead of "
+                        "the seed inferred from the polytope")
 
     p = command("dim", "realize and measure the local deformation dimension")
     p.add_argument("orbifold")
-    p.add_argument("--seed-name", default=None)
+    p.add_argument("--seed-name", choices=("random",), default=None)
 
     p = command("cartan", "analyze a Cartan matrix")
     p.add_argument("matrix", help="path to a matrix JSON")
@@ -192,7 +192,7 @@ def _realize(Q, args):
 
         initial = np.random.default_rng(args.seed).normal(size=(Q.f, Q.n + 1))
     else:
-        initial = lorentz.initial_guess(Q, args.seed_name)
+        initial = lorentz.initial_guess(Q)
     R = lorentz.solve_hyperbolic_newton(Q, initial, tol=args.tol)
     return R, "newton"
 
@@ -265,7 +265,7 @@ def cmd_cartan(args):
         "conditions_passed": conditions.passed,
         "conditions": conditions,
         "components": components,
-        "classification": cartan.classify_group(A, n, policy),
+        "classification": cartan.classify_group(components, rank.rank, n),
     }
     if len(components) == 1:
         nf = cartan.diagonal_normalize(A)

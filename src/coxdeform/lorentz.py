@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from coxdeform.errors import CombinatoricsError, ConvergenceError, RealizationError
+from coxdeform.errors import ConvergenceError, RealizationError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
 
 RESIDUAL_TOL = 1e-10
@@ -251,22 +251,11 @@ def vertex_points(forms):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def realize_simplex(Q):
-    """Directly realize an orbifold based on an n-simplex.
-
-    The prescribed Gram matrix is complete; it must have exactly one negative
-    eigenvalue and full rank n+1 (a compact hyperbolic simplex).  The normals
-    are read off a factorization G = L J L^t.
-    """
-    if Q.f != Q.n + 1:
-        raise CombinatoricsError("base polytope is not a simplex")
-    return realize_gram(Q)
-
-
 def realize_gram(Q):
     """Realize any orbifold whose prescribed Gram matrix is complete (every
-    facet pair adjacent): the f x f matrix must have one negative and n
-    positive eigenvalues, the remaining f - n - 1 exactly zero."""
+    facet pair adjacent, as on a simplex): the f x f matrix must have one
+    negative and n positive eigenvalues, the remaining f - n - 1 exactly
+    zero.  The normals are read off a factorization G = L J L^t."""
     G = gram_matrix(Q)
     if np.isnan(G).any():
         raise RealizationError("Gram matrix is not fully determined")
@@ -540,21 +529,18 @@ def _doubled_cube_seed(Q, structure):
     return np.array([rows[x] for x in Q.base.facets])
 
 
-# seed name -> (structure detector, seed builder, combinatorics), in inference order
-_SEEDS = {
-    "doubled_cube": (_doubled_cube_structure, _doubled_cube_seed, "doubled-cube"),
-    "prism": (_prism_structure, _prism_seed, "prism"),
-    "loebell": (_loebell_structure, _loebell_seed, "two-ring"),
-}
+# (structure detector, seed builder), in inference order
+_SEEDS = ((_doubled_cube_structure, _doubled_cube_seed), (_prism_structure, _prism_seed),
+          (_loebell_structure, _loebell_seed))
 
 
-def initial_guess(Q, name=None):
-    """Documented seed for Gauss-Newton, chosen by ``name`` or inferred from
-    the base polytope's combinatorial structure.  Available: 'simplex'
-    (exact), 'prism' / 'cube', 'doubled_cube', 'loebell' (any m, including
-    the dodecahedron L(5)).  A name that is unknown or does not fit the
-    polytope raises CombinatoricsError, an input error; a polytope that no
-    seed fits raises RealizationError.
+def initial_guess(Q):
+    """Documented seed for Gauss-Newton, inferred from the base polytope's
+    combinatorial structure: the exact normals of :func:`realize_gram` when
+    every facet pair is adjacent (the simplex), else the first of the
+    doubled-cube, prism and two-ring seeds (any m, including the
+    dodecahedron L(5)) that fits.  A polytope that no seed fits raises
+    RealizationError.
 
     The prism and two-ring seeds are built from Q's own angles.  Each is the
     rotationally symmetric configuration of Klein planes x . u = c, with
@@ -570,20 +556,11 @@ def initial_guess(Q, name=None):
 
     An offset the mean system puts at the origin becomes OFFSET_FLOOR."""
     P = Q.base
-    if name == "simplex" or (name is None and P.f == P.n + 1
-                             and P.e == P.f * (P.f - 1) // 2):
-        return realize_simplex(Q).normals
-    if name is None:
-        for detect, seed, _ in _SEEDS.values():
-            structure = detect(P) if P.n == 3 else None
+    if P.e == P.f * (P.f - 1) // 2:
+        return realize_gram(Q).normals
+    if P.n == 3:
+        for detect, seed in _SEEDS:
+            structure = detect(P)
             if structure:
                 return seed(Q, structure)
-        raise RealizationError("no bundled seed for this polytope; pass initial=")
-    name = "prism" if name == "cube" else name
-    if name not in _SEEDS:
-        raise CombinatoricsError(f"unknown seed name {name!r}")
-    detect, seed, kind = _SEEDS[name]
-    structure = detect(P)
-    if structure is None:
-        raise CombinatoricsError(f"polytope does not have {kind} combinatorics")
-    return seed(Q, structure)
+    raise RealizationError("no bundled seed for this polytope; pass initial=")

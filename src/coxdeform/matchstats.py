@@ -303,73 +303,7 @@ def _maximum_matching(nodes, adj):
         queue.clear()
 
 
-# -- edge deletion and removability ----------------------------------------------
-
-def edge_delete(P, edge, labels=None, keep=None):
-    """Delete an edge and amalgamate the edge pairs at its endpoints.
-
-    The two faces across ``edge`` merge into one, which keeps the id ``keep``
-    (default: the smaller).  With ``labels``, the pairs amalgamated at each
-    endpoint must carry equal labels; the merged edges inherit them.  Returns
-    the new combinatorics (validated: a failure means the edge was not
-    removable) and, if labels were given, the new labeling.
-    """
-    edge = _pair(*edge)
-    F, G = edge
-    if keep is None:
-        keep = F
-    if keep not in edge:
-        raise GraphConditionError("keep must be one of the edge's faces")
-    drop = G if keep == F else F
-
-    u, v = P.ridge_endpoints(edge)
-    if labels is not None:
-        for w in (u, v):
-            X = next(iter(P.vertices[w] - set(edge)))
-            if labels[_pair(F, X)] != labels[_pair(G, X)]:
-                raise GraphConditionError(
-                    f"labels differ on the edge pair at vertex {sorted(P.vertices[w])}")
-
-    def rename(i):
-        return keep if i == drop else i
-
-    new_ridges = []
-    new_labels = {}
-    for r in sorted(P.ridges):
-        if r == edge:
-            continue
-        m = _pair(rename(r[0]), rename(r[1]))
-        if m in new_labels:
-            # expected for the two amalgamation pairs; any other collision is
-            # a multi-edge and disqualifies the deletion
-            endpoints = set(P.ridge_endpoints(r))
-            if not endpoints & {u, v}:
-                raise GraphConditionError("deletion creates a multi-edge")
-            continue
-        new_ridges.append(m)
-        new_labels[m] = labels[r] if labels is not None else 0
-    new_vertices = []
-    for k, V in enumerate(P.vertices):
-        if k in (u, v):
-            continue
-        W = frozenset(rename(i) for i in V)
-        if len(W) != 3 or W in new_vertices:
-            raise GraphConditionError("deletion degenerates a vertex")
-        new_vertices.append(W)
-    names = {i: P.names[i] for i in P.facets if i != drop}
-    try:
-        Q = pt.PolytopeCombinatorics(3, [i for i in P.facets if i != drop],
-                                     new_ridges, new_vertices, names)
-    except pt.CombinatoricsError as exc:
-        raise GraphConditionError(f"edge not removable: {exc}") from exc
-    if labels is None:
-        return Q
-    if all(vertex_label_sum(P, labels, V) % 2 == 1 for V in P.vertices):
-        # deletion preserves the odd-sum condition; a failure here is a bug
-        assert all(vertex_label_sum(Q, new_labels, V) % 2 == 1
-                   for V in Q.vertices)
-    return Q, new_labels
-
+# -- removability ----------------------------------------------------------------
 
 def removable_edges(P, face):
     """Edges of a face whose deletion keeps the graph simple, planar and
@@ -565,7 +499,7 @@ class _AssignmentModel:
         has an empty 4-core.  All rows peel together: each round removes
         every live facet with at most three order-2 edges to live facets,
         until no row changes.  The 4-core is unique, so the verdicts are
-        those of the sequential ``orbifold.greedy_peel``."""
+        those of the sequential ``polytope.greedy_peel``."""
         order2 = np.asarray(order2, dtype=bool)
         shape = order2.shape[:-1]
         e = len(self.edges)
@@ -861,7 +795,11 @@ class _UniformValidSampler:
     step t, one axis per open boundary slot; each step is one contraction of
     the weighted vertex kernel against ``counts[t + 1]``.  The counts are
     float64: they set the sampling probabilities and are exact while they
-    stay below 2^53.  ``draw`` moves every row through the steps together.
+    stay below 2^53.  A table whose largest entry passes 2^512 is scaled by
+    a power of two, which is exact and leaves every conditional unchanged,
+    so float64 does not overflow on large polytopes at large d;
+    ``count_exponent`` sums the scales.  ``draw`` moves every row through
+    the steps together.
     A plan whose tables exceed ``SAMPLER_TABLE_BUDGET`` raises
     GraphConditionError before any table is built.
     """
@@ -887,7 +825,7 @@ class _UniformValidSampler:
                 f"sampler refused: its DP boundary is {width} edges wide and its tables "
                 f"would take {size / 2 ** 20:.0f} MiB, over the budget of "
                 f"{SAMPLER_TABLE_BUDGET / 2 ** 20:.0f} MiB")
-        self.counts, self.tables = self._backward_counts()
+        self.counts, self.tables, self.count_exponent = self._backward_counts()
 
     @staticmethod
     def _plan_steps(triples):
@@ -924,11 +862,15 @@ class _UniformValidSampler:
     def _backward_counts(self):
         """``counts[t]`` for every step, and per step the weighted kernel and
         ``counts[t + 1]`` as matrices: rows indexed by the arriving classes
-        and by the kept classes respectively, columns by the new classes."""
+        and by the kept classes respectively, columns by the new classes;
+        then the sum of the binary exponents the tables were scaled by."""
         k = self.nclasses
         counts = [None] * (len(self.steps) + 1)
         counts[-1] = np.ones(())
         tables = [None] * len(self.steps)
+        # every entry of counts[t] is below 2^bits: each new edge multiplies
+        # the largest entry by at most d - 1, the classes' total weight
+        exponent, bits = 0, 0.0
         for t in range(len(self.steps) - 1, -1, -1):
             arr, keep, new = self.steps[t]
             weight = np.ones(())
@@ -939,11 +881,20 @@ class _UniformValidSampler:
             tables[t] = (kernel, nxt)
             out = (kernel @ nxt.T).reshape((k,) * (len(arr) + len(keep)))
             counts[t] = out.transpose(np.argsort(arr + keep)).copy()
-        return counts, tables
+            bits += len(new) * math.log2(self.model.d - 1)
+            if bits > 512:  # far from overflow in the next step
+                bits = math.frexp(counts[t].max())[1]
+                if bits > 512:
+                    counts[t] = np.ldexp(counts[t], -bits)
+                    exponent, bits = exponent + bits, 0
+        return counts, tables, exponent
 
     @property
     def vertex_valid_count(self):
-        return float(self.counts[0])
+        """The weighted number of vertex-valid assignments, inf where it is
+        beyond float64."""
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(self.counts[0], self.count_exponent))
 
     def _vertex_valid_rows(self, u):
         """One vertex-valid assignment per row of the uniforms ``u``: column

@@ -43,14 +43,13 @@ import numpy as np
 
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
+GAP_THRESHOLD = 1e3  # an SVD cut whose gap ratio is below this is uncertain
 
 
 class RankPolicy(NamedTuple):
-    """Threshold = max(shape) * sigma_max * rel_tol; gap ratios below
-    ``gap_threshold`` flag the rank as uncertain."""
+    """Threshold = max(shape) * sigma_max * rel_tol."""
 
     rel_tol: float = 1e-12
-    gap_threshold: float = 1e3
 
     def threshold(self, shape, sigma_max):
         return max(shape) * sigma_max * self.rel_tol
@@ -607,7 +606,7 @@ def svd_rank(M, policy=DEFAULT_RANK_POLICY):
         gap = np.inf
     else:
         gap = s[rank - 1] / s[rank]
-    uncertain = bool(gap < policy.gap_threshold)
+    uncertain = bool(gap < GAP_THRESHOLD)
     return RankResult(rank, s, tau, gap, uncertain, "svd")
 
 

@@ -8,7 +8,6 @@ realization), and runs the Andreev-type necessary inequalities for n = 3.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import NamedTuple
@@ -126,14 +125,14 @@ def make_orbifold(P, orders):
     if missing:
         raise OrbifoldError(f"missing orders for ridges {sorted(missing)}")
     Q = CoxeterOrbifold(P, normalized)
-    if P.vertices is not None and P.n == 3:
+    if P.n == 3:
         for V in P.vertices:
             orders = _vertex_orders(Q, V)
             if reciprocal_sum_sign(orders, 1) <= 0:
                 raise OrbifoldError(
                     f"vertex {sorted(V)} is not elliptic "
                     f"({' + '.join(f'1/{m}' for m in orders)} <= 1)")
-    elif P.vertices is not None:
+    else:
         import numpy as np
 
         for V in P.vertices:
@@ -184,35 +183,10 @@ class WeakOrderFailure(NamedTuple):
         return False
 
 
-def greedy_peel(nbrs, n):
-    """Greedy weak-order peel of the graph ``nbrs`` (item -> set of
-    neighbours), lowest item first: an item may go when at most n of its
-    neighbours remain.  A degeneracy computation, so greedy is complete.
-    Degrees only fall, so a heap holds the items that may go, each pushed
-    once.  Returns the removal order as pairs (item, sorted tuple of its
-    neighbours still present) and the frozenset left when stuck (empty on
-    success), each of whose items has > n neighbours inside it."""
-    remaining = set(nbrs)
-    degree = {i: len(js) for i, js in nbrs.items()}
-    ready = [i for i, d in degree.items() if d <= n]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        i = heapq.heappop(ready)
-        remaining.remove(i)
-        later = tuple(sorted(j for j in nbrs[i] if j in remaining))
-        order.append((i, later))
-        for j in later:
-            degree[j] -= 1
-            if degree[j] == n:
-                heapq.heappush(ready, j)
-    return order, frozenset(remaining)
-
-
 def weak_order_combinatorial(Q):
     """Greedy peel on the order-2 ridge graph, lowest facet id first; the
     qualifying set of a facet is its order-2 neighbours peeled after it."""
-    order, stuck = greedy_peel(Q.order2_nbrs, Q.n)
+    order, stuck = pt.greedy_peel(Q.order2_nbrs, Q.n)
     if stuck:
         return WeakOrderFailure(stuck)
     qualifying = dict(order)
@@ -224,7 +198,7 @@ def weak_order_combinatorial(Q):
 def is_weakly_orderable(Q):
     """Whether :func:`weak_order_combinatorial` succeeds, without building
     its ordering: the greedy peel leaves nothing stuck."""
-    return not greedy_peel(Q.order2_nbrs, Q.n)[1]
+    return not pt.greedy_peel(Q.order2_nbrs, Q.n)[1]
 
 
 def check_weak_ordering(Q, ordering):

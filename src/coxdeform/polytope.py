@@ -35,16 +35,16 @@ class PolytopeCombinatorics:
     once and read by every layer.  ``nbrs`` maps each facet to the frozenset
     of its neighbours; ``nonadjacent_pairs``, the sorted facet pairs that are
     not ridges, and ``prismatic(k)``, the prismatic k-circuits, are computed
-    on first use and cached as tuples.  Use
+    on first use and cached as tuples.  ``vertices`` is reconstructed when
+    omitted for n = 3 and required for n >= 4.  Use
     :func:`build_combinatorics` or one of the built-in generators rather than
     calling the constructor with unchecked data.
     """
 
-    def __init__(self, n, facets, ridges, vertices=None, names=None, validate=True):
+    def __init__(self, n, facets, ridges, vertices=None, validate=True):
         self.n = int(n)
         self.facets = tuple(facets)
         self.ridges = frozenset(_pair(i, j) for i, j in ridges)
-        self.names = dict(names) if names else {i: str(i) for i in self.facets}
         nbrs = {i: set() for i in self.facets}
         incident = {}  # each facet's ridges, in the iteration order of ridges
         for r in self.ridges:
@@ -85,7 +85,7 @@ class PolytopeCombinatorics:
 
     @property
     def v(self):
-        return len(self.vertices) if self.vertices is not None else None
+        return len(self.vertices)
 
     def adjacent(self, i, j):
         return _pair(i, j) in self.ridges
@@ -146,21 +146,28 @@ class PolytopeCombinatorics:
         for i, j in self.ridges:
             if i == j or i not in fset or j not in fset:
                 raise CombinatoricsError(f"ridge ({i},{j}) has dangling or equal ids")
-        if self.vertices is not None:
-            for V in self.vertices:
-                if len(V) != self.n:
+        if self.vertices is None:
+            raise CombinatoricsError(f"a {self.n}-polytope needs its vertex list")
+        for V in self.vertices:
+            if len(V) != self.n:
+                raise CombinatoricsError(
+                    f"vertex {sorted(V)} has {len(V)} facets, expected {self.n} (non-simple)")
+            if not V <= fset:
+                raise CombinatoricsError(f"vertex {sorted(V)} has dangling facet ids")
+            for i, j in itertools.combinations(sorted(V), 2):
+                if not self.adjacent(i, j):
                     raise CombinatoricsError(
-                        f"vertex {sorted(V)} has {len(V)} facets, expected {self.n} (non-simple)")
-                if not V <= fset:
-                    raise CombinatoricsError(f"vertex {sorted(V)} has dangling facet ids")
-                for i, j in itertools.combinations(sorted(V), 2):
-                    if not self.adjacent(i, j):
-                        raise CombinatoricsError(
-                            f"facets {i},{j} share vertex {sorted(V)} but are not a ridge")
-            if len(set(self.vertices)) != len(self.vertices):
-                raise CombinatoricsError("duplicate vertices")
+                        f"facets {i},{j} share vertex {sorted(V)} but are not a ridge")
+        if len(set(self.vertices)) != len(self.vertices):
+            raise CombinatoricsError("duplicate vertices")
         if self.n == 3:
             self._validate_skeleton_3d()
+            return
+        # a ridge is a simple (n-2)-polytope, so it has at least n - 1 vertices
+        for r, ends in self._ridge_vertices.items():
+            if len(ends) < self.n - 1:
+                raise CombinatoricsError(
+                    f"ridge {r} lies on {len(ends)} vertices, expected at least {self.n - 1}")
 
     def _validate_skeleton_3d(self):
         # Conditions (E1)-(E2): simple, planar, 3-connected, cubic, shown from
@@ -242,7 +249,6 @@ def build_combinatorics(raw):
     if isinstance(n, bool) or not isinstance(n, int):
         raise CombinatoricsError(f"n = {n!r} is not an integer")
     ids = {}
-    names = {}
     for k, entry in enumerate(facet_entries, start=1):
         try:
             if isinstance(entry, bool):  # true would share the key of 1
@@ -250,7 +256,6 @@ def build_combinatorics(raw):
             ids[entry] = k
         except TypeError:
             raise CombinatoricsError(f"facet entry {entry!r} is not an id or a name") from None
-        names[k] = str(entry)
     if len(ids) != len(facet_entries):
         raise CombinatoricsError("duplicate facet entries")
 
@@ -272,7 +277,7 @@ def build_combinatorics(raw):
         if not isinstance(vertices, (list, tuple)):
             raise CombinatoricsError(f"vertices {vertices!r} is not a list of facet lists")
         vertices = [frozenset(facet_ids(V, "vertex")) for V in vertices]
-    return PolytopeCombinatorics(n, sorted(ids.values()), ridges, vertices, names)
+    return PolytopeCombinatorics(n, range(1, len(ids) + 1), ridges, vertices)
 
 
 # -- invariants and operations ----------------------------------------------
@@ -327,12 +332,12 @@ def truncate_vertex(P, vertex):
     that met there.  ``vertex`` is an index into ``P.vertices`` or a facet set.
     """
     if isinstance(vertex, int):
-        if P.vertices is None or not 0 <= vertex < len(P.vertices):
+        if not 0 <= vertex < len(P.vertices):
             raise CombinatoricsError(f"invalid vertex index {vertex}")
         V = P.vertices[vertex]
     else:
         V = frozenset(vertex)
-        if P.vertices is None or V not in P.vertices:
+        if V not in P.vertices:
             raise CombinatoricsError(f"{sorted(V)} is not a vertex")
     new_id = max(P.facets) + 1
     facets = P.facets + (new_id,)
@@ -340,9 +345,7 @@ def truncate_vertex(P, vertex):
     vertices = [W for W in P.vertices if W != V]
     for T in itertools.combinations(sorted(V), P.n - 1):
         vertices.append(frozenset(T) | {new_id})
-    names = dict(P.names)
-    names[new_id] = f"cut{new_id}"
-    return PolytopeCombinatorics(P.n, facets, ridges, vertices, names)
+    return PolytopeCombinatorics(P.n, facets, ridges, vertices)
 
 
 class TruncationWitness(NamedTuple):
@@ -354,37 +357,50 @@ class TruncationWitness(NamedTuple):
         return self.is_truncation
 
 
+def greedy_peel(nbrs, n):
+    """Greedy weak-order peel of the graph ``nbrs`` (item -> set of
+    neighbours), lowest item first: an item may go when at most n of its
+    neighbours remain.  A degeneracy computation, so greedy is complete.
+    Degrees only fall, so a heap holds the items that may go, each pushed
+    once.  Returns the removal order as pairs (item, sorted tuple of its
+    neighbours still present) and the frozenset left when stuck (empty on
+    success), each of whose items has > n neighbours inside it."""
+    remaining = set(nbrs)
+    degree = {i: len(js) for i, js in nbrs.items()}
+    ready = [i for i, d in degree.items() if d <= n]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        remaining.remove(i)
+        later = tuple(sorted(j for j in nbrs[i] if j in remaining))
+        order.append((i, later))
+        for j in later:
+            degree[j] -= 1
+            if degree[j] == n:
+                heapq.heappush(ready, j)
+    return order, frozenset(remaining)
+
+
 def is_truncation_polytope(P):
     """Decide whether P is an iterated vertex truncation of a simplex.
 
     For n >= 4 this is the statement delta_P = 0.  For n = 3 it is decided
     in the facet graph, a planar triangulation (the dual of the skeleton):
     P is a truncation polytope exactly when that triangulation is stacked (a
-    planar 3-tree).  Un-truncating a triangle deletes a degree-3 vertex,
-    which leaves a triangulation while more than four facets remain, and in
-    a planar 3-tree any degree-3 vertex may go first.  So the lowest
-    triangle is removed from a copy of the neighbour sets until four facets
-    remain; the answer is no if none is left first.  On success the witness
-    history lists the facets removed, in reverse-truncation order.
+    planar 3-tree), that is, when its 4-core is empty.  Un-truncating a
+    triangle deletes a degree-3 vertex, which leaves a triangulation while
+    more than four facets remain, and in a planar 3-tree any degree-3 vertex
+    may go first.  So this is :func:`greedy_peel`, the weak-order peel of
+    the orbifold on P with every ridge of order 2; on success the witness
+    history lists its first f - 4 facets, in reverse-truncation order.
     """
     if P.n >= 4:
         return TruncationWitness(delta_invariant(P) == 0, [], method="delta")
-    nbrs = {i: set(js) for i, js in P.nbrs.items()}
-    # a facet of degree 3 keeps it until removed: a triangulation with four
-    # or more vertices has none of degree 2
-    triangles = [i for i, js in nbrs.items() if len(js) == 3]
-    heapq.heapify(triangles)
-    history = []
-    while len(nbrs) > 4:
-        if not triangles:
-            return TruncationWitness(False, [])
-        facet = heapq.heappop(triangles)
-        for j in nbrs.pop(facet):
-            nbrs[j].discard(facet)
-            if len(nbrs[j]) == 3:
-                heapq.heappush(triangles, j)
-        history.append(facet)
-    return TruncationWitness(True, history)
+    order, stuck = greedy_peel(P.nbrs, 3)
+    if stuck:
+        return TruncationWitness(False, [])
+    return TruncationWitness(True, [i for i, _ in order[:P.f - 4]])
 
 
 # -- built-in generators -----------------------------------------------------
@@ -408,16 +424,12 @@ def prism(m):
         s, t = sides[i], sides[(i + 1) % m]
         ridges += [(1, s), (2, s), (s, t)]
         vertices += [frozenset({1, s, t}), frozenset({2, s, t})]
-    names = {1: "top", 2: "bottom"}
-    names.update({s: f"side{i}" for i, s in enumerate(sides)})
-    return PolytopeCombinatorics(3, [1, 2] + sides, ridges, vertices, names)
+    return PolytopeCombinatorics(3, [1, 2] + sides, ridges, vertices)
 
 
 def cube():
     """The 3-cube (combinatorially the 4-prism)."""
-    P = prism(4)
-    P.names[1], P.names[2] = "top", "bottom"
-    return P
+    return prism(4)
 
 
 def loebell(m):
@@ -439,10 +451,7 @@ def loebell(m):
                    (U[i], W[i]), (U[i], W[j])]
         vertices += [frozenset({1, U[i], U[j]}), frozenset({2, W[i], W[j]}),
                      frozenset({U[i], W[i], W[j]}), frozenset({U[i], U[j], W[j]})]
-    names = {1: "top", 2: "bottom"}
-    names.update({U[i]: f"U{i}" for i in range(m)})
-    names.update({W[i]: f"W{i}" for i in range(m)})
-    return PolytopeCombinatorics(3, [1, 2] + U + W, ridges, vertices, names)
+    return PolytopeCombinatorics(3, [1, 2] + U + W, ridges, vertices)
 
 
 def dodecahedron():
@@ -469,9 +478,7 @@ def doubled_cube():
                      frozenset({a, b, s_ab}), frozenset({b, c, s_bc}),
                      frozenset({a, c, s_ac}), frozenset({a, s_ab, s_ac}),
                      frozenset({b, s_ab, s_bc}), frozenset({c, s_bc, s_ac})]
-    names = {1: "A", 2: "B", 3: "C", 4: "x_ab", 5: "x_bc", 6: "x_ac",
-             7: "y_ab", 8: "y_bc", 9: "y_ac"}
-    return PolytopeCombinatorics(3, range(1, 10), set(ridges), vertices, names)
+    return PolytopeCombinatorics(3, range(1, 10), set(ridges), vertices)
 
 
 def esselmann_polytope():

@@ -152,11 +152,9 @@ def load_cartan(doc):
 
 
 def dump_polytope(P):
-    doc = {"n": P.n, "facets": list(P.facets),
-           "ridges": [list(r) for r in sorted(P.ridges)]}
-    if P.vertices is not None:
-        doc["vertices"] = sorted(sorted(V) for V in P.vertices)
-    return doc
+    return {"n": P.n, "facets": list(P.facets),
+            "ridges": [list(r) for r in sorted(P.ridges)],
+            "vertices": sorted(sorted(V) for V in P.vertices)}
 
 
 def dump_orbifold(Q):

@@ -18,7 +18,7 @@ def tetra_orbifold():
 
 @pytest.fixture(scope="session")
 def tetra_realization(tetra_orbifold):
-    return lorentz.realize_simplex(tetra_orbifold)
+    return lorentz.realize_gram(tetra_orbifold)
 
 
 @pytest.fixture(scope="session")
@@ -428,8 +428,7 @@ def _untruncates(P):
         ridges = {r for r in P.ridges if facet not in r}
         vertices = [V for V in P.vertices if facet not in V] + [restored]
         try:
-            yield facet, pt.PolytopeCombinatorics(P.n, facets, ridges, vertices,
-                                                  {i: P.names[i] for i in facets})
+            yield facet, pt.PolytopeCombinatorics(P.n, facets, ridges, vertices)
         except pt.CombinatoricsError:
             continue
 
@@ -460,6 +459,75 @@ def reverse_truncation_oracle(P, history=()):
     return pt.TruncationWitness(False, [])
 
 
+def edge_delete(P, edge, labels=None, keep=None):
+    """Delete an edge and amalgamate the edge pairs at its endpoints, by
+    rebuilding and re-validating the whole polytope: the reference for
+    ``matchstats.removable_edges`` and ``construct_weak_order``.
+
+    The two faces across ``edge`` merge into one, which keeps the id ``keep``
+    (default: the smaller).  With ``labels``, the pairs amalgamated at each
+    endpoint must carry equal labels; the merged edges inherit them.  Returns
+    the new combinatorics (validated: a failure means the edge was not
+    removable) and, if labels were given, the new labeling.
+    """
+    edge = pt._pair(*edge)
+    F, G = edge
+    if keep is None:
+        keep = F
+    if keep not in edge:
+        raise matchstats.GraphConditionError("keep must be one of the edge's faces")
+    drop = G if keep == F else F
+
+    u, v = P.ridge_endpoints(edge)
+    if labels is not None:
+        for w in (u, v):
+            X = next(iter(P.vertices[w] - set(edge)))
+            if labels[pt._pair(F, X)] != labels[pt._pair(G, X)]:
+                raise matchstats.GraphConditionError(
+                    f"labels differ on the edge pair at vertex {sorted(P.vertices[w])}")
+
+    def rename(i):
+        return keep if i == drop else i
+
+    new_ridges = []
+    new_labels = {}
+    for r in sorted(P.ridges):
+        if r == edge:
+            continue
+        m = pt._pair(rename(r[0]), rename(r[1]))
+        if m in new_labels:
+            # expected for the two amalgamation pairs; any other collision is
+            # a multi-edge and disqualifies the deletion
+            endpoints = set(P.ridge_endpoints(r))
+            if not endpoints & {u, v}:
+                raise matchstats.GraphConditionError("deletion creates a multi-edge")
+            continue
+        new_ridges.append(m)
+        new_labels[m] = labels[r] if labels is not None else 0
+    new_vertices = []
+    for k, V in enumerate(P.vertices):
+        if k in (u, v):
+            continue
+        W = frozenset(rename(i) for i in V)
+        if len(W) != 3 or W in new_vertices:
+            raise matchstats.GraphConditionError("deletion degenerates a vertex")
+        new_vertices.append(W)
+    try:
+        Q = pt.PolytopeCombinatorics(3, [i for i in P.facets if i != drop],
+                                     new_ridges, new_vertices)
+    except pt.CombinatoricsError as exc:
+        raise matchstats.GraphConditionError(f"edge not removable: {exc}") from exc
+    if labels is None:
+        return Q
+    if all(matchstats.vertex_label_sum(P, labels, V) % 2 == 1 for V in P.vertices):
+        # deletion preserves the odd-sum condition; a failure here is a bug
+        assert all(matchstats.vertex_label_sum(Q, new_labels, V) % 2 == 1
+                   for V in Q.vertices)
+    return Q, new_labels
+
+
+
+
 def _induction_steps(P, labels):
     """(F, smaller polytope, its labels) for each deletion the weak-order
     induction may make next, in its order of preference: the lowest face F
@@ -475,7 +543,7 @@ def _induction_steps(P, labels):
                 for r in P.face_boundary(F):
                     work[r] = 1 - work[r]
             try:
-                Q, sub = matchstats.edge_delete(P, (F, G), work, keep=G)
+                Q, sub = edge_delete(P, (F, G), work, keep=G)
             except matchstats.GraphConditionError:
                 continue
             yield F, Q, sub
@@ -497,7 +565,7 @@ def removable_edges_oracle(P, face):
     out = []
     for r in P.face_boundary(face):
         try:
-            matchstats.edge_delete(P, r)
+            edge_delete(P, r)
         except matchstats.GraphConditionError:
             continue
         out.append(r)
@@ -1215,7 +1283,7 @@ def bitmask_peel(ids, pairs, n):
     by rescanning neighbour bitmasks (bit k for ``ids[k]``) from the lowest
     index at every step.  Returns the removal order as pairs (index, bitmask
     of neighbours still present) and the bitmask left when stuck (0 on
-    success).  Shares no code with ``orbifold.greedy_peel``."""
+    success).  Shares no code with ``polytope.greedy_peel``."""
     pos = {i: k for k, i in enumerate(ids)}
     adj = [0] * len(ids)
     for i, j in pairs:

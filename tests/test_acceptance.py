@@ -24,7 +24,7 @@ def _rank_with_gap(M):
 def test_criterion_01_tetrahedron_pipeline():
     t0 = time.perf_counter()
     Q = bundled.load_builtin("tetrahedron353")
-    R = lorentz.realize_simplex(Q)
+    R = lorentz.realize_gram(Q)
     p = vinberg.hyperbolic_point(R)
     psi = _rank_with_gap(lorentz.psi_jacobian(Q, R.normals))
     phi = _rank_with_gap(vinberg.phi_jacobian(vinberg.EquationIndex.from_orbifold(Q), p))

@@ -52,14 +52,14 @@ def test_realize_simplex_wrong_signature():
     # all orders 2: the group is finite (a sphere quotient), Gram is identity
     Q = simplex_orbifold({})
     with pytest.raises(lorentz.RealizationError, match="signature"):
-        lorentz.realize_simplex(Q)
+        lorentz.realize_gram(Q)
 
 
 def test_realize_simplex_zero_type():
     # linear diagram with orders 4, 3, 4: the Euclidean reflection simplex
     Q = simplex_orbifold({(1, 2): 4, (2, 3): 3, (3, 4): 4})
     with pytest.raises(lorentz.RealizationError, match="zero type"):
-        lorentz.realize_simplex(Q)
+        lorentz.realize_gram(Q)
 
 
 def test_realize_gram_esselmann(esselmann_realization):
@@ -160,11 +160,10 @@ def test_random_lorentz_transform_rejects_time_reversal():
 
 
 def test_seed_library_available():
-    for gen, name in [(pt.cube, "prism"), (pt.dodecahedron, "loebell"),
-                      (pt.doubled_cube, "doubled_cube")]:
+    for gen in (pt.cube, pt.dodecahedron, pt.doubled_cube):
         P = gen()
         Q = ob.CoxeterOrbifold(P, {r: 2 for r in P.ridges})
-        guess = lorentz.initial_guess(Q, name)
+        guess = lorentz.initial_guess(Q)
         assert guess.shape == (P.f, 4)
         # seeds are unit spacelike vectors
         norms = np.diag(lorentz.lorentz_gram(guess))
@@ -187,29 +186,21 @@ def test_seed_table_detects_each_structure_once(monkeypatch):
             return detect(P)
         return run
 
-    for name, (detect, seed, kind) in list(lorentz._SEEDS.items()):
-        monkeypatch.setitem(lorentz._SEEDS, name, (counted(name, detect), seed, kind))
     # inference tries the doubled cube, then the prism, then the two rings
     order = ["doubled_cube", "prism", "loebell"]
+    monkeypatch.setattr(lorentz, "_SEEDS", tuple(
+        (counted(name, detect), seed) for name, (detect, seed) in zip(order, lorentz._SEEDS)))
     for builtin, name in [("cube_flex", "prism"), ("doubled_cube", "doubled_cube"),
                           ("loebell6_factor", "loebell"), ("loebell5_factor", "loebell")]:
-        Q = bundled.load_builtin(builtin)
         calls.clear()
-        inferred = lorentz.initial_guess(Q)
+        lorentz.initial_guess(bundled.load_builtin(builtin))
         assert calls == order[:order.index(name) + 1]
-        calls.clear()
-        assert np.array_equal(lorentz.initial_guess(Q, name), inferred) and calls == [name]
-    Q = bundled.load_builtin("cube_flex")
-    assert np.array_equal(lorentz.initial_guess(Q, "cube"), lorentz.initial_guess(Q))
-    refusals = [("cube_flex", "loebell", "polytope does not have two-ring combinatorics"),
-                ("cube_flex", "doubled_cube", "polytope does not have doubled-cube combinatorics"),
-                ("loebell6_factor", "cube", "polytope does not have prism combinatorics"),
-                ("cube_flex", "simplex", "base polytope is not a simplex"),
-                ("cube_flex", "bogus", "unknown seed name 'bogus'")]
-    for builtin, name, message in refusals:
-        with pytest.raises(lorentz.CombinatoricsError) as info:
-            lorentz.initial_guess(bundled.load_builtin(builtin), name)
-        assert str(info.value) == message
+    # a complete Gram matrix is realized directly, before any detector
+    calls.clear()
+    for builtin in ("tetrahedron353", "esselmann"):
+        Q = bundled.load_builtin(builtin)
+        assert np.array_equal(lorentz.initial_guess(Q), lorentz.realize_gram(Q).normals)
+    assert calls == []
 
 
 def test_vertex_points_inside_ball(loebell5_realization):

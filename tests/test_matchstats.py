@@ -1,9 +1,11 @@
 import copy
 import itertools
 import json
+import math
 import pathlib
 import time
 import types
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +14,7 @@ import pytest
 
 from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
 from conftest import (assignment_validity_oracle, backward_counts_oracle,
-                      brute_force_weak_order, enumerate_perfect_matchings,
+                      brute_force_weak_order, edge_delete, enumerate_perfect_matchings,
                       exact_counts_oracle, factor_corpus, factor_mask, find_factor_oracle,
                       mask_edge_sets, peel_oracle, plan_steps_oracle, random_parity_labels,
                       random_truncation, removable_edges_oracle, row_edge_sets,
@@ -133,7 +135,7 @@ def test_removable_edges_cube():
         edges = ms.removable_edges(P, face)
         assert len(edges) >= 2
         for e in edges:
-            Q = ms.edge_delete(P, e)  # re-validates (E1) internally
+            Q = edge_delete(P, e)  # re-validates (E1) internally
             assert Q.f == P.f - 1 and Q.e == P.e - 3
 
 
@@ -197,7 +199,7 @@ def test_edge_delete_preserves_label_conditions():
                     work[r] = 1 - work[r]
             if work[e] == 0:
                 continue
-            Q, sub = ms.edge_delete(P, e, work)
+            Q, sub = edge_delete(P, e, work)
             ms.EdgeLabeledGraph(Q, sub)  # all structural conditions hold
             return
 
@@ -379,6 +381,35 @@ def test_montecarlo_dodecahedron_runs():
 def test_unknown_mode():
     with pytest.raises(ms.GraphConditionError):
         ms.estimate_wo_fraction(pt.cube(), 5, mode="magic")
+
+
+@pytest.mark.parametrize("d", [20, 10 ** 6])
+def test_scaled_count_tables_match_oracle(d):
+    # prism(100)'s counts pass 2^512 at d = 20 and float64's range at
+    # d = 10^6: the tables are scaled by powers of two, and the count they
+    # keep with the summed exponent is the oracle's to rounding
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(pt.prism(100), d))
+    assert sampler.count_exponent > 0
+    assert max(float(np.max(c)) for c in sampler.counts) <= 2.0 ** 512
+    exact = int(backward_counts_oracle(sampler)[0][0])
+    got = Fraction(float(sampler.counts[0])) * 2 ** sampler.count_exponent
+    assert abs(got - exact) <= Fraction(exact, 10 ** 12)
+    if d == 20:
+        assert sampler.vertex_valid_count == pytest.approx(float(exact), rel=1e-12)
+    else:
+        assert sampler.vertex_valid_count == math.inf
+
+
+def test_montecarlo_past_float64_counts():
+    # the counts of loebell(40) at d = 10^8 and prism(100) at d = 10^6
+    # overflow float64; the sampler draws without a warning, and prism(100)
+    # then stops on its circuit rejection rate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ms.estimate_wo_fraction(pt.loebell(40), 10 ** 8, samples=50)
+        assert (report.samples, report.attempts, report.nj) == (50, 50, {80: 50})
+        with pytest.raises(ms.GraphConditionError, match="circuit rejection rate too high"):
+            ms.estimate_wo_fraction(pt.prism(100), 10 ** 6, samples=50)
 
 
 def test_montecarlo_order_bound():
@@ -706,7 +737,7 @@ def test_plan_steps_match_two_pass_oracle():
         sampler = ms._UniformValidSampler(model)
         twin = copy.copy(sampler)
         twin.steps = [ms._Step(*step) for step in oracle]
-        twin.counts, twin.tables = twin._backward_counts()
+        twin.counts, twin.tables, twin.count_exponent = twin._backward_counts()
         # the same uniforms give the same vertex-valid rows
         u = rng.random((40, sampler.block))
         assert np.array_equal(sampler._vertex_valid_rows(u), twin._vertex_valid_rows(u))

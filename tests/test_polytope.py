@@ -33,7 +33,9 @@ def test_named_facets():
            "ridges": [["a", "b"], ["a", "c"], ["a", "d"],
                       ["b", "c"], ["b", "d"], ["c", "d"]]}
     P = pt.build_combinatorics(doc)
-    assert P.names[1] == "a" and P.f == 4
+    # names map to ids 1..f in listed order: ridge ["a", "b"] is (1, 2)
+    assert P.facets == (1, 2, 3, 4)
+    assert sorted(P.ridges) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
 def test_broken_cube_rejected():
@@ -405,6 +407,22 @@ def test_esselmann_combinatorics():
         assert len(V) == 4
 
 
+def test_higher_dimensional_polytope_needs_its_vertices():
+    # nothing is reconstructed for n >= 4, so the vertex list is required;
+    # each ridge, a simple (n-2)-polytope, lies on at least n - 1 of them
+    rng = np.random.default_rng(5)
+    bases = [pt.simplex(n) for n in (4, 5, 6)] + [pt.esselmann_polytope()]
+    for P in bases + [random_truncation(P, cuts, rng) for P in bases for cuts in range(1, 7)]:
+        assert min(len(P.ridge_endpoints(r)) for r in P.ridges) >= P.n - 1
+    P = pt.esselmann_polytope()
+    with pytest.raises(pt.CombinatoricsError, match="a 4-polytope needs its vertex list"):
+        pt.PolytopeCombinatorics(4, P.facets, P.ridges)
+    with pytest.raises(pt.CombinatoricsError,
+                       match=r"ridge \(1, 2\) lies on 2 vertices, expected at least 3"):
+        pt.PolytopeCombinatorics(4, P.facets, P.ridges,
+                                 [V for V in P.vertices if V != {1, 2, 4, 5}])
+
+
 def _adjacency_cases():
     """Bundled bases, prism(3..16), loebell(5..16) and random truncations,
     each also with its facet list shuffled."""
@@ -414,7 +432,7 @@ def _adjacency_cases():
     cases += [random_truncation(base, cuts, rng)
               for base in (pt.simplex(3), pt.cube(), pt.dodecahedron()) for cuts in (1, 3, 6)]
     shuffled = [pt.PolytopeCombinatorics(P.n, [P.facets[k] for k in rng.permutation(P.f)],
-                                         P.ridges, P.vertices, P.names) for P in cases]
+                                         P.ridges, P.vertices) for P in cases]
     return cases + shuffled
 
 

@@ -211,11 +211,33 @@ def test_cli_validation_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(tmp_path / "missing.json"))
     assert code == 1
 
+    # an n >= 4 polytope without its vertex list: five ridges of esselmann
+    doc = bundled.builtin_document("esselmann")
+    doc["ridges"] = doc["ridges"][:5]
+    doc["orders"] = [o for o in doc["orders"] if o[:2] in doc["ridges"]]
+    del doc["vertices"]
+    bad.write_text(json.dumps(doc))
+    for command in ("check", "dim"):
+        code, out, err = run_cli(capsys, command, str(bad))
+        assert (code, out) == (1, "")
+        assert err == "validation failure: polytope: a 4-polytope needs its vertex list\n"
+
 
 def test_cli_numerical_exit_code(capsys):
     code, _, err = run_cli(capsys, "realize", "doubled_cube",
                            "--seed-name", "random", "--seed", "123")
     assert code == 2 and "numerical failure" in err
+
+
+@pytest.mark.parametrize("command", ["realize", "dim"])
+@pytest.mark.parametrize("name", ["prism", "cube", "loebell", "doubled_cube", "simplex"])
+def test_cli_seed_name_takes_only_random(capsys, command, name):
+    """The seed is inferred from the polytope; ``--seed-name`` only switches
+    to a random start, and any other value is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "cube_flex", "--seed-name", name])
+    assert exc.value.code == 2
+    assert f"argument --seed-name: invalid choice: '{name}'" in capsys.readouterr().err
 
 
 def test_cli_cartan_command(capsys, tmp_path):
@@ -625,8 +647,8 @@ def test_exit_codes_from_a_cold_start(tmp_path):
         (["cartan", ragged], 1, "validation failure: cartan: matrix is not an array of numbers"),
         (["stats", "prism3", "--d", "3", "--mode", "montecarlo"], 1,
          "validation failure: no valid assignments exist"),
-        (["realize", "cube_flex", "--seed-name", "loebell"], 1,
-         "validation failure: polytope does not have two-ring combinatorics"),
+        (["realize", "cube_flex", "--seed-name", "loebell"], 2,
+         "usage: coxdeform realize"),
         (["realize", "doubled_cube", "--seed-name", "random", "--seed", "123"], 2,
          "numerical failure: no convergence"),
     ]
