@@ -160,7 +160,11 @@ def psi_structure(Q):
 
 
 def _alphas(normals):
-    return 2.0 * normals @ LorentzForm(normals.shape[1]).matrix
+    """The covectors alpha_i = 2 J nu_i of the rows nu_i, computed exactly:
+    twice the rows with the first column negated."""
+    out = 2.0 * normals
+    out[:, 0] *= -1.0
+    return out
 
 
 def psi_eval(Q, normals):

@@ -445,9 +445,12 @@ def _wilson_interval(successes, total):
 
 class _AssignmentModel:
     """Edge indexing, circuit tests and weak-orderability verdicts for order
-    assignments on one polytope; both tests give one verdict per row."""
+    assignments on one 3-polytope; both tests give one verdict per row."""
 
     def __init__(self, P, d):
+        if P.n != 3:
+            raise GraphConditionError(
+                f"weak-orderability statistics need a 3-polytope, got n = {P.n}")
         if d < 2:
             raise GraphConditionError("order bound d must be >= 2")
         self.P = P
@@ -465,17 +468,11 @@ class _AssignmentModel:
                    for c in P.prismatic(3)]
         self.c4 = [tuple(self.edge_pos[_pair(c[t], c[(t + 1) % 4])] for t in range(4))
                    for c in P.prismatic(4)]
-        # the facet positions of each edge, and the edges of each facet padded
-        # with column e, which is never of order 2
+        # the facet positions of each edge, and the e x f edge-facet incidence
         fpos = {i: k for k, i in enumerate(self.ids)}
         self.edge_facets = np.array([[fpos[i] for i in r] for r in self.edges]).T
-        incident = [[] for _ in self.ids]
-        for t, r in enumerate(self.edges):
-            for i in r:
-                incident[fpos[i]].append(t)
-        width = max(map(len, incident))
-        self.facet_edges = np.array([ts + [len(self.edges)] * (width - len(ts))
-                                     for ts in incident])
+        self.incidence = np.zeros((len(self.edges), len(self.ids)), dtype=np.float32)
+        np.put_along_axis(self.incidence, self.edge_facets.T, 1.0, axis=1)
 
     def circuits_ok(self, orders):
         """Prismatic-circuit inequalities, one verdict per assignment along
@@ -498,21 +495,21 @@ class _AssignmentModel:
         face to later ones exactly when the facet graph on the order-2 edges
         has an empty 4-core.  All rows peel together: each round removes
         every live facet with at most three order-2 edges to live facets,
-        until no row changes.  The 4-core is unique, so the verdicts are
-        those of the sequential ``polytope.greedy_peel``."""
+        until no row changes.  A round counts those edges for every row and
+        facet at once as the product of the rows' live order-2 edges with the
+        edge-facet incidence; each count is a sum of at most f ones, exact in
+        float32.  The 4-core is unique, so the verdicts are those of the
+        sequential ``polytope.greedy_peel``."""
         order2 = np.asarray(order2, dtype=bool)
         shape = order2.shape[:-1]
-        e = len(self.edges)
-        z = np.zeros((math.prod(shape), e + 1), dtype=bool)
-        z[:, :e] = order2.reshape(-1, e)
+        z = order2.reshape(-1, len(self.edges))
         a, b = self.edge_facets
         live = np.ones((len(z), len(self.ids)), dtype=bool)
         rows = np.arange(len(z))
         while len(rows):
             lv = live[rows]
-            on = z[rows]
-            on[:, :e] &= lv[:, a] & lv[:, b]
-            drop = lv & (on[:, self.facet_edges].sum(axis=2) <= 3)
+            on = z[rows] & lv[:, a] & lv[:, b]
+            drop = lv & (on.astype(np.float32) @ self.incidence <= 3)
             lv &= ~drop
             live[rows] = lv
             # a row with no live facet left is decided
@@ -521,7 +518,8 @@ class _AssignmentModel:
 
 
 def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=None):
-    """Share of weakly orderable orbifolds among valid order assignments.
+    """Share of weakly orderable orbifolds among valid order assignments on a
+    3-polytope P (any other n is refused up front).
 
     Every edge takes an order in {2..d}; validity is the package's
     Andreev-type necessary conditions (vertex ellipticity plus prismatic
@@ -547,7 +545,8 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
     and stops with "circuit rejection rate too high" when fewer than
     MC_MIN_ACCEPTANCE of its draws pass them.  Both modes decide weak
     orderability for many order-2 edge sets at once, as an empty 4-core of
-    the facet graph on those edges (``_AssignmentModel.weakly_orderable``):
+    the facet graph on those edges, peeled with one product by the
+    edge-facet incidence per round (``_AssignmentModel.weakly_orderable``):
     Monte Carlo per batch of drawn rows, exact mode for the sets with a
     nonzero count, MC_ROW_CHUNK at a time.
     """

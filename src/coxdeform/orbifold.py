@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 from coxdeform import polytope as pt
@@ -105,9 +106,11 @@ def vertex_cosine_matrix(Q, vertex):
 def make_orbifold(P, orders):
     """Validate orders against the ridge set and vertex ellipticity.
 
-    ``orders`` maps ridge pairs to integers >= 2 and must cover the ridge set
-    exactly.  Every vertex group has to be elliptic: the principal cosine
-    matrix at each vertex must be positive definite.  For n = 3 this is
+    ``orders`` maps ridge pairs to integers >= 2 (Python or numpy integers,
+    or floats of integral value; a string, None or 2.5 is refused) and must
+    cover the ridge set exactly.
+    Every vertex group has to be elliptic: the principal cosine matrix at
+    each vertex must be positive definite.  For n = 3 this is
     1/a + 1/b + 1/c > 1, decided exactly as ab + bc + ca > abc; for n >= 4
     the smallest eigenvalue is tested against ELLIPTIC_EIG_TOL.
     """
@@ -118,9 +121,13 @@ def make_orbifold(P, orders):
             raise OrbifoldError(f"order given for non-ridge pair {key}")
         if key in normalized:
             raise OrbifoldError(f"duplicate order for ridge {key}")
-        if not float(m).is_integer() or int(m) < 2:
-            raise OrbifoldError(f"ridge {key} has order {m}; need an integer >= 2")
-        normalized[key] = int(m)
+        try:
+            value = int(m) if isinstance(m, float) and m.is_integer() else operator.index(m)
+        except TypeError:  # a string, None, a fraction or a non-integral float
+            value = None
+        if value is None or value < 2:
+            raise OrbifoldError(f"ridge {key} has order {m!r}; need an integer >= 2")
+        normalized[key] = value
     missing = set(P.ridges) - set(normalized)
     if missing:
         raise OrbifoldError(f"missing orders for ridges {sorted(missing)}")
@@ -155,29 +162,24 @@ def counts(Q):
 # -- weak orderability --------------------------------------------------------
 
 class WeakOrdering(NamedTuple):
-    """Facet order (position 0 gets index 1) with per-facet qualifying sets
-    F_i = higher-indexed order-2 neighbors, and their general-position status
-    ('unknown', 'verified' or 'failed'; trivially verified when empty)."""
+    """Facet order (position 0 gets index 1) with the qualifying set of each
+    facet: its order-2 neighbours later in the order."""
 
     order: tuple
     qualifying: dict
-    general_position: dict
 
     def __bool__(self):
         return True
-
-    def index(self, facet):
-        return self.order.index(facet) + 1
 
 
 class WeakOrderFailure(NamedTuple):
     """Certificate of failure.  From :func:`weak_order_combinatorial` it is
     the facet subset left by the peel, in which every member has more than n
-    order-2 ridges to the other members; from :func:`weak_order_geometric`
-    it is the smallest set of remaining facets the search reached."""
+    order-2 ridges to the other members; from the n >= 4 search of
+    :func:`weak_order_geometric` it is the smallest set of remaining facets
+    the search reached."""
 
     certificate: frozenset
-    reason: str = "stuck"
 
     def __bool__(self):
         return False
@@ -189,10 +191,7 @@ def weak_order_combinatorial(Q):
     order, stuck = pt.greedy_peel(Q.order2_nbrs, Q.n)
     if stuck:
         return WeakOrderFailure(stuck)
-    qualifying = dict(order)
-    order = tuple(i for i, _ in order)
-    status = {i: ("verified" if not qualifying[i] else "unknown") for i in order}
-    return WeakOrdering(order, qualifying, status)
+    return WeakOrdering(tuple(i for i, _ in order), dict(order))
 
 
 def is_weakly_orderable(Q):
@@ -218,11 +217,11 @@ def weak_order_geometric(Q, alphas):
     """Weak ordering whose qualifying sets are in general position.
 
     ``alphas`` maps facet ids to covectors (rows of length n+1) from a
-    realization.  For n = 3 general position is automatic, so the greedy
-    ordering is returned with every set marked verified.  For n >= 4 the
-    search backtracks over admissible greedy choices, testing each qualifying
-    set for full numerical rank under ``numerics.DEFAULT_RANK_POLICY`` as it
-    is formed.
+    realization.  For n = 3 general position is automatic, so this is
+    :func:`weak_order_combinatorial`.  For n >= 4 the search backtracks over
+    admissible greedy choices and keeps a choice only when its qualifying
+    set has full numerical rank under ``numerics.DEFAULT_RANK_POLICY``, so
+    every ordering it returns has its sets in general position.
     """
     import numpy as np
 
@@ -234,12 +233,8 @@ def weak_order_geometric(Q, alphas):
     if set(alphas) != set(Q.base.facets):
         raise OrbifoldError("realization does not cover the facet set")
     n = Q.n
-
     if n == 3:
-        result = weak_order_combinatorial(Q)
-        if not result:
-            return result
-        return result._replace(general_position={i: "verified" for i in result.order})
+        return weak_order_combinatorial(Q)
 
     def in_general_position(facets):
         if not facets:
@@ -251,8 +246,7 @@ def weak_order_geometric(Q, alphas):
 
     def search(remaining, order, qualifying):
         if not remaining:
-            return WeakOrdering(tuple(order), dict(qualifying),
-                                {i: "verified" for i in order})
+            return WeakOrdering(tuple(order), dict(qualifying))
         if len(remaining) < len(deepest[0]):
             deepest[0] = set(remaining)
         for i in sorted(remaining):
@@ -271,7 +265,7 @@ def weak_order_geometric(Q, alphas):
     found = search(set(Q.base.facets), [], {})
     if found:
         return found
-    return WeakOrderFailure(frozenset(deepest[0]), reason="no ordering in general position")
+    return WeakOrderFailure(frozenset(deepest[0]))
 
 
 # -- Andreev-type necessary conditions (n = 3) -------------------------------

@@ -226,8 +226,7 @@ def hyperbolic_point(realization):
     from coxdeform import lorentz
 
     nus = realization.normals
-    J = lorentz.LorentzForm(nus.shape[1]).matrix
-    return VinbergPoint(2.0 * nus @ J, nus.copy(), tuple(realization.Q.base.facets))
+    return VinbergPoint(lorentz._alphas(nus), nus.copy(), tuple(realization.Q.base.facets))
 
 
 def gauge_directions(p):
@@ -377,7 +376,7 @@ def _block_decisions(Q, index, p, rows, values, policy):
     n2, q = len(index.e2), p.f * p.dim
     if not 0 < n2 <= q or p.f + n2 + len(index.e3) > q:
         return None, None, None
-    if not np.array_equal(p.alphas, _twice_Jb(p.bs)):
+    if not np.array_equal(p.alphas, lorentz._alphas(p.bs)):
         return None, None, None
     shape = rows.shape(values)
     sigma2, tau = _sigma_bound(rows.gram_diagonal(values), shape, policy)
@@ -480,7 +479,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     from coxdeform import lorentz, orbifold as ob
 
     index, rphi, psi, staircase = _phi_analysis(Q, p, policy)
-    if np.abs(p.alphas - _twice_Jb(p.bs)).max() > 1e-7:
+    if np.abs(p.alphas - lorentz._alphas(p.bs)).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
 
     M = lorentz.psi_matrix(Q, p.bs)
@@ -498,15 +497,10 @@ def e2_staircase(index, p):
     """The E2 staircase of :func:`check_rank_sum` as a :class:`StructuredMatrix`
     with f column blocks: the row of (i, j) carries 2 J b_j in block i and
     -alpha_i in block j, with J = diag(-1, 1, ..., 1)."""
+    from coxdeform import lorentz
+
     i, j = index.e2_positions
-    return index.staircase_rows.matrix(np.concatenate([_twice_Jb(p.bs[j]), -p.alphas[i]]))
-
-
-def _twice_Jb(bs):
-    """The rows 2 J b, each computed exactly."""
-    out = 2.0 * bs
-    out[:, 0] *= -1.0
-    return out
+    return index.staircase_rows.matrix(np.concatenate([lorentz._alphas(p.bs[j]), -p.alphas[i]]))
 
 
 # -- membership in the open solution domain ------------------------------------

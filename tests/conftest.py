@@ -1308,6 +1308,13 @@ def peel_oracle(P, edge_sets):
     return np.array([not bitmask_peel(ids, Z, 3)[1] for Z in edge_sets], dtype=bool)
 
 
+def qualifying_sets_full_rank(ordering, alphas):
+    """Whether the covectors ``alphas[j]`` of every qualifying set of a weak
+    ordering have full numerical rank, which is general position."""
+    return all(numerical_rank(np.array([alphas[j] for j in F])).rank == len(F)
+               for F in ordering.qualifying.values() if F)
+
+
 def mask_edge_sets(P):
     """Every set of edges of P, in the order of the bitmasks 0 .. 2^e - 1
     (bit t for the t-th sorted edge)."""

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import time
+import tracemalloc
 import types
 import warnings
 from collections import Counter
@@ -686,10 +687,11 @@ def test_batched_verdict_matches_peel_on_every_edge_set(P):
     assert got.any() and not got[-1]
 
 
-@pytest.mark.parametrize("P", [pt.dodecahedron(), pt.loebell(12)],
-                         ids=["dodecahedron", "loebell12"])
+@pytest.mark.parametrize("P", [pt.dodecahedron(), pt.loebell(12), pt.prism(24)],
+                         ids=["dodecahedron", "loebell12", "prism24"])
 def test_batched_verdict_matches_peel_on_random_rows(P):
-    # loebell(12) has 72 edges, so columns past 63 carry order-2 edges
+    # loebell(12) has 72 edges, so columns past 63 carry order-2 edges;
+    # prism(24) has two 24-gon caps beside its square sides
     model = ms._AssignmentModel(P, 3)
     rng = np.random.default_rng(8)
     verdicts = set()
@@ -699,6 +701,23 @@ def test_batched_verdict_matches_peel_on_random_rows(P):
         np.testing.assert_array_equal(got, peel_oracle(P, row_edge_sets(P, order2)))
         verdicts.update(got.tolist())
     assert verdicts == {True, False}
+
+
+def test_batched_verdict_peak_memory_on_large_faces():
+    # loebell(64) has two 64-gons among its 130 faces, so a verdict whose
+    # memory grows with the widest face (rows x f x 64 per round) shows here
+    P = pt.loebell(64)
+    model = ms._AssignmentModel(P, 7)
+    rows, _ = ms._UniformValidSampler(model).draw(0, range(1000))
+    order2 = rows == 2
+    tracemalloc.start()
+    try:
+        got = model.weakly_orderable(order2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    np.testing.assert_array_equal(got, peel_oracle(P, row_edge_sets(P, order2)))
 
 
 def test_montecarlo_counts_non_orderable_rows():

@@ -61,7 +61,7 @@ def _structured_patterns(Q, p):
     i, j = index.e2_positions
     return {"phi": (S.rows, S.values(p)), "psi": (T.rows, T.values(lorentz._alphas(p.bs))),
             "staircase": (index.staircase_rows,
-                          np.concatenate([vinberg._twice_Jb(p.bs[j]), -p.alphas[i]]))}
+                          np.concatenate([lorentz._alphas(p.bs[j]), -p.alphas[i]]))}
 
 
 def _assert_full_gram_decision(Q, p):

@@ -9,7 +9,7 @@ import pytest
 from coxdeform import bundled, cartan, orbifold as ob, polytope as pt, vinberg
 from coxdeform.errors import ConvergenceError, RealizationError
 from conftest import (andreev_oracle, bitmask_peel, brute_force_weak_order, ids_of,
-                      loebell_factor_orbifold, random_truncation)
+                      loebell_factor_orbifold, qualifying_sets_full_rank, random_truncation)
 
 # the order triples whose sum of 1/m is exactly 1; (2, 2, 2, 2) sums to 2
 EUCLIDEAN_TRIPLES = ((2, 3, 6), (2, 4, 4), (3, 3, 3))
@@ -53,6 +53,20 @@ def test_order_below_two_rejected():
     orders[(1, 3)] = 1
     with pytest.raises(ob.OrbifoldError):
         ob.make_orbifold(P, orders)
+
+
+def test_order_that_is_not_a_number_rejected():
+    # a string is not read as its number, and None or "abc" is an
+    # OrbifoldError, not a TypeError or a ValueError
+    P, orders = cube_orders()
+    for m in ("3", b"3", None, "abc", [3], 2.5, float("nan"), float("inf"), True,
+              np.array(2.5)):
+        orders[(1, 3)] = m
+        with pytest.raises(ob.OrbifoldError, match="need an integer >= 2"):
+            ob.make_orbifold(P, orders)
+    for m in (3.0, np.float64(3), np.int64(3), 10 ** 400):
+        orders[(1, 3)] = m
+        assert ob.make_orbifold(P, orders).order(1, 3) == m
 
 
 def test_missing_and_extra_orders_rejected():
@@ -179,7 +193,7 @@ def test_weak_order_geometric_dimension_three(tetra_orbifold, tetra_point):
     alphas = {facet: tetra_point.alphas[k]
               for k, facet in enumerate(tetra_point.facets)}
     result = ob.weak_order_geometric(tetra_orbifold, alphas)
-    assert result and all(v == "verified" for v in result.general_position.values())
+    assert result and qualifying_sets_full_rank(result, alphas)
 
 
 def test_weak_order_geometric_esselmann(esselmann_orbifold, esselmann_matrix):
@@ -187,7 +201,7 @@ def test_weak_order_geometric_esselmann(esselmann_orbifold, esselmann_matrix):
     alphas = {facet: p.alphas[k] for k, facet in enumerate(p.facets)}
     result = ob.weak_order_geometric(esselmann_orbifold, alphas)
     assert result
-    assert all(v == "verified" for v in result.general_position.values())
+    assert qualifying_sets_full_rank(result, alphas)
     assert all(len(F) <= 4 for F in result.qualifying.values())
 
 

@@ -200,6 +200,16 @@ def test_cli_stats_without_valid_assignments(capsys):
     assert out.splitlines() == ["d,fraction,ci_low,ci_high", "3,,,"]
 
 
+def test_cli_stats_refuses_higher_dimensional_polytope(capsys):
+    # the statistics bound order-2 edges per face by 3, so they need n = 3,
+    # and the refusal names n
+    for mode in ("montecarlo", "exact"):
+        code, out, err = run_cli(capsys, "stats", "esselmann", "--d", "5", "--mode", mode)
+        assert (code, out) == (1, "")
+        assert err == ("validation failure: weak-orderability statistics need a "
+                       "3-polytope, got n = 4\n")
+
+
 def test_cli_validation_exit_codes(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     doc = bundled.builtin_document("tetrahedron353")
