@@ -1,4 +1,6 @@
 import argparse
+import gc
+import importlib
 import json
 import math
 import os
@@ -18,13 +20,17 @@ from conftest import curve_csv_oracle, to_jsonable_oracle
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
+def fresh_python_env():
+    """The environment of a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coxdeform.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def fresh_python(*args, check=False):
     """Run ``python *args`` in a new interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(coxdeform.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, check=check)
+                          env=fresh_python_env(), check=check)
 
 
 def run_cli(capsys, *argv):
@@ -661,8 +667,54 @@ def test_exit_codes_from_a_cold_start(tmp_path):
          "usage: coxdeform realize"),
         (["realize", "doubled_cube", "--seed-name", "random", "--seed", "123"], 2,
          "numerical failure: no convergence"),
+        (["check", "tetrahedron353", "--out", str(tmp_path / "check.json")], 0, ""),
     ]
+    # ``cli.main`` in-process, and the process entry ``cli.run`` that the
+    # benchmark and the ``coxdeform`` script use
     for argv, code, message in cases:
-        out = fresh_python("-c", f"import sys\nfrom coxdeform import cli\nsys.exit(cli.main({argv!r}))")
-        assert (out.returncode, out.stdout) == (code, ""), (argv, out.stderr)
-        assert out.stderr.startswith(message), (argv, out.stderr)
+        for entry in (["-c", f"import sys\nfrom coxdeform import cli\nsys.exit(cli.main({argv!r}))"],
+                      ["-m", "coxdeform.cli", *argv]):
+            out = fresh_python(*entry)
+            assert (out.returncode, out.stdout) == (code, ""), (entry, out.stderr)
+            if message:
+                assert out.stderr.startswith(message), (entry, out.stderr)
+            else:
+                assert out.stderr == "", entry
+                assert ((tmp_path / "check.json").read_text(encoding="utf-8")
+                        == (GOLDEN / "check-tetrahedron353.out").read_text(encoding="utf-8"))
+                (tmp_path / "check.json").unlink()
+
+
+def test_process_entry_flushes_stdout(capsys):
+    # ``python -m coxdeform.cli`` prints what ``cli.main`` prints in-process:
+    # the curve CSV, far longer than a pipe buffer, and a check report, which
+    # stays in stdout's buffer until exit and is lost by an exit that skips
+    # the flush (os._exit); stdout is block-buffered, as without PYTHONUNBUFFERED
+    env = fresh_python_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    for argv, lines in ((["curve", "esselmann"], 10202), (["check", "tetrahedron353"], 45)):
+        out = subprocess.run([sys.executable, "-m", "coxdeform.cli", *argv],
+                             capture_output=True, env=env, check=True)
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        assert expected.count(b"\n") == lines
+        assert out.stdout == expected, argv
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    # only the process entry ``run`` freezes the heap, never ``main``
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main(["curve", "esselmann", "--res", "5"]) == 0
+    assert cli.main(["check", "tetrahedron353"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_console_script_is_the_process_entry():
+    # a regex, not tomllib: tomllib needs Python 3.11 and the package takes 3.10
+    text = (pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", text, re.M | re.S).group(1)
+    target = re.fullmatch(r'coxdeform = "([\w.]+):(\w+)"', scripts.strip()).groups()
+    assert target == ("coxdeform.cli", "run")
+    module, name = target
+    assert getattr(importlib.import_module(module), name) is cli.run
