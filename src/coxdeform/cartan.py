@@ -150,30 +150,65 @@ class ComponentType(NamedTuple):
     smallest_eigenvalue: float
 
 
-def _nonzero_graph(M, tol):
-    """Ascending neighbour lists of the pattern where a_ij or a_ji is nonzero."""
+def _nonzero_pattern(M, tol):
+    """The symmetric boolean pattern where a_ij or a_ji is nonzero, with a
+    true diagonal."""
     big = np.abs(M) > tol
     big |= big.T
-    np.fill_diagonal(big, False)
-    return {a: np.flatnonzero(row).tolist() for a, row in enumerate(big)}
+    np.fill_diagonal(big, True)
+    return big
 
 
-def _components(adj, f):
-    seen, comps = set(), []
-    for start in range(f):
-        if start in seen:
-            continue
-        stack, comp = [start], []
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
+def _nonzero_graph(M, tol):
+    """Ascending neighbour lists of the pattern where a_ij or a_ji is nonzero."""
+    return _neighbours(_nonzero_pattern(M, tol))
+
+
+def _neighbours(pattern):
+    """Ascending neighbour lists of a pattern, whose diagonal is cleared."""
+    np.fill_diagonal(pattern, False)
+    return {a: np.flatnonzero(row).tolist() for a, row in enumerate(pattern)}
+
+
+def _components(pattern):
+    """The connected components of a :func:`_nonzero_pattern`, each a
+    sorted list of positions, in order of their smallest position.
+
+    Every position carries a label, a position of its component: at first
+    its smallest neighbour or itself (the first true entry of its row).
+    Pointer jumping then takes every position to the label at the end of
+    its chain.  In each further round every position finds the smallest
+    label among its neighbours and itself (a minimum over its row's
+    nonzeros), each label takes the smallest that its positions found, and
+    the labels jump again.  The search ends when one label is left, or when
+    a round changes none: no two neighbours then carry different labels, so
+    each label is a component, labelled by its smallest position.  A round
+    costs one pass over the nonzeros and at least halves the labels of a
+    path, and a path in position order needs no round at all."""
+    f = len(pattern)
+    label = np.argmax(pattern, axis=1)
+    cols = None
+    while True:
+        while True:
+            jumped = label.take(label)
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if not label.any():  # one label, 0, is left
+            return [list(range(f))]
+        if cols is None:
+            cols = np.flatnonzero(pattern)
+            starts = cols.searchsorted(np.arange(f) * f)
+            cols %= f
+        low = np.minimum.reduceat(label.take(cols), starts)
+        hooked = label.copy()
+        np.minimum.at(hooked, label, low)
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable").tolist()
+    bounds = [0, *(np.flatnonzero(np.diff(np.sort(label))) + 1).tolist(), f]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _spanning_tree(M, adj):
@@ -242,7 +277,7 @@ def decompose_components(A):
     M = A.entries
     scale = max(np.abs(M).max(), 1.0)
     norm = np.linalg.norm(M)
-    comps = _components(_nonzero_graph(M, ENTRY_TOL * scale), A.f)
+    comps = _components(_nonzero_pattern(M, ENTRY_TOL * scale))
     out = []
     for comp in comps:
         sub = M[np.ix_(comp, comp)]
@@ -293,11 +328,11 @@ def diagonal_normalize(A):
     M = A.entries
     f = A.f
     scale = max(np.abs(M).max(), 1.0)
-    adj = _nonzero_graph(M, ENTRY_TOL * scale)
-    comps = _components(adj, f)
-    if len(comps) != 1:
+    pattern = _nonzero_pattern(M, ENTRY_TOL * scale)
+    if len(_components(pattern)) != 1:
         raise CartanError("matrix is decomposable; normalize components separately")
 
+    adj = _neighbours(pattern)
     d, parent, walk = _spanning_tree(M, adj)
     tree = [_pair(A.facets[u], A.facets[v]) for u, v in walk]
 

@@ -131,18 +131,18 @@ class PsiStructure:
         """The vector of each slot, k alpha_o."""
         return self.slot_k[:, None] * np.take(alphas, self.slot_other, axis=0)
 
-    def gauss_newton_step(self, alphas, r, system):
+    def gauss_newton_step(self, alphas, r):
         """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
         f x (n+1) array, without forming J: the Gram matrix of ``rows`` is
-        solved at the shift -mu (:meth:`BorderedGram.solve`) with the block
-        left to LAPACK in ``system``, which a solve reuses for each step.
+        solved at the shift -mu (:meth:`BorderedGram.solve`), with the block
+        left to LAPACK in the pattern's work array, which every step reuses.
         Where J loses row rank, rounding can leave a pivot of the shifted
         system that is not positive; that raises ConvergenceError."""
         values = self.values(alphas)
         A = self.rows.gram(values)
         mu = LM_SHIFT * A.diagonal.sum() / self.nrows
         try:
-            y = A.solve(-mu, r, out=system)
+            y = A.solve(-mu, r)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"Gauss-Newton system not positive definite: {exc}") from exc
         return self.rows.transpose_product(values, y).reshape(alphas.shape)
@@ -290,7 +290,7 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     quotients out the Lorentz gauge freedom (the Jacobian kernel is
     dim so(1,n) on the solution manifold) without pinning a gauge, so it does
     not depend on facet labels (:meth:`PsiStructure.gauss_newton_step`, in
-    one array per solve for the block left to LAPACK).  The
+    the pattern's one array for the block left to LAPACK).  The
     Levenberg-Marquardt shift mu = LM_SHIFT trace(J J^t) / (f + e) keeps the
     system positive definite when J loses row rank; at full row rank the
     step is the least-squares step J^+ r up to rounding.  Step halving is
@@ -306,14 +306,13 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
         raise RealizationError(f"initial guess must have shape {(Q.f, Q.n + 1)}")
     S = psi_structure(Q)
     r = S.eval(x)
-    system = np.zeros((S.rows.elimination.size,) * 2)
     for k in range(max_iter + 1):
         norm = np.linalg.norm(r)
         if norm < tol:
             return HyperbolicRealization(Q, x)
         if k == max_iter:
             break
-        step = S.gauss_newton_step(_alphas(x), r, system)
+        step = S.gauss_newton_step(_alphas(x), r)
         t = 1.0
         for _ in range(25):
             x_new = x - t * step

@@ -27,10 +27,17 @@ pattern of every level is worked out once per pattern and cached; a level
 of a pattern that is not factored again and again must repay that analysis
 in one use.  This is the same floating-point Cholesky of the same shifted
 matrix in another pivot order, so the certificate is unchanged
-(:func:`_full_rank_certificate`).
+(:func:`_full_rank_certificate`).  Each pattern forms the block left to
+LAPACK in one m x m work array of its own (:attr:`BlockRows.work`), so a
+block is valid until the pattern's next elimination.
 The Gauss-Newton step of :mod:`coxdeform.lorentz` solves through the same
 elimination of D psi's Gram matrix at the shift -mu that its certificate
 factors at +s (:meth:`BorderedGram.solve`).
+A Gram matrix whose rows are a few dense rows after many that share no
+column, as the gauge directions of :mod:`coxdeform.vinberg` are, is given
+in arrow form (:meth:`BorderedGram.arrow`): the diagonal of the many, their
+coupling to the few, and the few's own dense block, which is all LAPACK
+factors after the one level of closed-form pivots.
 """
 
 from __future__ import annotations
@@ -89,12 +96,15 @@ class StructuredMatrix(NamedTuple):
 class BorderedGram(NamedTuple):
     """A Gram matrix A = fl(W W^t) in the form that
     :func:`_full_rank_certificate` factors: its ``diagonal``, and
-    ``eliminate(s, out=None)``, the Cholesky factorisation of fl(A - s I)
-    through its ``levels`` of closed-form pivots, as (factors, trailing
-    block): one (pivots, multipliers) per level, and the m x m block left,
-    formed in ``out`` when given.  It raises LinAlgError, as LAPACK does, at
-    a pivot that is not positive.  A dense A has no levels (:meth:`dense`);
-    the Gram matrix of a pattern has those of :attr:`BlockRows.elimination`."""
+    ``eliminate(s)``, the Cholesky factorisation of fl(A - s I) through its
+    ``levels`` of closed-form pivots, as (factors, trailing block): one
+    (pivots, multipliers) per level, and the m x m block left.  It raises
+    LinAlgError, as LAPACK does, at a pivot that is not positive.  A dense
+    A has no levels (:meth:`dense`); the Gram matrix of a pattern has those
+    of :attr:`BlockRows.elimination` and forms its block in the pattern's
+    :attr:`BlockRows.work`; an arrow form has one level, which it
+    eliminates itself (:meth:`arrow`).  The block is valid until the next
+    elimination of the same dense matrix or pattern."""
 
     diagonal: np.ndarray
     eliminate: Callable
@@ -102,35 +112,53 @@ class BorderedGram(NamedTuple):
 
     @classmethod
     def dense(cls, A):
-        """fl(A - s I) itself, formed in A, which is overwritten, or in
-        ``out``; A's diagonal is kept, so A can be eliminated again."""
+        """fl(A - s I) itself, formed in A, which is overwritten; A's
+        diagonal is kept, so A can be eliminated again."""
         diagonal = np.diagonal(A).copy()
 
-        def eliminate(s, out=None):
-            block = A if out is None else out
-            if block is not A:
-                np.copyto(block, A)
-            np.subtract(diagonal, s, out=block.reshape(-1)[::len(A) + 1])
-            return [], block
+        def eliminate(s):
+            np.subtract(diagonal, s, out=A.reshape(-1)[::len(A) + 1])
+            return [], A
         return cls(diagonal, eliminate)
+
+    @classmethod
+    def arrow(cls, pivots, coupling, border):
+        """The Gram matrix [[diag(``pivots``), C^t], [C, E]] of k rows that
+        share no column with each other followed by g rows, C (g x k) the
+        ``coupling`` and E (g x g) the ``border``: the k rows are one level
+        of closed-form pivots l = sqrt(fl(pivots - s)), with multipliers L =
+        fl(C / l), and the g x g block left is fl(fl(E - s I) - fl(L L^t)),
+        the sums of products accumulated by BLAS.  It is not solved: it has
+        no ``levels``."""
+
+        def eliminate(s):
+            pivot = pivots - s
+            if not (pivot > 0.0).all():
+                raise np.linalg.LinAlgError("a closed-form pivot is not positive")
+            pivot = np.sqrt(pivot)
+            multipliers = coupling / pivot
+            block = border.copy()
+            block.reshape(-1)[::len(block) + 1] -= s
+            block -= multipliers @ multipliers.T
+            return [(pivot, multipliers)], block
+        return cls(np.concatenate([pivots, np.diagonal(border)]), eliminate)
 
     def trailing(self, s):
         """The trailing block of the factorisation of fl(A - s I)."""
         return self.eliminate(s)[1]
 
-    def solve(self, s, r, out=None):
+    def solve(self, s, r):
         """y with fl(A - s I) y = r by the same factorisation, level by
         level: z = r_p / l through the level's pivots l, then the rest of
         the system with right-hand side r_t - C z, C the level's
-        multipliers; the trailing block, formed in ``out`` when given, is
-        solved by LAPACK; and back through the levels, y_p = (z - C^t y_t) /
-        l.
+        multipliers; the trailing block is solved by LAPACK; and back
+        through the levels, y_p = (z - C^t y_t) / l.
 
         fl(A - s I) must be positive definite.  On an indefinite matrix a
         level's pivot may not be positive, and the solve raises LinAlgError
         as :attr:`eliminate` does; a dense form, with no levels, solves any
         nonsingular fl(A - s I) by LAPACK."""
-        factors, block = self.eliminate(s, out)
+        factors, block = self.eliminate(s)
         zs = []
         for L, (pivot, coupling) in zip(self.levels, factors):
             z = r[L.pivot_rows] / pivot
@@ -150,8 +178,9 @@ class BlockRows:
     """The pattern of a matrix with ``nblocks`` column blocks of equal width
     whose rows are sums of terms: term t puts the vector ``values[t]`` in
     block ``block[t]`` of row ``row[t]``, and no two terms share a block of
-    a row.  The pair arrays (p, q), built on first use, list every ordered
-    pair of terms in a common block, so that Gram entry (r, s) is the sum of
+    a row.  The pair arrays (p, q), built on each use and kept by none (the
+    analysis of :attr:`elimination` keeps what it needs of them), list
+    every ordered pair of terms in a common block, so that Gram entry (r, s) is the sum of
     <values[p], values[q]> over the pairs with p in row r and q in row s.
 
     ``reused`` marks a pattern whose Gram matrix is factored again and
@@ -171,7 +200,7 @@ class BlockRows:
         """The terms sorted by block, stably."""
         return np.argsort(self.block, kind="stable")
 
-    @cached_property
+    @property
     def pairs(self):
         return _pairs_within(self.block, self.nblocks, self.block_order)
 
@@ -201,6 +230,16 @@ class BlockRows:
             diag=keys.searchsorted(np.arange(self.nrows) * (self.nrows + 1)),
             levels=tuple(levels), lower=last, upper=last % size * size + last // size, size=size)
 
+    @cached_property
+    def work(self):
+        """The m x m array, m the rows of the block that the levels of
+        :attr:`elimination` leave, in which every elimination of a Gram
+        matrix of this pattern forms that block, allocated once: its
+        structural zeros are never written, so they stay zero, and the
+        block of one elimination is valid until the pattern's next."""
+        size = self.elimination.size
+        return np.zeros((size, size))
+
     def shape(self, values):
         return (self.nrows, self.nblocks * values.shape[1])
 
@@ -224,11 +263,11 @@ class BlockRows:
         pivot order.  Each level's entries go into one ``np.bincount``, in
         that order, so each entry of a block is eliminated from its value in
         the block before.  The last block is filled with its entries and
-        their mirrors."""
+        their mirrors, in :attr:`work`."""
         E = self.elimination
         entries = np.bincount(E.entry, _pair_dots(values, *E.dot_pairs), minlength=E.nentries)
 
-        def eliminate(s, out=None):
+        def eliminate(s):
             block = entries.copy()
             block[E.diag] -= s
             factors = []
@@ -244,11 +283,10 @@ class BlockRows:
                 w[len(L.keep):] *= coupling.take(L.update[1])
                 block = np.bincount(L.entry, w, minlength=L.nentries)
                 factors.append((pivot, coupling))
-            dense = np.zeros((E.size, E.size)) if out is None else out
-            flat = dense.reshape(-1)
+            flat = self.work.reshape(-1)
             flat[E.lower] = block
             flat[E.upper] = block
-            return factors, dense
+            return factors, self.work
         return BorderedGram(entries[E.diag], eliminate, E.levels)
 
     def transpose_product(self, values, y):
@@ -461,7 +499,8 @@ def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
     for the Gram matrix of its short side and dropped before the
     factorisation.  The Gram matrix is dropped before the SVD, which builds
     the matrix again, so a large matrix and the Cholesky buffers are never
-    held at once."""
+    held at once; only the work array of a pattern's Gram matrix
+    (:attr:`BlockRows.work`) stays with its pattern."""
     if isinstance(M, StructuredMatrix) and M.shape[0] <= M.shape[1]:
         shape, build = M.shape, M.build
         if min(shape) == 0:
@@ -527,7 +566,13 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
       added to it.  The level's pivots have only such entries between them,
       so again their l_ij are exact zeros, and the level's pivots,
       multipliers and updates are the formulas above, each a continuation
-      of the same sums in pivot order.  LAPACK then factors the block left,
+      of the same sums in pivot order.  The arrow form
+      (:meth:`BorderedGram.arrow`) takes its one level the same way, but
+      forms fl(E - s I) of its dense block first and then subtracts from
+      each entry the sum of the products of its multipliers, accumulated
+      by BLAS: fl(b_rs - fl(sum_i l_ri l_si)) is another order of
+      evaluation of the same expression, which the backward error allows.
+      LAPACK then factors the block left,
       which completes the floating-point Cholesky factorisation of P B P^T
       in one order of evaluation, P taking the levels in turn.  A pivot
       that is not positive stops it, as it would stop LAPACK; with no such

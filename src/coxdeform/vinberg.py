@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 import weakref
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from coxdeform.errors import VinbergError
 from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF,
-                                BlockRows, RankResult, _full_rank_certificate, _gamma,
-                                _sigma_bound, numerical_rank, triangular_sigma_bound)
+                                BlockRows, BorderedGram, RankResult, StructuredMatrix,
+                                _full_rank_certificate, _gamma, _sigma_bound, numerical_rank,
+                                triangular_sigma_bound)
 
 RESIDUAL_TOL = 1e-9
 INTERIOR_TOL = 1e-9  # U-membership margins, relative to max |alpha|
@@ -235,18 +236,58 @@ def gauge_directions(p):
     (the units E_kl, k != l, in row-major order, then E_kk - E_k+1,k+1).
     All rows lie in ker(D phi) at any solution point."""
     f, dim = p.f, p.dim
+    rows = np.zeros((gauge_dimension(f, dim), 2, f, dim))  # generator, alpha/b half, facet, entry
+    rows[np.arange(f), 0, np.arange(f)] = p.alphas
+    rows[np.arange(f), 1, np.arange(f)] = -p.bs
+    rows[f:] = _traceless_directions(np.stack([-p.alphas, p.bs]))
+    return rows.reshape(len(rows), 2 * f * dim)
+
+
+@cache
+def _traceless_basis(dim):
+    """The traceless basis X of :func:`gauge_directions`, each beside its
+    transpose, as an array of shape (dim^2 - 1, 2, dim, dim); built once per
+    dim."""
     k, l = np.nonzero(~np.eye(dim, dtype=bool))
     d = np.arange(dim - 1)
     basis = np.zeros((dim * dim - 1, dim, dim))
     basis[np.arange(len(k)), k, l] = 1.0
     basis[len(k) + d, d, d] = 1.0
     basis[len(k) + d, d + 1, d + 1] = -1.0
-    rows = np.zeros((f + len(basis), 2, f, dim))  # generator, alpha/b half, facet, entry
-    rows[np.arange(f), 0, np.arange(f)] = p.alphas
-    rows[np.arange(f), 1, np.arange(f)] = -p.bs
-    rows[f:, 0] = -p.alphas @ basis
-    rows[f:, 1] = (basis @ p.bs.T).transpose(0, 2, 1)
-    return rows.reshape(len(rows), 2 * f * dim)
+    pairs = np.stack([basis, basis.transpose(0, 2, 1)], axis=1)
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _traceless_directions(negated):
+    """The rows of :func:`gauge_directions` of the traceless basis X, -alpha_i
+    X and X b_i, as a (generator, alpha/b half, facet, entry) array, from
+    the rescaling rows ``negated``: -alpha and b, stacked."""
+    return negated @ _traceless_basis(negated.shape[-1])
+
+
+def gauge_matrix(p):
+    """:func:`gauge_directions` as a :class:`StructuredMatrix` whose Gram
+    matrix is in arrow form (:meth:`BorderedGram.arrow`).  The Gram matrix is
+    that of the rows with the f rescaling rows negated, -alpha_i in
+    alpha-block i and b_i in b-block i, which has the same singular values.
+    Those rows share no column, so their block is the diagonal of their
+    2(n+1)-term dot products; each couples to a traceless row by the
+    2(n+1)-term dot product over its two blocks; and the traceless rows'
+    own (n+1)^2 - 1 square block is their dense Gram matrix.  Each entry is
+    a sum of products of the stored entries of the negated rows, so the
+    certificate of :func:`numerical_rank` holds as on the dense matrix,
+    which is built only if the SVD must decide."""
+    f, dim = p.f, p.dim
+
+    def gram():
+        negated = np.stack([-p.alphas, p.bs])  # alpha/b half, facet, entry
+        border = _traceless_directions(negated)
+        rows = border.reshape(len(border), -1)
+        return BorderedGram.arrow(np.einsum("hik,hik->i", negated, negated),
+                                  np.einsum("xhik,hik->xi", border, negated), rows @ rows.T)
+    return StructuredMatrix((gauge_dimension(f, dim), 2 * f * dim), gram,
+                            lambda: gauge_directions(p))
 
 
 def gauge_dimension(f, dim):
@@ -304,7 +345,14 @@ def _phi_analysis(Q, p, policy):
     rank-sum reduction (:func:`_block_decisions`).  Failing that, its rank
     is decided from its Gram matrix, assembled from the row structure; the
     dense D phi is built only if the SVD must decide (see
-    :func:`numerical_rank`)."""
+    :func:`numerical_rank`).  The gauge orbit must be free: its rank is
+    certified full from the arrow form of :func:`gauge_matrix`, whose f
+    rescaling rows are eliminated in closed form, so that LAPACK factors
+    only the (n+1)^2 - 1 traceless rows' block; failing that, the SVD of
+    the dense :func:`gauge_directions` decides, and a rank below the gauge
+    dimension is refused.  The blocks left to LAPACK are formed in the
+    work arrays of their patterns, valid until the pattern's next
+    elimination."""
     from coxdeform import orbifold as ob
 
     index = _as_index(Q)
@@ -319,8 +367,7 @@ def _phi_analysis(Q, p, policy):
         rr = numerical_rank(S.rows.matrix(values), policy)
     shape = S.rows.shape(values)
     gauge_dim = gauge_dimension(p.f, p.dim)
-    G = gauge_directions(p)
-    gauge_rank = numerical_rank(G, policy).rank
+    gauge_rank = numerical_rank(gauge_matrix(p), policy).rank
     if gauge_rank < gauge_dim:
         raise VinbergError(
             f"gauge orbit is not free at this point "
@@ -548,11 +595,11 @@ def check_U_membership(Q_or_index, p):
     failures = []
 
     scale = max(np.abs(p.alphas).max(), 1e-30)
-    adj = cartan._nonzero_graph(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
+    pattern = cartan._nonzero_pattern(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
     zero_tol = cartan.ZERO_TYPE_TOL * np.linalg.norm(a)
     x = np.zeros(p.f)
     has_point = None
-    for comp in cartan._components(adj, p.f):
+    for comp in cartan._components(pattern):
         lam, u = factored_smallest_real_eigenpair(p.alphas[comp], p.bs[comp])
         if not lam < -zero_tol:
             sub = a[np.ix_(comp, comp)]

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, lorentz, matchstats, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF, _gamma,
-                                _sigma_bound, numerical_rank, svd_rank)
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF, BlockRows,
+                                _gamma, _sigma_bound, numerical_rank, svd_rank)
 
 
 @pytest.fixture(scope="session")
@@ -797,13 +797,14 @@ def bordered_trailing_oracle(A, levels, s):
 
 def newton_bincount_oracle(Q, initial):
     """``solve_hyperbolic_newton`` with each step's trailing block in a
-    fresh array: ``BorderedGram.solve`` without the work array; returns the
-    converged normals."""
+    fresh array: each step solves through a fresh copy of the pattern, whose
+    work array is new; returns the converged normals."""
     S = lorentz.psi_structure(Q)
 
     def step(alphas, r):
         values = S.values(alphas)
-        A = S.rows.gram(values)
+        A = BlockRows(S.rows.nrows, S.rows.nblocks, S.rows.row, S.rows.block,
+                      S.rows.reused).gram(values)
         y = A.solve(-lorentz.LM_SHIFT * A.diagonal.sum() / S.nrows, r)
         return S.rows.transpose_product(values, y).reshape(alphas.shape)
 
@@ -884,7 +885,7 @@ def component_eigenpairs_oracle(p):
     a = p.cartan()
     adj = cartan._nonzero_graph(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
     out = []
-    for comp in cartan._components(adj, p.f):
+    for comp in components_oracle(adj, p.f):
         try:
             out.append((comp, *cartan.smallest_real_eigenpair(a[np.ix_(comp, comp)])))
         except cartan.CartanError:
@@ -991,6 +992,27 @@ def nonzero_graph_oracle(M, tol):
             if a != b and (abs(M[a, b]) > tol or abs(M[b, a]) > tol):
                 adj[a].append(b)
     return adj
+
+
+def components_oracle(adj, f):
+    """The connected components of the neighbour lists ``adj`` on positions
+    0..f-1 by depth-first search from each position not yet reached, in
+    position order: sorted lists, in order of their smallest position."""
+    seen, comps = set(), []
+    for start in range(f):
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        comps.append(sorted(comp))
+    return comps
 
 
 def tree_walk_oracle(M, adj):

@@ -5,8 +5,8 @@ import pytest
 
 from coxdeform import cartan, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import numerical_rank
-from conftest import (cartan_from_point, conditions_oracle, infer_pattern_oracle,
-                      nonzero_graph_oracle, tree_walk_oracle)
+from conftest import (cartan_from_point, components_oracle, conditions_oracle,
+                      infer_pattern_oracle, nonzero_graph_oracle, tree_walk_oracle)
 
 
 def test_conditions_pass_at_hyperbolic_point(tetra_orbifold, tetra_point):
@@ -201,6 +201,78 @@ def test_nonzero_graph_matches_entry_loop(tetra_point, esselmann_matrix):
         assert cartan._nonzero_graph(M, 1e-9) == nonzero_graph_oracle(M, 1e-9)
     assert any(cartan._nonzero_graph(M, 1e-9) != {k: [] for k in range(len(M))}
                for M in mats[4:])
+
+
+def _component_patterns(rng):
+    """Seeded matrices whose nonzero patterns cover singletons, long paths
+    in position order and relabelled, several blocks, dense patterns and
+    one-sided entries, where only a_ij is above the tolerance."""
+    mats = [np.eye(1), np.zeros((3, 3)), 2.0 * np.eye(7)]
+    for f in (2, 50, 301):
+        path = 2.0 * np.eye(f) - np.eye(f, k=1) - np.eye(f, k=-1)
+        perm = rng.permutation(f)
+        mats += [path, path[np.ix_(perm, perm)]]
+    for _ in range(40):
+        f = int(rng.integers(1, 60))
+        M = np.zeros((f, f))
+        block = rng.integers(0, rng.integers(1, 6), f)
+        fill = rng.choice([0.05, 0.3, 0.95, 1.0])
+        M[(block[:, None] == block[None, :]) & (rng.random((f, f)) < fill)] = -1.0
+        one_sided = np.triu(rng.random((f, f)) < 0.5, 1)
+        one_sided = one_sided | one_sided.T if rng.random() < 0.5 else one_sided
+        M[one_sided & (M != 0)] = 1e-12  # below the tolerance, facing an entry above it
+        mats.append(M + 2.0 * np.eye(f))
+    return mats
+
+
+def test_components_match_search_oracle():
+    """The search over the boolean pattern returns the components of the
+    list search, the same sorted lists in the same order."""
+    rng = np.random.default_rng(83)
+    counts = set()
+    for M in _component_patterns(rng):
+        comps = cartan._components(cartan._nonzero_pattern(M, 1e-9))
+        assert comps == components_oracle(cartan._nonzero_graph(M, 1e-9), len(M))
+        counts.add(min(len(comps), 3))
+    assert counts == {1, 2, 3}
+
+
+class _CountingMinimum:
+    """np.minimum, counting its reductions over rows."""
+
+    def __init__(self):
+        self.reductions = 0
+
+    def __call__(self, *args, **kwargs):
+        return _MINIMUM(*args, **kwargs)
+
+    def at(self, *args, **kwargs):
+        return _MINIMUM.at(*args, **kwargs)
+
+    def reduceat(self, *args, **kwargs):
+        self.reductions += 1
+        return _MINIMUM.reduceat(*args, **kwargs)
+
+
+_MINIMUM = np.minimum
+
+
+def test_components_rounds_do_not_grow_with_path_length(monkeypatch):
+    """A path in position order needs no round over the nonzeros whatever
+    its length (the A_1100 path), and a relabelled path at most one round
+    per halving of its labels and a confirming one."""
+    rng = np.random.default_rng(89)
+    for f in (10, 1100):
+        path = 2.0 * np.eye(f) - np.eye(f, k=1) - np.eye(f, k=-1)
+        perm = rng.permutation(f)
+        relabelled = path[np.ix_(perm, perm)]
+        for M, rounds in ((path, (0, 0)), (relabelled, (1, math.ceil(math.log2(f))))):
+            minimum = _CountingMinimum()
+            monkeypatch.setattr(np, "minimum", minimum)
+            comps = cartan._components(cartan._nonzero_pattern(M, 1e-9))
+            monkeypatch.undo()
+            assert comps == [list(range(f))]
+            assert rounds[0] <= minimum.reductions <= rounds[1]
 
 
 def test_normalize_long_path():

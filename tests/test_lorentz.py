@@ -272,17 +272,16 @@ def test_rank_deficient_step_fails_only_as_convergence_error(family):
     Q = family_realization(family, 32)[0]
     S = lorentz.psi_structure(Q)
     assert len(S.rows.elimination.levels) > 1
-    system = np.zeros((S.rows.elimination.size,) * 2)
     for x in _rank_deficient_seeds(Q):
         assert numerical_rank(lorentz.psi_jacobian(Q, x)).rank < S.nrows
         try:
-            step = S.gauss_newton_step(lorentz._alphas(x), S.eval(x), system)
+            step = S.gauss_newton_step(lorentz._alphas(x), S.eval(x))
         except lorentz.ConvergenceError:
             continue
         assert np.isfinite(step).all()
     zero = np.zeros((Q.f, Q.n + 1))
     with pytest.raises(lorentz.ConvergenceError, match="not positive definite"):
-        S.gauss_newton_step(lorentz._alphas(zero), S.eval(zero), system)
+        S.gauss_newton_step(lorentz._alphas(zero), S.eval(zero))
     with pytest.raises(lorentz.ConvergenceError):
         lorentz.solve_hyperbolic_newton(Q, zero)
 
@@ -306,7 +305,7 @@ def _assert_step_matches_full_solve(Q, x):
     kappa(G) u."""
     S = lorentz.psi_structure(Q)
     r = S.eval(x)
-    step = S.gauss_newton_step(lorentz._alphas(x), r, np.zeros((S.rows.elimination.size,) * 2))
+    step = S.gauss_newton_step(lorentz._alphas(x), r)
     ref, G = gauss_newton_step_oracle(Q, x, r)
     tol = max(1e-12, 4.0 * np.linalg.cond(G) * 2.0 ** -53)
     assert np.linalg.norm(step - ref) <= tol * np.linalg.norm(ref)
@@ -551,29 +550,34 @@ def test_psi_certificate_never_holds_the_full_gram():
 
 
 def test_newton_step_allocates_no_trailing_block():
-    """One Gauss-Newton step at the loebell(64) factor, given its work
-    array, forms the block left to LAPACK (m = 176 rows) in that array, and
-    has a traced peak under two such blocks (2 m^2 doubles): the Gram
-    entries, each level's multipliers and entries and their index casts.
-    The e x e block of the first level (e = 384) alone is 4.8 times one
-    such block.  LAPACK's copy inside np.linalg.solve is not traced."""
+    """One Gauss-Newton step at the loebell(64) factor forms the block left
+    to LAPACK (m = 176 rows) in the pattern's work array, and a second step
+    allocates no new one: its traced peak is under two such blocks (2 m^2
+    doubles), the Gram entries, each level's multipliers and entries and
+    their index casts.  The e x e block of the first level (e = 384) alone
+    is 4.8 times one such block.  LAPACK's copy inside np.linalg.solve is
+    not traced."""
     Q, _ = family_realization("loebell", 64)
     S = lorentz.psi_structure(Q)
     x = lorentz.initial_guess(Q)
     alphas, r = lorentz._alphas(x), S.eval(x)
     m = S.rows.elimination.size
-    system = np.zeros((m, m))
-    first = S.gauss_newton_step(alphas, r, system)  # the pattern's index arrays, once
-    system[:] = 0.0
+    first = S.gauss_newton_step(alphas, r)  # the pattern's index arrays and work array, once
+    work = S.rows.work
+    assert work.shape == (m, m)
+    work[:] = 0.0  # the second step forms the block again, in the same array
     tracemalloc.start()
     try:
-        step = S.gauss_newton_step(alphas, r, system)
+        step = S.gauss_newton_step(alphas, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(step, first)
+    assert S.rows.work is work
+    block = work.copy()
     A = S.rows.gram(S.values(alphas))
-    assert np.array_equal(system, A.trailing(-lorentz.LM_SHIFT * A.diagonal.sum() / S.nrows))
+    trailing = A.trailing(-lorentz.LM_SHIFT * A.diagonal.sum() / S.nrows)
+    assert trailing is work and np.array_equal(block, trailing)
     assert peak < 2 * m * m * 8
 
 

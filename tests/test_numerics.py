@@ -397,8 +397,9 @@ def _bordered_cases():
 def test_bordered_solve_matches_dense_solve():
     """BorderedGram.solve at a shift below 0 (Newton's -mu) and at one above
     0 (half the smallest diagonal entry) matches np.linalg.solve of the
-    dense fl(A - s I) to 4 kappa u, both being backward-stable solves; in a
-    reused work array it equals the fresh solve bit for bit.  Above 0,
+    dense fl(A - s I) to 4 kappa u, both being backward-stable solves; in
+    the pattern's reused work array it equals the solve of a fresh copy of
+    the pattern bit for bit.  Above 0,
     fl(A - s I) may be indefinite: where the dense elimination of the levels
     meets a pivot that is not positive, the solve raises LinAlgError, as
     the factorisation does.  The dense form of the same Gram matrix, which
@@ -408,24 +409,91 @@ def test_bordered_solve_matches_dense_solve():
         A = block_gram_oracle(rows, values)
         diag = np.diagonal(A)
         bordered, dense = rows.gram(values), BorderedGram.dense(A.copy())
-        work = np.zeros((rows.elimination.size,) * 2)
         for s in (-1e-12 * diag.sum() / len(diag), 0.5 * diag.min()):
             B = A.copy()
             B.flat[::len(B) + 1] -= s
             r = rng.normal(size=rows.nrows)
             ref = np.linalg.solve(B, r)
-            for out in (None, np.empty_like(A), None):
-                assert np.array_equal(dense.solve(s, r, out=out), ref), s
+            for _ in range(3):
+                assert np.array_equal(dense.solve(s, r), ref), s
             assert np.array_equal(dense.trailing(s), B), s
             if bordered_trailing_oracle(A, pivot_levels(rows), s) is None:
                 with pytest.raises(np.linalg.LinAlgError):
-                    bordered.solve(s, r, out=work)
+                    bordered.solve(s, r)
                 continue
             tol = 4.0 * np.linalg.cond(B) * UNIT_ROUNDOFF
-            y = bordered.solve(s, r, out=work)
+            y = bordered.solve(s, r)
             assert np.linalg.norm(y - ref) <= tol * np.linalg.norm(ref), s
-            assert np.array_equal(y, bordered.solve(s, r)), s
-            assert np.array_equal(work, bordered.trailing(s)), s
+            fresh = BlockRows(rows.nrows, rows.nblocks, rows.row, rows.block, rows.reused)
+            assert np.array_equal(y, fresh.gram(values).solve(s, r)), s
+            assert bordered.trailing(s) is rows.work, s
+            assert np.array_equal(rows.work, fresh.work), s
+
+
+def _arrow_rows(rng, k, g, width, deficient=False):
+    """k rows with disjoint supports of ``width`` columns each, then g dense
+    rows, the last of them the sum of two others where ``deficient``."""
+    W = np.zeros((k + g, k * width))
+    for i in range(k):
+        W[i, i * width:(i + 1) * width] = rng.normal(size=width)
+    W[k:] = rng.normal(size=(g, k * width))
+    if deficient:
+        W[-1] = W[0] + W[k]
+    return W
+
+
+def test_arrow_form_is_the_dense_elimination():
+    """BorderedGram.arrow of the Gram matrix of rows with disjoint supports
+    followed by dense rows has A's diagonal and, at shifts below the
+    smallest pivot, the trailing block of the dense elimination of those
+    rows up to the order of each entry's sum of products (2 gamma_k |L|
+    |L|^t, L the multipliers); it raises LinAlgError at a pivot that is not
+    positive; and the certificate decides as on the dense A, with the same
+    threshold, failing where the rows are rank-deficient."""
+    rng = np.random.default_rng(97)
+    for k, g, width in ((5, 3, 2), (40, 15, 8), (130, 15, 8)):
+        for deficient in (False, True):
+            W = _arrow_rows(rng, k, g, width, deficient)
+            A = W @ W.T
+            d = np.diagonal(A)
+            arrow = BorderedGram.arrow(d[:k].copy(), A[k:, :k].copy(), A[k:, k:].copy())
+            assert np.array_equal(arrow.diagonal, d)
+            for s in np.array([-0.5, 0.5]) * d[:k].min():
+                L = np.abs(A[k:, :k]) / np.sqrt(d[:k] - s)
+                bound = 2.0 * _gamma(k) * (L @ L.T)
+                ref = bordered_trailing_oracle(A, [np.arange(k)], s)
+                assert np.all(np.abs(arrow.trailing(s) - ref) <= bound), s
+            with pytest.raises(np.linalg.LinAlgError):
+                arrow.trailing(d[:k].max())
+            tau = _full_rank_certificate(arrow, W.shape)
+            assert tau == _full_rank_certificate(A.copy(), W.shape)
+            assert (tau is None) == deficient
+
+
+def test_second_certificate_allocates_no_trailing_block():
+    """A second certificate on D psi's and on the staircase's pattern at the
+    loebell(64) factor forms the block left to LAPACK (m rows) in the
+    pattern's work array again, and its traced peak stays under two such
+    blocks (2 m^2 doubles): LAPACK's factor of the block, and the levels'
+    entries and multipliers.  A block allocated per certificate, and the
+    factor, would exceed it."""
+    Q, R = family_realization("loebell", 64)
+    p = vinberg.hyperbolic_point(R)
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    for M, rows in ((lorentz.psi_matrix(Q, p.bs), lorentz.psi_structure(Q).rows),
+                    (vinberg.e2_staircase(index, p), index.staircase_rows)):
+        m = rows.elimination.size
+        assert _full_rank_certificate(M.gram(), M.shape) is not None
+        work = rows.work
+        assert work.shape == (m, m)
+        tracemalloc.start()
+        try:
+            tau = _full_rank_certificate(M.gram(), M.shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tau is not None and rows.work is work
+        assert peak < 2 * m * m * 8
 
 
 def test_transpose_product_is_the_dense_product():

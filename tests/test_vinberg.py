@@ -1,20 +1,21 @@
 import argparse
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import BlockRows, RankPolicy, numerical_rank
-from conftest import (apply_gauge, component_eigenpairs_oracle, det_grid_oracle,
-                      family_matrix_oracle, family_realization, finite_difference_jacobian,
-                      flatten, gauge_directions_oracle, interior_point_eig_oracle,
-                      interior_point_oracle, marching_squares_oracle, newton_case,
-                      open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
-                      random_gauge, reduced_rank_oracle, reduction_operators_oracle,
-                      unflatten)
+from coxdeform.numerics import BlockRows, RankPolicy, _gamma, numerical_rank
+from conftest import (apply_gauge, cartan_from_point, component_eigenpairs_oracle,
+                      components_oracle, det_grid_oracle, family_matrix_oracle,
+                      family_realization, finite_difference_jacobian, flatten,
+                      gauge_directions_oracle, interior_point_eig_oracle, interior_point_oracle,
+                      marching_squares_oracle, newton_case, open_conditions_oracle,
+                      phi_eval_oracle, phi_jacobian_oracle, random_gauge, reduced_rank_oracle,
+                      reduction_operators_oracle, unflatten)
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -157,6 +158,150 @@ def test_gauge_directions_match_loop_oracle():
         assert G.tobytes() == gauge_directions_oracle(p).tobytes()
 
 
+def test_membership_and_components_unchanged_by_the_search(monkeypatch):
+    """check_U_membership and decompose_components report the same with
+    the components of conftest's list search, on the bundled points and on
+    both families."""
+    cases = [_hyperbolic_case(name) for name in bundled.BUILTIN_NAMES]
+    cases += [(Q, vinberg.hyperbolic_point(R)) for Q, R in
+              (family_realization(family, m) for family in ("loebell", "prism") for m in (8, 64))]
+
+    def reports():
+        return [(vinberg.check_U_membership(Q, p),
+                 cartan.decompose_components(cartan_from_point(p, Q))) for Q, p in cases]
+    got = reports()
+    monkeypatch.setattr(cartan, "_components", lambda pattern: components_oracle(
+        cartan._neighbours(pattern.copy()), len(pattern)))
+    for (membership, comps), (membership0, comps0) in zip(got, reports()):
+        assert comps == comps0
+        assert membership.has_interior_point == membership0.has_interior_point
+        assert np.array_equal(membership.interior_point, membership0.interior_point)
+        assert membership[2:] == membership0[2:]
+
+
+def _gauge_points():
+    """The bundled hyperbolic points, both families up to m = 128, and
+    seeded random points in dimensions 3 to 5."""
+    points = [_hyperbolic_case(name)[1] for name in bundled.BUILTIN_NAMES]
+    points += [vinberg.hyperbolic_point(family_realization(family, m)[1])
+               for family in ("loebell", "prism") for m in (8, 32, 64, 128)]
+    rng = np.random.default_rng(71)
+    points += [vinberg.VinbergPoint(rng.normal(size=(f, dim)), rng.normal(size=(f, dim)))
+               for f, dim in ((3, 3), (5, 3), (7, 4), (20, 4), (6, 5))]
+    return points
+
+
+def test_gauge_arrow_certificate_matches_dense_decision():
+    """The gauge rank from the arrow form equals the decision on the dense
+    gauge directions: same rank and method, and the same threshold up to
+    the order in which the two diagonals sum the same squares (each trace
+    is within gamma_{q+k} of the exact one; cube_mixed's differ by 2.4
+    ulps).  The dense form was tried first, so every point certifies."""
+    for p in _gauge_points():
+        M = vinberg.gauge_matrix(p)
+        got, want = numerical_rank(M), numerical_rank(vinberg.gauge_directions(p))
+        assert (got.rank, got.method) == (want.rank, want.method) == (M.shape[0], "cholesky")
+        assert got.threshold == pytest.approx(want.threshold, rel=_gamma(sum(M.shape)), abs=0)
+
+
+def _planted_gauge_point(rng, f, dim):
+    """A point whose gauge orbit is not free: every b_i lies in w^perp and
+    every alpha_i vanishes on some v in w^perp, so X = v w^t is traceless
+    and -alpha_i X = 0 = X b_i.  In coordinates w = e_0 and v = e_{dim-1};
+    the point is (alphas g^-1, bs g^t) for the returned change of basis g,
+    which hides w and v from the coordinate units.  Only the middle
+    coordinates enter the Cartan matrix."""
+    alphas, bs = rng.normal(size=(f, dim)), rng.normal(size=(f, dim))
+    alphas[:, -1] = 0.0
+    bs[:, 0] = 0.0
+    g = rng.normal(size=(dim, dim))
+    return alphas, bs, g
+
+
+def _axis_gauge_point(rng, f, dim):
+    """A point whose alpha_i and b_i lie on the same coordinate axis k(i),
+    every axis taken: each traceless diagonal X acts on facet i as the
+    rescaling by X_k(i)k(i), so dim - 1 combinations of the traceless and
+    the rescaling rows vanish, while the traceless rows alone keep full
+    rank.  A random change of basis hides the axes."""
+    axis = np.concatenate([np.arange(dim), rng.integers(0, dim, f - dim)])
+    scale = rng.uniform(0.5, 2.0, f)
+    alphas, bs = np.zeros((f, dim)), np.zeros((f, dim))
+    alphas[np.arange(f), axis] = scale
+    bs[np.arange(f), axis] = 2.0 / scale
+    g = rng.normal(size=(dim, dim))
+    return vinberg.VinbergPoint(alphas @ np.linalg.inv(g), bs @ g.T)
+
+
+def test_gauge_rank_deficiency_found_on_both_paths():
+    """At a planted point the traceless direction X = v w^t is a kernel
+    direction of the gauge map, so the arrow certificate fails and the SVD
+    of the dense gauge directions decides: both paths give a rank of at
+    most f + dim^2 - 2.  At an axis point the deficiency, dim - 1, mixes
+    the traceless rows with the rescalings, so only the Schur update of
+    the arrow form shows it.  A random point of the same size has full
+    rank."""
+    rng = np.random.default_rng(73)
+    for f, dim in ((3, 3), (6, 4), (12, 4), (40, 4), (9, 5)):
+        alphas, bs, g = _planted_gauge_point(rng, f, dim)
+        planted = vinberg.VinbergPoint(alphas @ np.linalg.inv(g), bs @ g.T)
+        for p, deficiency in ((planted, 1), (_axis_gauge_point(rng, f, dim), dim - 1)):
+            got = numerical_rank(vinberg.gauge_matrix(p))
+            want = numerical_rank(vinberg.gauge_directions(p))
+            assert got.method == want.method == "svd"
+            assert got.rank == want.rank <= vinberg.gauge_dimension(f, dim) - deficiency
+        control = vinberg.VinbergPoint(rng.normal(size=(f, dim)), rng.normal(size=(f, dim)))
+        assert numerical_rank(vinberg.gauge_matrix(control)).rank == \
+            vinberg.gauge_dimension(f, dim)
+
+
+def test_dimension_refused_where_gauge_orbit_is_not_free():
+    """A solution of the equations of three facets pairwise of order 3
+    whose Cartan matrix, the affine [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    of rank 2, is factored through the middle coordinates of R^4, as in
+    ``_planted_gauge_point``: the point solves Vinberg's equations, but its
+    gauge orbit is not free, and the dimension count refuses it."""
+    index = vinberg.EquationIndex((1, 2, 3), 3, (), {(1, 2): 3, (1, 3): 3, (2, 3): 3}, ())
+    A = 3.0 * np.eye(3) - 1.0
+    lam, V = np.linalg.eigh(A)
+    U = V[:, 1:] * np.sqrt(lam[1:])  # A = U U^t
+    rng = np.random.default_rng(79)
+    alphas, bs, g = _planted_gauge_point(rng, 3, 4)
+    alphas[:, 1:3], bs[:, 1:3] = U, U
+    p = vinberg.VinbergPoint(alphas @ np.linalg.inv(g), bs @ g.T)
+    assert np.abs(vinberg.phi_eval(index, p)).max() < 1e-12
+    assert numerical_rank(vinberg.gauge_directions(p)).rank < vinberg.gauge_dimension(3, 4)
+    with pytest.raises(vinberg.VinbergError, match="gauge orbit is not free"):
+        vinberg.local_deformation_dimension(index, p)
+
+
+def test_traceless_basis_built_once_per_dimension():
+    """The traceless basis is cached per dimension and read-only."""
+    basis = vinberg._traceless_basis(4)
+    assert vinberg._traceless_basis(4) is basis and not basis.flags.writeable
+    assert basis.shape == (15, 2, 4, 4)
+    assert np.array_equal(basis[:, 1], basis[:, 0].transpose(0, 2, 1))
+    assert not np.trace(basis[:, 0], axis1=1, axis2=2).any()
+
+
+def test_dimension_report_peak_memory():
+    """A warm local_deformation_dimension at the loebell(64) factor has a
+    traced peak under 1 MiB: the gauge rank needs no dense (f + 15) x 8f
+    matrix (1.2 MB at f = 130), and the blocks left to LAPACK are formed in
+    their patterns' work arrays."""
+    Q, R = family_realization("loebell", 64)
+    p = vinberg.hyperbolic_point(R)
+    assert vinberg.local_deformation_dimension(Q, p).full_rank  # the patterns' arrays, once
+    tracemalloc.start()
+    try:
+        report = vinberg.local_deformation_dimension(Q, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.deformation_dim == 2 * 64 - 3
+    assert peak < 2 ** 20 < (p.f + 15) * 8 * p.f * 8
+
+
 def test_numerical_rank_basics():
     assert numerical_rank(np.eye(5)).rank == 5
     u = np.arange(1.0, 5.0)
@@ -294,8 +439,10 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     matrix is never formed: its f diagonal rows are eliminated in closed
     form, then the levels of its e x e ridge block, and the staircase's
     rows less a greedy matching of them and its further levels; LAPACK
-    factors only what is left (``LEVEL_SIZES``), and the gauge directions
-    stay dense."""
+    factors only what is left (``LEVEL_SIZES``).  The gauge directions'
+    Gram matrix is never formed either: its f rescaling rows are eliminated
+    in closed form, and LAPACK factors the (n+1)^2 - 1 traceless rows'
+    block that is left."""
     family, m = ("prism", 16) if name == "prism16" else ("loebell", int(name[7:]))
     Q, R = family_realization(family, m)
     p = vinberg.hyperbolic_point(R)
@@ -319,7 +466,7 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     assert report.rank_phi.method == "block" and report.rank_phi.full_rank
     assert sorted(grams) == sorted([n2, f + e])
     assert diagonals == [index.N]
-    g = vinberg.gauge_dimension(p.f, p.dim)  # the dense gauge directions' Gram matrix
+    g = p.dim * p.dim - 1  # the traceless block of the gauge directions' arrow form
     last = psi_sizes[-1], staircase_sizes[-1]
     assert sorted(factored) == sorted([(last[0],) * 2, (last[1],) * 2, (g, g)])
 
