@@ -4,7 +4,11 @@ A compact hyperbolic Coxeter polytope is encoded by unit spacelike normals
 nu_1..nu_f in R^{1,n} satisfying <nu_i, nu_i> = 1 and, on each ridge,
 <nu_i, nu_j> = -cos(pi/n_ij).  This module assembles that equation system and
 its Jacobian, realizes simplices directly from the Gram matrix, and solves the
-general case by Gauss-Newton iteration from a library of seed guesses.
+general case by Gauss-Newton iteration from a library of seed guesses.  The
+prism and two-ring seeds are solved first on the orbits of the rotation of
+their rings that keeps the orders, a dense system whose size depends on the
+rotation, not on the number of facets; on such orbifolds the Gauss-Newton
+iteration on the whole system then takes no step.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ SIGNATURE_EIG_TOL = 1e-9
 DIVERGENCE_THRESHOLD = -1.0   # non-adjacent facets: <nu_i, nu_j> below this
 DIVERGENCE_MARGIN = 1e-6      # rejects boundary (asymptotic-hyperplane) noise
 LM_SHIFT = 1e-12              # Gauss-Newton: mu = LM_SHIFT * trace(J J^t) / rows
+ORBIT_MAX_ITER = 20           # the ring seeds' Gauss-Newton steps on the orbits
+ORBIT_MAX_ROWS = 160          # and the largest orbit system they take them on
 # seed library: the Klein-model plane offset of the prism seed where its
 # mean-angle system has no solution; the doubled cube's face offset and
 # corner cut
@@ -97,7 +103,7 @@ class PsiStructure:
     """
 
     def __init__(self, Q):
-        pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+        pos = self.position = {facet: k for k, facet in enumerate(Q.base.facets)}
         self.vertex_rows = np.array([[pos[i] for i in sorted(V)] for V in Q.base.vertices or ()],
                                     dtype=np.intp)
         pairs = Q.base.nonadjacent_pairs
@@ -119,6 +125,22 @@ class PsiStructure:
     @property
     def nrows(self):
         return len(self.a)
+
+    @cached_property
+    def _ridge_keys(self):
+        """The ridge rows' keys min(a, b) f + max(a, b), sorted, and the
+        rows in that order."""
+        f = self.f
+        a, b = self.a[f:], self.b[f:]
+        keys = np.minimum(a, b) * f + np.maximum(a, b)
+        order = np.argsort(keys)
+        return keys[order], order + f
+
+    def ridge_rows(self, p, q):
+        """The rows of the ridges between the facet positions ``p`` and
+        ``q``, broadcast against each other."""
+        keys, rows = self._ridge_keys
+        return rows[np.searchsorted(keys, np.minimum(p, q) * self.f + np.maximum(p, q))]
 
     def eval(self, normals):
         return self.residuals(lorentz_gram(normals))
@@ -347,6 +369,26 @@ def _klein_plane(unit_normal, offset):
     return nu / math.sqrt(1.0 - c * c)
 
 
+def _ring_seed(f, caps, c_c, rings, c_r, turns, h, v):
+    """The f :func:`_klein_plane` normals of two caps x_3 = +-c_c
+    (positions ``caps``) and of rings at offset c_r, ring k (positions
+    ``rings[k]``) with unit normals (h cos th, h sin th, v[k]) at
+    th = 2 pi j / m - turns[k], j its position in the ring.  Each ring's
+    planes are one array expression; its cosines and sines are taken with
+    :mod:`math`, which keeps the seeds the same on every platform."""
+    if not (0 < c_c < 1 and 0 < c_r < 1):
+        raise RealizationError("plane offset must lie in (0, 1)")
+    m = rings.shape[1]
+    nu = np.empty((f, 4))
+    nu[caps] = (np.array([(-c_c, -0.0, -0.0, -1.0), (-c_c, -0.0, -0.0, 1.0)])
+                / math.sqrt(1.0 - c_c * c_c))
+    for ring, turn, z in zip(rings, turns, v):
+        th = [2.0 * math.pi * j / m - turn for j in range(m)]
+        nu[ring] = (np.array([(-c_r, -h * math.cos(t), -h * math.sin(t), -z) for t in th])
+                    / math.sqrt(1.0 - c_r * c_r))
+    return nu
+
+
 def _prism_structure(P):
     """Detect prism combinatorics: two non-adjacent caps, quadrilateral sides.
     Returns (cap_a, cap_b, cyclic side order) or None."""
@@ -437,9 +479,10 @@ def _doubled_cube_structure(P):
     return hexes, halves[0], halves[1]
 
 
-def _mean_cos(Q, pairs):
-    """The mean of cos(pi/m) over the ridges ``pairs`` of Q."""
-    return sum(math.cos(math.pi / Q.order(i, j)) for i, j in pairs) / len(pairs)
+def _mean_cos(shifts):
+    """The mean of cos(pi/m) over ridge rows whose shifts 2 cos(pi/m) are
+    ``shifts``, summed in their order."""
+    return sum((0.5 * shifts).ravel().tolist()) / shifts.size
 
 
 def _offset(c):
@@ -452,30 +495,38 @@ def _offset(c):
 
 def _prism_seed(Q, structure):
     """The rotationally symmetric prism: caps x_3 = +-c_c and sides at
-    offset c_s with normals 2 pi/m apart.
+    offset c_s with normals 2 pi/m apart, solved on the orbits of the
+    orders' rotation (:func:`_orbit_solve`).
 
     Every ridge of a class (cap-side, side-side) gets the class's mean
     kappa = mean cos(pi/m_ij); with theta = 2 pi/m the side-side and
     cap-side equations then read c_s^2 = (cos theta + k_ss) / (1 + k_ss)
-    and c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s.  The seed solves
-    psi exactly when the orders are constant on each class."""
+    and c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s.  This closed
+    form solves psi exactly when the orders are constant on each class."""
     a, b, ring = structure
+    S = psi_structure(Q)
     m = len(ring)
-    k_ss = _mean_cos(Q, [(ring[j - 1], ring[j]) for j in range(m)])
-    k_cs = _mean_cos(Q, [(cap, s) for cap in (a, b) for s in ring])
+    caps = np.array([S.position[a], S.position[b]])
+    sides = np.array([S.position[x] for x in ring])
+    # the cap-side rows of a, of b, and the side-side rows (s_{j-1}, s_j)
+    others = np.empty((3, m), dtype=np.intp)
+    others[:2] = caps[:, None]
+    others[2, 0], others[2, 1:] = sides[-1], sides[:-1]
+    shifts = S.shift[S.ridge_rows(others, sides)]
+    k_ss, k_cs = _mean_cos(shifts[2]), _mean_cos(shifts[:2])
     c_s = _offset(math.sqrt(max(math.cos(2.0 * math.pi / m) + k_ss, 0.0) / (1.0 + k_ss)))
     t = k_cs * math.sqrt(1.0 - c_s * c_s) / c_s
     c_c = _offset(t / math.sqrt(1.0 + t * t))
-    rows = {a: _klein_plane([0.0, 0.0, 1.0], c_c), b: _klein_plane([0.0, 0.0, -1.0], c_c)}
-    for i, s in enumerate(ring):
-        th = 2.0 * math.pi * i / m
-        rows[s] = _klein_plane([math.cos(th), math.sin(th), 0.0], c_s)
-    return np.array([rows[x] for x in Q.base.facets])
+    x = _ring_seed(Q.f, caps, c_c, sides[None], c_s, (0.0,), 1.0, (0.0,))
+    if (shifts[:2] == shifts[0, 0]).all() and (shifts[2] == shifts[2, 0]).all():
+        return x  # constant on each class: exact
+    return _orbit_solve(S, x, caps, sides[None], shifts)
 
 
 def _loebell_seed(Q, structure):
     """Barrel seed: two caps x_3 = +-c_c and two interlocking rings at
-    offset c_r, tilted by +-tilt, the lower ring turned by -pi/m.
+    offset c_r, tilted by +-tilt, the lower ring turned by -pi/m, solved on
+    the orbits of the orders' rotation (:func:`_orbit_solve`).
 
     Every ridge of a class (cap-ring, within a ring, across the rings) gets
     the class's mean kappa_1, kappa_2, kappa_3.  With X = c_r^2 and
@@ -483,13 +534,20 @@ def _loebell_seed(Q, structure):
     ring equations are linear, (1 + k_2) X + (1 - cos 2 pi/m) A = 1 + k_2
     and -(1 + k_3) X + (1 + cos pi/m) A = 1 - k_3, with a solution in
     (0, 1)^2 for every m >= 4; c_c then solves
-    -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2).  The seed
-    solves psi exactly when the orders are constant on each class."""
+    -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2).  This closed
+    form solves psi exactly when the orders are constant on each class."""
     top, bottom, upper, lower = structure
+    S = psi_structure(Q)
     m = len(upper)
-    k1 = _mean_cos(Q, [(cap, u) for cap, ring in ((top, upper), (bottom, lower)) for u in ring])
-    k2 = _mean_cos(Q, [(ring[j - 1], ring[j]) for ring in (upper, lower) for j in range(m)])
-    k3 = _mean_cos(Q, [(w, upper[j + d]) for j, w in enumerate(lower) for d in (-1, 0)])
+    caps = np.array([S.position[top], S.position[bottom]])
+    rings = np.array([[S.position[x] for x in upper], [S.position[x] for x in lower]])
+    u, w = rings
+    before = np.arange(m) - 1
+    # top-upper, bottom-lower; (u_{j-1}, u_j), (w_{j-1}, w_j); (w_j, u_{j-1}), (w_j, u_j)
+    shifts = S.shift[S.ridge_rows(
+        np.stack([np.full(m, caps[0]), np.full(m, caps[1]), u[before], w[before], w, w]),
+        np.stack([u, w, u, w, u[before], u]))]
+    k1, k2, k3 = _mean_cos(shifts[:2]), _mean_cos(shifts[2:4]), _mean_cos(shifts[4:].T)
     cos1, cos2 = math.cos(math.pi / m), math.cos(2.0 * math.pi / m)
     A = 2.0 * (1.0 + k2) / ((1.0 + k2) * (1.0 + cos1) + (1.0 - cos2) * (1.0 + k3))
     X = 1.0 - (1.0 - cos2) * A / (1.0 + k2)
@@ -498,14 +556,122 @@ def _loebell_seed(Q, structure):
     c_r, gamma = math.sqrt(X), k1 * math.sqrt(1.0 - X)
     R2 = X + gamma * gamma
     c_c = (c_r * v + gamma * math.sqrt(max(R2 - v * v, 0.0))) / R2
-    rows = {top: _klein_plane([0.0, 0.0, 1.0], c_c),
-            bottom: _klein_plane([0.0, 0.0, -1.0], c_c)}
-    for i in range(m):
-        th = 2.0 * math.pi * i / m
-        rows[upper[i]] = _klein_plane([h * math.cos(th), h * math.sin(th), v], c_r)
-        th = 2.0 * math.pi * i / m - math.pi / m
-        rows[lower[i]] = _klein_plane([h * math.cos(th), h * math.sin(th), -v], c_r)
-    return np.array([rows[x] for x in Q.base.facets])
+    x = _ring_seed(Q.f, caps, c_c, rings, c_r, (0.0, math.pi / m), h, (v, -v))
+    if all((shifts[k:k + 2] == shifts[k, 0]).all() for k in (0, 2, 4)):
+        return x  # constant on each class: exact
+    return _orbit_solve(S, x, caps, rings, shifts)
+
+
+def _rotation_period(orders):
+    """The smallest s dividing m under which the columns of the m-column
+    array ``orders`` repeat, column j + s equal to column j."""
+    m = orders.shape[1]
+    return next(s for s in range(1, m + 1)
+                if m % s == 0 and (orders[:, s:] == orders[:, :m - s]).all())
+
+
+def _rotations(angle):
+    """The rotation by each angle in the (e_1, e_2) plane, which fixes the
+    cap axis e_3 and the time axis e_0."""
+    c, s = np.cos(angle), np.sin(angle)
+    R = np.zeros((len(angle), 4, 4))
+    R[:, 0, 0] = R[:, 3, 3] = 1.0
+    R[:, 1, 1], R[:, 1, 2], R[:, 2, 1], R[:, 2, 2] = c, -s, s, c
+    return R
+
+
+def _orbit_solve(S, x, caps, rings, shifts):
+    """Solve psi from a ring seed ``x`` on the orbits of the rotation that
+    keeps the orders (Fassler and Stiefel, Group Theoretical Methods and
+    Their Applications, 1992).
+
+    ``caps`` are the two cap positions, each row of ``rings`` a ring's
+    positions in cyclic order, and each row of ``shifts`` the shifts
+    2 cos(pi/m_ij) of ridges that move with ring position j along column
+    j, which together cover every ridge.  The orders are
+    invariant under turning every ring by s positions, s the smallest such
+    divisor of the ring length m (:func:`_rotation_period`).  With K = m / s
+    and R the rotation by 2 pi / K about the cap axis, under which x is
+    already symmetric, the unknowns are one normal per facet orbit: the
+    first s facets of each ring, free, and the caps, which R fixes, in
+    span(e_0, e_3).  Ring facet j is R^(j // s) times the normal of facet
+    j mod s.  Each orbit of rows gives one row 2<nu_a, R^k nu_b> + shift,
+    weighted by the square root of the orbit's size, and each unknown is
+    scaled by that of its facet orbit, so that the residual norm and the
+    minimum-norm Gauss-Newton step are those of the whole system.  The step
+    solves the dense (J J^t + mu I) y = r as :func:`solve_hyperbolic_newton`
+    does; the gauge left is the rotation about the cap axis and the boost
+    along it.  Descent is kept by step halving, and the last iterate, the
+    best, is returned expanded, or x itself where it is within
+    RESIDUAL_TOL.  x is returned at once where no rotation keeps the
+    orders, and where the orbit system has more than ORBIT_MAX_ROWS rows,
+    above which its dense steps cost more than the sparse ones of the whole
+    system.  At most ORBIT_MAX_ITER steps are taken."""
+    m = rings.shape[1]
+    period = _rotation_period(shifts)
+    if period == m:
+        return x
+    K, nrep = m // period, 2 + len(rings) * period
+    j = np.arange(m)
+    rep, power = np.empty(S.f, dtype=np.intp), np.zeros(S.f, dtype=np.intp)
+    rep[caps] = (0, 1)
+    rep[rings] = 2 + period * np.arange(len(rings))[:, None] + j % period
+    power[rings] = j // period
+    # a row's orbit: its facets' orbits and the turn between them, unordered;
+    # R fixes the caps, so a row with a cap has no turn
+    ra, rb = rep[S.a], rep[S.b]
+    turn = np.where(np.minimum(ra, rb) < 2, 0, (power[S.b] - power[S.a]) % K)
+    keys = np.minimum((ra * nrep + rb) * K + turn, (rb * nrep + ra) * K + (K - turn) % K)
+    keys, first, size = np.unique(keys, return_index=True, return_counts=True)
+    if len(keys) > ORBIT_MAX_ROWS:
+        return x
+    n = len(keys)
+    ia, ib = keys // (K * nrep), keys // K % nrep
+    weight = np.sqrt(size)
+    M = _rotations(2.0 * math.pi * (keys % K) / K) * (2.0 * weight)[:, None, None]
+    M[:, 0] *= -1.0  # weight 2 J R^k
+    shift = weight * S.shift[first]
+    # 1 / sqrt(size) of each unknown's facet orbit, 0 off span(e_0, e_3) at the caps
+    scale = np.full((nrep, 4), 1.0 / math.sqrt(K))
+    scale[:2] = (1.0, 0.0, 0.0, 1.0)
+    cols = 4 * np.arange(n)[:, None] * nrep + np.arange(4)
+    cols_a, cols_b = cols + 4 * ia[:, None], cols + 4 * ib[:, None]
+    scale_a, scale_b = scale[ia], scale[ib]
+
+    def residuals(nu):
+        turned = np.matmul(M, nu[ib, :, None])[..., 0]  # weighted 2 J R^k nu_b
+        return np.einsum("ij,ij->i", nu[ia], turned) + shift, turned
+
+    nu = x[np.concatenate([caps, rings[:, :period].ravel()])]
+    r, turned = residuals(nu)
+    norm, moved = math.sqrt(r @ r), False
+    for _ in range(ORBIT_MAX_ITER):
+        if norm < RESIDUAL_TOL:
+            break
+        A = np.zeros(n * nrep * 4)
+        A[cols_a] = turned * scale_a
+        A[cols_b] += np.matmul(nu[ia, None, :], M)[:, 0] * scale_b
+        A = A.reshape(n, 4 * nrep)
+        G = A @ A.T
+        G.flat[::n + 1] += LM_SHIFT * np.trace(G) / n
+        try:
+            step = (np.linalg.solve(G, r) @ A).reshape(nrep, 4) * scale
+        except np.linalg.LinAlgError:
+            break
+        t = 1.0
+        for _ in range(25):
+            nu_new = nu - t * step
+            r_new, turned_new = residuals(nu_new)
+            norm_new = math.sqrt(r_new @ r_new)
+            if norm_new < norm:
+                break
+            t *= 0.5
+        else:
+            break
+        nu, r, turned, norm, moved = nu_new, r_new, turned_new, norm_new, True
+    if not moved:
+        return x
+    return np.matmul(_rotations(2.0 * math.pi * power / K), nu[rep, :, None])[..., 0]
 
 
 def _doubled_cube_seed(Q, structure):
@@ -545,10 +711,10 @@ def initial_guess(Q):
     dodecahedron L(5)) that fits.  A polytope that no seed fits raises
     RealizationError.
 
-    The prism and two-ring seeds are built from Q's own angles.  Each is the
-    rotationally symmetric configuration of Klein planes x . u = c, with
-    nu = (-c, -u) / sqrt(1 - c^2), that solves psi exactly when every ridge
-    of a symmetry class has the class's mean kappa = mean cos(pi/m_ij):
+    The prism and two-ring seeds are built from Q's own angles.  Each starts
+    from the rotationally symmetric configuration of Klein planes x . u = c,
+    with nu = (-c, -u) / sqrt(1 - c^2), that solves psi exactly when every
+    ridge of a symmetry class has the class's mean kappa = mean cos(pi/m_ij):
 
     - prism (theta = 2 pi/m): c_s^2 = (cos theta + k_ss) / (1 + k_ss) and
       c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s;
@@ -557,7 +723,13 @@ def initial_guess(Q):
       -(1 + k_3) X + (1 + cos pi/m) A = 1 - k_3 across the rings, and
       -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2) at the caps.
 
-    An offset the mean system puts at the origin becomes OFFSET_FLOOR."""
+    An offset the mean system puts at the origin becomes OFFSET_FLOOR.
+    Where a rotation of the rings by s of their m positions keeps the
+    orders, this closed form is then solved on the orbits of that rotation
+    (:func:`_orbit_solve`), so the seed solves psi for every such order
+    assignment, not only for the class-constant ones; the seed is never
+    worse than the closed form.  Without such a rotation the seed is the
+    closed form."""
     P = Q.base
     if P.e == P.f * (P.f - 1) // 2:
         return realize_gram(Q).normals

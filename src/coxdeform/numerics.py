@@ -392,9 +392,8 @@ def _block_levels(m, keys, reused):
             break
         keep = np.flatnonzero(~pr & ~pc)
         size = m - npivots
-        next_keys, entry = np.unique(np.concatenate([
-            trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
-            couple_row[a].astype(np.int64) * size + couple_row[b]]), return_inverse=True)
+        next_keys, entry = _merge_keys(trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
+                                       couple_row[a].astype(np.int64) * size + couple_row[b])
         levels.append(_Level(
             np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
             couple_pivot.astype(np.int32), (a, b),
@@ -403,6 +402,24 @@ def _block_levels(m, keys, reused):
             len(next_keys)))
         m, keys = size, next_keys
     return levels, keys, m
+
+
+def _merge_keys(kept, fill):
+    """np.unique(np.concatenate([kept, fill]), return_inverse=True) for
+    sorted distinct ``kept``: only the fill is sorted, and its distinct
+    keys that are not kept are merged into the kept ones."""
+    fill, fill_entry = np.unique(fill, return_inverse=True)
+    at = kept.searchsorted(fill)
+    found = at < len(kept)
+    found[found] = kept[at[found]] == fill[found]
+    new = fill[~found]
+    kept_pos = np.arange(len(kept)) + new.searchsorted(kept)
+    new_pos = np.arange(len(new)) + at[~found]
+    keys = np.empty(len(kept) + len(new), dtype=np.result_type(kept, fill))
+    keys[kept_pos], keys[new_pos] = kept, new
+    fill_pos = np.empty(len(fill), dtype=np.intp)
+    fill_pos[found], fill_pos[~found] = kept_pos[at[found]], new_pos
+    return keys, np.concatenate([kept_pos, fill_pos[fill_entry]])
 
 
 def _independent_rows(m, rows, cols, by_degree):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, lorentz, matchstats, orbifold as ob, polytope as pt, vinberg
+from coxdeform import numerics
 from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF, BlockRows,
                                 _gamma, _sigma_bound, numerical_rank, svd_rank)
 
@@ -712,6 +713,59 @@ def constant_seed_oracle(Q):
     return np.array([rows[x] for x in P.facets])
 
 
+def closed_form_seed_oracle(Q):
+    """The prism and two-ring seeds in closed form, one Klein plane and one
+    order lookup at a time: every ridge of a class at the class's mean
+    cos(pi/m_ij), summed in the order below; other polytopes get
+    ``initial_guess``."""
+    P = Q.base
+
+    def mean_cos(pairs):
+        return sum(math.cos(math.pi / Q.order(i, j)) for i, j in pairs) / len(pairs)
+
+    def offset(c):
+        return c if c > 1e-6 else lorentz.OFFSET_FLOOR
+
+    prism = lorentz._prism_structure(P)
+    two_ring = None if prism else lorentz._loebell_structure(P)
+    if prism:
+        a, b, ring = prism
+        m = len(ring)
+        k_ss = mean_cos([(ring[j - 1], ring[j]) for j in range(m)])
+        k_cs = mean_cos([(cap, s) for cap in (a, b) for s in ring])
+        c_s = offset(math.sqrt(max(math.cos(2.0 * math.pi / m) + k_ss, 0.0) / (1.0 + k_ss)))
+        t = k_cs * math.sqrt(1.0 - c_s * c_s) / c_s
+        c_c = offset(t / math.sqrt(1.0 + t * t))
+        rows = {a: lorentz._klein_plane([0.0, 0.0, 1.0], c_c),
+                b: lorentz._klein_plane([0.0, 0.0, -1.0], c_c)}
+        for i, s in enumerate(ring):
+            th = 2.0 * math.pi * i / m
+            rows[s] = lorentz._klein_plane([math.cos(th), math.sin(th), 0.0], c_s)
+    elif two_ring:
+        top, bottom, upper, lower = two_ring
+        m = len(upper)
+        k1 = mean_cos([(cap, u) for cap, ring in ((top, upper), (bottom, lower)) for u in ring])
+        k2 = mean_cos([(ring[j - 1], ring[j]) for ring in (upper, lower) for j in range(m)])
+        k3 = mean_cos([(w, upper[j + d]) for j, w in enumerate(lower) for d in (-1, 0)])
+        cos1, cos2 = math.cos(math.pi / m), math.cos(2.0 * math.pi / m)
+        A = 2.0 * (1.0 + k2) / ((1.0 + k2) * (1.0 + cos1) + (1.0 - cos2) * (1.0 + k3))
+        X = 1.0 - (1.0 - cos2) * A / (1.0 + k2)
+        h, v = math.sqrt(A), math.sqrt(1.0 - A)
+        c_r, gamma = math.sqrt(X), k1 * math.sqrt(1.0 - X)
+        R2 = X + gamma * gamma
+        c_c = (c_r * v + gamma * math.sqrt(max(R2 - v * v, 0.0))) / R2
+        rows = {top: lorentz._klein_plane([0.0, 0.0, 1.0], c_c),
+                bottom: lorentz._klein_plane([0.0, 0.0, -1.0], c_c)}
+        for i in range(m):
+            th = 2.0 * math.pi * i / m
+            rows[upper[i]] = lorentz._klein_plane([h * math.cos(th), h * math.sin(th), v], c_r)
+            th = 2.0 * math.pi * i / m - math.pi / m
+            rows[lower[i]] = lorentz._klein_plane([h * math.cos(th), h * math.sin(th), -v], c_r)
+    else:
+        return lorentz.initial_guess(Q)
+    return np.array([rows[x] for x in P.facets])
+
+
 def dense_gram_oracle(M):
     """fl(W W^t) for the short side W of M, by one dense product."""
     W = M if M.shape[0] <= M.shape[1] else M.T
@@ -774,6 +828,40 @@ def pivot_levels(rows):
         levels.append(current[L.pivot_rows])
         current = current[L.trail_rows]
     return levels
+
+
+def block_levels_oracle(m, keys, reused):
+    """``numerics._block_levels`` with each next block's keys and the entry
+    of each kept entry and update found by one np.unique over the kept
+    entries and the fill together."""
+    levels = []
+    while not levels or numerics._takes_level(m, m, 0, 0, reused):
+        rows, cols = np.divmod(keys, m)
+        pivot = numerics._independent_rows(m, rows, cols, by_degree=bool(levels))
+        npivots = int(np.count_nonzero(pivot))
+        trail_pos, pivot_pos = np.cumsum(~pivot) - 1, np.cumsum(pivot) - 1
+        pr, pc = pivot[rows], pivot[cols]
+        couples = np.flatnonzero(pr != pc)
+        trail = trail_pos[np.where(pr, cols, rows)[couples]]
+        couple_pivot = pivot_pos[np.where(pr, rows, cols)[couples]]
+        order = np.lexsort((trail, couple_pivot))
+        couples, couple_row, couple_pivot = couples[order], trail[order], couple_pivot[order]
+        a, b = numerics._lower_updates(couple_row, np.bincount(couple_pivot, minlength=npivots))
+        if levels and not numerics._takes_level(m, npivots, len(keys), len(a), reused):
+            break
+        keep = np.flatnonzero(~pr & ~pc)
+        size = m - npivots
+        next_keys, entry = np.unique(np.concatenate([
+            trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
+            couple_row[a].astype(np.int64) * size + couple_row[b]]), return_inverse=True)
+        levels.append(numerics._Level(
+            np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
+            couple_pivot.astype(np.int32), (a, b),
+            keys.searchsorted(np.flatnonzero(pivot) * (m + 1)).astype(np.int32),
+            couples.astype(np.int32), keep.astype(np.int32), entry.astype(np.int32),
+            len(next_keys)))
+        m, keys = size, next_keys
+    return levels, keys, m
 
 
 def bordered_trailing_oracle(A, levels, s):

@@ -7,9 +7,10 @@ import pytest
 
 from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vinberg
 from coxdeform.numerics import numerical_rank
-from conftest import (constant_seed_oracle, family_realization, finite_difference_jacobian,
-                      gauss_newton_step_oracle, loebell_factor_orbifold, newton_bincount_oracle,
-                      newton_case, newton_lstsq_oracle, prism_cap_orbifold, psi_eval_oracle,
+from conftest import (closed_form_seed_oracle, constant_seed_oracle, family_realization,
+                      finite_difference_jacobian, gauss_newton_step_oracle,
+                      loebell_factor_orbifold, newton_bincount_oracle, newton_case,
+                      newton_lstsq_oracle, prism_cap_orbifold, psi_eval_oracle,
                       psi_jacobian_oracle, random_lorentz_transform, realization_oracle,
                       relabelled, seed_structure_oracle, shuffled_factor, vertex_point)
 
@@ -364,14 +365,15 @@ def test_seed_reaches_constant_seed_realization_on_families(family):
         _assert_same_realization(*family_realization(family, m))
 
 
-def _two_ring_class_orbifold(m, cap, within, across):
-    """L(m) with one order on each ridge class of the two-ring seed."""
+def _two_ring_class_orbifold(m, cap, within, across, bottom_cap=None):
+    """L(m) with one order on each ridge class of the two-ring seed, or with
+    ``bottom_cap`` on the bottom cap's ridges."""
     P = pt.loebell(m)
     top, bottom, upper, lower = lorentz._loebell_structure(P)
     orders = {}
-    for c, ring in ((top, upper), (bottom, lower)):
+    for c, ring, order in ((top, upper, cap), (bottom, lower, bottom_cap or cap)):
         for j in range(m):
-            orders[tuple(sorted((c, ring[j])))] = cap
+            orders[tuple(sorted((c, ring[j])))] = order
             orders[tuple(sorted((ring[j - 1], ring[j])))] = within
     for j, w in enumerate(lower):
         for u in (upper[j - 1], upper[j]):
@@ -411,6 +413,197 @@ def test_newton_step_counts():
     for m in (8, 16, 32, 48, 64):
         lorentz.solve_hyperbolic_newton(loebell_factor_orbifold(pt.loebell(m)), max_iter=6)
         lorentz.solve_hyperbolic_newton(prism_cap_orbifold(m), max_iter=0)
+
+
+# -- the ring seeds solved on the orbits of the orders' rotation --------------
+
+def _alternating_prism(m):
+    """prism(m), m even, with the side-side orders 2, 3, 2, ... and each
+    cap's orders alternating 3, 2 along the ring, the caps out of phase."""
+    P = pt.prism(m)
+    a, b, ring = lorentz._prism_structure(P)
+    orders = {}
+    for j in range(m):
+        orders[tuple(sorted((ring[j - 1], ring[j])))] = 2 + j % 2
+        orders[tuple(sorted((a, ring[j])))] = 3 - j % 2
+        orders[tuple(sorted((b, ring[j])))] = 2 + j % 2
+    return ob.make_orbifold(P, orders)
+
+
+def _rotation_oracle(Q):
+    """(rings, s) of Q's ring seed: the rings in cyclic order, and the
+    smallest s dividing their length m such that turning every ring by s
+    positions keeps every order, found by order lookups."""
+    prism = lorentz._prism_structure(Q.base)
+    caps, rings = (prism[:2], prism[2:]) if prism else (None, None)
+    if not prism:
+        top, bottom, upper, lower = lorentz._loebell_structure(Q.base)
+        caps, rings = (top, bottom), (upper, lower)
+    m = len(rings[0])
+
+    def image(x, s):
+        for ring in rings:
+            if x in ring:
+                return ring[(ring.index(x) + s) % m]
+        return x
+
+    def keeps(s):
+        return all(Q.order(image(i, s), image(j, s)) == order for (i, j), order in Q.orders.items())
+
+    return rings, next(s for s in range(1, m + 1) if m % s == 0 and keeps(s))
+
+
+def _ring_rotation(angle):
+    R = np.eye(4)
+    R[1:3, 1:3] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+    return R
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """The number of Gauss-Newton steps taken since the last reset."""
+    steps = [0]
+    step = lorentz.PsiStructure.gauss_newton_step
+
+    def counted(self, alphas, r):
+        steps[0] += 1
+        return step(self, alphas, r)
+
+    monkeypatch.setattr(lorentz.PsiStructure, "gauss_newton_step", counted)
+    return steps
+
+
+ORBIT_CASES = [("loebell", m) for m in (6, 8, 16, 32, 64, 128)] + [
+    ("caps 3 and 2", 12), ("alternating prism", 8), ("alternating prism", 16)]
+
+
+def _orbit_case(kind, m):
+    if kind == "loebell":
+        return loebell_factor_orbifold(pt.loebell(m))
+    if kind == "caps 3 and 2":
+        return _two_ring_class_orbifold(m, 3, 2, 2, bottom_cap=2)
+    return _alternating_prism(m)
+
+
+@pytest.mark.parametrize("kind, m", ORBIT_CASES)
+def test_orbit_seed_solves_psi(kind, m, newton_steps):
+    """On orders that a rotation of the rings keeps, but that are not
+    constant on each ridge class, the closed form misses psi and the seed
+    solves it: Newton takes no step.  The seed is symmetric under the
+    rotation R by 2 pi / K about the cap axis, ring facet j + s being R
+    times facet j (s and the rings from order lookups), and the caps lie
+    in span(e_0, e_3).  Newton from the closed form by least-squares
+    steps reaches the same Gram matrix and vertex flags."""
+    Q = _orbit_case(kind, m)
+    rings, s = _rotation_oracle(Q)
+    assert s < len(rings[0]) and s <= 2
+    closed = closed_form_seed_oracle(Q)
+    assert np.linalg.norm(lorentz.psi_eval(Q, closed)) > 0.1
+    seed = lorentz.initial_guess(Q)
+    assert np.linalg.norm(lorentz.psi_eval(Q, seed)) < lorentz.RESIDUAL_TOL
+    pos = {facet: k for k, facet in enumerate(Q.base.facets)}
+    R = _ring_rotation(2.0 * math.pi * s / len(rings[0]))
+    for ring in rings:
+        here = seed[[pos[x] for x in ring]]
+        assert np.abs(np.roll(here, -s, axis=0) - here @ R.T).max() < 1e-12
+    caps = [pos[x] for x in Q.base.facets if not any(x in ring for ring in rings)]
+    assert np.abs(seed[caps][:, 1:3]).max() < 1e-12
+    newton_steps[0] = 0
+    R = lorentz.solve_hyperbolic_newton(Q, seed)
+    assert newton_steps[0] == 0
+    assert np.array_equal(R.normals, seed)
+    oracle = lorentz.HyperbolicRealization(Q, newton_lstsq_oracle(Q, closed), validate=False)
+    G = lorentz.lorentz_gram(oracle.normals)
+    assert np.abs(lorentz.lorentz_gram(R.normals) - G).max() < 1e-9 * np.abs(G).max()
+    assert R.vertex_flags == oracle.vertex_flags
+
+
+def _one_order_changed(Q0):
+    """Q0 with the first ridge, in sorted order, whose order can go from 2
+    to 3 or from 3 to 2 changed so."""
+    for ridge in sorted(Q0.orders):
+        orders = dict(Q0.orders)
+        orders[ridge] = 5 - orders[ridge]
+        try:
+            return ob.make_orbifold(Q0.base, orders)
+        except ob.OrbifoldError:
+            continue
+    raise AssertionError("no order can change")
+
+
+def _cap_period_orbifold(m, s):
+    """L(m), right-angled but for order 3 between the top cap and every
+    s-th facet of the upper ring."""
+    P = pt.loebell(m)
+    top, _, upper, _ = lorentz._loebell_structure(P)
+    orders = {r: 2 for r in P.ridges}
+    orders.update({tuple(sorted((top, upper[j]))): 3 for j in range(0, m, s)})
+    return ob.make_orbifold(P, orders)
+
+
+@pytest.mark.parametrize("case", ["one order changed", "orbit system too large"])
+def test_seed_without_orbit_solve_is_the_closed_form(case, newton_steps):
+    """One order changed on the loebell(16) factor leaves no rotation that
+    keeps the orders; on L(64) with period 32 along the upper ring the
+    orbit system has 2 + 8 * 32 rows, more than ORBIT_MAX_ROWS.  Either way
+    the seed is the closed form bit for bit, and Newton still converges
+    from it."""
+    if case == "one order changed":
+        Q, period = _one_order_changed(loebell_factor_orbifold(pt.loebell(16))), 16
+    else:
+        Q, period = _cap_period_orbifold(64, 32), 32
+        assert 2 + 8 * period > lorentz.ORBIT_MAX_ROWS
+    assert _rotation_oracle(Q)[1] == period
+    seed = lorentz.initial_guess(Q)
+    assert np.array_equal(seed, closed_form_seed_oracle(Q))
+    newton_steps[0] = 0
+    assert lorentz.solve_hyperbolic_newton(Q, seed).residual_norm < lorentz.RESIDUAL_TOL
+    assert newton_steps[0] > 0
+
+
+def test_closed_form_seeds_bit_for_bit(monkeypatch):
+    """Without the orbit solve, the prism and two-ring seeds are the closed
+    forms of one plane and one order at a time, bit for bit: on the bundled
+    orbifolds, both families for m = 4..40, relabelled factors, reshuffled
+    factors, the ring-class orbifolds and the alternating prisms."""
+    monkeypatch.setattr(lorentz, "_orbit_solve", lambda S, x, *args: x)
+    rng = np.random.default_rng(41)
+    cases = [bundled.load_builtin(name) for name in bundled.BUILTIN_NAMES]
+    for m in range(4, 41):
+        cases.append(prism_cap_orbifold(m))
+        if m >= 5:
+            P = pt.loebell(m)
+            factor = set(shuffled_factor(P, rng))
+            cases += [loebell_factor_orbifold(P), loebell_factor_orbifold(relabelled(P, rng)),
+                      ob.make_orbifold(P, {r: (3 if r in factor else 2) for r in P.ridges}),
+                      _two_ring_class_orbifold(m, 3, 2, 2, bottom_cap=2)]
+        if m % 2 == 0:
+            cases.append(_alternating_prism(m))
+    for Q in cases:
+        seed, closed = lorentz.initial_guess(Q), closed_form_seed_oracle(Q)
+        assert np.array_equal(seed, closed) and np.array_equal(np.signbit(seed),
+                                                                np.signbit(closed))
+
+
+# Gauss-Newton steps from the seed: none where a rotation keeps the orders
+# (the loebell(6) and loebell(8) factors, and the benchmark's families),
+# and the steps taken before the orbit solve everywhere else
+NEWTON_STEPS = {"cube_flex": 4, "cube_mixed": 4, "cube_rigid": 4, "doubled_cube": 6,
+                "loebell5_factor": 5, "loebell6_factor": 0, "loebell7_factor": 5,
+                "loebell8_factor": 0, "loebell8": 0, "loebell64": 0, "prism8": 0, "prism64": 0}
+
+
+def test_newton_step_table(newton_steps):
+    for name, steps in NEWTON_STEPS.items():
+        if name in bundled.BUILTIN_NAMES:
+            Q = bundled.load_builtin(name)
+        elif name.startswith("loebell"):
+            Q = loebell_factor_orbifold(pt.loebell(int(name[7:])))
+        else:
+            Q = prism_cap_orbifold(int(name[5:]))
+        newton_steps[0] = 0
+        lorentz.solve_hyperbolic_newton(Q)
+        assert newton_steps[0] == steps, name
 
 
 def _dimension_report(Q):

@@ -17,8 +17,8 @@ from coxdeform import bundled, cli, lorentz, numerics, polytope as pt, vinberg
 from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, BorderedGram, StructuredMatrix,
                                 _full_rank_certificate, _takes_level, numerical_rank, svd_rank,
                                 triangular_sigma_bound)
-from conftest import (block_gram_oracle, bordered_trailing_oracle, dense_gram_oracle,
-                      family_realization, full_gram_rank_oracle, loebell_factor_orbifold,
+from conftest import (block_gram_oracle, block_levels_oracle, bordered_trailing_oracle,
+                      dense_gram_oracle, family_realization, full_gram_rank_oracle, loebell_factor_orbifold,
                       phi_jacobian_oracle, pivot_levels, prism_cap_orbifold, psi_jacobian_oracle)
 
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -367,6 +367,46 @@ def test_pivots_are_greedy_and_block_disjoint():
     for rows in patterns:
         _assert_levels_greedy(rows)
     assert max(len(rows.elimination.levels) for rows in patterns) >= 7
+
+
+def _assert_same_levels(got, want):
+    """Two results (levels, keys, size) of the level analysis are equal
+    element for element, with the same dtypes."""
+    assert len(got[0]) == len(want[0]) and got[2] == want[2]
+    fields = [(a, b) for L, O in zip(got[0], want[0]) for a, b in zip(L, O)]
+    fields += [(a, b) for L, O in zip(got[0], want[0]) for a, b in zip(L.update, O.update)]
+    for a, b in fields + [(got[1], want[1])]:
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        elif not isinstance(a, tuple):
+            assert a == b
+
+
+def test_block_levels_match_unique_oracle(monkeypatch):
+    """The level analysis, which sorts only the fill of each level and
+    merges it into the kept entries, gives the levels, keys and entries of
+    one np.unique over both, element for element, on D phi, D psi and the
+    staircase of the loebell(m) factors and prism(m) cap orbifolds up to
+    m = 192, where D phi takes the most levels."""
+    results = []
+    block_levels = numerics._block_levels
+    monkeypatch.setattr(numerics, "_block_levels", lambda *args: results.append(
+        (args, block_levels(*args))) or results[-1][1])
+    nlevels = []
+    for family in ("loebell", "prism"):
+        for m in (8, 64, 128, 192):
+            Q = (loebell_factor_orbifold(pt.loebell(m)) if family == "loebell"
+                 else prism_cap_orbifold(m))
+            index = vinberg.EquationIndex.from_orbifold(Q)
+            for rows in (vinberg.phi_structure(index).rows, lorentz.psi_structure(Q).rows,
+                         index.staircase_rows):
+                results.clear()
+                BlockRows(rows.nrows, rows.nblocks, rows.row, rows.block,
+                          rows.reused).elimination
+                (args, got), = results
+                _assert_same_levels(got, block_levels_oracle(*args))
+                nlevels.append(len(got[0]))
+    assert max(nlevels) >= 5
 
 
 def test_small_patterns_run_no_level_analysis(monkeypatch):
