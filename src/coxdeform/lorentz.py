@@ -8,7 +8,10 @@ general case by Gauss-Newton iteration from a library of seed guesses.  The
 prism and two-ring seeds are solved first on the orbits of the rotation of
 their rings that keeps the orders, a dense system whose size depends on the
 rotation, not on the number of facets; on such orbifolds the Gauss-Newton
-iteration on the whole system then takes no step.
+iteration on the whole system then takes no step.  The rotation and its
+orbit system are found once per orbifold (:class:`RingRotation`), and the
+rotation's permutation of the rows of D psi is the hint of its rank
+certificate (:attr:`PsiStructure.symmetry`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from coxdeform.errors import ConvergenceError, RealizationError
-from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, numerical_rank
+from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, RowSymmetry, numerical_rank
 
 RESIDUAL_TOL = 1e-10
 VALID_RESIDUAL = 1e-8         # the largest residual norm of a valid realization
@@ -99,10 +102,13 @@ class PsiStructure:
     :class:`BlockRows` pattern of all slots.  ``vertex_rows`` (one row of
     facet positions per vertex, sorted by facet) and ``nonadjacent`` (the
     positions of the polytope's non-adjacent pairs, in its order) serve
-    :class:`HyperbolicRealization`.
+    :class:`HyperbolicRealization`.  ``base`` is the orbifold's polytope,
+    from which the seed and the ring rotation are found once
+    (:attr:`seed_source`, :attr:`rotation`).
     """
 
     def __init__(self, Q):
+        self.base = Q.base
         pos = self.position = {facet: k for k, facet in enumerate(Q.base.facets)}
         self.vertex_rows = np.array([[pos[i] for i in sorted(V)] for V in Q.base.vertices or ()],
                                     dtype=np.intp)
@@ -141,6 +147,35 @@ class PsiStructure:
         ``q``, broadcast against each other."""
         keys, rows = self._ridge_keys
         return rows[np.searchsorted(keys, np.minimum(p, q) * self.f + np.maximum(p, q))]
+
+    @cached_property
+    def seed_source(self):
+        """The first (seed builder, structure) of _SEEDS whose structure
+        detector fits the polytope, or None; found on first use."""
+        if self.base.n != 3:
+            return None
+        return next(((seed, structure) for detect, seed in _SEEDS
+                     for structure in (detect(self.base),) if structure), None)
+
+    @cached_property
+    def rotation(self):
+        """The :class:`RingRotation` of a prism or two-ring orbifold, built
+        on first use; None for any other."""
+        source = self.seed_source
+        if source is None or source[0] not in _RING_LAYOUTS:
+            return None
+        return RingRotation(self, *_RING_LAYOUTS[source[0]](self, source[1]))
+
+    @cached_property
+    def symmetry(self):
+        """The :class:`RowSymmetry` of the rows under the ring rotation, a
+        hint for the mode certificate of D psi's Gram matrix; None where no
+        rotation keeps the orders."""
+        rotation = self.rotation
+        if rotation is None or rotation.K == 1:
+            return None
+        return RowSymmetry.of_pairs(rotation.facets, self.a, self.b,
+                                    (self.a != self.b).astype(float))
 
     def eval(self, normals):
         return self.residuals(lorentz_gram(normals))
@@ -198,9 +233,11 @@ def psi_eval(Q, normals):
 
 def psi_matrix(Q, normals):
     """Jacobian of :func:`psi_eval` in the flattened normals, as a
-    :class:`StructuredMatrix` over the pattern of :class:`PsiStructure`."""
+    :class:`StructuredMatrix` over the pattern of :class:`PsiStructure`,
+    with the ring rotation's row symmetry as its hint
+    (:attr:`PsiStructure.symmetry`)."""
     S = psi_structure(Q)
-    return S.rows.matrix(S.values(_alphas(np.asarray(normals, dtype=float))))
+    return S.rows.matrix(S.values(_alphas(np.asarray(normals, dtype=float))), S.symmetry)
 
 
 def psi_jacobian(Q, normals):
@@ -217,14 +254,16 @@ class HyperbolicRealization:
     """Unit spacelike normals of a realized compact polytope, with the
     residual norm, per-vertex compactness flags, and divergence checks for
     non-adjacent facet pairs.  The facet positions come from the
-    orbifold's cached :class:`PsiStructure`."""
+    orbifold's cached :class:`PsiStructure`.  ``gram``, where given, is
+    :func:`lorentz_gram` of the normals, already formed."""
 
-    def __init__(self, Q, normals, validate=True):
+    def __init__(self, Q, normals, validate=True, gram=None):
         self.Q = Q
         self.normals = np.asarray(normals, dtype=float)
         S = psi_structure(Q)
         forms = self.normals @ LorentzForm(self.dim).matrix
-        gram = forms @ self.normals.T  # lorentz_gram(normals)
+        if gram is None:
+            gram = forms @ self.normals.T  # lorentz_gram(normals)
         self.residual_norm = float(np.linalg.norm(S.residuals(gram)))
         self.vertex_flags = {}
         if len(S.vertex_rows):
@@ -319,7 +358,8 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     the safeguard.
     At most ``max_iter`` steps are taken.  Raises ConvergenceError on
     divergence and RealizationError if the converged point fails the
-    compactness or divergence checks.
+    compactness or divergence checks.  The realization takes the Lorentz
+    Gram matrix of the last residual check.
     """
     if initial is None:
         initial = initial_guess(Q)
@@ -327,24 +367,26 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     if x.shape != (Q.f, Q.n + 1):
         raise RealizationError(f"initial guess must have shape {(Q.f, Q.n + 1)}")
     S = psi_structure(Q)
-    r = S.eval(x)
+    gram = lorentz_gram(x)
+    r = S.residuals(gram)
     for k in range(max_iter + 1):
         norm = np.linalg.norm(r)
         if norm < tol:
-            return HyperbolicRealization(Q, x)
+            return HyperbolicRealization(Q, x, gram=gram)
         if k == max_iter:
             break
         step = S.gauss_newton_step(_alphas(x), r)
         t = 1.0
         for _ in range(25):
             x_new = x - t * step
-            r_new = S.eval(x_new)
+            gram_new = lorentz_gram(x_new)
+            r_new = S.residuals(gram_new)
             if np.linalg.norm(r_new) < norm:
                 break
             t *= 0.5
         else:
             raise ConvergenceError(f"no descent step found at residual {norm:.3e}")
-        x, r = x_new, r_new
+        x, r, gram = x_new, r_new, gram_new
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {norm:.3e})")
 
@@ -493,40 +535,63 @@ def _offset(c):
     return c if c > 1e-6 else OFFSET_FLOOR
 
 
-def _prism_seed(Q, structure):
+def _prism_layout(S, structure):
+    """The ring layout of a prism (:class:`RingRotation`): the caps, the
+    side ring in cyclic order, and the shifts of the cap-side rows of
+    either cap and of the side-side rows (s_{j-1}, s_j)."""
+    a, b, ring = structure
+    m = len(ring)
+    caps = np.array([S.position[a], S.position[b]])
+    sides = np.array([S.position[x] for x in ring])
+    others = np.empty((3, m), dtype=np.intp)
+    others[:2] = caps[:, None]
+    others[2, 0], others[2, 1:] = sides[-1], sides[:-1]
+    return _prism_closed_form, (0, 2, 3), caps, sides[None], S.shift[S.ridge_rows(others, sides)]
+
+
+def _prism_closed_form(f, caps, rings, shifts):
     """The rotationally symmetric prism: caps x_3 = +-c_c and sides at
-    offset c_s with normals 2 pi/m apart, solved on the orbits of the
-    orders' rotation (:func:`_orbit_solve`).
+    offset c_s with normals 2 pi/m apart.
 
     Every ridge of a class (cap-side, side-side) gets the class's mean
     kappa = mean cos(pi/m_ij); with theta = 2 pi/m the side-side and
     cap-side equations then read c_s^2 = (cos theta + k_ss) / (1 + k_ss)
     and c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s.  This closed
     form solves psi exactly when the orders are constant on each class."""
-    a, b, ring = structure
-    S = psi_structure(Q)
-    m = len(ring)
-    caps = np.array([S.position[a], S.position[b]])
-    sides = np.array([S.position[x] for x in ring])
-    # the cap-side rows of a, of b, and the side-side rows (s_{j-1}, s_j)
-    others = np.empty((3, m), dtype=np.intp)
-    others[:2] = caps[:, None]
-    others[2, 0], others[2, 1:] = sides[-1], sides[:-1]
-    shifts = S.shift[S.ridge_rows(others, sides)]
+    m = rings.shape[1]
     k_ss, k_cs = _mean_cos(shifts[2]), _mean_cos(shifts[:2])
     c_s = _offset(math.sqrt(max(math.cos(2.0 * math.pi / m) + k_ss, 0.0) / (1.0 + k_ss)))
     t = k_cs * math.sqrt(1.0 - c_s * c_s) / c_s
     c_c = _offset(t / math.sqrt(1.0 + t * t))
-    x = _ring_seed(Q.f, caps, c_c, sides[None], c_s, (0.0,), 1.0, (0.0,))
-    if (shifts[:2] == shifts[0, 0]).all() and (shifts[2] == shifts[2, 0]).all():
-        return x  # constant on each class: exact
-    return _orbit_solve(S, x, caps, sides[None], shifts)
+    return _ring_seed(f, caps, c_c, rings, c_s, (0.0,), 1.0, (0.0,))
 
 
-def _loebell_seed(Q, structure):
-    """Barrel seed: two caps x_3 = +-c_c and two interlocking rings at
-    offset c_r, tilted by +-tilt, the lower ring turned by -pi/m, solved on
-    the orbits of the orders' rotation (:func:`_orbit_solve`).
+def _prism_seed(Q, structure):
+    """The prism's closed form (:func:`_prism_closed_form`), solved on the
+    orbits of the orders' rotation (:meth:`RingRotation.seed`)."""
+    return psi_structure(Q).rotation.seed()
+
+
+def _loebell_layout(S, structure):
+    """The ring layout of a two-ring polytope (:class:`RingRotation`): the
+    caps, the upper and lower rings in cyclic order, and the shifts of the
+    rows top-upper, bottom-lower, (u_{j-1}, u_j), (w_{j-1}, w_j), (w_j,
+    u_{j-1}) and (w_j, u_j)."""
+    top, bottom, upper, lower = structure
+    m = len(upper)
+    caps = np.array([S.position[top], S.position[bottom]])
+    rings = np.array([[S.position[x] for x in upper], [S.position[x] for x in lower]])
+    u, w = rings
+    before = np.arange(m) - 1
+    shifts = S.shift[S.ridge_rows(
+        np.stack([np.full(m, caps[0]), np.full(m, caps[1]), u[before], w[before], w, w]),
+        np.stack([u, w, u, w, u[before], u]))]
+    return _loebell_closed_form, (0, 2, 4, 6), caps, rings, shifts
+
+
+def _loebell_closed_form(f, caps, rings, shifts):
+    """Barrel: two caps x_3 = +-c_c and two interlocking rings at offset
+    c_r, tilted by +-tilt, the lower ring turned by -pi/m.
 
     Every ridge of a class (cap-ring, within a ring, across the rings) gets
     the class's mean kappa_1, kappa_2, kappa_3.  With X = c_r^2 and
@@ -536,17 +601,7 @@ def _loebell_seed(Q, structure):
     (0, 1)^2 for every m >= 4; c_c then solves
     -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2).  This closed
     form solves psi exactly when the orders are constant on each class."""
-    top, bottom, upper, lower = structure
-    S = psi_structure(Q)
-    m = len(upper)
-    caps = np.array([S.position[top], S.position[bottom]])
-    rings = np.array([[S.position[x] for x in upper], [S.position[x] for x in lower]])
-    u, w = rings
-    before = np.arange(m) - 1
-    # top-upper, bottom-lower; (u_{j-1}, u_j), (w_{j-1}, w_j); (w_j, u_{j-1}), (w_j, u_j)
-    shifts = S.shift[S.ridge_rows(
-        np.stack([np.full(m, caps[0]), np.full(m, caps[1]), u[before], w[before], w, w]),
-        np.stack([u, w, u, w, u[before], u]))]
+    m = rings.shape[1]
     k1, k2, k3 = _mean_cos(shifts[:2]), _mean_cos(shifts[2:4]), _mean_cos(shifts[4:].T)
     cos1, cos2 = math.cos(math.pi / m), math.cos(2.0 * math.pi / m)
     A = 2.0 * (1.0 + k2) / ((1.0 + k2) * (1.0 + cos1) + (1.0 - cos2) * (1.0 + k3))
@@ -556,10 +611,13 @@ def _loebell_seed(Q, structure):
     c_r, gamma = math.sqrt(X), k1 * math.sqrt(1.0 - X)
     R2 = X + gamma * gamma
     c_c = (c_r * v + gamma * math.sqrt(max(R2 - v * v, 0.0))) / R2
-    x = _ring_seed(Q.f, caps, c_c, rings, c_r, (0.0, math.pi / m), h, (v, -v))
-    if all((shifts[k:k + 2] == shifts[k, 0]).all() for k in (0, 2, 4)):
-        return x  # constant on each class: exact
-    return _orbit_solve(S, x, caps, rings, shifts)
+    return _ring_seed(f, caps, c_c, rings, c_r, (0.0, math.pi / m), h, (v, -v))
+
+
+def _loebell_seed(Q, structure):
+    """The two-ring closed form (:func:`_loebell_closed_form`), solved on
+    the orbits of the orders' rotation (:meth:`RingRotation.seed`)."""
+    return psi_structure(Q).rotation.seed()
 
 
 def _rotation_period(orders):
@@ -580,82 +638,159 @@ def _rotations(angle):
     return R
 
 
-def _orbit_solve(S, x, caps, rings, shifts):
-    """Solve psi from a ring seed ``x`` on the orbits of the rotation that
-    keeps the orders (Fassler and Stiefel, Group Theoretical Methods and
-    Their Applications, 1992).
+class _OrbitSystem(NamedTuple):
+    """The orbit system of :func:`_orbit_solve`: per row orbit, the facet
+    orbits ``ia`` and ``ib`` it joins, its weighted 2 J R^k (``turns``)
+    and its weighted ``shift``; the ``scale`` of each unknown, and of the
+    unknowns of each row's two facets (``scale_a``, ``scale_b``) with
+    their positions in the Jacobian (``cols_a``, ``cols_b``); the facets
+    whose normals start the unknowns (``start``); and, per facet, its
+    orbit (``rep``) and the rotation R^k that expands the solution to it
+    (``expand``)."""
 
-    ``caps`` are the two cap positions, each row of ``rings`` a ring's
-    positions in cyclic order, and each row of ``shifts`` the shifts
-    2 cos(pi/m_ij) of ridges that move with ring position j along column
-    j, which together cover every ridge.  The orders are
-    invariant under turning every ring by s positions, s the smallest such
-    divisor of the ring length m (:func:`_rotation_period`).  With K = m / s
-    and R the rotation by 2 pi / K about the cap axis, under which x is
-    already symmetric, the unknowns are one normal per facet orbit: the
-    first s facets of each ring, free, and the caps, which R fixes, in
-    span(e_0, e_3).  Ring facet j is R^(j // s) times the normal of facet
-    j mod s.  Each orbit of rows gives one row 2<nu_a, R^k nu_b> + shift,
-    weighted by the square root of the orbit's size, and each unknown is
-    scaled by that of its facet orbit, so that the residual norm and the
-    minimum-norm Gauss-Newton step are those of the whole system.  The step
-    solves the dense (J J^t + mu I) y = r as :func:`solve_hyperbolic_newton`
-    does; the gauge left is the rotation about the cap axis and the boost
-    along it.  Descent is kept by step halving, and the last iterate, the
-    best, is returned expanded, or x itself where it is within
-    RESIDUAL_TOL.  x is returned at once where no rotation keeps the
-    orders, and where the orbit system has more than ORBIT_MAX_ROWS rows,
-    above which its dense steps cost more than the sparse ones of the whole
-    system.  At most ORBIT_MAX_ITER steps are taken."""
-    m = rings.shape[1]
-    period = _rotation_period(shifts)
-    if period == m:
+    ia: np.ndarray
+    ib: np.ndarray
+    turns: np.ndarray
+    shift: np.ndarray
+    scale: np.ndarray
+    scale_a: np.ndarray
+    scale_b: np.ndarray
+    cols_a: np.ndarray
+    cols_b: np.ndarray
+    start: np.ndarray
+    rep: np.ndarray
+    expand: np.ndarray
+
+
+class RingRotation:
+    """The rings of a prism or two-ring orbifold and the rotation of them
+    that keeps its orders, built once per orbifold
+    (:attr:`PsiStructure.rotation`) from its layout: ``caps``, the two cap
+    positions; each row of ``rings``, a ring's positions in cyclic order;
+    each row of ``shifts``, the shifts 2 cos(pi/m_ij) of the ridges that
+    move with ring position j along column j, which together cover every
+    ridge; the ring seed's ``closed_form``; and ``bounds``, the rows of
+    ``shifts`` at which its ridge classes start and end.
+
+    The orders are invariant under turning every ring by ``period``
+    positions, the smallest such divisor of the ring length m
+    (:func:`_rotation_period`), so the rotation has order K = m / period:
+    ring facet j goes to ring facet j + period and the caps stay
+    (:attr:`facets`).  The ring seeds are symmetric under it, the normal
+    of ring facet j + period being R times that of facet j, R the rotation
+    by 2 pi / K about the cap axis.  The orbit system of
+    :func:`_orbit_solve` is built on first use (:attr:`orbit_system`)."""
+
+    def __init__(self, S, closed_form, bounds, caps, rings, shifts):
+        self.closed_form, self.caps, self.rings, self.shifts = closed_form, caps, rings, shifts
+        self.exact = all((shifts[a:b] == shifts[a, 0]).all() for a, b in zip(bounds, bounds[1:]))
+        self.period = _rotation_period(shifts)
+        self.K = rings.shape[1] // self.period
+        self.f, self._rows = S.f, (S.a, S.b, S.shift)
+
+    @cached_property
+    def facets(self):
+        """The permutation of the facet positions: each ring turned by
+        ``period`` positions, the caps fixed."""
+        image = np.arange(self.f)
+        image[self.rings] = np.roll(self.rings, -self.period, axis=1)
+        return image
+
+    @cached_property
+    def orbit_system(self):
+        """The :class:`_OrbitSystem`, or None where it has more than
+        ORBIT_MAX_ROWS rows (see :func:`_orbit_solve`)."""
+        caps, rings, period, K = self.caps, self.rings, self.period, self.K
+        a, b, shifts = self._rows
+        m = rings.shape[1]
+        nrep = 2 + len(rings) * period
+        j = np.arange(m)
+        rep, power = np.empty(self.f, dtype=np.intp), np.zeros(self.f, dtype=np.intp)
+        rep[caps] = (0, 1)
+        rep[rings] = 2 + period * np.arange(len(rings))[:, None] + j % period
+        power[rings] = j // period
+        # a row's orbit: its facets' orbits and the turn between them, unordered;
+        # R fixes the caps, so a row with a cap has no turn
+        ra, rb = rep[a], rep[b]
+        turn = np.where(np.minimum(ra, rb) < 2, 0, (power[b] - power[a]) % K)
+        keys = np.minimum((ra * nrep + rb) * K + turn, (rb * nrep + ra) * K + (K - turn) % K)
+        keys, first, size = np.unique(keys, return_index=True, return_counts=True)
+        if len(keys) > ORBIT_MAX_ROWS:
+            return None
+        n = len(keys)
+        ia, ib = keys // (K * nrep), keys // K % nrep
+        weight = np.sqrt(size)
+        turns = _rotations(2.0 * math.pi * (keys % K) / K) * (2.0 * weight)[:, None, None]
+        turns[:, 0] *= -1.0  # weight 2 J R^k
+        # 1 / sqrt(size) of each unknown's facet orbit, 0 off span(e_0, e_3) at the caps
+        scale = np.full((nrep, 4), 1.0 / math.sqrt(K))
+        scale[:2] = (1.0, 0.0, 0.0, 1.0)
+        cols = 4 * np.arange(n)[:, None] * nrep + np.arange(4)
+        return _OrbitSystem(
+            ia, ib, turns, weight * shifts[first], scale, scale[ia], scale[ib],
+            cols + 4 * ia[:, None], cols + 4 * ib[:, None],
+            np.concatenate([caps, rings[:, :period].ravel()]), rep,
+            _rotations(2.0 * math.pi * power / K))
+
+    def seed(self):
+        """The ring seed: the closed form, solved on the orbits of the
+        rotation (:func:`_orbit_solve`) unless the orders are constant on
+        each ridge class, where the closed form is exact."""
+        x = self.closed_form(self.f, self.caps, self.rings, self.shifts)
+        if self.exact:
+            return x
+        return _orbit_solve(self, x)
+
+
+def _orbit_solve(rotation, x):
+    """Solve psi from a ring seed ``x`` on the orbits of the
+    :class:`RingRotation` ``rotation`` (Fassler and Stiefel, Group
+    Theoretical Methods and Their Applications, 1992).
+
+    With K its order and R the rotation by 2 pi / K about the cap axis,
+    under which x is already symmetric, the unknowns are one normal per
+    facet orbit: the first ``period`` facets of each ring, free, and the
+    caps, which R fixes, in span(e_0, e_3).  Ring facet j is R^(j // period)
+    times the normal of facet j mod period.  Each orbit of rows gives one
+    row 2<nu_a, R^k nu_b> + shift, weighted by the square root of the
+    orbit's size, and each unknown is scaled by that of its facet orbit, so
+    that the residual norm and the minimum-norm Gauss-Newton step are those
+    of the whole system.  The step solves the dense (J J^t + mu I) y = r as
+    :func:`solve_hyperbolic_newton` does; the gauge left is the rotation
+    about the cap axis and the boost along it.  Descent is kept by step
+    halving, and the last iterate, the best, is returned expanded, or x
+    itself where it is within RESIDUAL_TOL.  x is returned at once where no
+    rotation keeps the orders (K = 1), and where the orbit system has more
+    than ORBIT_MAX_ROWS rows, above which its dense steps cost more than the
+    sparse ones of the whole system.  The system is built once per
+    orbifold (:attr:`RingRotation.orbit_system`).  At most ORBIT_MAX_ITER
+    steps are taken."""
+    if rotation.K == 1:
         return x
-    K, nrep = m // period, 2 + len(rings) * period
-    j = np.arange(m)
-    rep, power = np.empty(S.f, dtype=np.intp), np.zeros(S.f, dtype=np.intp)
-    rep[caps] = (0, 1)
-    rep[rings] = 2 + period * np.arange(len(rings))[:, None] + j % period
-    power[rings] = j // period
-    # a row's orbit: its facets' orbits and the turn between them, unordered;
-    # R fixes the caps, so a row with a cap has no turn
-    ra, rb = rep[S.a], rep[S.b]
-    turn = np.where(np.minimum(ra, rb) < 2, 0, (power[S.b] - power[S.a]) % K)
-    keys = np.minimum((ra * nrep + rb) * K + turn, (rb * nrep + ra) * K + (K - turn) % K)
-    keys, first, size = np.unique(keys, return_index=True, return_counts=True)
-    if len(keys) > ORBIT_MAX_ROWS:
+    system = rotation.orbit_system
+    if system is None:
         return x
-    n = len(keys)
-    ia, ib = keys // (K * nrep), keys // K % nrep
-    weight = np.sqrt(size)
-    M = _rotations(2.0 * math.pi * (keys % K) / K) * (2.0 * weight)[:, None, None]
-    M[:, 0] *= -1.0  # weight 2 J R^k
-    shift = weight * S.shift[first]
-    # 1 / sqrt(size) of each unknown's facet orbit, 0 off span(e_0, e_3) at the caps
-    scale = np.full((nrep, 4), 1.0 / math.sqrt(K))
-    scale[:2] = (1.0, 0.0, 0.0, 1.0)
-    cols = 4 * np.arange(n)[:, None] * nrep + np.arange(4)
-    cols_a, cols_b = cols + 4 * ia[:, None], cols + 4 * ib[:, None]
-    scale_a, scale_b = scale[ia], scale[ib]
+    ia, ib, M, shift = system.ia, system.ib, system.turns, system.shift
+    n, nrep = len(ia), len(system.scale)
 
     def residuals(nu):
         turned = np.matmul(M, nu[ib, :, None])[..., 0]  # weighted 2 J R^k nu_b
         return np.einsum("ij,ij->i", nu[ia], turned) + shift, turned
 
-    nu = x[np.concatenate([caps, rings[:, :period].ravel()])]
+    nu = x[system.start]
     r, turned = residuals(nu)
     norm, moved = math.sqrt(r @ r), False
     for _ in range(ORBIT_MAX_ITER):
         if norm < RESIDUAL_TOL:
             break
         A = np.zeros(n * nrep * 4)
-        A[cols_a] = turned * scale_a
-        A[cols_b] += np.matmul(nu[ia, None, :], M)[:, 0] * scale_b
+        A[system.cols_a] = turned * system.scale_a
+        A[system.cols_b] += np.matmul(nu[ia, None, :], M)[:, 0] * system.scale_b
         A = A.reshape(n, 4 * nrep)
         G = A @ A.T
         G.flat[::n + 1] += LM_SHIFT * np.trace(G) / n
         try:
-            step = (np.linalg.solve(G, r) @ A).reshape(nrep, 4) * scale
+            step = (np.linalg.solve(G, r) @ A).reshape(nrep, 4) * system.scale
         except np.linalg.LinAlgError:
             break
         t = 1.0
@@ -671,7 +806,7 @@ def _orbit_solve(S, x, caps, rings, shifts):
         nu, r, turned, norm, moved = nu_new, r_new, turned_new, norm_new, True
     if not moved:
         return x
-    return np.matmul(_rotations(2.0 * math.pi * power / K), nu[rep, :, None])[..., 0]
+    return np.matmul(system.expand, nu[system.rep, :, None])[..., 0]
 
 
 def _doubled_cube_seed(Q, structure):
@@ -701,6 +836,8 @@ def _doubled_cube_seed(Q, structure):
 # (structure detector, seed builder), in inference order
 _SEEDS = ((_doubled_cube_structure, _doubled_cube_seed), (_prism_structure, _prism_seed),
           (_loebell_structure, _loebell_seed))
+# the ring layout of each ring seed (:class:`RingRotation`)
+_RING_LAYOUTS = {_prism_seed: _prism_layout, _loebell_seed: _loebell_layout}
 
 
 def initial_guess(Q):
@@ -729,13 +866,14 @@ def initial_guess(Q):
     (:func:`_orbit_solve`), so the seed solves psi for every such order
     assignment, not only for the class-constant ones; the seed is never
     worse than the closed form.  Without such a rotation the seed is the
-    closed form."""
+    closed form.  The seed's structure, its ring rotation and the orbit
+    system are found once per orbifold and kept with its
+    :class:`PsiStructure`."""
     P = Q.base
     if P.e == P.f * (P.f - 1) // 2:
         return realize_gram(Q).normals
-    if P.n == 3:
-        for detect, seed in _SEEDS:
-            structure = detect(P)
-            if structure:
-                return seed(Q, structure)
-    raise RealizationError("no bundled seed for this polytope; pass initial=")
+    source = psi_structure(Q).seed_source
+    if source is None:
+        raise RealizationError("no bundled seed for this polytope; pass initial=")
+    seed, structure = source
+    return seed(Q, structure)

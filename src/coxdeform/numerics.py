@@ -38,12 +38,44 @@ column, as the gauge directions of :mod:`coxdeform.vinberg` are, is given
 in arrow form (:meth:`BorderedGram.arrow`): the diagonal of the many, their
 coupling to the few, and the few's own dense block, which is all LAPACK
 factors after the one level of closed-form pivots.
+
+A pattern's Gram matrix may carry a hint, a :class:`RowSymmetry`: a
+permutation pi of its rows, of order K, under which it is invariant up to
+rounding, as the ring rotation of :mod:`coxdeform.lorentz` makes those of
+D psi, the E2 staircase and D phi.  The certificate then first tries the
+mode blocks (:func:`_mode_blocks`; Fassler and Stiefel, Group Theoretical
+Methods and Their Applications, 1992).  With W the short side (k x q) of the
+matrix, A = fl(W W^t), D the signs of the hint, A_sym the symmetrised block
+circulant read off one representative row per orbit, B_l^exact the blocks
+of its exact real DFT over the orbits, B_l the K / 2 + 1 computed blocks,
+each of one size k' that does not grow with the orbits' length, and t the
+certified bound:
+
+    lambda_min(W W^t) >= lambda_min(A) - gamma_q sigma_bar^2 - k q eta
+                      >= lambda_min(A_sym) - e_bar - gamma_q sigma_bar^2 - k q eta
+                       = min_l lambda_min(B_l^exact) - e_bar - ...
+                      >= min_l lambda_min(B_l) - delta_bar - e_bar - ...
+                       > s (1 - u) - c' - u d_max - delta_bar - e_bar - ...
+                      >= t^2,
+
+by Weyl's inequality with e_bar >= ||D A D - A_sym||_2 (the asymmetry) and
+lambda_min(D A D) = lambda_min(A); by the DFT's orthogonality; by Weyl's
+inequality with delta_bar >= ||B_l - B_l^exact||_2 (the DFT's rounding);
+and by Rump's bound for one batched LAPACK Cholesky of the blocks
+fl(B_l - s I), each of k' rows with diagonal entries at most d_max, so
+that c' = gamma_{k'+1} / (1 - gamma_{k'+1}) k' d_max plus his underflow
+term.  The shift s of :func:`_full_rank_certificate` is raised by e_bar
+and delta_bar, with c' and d_max in place of c and max A_ii.  The mode
+path runs where its cost model expects it to be cheaper than the levels
+(:func:`_mode_pays`), and where it fails the levels and LAPACK decide as
+before: the hint is never trusted, so a wrong one costs time, not a
+wrong certificate.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -97,18 +129,20 @@ class BorderedGram(NamedTuple):
     """A Gram matrix A = fl(W W^t) in the form that
     :func:`_full_rank_certificate` factors: its ``diagonal``, and
     ``eliminate(s)``, the Cholesky factorisation of fl(A - s I) through its
-    ``levels`` of closed-form pivots, as (factors, trailing block): one
-    (pivots, multipliers) per level, and the m x m block left.  It raises
+    levels of closed-form pivots, as (factors, trailing block): one (level,
+    pivots, multipliers) per level, and the m x m block left.  It raises
     LinAlgError, as LAPACK does, at a pivot that is not positive.  A dense
     A has no levels (:meth:`dense`); the Gram matrix of a pattern has those
     of :attr:`BlockRows.elimination` and forms its block in the pattern's
     :attr:`BlockRows.work`; an arrow form has one level, which it
     eliminates itself (:meth:`arrow`).  The block is valid until the next
-    elimination of the same dense matrix or pattern."""
+    elimination of the same dense matrix or pattern.  ``modes``, where not
+    None, returns the mode blocks of :func:`_mode_blocks`, which the
+    certificate factors first."""
 
     diagonal: np.ndarray
     eliminate: Callable
-    levels: tuple = ()
+    modes: Callable = None
 
     @classmethod
     def dense(cls, A):
@@ -128,8 +162,8 @@ class BorderedGram(NamedTuple):
         ``coupling`` and E (g x g) the ``border``: the k rows are one level
         of closed-form pivots l = sqrt(fl(pivots - s)), with multipliers L =
         fl(C / l), and the g x g block left is fl(fl(E - s I) - fl(L L^t)),
-        the sums of products accumulated by BLAS.  It is not solved: it has
-        no ``levels``."""
+        the sums of products accumulated by BLAS.  It is not solved: its
+        level is not a :class:`_Level`."""
 
         def eliminate(s):
             pivot = pivots - s
@@ -140,7 +174,7 @@ class BorderedGram(NamedTuple):
             block = border.copy()
             block.reshape(-1)[::len(block) + 1] -= s
             block -= multipliers @ multipliers.T
-            return [(pivot, multipliers)], block
+            return [(None, pivot, multipliers)], block
         return cls(np.concatenate([pivots, np.diagonal(border)]), eliminate)
 
     def trailing(self, s):
@@ -160,13 +194,13 @@ class BorderedGram(NamedTuple):
         nonsingular fl(A - s I) by LAPACK."""
         factors, block = self.eliminate(s)
         zs = []
-        for L, (pivot, coupling) in zip(self.levels, factors):
+        for L, pivot, coupling in factors:
             z = r[L.pivot_rows] / pivot
             r = r[L.trail_rows] - np.bincount(L.couple_row, coupling * z.take(L.couple_pivot),
                                               minlength=len(L.trail_rows))
             zs.append(z)
         y = np.linalg.solve(block, r)
-        for L, (pivot, coupling), z in zip(self.levels[::-1], factors[::-1], zs[::-1]):
+        for (L, pivot, coupling), z in zip(factors[::-1], zs[::-1]):
             rest, y = y, np.empty(len(L.pivot_rows) + len(L.trail_rows))
             y[L.trail_rows] = rest
             y[L.pivot_rows] = (z - np.bincount(L.couple_pivot, coupling * rest.take(L.couple_row),
@@ -174,12 +208,45 @@ class BorderedGram(NamedTuple):
         return y
 
 
+class RowSymmetry(NamedTuple):
+    """A permutation of the rows of a :class:`BlockRows` pattern, given to
+    :meth:`BlockRows.matrix` as a hint for the mode certificate
+    (:func:`_mode_blocks`): row ``image[r]`` is expected to be ``sign[r]``
+    (+1 or -1) times row r with its blocks permuted and each block's vector
+    moved by one orthogonal map, so that the Gram matrix is invariant under
+    it up to rounding.  No conclusion rests on the hint: under a wrong one
+    the asymmetry term is large and the certificate fails."""
+
+    image: np.ndarray
+    sign: np.ndarray
+
+    @classmethod
+    def of_pairs(cls, blocks, x, y, reverse):
+        """The symmetry of rows keyed by ordered pairs of block numbers, row
+        r by (``x[r]``, ``y[r]``), under the block permutation ``blocks``:
+        the image of row r is the row keyed by (blocks[x[r]], blocks[y[r]]).
+        A row with ``reverse[r]`` nonzero is keyed by (y[r], x[r]) as well,
+        with that sign.  None where some image has no row."""
+        n, nblocks = len(x), len(blocks)
+        back = np.flatnonzero(reverse)
+        keys = np.concatenate([x * nblocks + y, y[back] * nblocks + x[back]])
+        rows = np.concatenate([np.arange(n), back])
+        signs = np.concatenate([np.ones(n), reverse[back]])
+        order = np.argsort(keys, kind="stable")
+        keys, rows, signs = keys[order], rows[order], signs[order]
+        want = blocks[x] * nblocks + blocks[y]
+        at = np.minimum(keys.searchsorted(want), len(keys) - 1)
+        if not np.array_equal(keys[at], want):
+            return None
+        return cls(rows[at], signs[at])
+
+
 class BlockRows:
     """The pattern of a matrix with ``nblocks`` column blocks of equal width
     whose rows are sums of terms: term t puts the vector ``values[t]`` in
     block ``block[t]`` of row ``row[t]``, and no two terms share a block of
     a row.  The pair arrays (p, q), built on each use and kept by none (the
-    analysis of :attr:`elimination` keeps what it needs of them), list
+    analysis of :attr:`structure` keeps what it needs of them), list
     every ordered pair of terms in a common block, so that Gram entry (r, s) is the sum of
     <values[p], values[q]> over the pairs with p in row r and q in row s.
 
@@ -194,6 +261,7 @@ class BlockRows:
         self.nrows, self.nblocks, self.reused = nrows, nblocks, reused
         self.row = np.asarray(row, dtype=np.int32)
         self.block = np.asarray(block, dtype=np.int32)
+        self._modes = None
 
     @cached_property
     def block_order(self):
@@ -205,30 +273,35 @@ class BlockRows:
         return _pairs_within(self.block, self.nblocks, self.block_order)
 
     @cached_property
-    def elimination(self):
-        """The index arrays of :meth:`gram`, built on first use:
-        ``dot_pairs``, the pairs (p, q) with p's row at or after q's, in
-        pair order, so that each Gram entry (r, s), r >= s, gets its dot
-        products once; ``entry``, the entry each belongs to among the
-        ``nentries`` structural nonzeros (r, s), r >= s, of the Gram matrix,
-        and ``diag``, the diagonal's; the ``levels`` of closed-form pivots
-        of :func:`_block_levels`, which leave a block of ``size`` rows, the
-        first of them the rows that share no block; and ``lower`` and
-        ``upper``, the flat positions in that block of its entries (r, s),
-        r >= s, and of their mirrors (s, r).  Every row has a term, and so a
-        diagonal entry."""
+    def structure(self):
+        """The index arrays of the entries of :meth:`gram`, built on first
+        use: ``dot_pairs``, the pairs (p, q) with p's row at or after q's,
+        in pair order, so that each Gram entry (r, s), r >= s, gets its dot
+        products once; ``keys``, the sorted flat positions r m + s of the
+        structural nonzeros (r, s), r >= s, of the Gram matrix; ``entry``,
+        the one among them that each pair belongs to; and ``diag``, the
+        diagonal's.  Every row has a term, and so a diagonal entry."""
         p, q = self.pairs
         rp, rq = self.row[p], self.row[q]
         lower = rp >= rq
         keys, entry = np.unique(rp[lower].astype(np.int64) * self.nrows + rq[lower],
                                 return_inverse=True)
-        levels, last, size = _block_levels(self.nrows, keys, self.reused)
-        return _Elimination(
-            dot_pairs=(p[lower].astype(np.intp), q[lower].astype(np.intp)),
+        return _GramStructure(
+            dot_pairs=(p[lower].astype(np.intp), q[lower].astype(np.intp)), keys=keys,
             entry=entry.astype(np.int32),
-            nentries=len(keys),
-            diag=keys.searchsorted(np.arange(self.nrows) * (self.nrows + 1)),
-            levels=tuple(levels), lower=last, upper=last % size * size + last // size, size=size)
+            diag=keys.searchsorted(np.arange(self.nrows) * (self.nrows + 1)))
+
+    @cached_property
+    def elimination(self):
+        """The analysis of the Cholesky factorisation of :meth:`gram`, built
+        on first use: the ``levels`` of closed-form pivots of
+        :func:`_block_levels`, which leave a block of ``size`` rows, the
+        first of them the rows that share no block; and ``lower`` and
+        ``upper``, the flat positions in that block of its entries (r, s),
+        r >= s, and of their mirrors (s, r)."""
+        levels, last, size = _block_levels(self.nrows, self.structure.keys, self.reused)
+        return _Elimination(levels=tuple(levels), lower=last,
+                            upper=last % size * size + last // size, size=size)
 
     @cached_property
     def work(self):
@@ -240,6 +313,20 @@ class BlockRows:
         size = self.elimination.size
         return np.zeros((size, size))
 
+    def modes(self, symmetry):
+        """The :class:`_ModeForm` of this pattern's Gram matrix under the
+        :class:`RowSymmetry` ``symmetry``, built once and kept with the
+        last symmetry asked for; None where the symmetry has no orbit of
+        its order, or where :func:`_mode_pays` expects LAPACK's Cholesky of
+        the block that the first level of pivots leaves to cost less than
+        the mode blocks."""
+        if self._modes is None or self._modes[0] is not symmetry:
+            form = _mode_form(self.nrows, self.structure.keys, symmetry)
+            if form is not None and not _mode_pays(self.nrows, self.structure.keys, form):
+                form = None
+            self._modes = (symmetry, form)
+        return self._modes[1]
+
     def shape(self, values):
         return (self.nrows, self.nblocks * values.shape[1])
 
@@ -248,7 +335,7 @@ class BlockRows:
         M[self.row, self.block] = values
         return M.reshape(self.shape(values))
 
-    def gram(self, values):
+    def gram(self, values, symmetry=None):
         """fl(M M^t) as a :class:`BorderedGram`: Gram entry (r, s) is the
         dot product of each pair's stored vectors, summed per entry in pair
         order, and only the entries (r, s) with r >= s are formed.
@@ -263,13 +350,17 @@ class BlockRows:
         pivot order.  Each level's entries go into one ``np.bincount``, in
         that order, so each entry of a block is eliminated from its value in
         the block before.  The last block is filled with its entries and
-        their mirrors, in :attr:`work`."""
-        E = self.elimination
-        entries = np.bincount(E.entry, _pair_dots(values, *E.dot_pairs), minlength=E.nentries)
+        their mirrors, in :attr:`work`.  The levels are analysed on the
+        first elimination, not before.  Under a :class:`RowSymmetry` whose
+        mode path pays (:meth:`modes`), the entries also give the mode
+        blocks (:func:`_mode_blocks`)."""
+        G = self.structure
+        entries = self.gram_entries(values)
 
         def eliminate(s):
+            E = self.elimination
             block = entries.copy()
-            block[E.diag] -= s
+            block[G.diag] -= s
             factors = []
             for L in E.levels:
                 pivot = block.take(L.diag)
@@ -282,12 +373,21 @@ class BlockRows:
                 np.negative(coupling).take(L.update[0], out=w[len(L.keep):], mode="clip")
                 w[len(L.keep):] *= coupling.take(L.update[1])
                 block = np.bincount(L.entry, w, minlength=L.nentries)
-                factors.append((pivot, coupling))
+                factors.append((L, pivot, coupling))
             flat = self.work.reshape(-1)
             flat[E.lower] = block
             flat[E.upper] = block
             return factors, self.work
-        return BorderedGram(entries[E.diag], eliminate, E.levels)
+        form = None if symmetry is None else self.modes(symmetry)
+        modes = None if form is None else (lambda: _mode_blocks(form, entries))
+        return BorderedGram(entries[G.diag], eliminate, modes)
+
+    def gram_entries(self, values):
+        """The structural nonzeros (r, s), r >= s, of fl(M M^t), in the
+        order of :attr:`structure`'s keys: each the dot products of its
+        pairs' stored vectors, summed in pair order."""
+        G = self.structure
+        return np.bincount(G.entry, _pair_dots(values, *G.dot_pairs), minlength=len(G.keys))
 
     def transpose_product(self, values, y):
         """M^t y: block c sums y[row[t]] values[t] over its terms t."""
@@ -303,8 +403,10 @@ class BlockRows:
         return np.bincount(self.row[order], weights=_pair_dots(values, order, order),
                            minlength=self.nrows)
 
-    def matrix(self, values):
-        return StructuredMatrix(self.shape(values), lambda: self.gram(values),
+    def matrix(self, values, symmetry=None):
+        """M as a :class:`StructuredMatrix`, its Gram matrix under the hint
+        ``symmetry`` (:meth:`gram`)."""
+        return StructuredMatrix(self.shape(values), lambda: self.gram(values, symmetry),
                                 lambda: self.dense(values))
 
 
@@ -332,11 +434,14 @@ class _Level(NamedTuple):
     nentries: int
 
 
-class _Elimination(NamedTuple):
+class _GramStructure(NamedTuple):
     dot_pairs: tuple
+    keys: np.ndarray
     entry: np.ndarray
-    nentries: int
     diag: np.ndarray
+
+
+class _Elimination(NamedTuple):
     levels: tuple
     lower: np.ndarray
     upper: np.ndarray
@@ -507,6 +612,292 @@ def _pair_dots(values, p, q):
     return out
 
 
+# -- the mode certificate of a Gram matrix with a cyclic row symmetry -----------
+
+class _ModeForm(NamedTuple):
+    """The analysis of :func:`_mode_form`: the order ``K`` of the row
+    permutation, its ``nfixed`` fixed rows and ``norbits`` orbits of K
+    rows; per structural entry r >= s of the Gram matrix, ``entry_sign``
+    sigma_r sigma_s and ``entry_cell``, its cell; per cell, ``rep``, its
+    representative entry (the number of entries where it has none);
+    ``loose``, the cells with positions where the Gram matrix has no
+    structural entry, and ``missing``, how many each has;
+    ``circulant``, the cell of each entry of the circulant blocks C_j (K x b
+    x b), of the fixed rows' coupling to the orbits (``coupling``, nfixed x
+    b, flat) and of their own block (``fixed``, flat), the number of cells
+    where none; and the assembly of the mode blocks (:func:`_mode_blocks`):
+    ``layout``, the place in the source vector of each entry of the stacked
+    blocks, and ``diagonal``, the places of their diagonal entries that are
+    not padding."""
+
+    K: int
+    nfixed: int
+    norbits: int
+    entry_sign: np.ndarray
+    entry_cell: np.ndarray
+    rep: np.ndarray
+    loose: np.ndarray
+    missing: np.ndarray
+    circulant: np.ndarray
+    coupling: np.ndarray
+    fixed: np.ndarray
+    layout: np.ndarray
+    diagonal: np.ndarray
+
+
+def _row_orbits(symmetry):
+    """(K, size, orbit, power, sigma) of the orbits of a
+    :class:`RowSymmetry`, or None unless it is a permutation whose orbits
+    all have one row or K >= 2 rows: each row's orbit size, orbit number
+    (orbits numbered by their smallest row, which is the representative
+    r_o) and power k with row = pi^k(r_o), and sigma_r, the product of the
+    signs along that path, so that row r is expected to be sigma_r times
+    the turned representative.  An orbit whose signs multiply to -1, or a
+    fixed row with sign -1, returns None as well."""
+    image, sign = symmetry
+    n = len(image)
+    if n == 0 or not np.array_equal(np.bincount(image, minlength=n), np.ones(n, dtype=np.intp)):
+        return None
+    rows = np.arange(n)
+    size = np.where(image == rows, 1, 0)
+    low, current, K = np.minimum(rows, image), image, 1
+    while K < n and not size.all():
+        current = image[current]
+        low = np.minimum(low, current)
+        K += 1
+        back = current == rows
+        if (back & (size == 0)).any():
+            size[back & (size == 0)] = K
+            break
+    if K < 2 or not size.all() or not ((size == 1) | (size == K)).all() \
+            or (sign[size == 1] != 1).any():
+        return None
+    reps = np.flatnonzero((size == K) & (low == rows))
+    orbit, power, sigma = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.ones(n)
+    current, path = reps, np.ones(len(reps))
+    for k in range(K):
+        orbit[current], power[current], sigma[current] = np.arange(len(reps)), k, path
+        path = path * sign[current]
+        current = image[current]
+    if (path != 1).any():
+        return None
+    return K, size, orbit, power, sigma
+
+
+def _mode_form(m, keys, symmetry):
+    """The cells of the symmetrised block-circulant A_sym of the m x m Gram
+    matrix A with structural nonzeros ``keys`` (flat positions r m + s, r
+    >= s, sorted) under ``symmetry`` (:func:`_row_orbits`), as a
+    :class:`_ModeForm`; None where the symmetry has no orbit of K rows.
+
+    Write D = diag(sigma) and each row of an orbit as (o, k), its orbit and
+    power.  A cell is a class of positions on which A_sym is constant: for
+    two orbits, (o, o', j) = the positions ((o, k), (o', k + j)) for every
+    k, together with its mirror (o', o, K - j), which keeps A_sym
+    symmetric; for a fixed row f and an orbit o, the positions (f, (o, k))
+    and their mirrors; for fixed rows f and f', (f, f') and (f', f).  The
+    value of A_sym on a cell is that of D A D at its representative
+    position, in the representative row of o (k = 0): ((o, 0), (o', j)) for
+    the canonical one of (o, o', j) and its mirror (the smaller number), and
+    (f, (o, 0)); zero where that position is not a structural nonzero.
+    Only cells with a structural nonzero are kept."""
+    orbits = _row_orbits(symmetry)
+    if orbits is None:
+        return None
+    K, size, orbit, power, sigma = orbits
+    full = size == K
+    b, nf = int(full.sum()) // K, int((~full).sum())
+    if b == 0:
+        return None
+    fixed_at = np.cumsum(~full) - 1
+    r, s = np.divmod(keys, m)
+    off = r != s
+    # two orbits: the cell (o, o', j) and its mirror
+    j = (power[s] - power[r]) % K
+    cell = (orbit[r] * b + orbit[s]) * K + j
+    mirror = (orbit[s] * b + orbit[r]) * K + (K - j) % K
+    canon = np.minimum(cell, mirror)
+    rep = ((cell == canon) & (power[r] == 0)) | ((mirror == canon) & (power[s] == 0))
+    positions = np.where(cell == mirror, K, 2 * K)
+    # a fixed row and an orbit
+    nc = b * b * K
+    one = full[r] != full[s]
+    o_row, f_row = np.where(full[r], r, s)[one], np.where(full[r], s, r)[one]
+    canon[one] = nc + fixed_at[f_row] * b + orbit[o_row]
+    rep[one] = power[o_row] == 0
+    positions[one] = 2 * K
+    # two fixed rows: fixed_at[r] >= fixed_at[s]
+    two = ~full[r] & ~full[s]
+    canon[two] = nc + nf * b + fixed_at[r[two]] * nf + fixed_at[s[two]]
+    rep[two] = True
+    positions[two] = np.where(off, 2, 1)[two]
+
+    cells, entry_cell = np.unique(canon, return_inverse=True)
+    ncells = len(cells)
+    reps = np.full(ncells, len(keys))
+    reps[entry_cell[rep]] = np.flatnonzero(rep)
+    cell_positions = np.zeros(ncells, dtype=np.int64)
+    cell_positions[entry_cell] = positions
+    filled = np.bincount(entry_cell, weights=np.where(off, 2, 1), minlength=ncells)
+    circulant = np.full((K, b, b), ncells)
+    within = np.flatnonzero(cells < nc)
+    o1, o2, jj = cells[within] // (b * K), cells[within] // K % b, cells[within] % K
+    circulant[jj, o1, o2] = within
+    circulant[(K - jj) % K, o2, o1] = within
+    coupling = np.full(nf * b, ncells)
+    at = np.flatnonzero((cells >= nc) & (cells < nc + nf * b))
+    coupling[cells[at] - nc] = at
+    fixed = np.full((nf, nf), ncells)
+    at = np.flatnonzero(cells >= nc + nf * b)
+    f1, f2 = np.divmod(cells[at] - nc - nf * b, nf)
+    fixed[f1, f2] = fixed[f2, f1] = at
+    layout, diagonal = _mode_layout(K, nf, b)
+    loose = np.flatnonzero(filled < cell_positions)
+    return _ModeForm(K, nf, b, sigma[r] * sigma[s], entry_cell.astype(np.intp), reps, loose,
+                     cell_positions[loose] - filled[loose], circulant, coupling, fixed.ravel(),
+                     layout, diagonal)
+
+
+def _mode_layout(K, nf, b):
+    """The assembly of the K // 2 + 1 mode blocks of :func:`_mode_blocks`,
+    stacked at one size k, from the source vector: the products of the rows
+    of :func:`_twiddles` with the circulant blocks (b x b each), then the
+    nf x b coupling of the fixed rows times sqrt(K), the fixed rows' nf x
+    nf block, a zero and the padding.  Returns (layout, diagonal): the
+    source of each entry of the stack, and the sources of the diagonal
+    entries that are not padding."""
+    h, npairs = K // 2, (K - 1) // 2
+    k = max(nf + b, 2 * b if npairs else b)
+    square = b * b * (h + 1 + 2 * npairs)
+    zero = square + nf * b + nf * nf
+    layout = np.full((h + 1, k, k), zero)
+    inner = np.arange(b)[:, None] * b + np.arange(b)
+    coupling = square + np.arange(nf)[:, None] * b + np.arange(b)
+    layout[0, :nf, :nf] = square + nf * b + np.arange(nf)[:, None] * nf + np.arange(nf)
+    layout[0, :nf, nf:nf + b] = coupling
+    layout[0, nf:nf + b, :nf] = coupling.T
+    layout[0, nf:nf + b, nf:nf + b] = inner
+    pair = np.arange(1, npairs + 1)[:, None, None] * b * b + inner
+    layout[1:npairs + 1, :b, :b] = layout[1:npairs + 1, b:2 * b, b:2 * b] = pair
+    layout[1:npairs + 1, :b, b:2 * b] = pair + h * b * b  # sin
+    layout[1:npairs + 1, b:2 * b, :b] = pair + (h + npairs) * b * b  # -sin
+    if K % 2 == 0:
+        layout[h, :b, :b] = h * b * b + inner
+    diagonal = layout.reshape(h + 1, -1)[:, ::k + 1]
+    used = diagonal != zero
+    diagonal[~used] = zero + 1
+    return layout, diagonal[used]
+
+
+@cache
+def _twiddles(K):
+    """The real DFT table over K positions, built once per K: the rows
+    cos(2 pi l j / K) for l = 0..K/2, sin(2 pi l j / K) for l =
+    1..(K-1)/2, and the same sines negated, j the column.  Each angle is 2
+    pi ((l j) mod K) / K, formed in three roundings and taken by
+    :mod:`math`."""
+    cos = [[math.cos(2.0 * math.pi * (l * j % K) / K) for j in range(K)]
+           for l in range(K // 2 + 1)]
+    sin = [[math.sin(2.0 * math.pi * (l * j % K) / K) for j in range(K)]
+           for l in range(1, (K + 1) // 2)]
+    table = np.array(cos + sin + [[-t for t in row] for row in sin])
+    table.flags.writeable = False
+    return table
+
+
+# The error of a twiddle: an angle below 2 pi formed in three roundings is
+# within 19 u of 2 pi l j / K, cosine and sine are 1-Lipschitz, and each is
+# taken to within an ulp (at most u in [-1, 1]); 32 u covers the sum.
+TWIDDLE_ERROR = 32.0 * UNIT_ROUNDOFF
+
+
+def _mode_blocks(form, entries):
+    """The real mode blocks of the symmetrised Gram matrix, with the bound
+    on what separates their eigenvalues from those of the Gram matrix:
+    (blocks, extra, dmax), ``blocks`` the K // 2 + 1 blocks stacked at one
+    size k, ``dmax`` their largest diagonal entry, and ``extra`` = e_bar +
+    delta_bar (:func:`_full_rank_certificate`).  ``entries`` are the Gram
+    matrix's structural nonzeros r >= s (:meth:`BlockRows.gram`).
+
+    A_sym (:func:`_mode_form`) is block circulant over the orbits: its
+    block ((o, k), (o', k')) is C_{k'-k}[o, o'], with C_j = A_sym((o, 0),
+    (o', j)) and C_{K-j} = C_j^t, and a fixed row f meets every row of
+    orbit o in g[f, o].  The real DFT over the orbits, with rows
+    sqrt(1/K), sqrt(2/K) cos(2 pi l k / K), sqrt(2/K) sin(2 pi l k / K) and
+    (-1)^k sqrt(1/K), is orthogonal and takes A_sym to the direct sum of:
+    mode 0, [[F, sqrt(K) g], [sqrt(K) g^t, R_0]] with F the fixed rows'
+    block; each mode pair (l, K - l), 0 < l < K/2, [[R_l, S_l], [-S_l,
+    R_l]] with R_l = sum_j cos(2 pi l j / K) C_j and S_l = sum_j sin(2 pi l
+    j / K) C_j; and, for even K, R_{K/2}.  Each block is padded to k with
+    dmax on the diagonal, which leaves its smallest eigenvalue, at most its
+    smallest diagonal entry, unchanged.
+
+    - e_bar >= ||D A D - A_sym||_2, by its Frobenius norm.  That matrix E
+      is zero off the kept cells.  On A's structural nonzeros its entries
+      are the differences of an entry and its representative, each
+      computed within a factor 1 - u, and E is symmetric there, so twice
+      the sum of squares over the entries r >= s bounds that part; on the
+      positions of a kept cell where A has no structural nonzero, E is the
+      cell's value.  With n terms in all, 1 + gamma_{2n+8} covers the sums'
+      rounding and the 1 / (1 - u)^2, and 3 n eta their underflow.
+    - delta_bar >= ||B_l - B_l^exact||_2 for every block, B_l^exact the
+      block of the exact DFT of A_sym and B_l the symmetric matrix of the
+      block that LAPACK reads: an entry of R_l or S_l is a matrix product
+      over K twiddles t~ with |t~ - t| <= TWIDDLE_ERROR, so it is within rho
+      sum_j |C_j[o, o']| of the exact one, rho = TWIDDLE_ERROR + gamma_K (1 +
+      TWIDDLE_ERROR); an entry of fl(fl(sqrt K) g) is within 2.01 u of
+      sqrt(K) g, which rho covers; F is exact.  The 2-norm is at most k
+      times the largest entry.  1 + gamma_{K+4} covers the sums of |C_j|
+      and the products forming the bounds."""
+    K, b = form.K, form.norbits
+    signed = entries * form.entry_sign
+    value = np.append(signed, 0.0).take(form.rep)
+    difference = signed - value.take(form.entry_cell)
+    loose = value.take(form.loose)
+    n = len(difference) + len(loose)
+    asym = math.sqrt((2.0 * float(difference @ difference) + float(form.missing @ (loose * loose))
+                      + 3 * n * SMALLEST_SUBNORMAL) * (1.0 + _gamma(2 * n + 8)))
+    value = np.append(value, 0.0)
+    circulant = value.take(form.circulant).reshape(K, b * b)
+    coupling = value.take(form.coupling) * math.sqrt(K)
+    source = np.concatenate([(_twiddles(K) @ circulant).ravel(), coupling,
+                             value.take(form.fixed), (0.0, 0.0)])
+    dmax = float(source.take(form.diagonal).max())
+    source[-1] = dmax
+    blocks = source.take(form.layout)
+    rho = TWIDDLE_ERROR + _gamma(K) * (1.0 + TWIDDLE_ERROR)
+    size = float(np.max([np.abs(circulant).sum(axis=0).max(), np.abs(coupling).max(initial=0.0)]))
+    extra = asym + blocks.shape[1] * rho * size * (1.0 + _gamma(K + 4))
+    return blocks, extra, dmax
+
+
+# The mode path's cost model, in seconds: a fixed MODE_COST, MODE_ENTRY_COST
+# per structural nonzero r >= s of the Gram matrix, and MODE_BLOCK_COST plus
+# MODE_SQUARE_COST k^2 per k x k mode block, for their assembly and their
+# batched Cholesky.  Fitted to timings of the mode path on D phi, D psi and
+# the staircase of both families, m = 8..128 (numpy 2.4, two Xeon cores);
+# CHANGES.md has the measurements.
+MODE_COST = 5e-5
+MODE_ENTRY_COST = 5e-9
+MODE_BLOCK_COST = 2e-6
+MODE_SQUARE_COST = 8e-9
+
+
+def _mode_pays(m, keys, form):
+    """Whether the level rule's cost model expects the first level of
+    :func:`_block_levels` on the m x m Gram matrix with structural nonzeros
+    ``keys``, and LAPACK's Cholesky of the block it leaves, to cost more
+    than the mode blocks of ``form`` and their Cholesky.  Further levels
+    are taken only where they pay, so this asks for no analysis beyond the
+    first level's independent rows."""
+    rows, cols = np.divmod(keys, m)
+    first = int(np.count_nonzero(_independent_rows(m, rows, cols, by_degree=False)))
+    nblocks, k = form.layout.shape[:2]
+    cost = (MODE_COST + MODE_ENTRY_COST * len(keys)
+            + nblocks * (MODE_BLOCK_COST + MODE_SQUARE_COST * k * k))
+    return LEVEL_COST + _lapack_cost(m - first) > cost
+
+
 def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
     """Numerical rank of a matrix: certified full when
     :func:`_full_rank_certificate` holds, else from :func:`svd_rank`.
@@ -605,19 +996,43 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     makes that at least t^2.  The factor 1 + gamma_64 covers the 1 / (1 -
     u) and the fewer than 30 roundings made in evaluating s; the + eta in c
     covers the rounding of its subnormal product.
+
+    Mode blocks.  Where ``A`` carries them (``A.modes``, a pattern's Gram
+    matrix under a :class:`RowSymmetry` whose mode path pays), they are
+    tried first (:func:`_modes_certify`).  With A_sym the symmetrised
+    block circulant of :func:`_mode_blocks`, e_bar and delta_bar its bounds
+    on the asymmetry and on the DFT's rounding, B_l the K / 2 + 1 blocks,
+    each of k' rows, and d_max their largest diagonal entry:
+
+    - Weyl: lambda_min(A) >= lambda_min(A_sym) - e_bar, since D A D, D the
+      hint's signs, has A's eigenvalues and ||D A D - A_sym||_2 <= e_bar.
+    - The real DFT over the orbits is orthogonal, so lambda_min(A_sym) is
+      the smallest eigenvalue of the exact blocks, and, by Weyl again, at
+      least min_l lambda_min(B_l) - delta_bar.
+    - Rump, block by block: if the batched Cholesky of fl(B_l - s I)
+      completes, lambda_min(B_l) > s (1 - u) - c' - u d_max, with c' =
+      gamma_{k'+1} / (1 - gamma_{k'+1}) k' d_max plus 4 k' (2 (k' + 2) +
+      d_max) eta, since trace fl(B_l - s I) <= k' d_max.
+
+    So lambda_min(W W^T) > s (1 - u) - c' - u d_max - e_bar - delta_bar -
+    gamma_q sigma_bar^2 - k q eta, and the shift
+
+        s = (t^2 + gamma_q sigma_bar^2 + k q eta + c' + u d_max + e_bar
+             + delta_bar) * (1 + gamma_64)
+
+    makes that at least t^2, with the same tau_bar.  Where the mode blocks
+    fail, the factorisation above decides.
     """
     if not isinstance(A, BorderedGram):
         A = BorderedGram.dense(A)
-    k, q = min(shape), max(shape)
     diag = A.diagonal
-    dmax = float(diag.max())
     sigma2, tau = _sigma_bound(diag, shape, policy)
-    underflow = k * q * SMALLEST_SUBNORMAL
-    g = _gamma(k + 1)
-    c = g / (1.0 - g) * sigma2 + (4.0 * k * (2.0 * (k + 2) + dmax) + 1.0) * SMALLEST_SUBNORMAL
     t = max(tau, floor)
-    s = t * t + _gamma(q) * sigma2 + underflow + c + UNIT_ROUNDOFF * dmax
-    s *= 1.0 + _gamma(64)
+    if A.modes is not None and _modes_certify(A.modes(), t, sigma2, shape):
+        return tau
+    k = min(shape)
+    dmax = float(diag.max())
+    s = _shift(t, sigma2, shape, k, dmax, sigma2)
     if not math.isfinite(s):
         return None
     try:
@@ -625,6 +1040,37 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     except np.linalg.LinAlgError:
         return None
     return tau
+
+
+def _shift(t, sigma2, shape, k, dmax, trace, extra=0.0):
+    """The shift s of :func:`_full_rank_certificate` for a Cholesky
+    factorisation of blocks of at most k rows whose diagonal entries are at
+    most ``dmax`` and whose traces are at most ``trace``, with ``extra``
+    added to the bounds."""
+    q = max(shape)
+    g = _gamma(k + 1)
+    c = g / (1.0 - g) * trace + (4.0 * k * (2.0 * (k + 2) + dmax) + 1.0) * SMALLEST_SUBNORMAL
+    s = (t * t + _gamma(q) * sigma2 + min(shape) * q * SMALLEST_SUBNORMAL + c
+         + UNIT_ROUNDOFF * dmax + extra)
+    return s * (1.0 + _gamma(64))
+
+
+def _modes_certify(modes, t, sigma2, shape):
+    """Whether the mode blocks (blocks, extra, dmax) of :func:`_mode_blocks`
+    certify lambda_min(W W^t) > t^2: one batched LAPACK Cholesky of the
+    blocks at the shift of :func:`_shift`, with k the blocks' size, k dmax
+    bounding their traces and ``extra`` the asymmetry and DFT bounds."""
+    blocks, extra, dmax = modes
+    k = blocks.shape[1]
+    s = _shift(t, sigma2, shape, k, dmax, k * dmax, extra)
+    if not (math.isfinite(s) and dmax > 0.0):
+        return False
+    blocks.reshape(len(blocks), -1)[:, ::k + 1] -= s
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _sigma_bound(diag, shape, policy=DEFAULT_RANK_POLICY):

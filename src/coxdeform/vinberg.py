@@ -22,7 +22,7 @@ import numpy as np
 
 from coxdeform.errors import VinbergError
 from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF,
-                                BlockRows, BorderedGram, RankResult, StructuredMatrix,
+                                BlockRows, BorderedGram, RankResult, RowSymmetry, StructuredMatrix,
                                 _full_rank_certificate, _gamma, _sigma_bound, numerical_rank,
                                 triangular_sigma_bound)
 
@@ -63,7 +63,14 @@ class EquationIndex:
     non-adjacent pairs, inequalities only.  Row order of the residual vector
     and Jacobian: the E2 first-slot block, the E2 second-slot block, the E3
     block, then the E1 block; pairs in lexicographic order throughout.
+
+    The index of an orbifold (:meth:`from_orbifold`) keeps a weak reference
+    to it, through which it finds, once each, what depends on the orbifold
+    alone: its :attr:`counts`, whether it is :attr:`weakly_orderable`, and
+    the row symmetries of its ring rotation (:attr:`symmetries`).
     """
+
+    _orbifold = None
 
     def __init__(self, facets, n, e2, e3_orders, e4):
         self.facets = tuple(facets)
@@ -82,6 +89,7 @@ class EquationIndex:
         index = cls(Q.base.facets, Q.n, Q.e2_pairs(), e3, ())
         # the polytope's cached tuple: sorted pairs in sorted order already
         index.e4 = Q.base.nonadjacent_pairs
+        index._orbifold = weakref.ref(Q)
         return index
 
     @property
@@ -122,6 +130,46 @@ class EquationIndex:
         i, j = self.e2_positions
         rows = np.arange(len(i))
         return BlockRows(len(i), self.f, np.concatenate([rows, rows]), np.concatenate([i, j]))
+
+    @cached_property
+    def counts(self):
+        """The orbifold's :func:`orbifold.counts`, found on first use."""
+        from coxdeform import orbifold as ob
+
+        return ob.counts(self._orbifold())
+
+    @cached_property
+    def weakly_orderable(self):
+        """:func:`orbifold.is_weakly_orderable` of the orbifold, found on
+        first use."""
+        from coxdeform import orbifold as ob
+
+        return ob.is_weakly_orderable(self._orbifold())
+
+    @cached_property
+    def symmetries(self):
+        """(phi, staircase): the :class:`RowSymmetry` hints of D phi's rows
+        and of the E2 staircase's under the orbifold's ring rotation
+        (:attr:`lorentz.PsiStructure.rotation`), each None where no
+        rotation keeps the orders.  D phi's rows are keyed by the ordered
+        pair (x, y) of their a_xy, the E3 rows by either order; a staircase
+        row (i, j) by (i, j), and by (j, i) with sign -1, since the row of
+        (j, i) would carry alpha_i in block j and -alpha_j in block i."""
+        from coxdeform import lorentz
+
+        Q = None if self._orbifold is None else self._orbifold()
+        rotation = None if Q is None else lorentz.psi_structure(Q).rotation
+        if rotation is None or rotation.K == 1:
+            return None, None
+        i2, j2 = self.e2_positions
+        i3, j3 = self.e3_positions
+        diag = np.arange(self.f)
+        reverse = np.zeros(self.N)
+        reverse[2 * len(i2):2 * len(i2) + len(i3)] = 1.0
+        phi = RowSymmetry.of_pairs(rotation.facets, np.concatenate([i2, j2, i3, diag]),
+                                   np.concatenate([j2, i2, j3, diag]), reverse)
+        staircase = RowSymmetry.of_pairs(rotation.facets, i2, j2, np.full(len(i2), -1.0))
+        return phi, staircase
 
     @cached_property
     def sign_positions(self):
@@ -191,9 +239,10 @@ def phi_structure(Q_or_index):
 
 def phi_matrix(Q_or_index, p):
     """Jacobian of :func:`phi_eval` as a :class:`StructuredMatrix` over the
-    pattern of :class:`PhiStructure`."""
+    pattern of :class:`PhiStructure`, with the row symmetry of the ring
+    rotation as its hint (:attr:`EquationIndex.symmetries`)."""
     S = phi_structure(Q_or_index)
-    return S.rows.matrix(S.values(p))
+    return S.rows.matrix(S.values(p), _as_index(Q_or_index).symmetries[0])
 
 
 def phi_jacobian(Q_or_index, p):
@@ -352,9 +401,10 @@ def _phi_analysis(Q, p, policy):
     the dense :func:`gauge_directions` decides, and a rank below the gauge
     dimension is refused.  The blocks left to LAPACK are formed in the
     work arrays of their patterns, valid until the pattern's next
-    elimination."""
-    from coxdeform import orbifold as ob
-
+    elimination.  Where the orbifold's ring rotation keeps its orders, each
+    Gram matrix carries the rotation's row symmetry, and its certificate
+    first tries the mode blocks (:func:`numerics._mode_blocks`).  The
+    orbifold's counts are found once per orbifold (:attr:`EquationIndex.counts`)."""
     index = _as_index(Q)
     resid = phi_eval(index, p)
     if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
@@ -364,7 +414,7 @@ def _phi_analysis(Q, p, policy):
     values = S.values(p)
     rr, psi, staircase = _block_decisions(Q, index, p, S.rows, values, policy)
     if rr is None:
-        rr = numerical_rank(S.rows.matrix(values), policy)
+        rr = numerical_rank(S.rows.matrix(values, index.symmetries[0]), policy)
     shape = S.rows.shape(values)
     gauge_dim = gauge_dimension(p.f, p.dim)
     gauge_rank = numerical_rank(gauge_matrix(p), policy).rank
@@ -372,7 +422,7 @@ def _phi_analysis(Q, p, policy):
         raise VinbergError(
             f"gauge orbit is not free at this point "
             f"(gauge-direction rank {gauge_rank} < {gauge_dim})")
-    c = ob.counts(Q)
+    c = index.counts
     formula_dim = c.eplus - Q.n - 2 * c.delta
     full_rank = rr.rank == index.N
     deformation_dim = kernel_minus_gauge = None
@@ -523,7 +573,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     ones reported here; elsewhere, or where that certificate fails, D phi,
     D psi and A are each decided on their own.
     """
-    from coxdeform import lorentz, orbifold as ob
+    from coxdeform import lorentz
 
     index, rphi, psi, staircase = _phi_analysis(Q, p, policy)
     if np.abs(p.alphas - lorentz._alphas(p.bs)).max() > 1e-7:
@@ -534,7 +584,7 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     n2 = len(index.e2)
     staircase = (staircase or numerical_rank(e2_staircase(index, p), policy)).rank
     return RankSumReport(
-        rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=ob.is_weakly_orderable(Q),
+        rank_phi=rphi, rank_psi=rpsi, e2=n2, weakly_orderable=index.weakly_orderable,
         identity_holds=(rphi.rank == rpsi.rank + n2),
         staircase_rank=staircase,
         reduction_rank_match=(staircase + rpsi.rank <= rphi.rank <= n2 + rpsi.rank))
@@ -543,11 +593,13 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
 def e2_staircase(index, p):
     """The E2 staircase of :func:`check_rank_sum` as a :class:`StructuredMatrix`
     with f column blocks: the row of (i, j) carries 2 J b_j in block i and
-    -alpha_i in block j, with J = diag(-1, 1, ..., 1)."""
+    -alpha_i in block j, with J = diag(-1, 1, ..., 1); the ring rotation's
+    row symmetry is its hint (:attr:`EquationIndex.symmetries`)."""
     from coxdeform import lorentz
 
     i, j = index.e2_positions
-    return index.staircase_rows.matrix(np.concatenate([lorentz._alphas(p.bs[j]), -p.alphas[i]]))
+    return index.staircase_rows.matrix(np.concatenate([lorentz._alphas(p.bs[j]), -p.alphas[i]]),
+                                       index.symmetries[1])
 
 
 # -- membership in the open solution domain ------------------------------------

@@ -795,3 +795,59 @@ def test_seed_structures_match_adjacency_oracle():
         assert got == seed_structure_oracle(P)
         found = [k + (g is not None) for k, g in zip(found, got)]
     assert min(found) > 0
+
+
+@pytest.mark.parametrize("kind, m", [("loebell", 16), ("alternating prism", 8)])
+def test_second_seed_reuses_the_orbit_system(kind, m, monkeypatch):
+    """The ring rotation and its orbit system are built once per orbifold:
+    a second initial_guess(Q) neither finds the rotation's period again nor
+    builds the row-orbit keys (np.unique) or the rotation matrices, and
+    returns the first seed bit for bit."""
+    calls = []
+
+    def counted(name, function):
+        def run(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(lorentz, "_rotation_period",
+                        counted("period", lorentz._rotation_period))
+    monkeypatch.setattr(lorentz, "_rotations", counted("rotations", lorentz._rotations))
+    monkeypatch.setattr(lorentz.np, "unique", counted("unique", np.unique))
+    Q = _orbit_case(kind, m)
+    first = lorentz.initial_guess(Q)
+    assert calls.count("period") == 1 and calls.count("unique") == 1
+    assert calls.count("rotations") == 2  # the orbit rows' turns and the expansion
+    calls.clear()
+    second = lorentz.initial_guess(Q)
+    assert calls == []
+    assert np.array_equal(first, second)
+    assert lorentz.psi_structure(Q).rotation.K == m // _rotation_oracle(Q)[1]
+
+
+@pytest.mark.parametrize("name", ["loebell64", "cube_flex", "doubled_cube", "loebell5_factor"])
+def test_newton_hands_its_gram_to_the_realization(name, monkeypatch):
+    """solve_hyperbolic_newton gives the realization the Lorentz Gram matrix
+    of its last residual check, the one whose residual passed, so the f x f
+    product is not formed again; the realization is byte for byte the one
+    built from the normals alone, and matches realization_oracle."""
+    made, given = [], []
+    gram = lorentz.lorentz_gram
+    init = lorentz.HyperbolicRealization.__init__
+    monkeypatch.setattr(lorentz, "lorentz_gram", lambda normals: made.append(gram(normals))
+                        or made[-1])
+    monkeypatch.setattr(lorentz.HyperbolicRealization, "__init__",
+                        lambda self, *args, **kwargs: given.append(kwargs.get("gram"))
+                        or init(self, *args, **kwargs))
+    Q = (loebell_factor_orbifold(pt.loebell(64)) if name == "loebell64"
+         else bundled.load_builtin(name))
+    R = lorentz.solve_hyperbolic_newton(Q)
+    assert len(given) == 1 and given[0] is made[-1]
+    fresh = lorentz.HyperbolicRealization(Q, R.normals)
+    assert R.residual_norm == fresh.residual_norm
+    assert R.vertex_flags == fresh.vertex_flags
+    assert np.array_equal(R._nonadjacent_values, fresh._nonadjacent_values)
+    residual, flags, products = realization_oracle(Q, R.normals)
+    assert R.residual_norm == residual and R.vertex_flags == flags
+    assert R.nonadjacent_products == products

@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cli, lorentz, numerics, polytope as pt, vinberg
-from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, BorderedGram, StructuredMatrix,
-                                _full_rank_certificate, _takes_level, numerical_rank, svd_rank,
-                                triangular_sigma_bound)
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, BorderedGram, RowSymmetry,
+                                StructuredMatrix, _full_rank_certificate, _takes_level,
+                                numerical_rank, svd_rank, triangular_sigma_bound)
 from conftest import (block_gram_oracle, block_levels_oracle, bordered_trailing_oracle,
-                      dense_gram_oracle, family_realization, full_gram_rank_oracle, loebell_factor_orbifold,
-                      phi_jacobian_oracle, pivot_levels, prism_cap_orbifold, psi_jacobian_oracle)
+                      dense_gram_oracle, family_realization, full_gram_certificate_oracle,
+                      full_gram_rank_oracle, loebell_factor_orbifold, phi_jacobian_oracle,
+                      pivot_levels, prism_cap_orbifold, psi_jacobian_oracle,
+                      random_lorentz_transform)
 
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -510,13 +512,15 @@ def test_arrow_form_is_the_dense_elimination():
             assert (tau is None) == deficient
 
 
-def test_second_certificate_allocates_no_trailing_block():
+def test_second_certificate_allocates_no_trailing_block(monkeypatch):
     """A second certificate on D psi's and on the staircase's pattern at the
     loebell(64) factor forms the block left to LAPACK (m rows) in the
     pattern's work array again, and its traced peak stays under two such
     blocks (2 m^2 doubles): LAPACK's factor of the block, and the levels'
     entries and multipliers.  A block allocated per certificate, and the
-    factor, would exceed it."""
+    factor, would exceed it.  The mode path, which forms no such block, is
+    turned off."""
+    monkeypatch.setattr(BlockRows, "modes", lambda self, symmetry: None)
     Q, R = family_realization("loebell", 64)
     p = vinberg.hyperbolic_point(R)
     index = vinberg.EquationIndex.from_orbifold(Q)
@@ -710,3 +714,225 @@ def test_gram_matrix_is_released_before_the_svd():
         tracemalloc.stop()
     assert rr.method == "svd" and rr.rank == 60
     assert peak < M.nbytes + A.nbytes
+
+
+# -- the mode certificate under the ring rotation ----------------------------------
+
+def _mode_cases(Q, p):
+    """(label, pattern, stored values, hint) of D psi, the staircase and D
+    phi at p, the hints those of the ring rotation."""
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    patterns = _structured_patterns(Q, p)
+    hints = {"psi": lorentz.psi_structure(Q).symmetry, "phi": index.symmetries[0],
+             "staircase": index.symmetries[1]}
+    return [(label, *patterns[label], hints[label]) for label in ("psi", "staircase", "phi")]
+
+
+def _mode_certificate(rows, values, symmetry, floor=0.0):
+    """The mode path alone, whether or not it pays: tau_bar where the mode
+    blocks certify sigma_min > max(tau_bar, floor), else None."""
+    form = numerics._mode_form(rows.nrows, rows.structure.keys, symmetry)
+    assert form is not None
+    shape = rows.shape(values)
+    sigma2, tau = numerics._sigma_bound(rows.gram_diagonal(values), shape)
+    blocks = numerics._mode_blocks(form, rows.gram_entries(values))
+    return tau if numerics._modes_certify(blocks, max(tau, floor), sigma2, shape) else None
+
+
+def _sigma_min(rows, values):
+    """sigma_min of a wide pattern's matrix, from scipy: the smallest
+    eigenvalue of its sparse Gram matrix by shift-invert Lanczos."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+
+    width = values.shape[1]
+    M = scipy.sparse.csr_matrix(
+        (values.ravel(), (np.repeat(rows.row, width),
+                          (rows.block[:, None] * width + np.arange(width)).ravel())),
+        shape=rows.shape(values))
+    A = (M @ M.T).tocsc()
+    return float(np.sqrt(scipy.sparse.linalg.eigsh(A, k=1, sigma=0.0, which="LM",
+                                                    return_eigenvectors=False)[0]))
+
+
+SMALL_MODE_CASES = (8, 16, 32, "loebell6_factor", "loebell8_factor")
+MODE_FAMILIES = [(family, m) for family in ("loebell", "prism") for m in (8, 16, 32, 64, 128, 192)]
+
+
+@pytest.mark.parametrize("family, m", MODE_FAMILIES + [("bundled", "loebell6_factor"),
+                                                        ("bundled", "loebell8_factor")])
+def test_mode_certificate_matches_full_gram_and_sigma_min(family, m):
+    """On D psi, the staircase and D phi of both families and of the
+    bundled factors with a rotation, the mode certificate alone holds where
+    the Cholesky of the whole Gram matrix does, with its threshold; that
+    threshold lies below sigma_min (scipy's Lanczos; the dense SVD up to m =
+    32, to 1e-9); and with a floor of 0.99 or 1.01 sigma_min it decides as
+    that Cholesky does: it fails at 1.01 sigma_min, and holds at 0.99
+    sigma_min up to m = 32.  Beyond, the rounding terms of both exceed the
+    2% of sigma_min^2 between the floors on some matrices."""
+    if family == "bundled":
+        Q, p = _bundled_point(m)
+    else:
+        Q, R = family_realization(family, m)
+        p = vinberg.hyperbolic_point(R)
+    for label, rows, values, symmetry in _mode_cases(Q, p):
+        shape = rows.shape(values)
+        tau = _mode_certificate(rows, values, symmetry)
+        oracle = full_gram_certificate_oracle(block_gram_oracle(rows, values), shape)
+        assert tau is not None and tau == oracle, label
+        sigma = _sigma_min(rows, values)
+        if rows.nrows <= 400:
+            ref = svd_rank(rows.dense(values)).singular_values[-1]
+            assert abs(sigma - ref) <= 1e-9 * ref, label
+        assert tau < sigma, label
+        for factor in (0.99, 1.01):
+            floored = _mode_certificate(rows, values, symmetry, factor * sigma)
+            assert floored == full_gram_certificate_oracle(block_gram_oracle(rows, values), shape,
+                                                           floor=factor * sigma), (label, factor)
+            if factor > 1.0:
+                assert floored is None, label
+            elif m in SMALL_MODE_CASES:
+                assert floored == tau, label
+
+
+@pytest.mark.parametrize("family, m", [("loebell", 8), ("loebell", 16), ("prism", 8),
+                                       ("prism", 9), ("loebell", 10)])
+def test_mode_blocks_have_the_gram_spectrum(family, m):
+    """The mode blocks, each cut to its own size (mode 0: the fixed rows and
+    one row per orbit; a mode pair: two per orbit; mode K/2: one), have
+    together the eigenvalues of the Gram matrix, to 1e-12 of its norm, for
+    odd K (prism(9)) and even K.  Their padding is the largest diagonal
+    entry, and the bound beside them covers the asymmetry and the DFT."""
+    Q, R = family_realization(family, m)
+    p = vinberg.hyperbolic_point(R)
+    for label, rows, values, symmetry in _mode_cases(Q, p):
+        form = numerics._mode_form(rows.nrows, rows.structure.keys, symmetry)
+        blocks, extra, dmax = numerics._mode_blocks(form, rows.gram_entries(values))
+        K, nf, b = form.K, form.nfixed, form.norbits
+        sizes = [nf + b] + [2 * b] * ((K - 1) // 2) + [b] * (K % 2 == 0)
+        assert len(sizes) == len(blocks) == K // 2 + 1, label
+        spectrum = np.sort(np.concatenate([np.linalg.eigvalsh(B[:n, :n])
+                                           for B, n in zip(blocks, sizes)]))
+        A = block_gram_oracle(rows, values)
+        ref = np.linalg.eigvalsh(A)
+        assert len(spectrum) == len(ref) == rows.nrows, label
+        assert np.abs(spectrum - ref).max() <= 1e-12 * ref[-1], label
+        for B, n in zip(blocks, sizes):
+            assert np.array_equal(np.diagonal(B)[n:], np.full(len(B) - n, dmax)), label
+            assert not B[n:, :n].any() and not B[:n, n:].any(), label
+        assert dmax == max(B[:n, :n].diagonal().max() for B, n in zip(blocks, sizes))
+        assert 0.0 < extra < 1e-9 * ref[-1], label
+
+
+def _circulant_rows(K, va, vb, vc, vf):
+    """A wide pattern with K blocks of width 3 and the block shift as its
+    symmetry: orbit 0, row k with ``va[k]`` in block k and ``vb[k]`` in
+    block k + 1; orbit 1, row K + k with ``vc`` in block k; and one fixed
+    row with ``vf`` in every block.  Returns (pattern, values, hint)."""
+    k = np.arange(K)
+    row = np.concatenate([k, k, K + k, np.full(K, 2 * K)])
+    block = np.concatenate([k, (k + 1) % K, k, k])
+    values = np.concatenate([va, vb, np.tile(vc, (K, 1)), np.tile(vf, (K, 1))])
+    image = np.concatenate([(k + 1) % K, K + (k + 1) % K, [2 * K]])
+    return (BlockRows(2 * K + 1, K, row, block), values,
+            RowSymmetry(image, np.ones(2 * K + 1)))
+
+
+def test_singular_mode_is_not_certified():
+    """A block-circulant pattern whose orbit 0 repeats one vector v in both
+    its blocks has an exactly singular mode K/2: the alternating sum of
+    those rows is zero.  The mode path does not certify it, and the SVD
+    decides a rank one short.  With v's second copy moved, every mode is
+    regular: the mode path certifies with the full-Gram threshold, and
+    with the hint turned by one row it fails and the levels certify."""
+    K = 8
+    rng = np.random.default_rng(67)
+    v, vc, vf = rng.normal(size=(3, 3))
+    rows, values, hint = _circulant_rows(K, np.tile(v, (K, 1)), np.tile(v, (K, 1)), vc, vf)
+    assert svd_rank(rows.dense(values)).rank == 2 * K
+    assert _mode_certificate(rows, values, hint) is None
+    rr = numerical_rank(rows.matrix(values, hint))
+    assert (rr.method, rr.rank) == ("svd", 2 * K)
+
+    rows, values, hint = _circulant_rows(K, np.tile(v, (K, 1)), np.tile(v + 0.5, (K, 1)), vc, vf)
+    tau = _mode_certificate(rows, values, hint)
+    assert tau is not None
+    assert tau == full_gram_certificate_oracle(block_gram_oracle(rows, values), rows.shape(values))
+    turned = RowSymmetry(np.roll(hint.image, 1), hint.sign)
+    assert numerics._row_orbits(turned) is None or _mode_certificate(rows, values, turned) is None
+    shifted = RowSymmetry(np.concatenate([np.roll(hint.image[:2 * K], 1), [2 * K]]), hint.sign)
+    assert _mode_certificate(rows, values, shifted) is None
+    assert numerical_rank(rows.matrix(values, shifted)).threshold == tau
+
+
+def test_asymmetry_bound_keeps_the_certificate_below_sigma_min():
+    """Orbit 0 with v in both blocks of every row but its representative,
+    which has v and v + d: the symmetrised matrix, read off the
+    representative, has its smallest eigenvalue near |d|^2, K times that of
+    the Gram matrix itself.  A floor between the two is not certified: the
+    asymmetry term covers the rows the representative does not show."""
+    K = 8
+    rng = np.random.default_rng(71)
+    v, vc, vf = rng.normal(size=(3, 3))
+    vb = np.tile(v, (K, 1))
+    vb[0] += 0.05
+    rows, values, hint = _circulant_rows(K, np.tile(v, (K, 1)), vb, vc, vf)
+    sigma = svd_rank(rows.dense(values)).singular_values[-1]
+    form = numerics._mode_form(rows.nrows, rows.structure.keys, hint)
+    blocks, _, _ = numerics._mode_blocks(form, rows.gram_entries(values))
+    lam = min(np.linalg.eigvalsh(B).min() for B in blocks)
+    assert lam > 4.0 * sigma * sigma
+    floor = np.sqrt(lam) / 2.0
+    assert _mode_certificate(rows, values, hint, floor) is None
+    assert full_gram_certificate_oracle(block_gram_oracle(rows, values), rows.shape(values),
+                                        floor=floor) is None
+    rr = numerical_rank(rows.matrix(values, hint))
+    assert (rr.rank, rr.method, rr.threshold) == full_gram_rank_oracle(rows, values)
+
+
+@pytest.mark.parametrize("m", [16, 64])
+def test_boosted_point_takes_the_levels_path(m, monkeypatch):
+    """The loebell(m) factor's realization moved by a Lorentz boost: its
+    Lorentz Gram matrix is the same, but D psi's, the staircase's and D
+    phi's Gram matrices are not invariant under the ring rotation, whose
+    hints stay the same.  The mode path fails on each, and every decision
+    of check_rank_sum and kernel_dimension, with its method and threshold,
+    is the one made with the mode path turned off."""
+    Q, R = family_realization("loebell", m)
+    g = random_lorentz_transform(4, np.random.default_rng(73))
+    moved = lorentz.HyperbolicRealization(Q, R.normals @ g.T)
+    p = vinberg.hyperbolic_point(moved)
+    for label, rows, values, symmetry in _mode_cases(Q, p):
+        assert _mode_certificate(rows, values, symmetry) is None, label
+
+    def decisions():
+        report = vinberg.check_rank_sum(Q, p)
+        return [(r.rank, r.method, r.threshold) for r in (report.rank_phi, report.rank_psi)] + [
+            report.staircase_rank, lorentz.kernel_dimension(Q, moved.normals)]
+
+    with_modes = decisions()
+    monkeypatch.setattr(BlockRows, "modes", lambda self, symmetry: None)
+    assert with_modes == decisions()
+
+
+@pytest.mark.parametrize("family, m", [("loebell", 64), ("prism", 64)])
+def test_mode_path_certifies_without_levels(family, m):
+    """On a fresh orbifold of either family at m = 64, the dim-sweep's
+    decisions on D psi and the staircase where the mode path pays are made
+    by the mode blocks alone: their patterns' levels are never analysed,
+    and no block is left to LAPACK."""
+    Q = loebell_factor_orbifold(pt.loebell(m)) if family == "loebell" else prism_cap_orbifold(m)
+    R = lorentz.solve_hyperbolic_newton(Q)
+    p = vinberg.hyperbolic_point(R)
+    vinberg.local_deformation_dimension(Q, p)
+    report = vinberg.check_rank_sum(Q, p)
+    assert lorentz.kernel_dimension(Q, R.normals) == 6
+    assert report.rank_phi.method == "block" and report.rank_psi.method == "cholesky"
+    index = vinberg._as_index(Q)
+    T = lorentz.psi_structure(Q)
+    paid = []
+    for rows, symmetry in ((T.rows, T.symmetry), (index.staircase_rows, index.symmetries[1])):
+        if rows.modes(symmetry) is not None:
+            paid.append(rows.nrows)
+            assert "elimination" not in vars(rows) and "work" not in vars(rows)
+    assert paid == ([T.nrows, len(index.e2)] if family == "loebell" else [T.nrows])

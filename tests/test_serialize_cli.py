@@ -283,10 +283,15 @@ def test_cli_esselmann_dim(capsys):
 
 
 def test_runtime_does_not_import_scipy(tmp_path):
-    # a fresh interpreter: the dim pipeline (including U-membership), check
+    # a fresh interpreter: the dim pipeline (including U-membership, and on
+    # the loebell(8) factor, whose ring rotation keeps its orders), check
     # (also on a document without vertices), realize, cartan, curve, Monte
-    # Carlo stats, a factor orbifold of L(8) and the random Lorentz transform
-    # must pull in neither scipy nor networkx
+    # Carlo stats, a factor orbifold of L(8), the rank sum of the L(16)
+    # factor, whose D psi certificate takes the mode blocks, and the random
+    # Lorentz transform must pull in neither scipy nor networkx, nor
+    # numpy.fft (the mode blocks' DFT is a product with a table of
+    # twiddles), nor numpy.ma, which np.unique without its index outputs
+    # imports
     from coxdeform import vinberg
 
     matrix = tmp_path / "matrix.json"
@@ -296,8 +301,9 @@ def test_runtime_does_not_import_scipy(tmp_path):
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from coxdeform import cli, lorentz, matchstats, polytope\n"
+        "from coxdeform import cli, lorentz, matchstats, polytope, vinberg\n"
         f"assert cli.main(['dim', 'loebell5_factor', '--out', {str(tmp_path / 'dim.json')!r}]) == 0\n"
+        f"assert cli.main(['dim', 'loebell8_factor', '--out', {str(tmp_path / 'd8.json')!r}]) == 0\n"
         f"assert cli.main(['check', 'tetrahedron353', '--out', {str(tmp_path / 'check.json')!r}]) == 0\n"
         f"assert cli.main(['check', {str(vertexless)!r}, '--out', {str(tmp_path / 'vl.json')!r}]) == 0\n"
         f"assert cli.main(['realize', 'loebell6_factor', '--out', {str(tmp_path / 're.json')!r}]) == 0\n"
@@ -309,11 +315,19 @@ def test_runtime_does_not_import_scipy(tmp_path):
         "P = polytope.loebell(8)\n"
         "Q = matchstats.orbifold_from_factor(P, matchstats.find_factor(P, min(P.ridges)), 3)\n"
         "assert Q.f == 18\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'networkx'))))\n"
+        "P = polytope.loebell(16)\n"
+        "Q = matchstats.orbifold_from_factor(P, matchstats.find_factor(P, min(P.ridges)), 3)\n"
+        "S = lorentz.psi_structure(Q)\n"
+        "p = vinberg.hyperbolic_point(lorentz.solve_hyperbolic_newton(Q))\n"
+        "assert vinberg.check_rank_sum(Q, p).rank_psi.method == 'cholesky'\n"
+        "assert S.rows.modes(S.symmetry) is not None and 'elimination' not in vars(S.rows)\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'numpy.ma' or m.startswith(('scipy', 'networkx', 'numpy.fft'))))\n"
     )
     out = fresh_python("-c", code, check=True)
     assert out.stdout.strip() == "[]"
     assert json.loads((tmp_path / "dim.json").read_text())["dimension"] == 7
+    assert json.loads((tmp_path / "d8.json").read_text())["dimension"] == 13
     assert json.loads((tmp_path / "check.json").read_text())["valid"] is True
     assert json.loads((tmp_path / "vl.json").read_text())["valid"] is True
     assert json.loads((tmp_path / "re.json").read_text())["method"] == "newton"

@@ -429,6 +429,9 @@ def _level_sizes(rows):
 LEVEL_SIZES = {"loebell16": ([130, 96, 80], [64, 48]),
                "prism16": ([66, 48], [16, 8]),
                "loebell48": ([386, 288, 240, 216, 192, 168, 156, 144, 132], [192, 144])}
+# Whether D psi's and the staircase's certificates take the mode path
+# (numerics._mode_pays).
+MODE_PATHS = {"loebell16": (True, False), "prism16": (False, False), "loebell48": (True, True)}
 
 
 @pytest.mark.parametrize("name", LEVEL_SIZES)
@@ -439,10 +442,12 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     matrix is never formed: its f diagonal rows are eliminated in closed
     form, then the levels of its e x e ridge block, and the staircase's
     rows less a greedy matching of them and its further levels; LAPACK
-    factors only what is left (``LEVEL_SIZES``).  The gauge directions'
-    Gram matrix is never formed either: its f rescaling rows are eliminated
-    in closed form, and LAPACK factors the (n+1)^2 - 1 traceless rows'
-    block that is left."""
+    factors only what is left (``LEVEL_SIZES``), or, where the mode path
+    of the ring rotation pays (``MODE_PATHS``), the stack of mode blocks
+    instead, in one call.  The gauge
+    directions' Gram matrix is never formed either: its f rescaling rows
+    are eliminated in closed form, and LAPACK factors the (n+1)^2 - 1
+    traceless rows' block that is left."""
     family, m = ("prism", 16) if name == "prism16" else ("loebell", int(name[7:]))
     Q, R = family_realization(family, m)
     p = vinberg.hyperbolic_point(R)
@@ -457,8 +462,8 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     assert staircase_sizes[:2] == [n2, n2 - matching]
     grams, diagonals, factored = [], [], []
     gram, diagonal, cholesky = BlockRows.gram, BlockRows.gram_diagonal, np.linalg.cholesky
-    monkeypatch.setattr(BlockRows, "gram",
-                        lambda self, values: grams.append(self.nrows) or gram(self, values))
+    monkeypatch.setattr(BlockRows, "gram", lambda self, values, *hint:
+                        grams.append(self.nrows) or gram(self, values, *hint))
     monkeypatch.setattr(BlockRows, "gram_diagonal",
                         lambda self, values: diagonals.append(self.nrows) or diagonal(self, values))
     monkeypatch.setattr(np.linalg, "cholesky", lambda A: factored.append(A.shape) or cholesky(A))
@@ -467,8 +472,14 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     assert sorted(grams) == sorted([n2, f + e])
     assert diagonals == [index.N]
     g = p.dim * p.dim - 1  # the traceless block of the gauge directions' arrow form
-    last = psi_sizes[-1], staircase_sizes[-1]
-    assert sorted(factored) == sorted([(last[0],) * 2, (last[1],) * 2, (g, g)])
+    expected = [(g, g)]
+    for rows, symmetry, last in ((psi_rows, lorentz.psi_structure(Q).symmetry, psi_sizes[-1]),
+                                 (index.staircase_rows, index.symmetries[1],
+                                  staircase_sizes[-1])):
+        form = rows.modes(symmetry)
+        assert (form is not None) == MODE_PATHS[name][len(expected) - 1]
+        expected.append((last, last) if form is None else form.layout.shape)
+    assert sorted(factored) == sorted(expected)
 
 
 def test_reduction_norms_bound_the_oracle_operators():
@@ -927,3 +938,24 @@ def test_full_jacobian_pattern_reconstruction(tetra_orbifold, tetra_point):
         put(9 + r, f + i - 1, p.alphas[i - 1])
 
     assert np.allclose(vinberg.phi_jacobian(index, p), expected, atol=0)
+
+
+def test_orbifold_verdicts_found_once_per_orbifold(monkeypatch):
+    """The counts and the weak-orderability verdict depend on the orbifold
+    alone: after a first dimension report and rank sum, further ones find
+    neither again, and give the same answers."""
+    calls = []
+    counts, weakly = ob.counts, ob.is_weakly_orderable
+    monkeypatch.setattr(ob, "counts", lambda Q: calls.append("counts") or counts(Q))
+    monkeypatch.setattr(ob, "is_weakly_orderable",
+                        lambda Q: calls.append("weak order") or weakly(Q))
+    Q = ob.make_orbifold(pt.loebell(16), family_realization("loebell", 16)[0].orders)
+    p = vinberg.hyperbolic_point(lorentz.solve_hyperbolic_newton(Q))
+    first = vinberg.local_deformation_dimension(Q, p), vinberg.check_rank_sum(Q, p)
+    assert sorted(calls) == ["counts", "weak order"]
+    calls.clear()
+    for _ in range(2):
+        again = vinberg.local_deformation_dimension(Q, p), vinberg.check_rank_sum(Q, p)
+        assert again[0].formula_dim == first[0].formula_dim == counts(Q).eplus - 3
+        assert again[1].weakly_orderable == first[1].weakly_orderable == weakly(Q)
+    assert calls == []
