@@ -72,7 +72,7 @@ class CartanMatrix:
         nearest order m >= 2 with 4 cos^2(pi/m) near a product in (0, 4),
         and no entry for a product >= 4 (a non-adjacent pair)."""
         M = self.entries
-        scale = max(np.abs(M).max(), 1.0)
+        scale = _entry_scale(M)
         tol = ENTRY_TOL * scale
         small = np.abs(M) <= tol
         zero = small & small.T
@@ -107,7 +107,7 @@ def check_vinberg_conditions(A):
     pairs; a_ij a_ji = 4 cos^2(pi/n_ij) on ridges of order >= 3; and the
     strict open condition a_ij a_ji > 4 on non-adjacent pairs."""
     M = A.entries
-    scale = max(np.abs(M).max(), 1.0)
+    scale = _entry_scale(M)
     atol = ENTRY_TOL * scale
     diagonal = [(A.facets[k], M[k, k])
                 for k in np.flatnonzero(np.abs(M.diagonal() - 2.0) > atol).tolist()]
@@ -150,10 +150,16 @@ class ComponentType(NamedTuple):
     smallest_eigenvalue: float
 
 
+def _entry_scale(M):
+    """max(max |a_ij|, 1), without an f x f temporary."""
+    return max(M.max(), -M.min(), 1.0)
+
+
 def _nonzero_pattern(M, tol):
-    """The symmetric boolean pattern where a_ij or a_ji is nonzero, with a
-    true diagonal."""
-    big = np.abs(M) > tol
+    """The symmetric boolean pattern where |a_ij| or |a_ji| exceeds ``tol``,
+    with a true diagonal, formed with no f x f float temporary."""
+    big = M > tol
+    big |= M < -tol
     big |= big.T
     np.fill_diagonal(big, True)
     return big
@@ -247,7 +253,7 @@ def smallest_real_eigenvalue(M):
     M = np.asarray(M, dtype=float)
     if M.shape == (1, 1):
         return float(M[0, 0])
-    scale = max(np.abs(M).max(), 1.0)
+    scale = _entry_scale(M)
     try:
         d, parent, _ = _spanning_tree(M, _nonzero_graph(M, ENTRY_TOL * scale))
     except CartanError:
@@ -275,7 +281,7 @@ def decompose_components(A):
     """Connected components of the nonzero pattern, each classified by the
     sign of its smallest real eigenvalue (zero within tolerance)."""
     M = A.entries
-    scale = max(np.abs(M).max(), 1.0)
+    scale = _entry_scale(M)
     norm = np.linalg.norm(M)
     comps = _components(_nonzero_pattern(M, ENTRY_TOL * scale))
     out = []
@@ -327,7 +333,7 @@ def diagonal_normalize(A):
     """
     M = A.entries
     f = A.f
-    scale = max(np.abs(M).max(), 1.0)
+    scale = _entry_scale(M)
     pattern = _nonzero_pattern(M, ENTRY_TOL * scale)
     if len(_components(pattern)) != 1:
         raise CartanError("matrix is decomposable; normalize components separately")

@@ -69,7 +69,13 @@ and delta_bar, with c' and d_max in place of c and max A_ii.  The mode
 path runs where its cost model expects it to be cheaper than the levels
 (:func:`_mode_pays`), and where it fails the levels and LAPACK decide as
 before: the hint is never trusted, so a wrong one costs time, not a
-wrong certificate.
+wrong certificate.  Each pattern's mode form (:class:`_ModeForm`) keeps
+the buffers in which every certificate forms the circulant blocks, the
+source vector and the stack of mode blocks, so that the blocks are valid
+until the pattern's next certificate, as its work array's block is.  At
+the loebell(64) factor D psi's stack (17 x 32 x 32 doubles, 139 264 B)
+passes glibc's default 128 KiB mmap threshold, so a stack allocated per
+certificate is mapped, faulted in page by page and unmapped each time.
 """
 
 from __future__ import annotations
@@ -605,7 +611,8 @@ def _pair_dots(values, p, q):
     """fl(<values[p], values[q]>) for each pair, summed in column order."""
     columns = values.T.copy()
     left, right = np.empty(len(p)), np.empty(len(p))
-    out = columns[0].take(p) * columns[0].take(q)
+    out = np.multiply(columns[0].take(p, out=left, mode="clip"),
+                      columns[0].take(q, out=right, mode="clip"))
     for column in columns[1:]:
         out += np.multiply(column.take(p, out=left, mode="clip"),
                            column.take(q, out=right, mode="clip"), out=left)
@@ -622,13 +629,17 @@ class _ModeForm(NamedTuple):
     representative entry (the number of entries where it has none);
     ``loose``, the cells with positions where the Gram matrix has no
     structural entry, and ``missing``, how many each has;
-    ``circulant``, the cell of each entry of the circulant blocks C_j (K x b
-    x b), of the fixed rows' coupling to the orbits (``coupling``, nfixed x
-    b, flat) and of their own block (``fixed``, flat), the number of cells
-    where none; and the assembly of the mode blocks (:func:`_mode_blocks`):
-    ``layout``, the place in the source vector of each entry of the stacked
-    blocks, and ``diagonal``, the places of their diagonal entries that are
-    not padding."""
+    ``circulant``, the cell of each entry of the circulant blocks C_j (K x
+    b^2, each block flat), of the fixed rows' coupling to the orbits
+    (``coupling``, nfixed x b, flat) and of their own block (``fixed``,
+    flat), the number of cells where none; the assembly of the mode blocks
+    (:func:`_mode_blocks`): ``layout``, the place in the source vector of
+    each entry of the stacked blocks, and ``diagonal``, the places of their
+    diagonal entries that are not padding; and the buffers in which each
+    use of the form builds the C_j (``circulant_values``), the ``source``
+    vector (whose zero entry is never written) and the stacked ``blocks``,
+    allocated once, so that a use's blocks are valid until the form's next
+    use."""
 
     K: int
     nfixed: int
@@ -643,6 +654,9 @@ class _ModeForm(NamedTuple):
     fixed: np.ndarray
     layout: np.ndarray
     diagonal: np.ndarray
+    circulant_values: np.ndarray
+    source: np.ndarray
+    blocks: np.ndarray
 
 
 def _row_orbits(symmetry):
@@ -744,6 +758,7 @@ def _mode_form(m, keys, symmetry):
     o1, o2, jj = cells[within] // (b * K), cells[within] // K % b, cells[within] % K
     circulant[jj, o1, o2] = within
     circulant[(K - jj) % K, o2, o1] = within
+    circulant = circulant.reshape(K, b * b)
     coupling = np.full(nf * b, ncells)
     at = np.flatnonzero((cells >= nc) & (cells < nc + nf * b))
     coupling[cells[at] - nc] = at
@@ -755,7 +770,9 @@ def _mode_form(m, keys, symmetry):
     loose = np.flatnonzero(filled < cell_positions)
     return _ModeForm(K, nf, b, sigma[r] * sigma[s], entry_cell.astype(np.intp), reps, loose,
                      cell_positions[loose] - filled[loose], circulant, coupling, fixed.ravel(),
-                     layout, diagonal)
+                     layout, diagonal, np.empty((K, b * b)),
+                     np.zeros(len(_twiddles(K)) * b * b + nf * b + nf * nf + 2),
+                     np.empty(layout.shape))
 
 
 def _mode_layout(K, nf, b):
@@ -852,21 +869,25 @@ def _mode_blocks(form, entries):
     K, b = form.K, form.norbits
     signed = entries * form.entry_sign
     value = np.append(signed, 0.0).take(form.rep)
-    difference = signed - value.take(form.entry_cell)
+    difference = np.subtract(signed, value.take(form.entry_cell), out=signed)
     loose = value.take(form.loose)
     n = len(difference) + len(loose)
     asym = math.sqrt((2.0 * float(difference @ difference) + float(form.missing @ (loose * loose))
                       + 3 * n * SMALLEST_SUBNORMAL) * (1.0 + _gamma(2 * n + 8)))
     value = np.append(value, 0.0)
-    circulant = value.take(form.circulant).reshape(K, b * b)
-    coupling = value.take(form.coupling) * math.sqrt(K)
-    source = np.concatenate([(_twiddles(K) @ circulant).ravel(), coupling,
-                             value.take(form.fixed), (0.0, 0.0)])
+    twiddles, circulant, source = _twiddles(K), form.circulant_values, form.source
+    value.take(form.circulant, out=circulant, mode="clip")
+    square = len(twiddles) * b * b
+    fixed = square + len(form.coupling)
+    np.matmul(twiddles, circulant, out=source[:square].reshape(-1, b * b))
+    coupling = np.multiply(value.take(form.coupling), math.sqrt(K), out=source[square:fixed])
+    value.take(form.fixed, out=source[fixed:-2], mode="clip")
     dmax = float(source.take(form.diagonal).max())
     source[-1] = dmax
-    blocks = source.take(form.layout)
+    blocks = source.take(form.layout, out=form.blocks, mode="clip")
     rho = TWIDDLE_ERROR + _gamma(K) * (1.0 + TWIDDLE_ERROR)
-    size = float(np.max([np.abs(circulant).sum(axis=0).max(), np.abs(coupling).max(initial=0.0)]))
+    size = float(np.max([np.abs(circulant, out=circulant).sum(axis=0).max(),
+                         np.abs(coupling).max(initial=0.0)]))
     extra = asym + blocks.shape[1] * rho * size * (1.0 + _gamma(K + 4))
     return blocks, extra, dmax
 

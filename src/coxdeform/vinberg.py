@@ -173,9 +173,11 @@ class EquationIndex:
 
     @cached_property
     def sign_positions(self):
-        """The facet positions of the E3 then the E4 pairs (the pairs whose
-        entries must be negative), as two int32 arrays; built on first use."""
-        return tuple(k.astype(np.int32) for k in self.positions(self.e3 + self.e4))
+        """The flat positions i f + j and j f + i, in an f x f Cartan
+        matrix, of the E3 then the E4 pairs (i, j) (the pairs whose entries
+        must be negative), as two index arrays; built on first use."""
+        i, j = self.positions(self.e3 + self.e4)
+        return i * self.f + j, j * self.f + i
 
 
 class PhiStructure:
@@ -647,11 +649,13 @@ def check_U_membership(Q_or_index, p):
     failures = []
 
     scale = max(np.abs(p.alphas).max(), 1e-30)
-    pattern = cartan._nonzero_pattern(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
-    zero_tol = cartan.ZERO_TYPE_TOL * np.linalg.norm(a)
+    # numpy's own reduction: OpenBLAS's ddot, behind np.linalg.norm, starts
+    # its thread pool above 10 000 entries
+    zero_tol = cartan.ZERO_TYPE_TOL * math.sqrt(np.einsum("ij,ij->", a, a))
     x = np.zeros(p.f)
     has_point = None
-    for comp in cartan._components(pattern):
+    for comp in cartan._components(
+            cartan._nonzero_pattern(a, cartan.ENTRY_TOL * cartan._entry_scale(a))):
         lam, u = factored_smallest_real_eigenpair(p.alphas[comp], p.bs[comp])
         if not lam < -zero_tol:
             sub = a[np.ix_(comp, comp)]
@@ -681,14 +685,19 @@ def check_U_membership(Q_or_index, p):
     if not span:
         failures.append("alphas do not span the dual space")
 
-    pairs = index.e3 + index.e4
-    ii, jj = index.sign_positions
-    signs_bad = np.flatnonzero(~((a[ii, jj] < 0) & (a[jj, ii] < 0)))
-    failures += ["non-negative entry on pair ({},{})".format(*pairs[k]) for k in signs_bad]
-    ii, jj = ii[len(index.e3):], jj[len(index.e3):]
-    prods = a[ii, jj] * a[jj, ii]
-    open_bad = np.flatnonzero(~(prods > 4.0))
-    failures += ["open condition fails on ({},{}): product {:.6f}".format(*index.e4[k], prods[k])
+    # The checks gather at flat positions, from boolean masks where they
+    # can, and a is this call's own: each E4 entry a_ij becomes a_ij a_ji in
+    # place, so that at most one float array of e4 entries is held beside a.
+    flat = a.reshape(-1)
+    ij, ji = index.sign_positions
+    signs_bad = np.flatnonzero(~((flat < 0).take(ij) & (flat < 0).take(ji)))
+    if len(signs_bad):
+        pairs = index.e3 + index.e4
+        failures += ["non-negative entry on pair ({},{})".format(*pairs[k]) for k in signs_bad]
+    ij, ji = ij[len(index.e3):], ji[len(index.e3):]
+    np.multiply.at(flat, ij, flat.take(ji))
+    open_bad = np.flatnonzero(~(flat > 4.0).take(ij))
+    failures += ["open condition fails on ({},{}): product {:.6f}".format(*index.e4[k], flat[ij[k]])
                  for k in open_bad]
 
     return UMembershipReport(has_point, point, span, not len(signs_bad), not len(open_bad),

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,18 @@ from coxdeform import bundled, cartan, lorentz, matchstats, orbifold as ob, poly
 from coxdeform import numerics
 from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF, BlockRows,
                                 _gamma, _sigma_bound, numerical_rank, svd_rank)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory traced by tracemalloc during the call):
+    tracing starts just before the call and stops after it, even if it
+    raises."""
+    tracemalloc.start()
+    try:
+        value = fn()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import argparse
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +11,8 @@ from conftest import (closed_form_seed_oracle, constant_seed_oracle, family_real
                       loebell_factor_orbifold, newton_bincount_oracle, newton_case,
                       newton_lstsq_oracle, prism_cap_orbifold, psi_eval_oracle,
                       psi_jacobian_oracle, random_lorentz_transform, realization_oracle,
-                      relabelled, seed_structure_oracle, shuffled_factor, vertex_point)
+                      relabelled, seed_structure_oracle, shuffled_factor, traced_peak,
+                      vertex_point)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -732,12 +732,7 @@ def test_psi_certificate_never_holds_the_full_gram():
     S = lorentz.psi_structure(Q)
     m, e = S.rows.elimination.size, S.nrows - S.f
     assert lorentz.kernel_dimension(Q, R.normals) == 6  # the pattern's index arrays, once
-    tracemalloc.start()
-    try:
-        kernel = lorentz.kernel_dimension(Q, R.normals)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    kernel, peak = traced_peak(lambda: lorentz.kernel_dimension(Q, R.normals))
     assert kernel == 6
     assert peak < 3 * m * m * 8 < e * e * 8
 
@@ -759,12 +754,7 @@ def test_newton_step_allocates_no_trailing_block():
     work = S.rows.work
     assert work.shape == (m, m)
     work[:] = 0.0  # the second step forms the block again, in the same array
-    tracemalloc.start()
-    try:
-        step = S.gauss_newton_step(alphas, r)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    step, peak = traced_peak(lambda: S.gauss_newton_step(alphas, r))
     assert np.array_equal(step, first)
     assert S.rows.work is work
     block = work.copy()

@@ -4,7 +4,6 @@ import json
 import math
 import pathlib
 import time
-import tracemalloc
 import types
 import warnings
 from collections import Counter
@@ -19,7 +18,7 @@ from conftest import (assignment_validity_oracle, backward_counts_oracle,
                       exact_counts_oracle, factor_corpus, factor_mask, find_factor_oracle,
                       mask_edge_sets, peel_oracle, plan_steps_oracle, random_parity_labels,
                       random_truncation, removable_edges_oracle, row_edge_sets,
-                      weak_order_induction_oracle)
+                      traced_peak, weak_order_induction_oracle)
 
 FACTOR_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "factors.json"
 
@@ -710,12 +709,7 @@ def test_batched_verdict_peak_memory_on_large_faces():
     model = ms._AssignmentModel(P, 7)
     rows, _ = ms._UniformValidSampler(model).draw(0, range(1000))
     order2 = rows == 2
-    tracemalloc.start()
-    try:
-        got = model.weakly_orderable(order2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(lambda: model.weakly_orderable(order2))
     assert peak < 4 * 2 ** 20
     np.testing.assert_array_equal(got, peel_oracle(P, row_edge_sets(P, order2)))
 

@@ -8,7 +8,6 @@ assembled from the row structure of D phi and D psi are checked against the
 dense product and its rounding bound."""
 
 import argparse
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from conftest import (block_gram_oracle, block_levels_oracle, bordered_trailing_
                       dense_gram_oracle, family_realization, full_gram_certificate_oracle,
                       full_gram_rank_oracle, loebell_factor_orbifold, phi_jacobian_oracle,
                       pivot_levels, prism_cap_orbifold, psi_jacobian_oracle,
-                      random_lorentz_transform)
+                      random_lorentz_transform, traced_peak)
 
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -530,14 +529,39 @@ def test_second_certificate_allocates_no_trailing_block(monkeypatch):
         assert _full_rank_certificate(M.gram(), M.shape) is not None
         work = rows.work
         assert work.shape == (m, m)
-        tracemalloc.start()
-        try:
-            tau = _full_rank_certificate(M.gram(), M.shape)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tau, peak = traced_peak(lambda: _full_rank_certificate(M.gram(), M.shape))
         assert tau is not None and rows.work is work
         assert peak < 2 * m * m * 8
+
+
+def test_second_mode_certificate_allocates_no_block_stack():
+    """A second certificate of D psi's and of the staircase's Gram matrix at
+    the loebell(64) factor, both on the mode path there, forms the mode
+    blocks in the buffers of the pattern's mode form: the blocks are the
+    same array as the first certificate's, forming them traces a peak under
+    one block stack (D psi: 17 x 32 x 32 doubles), and the whole
+    certificate stays under that stack plus the Gram entries, LAPACK's
+    factor of the stack being the one stack it allocates.  A stack, twiddle
+    product and source vector allocated per certificate exceed both."""
+    Q, R = family_realization("loebell", 64)
+    p = vinberg.hyperbolic_point(R)
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    for M, rows, symmetry in (
+            (lorentz.psi_matrix(Q, p.bs), lorentz.psi_structure(Q).rows,
+             lorentz.psi_structure(Q).symmetry),
+            (vinberg.e2_staircase(index, p), index.staircase_rows, index.symmetries[1])):
+        form = rows.modes(symmetry)
+        assert form is not None
+        first = _full_rank_certificate(M.gram(), M.shape)
+        assert first is not None
+        stack = 8 * form.layout.size
+        gram = M.gram()
+        (blocks, _, _), peak = traced_peak(gram.modes)
+        assert peak < stack
+        tau, peak = traced_peak(lambda: _full_rank_certificate(gram, M.shape))
+        assert tau == first
+        assert peak < stack + 8 * len(rows.structure.keys)
+        assert M.gram().modes()[0] is blocks and rows.modes(symmetry) is form
 
 
 def test_transpose_product_is_the_dense_product():
@@ -706,12 +730,7 @@ def test_gram_matrix_is_released_before_the_svd():
     M = U @ V
     A = dense_gram_oracle(M)
     planted = StructuredMatrix(M.shape, lambda: U @ (V @ V.T) @ U.T, lambda: U @ V)
-    tracemalloc.start()
-    try:
-        rr = numerical_rank(planted)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rr, peak = traced_peak(lambda: numerical_rank(planted))
     assert rr.method == "svd" and rr.rank == 60
     assert peak < M.nbytes + A.nbytes
 

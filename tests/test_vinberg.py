@@ -1,7 +1,6 @@
 import argparse
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +14,7 @@ from conftest import (apply_gauge, cartan_from_point, component_eigenpairs_oracl
                       gauge_directions_oracle, interior_point_eig_oracle, interior_point_oracle,
                       marching_squares_oracle, newton_case, open_conditions_oracle,
                       phi_eval_oracle, phi_jacobian_oracle, random_gauge, reduced_rank_oracle,
-                      reduction_operators_oracle, unflatten)
+                      reduction_operators_oracle, traced_peak, unflatten)
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -55,17 +54,19 @@ def test_equation_index_is_built_once_per_orbifold(monkeypatch):
 
 
 def test_sign_positions_are_cached_with_the_index():
-    # U-membership's E3 and E4 positions, built once per index; the
-    # descending facet list makes positions differ from facet ids
+    # U-membership's flat E3 and E4 positions in the Cartan matrix, built
+    # once per index; the descending facet list makes positions differ from
+    # facet ids
     cube = pt.cube()
     P = pt.PolytopeCombinatorics(3, (6, 5, 4, 3, 2, 1), cube.ridges, cube.vertices)
     descending = ob.make_orbifold(P, bundled.load_builtin("cube_mixed").orders)
     for Q in (descending, bundled.load_builtin("loebell8_factor"),
               bundled.load_builtin("esselmann")):
         index = vinberg._as_index(Q)
-        ii, jj = index.sign_positions
+        ij, ji = index.sign_positions
         want_i, want_j = index.positions(index.e3 + index.e4)
-        assert np.array_equal(ii, want_i) and np.array_equal(jj, want_j)
+        assert np.array_equal(ij, want_i * index.f + want_j)
+        assert np.array_equal(ji, want_j * index.f + want_i)
         assert vinberg._as_index(Q).sign_positions is index.sign_positions
 
 
@@ -292,12 +293,7 @@ def test_dimension_report_peak_memory():
     Q, R = family_realization("loebell", 64)
     p = vinberg.hyperbolic_point(R)
     assert vinberg.local_deformation_dimension(Q, p).full_rank  # the patterns' arrays, once
-    tracemalloc.start()
-    try:
-        report = vinberg.local_deformation_dimension(Q, p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: vinberg.local_deformation_dimension(Q, p))
     assert report.deformation_dim == 2 * 64 - 3
     assert peak < 2 ** 20 < (p.f + 15) * 8 * p.f * 8
 
@@ -644,30 +640,65 @@ def test_u_membership_open_condition():
     assert not report.open_condition_ok
 
 
+def _renamed_case(Q, p):
+    """Q with facet x renamed 3 x + 7 and the facets listed in descending
+    order, so that no name is its position, and p with its rows in that
+    order."""
+    P = Q.base
+    name = {x: 3 * x + 7 for x in P.facets}
+    facets = sorted(name.values(), reverse=True)
+    renamed = pt.PolytopeCombinatorics(
+        P.n, facets, [(name[i], name[j]) for i, j in P.ridges],
+        [frozenset(name[x] for x in V) for V in P.vertices])
+    R = ob.make_orbifold(renamed, {(name[i], name[j]): m for (i, j), m in Q.orders.items()})
+    rows = [P.facets.index((x - 7) // 3) for x in facets]
+    return R, vinberg.VinbergPoint(p.alphas[rows], p.bs[rows], tuple(facets))
+
+
 def test_u_membership_conditions_match_pair_loop():
     # a Cartan matrix with E3/E4 signs flipped and E4 products pushed below 4,
-    # carried by the point alpha = I, b = A^T so that a = A exactly
-    Q, p = _hyperbolic_case("loebell5_factor")
-    index = vinberg.EquationIndex.from_orbifold(Q)
-    A = p.cartan()
+    # carried by the point alpha = I, b = A^T so that a = A exactly; on
+    # loebell5_factor, the loebell(64) factor and a renamed copy of it
+    Q5, p5 = _hyperbolic_case("loebell5_factor")
+    Q64, R64 = family_realization("loebell", 64)
+    p64 = vinberg.hyperbolic_point(R64)
     rng = np.random.default_rng(5)
-    pos = index.pos
-    e4 = rng.permutation(len(index.e4))
-    flipped = [index.e3[t] for t in rng.choice(len(index.e3), 3, replace=False)]
-    flipped += [index.e4[t] for t in e4[:4]]
-    for k, (i, j) in enumerate(flipped):  # a_ij on even k, a_ji on odd k
-        A[(pos[i], pos[j])[k % 2], (pos[j], pos[i])[k % 2]] *= -1.0
-    for i, j in (index.e4[t] for t in e4[4:9]):
-        A[pos[i], pos[j]] *= 3.9 / (A[pos[i], pos[j]] * A[pos[j], pos[i]])
-    for q in (p, vinberg.VinbergPoint(np.eye(Q.f), A.T, p.facets)):
-        signs_ok, open_ok, failures = open_conditions_oracle(index, q)
-        report = vinberg.check_U_membership(Q, q)
-        assert (report.signs_ok, report.open_condition_ok) == (signs_ok, open_ok)
-        assert [m for m in report.failures
-                if m.startswith(("non-negative", "open condition"))] == failures
-    assert not signs_ok and not open_ok
-    assert sum(m.startswith("non-negative") for m in failures) == 7
-    assert sum(m.startswith("open condition") for m in failures) == 9
+    for Q, p in ((Q5, p5), (Q64, p64), _renamed_case(Q64, p64)):
+        index = vinberg.EquationIndex.from_orbifold(Q)
+        A = p.cartan()
+        pos = index.pos
+        e4 = rng.permutation(len(index.e4))
+        flipped = [index.e3[t] for t in rng.choice(len(index.e3), 3, replace=False)]
+        flipped += [index.e4[t] for t in e4[:4]]
+        for k, (i, j) in enumerate(flipped):  # a_ij on even k, a_ji on odd k
+            A[(pos[i], pos[j])[k % 2], (pos[j], pos[i])[k % 2]] *= -1.0
+        for i, j in (index.e4[t] for t in e4[4:9]):
+            A[pos[i], pos[j]] *= 3.9 / (A[pos[i], pos[j]] * A[pos[j], pos[i]])
+        for q in (p, vinberg.VinbergPoint(np.eye(Q.f), A.T, p.facets)):
+            signs_ok, open_ok, failures = open_conditions_oracle(index, q)
+            report = vinberg.check_U_membership(Q, q)
+            assert (report.signs_ok, report.open_condition_ok) == (signs_ok, open_ok)
+            assert [m for m in report.failures
+                    if m.startswith(("non-negative", "open condition"))] == failures
+        assert not signs_ok and not open_ok
+        assert sum(m.startswith("non-negative") for m in failures) == 7
+        assert sum(m.startswith("open condition") for m in failures) == 9
+
+
+def test_u_membership_allocates_no_square_temporary():
+    """A warm check_U_membership at the loebell(64) factor (f = 130) traces
+    a peak under its own Cartan product (f^2 doubles), one float per E4
+    pair and 16 KiB: the nonzero pattern, the scale and the norm need no f
+    x f float temporary, the sign checks gather from boolean masks, and the
+    E4 products are formed in place, with one gather of e4 entries.  |a|
+    and two E4 gathers beside their product exceed it."""
+    Q, R = family_realization("loebell", 64)
+    p = vinberg.hyperbolic_point(R)
+    index = vinberg._as_index(Q)
+    assert vinberg.check_U_membership(Q, p).passed  # the index's positions, once
+    report, peak = traced_peak(lambda: vinberg.check_U_membership(Q, p))
+    assert report.passed
+    assert peak < 8 * p.f * p.f + 8 * len(index.e4) + 2 ** 14
 
 
 def test_u_membership_matches_oracle_on_bundled_points():
