@@ -3,15 +3,15 @@
 A compact hyperbolic Coxeter polytope is encoded by unit spacelike normals
 nu_1..nu_f in R^{1,n} satisfying <nu_i, nu_i> = 1 and, on each ridge,
 <nu_i, nu_j> = -cos(pi/n_ij).  This module assembles that equation system and
-its Jacobian, realizes simplices directly from the Gram matrix, and solves the
-general case by Gauss-Newton iteration from a library of seed guesses.  The
-prism and two-ring seeds are solved first on the orbits of the rotation of
-their rings that keeps the orders, a dense system whose size depends on the
-rotation, not on the number of facets; on such orbifolds the Gauss-Newton
-iteration on the whole system then takes no step.  The rotation and its
-orbit system are found once per orbifold (:class:`RingRotation`), and the
-rotation's permutation of the rows of D psi is the hint of its rank
-certificate (:attr:`PsiStructure.symmetry`).
+its Jacobian, realizes complete Gram matrices (simplices) directly, and
+solves the general case by Gauss-Newton iteration from a library of seed
+guesses.  The rings of a prism or two-ring polytope, and the rotation of
+them that keeps the orders, are found once per orbifold by their own
+detectors (:class:`RingRotation`).  Their seed is solved first on the
+orbits of that rotation, a dense system whose size depends on the
+rotation, not on the number of facets, so that the Gauss-Newton iteration
+on the whole system then takes no step; the rotation's permutation of the
+rows of D psi is the hint of its rank certificate (:attr:`PsiStructure.symmetry`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import numpy as np
 
 from coxdeform.errors import ConvergenceError, RealizationError
 from coxdeform.numerics import DEFAULT_RANK_POLICY, BlockRows, RowSymmetry, numerical_rank
+from coxdeform.polytope import _pair
 
 RESIDUAL_TOL = 1e-10
 VALID_RESIDUAL = 1e-8         # the largest residual norm of a valid realization
@@ -102,13 +103,13 @@ class PsiStructure:
     :class:`BlockRows` pattern of all slots.  ``vertex_rows`` (one row of
     facet positions per vertex, sorted by facet) and ``nonadjacent`` (the
     positions of the polytope's non-adjacent pairs, in its order) serve
-    :class:`HyperbolicRealization`.  ``base`` is the orbifold's polytope,
-    from which the seed and the ring rotation are found once
-    (:attr:`seed_source`, :attr:`rotation`).
+    :class:`HyperbolicRealization`.  ``base`` and ``orders`` are the
+    orbifold's polytope and orders, from which its ring rotation is found
+    once (:attr:`rotation`).
     """
 
     def __init__(self, Q):
-        self.base = Q.base
+        self.base, self.orders = Q.base, Q.orders
         pos = self.position = {facet: k for k, facet in enumerate(Q.base.facets)}
         self.vertex_rows = np.array([[pos[i] for i in sorted(V)] for V in Q.base.vertices or ()],
                                     dtype=np.intp)
@@ -133,38 +134,14 @@ class PsiStructure:
         return len(self.a)
 
     @cached_property
-    def _ridge_keys(self):
-        """The ridge rows' keys min(a, b) f + max(a, b), sorted, and the
-        rows in that order."""
-        f = self.f
-        a, b = self.a[f:], self.b[f:]
-        keys = np.minimum(a, b) * f + np.maximum(a, b)
-        order = np.argsort(keys)
-        return keys[order], order + f
-
-    def ridge_rows(self, p, q):
-        """The rows of the ridges between the facet positions ``p`` and
-        ``q``, broadcast against each other."""
-        keys, rows = self._ridge_keys
-        return rows[np.searchsorted(keys, np.minimum(p, q) * self.f + np.maximum(p, q))]
-
-    @cached_property
-    def seed_source(self):
-        """The first (seed builder, structure) of _SEEDS whose structure
-        detector fits the polytope, or None; found on first use."""
+    def rotation(self):
+        """The :class:`RingRotation` of the first ring structure of _RINGS
+        that the polytope has, a prism's or two rings', built on first use;
+        None for any other."""
         if self.base.n != 3:
             return None
-        return next(((seed, structure) for detect, seed in _SEEDS
+        return next((RingRotation(self, *layout(self, structure)) for detect, layout in _RINGS
                      for structure in (detect(self.base),) if structure), None)
-
-    @cached_property
-    def rotation(self):
-        """The :class:`RingRotation` of a prism or two-ring orbifold, built
-        on first use; None for any other."""
-        source = self.seed_source
-        if source is None or source[0] not in _RING_LAYOUTS:
-            return None
-        return RingRotation(self, *_RING_LAYOUTS[source[0]](self, source[1]))
 
     @cached_property
     def symmetry(self):
@@ -499,7 +476,7 @@ def _doubled_cube_structure(P):
     """Detect three mutually adjacent hexagons and two square triples.
     Returns (hexagons, half1, half2) with each half mapping a hexagon to the
     opposite square of that half, or None."""
-    if P.f != 9:
+    if P.n != 3 or P.f != 9:
         return None
     hexes = sorted(x for x in P.facets if len(P.nbrs[x]) == 6)
     squares = [x for x in P.facets if len(P.nbrs[x]) == 4]
@@ -535,18 +512,22 @@ def _offset(c):
     return c if c > 1e-6 else OFFSET_FLOOR
 
 
+def _ring_shifts(orders, rows):
+    """The shifts 2 cos(pi/m_xy) of :class:`PsiStructure`'s ridge rows, read
+    from ``orders`` for each facet pair (x, y) of each row of ``rows``."""
+    return np.array([[2.0 * math.cos(math.pi / orders[_pair(x, y)]) for x, y in row]
+                     for row in rows])
+
+
 def _prism_layout(S, structure):
     """The ring layout of a prism (:class:`RingRotation`): the caps, the
     side ring in cyclic order, and the shifts of the cap-side rows of
     either cap and of the side-side rows (s_{j-1}, s_j)."""
     a, b, ring = structure
-    m = len(ring)
+    shifts = _ring_shifts(S.orders, [[(a, x) for x in ring], [(b, x) for x in ring],
+                                     zip(ring[-1:] + ring[:-1], ring)])
     caps = np.array([S.position[a], S.position[b]])
-    sides = np.array([S.position[x] for x in ring])
-    others = np.empty((3, m), dtype=np.intp)
-    others[:2] = caps[:, None]
-    others[2, 0], others[2, 1:] = sides[-1], sides[:-1]
-    return _prism_closed_form, (0, 2, 3), caps, sides[None], S.shift[S.ridge_rows(others, sides)]
+    return _prism_closed_form, (0, 2, 3), caps, np.array([[S.position[x] for x in ring]]), shifts
 
 
 def _prism_closed_form(f, caps, rings, shifts):
@@ -566,26 +547,18 @@ def _prism_closed_form(f, caps, rings, shifts):
     return _ring_seed(f, caps, c_c, rings, c_s, (0.0,), 1.0, (0.0,))
 
 
-def _prism_seed(Q, structure):
-    """The prism's closed form (:func:`_prism_closed_form`), solved on the
-    orbits of the orders' rotation (:meth:`RingRotation.seed`)."""
-    return psi_structure(Q).rotation.seed()
-
-
 def _loebell_layout(S, structure):
     """The ring layout of a two-ring polytope (:class:`RingRotation`): the
     caps, the upper and lower rings in cyclic order, and the shifts of the
     rows top-upper, bottom-lower, (u_{j-1}, u_j), (w_{j-1}, w_j), (w_j,
     u_{j-1}) and (w_j, u_j)."""
-    top, bottom, upper, lower = structure
-    m = len(upper)
+    top, bottom, u, w = structure
+    u_before, w_before = u[-1:] + u[:-1], w[-1:] + w[:-1]
+    shifts = _ring_shifts(S.orders, [[(top, x) for x in u], [(bottom, x) for x in w],
+                                     zip(u_before, u), zip(w_before, w),
+                                     zip(w, u_before), zip(w, u)])
     caps = np.array([S.position[top], S.position[bottom]])
-    rings = np.array([[S.position[x] for x in upper], [S.position[x] for x in lower]])
-    u, w = rings
-    before = np.arange(m) - 1
-    shifts = S.shift[S.ridge_rows(
-        np.stack([np.full(m, caps[0]), np.full(m, caps[1]), u[before], w[before], w, w]),
-        np.stack([u, w, u, w, u[before], u]))]
+    rings = np.array([[S.position[x] for x in u], [S.position[x] for x in w]])
     return _loebell_closed_form, (0, 2, 4, 6), caps, rings, shifts
 
 
@@ -614,10 +587,8 @@ def _loebell_closed_form(f, caps, rings, shifts):
     return _ring_seed(f, caps, c_c, rings, c_r, (0.0, math.pi / m), h, (v, -v))
 
 
-def _loebell_seed(Q, structure):
-    """The two-ring closed form (:func:`_loebell_closed_form`), solved on
-    the orbits of the orders' rotation (:meth:`RingRotation.seed`)."""
-    return psi_structure(Q).rotation.seed()
+# (ring structure detector, ring layout), in inference order
+_RINGS = ((_prism_structure, _prism_layout), (_loebell_structure, _loebell_layout))
 
 
 def _rotation_period(orders):
@@ -833,47 +804,29 @@ def _doubled_cube_seed(Q, structure):
     return np.array([rows[x] for x in Q.base.facets])
 
 
-# (structure detector, seed builder), in inference order
-_SEEDS = ((_doubled_cube_structure, _doubled_cube_seed), (_prism_structure, _prism_seed),
-          (_loebell_structure, _loebell_seed))
-# the ring layout of each ring seed (:class:`RingRotation`)
-_RING_LAYOUTS = {_prism_seed: _prism_layout, _loebell_seed: _loebell_layout}
-
-
 def initial_guess(Q):
     """Documented seed for Gauss-Newton, inferred from the base polytope's
-    combinatorial structure: the exact normals of :func:`realize_gram` when
-    every facet pair is adjacent (the simplex), else the first of the
-    doubled-cube, prism and two-ring seeds (any m, including the
-    dodecahedron L(5)) that fits.  A polytope that no seed fits raises
-    RealizationError.
+    combinatorial structure; the first that applies of:
 
-    The prism and two-ring seeds are built from Q's own angles.  Each starts
-    from the rotationally symmetric configuration of Klein planes x . u = c,
-    with nu = (-c, -u) / sqrt(1 - c^2), that solves psi exactly when every
-    ridge of a symmetry class has the class's mean kappa = mean cos(pi/m_ij):
+    - the exact normals of :func:`realize_gram`, where the prescribed Gram
+      matrix is complete (every facet pair adjacent, as on a simplex);
+    - the ring seed of a prism or two-ring polytope (any m, including the
+      dodecahedron L(5)), :meth:`RingRotation.seed`: the rotationally
+      symmetric closed form built from Q's own angles
+      (:func:`_prism_closed_form`, :func:`_loebell_closed_form`), solved on
+      the orbits of the rotation of the rings that keeps the orders, and
+      never worse than the closed form;
+    - the doubled cube's seed (:func:`_doubled_cube_seed`).
 
-    - prism (theta = 2 pi/m): c_s^2 = (cos theta + k_ss) / (1 + k_ss) and
-      c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s;
-    - two rings (X = c_r^2, A = 1 / (1 + tilt^2)):
-      (1 + k_2) X + (1 - cos 2 pi/m) A = 1 + k_2 within a ring,
-      -(1 + k_3) X + (1 + cos pi/m) A = 1 - k_3 across the rings, and
-      -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2) at the caps.
-
-    An offset the mean system puts at the origin becomes OFFSET_FLOOR.
-    Where a rotation of the rings by s of their m positions keeps the
-    orders, this closed form is then solved on the orbits of that rotation
-    (:func:`_orbit_solve`), so the seed solves psi for every such order
-    assignment, not only for the class-constant ones; the seed is never
-    worse than the closed form.  Without such a rotation the seed is the
-    closed form.  The seed's structure, its ring rotation and the orbit
-    system are found once per orbifold and kept with its
-    :class:`PsiStructure`."""
-    P = Q.base
-    if P.e == P.f * (P.f - 1) // 2:
+    A polytope that none fits raises RealizationError.  The ring rotation
+    and its orbit system are found once per orbifold and kept with its
+    :class:`PsiStructure` (:attr:`PsiStructure.rotation`)."""
+    if not Q.base.nonadjacent_pairs:
         return realize_gram(Q).normals
-    source = psi_structure(Q).seed_source
-    if source is None:
+    rotation = psi_structure(Q).rotation
+    if rotation is not None:
+        return rotation.seed()
+    structure = _doubled_cube_structure(Q.base)
+    if structure is None:
         raise RealizationError("no bundled seed for this polytope; pass initial=")
-    seed, structure = source
-    return seed(Q, structure)
+    return _doubled_cube_seed(Q, structure)

@@ -132,6 +132,11 @@ class EquationIndex:
         return BlockRows(len(i), self.f, np.concatenate([rows, rows]), np.concatenate([i, j]))
 
     @cached_property
+    def phi_structure(self):
+        """The :class:`PhiStructure` of the equations, built on first use."""
+        return PhiStructure(self)
+
+    @cached_property
     def counts(self):
         """The orbifold's :func:`orbifold.counts`, found on first use."""
         from coxdeform import orbifold as ob
@@ -225,26 +230,19 @@ def phi_eval(Q_or_index, p):
                            a.diagonal() - 2.0])
 
 
-_PHI_STRUCTURES = weakref.WeakKeyDictionary()
-
-
 def phi_structure(Q_or_index):
-    """The :class:`PhiStructure` of an equation index, or the cached one of
-    an orbifold (its lifetime is the orbifold's)."""
-    if isinstance(Q_or_index, EquationIndex):
-        return PhiStructure(Q_or_index)
-    S = _PHI_STRUCTURES.get(Q_or_index)
-    if S is None:
-        S = _PHI_STRUCTURES[Q_or_index] = PhiStructure(_as_index(Q_or_index))
-    return S
+    """The :class:`PhiStructure` of an equation index, or of an orbifold's
+    (:attr:`EquationIndex.phi_structure`)."""
+    return _as_index(Q_or_index).phi_structure
 
 
 def phi_matrix(Q_or_index, p):
     """Jacobian of :func:`phi_eval` as a :class:`StructuredMatrix` over the
     pattern of :class:`PhiStructure`, with the row symmetry of the ring
     rotation as its hint (:attr:`EquationIndex.symmetries`)."""
-    S = phi_structure(Q_or_index)
-    return S.rows.matrix(S.values(p), _as_index(Q_or_index).symmetries[0])
+    index = _as_index(Q_or_index)
+    S = index.phi_structure
+    return S.rows.matrix(S.values(p), index.symmetries[0])
 
 
 def phi_jacobian(Q_or_index, p):
@@ -412,7 +410,7 @@ def _phi_analysis(Q, p, policy):
     if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
         raise VinbergError(
             f"point is not a solution (max residual {np.abs(resid).max():.3e})")
-    S = phi_structure(Q)
+    S = index.phi_structure
     values = S.values(p)
     rr, psi, staircase = _block_decisions(Q, index, p, S.rows, values, policy)
     if rr is None:

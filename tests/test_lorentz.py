@@ -187,15 +187,26 @@ def test_seed_table_detects_each_structure_once(monkeypatch):
             return detect(P)
         return run
 
-    # inference tries the doubled cube, then the prism, then the two rings
-    order = ["doubled_cube", "prism", "loebell"]
-    monkeypatch.setattr(lorentz, "_SEEDS", tuple(
-        (counted(name, detect), seed) for name, (detect, seed) in zip(order, lorentz._SEEDS)))
+    # inference tries the prism, then the two rings (the ring rotation's
+    # table), then the doubled cube
+    order = ["prism", "loebell", "doubled_cube"]
+    monkeypatch.setattr(lorentz, "_RINGS", tuple(
+        (counted(name, detect), layout) for name, (detect, layout) in zip(order, lorentz._RINGS)))
+    monkeypatch.setattr(lorentz, "_doubled_cube_structure",
+                        counted("doubled_cube", lorentz._doubled_cube_structure))
     for builtin, name in [("cube_flex", "prism"), ("doubled_cube", "doubled_cube"),
                           ("loebell6_factor", "loebell"), ("loebell5_factor", "loebell")]:
+        Q = bundled.load_builtin(builtin)
         calls.clear()
-        lorentz.initial_guess(bundled.load_builtin(builtin))
+        lorentz.initial_guess(Q)
         assert calls == order[:order.index(name) + 1]
+        # the ring detectors run once per orbifold: a second seed, D psi's
+        # hint and D phi's take the rotation found by the first
+        calls.clear()
+        lorentz.initial_guess(Q)
+        lorentz.psi_structure(Q).symmetry
+        vinberg._as_index(Q).symmetries
+        assert calls == (["doubled_cube"] if name == "doubled_cube" else [])
     # a complete Gram matrix is realized directly, before any detector
     calls.clear()
     for builtin in ("tetrahedron353", "esselmann"):

@@ -28,12 +28,18 @@ def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
     assert a[1, 2] == pytest.approx(-2 * math.cos(math.pi / 5))
 
 
-def test_equation_index_is_built_once_per_orbifold(monkeypatch):
+@pytest.mark.parametrize("name", ["cube_rigid", "loebell16"])
+def test_equation_index_is_built_once_per_orbifold(monkeypatch, name):
     # dim's rank analysis, the phi structure and U-membership share one
     # cached index, equal to one built from the orbifold's pair lists, and
-    # released with the orbifold; its E4 pairs are the polytope's own tuple
-    Q = bundled.load_builtin("cube_rigid")
-    p = vinberg.hyperbolic_point(lorentz.solve_hyperbolic_newton(Q))
+    # released with the orbifold; its E4 pairs are the polytope's own tuple.
+    # On the loebell(16) factor the orbifold goes with what Newton, the
+    # rank-sum check, the kernel and U-membership built on the way: its ring
+    # rotation, the rotation's orbit system, the row symmetries and D psi's
+    # mode form
+    Q = newton_case(name)
+    R = lorentz.solve_hyperbolic_newton(Q)
+    p = vinberg.hyperbolic_point(R)
     fresh = vinberg.EquationIndex(Q.base.facets, Q.n, Q.e2_pairs(),
                                   {r: Q.order(*r) for r in Q.e3_pairs()}, Q.e4_pairs())
     built = []
@@ -41,16 +47,45 @@ def test_equation_index_is_built_once_per_orbifold(monkeypatch):
     monkeypatch.setattr(vinberg.EquationIndex, "from_orbifold",
                         lambda Q: built.append(Q) or build(Q))
     vinberg.local_deformation_dimension(Q, p)
+    vinberg.check_rank_sum(Q, p)
+    lorentz.kernel_dimension(Q, R.normals)
     vinberg.check_U_membership(Q, p)
     assert built == [Q]
     index = vinberg._as_index(Q)
     assert (index.facets, index.n, index.e2, index.e3_orders, index.e4) == \
         (fresh.facets, fresh.n, fresh.e2, fresh.e3_orders, fresh.e4)
     assert index.e4 is Q.base.nonadjacent_pairs
-    ref = weakref.ref(Q)
-    del Q, built
+    S = lorentz.psi_structure(Q)
+    if name == "loebell16":
+        assert S.rotation.orbit_system is not None and S.rows._modes[1] is not None
+        assert None not in index.symmetries
+    refs = [weakref.ref(Q), weakref.ref(S)]
+    del Q, R, S, built
     gc.collect()
-    assert ref() is None
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_phi_structure_is_built_once_per_index(monkeypatch):
+    # D phi's pattern is kept with its equation index, whether the index or
+    # its orbifold is passed
+    built = []
+    init = vinberg.PhiStructure.__init__
+    monkeypatch.setattr(vinberg.PhiStructure, "__init__",
+                        lambda self, index: built.append(index) or init(self, index))
+    Q = bundled.load_builtin("tetrahedron353")
+    p = vinberg.hyperbolic_point(lorentz.realize_gram(Q))
+    index = vinberg.EquationIndex.from_orbifold(Q)
+    for _ in range(2):
+        vinberg.phi_matrix(index, p)
+        vinberg.phi_jacobian(index, p)
+    assert built == [index]
+    assert vinberg.phi_structure(index) is vinberg.phi_structure(index)
+    vinberg.phi_matrix(Q, p)
+    vinberg.phi_jacobian(Q, p)
+    vinberg.local_deformation_dimension(Q, p)
+    cached = vinberg._as_index(Q)
+    assert built == [index, cached]
+    assert vinberg.phi_structure(Q) is vinberg.phi_structure(cached)
 
 
 def test_sign_positions_are_cached_with_the_index():
