@@ -127,7 +127,7 @@ class PsiStructure:
         self.slot_other = np.concatenate([a[:f], b[f:], a[f:]]).astype(np.int32)
         self.slot_k = np.concatenate([np.full(f, 2.0), np.ones(2 * e)])
         self.rows = BlockRows(len(rows), f, np.concatenate([np.arange(f), ridge, ridge]),
-                              np.concatenate([a[:f], a[f:], b[f:]]), reused=True)
+                              np.concatenate([a[:f], a[f:], b[f:]]))
 
     @property
     def nrows(self):
@@ -168,10 +168,11 @@ class PsiStructure:
     def gauss_newton_step(self, alphas, r):
         """The minimum-norm step J^t y with (J J^t + mu I) y = r, as an
         f x (n+1) array, without forming J: the Gram matrix of ``rows`` is
-        solved at the shift -mu (:meth:`BorderedGram.solve`), with the block
-        left to LAPACK in the pattern's work array, which every step reuses.
-        Where J loses row rank, rounding can leave a pivot of the shifted
-        system that is not positive; that raises ConvergenceError."""
+        solved at the shift -mu (:meth:`BorderedGram.solve`), its f diagonal
+        rows eliminated in closed form and the e x e ridge block left to
+        LAPACK in the pattern's work array, which every step reuses.  Where
+        J loses row rank, a closed-form pivot can be zero, or LAPACK can
+        meet an exactly singular block; that raises ConvergenceError."""
         values = self.values(alphas)
         A = self.rows.gram(values)
         mu = LM_SHIFT * A.diagonal.sum() / self.nrows

@@ -15,21 +15,15 @@ The Jacobians are sparse with a block pattern (:class:`BlockRows`), so their
 Gram matrices are assembled from that pattern and the dense matrix is built
 only when the SVD must decide (:class:`StructuredMatrix`).  The Cholesky
 factorisation takes the rows of a pattern that share no block with each
-other as its first pivots: their block of the Gram matrix is diagonal, so
-those steps have a closed form.  The trailing block, the Schur complement,
-is sparse too, and is reduced the same way level by level: each level takes
-rows with no structural nonzero between them in the block the levels before
-leave, chosen greedily by fewest nonzeros, as in Liu's multiple minimum
-degree ordering.  A level is taken while its cost model expects it to save
-LAPACK more time than it costs (:func:`_takes_level`), and only the block
-left is formed densely and handed to LAPACK (:class:`BorderedGram`).  The
-pattern of every level is worked out once per pattern and cached; a level
-of a pattern that is not factored again and again must repay that analysis
-in one use.  This is the same floating-point Cholesky of the same shifted
-matrix in another pivot order, so the certificate is unchanged
-(:func:`_full_rank_certificate`).  Each pattern forms the block left to
-LAPACK in one m x m work array of its own (:attr:`BlockRows.work`), so a
-block is valid until the pattern's next elimination.
+other as its first pivots, chosen greedily in row order: their block of the
+Gram matrix is diagonal, so those steps have a closed form.  Only the
+trailing block, the Schur complement, is formed densely and handed to
+LAPACK (:class:`BorderedGram`).  The pattern of that level is worked out
+once per pattern and cached.  This is the same floating-point Cholesky of
+the same shifted matrix in another pivot order, so the certificate is
+unchanged (:func:`_full_rank_certificate`).  Each pattern forms the block
+left to LAPACK in one m x m work array of its own (:attr:`BlockRows.work`),
+so a block is valid until the pattern's next elimination.
 The Gauss-Newton step of :mod:`coxdeform.lorentz` solves through the same
 elimination of D psi's Gram matrix at the shift -mu that its certificate
 factors at +s (:meth:`BorderedGram.solve`).
@@ -66,13 +60,14 @@ fl(B_l - s I), each of k' rows with diagonal entries at most d_max, so
 that c' = gamma_{k'+1} / (1 - gamma_{k'+1}) k' d_max plus his underflow
 term.  The shift s of :func:`_full_rank_certificate` is raised by e_bar
 and delta_bar, with c' and d_max in place of c and max A_ii.  The mode
-path runs where its cost model expects it to be cheaper than the levels
-(:func:`_mode_pays`), and where it fails the levels and LAPACK decide as
-before: the hint is never trusted, so a wrong one costs time, not a
-wrong certificate.  Each pattern's mode form (:class:`_ModeForm`) keeps
-the buffers in which every certificate forms the circulant blocks, the
-source vector and the stack of mode blocks, so that the blocks are valid
-until the pattern's next certificate, as its work array's block is.  At
+path runs where its cost model expects it to be cheaper than the level of
+closed-form pivots and LAPACK (:func:`_mode_pays`), and where it fails
+those decide as before: the hint is never trusted, so a wrong one costs
+time, not a wrong certificate.  Each pattern's mode form
+(:class:`_ModeForm`) keeps the buffers in which every certificate forms the
+circulant blocks, the source vector and the stack of mode blocks, so that
+the blocks are valid until the pattern's next certificate, as its work
+array's block is.  At
 the loebell(64) factor D psi's stack (17 x 32 x 32 doubles, 139 264 B)
 passes glibc's default 128 KiB mmap threshold, so a stack allocated per
 certificate is mapped, faulted in page by page and unmapped each time.
@@ -134,13 +129,13 @@ class StructuredMatrix(NamedTuple):
 class BorderedGram(NamedTuple):
     """A Gram matrix A = fl(W W^t) in the form that
     :func:`_full_rank_certificate` factors: its ``diagonal``, and
-    ``eliminate(s)``, the Cholesky factorisation of fl(A - s I) through its
-    levels of closed-form pivots, as (factors, trailing block): one (level,
-    pivots, multipliers) per level, and the m x m block left.  It raises
-    LinAlgError, as LAPACK does, at a pivot that is not positive.  A dense
-    A has no levels (:meth:`dense`); the Gram matrix of a pattern has those
-    of :attr:`BlockRows.elimination` and forms its block in the pattern's
-    :attr:`BlockRows.work`; an arrow form has one level, which it
+    ``eliminate(s)``, the Cholesky factorisation of fl(A - s I) through at
+    most one level of closed-form pivots, as (factors, trailing block): one
+    (level, pivots, multipliers) per level, and the m x m block left.  It
+    raises LinAlgError, as LAPACK does, at a pivot that is not positive.  A
+    dense A has no level (:meth:`dense`); the Gram matrix of a pattern has
+    that of :attr:`BlockRows.elimination` and forms its block in the
+    pattern's :attr:`BlockRows.work`; an arrow form has one, which it
     eliminates itself (:meth:`arrow`).  The block is valid until the next
     elimination of the same dense matrix or pattern.  ``modes``, where not
     None, returns the mode blocks of :func:`_mode_blocks`, which the
@@ -254,17 +249,10 @@ class BlockRows:
     a row.  The pair arrays (p, q), built on each use and kept by none (the
     analysis of :attr:`structure` keeps what it needs of them), list
     every ordered pair of terms in a common block, so that Gram entry (r, s) is the sum of
-    <values[p], values[q]> over the pairs with p in row r and q in row s.
+    <values[p], values[q]> over the pairs with p in row r and q in row s."""
 
-    ``reused`` marks a pattern whose Gram matrix is factored again and
-    again, as D psi's is at every Gauss-Newton step: the analysis of its
-    levels (:attr:`elimination`) is repaid by its uses, so a level is taken
-    when it saves time in each use.  Any other pattern's levels must also
-    repay their analysis in one use, so that no pattern is slower on its
-    first use than with its first level alone."""
-
-    def __init__(self, nrows, nblocks, row, block, reused=False):
-        self.nrows, self.nblocks, self.reused = nrows, nblocks, reused
+    def __init__(self, nrows, nblocks, row, block):
+        self.nrows, self.nblocks = nrows, nblocks
         self.row = np.asarray(row, dtype=np.int32)
         self.block = np.asarray(block, dtype=np.int32)
         self._modes = None
@@ -300,19 +288,19 @@ class BlockRows:
     @cached_property
     def elimination(self):
         """The analysis of the Cholesky factorisation of :meth:`gram`, built
-        on first use: the ``levels`` of closed-form pivots of
-        :func:`_block_levels`, which leave a block of ``size`` rows, the
-        first of them the rows that share no block; and ``lower`` and
-        ``upper``, the flat positions in that block of its entries (r, s),
-        r >= s, and of their mirrors (s, r)."""
-        levels, last, size = _block_levels(self.nrows, self.structure.keys, self.reused)
-        return _Elimination(levels=tuple(levels), lower=last,
+        on first use: the ``level`` of closed-form pivots of
+        :func:`_block_level`, the rows that share no block, which leaves a
+        block of ``size`` rows; and ``lower`` and ``upper``, the flat
+        positions in that block of its entries (r, s), r >= s, and of their
+        mirrors (s, r)."""
+        level, last, size = _block_level(self.nrows, self.structure.keys)
+        return _Elimination(level=level, lower=last,
                             upper=last % size * size + last // size, size=size)
 
     @cached_property
     def work(self):
-        """The m x m array, m the rows of the block that the levels of
-        :attr:`elimination` leave, in which every elimination of a Gram
+        """The m x m array, m the rows of the block that the level of
+        :attr:`elimination` leaves, in which every elimination of a Gram
         matrix of this pattern forms that block, allocated once: its
         structural zeros are never written, so they stay zero, and the
         block of one elimination is valid until the pattern's next."""
@@ -324,8 +312,8 @@ class BlockRows:
         :class:`RowSymmetry` ``symmetry``, built once and kept with the
         last symmetry asked for; None where the symmetry has no orbit of
         its order, or where :func:`_mode_pays` expects LAPACK's Cholesky of
-        the block that the first level of pivots leaves to cost less than
-        the mode blocks."""
+        the block that the level of pivots leaves to cost less than the
+        mode blocks."""
         if self._modes is None or self._modes[0] is not symmetry:
             form = _mode_form(self.nrows, self.structure.keys, symmetry)
             if form is not None and not _mode_pays(self.nrows, self.structure.keys, form):
@@ -346,18 +334,16 @@ class BlockRows:
         dot product of each pair's stored vectors, summed per entry in pair
         order, and only the entries (r, s) with r >= s are formed.
 
-        The pivot rows of a level share no structural nonzero, so their
+        The pivot rows of the level share no structural nonzero, so their
         entries with each other are exact zeros, and the Cholesky
-        factorisation of fl(A - s I) that takes them first is: pivot l_i =
-        sqrt(B_ii), B the block the level starts from (fl(A - s I) at the
-        first); one multiplier fl(B_ri / l_i) per trailing row r that has a
-        nonzero with pivot i; and the entries of the next block, fl(B_rs)
-        minus the products of the multipliers of r and s, pivot by pivot in
-        pivot order.  Each level's entries go into one ``np.bincount``, in
-        that order, so each entry of a block is eliminated from its value in
-        the block before.  The last block is filled with its entries and
-        their mirrors, in :attr:`work`.  The levels are analysed on the
-        first elimination, not before.  Under a :class:`RowSymmetry` whose
+        factorisation of fl(A - s I) = B that takes them first is: pivot l_i
+        = sqrt(B_ii); one multiplier fl(B_ri / l_i) per trailing row r that
+        has a nonzero with pivot i; and the entries of the trailing block,
+        fl(B_rs) minus the products of the multipliers of r and s, pivot by
+        pivot in pivot order.  They go into one ``np.bincount``, in that
+        order, and the block is filled with them and their mirrors, in
+        :attr:`work`.  The level is analysed on the first elimination, not
+        before.  Under a :class:`RowSymmetry` whose
         mode path pays (:meth:`modes`), the entries also give the mode
         blocks (:func:`_mode_blocks`)."""
         G = self.structure
@@ -365,25 +351,23 @@ class BlockRows:
 
         def eliminate(s):
             E = self.elimination
+            L = E.level
             block = entries.copy()
             block[G.diag] -= s
-            factors = []
-            for L in E.levels:
-                pivot = block.take(L.diag)
-                if not (pivot > 0.0).all():
-                    raise np.linalg.LinAlgError("a closed-form pivot is not positive")
-                pivot = np.sqrt(pivot)
-                coupling = block.take(L.couple) / pivot.take(L.couple_pivot)
-                w = np.empty(len(L.entry))
-                block.take(L.keep, out=w[:len(L.keep)], mode="clip")
-                np.negative(coupling).take(L.update[0], out=w[len(L.keep):], mode="clip")
-                w[len(L.keep):] *= coupling.take(L.update[1])
-                block = np.bincount(L.entry, w, minlength=L.nentries)
-                factors.append((L, pivot, coupling))
+            pivot = block.take(L.diag)
+            if not (pivot > 0.0).all():
+                raise np.linalg.LinAlgError("a closed-form pivot is not positive")
+            pivot = np.sqrt(pivot)
+            coupling = block.take(L.couple) / pivot.take(L.couple_pivot)
+            w = np.empty(len(L.entry))
+            block.take(L.keep, out=w[:len(L.keep)], mode="clip")
+            np.negative(coupling).take(L.update[0], out=w[len(L.keep):], mode="clip")
+            w[len(L.keep):] *= coupling.take(L.update[1])
+            block = np.bincount(L.entry, w, minlength=L.nentries)
             flat = self.work.reshape(-1)
             flat[E.lower] = block
             flat[E.upper] = block
-            return factors, self.work
+            return [(L, pivot, coupling)], self.work
         form = None if symmetry is None else self.modes(symmetry)
         modes = None if form is None else (lambda: _mode_blocks(form, entries))
         return BorderedGram(entries[G.diag], eliminate, modes)
@@ -417,7 +401,7 @@ class BlockRows:
 
 
 class _Level(NamedTuple):
-    """One level of closed-form pivots of a symmetric block: the block's
+    """A level of closed-form pivots of a symmetric block: the block's
     ``pivot_rows`` and ``trail_rows`` (positions in it); one coupling per
     (trailing row, pivot) with a structural nonzero between them, sorted by
     pivot and then by row, at ``couple_row`` and ``couple_pivot`` among the
@@ -425,8 +409,8 @@ class _Level(NamedTuple):
     couplings with a common pivot and couple_row[a] >= couple_row[b],
     grouped by pivot in pivot order; ``diag``, ``couple`` and ``keep``, the
     block's entries on the pivots' diagonal, of each coupling, and between
-    two trailing rows; and ``entry``, the entry of the next block, one of
-    its ``nentries``, that each kept entry and then each update goes to."""
+    two trailing rows; and ``entry``, the entry of the trailing block, one
+    of its ``nentries``, that each kept entry and then each update goes to."""
 
     pivot_rows: np.ndarray
     trail_rows: np.ndarray
@@ -448,7 +432,7 @@ class _GramStructure(NamedTuple):
 
 
 class _Elimination(NamedTuple):
-    levels: tuple
+    level: _Level
     lower: np.ndarray
     upper: np.ndarray
     size: int
@@ -468,90 +452,55 @@ def _lower_updates(couple_row, group_size):
     return a, b.astype(np.int32)
 
 
-def _block_levels(m, keys, reused):
-    """The levels of closed-form pivots of a symmetric m x m matrix whose
+def _block_level(m, keys):
+    """The level of closed-form pivots of a symmetric m x m matrix whose
     structural nonzeros (r, c), r >= c, have the sorted flat positions
-    ``keys``, as (levels, keys, size) of the block they leave.
+    ``keys``, as (level, keys, size) of the block it leaves.
 
-    Each level's pivots are rows with no structural nonzero between any two
-    of them, in the matrix at the first level and in the block the levels
-    before leave at each further one (:func:`_independent_rows`).  The first
-    level visits the rows in row order: two rows of a :class:`BlockRows`
-    pattern share a nonzero exactly when they share a block.  Each further
-    level visits them in order of their number of off-diagonal nonzeros,
-    fewest first, ties in row order, which is the multiple elimination of
-    Liu's multiple minimum degree ordering (ACM TOMS 11, 1985).  The next
-    block's pattern is the kept entries and the fill of the updates.  A
-    further level is taken while :func:`_takes_level` expects it to save
-    more LAPACK time than it costs, the analysis too unless the pattern is
-    ``reused``.  The analysis stops on a block too small for any level to
-    pay: one that took every row as a pivot, with no update."""
-    levels = []
-    while not levels or _takes_level(m, m, 0, 0, reused):
-        rows, cols = np.divmod(keys, m)
-        pivot = _independent_rows(m, rows, cols, by_degree=bool(levels))
-        npivots = int(np.count_nonzero(pivot))
-        trail_pos, pivot_pos = np.cumsum(~pivot) - 1, np.cumsum(pivot) - 1
-        pr, pc = pivot[rows], pivot[cols]
-        couples = np.flatnonzero(pr != pc)
-        trail = trail_pos[np.where(pr, cols, rows)[couples]]
-        couple_pivot = pivot_pos[np.where(pr, rows, cols)[couples]]
-        order = np.lexsort((trail, couple_pivot))
-        couples, couple_row, couple_pivot = couples[order], trail[order], couple_pivot[order]
-        a, b = _lower_updates(couple_row, np.bincount(couple_pivot, minlength=npivots))
-        if levels and not _takes_level(m, npivots, len(keys), len(a), reused):
-            break
-        keep = np.flatnonzero(~pr & ~pc)
-        size = m - npivots
-        next_keys, entry = _merge_keys(trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
-                                       couple_row[a].astype(np.int64) * size + couple_row[b])
-        levels.append(_Level(
-            np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
-            couple_pivot.astype(np.int32), (a, b),
-            keys.searchsorted(np.flatnonzero(pivot) * (m + 1)).astype(np.int32),
-            couples.astype(np.int32), keep.astype(np.int32), entry.astype(np.int32),
-            len(next_keys)))
-        m, keys = size, next_keys
-    return levels, keys, m
+    The pivots are rows with no structural nonzero between any two of them,
+    taken greedily in row order (:func:`_independent_rows`): two rows of a
+    :class:`BlockRows` pattern share a nonzero exactly when they share a
+    block.  The trailing block's pattern is the kept entries and the fill
+    of the updates."""
+    rows, cols = np.divmod(keys, m)
+    pivot = _independent_rows(m, rows, cols)
+    npivots = int(np.count_nonzero(pivot))
+    trail_pos, pivot_pos = np.cumsum(~pivot) - 1, np.cumsum(pivot) - 1
+    pr, pc = pivot[rows], pivot[cols]
+    couples = np.flatnonzero(pr != pc)
+    trail = trail_pos[np.where(pr, cols, rows)[couples]]
+    couple_pivot = pivot_pos[np.where(pr, rows, cols)[couples]]
+    order = np.lexsort((trail, couple_pivot))
+    couples, couple_row, couple_pivot = couples[order], trail[order], couple_pivot[order]
+    a, b = _lower_updates(couple_row, np.bincount(couple_pivot, minlength=npivots))
+    keep = np.flatnonzero(~pr & ~pc)
+    size = m - npivots
+    next_keys, entry = np.unique(np.concatenate([
+        trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
+        couple_row[a].astype(np.int64) * size + couple_row[b]]), return_inverse=True)
+    level = _Level(
+        np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
+        couple_pivot.astype(np.int32), (a, b),
+        keys.searchsorted(np.flatnonzero(pivot) * (m + 1)).astype(np.int32),
+        couples.astype(np.int32), keep.astype(np.int32), entry.astype(np.int32),
+        len(next_keys))
+    return level, next_keys, size
 
 
-def _merge_keys(kept, fill):
-    """np.unique(np.concatenate([kept, fill]), return_inverse=True) for
-    sorted distinct ``kept``: only the fill is sorted, and its distinct
-    keys that are not kept are merged into the kept ones."""
-    fill, fill_entry = np.unique(fill, return_inverse=True)
-    at = kept.searchsorted(fill)
-    found = at < len(kept)
-    found[found] = kept[at[found]] == fill[found]
-    new = fill[~found]
-    kept_pos = np.arange(len(kept)) + new.searchsorted(kept)
-    new_pos = np.arange(len(new)) + at[~found]
-    keys = np.empty(len(kept) + len(new), dtype=np.result_type(kept, fill))
-    keys[kept_pos], keys[new_pos] = kept, new
-    fill_pos = np.empty(len(fill), dtype=np.intp)
-    fill_pos[found], fill_pos[~found] = kept_pos[at[found]], new_pos
-    return keys, np.concatenate([kept_pos, fill_pos[fill_entry]])
-
-
-def _independent_rows(m, rows, cols, by_degree):
-    """The pivots of a level, as a mask (see :func:`_block_levels`), from
-    the block's structural nonzeros (rows, cols), rows >= cols, sorted by
-    row:
-    greedily, a row is taken when no row taken before is its neighbour,
-    visiting the rows in row order or, ``by_degree``, by number of
-    neighbours."""
+def _independent_rows(m, rows, cols):
+    """The pivots of a level, as a mask (see :func:`_block_level`), from
+    the matrix's structural nonzeros (rows, cols), rows >= cols, sorted by
+    row: greedily, a row is taken when no row taken before is its
+    neighbour, visiting the rows in row order."""
     off = rows != cols
     rows, cols = rows[off], cols[off]
     by_col = np.argsort(cols)
     above = rows[by_col]
-    lower_start = np.searchsorted(rows, np.arange(m + 1))
-    upper_start = np.searchsorted(cols[by_col], np.arange(m + 1))
-    degree = np.diff(lower_start) + np.diff(upper_start)
-    order = np.argsort(degree, kind="stable").tolist() if by_degree else range(m)
-    lower_start, upper_start = lower_start.tolist(), upper_start.tolist()
+    lower_start = np.searchsorted(rows, np.arange(m + 1)).tolist()
+    upper_start = np.searchsorted(cols[by_col], np.arange(m + 1)).tolist()
     pivot = np.zeros(m, dtype=bool)
     blocked = np.zeros(m, dtype=bool)
-    for r in order:
+    for r in range(m):
         if not blocked[r]:
             pivot[r] = True
             blocked[cols[lower_start[r]:lower_start[r + 1]]] = True
@@ -559,39 +508,19 @@ def _independent_rows(m, rows, cols, by_degree):
     return pivot
 
 
-# The level rule's cost model, in seconds: LAPACK's Cholesky or solve of an
-# m x m block takes about LAPACK_CUBE m^3 + LAPACK_SQUARE m^2; a level
-# LEVEL_COST plus UPDATE_COST per update, in an elimination and in the
-# forward and back substitution of a solve; and the analysis of a level of
-# an m x m block ANALYSIS_COST plus ANALYSIS_ROW_COST per row,
-# ANALYSIS_ENTRY_COST per structural nonzero r >= s and ANALYSIS_UPDATE_COST
-# per update.  Fitted to timings of LAPACK for m = 128..1922 and of the
+# The cost of the level of closed-form pivots and LAPACK, in seconds, against
+# which :func:`_mode_pays` weighs the mode path: LAPACK's Cholesky of an m x
+# m block takes about LAPACK_CUBE m^3 + LAPACK_SQUARE m^2, and the level
+# LEVEL_COST.  Fitted to timings of LAPACK for m = 128..1922 and of the
 # levels of D phi, D psi and the staircase (OpenBLAS 0.3, numpy 2.4, two
 # Xeon cores); CHANGES.md has the measurements.
 LAPACK_CUBE = 5.6e-12
 LAPACK_SQUARE = 9.3e-9
 LEVEL_COST = 2e-5
-UPDATE_COST = 7e-9
-ANALYSIS_COST = 5.4e-5
-ANALYSIS_ROW_COST = 1.7e-7
-ANALYSIS_ENTRY_COST = 4.2e-8
-ANALYSIS_UPDATE_COST = 2.9e-8
 
 
 def _lapack_cost(m):
     return (LAPACK_CUBE * m + LAPACK_SQUARE) * m * m
-
-
-def _takes_level(m, npivots, nentries, nupdates, reused):
-    """Whether a level of ``npivots`` pivots and ``nupdates`` updates on an
-    m x m block with ``nentries`` structural nonzeros r >= s is expected to
-    save more LAPACK time than it costs: in one use and, unless the pattern
-    is ``reused``, in its analysis."""
-    cost = LEVEL_COST + UPDATE_COST * nupdates
-    if not reused:
-        cost += (ANALYSIS_COST + ANALYSIS_ROW_COST * m + ANALYSIS_ENTRY_COST * nentries
-                 + ANALYSIS_UPDATE_COST * nupdates)
-    return _lapack_cost(m) - _lapack_cost(m - npivots) > cost
 
 
 def _pairs_within(group, ngroups, order):
@@ -905,14 +834,13 @@ MODE_SQUARE_COST = 8e-9
 
 
 def _mode_pays(m, keys, form):
-    """Whether the level rule's cost model expects the first level of
-    :func:`_block_levels` on the m x m Gram matrix with structural nonzeros
-    ``keys``, and LAPACK's Cholesky of the block it leaves, to cost more
-    than the mode blocks of ``form`` and their Cholesky.  Further levels
-    are taken only where they pay, so this asks for no analysis beyond the
-    first level's independent rows."""
+    """Whether the cost model expects the level of :func:`_block_level` on
+    the m x m Gram matrix with structural nonzeros ``keys``, and LAPACK's
+    Cholesky of the block it leaves, to cost more than the mode blocks of
+    ``form`` and their Cholesky.  It asks for no analysis beyond the
+    level's independent rows."""
     rows, cols = np.divmod(keys, m)
-    first = int(np.count_nonzero(_independent_rows(m, rows, cols, by_degree=False)))
+    first = int(np.count_nonzero(_independent_rows(m, rows, cols)))
     nblocks, k = form.layout.shape[:2]
     cost = (MODE_COST + MODE_ENTRY_COST * len(keys)
             + nblocks * (MODE_BLOCK_COST + MODE_SQUARE_COST * k * k))
@@ -987,15 +915,7 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
       zeros, so each of their l_ij is an exact zero, each pivot is l_ii =
       sqrt(B_ii), each multiplier of a later row r is fl(B_ri / l_ii), and
       each entry of the trailing block is fl(B_rs - sum_i l_ri l_si), the
-      products subtracted one by one.  Each further level does the same on
-      the block the levels before leave, whose entries are the partial
-      sums b_rs - sum_t l_rt l_st over the pivots t taken so far.  An entry
-      that is structurally zero there, with no shared block and no earlier
-      pivot coupled to both rows, is an exact zero: no product was ever
-      added to it.  The level's pivots have only such entries between them,
-      so again their l_ij are exact zeros, and the level's pivots,
-      multipliers and updates are the formulas above, each a continuation
-      of the same sums in pivot order.  The arrow form
+      products subtracted one by one.  The arrow form
       (:meth:`BorderedGram.arrow`) takes its one level the same way, but
       forms fl(E - s I) of its dense block first and then subtracts from
       each entry the sum of the products of its multipliers, accumulated
@@ -1003,7 +923,7 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
       evaluation of the same expression, which the backward error allows.
       LAPACK then factors the block left,
       which completes the floating-point Cholesky factorisation of P B P^T
-      in one order of evaluation, P taking the levels in turn.  A pivot
+      in one order of evaluation, P taking the level's rows first.  A pivot
       that is not positive stops it, as it would stop LAPACK; with no such
       rows this is LAPACK's factorisation of B.
 

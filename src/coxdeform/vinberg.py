@@ -230,12 +230,6 @@ def phi_eval(Q_or_index, p):
                            a.diagonal() - 2.0])
 
 
-def phi_structure(Q_or_index):
-    """The :class:`PhiStructure` of an equation index, or of an orbifold's
-    (:attr:`EquationIndex.phi_structure`)."""
-    return _as_index(Q_or_index).phi_structure
-
-
 def phi_matrix(Q_or_index, p):
     """Jacobian of :func:`phi_eval` as a :class:`StructuredMatrix` over the
     pattern of :class:`PhiStructure`, with the row symmetry of the ring

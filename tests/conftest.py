@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cartan, lorentz, matchstats, orbifold as ob, polytope as pt, vinberg
-from coxdeform import numerics
 from coxdeform.numerics import (DEFAULT_RANK_POLICY, SMALLEST_SUBNORMAL, UNIT_ROUNDOFF, BlockRows,
                                 _gamma, _sigma_bound, numerical_rank, svd_rank)
 
@@ -106,6 +105,19 @@ def prism_cap_orbifold(m):
     """Order 3 on the ridges of the two caps, order 2 on the sides."""
     P = pt.prism(m)
     return ob.make_orbifold(P, {r: (3 if r[0] in (1, 2) else 2) for r in P.ridges})
+
+
+def one_order_changed(Q0):
+    """Q0 with the first ridge, in sorted order, whose order can go from 2
+    to 3 or from 3 to 2 changed so."""
+    for ridge in sorted(Q0.orders):
+        orders = dict(Q0.orders)
+        orders[ridge] = 5 - orders[ridge]
+        try:
+            return ob.make_orbifold(Q0.base, orders)
+        except ob.OrbifoldError:
+            continue
+    raise AssertionError("no order can change")
 
 
 @functools.cache
@@ -833,58 +845,13 @@ def full_gram_rank_oracle(rows, values, policy=DEFAULT_RANK_POLICY):
     return rr.rank, "svd", rr.threshold
 
 
-def pivot_levels(rows):
-    """The pivot rows of each level of a ``BlockRows`` pattern's
-    elimination, as row numbers of the pattern."""
-    current, levels = np.arange(rows.nrows), []
-    for L in rows.elimination.levels:
-        levels.append(current[L.pivot_rows])
-        current = current[L.trail_rows]
-    return levels
-
-
-def block_levels_oracle(m, keys, reused):
-    """``numerics._block_levels`` with each next block's keys and the entry
-    of each kept entry and update found by one np.unique over the kept
-    entries and the fill together."""
-    levels = []
-    while not levels or numerics._takes_level(m, m, 0, 0, reused):
-        rows, cols = np.divmod(keys, m)
-        pivot = numerics._independent_rows(m, rows, cols, by_degree=bool(levels))
-        npivots = int(np.count_nonzero(pivot))
-        trail_pos, pivot_pos = np.cumsum(~pivot) - 1, np.cumsum(pivot) - 1
-        pr, pc = pivot[rows], pivot[cols]
-        couples = np.flatnonzero(pr != pc)
-        trail = trail_pos[np.where(pr, cols, rows)[couples]]
-        couple_pivot = pivot_pos[np.where(pr, rows, cols)[couples]]
-        order = np.lexsort((trail, couple_pivot))
-        couples, couple_row, couple_pivot = couples[order], trail[order], couple_pivot[order]
-        a, b = numerics._lower_updates(couple_row, np.bincount(couple_pivot, minlength=npivots))
-        if levels and not numerics._takes_level(m, npivots, len(keys), len(a), reused):
-            break
-        keep = np.flatnonzero(~pr & ~pc)
-        size = m - npivots
-        next_keys, entry = np.unique(np.concatenate([
-            trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
-            couple_row[a].astype(np.int64) * size + couple_row[b]]), return_inverse=True)
-        levels.append(numerics._Level(
-            np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
-            couple_pivot.astype(np.int32), (a, b),
-            keys.searchsorted(np.flatnonzero(pivot) * (m + 1)).astype(np.int32),
-            couples.astype(np.int32), keep.astype(np.int32), entry.astype(np.int32),
-            len(next_keys)))
-        m, keys = size, next_keys
-    return levels, keys, m
-
-
-def bordered_trailing_oracle(A, levels, s):
+def bordered_trailing_oracle(A, first, s):
     """The trailing block of the Cholesky factorisation of fl(A - s I) that
-    takes the rows of each level of ``levels`` (lists of row numbers) first,
-    level by level, each in row order: the dense matrix, permuted to that
-    order, with its pivots eliminated one by one by rank-one updates of
-    everything after them; its other rows stay in row order.  None at a
-    pivot that is not positive."""
-    first = np.concatenate([[]] + [np.asarray(level) for level in levels]).astype(np.intp)
+    takes the rows ``first`` (row numbers, in row order) first: the dense
+    matrix, permuted to that order, with its pivots eliminated one by one
+    by rank-one updates of everything after them; its other rows stay in
+    row order.  None at a pivot that is not positive."""
+    first = np.asarray(first, dtype=np.intp)
     order = np.concatenate([first, np.setdiff1d(np.arange(len(A)), first)])
     B = A[np.ix_(order, order)]
     B.flat[::len(B) + 1] -= s
@@ -904,8 +871,7 @@ def newton_bincount_oracle(Q, initial):
 
     def step(alphas, r):
         values = S.values(alphas)
-        A = BlockRows(S.rows.nrows, S.rows.nblocks, S.rows.row, S.rows.block,
-                      S.rows.reused).gram(values)
+        A = BlockRows(S.rows.nrows, S.rows.nblocks, S.rows.row, S.rows.block).gram(values)
         y = A.solve(-lorentz.LM_SHIFT * A.diagonal.sum() / S.nrows, r)
         return S.rows.transpose_product(values, y).reshape(alphas.shape)
 

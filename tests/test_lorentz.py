@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from coxdeform import bundled, cli, lorentz, orbifold as ob, polytope as pt, vinberg
-from coxdeform.numerics import numerical_rank
+from coxdeform.numerics import BlockRows, numerical_rank
 from conftest import (closed_form_seed_oracle, constant_seed_oracle, family_realization,
                       finite_difference_jacobian, gauss_newton_step_oracle,
                       loebell_factor_orbifold, newton_bincount_oracle, newton_case,
-                      newton_lstsq_oracle, prism_cap_orbifold, psi_eval_oracle,
-                      psi_jacobian_oracle, random_lorentz_transform, realization_oracle,
-                      relabelled, seed_structure_oracle, shuffled_factor, traced_peak,
-                      vertex_point)
+                      newton_lstsq_oracle, one_order_changed, prism_cap_orbifold,
+                      psi_eval_oracle, psi_jacobian_oracle, random_lorentz_transform,
+                      realization_oracle, relabelled, seed_structure_oracle, shuffled_factor,
+                      traced_peak, vertex_point)
 
 
 def simplex_orbifold(orders_by_pair):
@@ -275,15 +275,16 @@ def test_newton_rank_deficient_jacobian(cube_orbifolds):
 
 @pytest.mark.parametrize("family", ["loebell", "prism"])
 def test_rank_deficient_step_fails_only_as_convergence_error(family):
-    """Where J loses row rank, a pivot of a later level of the shifted
-    system can round to one that is not positive.  One Gauss-Newton step at
-    the rank-deficient seeds of the m = 32 family member, whose ridge block
-    takes further levels, is finite or raises ConvergenceError, never
-    LinAlgError.  At the zero seed J = 0 and mu = 0, so the first pivot is
-    0: the step and Newton raise ConvergenceError."""
+    """Where J loses row rank, the shifted system can be singular or
+    nearly so.  One Gauss-Newton step at the rank-deficient seeds of the
+    m = 32 family member, whose ridge block is left to LAPACK after the
+    closed-form pivots of its diagonal rows, is finite or raises
+    ConvergenceError, never LinAlgError.  At the zero seed J = 0 and mu =
+    0, so the first pivot is 0: the step and Newton raise
+    ConvergenceError."""
     Q = family_realization(family, 32)[0]
     S = lorentz.psi_structure(Q)
-    assert len(S.rows.elimination.levels) > 1
+    assert S.rows.elimination.size == S.nrows - S.f
     for x in _rank_deficient_seeds(Q):
         assert numerical_rank(lorentz.psi_jacobian(Q, x)).rank < S.nrows
         try:
@@ -529,19 +530,6 @@ def test_orbit_seed_solves_psi(kind, m, newton_steps):
     assert R.vertex_flags == oracle.vertex_flags
 
 
-def _one_order_changed(Q0):
-    """Q0 with the first ridge, in sorted order, whose order can go from 2
-    to 3 or from 3 to 2 changed so."""
-    for ridge in sorted(Q0.orders):
-        orders = dict(Q0.orders)
-        orders[ridge] = 5 - orders[ridge]
-        try:
-            return ob.make_orbifold(Q0.base, orders)
-        except ob.OrbifoldError:
-            continue
-    raise AssertionError("no order can change")
-
-
 def _cap_period_orbifold(m, s):
     """L(m), right-angled but for order 3 between the top cap and every
     s-th facet of the upper ring."""
@@ -560,7 +548,7 @@ def test_seed_without_orbit_solve_is_the_closed_form(case, newton_steps):
     the seed is the closed form bit for bit, and Newton still converges
     from it."""
     if case == "one order changed":
-        Q, period = _one_order_changed(loebell_factor_orbifold(pt.loebell(16))), 16
+        Q, period = one_order_changed(loebell_factor_orbifold(pt.loebell(16))), 16
     else:
         Q, period = _cap_period_orbifold(64, 32), 32
         assert 2 + 8 * period > lorentz.ORBIT_MAX_ROWS
@@ -734,28 +722,30 @@ def test_newton_iterates_match_per_step_bincount(family):
         assert np.array_equal(R.normals, newton_bincount_oracle(Q, lorentz.initial_guess(Q))), m
 
 
-def test_psi_certificate_never_holds_the_full_gram():
-    """Full row rank of D psi at the loebell(64) factor is certified with a
-    traced peak under three m x m arrays, m the rows of the block left to
-    LAPACK: that block, LAPACK's factor of it and the Gram matrix's working
-    arrays.  The e x e block of the first level alone exceeds that bound."""
+def test_psi_certificate_never_holds_the_full_gram(monkeypatch):
+    """Full row rank of D psi at the loebell(64) factor is certified, with
+    the mode path turned off as on an orbifold that no rotation keeps, with
+    a traced peak under D psi's full (f + e)^2 Gram matrix: the e x e block
+    left to LAPACK is formed in the pattern's work array, and LAPACK's
+    factor of it and the Gram entries stay under that.  The full Gram
+    matrix alone would reach the bound."""
+    monkeypatch.setattr(BlockRows, "modes", lambda self, symmetry: None)
     Q, R = family_realization("loebell", 64)
     S = lorentz.psi_structure(Q)
-    m, e = S.rows.elimination.size, S.nrows - S.f
+    assert S.rows.elimination.size == S.nrows - S.f
     assert lorentz.kernel_dimension(Q, R.normals) == 6  # the pattern's index arrays, once
     kernel, peak = traced_peak(lambda: lorentz.kernel_dimension(Q, R.normals))
     assert kernel == 6
-    assert peak < 3 * m * m * 8 < e * e * 8
+    assert peak < S.nrows * S.nrows * 8
 
 
 def test_newton_step_allocates_no_trailing_block():
     """One Gauss-Newton step at the loebell(64) factor forms the block left
-    to LAPACK (m = 176 rows) in the pattern's work array, and a second step
-    allocates no new one: its traced peak is under two such blocks (2 m^2
-    doubles), the Gram entries, each level's multipliers and entries and
-    their index casts.  The e x e block of the first level (e = 384) alone
-    is 4.8 times one such block.  LAPACK's copy inside np.linalg.solve is
-    not traced."""
+    to LAPACK (the m = e = 384 ridge rows) in the pattern's work array, and
+    a second step allocates no new one: its traced peak, the Gram entries,
+    the level's multipliers and entries and their index casts, is under one
+    such block (m^2 doubles), which a block allocated per step alone would
+    reach.  LAPACK's copy inside np.linalg.solve is not traced."""
     Q, _ = family_realization("loebell", 64)
     S = lorentz.psi_structure(Q)
     x = lorentz.initial_guess(Q)
@@ -766,13 +756,13 @@ def test_newton_step_allocates_no_trailing_block():
     assert work.shape == (m, m)
     work[:] = 0.0  # the second step forms the block again, in the same array
     step, peak = traced_peak(lambda: S.gauss_newton_step(alphas, r))
+    assert peak < m * m * 8
     assert np.array_equal(step, first)
     assert S.rows.work is work
     block = work.copy()
     A = S.rows.gram(S.values(alphas))
     trailing = A.trailing(-lorentz.LM_SHIFT * A.diagonal.sum() / S.nrows)
     assert trailing is work and np.array_equal(block, trailing)
-    assert peak < 2 * m * m * 8
 
 
 def _seed_polytopes():

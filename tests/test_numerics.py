@@ -14,13 +14,13 @@ import pytest
 
 from coxdeform import bundled, cli, lorentz, numerics, polytope as pt, vinberg
 from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, BorderedGram, RowSymmetry,
-                                StructuredMatrix, _full_rank_certificate, _takes_level,
-                                numerical_rank, svd_rank, triangular_sigma_bound)
-from conftest import (block_gram_oracle, block_levels_oracle, bordered_trailing_oracle,
-                      dense_gram_oracle, family_realization, full_gram_certificate_oracle,
-                      full_gram_rank_oracle, loebell_factor_orbifold, phi_jacobian_oracle,
-                      pivot_levels, prism_cap_orbifold, psi_jacobian_oracle,
-                      random_lorentz_transform, traced_peak)
+                                StructuredMatrix, _full_rank_certificate, numerical_rank,
+                                svd_rank, triangular_sigma_bound)
+from conftest import (block_gram_oracle, bordered_trailing_oracle, dense_gram_oracle,
+                      family_realization, full_gram_certificate_oracle, full_gram_rank_oracle,
+                      loebell_factor_orbifold, one_order_changed, phi_jacobian_oracle,
+                      prism_cap_orbifold, psi_jacobian_oracle, random_lorentz_transform,
+                      traced_peak)
 
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -57,7 +57,7 @@ def _rank_matrices(Q, p):
 
 def _structured_patterns(Q, p):
     """(pattern, stored values) of D phi, D psi and the E2 staircase at p."""
-    S, T = vinberg.phi_structure(Q), lorentz.psi_structure(Q)
+    S, T = vinberg._as_index(Q).phi_structure, lorentz.psi_structure(Q)
     index = vinberg.EquationIndex.from_orbifold(Q)
     i, j = index.e2_positions
     return {"phi": (S.rows, S.values(p)), "psi": (T.rows, T.values(lorentz._alphas(p.bs))),
@@ -94,9 +94,13 @@ def _bundled_point(name):
     return Q, vinberg.hyperbolic_point(cli._realize(Q, REALIZE_DEFAULTS)[0])
 
 
-def _generated_point(family, m):
-    Q = loebell_factor_orbifold(pt.loebell(m)) if family == "loebell" else prism_cap_orbifold(m)
+def _solved_point(Q):
     return Q, vinberg.hyperbolic_point(lorentz.solve_hyperbolic_newton(Q))
+
+
+def _generated_point(family, m):
+    return _solved_point(loebell_factor_orbifold(pt.loebell(m)) if family == "loebell"
+                         else prism_cap_orbifold(m))
 
 
 @pytest.mark.parametrize("name", bundled.BUILTIN_NAMES)
@@ -114,13 +118,22 @@ def test_certified_rank_matches_svd_on_bundled(name):
 
 @pytest.mark.parametrize("family", ["loebell", "prism"])
 def test_certified_rank_matches_svd_on_families(family):
-    for m in range(5, 33):
-        Q, p = _generated_point(family, m)
+    """The members for m = 5..32 and, in the loebell family, its factors
+    for m = 8, 16 and 32 with one order changed: no rotation keeps their
+    orders, so their Gram matrices carry no hint, and the level of
+    closed-form pivots and LAPACK decide."""
+    cases = [((family, m),) + _generated_point(family, m) for m in range(5, 33)]
+    if family == "loebell":
+        for m in (8, 16, 32):
+            Q = one_order_changed(loebell_factor_orbifold(pt.loebell(m)))
+            assert lorentz.psi_structure(Q).symmetry is None, m
+            cases.append((("one order changed", m),) + _solved_point(Q))
+    for case, Q, p in cases:
         for label, M in _rank_matrices(Q, p).items():
-            assert _assert_same_decision(M).method == "cholesky", (family, m, label)
+            assert _assert_same_decision(M).method == "cholesky", (case, label)
         S = vinberg.e2_staircase(vinberg.EquationIndex.from_orbifold(Q), p)
-        assert _assert_same_decision(S.build(), S).method == "cholesky", (family, m)
-        assert _assert_block_decision(Q, p) == "block", (family, m)
+        assert _assert_same_decision(S.build(), S).method == "cholesky", case
+        assert _assert_block_decision(Q, p) == "block", case
         _assert_full_gram_decision(Q, p)
 
 
@@ -234,16 +247,16 @@ def _planted_pattern(rng, nblocks=12, width=3, extra=14):
 def _planted_graph(rng, nblocks=100, nedges=280, width=4):
     """A wide BlockRows pattern shaped like D psi: one row in each of
     ``nblocks`` blocks, then one row with terms in the two blocks of each of
-    ``nedges`` distinct random pairs, with seeded values, and reused as D
-    psi's pattern is.  Its first trailing block, one row per pair, is large
-    and sparse enough that further levels of pivots pay."""
+    ``nedges`` distinct random pairs, with seeded values.  Its level of
+    pivots is the ``nblocks`` first rows, which leave a sparse block of one
+    row per pair."""
     edges = set()
     while len(edges) < nedges:
         edges.add(tuple(sorted(rng.choice(nblocks, size=2, replace=False).tolist())))
     edges = sorted(edges)
     row = list(range(nblocks)) + [nblocks + k for k in range(nedges) for _ in range(2)]
     block = list(range(nblocks)) + [b for edge in edges for b in edge]
-    rows = BlockRows(nblocks + nedges, nblocks, row, block, reused=True)
+    rows = BlockRows(nblocks + nedges, nblocks, row, block)
     return rows, rng.normal(size=(len(row), width))
 
 
@@ -266,16 +279,16 @@ def test_bordered_certificate_at_the_floor(name):
     second, with the full-Gram certificate's threshold, while its pivots are
     eliminated in closed form.  The patterns of _planted_pattern have 6
     block-disjoint leading rows, and with no further rows every row is a
-    pivot and LAPACK sees nothing; the planted graphs take at least two
-    further levels of pivots."""
+    pivot and LAPACK sees nothing; the planted graphs' pivots are their
+    one row per block, and LAPACK sees the rows of the pairs."""
     rows, values = _planted_case(name)
-    levels = rows.elimination.levels
+    pivots = rows.elimination.level.pivot_rows
     if not name.startswith("graph"):
-        assert np.isin(np.arange(6), pivot_levels(rows)[0]).all()
+        assert np.isin(np.arange(6), pivots).all()
         assert rows.elimination.size <= max(rows.nrows - 7, 0)
-        assert len(levels) == 1
     else:
-        assert len(levels) >= 3 and rows.elimination.size < len(levels[1].trail_rows)
+        assert np.array_equal(pivots, np.arange(rows.nblocks))
+        assert rows.elimination.size == rows.nrows - rows.nblocks
     beta = 1e-2
     sigma = np.linalg.svd(rows.dense(values), compute_uv=False)[-1]
     for factor, holds in ((1.01, True), (0.99, False)):
@@ -295,45 +308,25 @@ def _gram_pattern(rows):
     return incidence @ incidence.T > 0
 
 
-def _assert_levels_greedy(rows):
-    """Replays the levels of a pattern's elimination on the structural
-    pattern of its Gram matrix, filled in densely level by level.  Each
-    level's pivots share no structural nonzero with each other in the
-    block the levels before leave.  Each level is greedy: a row is taken
-    exactly when no neighbour of it was taken before it, visiting the rows
-    in row order at the first level and after it in order of off-diagonal
-    nonzeros, fewest first, ties in row order.  Each level after the first
-    passes the level rule, with the analysis charged unless the pattern is
-    reused, and the next one would not."""
+def _assert_level_greedy(rows):
+    """Replays the level of a pattern's elimination on the structural
+    pattern of its Gram matrix, filled in densely.  The level's pivots
+    share no structural nonzero with each other, and are greedy: a row is
+    taken exactly when no neighbour of it was taken before it, visiting the
+    rows in row order.  The block left is the other rows, in row order,
+    and its structural nonzeros r >= s are the entries between them and the
+    fill of the pivots they couple to."""
     P = _gram_pattern(rows)
-    levels = pivot_levels(rows)
-    alive = np.ones(rows.nrows, dtype=bool)
-    for j, level in enumerate(levels + [None]):
-        live = np.flatnonzero(alive)
-        block = P[np.ix_(live, live)]
-        m = len(live)
-        degree = block.sum(axis=1) - 1
-        taken = np.zeros(m, dtype=bool)
-        for r in np.argsort(degree, kind="stable") if j else range(m):
-            taken[r] = not (block[r] & taken).any()
-        pivots = live[taken]
-        if j > 0:
-            trail_degree = block[np.ix_(taken, ~taken)].sum(axis=1)
-            updates = int((trail_degree * (trail_degree + 1) // 2).sum())
-            nentries = (int(block.sum()) + m) // 2
-            pays = (_takes_level(m, m, 0, 0, rows.reused)
-                    and _takes_level(m, len(pivots), nentries, updates, rows.reused))
-            assert pays == (level is not None), j
-        if level is None:
-            break
-        assert np.array_equal(level, pivots), j
-        inner = P[np.ix_(level, level)]
-        assert not (inner & ~np.eye(len(level), dtype=bool)).any(), j
-        rest = np.flatnonzero(alive & ~np.isin(np.arange(rows.nrows), level))
-        coupled = P[np.ix_(rest, level)].astype(int)
-        P[np.ix_(rest, rest)] |= coupled @ coupled.T > 0
-        alive[level] = False
-    assert m == rows.elimination.size
+    E = rows.elimination
+    taken = np.zeros(rows.nrows, dtype=bool)
+    for r in range(rows.nrows):
+        taken[r] = not (P[r] & taken).any()
+    assert np.array_equal(E.level.pivot_rows, np.flatnonzero(taken))
+    assert np.array_equal(E.level.trail_rows, np.flatnonzero(~taken))
+    coupled = P[np.ix_(~taken, taken)].astype(int)
+    filled = P[np.ix_(~taken, ~taken)] | (coupled @ coupled.T > 0)
+    assert E.size == len(filled)
+    assert np.array_equal(E.lower, np.flatnonzero(np.tril(filled)))
 
 
 def test_pivots_are_greedy_and_block_disjoint():
@@ -341,15 +334,15 @@ def test_pivots_are_greedy_and_block_disjoint():
     row shares one with an earlier pivot, on the planted patterns and on
     D phi, D psi and the staircase of the loebell(8) factor.  D psi's pivots
     are its f diagonal rows, on every bundled orbifold and on the loebell(m)
-    factors and prism(m) cap orbifolds for m = 5..64.  Every level is
-    replayed (:func:`_assert_levels_greedy`) on those patterns and on D psi
+    factors and prism(m) cap orbifolds for m = 5..64.  The level is
+    replayed (:func:`_assert_level_greedy`) on those patterns and on D psi
     and the staircase of both families at m = 24, 32, 48 and 64."""
     Q, p = _bundled_point("loebell8_factor")
     patterns = [rows for rows, _ in _structured_patterns(Q, p).values()]
     patterns += [_planted_case(name)[0] for name in PLANTED]
     for rows in patterns:
         used = set()
-        first = np.isin(np.arange(rows.nrows), pivot_levels(rows)[0])
+        first = np.isin(np.arange(rows.nrows), rows.elimination.level.pivot_rows)
         for r in range(rows.nrows):
             blocks = set(rows.block[rows.row == r].tolist())
             assert first[r] == (not blocks & used), r
@@ -359,73 +352,14 @@ def test_pivots_are_greedy_and_block_disjoint():
         orbifolds += [loebell_factor_orbifold(pt.loebell(m)), prism_cap_orbifold(m)]
     for Q in orbifolds:
         psi = lorentz.psi_structure(Q).rows
-        assert np.array_equal(pivot_levels(psi)[0], np.arange(Q.f))
+        assert np.array_equal(psi.elimination.level.pivot_rows, np.arange(Q.f))
     for family in ("loebell", "prism"):
         for m in (24, 32, 48, 64):
             Q = family_realization(family, m)[0]
             patterns += [lorentz.psi_structure(Q).rows,
                          vinberg.EquationIndex.from_orbifold(Q).staircase_rows]
     for rows in patterns:
-        _assert_levels_greedy(rows)
-    assert max(len(rows.elimination.levels) for rows in patterns) >= 7
-
-
-def _assert_same_levels(got, want):
-    """Two results (levels, keys, size) of the level analysis are equal
-    element for element, with the same dtypes."""
-    assert len(got[0]) == len(want[0]) and got[2] == want[2]
-    fields = [(a, b) for L, O in zip(got[0], want[0]) for a, b in zip(L, O)]
-    fields += [(a, b) for L, O in zip(got[0], want[0]) for a, b in zip(L.update, O.update)]
-    for a, b in fields + [(got[1], want[1])]:
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        elif not isinstance(a, tuple):
-            assert a == b
-
-
-def test_block_levels_match_unique_oracle(monkeypatch):
-    """The level analysis, which sorts only the fill of each level and
-    merges it into the kept entries, gives the levels, keys and entries of
-    one np.unique over both, element for element, on D phi, D psi and the
-    staircase of the loebell(m) factors and prism(m) cap orbifolds up to
-    m = 192, where D phi takes the most levels."""
-    results = []
-    block_levels = numerics._block_levels
-    monkeypatch.setattr(numerics, "_block_levels", lambda *args: results.append(
-        (args, block_levels(*args))) or results[-1][1])
-    nlevels = []
-    for family in ("loebell", "prism"):
-        for m in (8, 64, 128, 192):
-            Q = (loebell_factor_orbifold(pt.loebell(m)) if family == "loebell"
-                 else prism_cap_orbifold(m))
-            index = vinberg.EquationIndex.from_orbifold(Q)
-            for rows in (vinberg.phi_structure(index).rows, lorentz.psi_structure(Q).rows,
-                         index.staircase_rows):
-                results.clear()
-                BlockRows(rows.nrows, rows.nblocks, rows.row, rows.block,
-                          rows.reused).elimination
-                (args, got), = results
-                _assert_same_levels(got, block_levels_oracle(*args))
-                nlevels.append(len(got[0]))
-    assert max(nlevels) >= 5
-
-
-def test_small_patterns_run_no_level_analysis(monkeypatch):
-    """On the loebell(5) factor and the prism(8) cap orbifold no block is
-    large enough for a further level to pay, with or without its analysis
-    charged, so the elimination of D phi, D psi and the staircase looks for
-    the independent rows of the first level only."""
-    calls = []
-    independent_rows = numerics._independent_rows
-    monkeypatch.setattr(numerics, "_independent_rows",
-                        lambda *args, **kw: calls.append(1) or independent_rows(*args, **kw))
-    for Q in (bundled.load_builtin("loebell5_factor"), prism_cap_orbifold(8)):
-        index = vinberg.EquationIndex.from_orbifold(Q)
-        for rows in (vinberg.phi_structure(index).rows, lorentz.psi_structure(Q).rows,
-                     index.staircase_rows):
-            calls.clear()
-            E = BlockRows(rows.nrows, rows.nblocks, rows.row, rows.block, rows.reused).elimination
-            assert len(calls) == len(E.levels) == 1
+        _assert_level_greedy(rows)
 
 
 def _bordered_cases():
@@ -441,10 +375,10 @@ def test_bordered_solve_matches_dense_solve():
     dense fl(A - s I) to 4 kappa u, both being backward-stable solves; in
     the pattern's reused work array it equals the solve of a fresh copy of
     the pattern bit for bit.  Above 0,
-    fl(A - s I) may be indefinite: where the dense elimination of the levels
+    fl(A - s I) may be indefinite: where the dense elimination of the level
     meets a pivot that is not positive, the solve raises LinAlgError, as
     the factorisation does.  The dense form of the same Gram matrix, which
-    has no levels, solves it as np.linalg.solve does, again and again."""
+    has no level, solves it as np.linalg.solve does, again and again."""
     rng = np.random.default_rng(53)
     for rows, values in _bordered_cases():
         A = block_gram_oracle(rows, values)
@@ -458,14 +392,14 @@ def test_bordered_solve_matches_dense_solve():
             for _ in range(3):
                 assert np.array_equal(dense.solve(s, r), ref), s
             assert np.array_equal(dense.trailing(s), B), s
-            if bordered_trailing_oracle(A, pivot_levels(rows), s) is None:
+            if bordered_trailing_oracle(A, rows.elimination.level.pivot_rows, s) is None:
                 with pytest.raises(np.linalg.LinAlgError):
                     bordered.solve(s, r)
                 continue
             tol = 4.0 * np.linalg.cond(B) * UNIT_ROUNDOFF
             y = bordered.solve(s, r)
             assert np.linalg.norm(y - ref) <= tol * np.linalg.norm(ref), s
-            fresh = BlockRows(rows.nrows, rows.nblocks, rows.row, rows.block, rows.reused)
+            fresh = BlockRows(rows.nrows, rows.nblocks, rows.row, rows.block)
             assert np.array_equal(y, fresh.gram(values).solve(s, r)), s
             assert bordered.trailing(s) is rows.work, s
             assert np.array_equal(rows.work, fresh.work), s
@@ -502,7 +436,7 @@ def test_arrow_form_is_the_dense_elimination():
             for s in np.array([-0.5, 0.5]) * d[:k].min():
                 L = np.abs(A[k:, :k]) / np.sqrt(d[:k] - s)
                 bound = 2.0 * _gamma(k) * (L @ L.T)
-                ref = bordered_trailing_oracle(A, [np.arange(k)], s)
+                ref = bordered_trailing_oracle(A, np.arange(k), s)
                 assert np.all(np.abs(arrow.trailing(s) - ref) <= bound), s
             with pytest.raises(np.linalg.LinAlgError):
                 arrow.trailing(d[:k].max())
@@ -515,7 +449,7 @@ def test_second_certificate_allocates_no_trailing_block(monkeypatch):
     """A second certificate on D psi's and on the staircase's pattern at the
     loebell(64) factor forms the block left to LAPACK (m rows) in the
     pattern's work array again, and its traced peak stays under two such
-    blocks (2 m^2 doubles): LAPACK's factor of the block, and the levels'
+    blocks (2 m^2 doubles): LAPACK's factor of the block, and the level's
     entries and multipliers.  A block allocated per certificate, and the
     factor, would exceed it.  The mode path, which forms no such block, is
     turned off."""
@@ -641,7 +575,7 @@ def _structured_cases(Q, p):
     """(dense oracle, pattern, stored values) for D phi at p and D psi at its
     bs."""
     index = vinberg.EquationIndex.from_orbifold(Q)
-    S, T = vinberg.phi_structure(Q), lorentz.psi_structure(Q)
+    S, T = vinberg._as_index(Q).phi_structure, lorentz.psi_structure(Q)
     return [(phi_jacobian_oracle(index, p), S.rows, S.values(p)),
             (psi_jacobian_oracle(Q, p.bs), T.rows, T.values(lorentz._alphas(p.bs)))]
 
@@ -664,7 +598,7 @@ def _assert_structured_matches(M, rows, values):
     bordered = structured.gram()
     assert np.array_equal(bordered.diagonal, np.diagonal(A))
     for s in np.array([-0.5, 0.5]) * np.diagonal(A).min():
-        ref = bordered_trailing_oracle(A, pivot_levels(rows), s)
+        ref = bordered_trailing_oracle(A, rows.elimination.level.pivot_rows, s)
         if ref is None:
             with pytest.raises(np.linalg.LinAlgError):
                 bordered.trailing(s)
@@ -706,7 +640,7 @@ def test_gram_diagonal_is_the_gram_matrix_diagonal(name):
     Q, p = _bundled_point(name)
     rng = np.random.default_rng(47)
     for q in [p] + _off_solution_points(Q, rng):
-        S, T = vinberg.phi_structure(Q), lorentz.psi_structure(Q)
+        S, T = vinberg._as_index(Q).phi_structure, lorentz.psi_structure(Q)
         for rows, values in ((S.rows, S.values(q)), (T.rows, T.values(q.alphas))):
             diagonal = np.diagonal(block_gram_oracle(rows, values))
             assert np.array_equal(rows.gram_diagonal(values), diagonal)
@@ -863,7 +797,8 @@ def test_singular_mode_is_not_certified():
     those rows is zero.  The mode path does not certify it, and the SVD
     decides a rank one short.  With v's second copy moved, every mode is
     regular: the mode path certifies with the full-Gram threshold, and
-    with the hint turned by one row it fails and the levels certify."""
+    with the hint turned by one row it fails and the level and LAPACK
+    certify."""
     K = 8
     rng = np.random.default_rng(67)
     v, vc, vf = rng.normal(size=(3, 3))
@@ -938,8 +873,8 @@ def test_boosted_point_takes_the_levels_path(m, monkeypatch):
 def test_mode_path_certifies_without_levels(family, m):
     """On a fresh orbifold of either family at m = 64, the dim-sweep's
     decisions on D psi and the staircase where the mode path pays are made
-    by the mode blocks alone: their patterns' levels are never analysed,
-    and no block is left to LAPACK."""
+    by the mode blocks alone: their patterns' elimination is never
+    analysed, and no block is left to LAPACK."""
     Q = loebell_factor_orbifold(pt.loebell(m)) if family == "loebell" else prism_cap_orbifold(m)
     R = lorentz.solve_hyperbolic_newton(Q)
     p = vinberg.hyperbolic_point(R)

@@ -79,13 +79,13 @@ def test_phi_structure_is_built_once_per_index(monkeypatch):
         vinberg.phi_matrix(index, p)
         vinberg.phi_jacobian(index, p)
     assert built == [index]
-    assert vinberg.phi_structure(index) is vinberg.phi_structure(index)
+    assert vinberg._as_index(index).phi_structure is index.phi_structure
     vinberg.phi_matrix(Q, p)
     vinberg.phi_jacobian(Q, p)
     vinberg.local_deformation_dimension(Q, p)
     cached = vinberg._as_index(Q)
     assert built == [index, cached]
-    assert vinberg.phi_structure(Q) is vinberg.phi_structure(cached)
+    assert vinberg._as_index(Q).phi_structure is cached.phi_structure
 
 
 def test_sign_positions_are_cached_with_the_index():
@@ -445,21 +445,11 @@ def test_rank_sum_builds_no_dense_matrix_when_certified(monkeypatch):
     assert built == []
 
 
-def _level_sizes(rows):
-    """The rows of each block a pattern's elimination factors: the whole
-    Gram matrix, each level's trailing block, and the block left to LAPACK."""
-    E = rows.elimination
-    return [len(L.pivot_rows) + len(L.trail_rows) for L in E.levels] + [E.size]
-
-
-# The blocks of D psi and of the staircase, from the Gram matrix down to the
-# block LAPACK factors.  The loebell(48) factor's ridge block takes seven
-# further levels; its staircase, whose analysis must pay in one use, takes
-# none; the loebell(16) factor's ridge block takes one; the prism(16) cap
-# orbifold's blocks are too small for any level to pay.
-LEVEL_SIZES = {"loebell16": ([130, 96, 80], [64, 48]),
+# The rows of D psi's and of the staircase's Gram matrices, and of the
+# blocks that their level of closed-form pivots leaves to LAPACK.
+LEVEL_SIZES = {"loebell16": ([130, 96], [64, 48]),
                "prism16": ([66, 48], [16, 8]),
-               "loebell48": ([386, 288, 240, 216, 192, 168, 156, 144, 132], [192, 144])}
+               "loebell48": ([386, 288], [192, 144])}
 # Whether D psi's and the staircase's certificates take the mode path
 # (numerics._mode_pays).
 MODE_PATHS = {"loebell16": (True, False), "prism16": (False, False), "loebell48": (True, True)}
@@ -471,9 +461,9 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     staircase once each, which check_rank_sum reuses, and never D phi's:
     that is read only through its diagonal.  D psi's full (f + e)^2 Gram
     matrix is never formed: its f diagonal rows are eliminated in closed
-    form, then the levels of its e x e ridge block, and the staircase's
-    rows less a greedy matching of them and its further levels; LAPACK
-    factors only what is left (``LEVEL_SIZES``), or, where the mode path
+    form, and so is a greedy matching of the staircase's rows; LAPACK
+    factors only what is left, D psi's e x e ridge block and the rest of
+    the staircase (``LEVEL_SIZES``), or, where the mode path
     of the ring rotation pays (``MODE_PATHS``), the stack of mode blocks
     instead, in one call.  The gauge
     directions' Gram matrix is never formed either: its f rescaling rows
@@ -486,11 +476,11 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     f, e, n2 = index.f, len(index.e2) + len(index.e3), len(index.e2)
     psi_rows = lorentz.psi_structure(Q).rows
     psi_sizes, staircase_sizes = LEVEL_SIZES[name]
-    assert _level_sizes(psi_rows) == psi_sizes and psi_sizes[:2] == [f + e, e]
-    matching = len(index.staircase_rows.elimination.levels[0].pivot_rows)
+    assert [psi_rows.nrows, psi_rows.elimination.size] == psi_sizes == [f + e, e]
+    matching = len(index.staircase_rows.elimination.level.pivot_rows)
     assert 0 < matching <= f // 2
-    assert _level_sizes(index.staircase_rows) == staircase_sizes
-    assert staircase_sizes[:2] == [n2, n2 - matching]
+    assert [n2, index.staircase_rows.elimination.size] == staircase_sizes
+    assert staircase_sizes == [n2, n2 - matching]
     grams, diagonals, factored = [], [], []
     gram, diagonal, cholesky = BlockRows.gram, BlockRows.gram_diagonal, np.linalg.cholesky
     monkeypatch.setattr(BlockRows, "gram", lambda self, values, *hint:
