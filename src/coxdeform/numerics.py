@@ -60,10 +60,10 @@ fl(B_l - s I), each of k' rows with diagonal entries at most d_max, so
 that c' = gamma_{k'+1} / (1 - gamma_{k'+1}) k' d_max plus his underflow
 term.  The shift s of :func:`_full_rank_certificate` is raised by e_bar
 and delta_bar, with c' and d_max in place of c and max A_ii.  The mode
-path runs where its cost model expects it to be cheaper than the level of
-closed-form pivots and LAPACK (:func:`_mode_pays`), and where it fails
-those decide as before: the hint is never trusted, so a wrong one costs
-time, not a wrong certificate.  Each pattern's mode form
+path runs where the level of closed-form pivots leaves at least
+MODE_PATH_ROWS rows to LAPACK (:meth:`BlockRows.modes`), and where it fails
+the level and LAPACK decide as before: the hint is never trusted, so a
+wrong one costs time, not a wrong certificate.  Each pattern's mode form
 (:class:`_ModeForm`) keeps the buffers in which every certificate forms the
 circulant blocks, the source vector and the stack of mode blocks, so that
 the blocks are valid until the pattern's next certificate, as its work
@@ -130,8 +130,8 @@ class BorderedGram(NamedTuple):
     """A Gram matrix A = fl(W W^t) in the form that
     :func:`_full_rank_certificate` factors: its ``diagonal``, and
     ``eliminate(s)``, the Cholesky factorisation of fl(A - s I) through at
-    most one level of closed-form pivots, as (factors, trailing block): one
-    (level, pivots, multipliers) per level, and the m x m block left.  It
+    most one level of closed-form pivots, as (level, block): the level's
+    (analysis, pivots, multipliers), or None, and the m x m block left.  It
     raises LinAlgError, as LAPACK does, at a pivot that is not positive.  A
     dense A has no level (:meth:`dense`); the Gram matrix of a pattern has
     that of :attr:`BlockRows.elimination` and forms its block in the
@@ -153,7 +153,7 @@ class BorderedGram(NamedTuple):
 
         def eliminate(s):
             np.subtract(diagonal, s, out=A.reshape(-1)[::len(A) + 1])
-            return [], A
+            return None, A
         return cls(diagonal, eliminate)
 
     @classmethod
@@ -164,7 +164,8 @@ class BorderedGram(NamedTuple):
         of closed-form pivots l = sqrt(fl(pivots - s)), with multipliers L =
         fl(C / l), and the g x g block left is fl(fl(E - s I) - fl(L L^t)),
         the sums of products accumulated by BLAS.  It is not solved: its
-        level is not a :class:`_Level`."""
+        level's analysis is None, not the :class:`_Level` that
+        :meth:`solve` reads."""
 
         def eliminate(s):
             pivot = pivots - s
@@ -175,7 +176,7 @@ class BorderedGram(NamedTuple):
             block = border.copy()
             block.reshape(-1)[::len(block) + 1] -= s
             block -= multipliers @ multipliers.T
-            return [(None, pivot, multipliers)], block
+            return (None, pivot, multipliers), block
         return cls(np.concatenate([pivots, np.diagonal(border)]), eliminate)
 
     def trailing(self, s):
@@ -183,29 +184,26 @@ class BorderedGram(NamedTuple):
         return self.eliminate(s)[1]
 
     def solve(self, s, r):
-        """y with fl(A - s I) y = r by the same factorisation, level by
-        level: z = r_p / l through the level's pivots l, then the rest of
-        the system with right-hand side r_t - C z, C the level's
-        multipliers; the trailing block is solved by LAPACK; and back
-        through the levels, y_p = (z - C^t y_t) / l.
+        """y with fl(A - s I) y = r by the same factorisation: with no level,
+        LAPACK's solve; otherwise z = r_p / l through the level's pivots l,
+        the trailing block solved by LAPACK with right-hand side r_t - C z,
+        C the level's multipliers, and back, y_p = (z - C^t y_t) / l.
 
         fl(A - s I) must be positive definite.  On an indefinite matrix a
-        level's pivot may not be positive, and the solve raises LinAlgError
-        as :attr:`eliminate` does; a dense form, with no levels, solves any
-        nonsingular fl(A - s I) by LAPACK."""
-        factors, block = self.eliminate(s)
-        zs = []
-        for L, pivot, coupling in factors:
-            z = r[L.pivot_rows] / pivot
-            r = r[L.trail_rows] - np.bincount(L.couple_row, coupling * z.take(L.couple_pivot),
-                                              minlength=len(L.trail_rows))
-            zs.append(z)
-        y = np.linalg.solve(block, r)
-        for (L, pivot, coupling), z in zip(factors[::-1], zs[::-1]):
-            rest, y = y, np.empty(len(L.pivot_rows) + len(L.trail_rows))
-            y[L.trail_rows] = rest
-            y[L.pivot_rows] = (z - np.bincount(L.couple_pivot, coupling * rest.take(L.couple_row),
-                                               minlength=len(z))) / pivot
+        pivot of the level may not be positive, and the solve raises
+        LinAlgError as :attr:`eliminate` does; a dense form, with no level,
+        solves any nonsingular fl(A - s I) by LAPACK."""
+        level, block = self.eliminate(s)
+        if level is None:
+            return np.linalg.solve(block, r)
+        L, pivot, coupling = level
+        z = r[L.pivot_rows] / pivot
+        rest = np.linalg.solve(block, r[L.trail_rows] - np.bincount(
+            L.couple_row, coupling * z.take(L.couple_pivot), minlength=len(L.trail_rows)))
+        y = np.empty(len(r))
+        y[L.trail_rows] = rest
+        y[L.pivot_rows] = (z - np.bincount(L.couple_pivot, coupling * rest.take(L.couple_row),
+                                           minlength=len(z))) / pivot
         return y
 
 
@@ -286,6 +284,13 @@ class BlockRows:
             diag=keys.searchsorted(np.arange(self.nrows) * (self.nrows + 1)))
 
     @cached_property
+    def pivots(self):
+        """The mask of the rows that the level of closed-form pivots takes
+        (:func:`_independent_rows`), found on first use."""
+        rows, cols = np.divmod(self.structure.keys, self.nrows)
+        return _independent_rows(self.nrows, rows, cols)
+
+    @cached_property
     def elimination(self):
         """The analysis of the Cholesky factorisation of :meth:`gram`, built
         on first use: the ``level`` of closed-form pivots of
@@ -293,7 +298,7 @@ class BlockRows:
         block of ``size`` rows; and ``lower`` and ``upper``, the flat
         positions in that block of its entries (r, s), r >= s, and of their
         mirrors (s, r)."""
-        level, last, size = _block_level(self.nrows, self.structure.keys)
+        level, last, size = _block_level(self.nrows, self.structure.keys, self.pivots)
         return _Elimination(level=level, lower=last,
                             upper=last % size * size + last // size, size=size)
 
@@ -310,14 +315,14 @@ class BlockRows:
     def modes(self, symmetry):
         """The :class:`_ModeForm` of this pattern's Gram matrix under the
         :class:`RowSymmetry` ``symmetry``, built once and kept with the
-        last symmetry asked for; None where the symmetry has no orbit of
-        its order, or where :func:`_mode_pays` expects LAPACK's Cholesky of
-        the block that the level of pivots leaves to cost less than the
-        mode blocks."""
+        last symmetry asked for; None where the level of pivots
+        (:attr:`pivots`) leaves fewer than MODE_PATH_ROWS rows to LAPACK, in
+        which case no form is built, or where the symmetry has no orbit of
+        its order."""
         if self._modes is None or self._modes[0] is not symmetry:
-            form = _mode_form(self.nrows, self.structure.keys, symmetry)
-            if form is not None and not _mode_pays(self.nrows, self.structure.keys, form):
-                form = None
+            form = None
+            if self.nrows - np.count_nonzero(self.pivots) >= MODE_PATH_ROWS:
+                form = _mode_form(self.nrows, self.structure.keys, symmetry)
             self._modes = (symmetry, form)
         return self._modes[1]
 
@@ -344,7 +349,7 @@ class BlockRows:
         order, and the block is filled with them and their mirrors, in
         :attr:`work`.  The level is analysed on the first elimination, not
         before.  Under a :class:`RowSymmetry` whose
-        mode path pays (:meth:`modes`), the entries also give the mode
+        mode path is taken (:meth:`modes`), the entries also give the mode
         blocks (:func:`_mode_blocks`)."""
         G = self.structure
         entries = self.gram_entries(values)
@@ -367,7 +372,7 @@ class BlockRows:
             flat = self.work.reshape(-1)
             flat[E.lower] = block
             flat[E.upper] = block
-            return [(L, pivot, coupling)], self.work
+            return (L, pivot, coupling), self.work
         form = None if symmetry is None else self.modes(symmetry)
         modes = None if form is None else (lambda: _mode_blocks(form, entries))
         return BorderedGram(entries[G.diag], eliminate, modes)
@@ -452,18 +457,17 @@ def _lower_updates(couple_row, group_size):
     return a, b.astype(np.int32)
 
 
-def _block_level(m, keys):
+def _block_level(m, keys, pivot):
     """The level of closed-form pivots of a symmetric m x m matrix whose
     structural nonzeros (r, c), r >= c, have the sorted flat positions
     ``keys``, as (level, keys, size) of the block it leaves.
 
-    The pivots are rows with no structural nonzero between any two of them,
-    taken greedily in row order (:func:`_independent_rows`): two rows of a
-    :class:`BlockRows` pattern share a nonzero exactly when they share a
-    block.  The trailing block's pattern is the kept entries and the fill
-    of the updates."""
+    The pivots, the mask ``pivot``, are rows with no structural nonzero
+    between any two of them, taken greedily in row order
+    (:func:`_independent_rows`): two rows of a :class:`BlockRows` pattern
+    share a nonzero exactly when they share a block.  The trailing block's
+    pattern is the kept entries and the fill of the updates."""
     rows, cols = np.divmod(keys, m)
-    pivot = _independent_rows(m, rows, cols)
     npivots = int(np.count_nonzero(pivot))
     trail_pos, pivot_pos = np.cumsum(~pivot) - 1, np.cumsum(pivot) - 1
     pr, pc = pivot[rows], pivot[cols]
@@ -508,19 +512,17 @@ def _independent_rows(m, rows, cols):
     return pivot
 
 
-# The cost of the level of closed-form pivots and LAPACK, in seconds, against
-# which :func:`_mode_pays` weighs the mode path: LAPACK's Cholesky of an m x
-# m block takes about LAPACK_CUBE m^3 + LAPACK_SQUARE m^2, and the level
-# LEVEL_COST.  Fitted to timings of LAPACK for m = 128..1922 and of the
-# levels of D phi, D psi and the staircase (OpenBLAS 0.3, numpy 2.4, two
-# Xeon cores); CHANGES.md has the measurements.
-LAPACK_CUBE = 5.6e-12
-LAPACK_SQUARE = 9.3e-9
-LEVEL_COST = 2e-5
-
-
-def _lapack_cost(m):
-    return (LAPACK_CUBE * m + LAPACK_SQUARE) * m * m
+# The mode path is taken where the level of closed-form pivots leaves at
+# least MODE_PATH_ROWS rows to LAPACK (:meth:`BlockRows.modes`).  Each
+# pattern of the benchmark takes the same path for any value from 83 to 96.
+# At 84 rows left (D psi of the loebell(14) factor and of the prism(28)
+# caps, the staircase of the loebell(28) factor) a warm certificate costs as
+# much or less through the mode blocks, 0.08-0.09 ms against 0.085-0.10 ms
+# (numpy 2.4, two Xeon cores), while building the mode form costs 0.2-0.5
+# ms once per pattern.  Taken everywhere, the mode path slowed the
+# dimension and rank-sum decisions of the prism(8) caps and the loebell(8)
+# factor from 0.52 to 0.62 ms and from 0.59 to 0.70 ms.
+MODE_PATH_ROWS = 84
 
 
 def _pairs_within(group, ngroups, order):
@@ -821,32 +823,6 @@ def _mode_blocks(form, entries):
     return blocks, extra, dmax
 
 
-# The mode path's cost model, in seconds: a fixed MODE_COST, MODE_ENTRY_COST
-# per structural nonzero r >= s of the Gram matrix, and MODE_BLOCK_COST plus
-# MODE_SQUARE_COST k^2 per k x k mode block, for their assembly and their
-# batched Cholesky.  Fitted to timings of the mode path on D phi, D psi and
-# the staircase of both families, m = 8..128 (numpy 2.4, two Xeon cores);
-# CHANGES.md has the measurements.
-MODE_COST = 5e-5
-MODE_ENTRY_COST = 5e-9
-MODE_BLOCK_COST = 2e-6
-MODE_SQUARE_COST = 8e-9
-
-
-def _mode_pays(m, keys, form):
-    """Whether the cost model expects the level of :func:`_block_level` on
-    the m x m Gram matrix with structural nonzeros ``keys``, and LAPACK's
-    Cholesky of the block it leaves, to cost more than the mode blocks of
-    ``form`` and their Cholesky.  It asks for no analysis beyond the
-    level's independent rows."""
-    rows, cols = np.divmod(keys, m)
-    first = int(np.count_nonzero(_independent_rows(m, rows, cols)))
-    nblocks, k = form.layout.shape[:2]
-    cost = (MODE_COST + MODE_ENTRY_COST * len(keys)
-            + nblocks * (MODE_BLOCK_COST + MODE_SQUARE_COST * k * k))
-    return LEVEL_COST + _lapack_cost(m - first) > cost
-
-
 def numerical_rank(M, policy=DEFAULT_RANK_POLICY):
     """Numerical rank of a matrix: certified full when
     :func:`_full_rank_certificate` holds, else from :func:`svd_rank`.
@@ -939,7 +915,7 @@ def _full_rank_certificate(A, shape, policy=DEFAULT_RANK_POLICY, floor=0.0):
     covers the rounding of its subnormal product.
 
     Mode blocks.  Where ``A`` carries them (``A.modes``, a pattern's Gram
-    matrix under a :class:`RowSymmetry` whose mode path pays), they are
+    matrix under a :class:`RowSymmetry` whose mode path is taken), they are
     tried first (:func:`_modes_certify`).  With A_sym the symmetrised
     block circulant of :func:`_mode_blocks`, e_bar and delta_bar its bounds
     on the asymmetry and on the DFT's rounding, B_l the K / 2 + 1 blocks,

@@ -41,6 +41,7 @@ class VinbergPoint:
         if self.alphas.shape != self.bs.shape:
             raise VinbergError("alphas and bs must have matching shapes")
         self.facets = tuple(range(1, self.f + 1)) if facets is None else facets
+        self._cartan = None
 
     @property
     def f(self):
@@ -51,8 +52,13 @@ class VinbergPoint:
         return self.alphas.shape[1]
 
     def cartan(self):
-        """Entries a_ij = alpha_i b_j."""
-        return self.alphas @ self.bs.T
+        """Entries a_ij = alpha_i b_j, formed on the first call and returned,
+        read-only, by every call: the point's alphas and bs must not change
+        after it."""
+        if self._cartan is None:
+            self._cartan = self.alphas @ self.bs.T
+            self._cartan.flags.writeable = False
+        return self._cartan
 
 
 class EquationIndex:
@@ -637,7 +643,7 @@ def check_U_membership(Q_or_index, p):
     from coxdeform import cartan
 
     index = _as_index(Q_or_index)
-    a = p.cartan()
+    a = p.cartan().copy()
     failures = []
 
     scale = max(np.abs(p.alphas).max(), 1e-30)
@@ -678,8 +684,9 @@ def check_U_membership(Q_or_index, p):
         failures.append("alphas do not span the dual space")
 
     # The checks gather at flat positions, from boolean masks where they
-    # can, and a is this call's own: each E4 entry a_ij becomes a_ij a_ji in
-    # place, so that at most one float array of e4 entries is held beside a.
+    # can, and a is this call's copy of the point's Cartan matrix: each E4
+    # entry a_ij becomes a_ij a_ji in place, so that at most one float array
+    # of e4 entries is held beside a.
     flat = a.reshape(-1)
     ij, ji = index.sign_positions
     signs_bad = np.flatnonzero(~((flat < 0).take(ij) & (flat < 0).take(ji)))

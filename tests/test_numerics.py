@@ -682,8 +682,8 @@ def _mode_cases(Q, p):
 
 
 def _mode_certificate(rows, values, symmetry, floor=0.0):
-    """The mode path alone, whether or not it pays: tau_bar where the mode
-    blocks certify sigma_min > max(tau_bar, floor), else None."""
+    """The mode path alone, whether or not it is taken: tau_bar where the
+    mode blocks certify sigma_min > max(tau_bar, floor), else None."""
     form = numerics._mode_form(rows.nrows, rows.structure.keys, symmetry)
     assert form is not None
     shape = rows.shape(values)
@@ -872,8 +872,8 @@ def test_boosted_point_takes_the_levels_path(m, monkeypatch):
 @pytest.mark.parametrize("family, m", [("loebell", 64), ("prism", 64)])
 def test_mode_path_certifies_without_levels(family, m):
     """On a fresh orbifold of either family at m = 64, the dim-sweep's
-    decisions on D psi and the staircase where the mode path pays are made
-    by the mode blocks alone: their patterns' elimination is never
+    decisions on D psi and the staircase where the mode path is taken are
+    made by the mode blocks alone: their patterns' elimination is never
     analysed, and no block is left to LAPACK."""
     Q = loebell_factor_orbifold(pt.loebell(m)) if family == "loebell" else prism_cap_orbifold(m)
     R = lorentz.solve_hyperbolic_newton(Q)

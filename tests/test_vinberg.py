@@ -6,15 +6,16 @@ import weakref
 import numpy as np
 import pytest
 
-from coxdeform import bundled, cartan, cli, lorentz, orbifold as ob, polytope as pt, vinberg
+from coxdeform import bundled, cartan, cli, lorentz, numerics, orbifold as ob, polytope as pt
+from coxdeform import vinberg
 from coxdeform.numerics import BlockRows, RankPolicy, _gamma, numerical_rank
 from conftest import (apply_gauge, cartan_from_point, component_eigenpairs_oracle,
                       components_oracle, det_grid_oracle, family_matrix_oracle,
                       family_realization, finite_difference_jacobian, flatten,
                       gauge_directions_oracle, interior_point_eig_oracle, interior_point_oracle,
                       marching_squares_oracle, newton_case, open_conditions_oracle,
-                      phi_eval_oracle, phi_jacobian_oracle, random_gauge, reduced_rank_oracle,
-                      reduction_operators_oracle, traced_peak, unflatten)
+                      phi_eval_oracle, phi_jacobian_oracle, prism_cap_orbifold, random_gauge,
+                      reduced_rank_oracle, reduction_operators_oracle, traced_peak, unflatten)
 
 
 def test_hyperbolic_point_solves_equations(tetra_orbifold, tetra_point):
@@ -449,10 +450,18 @@ def test_rank_sum_builds_no_dense_matrix_when_certified(monkeypatch):
 # blocks that their level of closed-form pivots leaves to LAPACK.
 LEVEL_SIZES = {"loebell16": ([130, 96], [64, 48]),
                "prism16": ([66, 48], [16, 8]),
-               "loebell48": ([386, 288], [192, 144])}
-# Whether D psi's and the staircase's certificates take the mode path
-# (numerics._mode_pays).
-MODE_PATHS = {"loebell16": (True, False), "prism16": (False, False), "loebell48": (True, True)}
+               "loebell48": ([386, 288], [192, 144]),
+               "prism24": ([98, 72], [24, 12]),
+               "prism32": ([130, 96], [32, 16]),
+               "loebell24": ([194, 144], [96, 72]),
+               "loebell32": ([258, 192], [128, 96])}
+# Whether D psi's and the staircase's certificates take the mode path: where
+# the level leaves at least numerics.MODE_PATH_ROWS rows.  D psi of prism24
+# and the staircase of loebell24 leave 72 rows, those of prism32 and
+# loebell32 leave 96, on the two sides of the rule.
+MODE_PATHS = {"loebell16": (True, False), "prism16": (False, False), "loebell48": (True, True),
+              "prism24": (False, False), "prism32": (True, False),
+              "loebell24": (True, False), "loebell32": (True, True)}
 
 
 @pytest.mark.parametrize("name", LEVEL_SIZES)
@@ -463,13 +472,14 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
     matrix is never formed: its f diagonal rows are eliminated in closed
     form, and so is a greedy matching of the staircase's rows; LAPACK
     factors only what is left, D psi's e x e ridge block and the rest of
-    the staircase (``LEVEL_SIZES``), or, where the mode path
-    of the ring rotation pays (``MODE_PATHS``), the stack of mode blocks
-    instead, in one call.  The gauge
+    the staircase (``LEVEL_SIZES``), or, where the level leaves enough rows
+    for the mode path of the ring rotation (``MODE_PATHS``), the stack of
+    mode blocks instead, in one call.  The gauge
     directions' Gram matrix is never formed either: its f rescaling rows
     are eliminated in closed form, and LAPACK factors the (n+1)^2 - 1
     traceless rows' block that is left."""
-    family, m = ("prism", 16) if name == "prism16" else ("loebell", int(name[7:]))
+    family = name.rstrip("0123456789")
+    m = int(name[len(family):])
     Q, R = family_realization(family, m)
     p = vinberg.hyperbolic_point(R)
     index = vinberg.EquationIndex.from_orbifold(Q)
@@ -501,6 +511,22 @@ def test_rank_sum_forms_each_gram_once_when_block_certified(name, monkeypatch):
         assert (form is not None) == MODE_PATHS[name][len(expected) - 1]
         expected.append((last, last) if form is None else form.layout.shape)
     assert sorted(factored) == sorted(expected)
+
+
+def test_rank_sum_searches_each_pivot_mask_once(monkeypatch):
+    """One check_rank_sum on a fresh prism(16) cap orbifold searches the
+    level's pivots of D psi's pattern (66 rows) and of the staircase's (16
+    rows) once each: the mask, kept on the pattern, serves both the choice
+    of the mode path and the level."""
+    _, R = family_realization("prism", 16)
+    p = vinberg.hyperbolic_point(R)
+    Q = prism_cap_orbifold(16)
+    searched, independent_rows = [], numerics._independent_rows
+    monkeypatch.setattr(numerics, "_independent_rows", lambda m, rows, cols:
+                        searched.append(m) or independent_rows(m, rows, cols))
+    report = vinberg.check_rank_sum(Q, p)
+    assert report.rank_psi.method == "cholesky" and report.identity_holds
+    assert sorted(searched) == [16, 66]
 
 
 def test_reduction_norms_bound_the_oracle_operators():
@@ -690,7 +716,7 @@ def test_u_membership_conditions_match_pair_loop():
     rng = np.random.default_rng(5)
     for Q, p in ((Q5, p5), (Q64, p64), _renamed_case(Q64, p64)):
         index = vinberg.EquationIndex.from_orbifold(Q)
-        A = p.cartan()
+        A = p.cartan().copy()
         pos = index.pos
         e4 = rng.permutation(len(index.e4))
         flipped = [index.e3[t] for t in rng.choice(len(index.e3), 3, replace=False)]
@@ -708,6 +734,30 @@ def test_u_membership_conditions_match_pair_loop():
         assert not signs_ok and not open_ok
         assert sum(m.startswith("non-negative") for m in failures) == 7
         assert sum(m.startswith("open condition") for m in failures) == 9
+
+
+def test_cartan_matrix_formed_once_per_point(monkeypatch):
+    """local_deformation_dimension, check_rank_sum and check_U_membership at
+    the loebell(64) factor read one Cartan matrix of the point, formed once
+    and read-only; check_U_membership, which forms the E4 products in
+    place, leaves it as it was."""
+    Q, R = family_realization("loebell", 64)
+    p = vinberg.hyperbolic_point(R)
+    calls, formed, cartan_of = [], [], vinberg.VinbergPoint.cartan
+
+    def counted(self):
+        a = cartan_of(self)
+        calls.append(a)
+        if not any(a is b for b in formed):
+            formed.append(a)
+        return a
+    monkeypatch.setattr(vinberg.VinbergPoint, "cartan", counted)
+    vinberg.local_deformation_dimension(Q, p)
+    vinberg.check_rank_sum(Q, p)
+    assert vinberg.check_U_membership(Q, p).passed
+    assert len(calls) >= 3 and len(formed) == 1
+    assert not formed[0].flags.writeable
+    assert np.array_equal(formed[0], p.alphas @ p.bs.T)
 
 
 def test_u_membership_allocates_no_square_temporary():
@@ -764,7 +814,7 @@ def test_u_membership_undecided_off_solution_set(tetra_orbifold, tetra_point):
     # are a basis, so new bs realize it exactly.  An interior point still
     # exists (the alphas span), but neither certificate applies off the
     # solution set
-    A = tetra_point.cartan()
+    A = tetra_point.cartan().copy()
     for i, j in tetra_orbifold.e2_pairs():
         A[i - 1, j - 1] = A[j - 1, i - 1] = 1.0
     bad = vinberg.VinbergPoint(tetra_point.alphas, np.linalg.solve(tetra_point.alphas, A).T)
