@@ -14,6 +14,7 @@ order-2 edges, or by uniform Monte Carlo sampling.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import NamedTuple
@@ -599,13 +600,23 @@ class _EdgeSetCounter:
 
     def masks(self):
         """Order-2 edge sets that pass the tests reading Z alone: each
-        vertex meets Z and no prismatic 4-circuit lies in Z."""
+        vertex meets Z, no prismatic 4-circuit lies in Z, and no prismatic
+        3-circuit has two or more edges in Z.
+
+        The last holds for the float test ``circuits_ok`` as well as for
+        exact sums: 1/2 is exact, fl(1/2 + 1/2) = 1.0 and rounding is
+        monotone, so a circuit sum with two terms 1/2 and a third term
+        1/m > 0 comes to at least 1.0 in any summation order and fails
+        ``total < 1``.  Every set dropped here would count zero."""
         m = np.arange(1 << self.e, dtype=np.int64)
         keep = np.ones(len(m), dtype=bool)
         for triple in self.model.vertex_triples:
             keep &= (m & _bits(triple)) != 0
         for c in self.model.c4:
             keep &= (m & _bits(c)) != _bits(c)
+        for c in self.model.c3:
+            for pair in itertools.combinations(c, 2):
+                keep &= (m & _bits(pair)) != _bits(pair)
         return np.flatnonzero(keep).tolist()
 
     def _step(self, mask, t, v):
@@ -801,6 +812,12 @@ class _UniformValidSampler:
     the steps together.
     A plan whose tables exceed ``SAMPLER_TABLE_BUDGET`` raises
     GraphConditionError before any table is built.
+
+    The fixed cost is the plan, O(V (log V + w)) for V vertices and boundary
+    width w (:meth:`_plan_steps`), and the tables, which share one kernel
+    per number of new slots.  Per
+    sample, ``draw`` reloads one Philox's key and counter in place
+    (:meth:`stream`) and writes its uniforms into one array per round.
     """
 
     def __init__(self, model):
@@ -831,20 +848,41 @@ class _UniformValidSampler:
         """The ``_Step`` of each vertex, given by its ``triples`` of edge
         positions, in a greedy elimination order that keeps the open-edge
         boundary small: next comes the vertex with the most open edges,
-        lowest index first."""
+        lowest index first.
+
+        A vertex's count of open edges only grows, by one at the far end of
+        each edge its neighbour opens, so the counts live in a heap keyed
+        (-open, index) that gets a fresh entry at each such growth.  A
+        vertex's freshest entry has its lowest key and pops first; the
+        stale ones pop after it and are skipped.
+        With V vertices and boundary width w that is O(V (log V + w)), not
+        the O(V^2) of rescanning every remaining vertex at each step."""
+        ends = {}  # edge -> the vertices it meets
+        for v, triple in enumerate(triples):
+            for t in triple:
+                ends.setdefault(t, []).append(v)
+        heap = [(0, v) for v in range(len(triples))]
+        opened = [0] * len(triples)  # open edges at each vertex
+        done = [False] * len(triples)
         steps = []
         boundary = []  # list of open edges, order = slot order
         slot = {}  # open edge -> its slot
-        remaining = set(range(len(triples)))
-        while remaining:
-            w = min(remaining, key=lambda v: (-sum(t in slot for t in triples[v]), v))
-            remaining.remove(w)
+        while heap:
+            w = heapq.heappop(heap)[1]
+            if done[w]:
+                continue
+            done[w] = True
             arr = tuple(slot[t] for t in triples[w] if t in slot)
             new = tuple(sorted(t for t in triples[w] if t not in slot))
             keep = tuple(s for s in range(len(boundary)) if s not in arr)
             steps.append(_Step(arr, keep, new))
             boundary = [boundary[s] for s in keep] + list(new)
             slot = {t: s for s, t in enumerate(boundary)}
+            for t in new:
+                for v in ends[t]:
+                    if not done[v]:
+                        opened[v] += 1
+                        heapq.heappush(heap, (-opened[v], v))
         if boundary:
             raise GraphConditionError("elimination order left open edges")
         return steps
@@ -853,10 +891,11 @@ class _UniformValidSampler:
     def table_bytes(steps, k):
         """The bytes of the float64 tables :meth:`_backward_counts` keeps for
         ``steps`` and k classes: ``counts[t]``, one axis per slot open before
-        step t, and the kernel, one per arriving and per new slot."""
-        cells = 1 + sum(k ** (len(arr) + len(keep)) + k ** (len(arr) + len(new))
-                        for arr, keep, new in steps)
-        return 8 * cells
+        step t, and one kernel per number of new slots, with an axis per
+        arriving and per new slot."""
+        kernels = {len(new): k ** (len(arr) + len(new)) for arr, _, new in steps}
+        cells = 1 + sum(k ** (len(arr) + len(keep)) for arr, keep, _ in steps)
+        return 8 * (cells + sum(kernels.values()))
 
     def _backward_counts(self):
         """``counts[t]`` for every step, and per step the weighted kernel and
@@ -870,12 +909,16 @@ class _UniformValidSampler:
         # every entry of counts[t] is below 2^bits: each new edge multiplies
         # the largest entry by at most d - 1, the classes' total weight
         exponent, bits = 0, 0.0
+        kernels = {}  # the kernel of each number of new slots
         for t in range(len(self.steps) - 1, -1, -1):
             arr, keep, new = self.steps[t]
-            weight = np.ones(())
-            for _ in new:
-                weight = np.multiply.outer(weight, self.class_size)
-            kernel = (self.class_ok * weight).reshape(k ** len(arr), k ** len(new))
+            kernel = kernels.get(len(new))
+            if kernel is None:
+                weight = np.ones(())
+                for _ in new:
+                    weight = np.multiply.outer(weight, self.class_size)
+                kernel = (self.class_ok * weight).reshape(k ** len(arr), k ** len(new))
+                kernels[len(new)] = kernel
             nxt = counts[t + 1].reshape(k ** len(keep), k ** len(new))
             tables[t] = (kernel, nxt)
             out = (kernel @ nxt.T).reshape((k,) * (len(arr) + len(keep)))
@@ -921,27 +964,38 @@ class _UniformValidSampler:
         expand = u[:, len(self.steps):len(self.steps) + cls.shape[1]]
         return self.class_low[cls] + (expand * self.class_size[cls]).astype(np.int64)
 
-    def stream(self, gen, seed, i, first, count):
-        """Uniforms for attempts ``first .. first + count - 1`` of sample i,
-        one row each: block ``first`` onwards of the Philox stream keyed
-        (seed, i), read as ``Generator.random`` reads it from the start."""
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([first * self.block // 4, 0, 0, 0], dtype=np.uint64),
-                      "key": np.array([seed % 2 ** 64, i], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-        return gen.random(count * self.block).reshape(count, self.block)
+    def stream(self, gen, state, seed, samples, first, out):
+        """Fill row j of ``out`` with the uniforms of attempts ``first``
+        onwards of sample ``samples[j]``, one block per attempt: block
+        ``first`` onwards of the Philox stream keyed (seed, samples[j]),
+        read as ``Generator.random`` reads it from the start.
+
+        ``state`` is a state dict of ``gen``'s Philox, rewritten in place:
+        per call its ``key[0]``, counter and ``buffer_pos``, and per row
+        only ``key[1]`` before it is loaded and the row filled with
+        ``gen.random(out=row)``, so a row allocates no array."""
+        key, counter = state["state"]["key"], state["state"]["counter"]
+        key[0] = seed % 2 ** 64
+        counter[:] = first * self.block // 4, 0, 0, 0
+        state["buffer_pos"] = 4
+        bits = gen.bit_generator
+        for i, row in zip(samples, out):
+            key[1] = i
+            bits.state = state
+            gen.random(out=row)
+        return out
 
     def draw(self, seed, indices):
         """Exactly uniform valid assignments for samples ``indices``; returns
         (orders, attempts), one row per sample.
 
         Rejection runs in rounds over the samples still pending; in round r
-        each makes min(2^r, MC_ROW_CHUNK) further attempts and keeps its first
-        accepted one.  Attempt a of sample i reads block a of its own stream,
-        so a row does not depend on the other samples of the call.  Raises
-        when the acceptance rate falls below MC_MIN_ACCEPTANCE once
+        each makes m = min(2^r, MC_ROW_CHUNK) further attempts and keeps its
+        first accepted one.  Attempt a of sample i reads block a of its own
+        stream, so a row does not depend on the other samples of the call.
+        A call makes one ``Philox`` and one ``Generator``, and a round fills
+        one (rows, m * block) array of uniforms through :meth:`stream`.
+        Raises when the acceptance rate falls below MC_MIN_ACCEPTANCE once
         MC_RATE_PILOT attempts are made, or when MC_MAX_ROUNDS rounds leave a
         sample pending.
         """
@@ -950,6 +1004,7 @@ class _UniformValidSampler:
         orders = np.empty((len(indices), e), dtype=np.int64)
         attempts = np.zeros(len(indices), dtype=np.int64)
         gen = np.random.Generator(np.random.Philox())
+        state = gen.bit_generator.state
         pending = np.arange(len(indices))
         made = 0  # attempts made so far by each pending sample
         for r in range(MC_MAX_ROUNDS):
@@ -958,10 +1013,12 @@ class _UniformValidSampler:
             m = min(1 << r, MC_ROW_CHUNK)
             accepted = np.zeros(len(indices), dtype=bool)
             group = max(MC_ROW_CHUNK // m, 1)
+            u = np.empty((min(group, len(pending)), m * self.block))
             for g in range(0, len(pending), group):
                 part = pending[g:g + group]
-                u = np.concatenate([self.stream(gen, seed, indices[i], made, m) for i in part])
-                rows = self._vertex_valid_rows(u).reshape(len(part), m, e)
+                self.stream(gen, state, seed, indices[part].tolist(), made, u[:len(part)])
+                rows = self._vertex_valid_rows(u[:len(part)].reshape(-1, self.block))
+                rows = rows.reshape(len(part), m, e)
                 ok = self.model.circuits_ok(rows)
                 hit = ok.any(axis=1)
                 first = ok.argmax(axis=1)

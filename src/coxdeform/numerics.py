@@ -787,7 +787,9 @@ def _mode_blocks(form, entries):
       the sum of squares over the entries r >= s bounds that part; on the
       positions of a kept cell where A has no structural nonzero, E is the
       cell's value.  With n terms in all, 1 + gamma_{2n+8} covers the sums'
-      rounding and the 1 / (1 - u)^2, and 3 n eta their underflow.
+      rounding in any summation order and the 1 / (1 - u)^2, and 3 n eta
+      their underflow.  Both sums are numpy's own ``einsum`` reductions: a
+      BLAS dot product would start BLAS's thread pool on long vectors.
     - delta_bar >= ||B_l - B_l^exact||_2 for every block, B_l^exact the
       block of the exact DFT of A_sym and B_l the symmetric matrix of the
       block that LAPACK reads: an entry of R_l or S_l is a matrix product
@@ -803,8 +805,9 @@ def _mode_blocks(form, entries):
     difference = np.subtract(signed, value.take(form.entry_cell), out=signed)
     loose = value.take(form.loose)
     n = len(difference) + len(loose)
-    asym = math.sqrt((2.0 * float(difference @ difference) + float(form.missing @ (loose * loose))
-                      + 3 * n * SMALLEST_SUBNORMAL) * (1.0 + _gamma(2 * n + 8)))
+    squares = (2.0 * float(np.einsum("i,i->", difference, difference))
+               + float(np.einsum("i,i,i->", form.missing, loose, loose)))
+    asym = math.sqrt((squares + 3 * n * SMALLEST_SUBNORMAL) * (1.0 + _gamma(2 * n + 8)))
     value = np.append(value, 0.0)
     twiddles, circulant, source = _twiddles(K), form.circulant_values, form.source
     value.take(form.circulant, out=circulant, mode="clip")

@@ -312,6 +312,42 @@ def test_exact_counts_match_brute_force(name, d):
     assert ms._exact_counts(P, d) == exact_counts_oracle(P, d)
 
 
+def _masks_without_prefilter(counter):
+    """The order-2 edge sets that pass the vertex and 4-circuit tests, as
+    ``masks`` listed them before it dropped sets with two edges of one
+    prismatic 3-circuit."""
+    m = np.arange(1 << counter.e, dtype=np.int64)
+    keep = np.ones(len(m), dtype=bool)
+    for triple in counter.model.vertex_triples:
+        keep &= (m & ms._bits(triple)) != 0
+    for c in counter.model.c4:
+        keep &= (m & ms._bits(c)) != ms._bits(c)
+    return np.flatnonzero(keep).tolist()
+
+
+@pytest.mark.parametrize("name,cuts,circuits,stride", [
+    ("prism3", 0, 1, 1), ("prism3", 2, 3, 1), ("cube", 2, 2, 1), ("cube", 3, 3, 8)])
+def test_masks_drop_only_zero_count_sets(name, cuts, circuits, stride):
+    """``masks`` drops exactly the sets with two or more edges of one
+    prismatic 3-circuit, and the per-set walk counts each of them zero.
+    The 21-edge cube is walked on every 8th dropped set, to keep it short."""
+    P = random_truncation(ORACLE_POLYTOPES[name](), cuts, np.random.default_rng(1))
+    assert len(pt.prismatic_circuits(P, 3)) == circuits
+    counter = ms._EdgeSetCounter(ms._AssignmentModel(P, 8))
+    before, kept = _masks_without_prefilter(counter), counter.masks()
+    z = np.array(before)
+    two = np.zeros(len(z), dtype=bool)
+    for c in counter.model.c3:
+        two |= np.bitwise_count(z & ms._bits(c)) >= 2
+    dropped = z[two].tolist()
+    assert dropped and kept == z[~two].tolist()
+    assert not any(counter.counts(m) for m in dropped[::stride])
+    if (name, cuts) == ("prism3", 0):
+        # 263 sets before, 91 now: exactly those with a nonzero count
+        assert (len(before), len(kept)) == (263, 91)
+        assert all(sum(counter.counts(m).values()) for m in kept)
+
+
 def test_exact_small_prism():
     report = ms.estimate_wo_fraction(pt.prism(3), 4, mode="exact")
     assert report.valid_count > 0
@@ -595,11 +631,50 @@ def test_sample_rows_do_not_depend_on_the_batch():
     assert (attempts[150:] > 1).sum() > 25
     np.testing.assert_array_equal(part_rows, rows[150:])
     np.testing.assert_array_equal(part_attempts, attempts[150:])
-    # attempt a reads block a of the stream a fresh Philox(key=(seed, i)) gives
-    whole = np.random.Generator(np.random.Philox(key=[7, 160])).random(5 * sampler.block)
+    # attempt a reads block a of the stream a fresh Philox(key=(seed, i)) gives,
+    # row by row through one reused state
     gen = np.random.Generator(np.random.Philox())
-    np.testing.assert_array_equal(sampler.stream(gen, 7, 160, 2, 3).ravel(),
-                                  whole[2 * sampler.block:])
+    out = sampler.stream(gen, gen.bit_generator.state, 7, [160, 3], 2,
+                         np.empty((2, 3 * sampler.block)))
+    for i, row in zip((160, 3), out):
+        whole = np.random.Generator(np.random.Philox(key=[7, i])).random(5 * sampler.block)
+        np.testing.assert_array_equal(row, whole[2 * sampler.block:])
+
+
+def test_draw_reads_fresh_philox_streams(monkeypatch):
+    """Every uniform ``draw`` hands to the DP is the one a fresh
+    Generator(Philox(key=(seed, i))) gives from block ``first`` on, with
+    the seed's top bit set and in later rejection rounds."""
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(pt.prism(8), 20))
+    streamed, used = [], []
+    stream, rows = sampler.stream, sampler._vertex_valid_rows
+
+    def record_stream(gen, state, seed, samples, first, out):
+        streamed.append((seed, list(samples), first, out.shape))
+        return stream(gen, state, seed, samples, first, out)
+
+    def record_rows(u):
+        used.append(u.copy())
+        return rows(u)
+
+    monkeypatch.setattr(sampler, "stream", record_stream)
+    monkeypatch.setattr(sampler, "_vertex_valid_rows", record_rows)
+    seed = 2 ** 63 + 7
+    orders, attempts = sampler.draw(seed, range(100, 160))
+    assert len(streamed) == len(used)
+    assert max(first for _, _, first, _ in streamed) >= 15  # round 4 or later
+    block = sampler.block
+    for (s, samples, first, shape), u in zip(streamed, used):
+        assert s == seed and shape[1] % block == 0
+        u = u.reshape(len(samples), shape[1])
+        for i, row in zip(samples, u):
+            bits = np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
+            whole = np.random.Generator(bits).random(first * block + shape[1])
+            np.testing.assert_array_equal(row, whole[first * block:])
+    # and the rows do not depend on the batch at this seed either
+    part, part_attempts = ms._UniformValidSampler(sampler.model).draw(seed, range(130, 160))
+    np.testing.assert_array_equal(part, orders[30:])
+    np.testing.assert_array_equal(part_attempts, attempts[30:])
 
 
 def test_montecarlo_wide_masks_loebell12():
@@ -736,7 +811,7 @@ def test_validate_face_order_rejects_bad_ordering():
 def test_plan_steps_match_two_pass_oracle():
     rng = np.random.default_rng(23)
     polytopes = [pt.cube(), pt.prism(3), pt.prism(8), pt.dodecahedron(), pt.loebell(12),
-                 pt.doubled_cube()]
+                 pt.loebell(64), pt.loebell(128), pt.doubled_cube()]
     polytopes += [random_truncation(base, cuts, rng)
                   for base in (pt.cube(), pt.dodecahedron()) for cuts in (1, 3)]
     for P in polytopes:
@@ -797,7 +872,8 @@ def test_sampler_budget_separates_the_planned_sizes():
     assert round(planned / 2 ** 20) == 96
     for P in (pt.prism(8), pt.dodecahedron()):
         sampler = ms._UniformValidSampler(ms._AssignmentModel(P, 7))
-        held = sum(c.nbytes for c in sampler.counts) + sum(t[0].nbytes for t in sampler.tables)
+        kernels = {id(kernel): kernel for kernel, _ in sampler.tables}
+        held = sum(c.nbytes for c in sampler.counts) + sum(t.nbytes for t in kernels.values())
         assert held == sampler.table_bytes(sampler.steps, sampler.nclasses)
     # the 17-facet truncation builds now; its five prismatic 3-circuits stop
     # Monte Carlo by rejection instead
