@@ -742,13 +742,12 @@ def _twiddles(K):
     """The real DFT table over K positions, built once per K: the rows
     cos(2 pi l j / K) for l = 0..K/2, sin(2 pi l j / K) for l =
     1..(K-1)/2, and the same sines negated, j the column.  Each angle is 2
-    pi ((l j) mod K) / K, formed in three roundings and taken by
-    :mod:`math`."""
-    cos = [[math.cos(2.0 * math.pi * (l * j % K) / K) for j in range(K)]
-           for l in range(K // 2 + 1)]
-    sin = [[math.sin(2.0 * math.pi * (l * j % K) / K) for j in range(K)]
-           for l in range(1, (K + 1) // 2)]
-    table = np.array(cos + sin + [[-t for t in row] for row in sin])
+    pi m / K with m = (l j) mod K, formed in three roundings and taken by
+    :mod:`math` once per m; the rows gather them by m."""
+    angles = [2.0 * math.pi * m / K for m in range(K)]
+    cos, sin = np.array([[math.cos(t) for t in angles], [math.sin(t) for t in angles]])
+    m = np.arange(K // 2 + 1)[:, None] * np.arange(K) % K  # row l, column j: (l j) mod K
+    table = np.concatenate([cos[m], sin[m[1:(K + 1) // 2]], -sin[m[1:(K + 1) // 2]]])
     table.flags.writeable = False
     return table
 

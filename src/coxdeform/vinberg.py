@@ -33,7 +33,13 @@ INTERIOR_TOL = 1e-9  # U-membership margins, relative to max |alpha|
 class VinbergPoint:
     """Reflection data: covector rows ``alphas`` (f x (n+1)) and vector rows
     ``bs`` (f x (n+1), the reflection vectors b_i), on ``facets`` (default
-    1..f)."""
+    1..f).
+
+    The point stores its Cartan matrix (:meth:`cartan`) and each successful
+    rank analysis of D phi, keyed by equation index and rank policy (see
+    :func:`local_deformation_dimension`) and dropped with its index; the
+    matrix and each report's singular values are read-only.  Its alphas and
+    bs must not change once either is stored."""
 
     def __init__(self, alphas, bs, facets=None):
         self.alphas = np.asarray(alphas, dtype=float)
@@ -42,6 +48,7 @@ class VinbergPoint:
             raise VinbergError("alphas and bs must have matching shapes")
         self.facets = tuple(range(1, self.f + 1)) if facets is None else facets
         self._cartan = None
+        self._analyses = weakref.WeakKeyDictionary()  # index -> {policy: analysis}
 
     @property
     def f(self):
@@ -383,6 +390,8 @@ def local_deformation_dimension(Q, p, policy=DEFAULT_RANK_POLICY):
     and the dimension of its gauge quotient is 2(n+1)f - N - (f + (n+1)^2 - 1),
     which the report cross-checks against the closed form e_+ - n - 2 delta_P.
     Otherwise kernel-minus-gauge is reported as an upper-bound witness only.
+    A repeat at the same point, orbifold and policy, here or in
+    :func:`check_rank_sum`, returns the report the point stored.
     """
     return _phi_analysis(Q, p, policy)[1]
 
@@ -404,8 +413,13 @@ def _phi_analysis(Q, p, policy):
     elimination.  Where the orbifold's ring rotation keeps its orders, each
     Gram matrix carries the rotation's row symmetry, and its certificate
     first tries the mode blocks (:func:`numerics._mode_blocks`).  The
-    orbifold's counts are found once per orbifold (:attr:`EquationIndex.counts`)."""
+    orbifold's counts are found once per orbifold (:attr:`EquationIndex.counts`).
+    The result is stored on the point, keyed by the index, weakly, and the
+    policy, and a repeat returns it; an analysis that raises is not stored."""
     index = _as_index(Q)
+    stored = p._analyses.get(index, {}).get(policy)
+    if stored is not None:
+        return (index,) + stored
     resid = phi_eval(index, p)
     if np.linalg.norm(resid, ord=np.inf) > RESIDUAL_TOL:
         raise VinbergError(
@@ -435,6 +449,8 @@ def _phi_analysis(Q, p, policy):
     report = jacobian_report("phi", shape, rr, gauge_dim=gauge_dim, full_rank=full_rank,
                              deformation_dim=deformation_dim,
                              kernel_minus_gauge=kernel_minus_gauge, formula_dim=formula_dim)
+    report.singular_values.flags.writeable = False  # psi's and A's decisions keep none
+    p._analyses.setdefault(index, {})[policy] = report, psi, staircase
     return index, report, psi, staircase
 
 
@@ -565,13 +581,14 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
 
     A is formed directly from its closed form; the block form itself is
     verified in the tests, against the reduction written out as matrices.
-    ``rank_phi`` is the full :func:`local_deformation_dimension` report, and
-    this raises where it does.  Where alpha_i = 2 J b_i holds bit for bit,
-    that report certifies full rank of D phi from the certified ranks of A
-    and D psi and the norms of B and of the operations (method "block",
-    :func:`_block_decisions`), and those decisions on A and D psi are the
-    ones reported here; elsewhere, or where that certificate fails, D phi,
-    D psi and A are each decided on their own.
+    ``rank_phi`` is the full :func:`local_deformation_dimension` report,
+    this raises where it does, and a repeat of either at the same point,
+    orbifold and policy is served from the analysis the point stored.  Where
+    alpha_i = 2 J b_i holds bit for bit, that report certifies full rank of
+    D phi from the certified ranks of A and D psi and the norms of B and of
+    the operations (method "block", :func:`_block_decisions`), and those
+    decisions on A and D psi are the ones reported here; elsewhere, or where
+    that certificate fails, D phi, D psi and A are each decided on their own.
     """
     from coxdeform import lorentz
 

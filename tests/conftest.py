@@ -863,6 +863,18 @@ def bordered_trailing_oracle(A, first, s):
     return B[len(first):, len(first):]
 
 
+def twiddles_oracle(K):
+    """The real DFT table of ``numerics._twiddles`` built entry by entry:
+    cos(2 pi ((l j) mod K) / K) for l = 0..K/2, sin of the same for l =
+    1..(K-1)/2, then those sines negated, each angle formed and taken by
+    :mod:`math` at its own entry."""
+    cos = [[math.cos(2.0 * math.pi * (l * j % K) / K) for j in range(K)]
+           for l in range(K // 2 + 1)]
+    sin = [[math.sin(2.0 * math.pi * (l * j % K) / K) for j in range(K)]
+           for l in range(1, (K + 1) // 2)]
+    return np.array(cos + sin + [[-t for t in row] for row in sin])
+
+
 def newton_bincount_oracle(Q, initial):
     """``solve_hyperbolic_newton`` with each step's trailing block in a
     fresh array: each step solves through a fresh copy of the pattern, whose

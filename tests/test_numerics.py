@@ -20,7 +20,7 @@ from conftest import (block_gram_oracle, bordered_trailing_oracle, dense_gram_or
                       family_realization, full_gram_certificate_oracle, full_gram_rank_oracle,
                       loebell_factor_orbifold, one_order_changed, phi_jacobian_oracle,
                       prism_cap_orbifold, psi_jacobian_oracle, random_lorentz_transform,
-                      traced_peak)
+                      traced_peak, twiddles_oracle)
 
 UNIT_ROUNDOFF = 2.0 ** -53
 SMALLEST_SUBNORMAL = 2.0 ** -1074
@@ -712,6 +712,18 @@ SMALL_MODE_CASES = (8, 16, 32, "loebell6_factor", "loebell8_factor")
 MODE_FAMILIES = [(family, m) for family in ("loebell", "prism") for m in (8, 16, 32, 64, 128, 192)]
 
 
+def test_twiddles_match_the_entrywise_table():
+    """The DFT table, gathered from K cosines and K sines, equals the table
+    built entry by entry with math.cos and math.sin bit for bit, signed
+    zeros included, at every K up to 69 and at the prism(192) and
+    prism(256) caps' K; it is read-only."""
+    for K in list(range(1, 70)) + [192, 256]:
+        table, ref = numerics._twiddles(K), twiddles_oracle(K)
+        assert table.shape == ref.shape and table.dtype == ref.dtype, K
+        assert np.array_equal(table.view(np.uint64), ref.view(np.uint64)), K
+        assert not table.flags.writeable, K
+
+
 @pytest.mark.parametrize("family, m", MODE_FAMILIES + [("bundled", "loebell6_factor"),
                                                         ("bundled", "loebell8_factor")])
 def test_mode_certificate_matches_full_gram_and_sigma_min(family, m):
@@ -859,8 +871,8 @@ def test_boosted_point_takes_the_levels_path(m, monkeypatch):
     for label, rows, values, symmetry in _mode_cases(Q, p):
         assert _mode_certificate(rows, values, symmetry) is None, label
 
-    def decisions():
-        report = vinberg.check_rank_sum(Q, p)
+    def decisions():  # at a new point each time, which has stored no analysis
+        report = vinberg.check_rank_sum(Q, vinberg.hyperbolic_point(moved))
         return [(r.rank, r.method, r.threshold) for r in (report.rank_phi, report.rank_psi)] + [
             report.staircase_rank, lorentz.kernel_dimension(Q, moved.normals)]
 

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import gc
 import math
 import weakref
@@ -8,13 +9,15 @@ import pytest
 
 from coxdeform import bundled, cartan, cli, lorentz, numerics, orbifold as ob, polytope as pt
 from coxdeform import vinberg
-from coxdeform.numerics import BlockRows, RankPolicy, _gamma, numerical_rank
+from coxdeform.numerics import (DEFAULT_RANK_POLICY, BlockRows, RankPolicy, _gamma,
+                                numerical_rank)
 from conftest import (apply_gauge, cartan_from_point, component_eigenpairs_oracle,
                       components_oracle, det_grid_oracle, family_matrix_oracle,
                       family_realization, finite_difference_jacobian, flatten,
                       gauge_directions_oracle, interior_point_eig_oracle, interior_point_oracle,
-                      marching_squares_oracle, newton_case, open_conditions_oracle,
-                      phi_eval_oracle, phi_jacobian_oracle, prism_cap_orbifold, random_gauge,
+                      marching_squares_oracle, newton_case, one_order_changed,
+                      open_conditions_oracle, phi_eval_oracle, phi_jacobian_oracle,
+                      prism_cap_orbifold, random_gauge, random_lorentz_transform,
                       reduced_rank_oracle, reduction_operators_oracle, traced_peak, unflatten)
 
 
@@ -37,7 +40,8 @@ def test_equation_index_is_built_once_per_orbifold(monkeypatch, name):
     # On the loebell(16) factor the orbifold goes with what Newton, the
     # rank-sum check, the kernel and U-membership built on the way: its ring
     # rotation, the rotation's orbit system, the row symmetries and D psi's
-    # mode form
+    # mode form.  The index goes too, although the point, which stored its
+    # analysis keyed by the index, lives on
     Q = newton_case(name)
     R = lorentz.solve_hyperbolic_newton(Q)
     p = vinberg.hyperbolic_point(R)
@@ -60,10 +64,11 @@ def test_equation_index_is_built_once_per_orbifold(monkeypatch, name):
     if name == "loebell16":
         assert S.rotation.orbit_system is not None and S.rows._modes[1] is not None
         assert None not in index.symmetries
-    refs = [weakref.ref(Q), weakref.ref(S)]
-    del Q, R, S, built
+    refs = [weakref.ref(Q), weakref.ref(S), weakref.ref(index)]
+    del Q, R, S, built, index
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
+    assert not p._analyses
 
 
 def test_phi_structure_is_built_once_per_index(monkeypatch):
@@ -322,14 +327,17 @@ def test_traceless_basis_built_once_per_dimension():
 
 
 def test_dimension_report_peak_memory():
-    """A warm local_deformation_dimension at the loebell(64) factor has a
-    traced peak under 1 MiB: the gauge rank needs no dense (f + 15) x 8f
-    matrix (1.2 MB at f = 130), and the blocks left to LAPACK are formed in
-    their patterns' work arrays."""
+    """A warm local_deformation_dimension at the loebell(64) factor, on a
+    second point with its Cartan matrix formed, has a traced peak under 1
+    MiB: the gauge rank needs no dense (f + 15) x 8f matrix (1.2 MB at f =
+    130), and the blocks left to LAPACK are formed in their patterns' work
+    arrays."""
     Q, R = family_realization("loebell", 64)
     p = vinberg.hyperbolic_point(R)
     assert vinberg.local_deformation_dimension(Q, p).full_rank  # the patterns' arrays, once
-    report, peak = traced_peak(lambda: vinberg.local_deformation_dimension(Q, p))
+    warm = vinberg.hyperbolic_point(R)  # a point of its own, which has stored no analysis
+    warm.cartan()
+    report, peak = traced_peak(lambda: vinberg.local_deformation_dimension(Q, warm))
     assert report.deformation_dim == 2 * 64 - 3
     assert peak < 2 ** 20 < (p.f + 15) * 8 * p.f * 8
 
@@ -760,6 +768,98 @@ def test_cartan_matrix_formed_once_per_point(monkeypatch):
     assert np.array_equal(formed[0], p.alphas @ p.bs.T)
 
 
+def _fields(x):
+    """A report, rank decision or tuple of them as nested lists, with each
+    array as its dtype, shape and bytes, for comparison with ==."""
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    if isinstance(x, tuple):
+        return [_fields(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("name", RANK_SUM_CASES)
+def test_rank_analysis_made_once_per_point(name, monkeypatch):
+    """local_deformation_dimension and then check_rank_sum at one point,
+    orbifold and policy analyse D phi once: the block decisions run once,
+    and the rank sum reports the dimension report itself.  Its report
+    equals that of a fresh point with the same alphas and bs."""
+    Q, p = _hyperbolic_case(name)
+    made, decide = [], vinberg._block_decisions
+    monkeypatch.setattr(vinberg, "_block_decisions",
+                        lambda *args: made.append(args[1]) or decide(*args))
+    report = vinberg.local_deformation_dimension(Q, p)
+    rank_sum = vinberg.check_rank_sum(Q, p)
+    assert len(made) == 1
+    assert rank_sum.rank_phi is report
+    fresh = vinberg.check_rank_sum(Q, vinberg.VinbergPoint(p.alphas, p.bs, p.facets))
+    assert len(made) == 2
+    assert _fields(rank_sum) == _fields(fresh)
+
+
+def test_rank_analysis_kept_apart_by_policy():
+    """A point stores one analysis per policy: a looser policy gets an
+    analysis of its own, with its own threshold, equal to a fresh point's,
+    which a repeat returns, here and in check_rank_sum."""
+    Q, p = _hyperbolic_case("loebell16")
+    base = vinberg.local_deformation_dimension(Q, p)
+    loose = RankPolicy(rel_tol=1e-10)
+    report = vinberg.local_deformation_dimension(Q, p, loose)
+    assert report is not base and report.threshold > base.threshold
+    fresh = vinberg.VinbergPoint(p.alphas, p.bs, p.facets)
+    assert _fields(report) == _fields(vinberg.local_deformation_dimension(Q, fresh, loose))
+    assert vinberg.local_deformation_dimension(Q, p, loose) is report
+    assert vinberg.check_rank_sum(Q, p, loose).rank_phi is report
+    assert vinberg.check_rank_sum(Q, p).rank_phi is base
+
+
+def test_rank_analysis_kept_apart_by_orbifold():
+    """A point stores one analysis per orbifold: at an orbifold with one
+    order changed, whose equations the point does not solve, it is refused
+    on every call after it stored Q's analysis, by
+    local_deformation_dimension and check_rank_sum alike, and nothing is
+    stored for it."""
+    Q, p = _hyperbolic_case("loebell16")
+    base = vinberg.local_deformation_dimension(Q, p)
+    changed = one_order_changed(Q)
+    for _ in range(2):
+        for check in (vinberg.local_deformation_dimension, vinberg.check_rank_sum):
+            with pytest.raises(vinberg.VinbergError, match="point is not a solution"):
+                check(changed, p)
+    assert [(index, list(stored)) for index, stored in p._analyses.items()] == \
+        [(vinberg._as_index(Q), [DEFAULT_RANK_POLICY])]
+    assert vinberg.check_rank_sum(Q, p).rank_phi is base
+
+
+@pytest.mark.parametrize("name", ["esselmann", "loebell16"])
+def test_stored_analysis_cannot_change_under_the_caller(name):
+    """The report a point stores is read-only, and no field of it, or of
+    the decisions on D psi and the staircase stored with it, shares memory
+    with a pattern's work arrays: the analysis of a second solution of the
+    same orbifold, the first moved by a Lorentz boost, whose certificates
+    form their blocks in those arrays again, leaves the first analysis as
+    a deep copy saw it.  On esselmann D phi is rank-deficient and the SVD
+    decides, so the report keeps its spectrum; on the loebell(16) factor
+    the block certificate decides."""
+    Q, p = _hyperbolic_case(name)
+    report = vinberg.local_deformation_dimension(Q, p)
+    stored = vinberg._phi_analysis(Q, p, DEFAULT_RANK_POLICY)[1:]
+    assert stored[0] is report
+    assert report.method == ("svd" if name == "esselmann" else "block")
+    assert len(report.singular_values) == (report.shape[0] if name == "esselmann" else 0)
+    with pytest.raises(ValueError, match="read-only"):
+        report.singular_values[...] = 0.0
+    before = copy.deepcopy(stored)
+    g = random_lorentz_transform(p.dim, np.random.default_rng(73))
+    moved = vinberg.hyperbolic_point(lorentz.HyperbolicRealization(Q, p.bs @ g.T))
+    other = vinberg.check_rank_sum(Q, moved)
+    assert other.rank_phi.rank == report.rank
+    if name == "esselmann":
+        assert not np.array_equal(other.rank_phi.singular_values, report.singular_values)
+    assert vinberg._phi_analysis(Q, p, DEFAULT_RANK_POLICY)[1] is report
+    assert _fields(stored) == _fields(before)
+
+
 def test_u_membership_allocates_no_square_temporary():
     """A warm check_U_membership at the loebell(64) factor (f = 130) traces
     a peak under its own Cartan product (f^2 doubles), one float per E4
@@ -1048,19 +1148,22 @@ def test_full_jacobian_pattern_reconstruction(tetra_orbifold, tetra_point):
 
 def test_orbifold_verdicts_found_once_per_orbifold(monkeypatch):
     """The counts and the weak-orderability verdict depend on the orbifold
-    alone: after a first dimension report and rank sum, further ones find
-    neither again, and give the same answers."""
+    alone: after a first dimension report and rank sum, further ones at new
+    points of the same realization find neither again, and give the same
+    answers."""
     calls = []
     counts, weakly = ob.counts, ob.is_weakly_orderable
     monkeypatch.setattr(ob, "counts", lambda Q: calls.append("counts") or counts(Q))
     monkeypatch.setattr(ob, "is_weakly_orderable",
                         lambda Q: calls.append("weak order") or weakly(Q))
     Q = ob.make_orbifold(pt.loebell(16), family_realization("loebell", 16)[0].orders)
-    p = vinberg.hyperbolic_point(lorentz.solve_hyperbolic_newton(Q))
+    R = lorentz.solve_hyperbolic_newton(Q)
+    p = vinberg.hyperbolic_point(R)
     first = vinberg.local_deformation_dimension(Q, p), vinberg.check_rank_sum(Q, p)
     assert sorted(calls) == ["counts", "weak order"]
     calls.clear()
     for _ in range(2):
+        p = vinberg.hyperbolic_point(R)
         again = vinberg.local_deformation_dimension(Q, p), vinberg.check_rank_sum(Q, p)
         assert again[0].formula_dim == first[0].formula_dim == counts(Q).eplus - 3
         assert again[1].weakly_orderable == first[1].weakly_orderable == weakly(Q)
