@@ -596,8 +596,8 @@ def check_rank_sum(Q, p, policy=DEFAULT_RANK_POLICY):
     if np.abs(p.alphas - lorentz._alphas(p.bs)).max() > 1e-7:
         raise VinbergError("not a hyperbolic point (alpha_i != 2 <b_i, .>)")
 
-    M = lorentz.psi_matrix(Q, p.bs)
-    rpsi = jacobian_report("psi", M.shape, psi or numerical_rank(M, policy))
+    rpsi = jacobian_report("psi", lorentz.psi_structure(Q).rows.shape(p.bs),
+                           psi or numerical_rank(lorentz.psi_matrix(Q, p.bs), policy))
     n2 = len(index.e2)
     staircase = (staircase or numerical_rank(e2_staircase(index, p), policy)).rank
     return RankSumReport(

@@ -1461,6 +1461,73 @@ def exact_counts_oracle(P, d):
     return valid, wo, [int(n) for n in nj]
 
 
+PAIR_OK = {(a, b): Fraction(1, a) + Fraction(1, b) > Fraction(1, 2)
+           for a in range(3, 6) for b in range(3, 6)}
+
+
+@functools.lru_cache(maxsize=None)
+def chain_count_oracle(d, pins, closed):
+    """Orders in 3..min(d, 5) along a path or cycle of edges, consecutive
+    ones (and the last and first of a cycle) with 1/a + 1/b > 1/2 as a
+    ``Fraction`` (``PAIR_OK``); ``pins[i]`` fixes edge i's order or is None.
+    A dynamic programme in Python integers, one run per order of the first
+    edge."""
+    orders, ok = range(3, min(d, 5) + 1), PAIR_OK
+    allowed = [[c for c in orders if p is None or p == c] for p in pins]
+    total = 0
+    for first in allowed[0]:
+        ways = {first: 1}
+        for opts in allowed[1:]:
+            ways = {c: sum(n for a, n in ways.items() if ok[a, c]) for c in opts}
+        total += sum(n for a, n in ways.items() if not closed or ok[a, first])
+    return total
+
+
+def edge_set_counts_oracle(counter, mask):
+    """``counter.counts(mask)`` from the counter's paths and its circuit
+    test, with the per-combination pinned loop it used before: one dict of
+    pins per passing class combination, each path of two or more edges
+    counted by ``chain_count_oracle`` and each isolated pinned edge of class
+    7 weighted d - 6 where it is met.  A free isolated edge takes any of the
+    min(d, 6) - 2 orders in 3..6 or, weighted d - 6, the class 7."""
+    d = counter.model.d
+    classes, pair_classes = tuple(range(3, min(d, 7) + 1)), tuple(range(3, min(d, 5) + 1))
+    const, free, pinned = 1, 0, []
+    for comp, closed in counter._components(mask):
+        if counter.circuit_edges.intersection(comp):
+            pinned.append((comp, closed))
+        elif len(comp) == 1:
+            free += 1
+        else:
+            const *= chain_count_oracle(d, (None,) * len(comp), closed)
+    pins = [t for comp, _ in pinned for t in comp if t in counter.circuit_edges]
+    isolated = {comp[0] for comp, _ in pinned if len(comp) == 1}
+    combos = list(itertools.product(*(classes if t in isolated else pair_classes for t in pins)))
+    orders = np.tile([2 if mask >> t & 1 else 3 for t in range(counter.e)], (len(combos), 1))
+    orders[:, pins] = np.reshape(combos, (len(combos), len(pins)))
+    pinned_counts = {}
+    for combo, good in zip(combos, counter.model.circuits_ok(orders).tolist()):
+        if not good:
+            continue
+        pin = dict(zip(pins, combo))
+        n, big = 1, 0
+        for comp, closed in pinned:
+            if len(comp) > 1:
+                n *= chain_count_oracle(d, tuple(pin.get(t) for t in comp), closed)
+            elif pin[comp[0]] == 7:
+                n *= d - 6
+                big += 1
+        if n:
+            pinned_counts[big] = pinned_counts.get(big, 0) + n
+    out = {}
+    for big, n in pinned_counts.items():
+        for j in range(free + 1):
+            out[big + j] = out.get(big + j, 0) + (
+                const * n * math.comb(free, j)
+                * (min(d, 6) - 2) ** (free - j) * max(d - 6, 0) ** j)
+    return {j: n for j, n in out.items() if n}
+
+
 def backward_counts_oracle(sampler):
     """The sampler's vertex DP over the five order classes {2}, {3}, {4},
     {5} and {6..d} (cut to 2..d), in Python integers, by one fancy-indexed

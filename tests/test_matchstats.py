@@ -14,8 +14,9 @@ import pytest
 
 from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
 from conftest import (assignment_validity_oracle, backward_counts_oracle,
-                      brute_force_weak_order, edge_delete, enumerate_perfect_matchings,
-                      exact_counts_oracle, factor_corpus, factor_mask, find_factor_oracle,
+                      brute_force_weak_order, edge_delete, edge_set_counts_oracle,
+                      enumerate_perfect_matchings, exact_counts_oracle, factor_corpus,
+                      factor_mask, find_factor_oracle,
                       mask_edge_sets, peel_oracle, plan_steps_oracle, random_parity_labels,
                       random_truncation, removable_edges_oracle, row_edge_sets,
                       traced_peak, weak_order_induction_oracle)
@@ -346,6 +347,68 @@ def test_masks_drop_only_zero_count_sets(name, cuts, circuits, stride):
         # 263 sets before, 91 now: exactly those with a nonzero count
         assert (len(before), len(kept)) == (263, 91)
         assert all(sum(counter.counts(m).values()) for m in kept)
+
+
+PINNED_POLYTOPES = {
+    "prism3": lambda: pt.prism(3), "cut_prism3": _cut_prism,
+    "prism3_cut2": lambda: random_truncation(pt.prism(3), 2, np.random.default_rng(2)),
+    "cube_cut1": lambda: random_truncation(pt.cube(), 1, np.random.default_rng(1))}
+
+
+@pytest.mark.parametrize("d", [5, 7, 8, 30])
+@pytest.mark.parametrize("name", PINNED_POLYTOPES)
+def test_edge_set_counts_match_pinned_loop_oracle(name, d):
+    """Every admitted order-2 edge set counts as the per-combination pinned
+    loop counts it.  At d >= 8 an isolated pinned edge of class 7 weighs
+    d - 6, which no brute-force case reaches on a 3-circuit."""
+    P = PINNED_POLYTOPES[name]()
+    assert 1 <= len(pt.prismatic_circuits(P, 3)) <= 3
+    counter = ms._EdgeSetCounter(ms._AssignmentModel(P, d))
+    for mask in counter.masks():
+        got = {j: n for j, n in counter.counts(mask).items() if n}
+        assert got == edge_set_counts_oracle(counter, mask), mask
+
+
+def _count_calls(monkeypatch, name):
+    """A list that grows by one at each call of ``_AssignmentModel.<name>``."""
+    calls, original = [], getattr(ms._AssignmentModel, name)
+
+    def counted(self, *args):
+        calls.append(name)
+        return original(self, *args)
+
+    monkeypatch.setattr(ms._AssignmentModel, name, counted)
+    return calls
+
+
+def test_exact_recount_reuses_the_count_tables(monkeypatch):
+    """The d = 7 recount behind the N_j identity is served the circuit
+    verdicts of the count at d = 8 and peels nothing; nothing is kept
+    from one call to the next."""
+    P = pt.prism(3)
+    circuits = _count_calls(monkeypatch, "circuits_ok")
+    peels = _count_calls(monkeypatch, "weakly_orderable")
+    ms._exact_counts(P, 8)
+    alone = len(circuits)
+    assert alone and len(peels) == 1
+    for _ in range(2):
+        circuits.clear()
+        peels.clear()
+        ms.estimate_wo_fraction(P, 8, mode="exact")
+        assert (len(circuits), len(peels)) == (alone, 1)
+
+
+def test_exact_memo_is_keyed_by_the_classes():
+    """One memo serves counters at d = 8, 7 and 4, in either order, and each
+    gets the brute-force counts: d = 7 shares the classes of d = 8 but not
+    the weight of its class 7, and d = 4 has classes of its own."""
+    P = pt.prism(3)
+    expected = {d: exact_counts_oracle(P, d) for d in (8, 7, 4)}
+    for order in ((8, 7, 4), (4, 7, 8)):
+        memo = {}
+        for d in order:
+            assert ms._exact_counts(P, d, memo) == expected[d], (order, d)
+        assert len(memo) == 2
 
 
 def test_exact_small_prism():

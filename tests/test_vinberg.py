@@ -537,6 +537,27 @@ def test_rank_sum_searches_each_pivot_mask_once(monkeypatch):
     assert sorted(searched) == [16, 66]
 
 
+@pytest.mark.parametrize("name", RANK_SUM_CASES)
+def test_rank_sum_builds_psi_matrix_only_where_undecided(name, monkeypatch):
+    """After the dimension report, ``check_rank_sum`` builds D psi's matrix
+    only where the stored analysis holds no decision on it, and reports the
+    same ``rank_psi`` as one built from that matrix."""
+    Q, p = _hyperbolic_case(name)
+    vinberg.local_deformation_dimension(Q, p)
+    psi = vinberg._phi_analysis(Q, p, DEFAULT_RANK_POLICY)[2]
+    calls, original = [], lorentz.psi_matrix
+    monkeypatch.setattr(lorentz, "psi_matrix", lambda *args: calls.append(args) or original(*args))
+    got = vinberg.check_rank_sum(Q, p).rank_psi
+    assert len(calls) == (psi is None)
+    M = original(Q, p.bs)
+    want = vinberg.jacobian_report("psi", M.shape, psi or numerics.numerical_rank(M))
+    for field, value in want._asdict().items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(got, field), value), field
+        else:
+            assert getattr(got, field) == value, field
+
+
 def test_reduction_norms_bound_the_oracle_operators():
     """||L||, ||C|| and ||B|| from ``_reduction_norms`` against the
     operations written out as matrices and the B block of R = L (D phi) C.
