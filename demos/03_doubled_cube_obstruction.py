@@ -24,7 +24,7 @@ result = orbifold.weak_order_combinatorial(Q)
 print("weakly orderable:", bool(result))
 print("stuck certificate:", sorted(result.certificate))
 
-R = lorentz.solve_hyperbolic_newton(Q)  # doubled, corner-truncated box seed
+R = lorentz.solve_hyperbolic_newton(Q)  # from the document's normals
 print(f"newton residual < 1e-10: {R.residual_norm < 1e-10}")
 
 p = vinberg.hyperbolic_point(R)

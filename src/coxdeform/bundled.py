@@ -11,7 +11,10 @@ its builder byte for byte and rewrites them when run as a script.  Names:
 - ``cube_flex``: cube, four edges of order >= 3 (one deformation direction).
 - ``cube_mixed``: cube_flex with mixed orders 4, 3, 5, 4.
 - ``doubled_cube``: a corner-truncated cube doubled across the triangle,
-  order 4 on the three fused edges (not weakly orderable).
+  order 4 on the three fused edges (not weakly orderable).  Its document
+  carries its realization as "normals", Gauss-Newton's start; the builder
+  solved it from a corner-truncated box, and checks that it still
+  realizes the orbifold within one step.
 - ``loebell5_factor``: dodecahedron with order 7 on a perfect matching.
 - ``loebell6_factor`` .. ``loebell8_factor``: the two-ring polytopes L(6),
   L(7), L(8) with order 3 on a perfect matching.

@@ -36,10 +36,8 @@ LM_SHIFT = 1e-12              # Gauss-Newton: mu = LM_SHIFT * trace(J J^t) / row
 ORBIT_MAX_ITER = 20           # the ring seeds' Gauss-Newton steps on the orbits
 ORBIT_MAX_ROWS = 160          # and the largest orbit system they take them on
 # seed library: the Klein-model plane offset of the prism seed where its
-# mean-angle system has no solution; the doubled cube's face offset and
-# corner cut
+# mean-angle system has no solution
 OFFSET_FLOOR = 0.05
-DOUBLED_CUBE_OFFSET, DOUBLED_CUBE_CUT = 0.52, 2.35
 
 
 class LorentzForm(NamedTuple):
@@ -124,7 +122,7 @@ class PsiStructure:
                                for i, j in rows])
         e = len(rows) - f
         ridge = f + np.arange(e)
-        self.slot_other = np.concatenate([a[:f], b[f:], a[f:]]).astype(np.int32)
+        self.slot_other = np.concatenate([a[:f], b[f:], a[f:]])
         self.slot_k = np.concatenate([np.full(f, 2.0), np.ones(2 * e)])
         self.rows = BlockRows(len(rows), f, np.concatenate([np.arange(f), ridge, ridge]),
                               np.concatenate([a[:f], a[f:], b[f:]]))
@@ -378,14 +376,17 @@ def kernel_dimension(Q, normals, policy=DEFAULT_RANK_POLICY):
 
 # -- seed library --------------------------------------------------------------
 
-def _klein_plane(unit_normal, offset):
-    """Lorentz normal of the Klein-model plane x . u = c, oriented so the
+def _klein_plane(unit_normals, offset):
+    """Lorentz normals of the Klein-model planes x . u = c, one for each
+    unit normal u along the last axis of ``unit_normals``, oriented so the
     side containing the origin satisfies <nu, x> >= 0."""
-    u = np.asarray(unit_normal, dtype=float)
+    u = np.asarray(unit_normals, dtype=float)
     c = float(offset)
     if not 0 < c < 1:
         raise RealizationError("plane offset must lie in (0, 1)")
-    nu = np.concatenate(([-c], -u))
+    nu = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
+    nu[..., 0] = -c
+    nu[..., 1:] = -u
     return nu / math.sqrt(1.0 - c * c)
 
 
@@ -394,18 +395,15 @@ def _ring_seed(f, caps, c_c, rings, c_r, turns, h, v):
     (positions ``caps``) and of rings at offset c_r, ring k (positions
     ``rings[k]``) with unit normals (h cos th, h sin th, v[k]) at
     th = 2 pi j / m - turns[k], j its position in the ring.  Each ring's
-    planes are one array expression; its cosines and sines are taken with
-    :mod:`math`, which keeps the seeds the same on every platform."""
-    if not (0 < c_c < 1 and 0 < c_r < 1):
-        raise RealizationError("plane offset must lie in (0, 1)")
+    planes are one :func:`_klein_plane` call; its cosines and sines are
+    taken with :mod:`math`, which keeps the seeds the same on every
+    platform."""
     m = rings.shape[1]
     nu = np.empty((f, 4))
-    nu[caps] = (np.array([(-c_c, -0.0, -0.0, -1.0), (-c_c, -0.0, -0.0, 1.0)])
-                / math.sqrt(1.0 - c_c * c_c))
+    nu[caps] = _klein_plane([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)], c_c)
     for ring, turn, z in zip(rings, turns, v):
         th = [2.0 * math.pi * j / m - turn for j in range(m)]
-        nu[ring] = (np.array([(-c_r, -h * math.cos(t), -h * math.sin(t), -z) for t in th])
-                    / math.sqrt(1.0 - c_r * c_r))
+        nu[ring] = _klein_plane([(h * math.cos(t), h * math.sin(t), z) for t in th], c_r)
     return nu
 
 
@@ -473,32 +471,6 @@ def _loebell_structure(P):
     return None
 
 
-def _doubled_cube_structure(P):
-    """Detect three mutually adjacent hexagons and two square triples.
-    Returns (hexagons, half1, half2) with each half mapping a hexagon to the
-    opposite square of that half, or None."""
-    if P.n != 3 or P.f != 9:
-        return None
-    hexes = sorted(x for x in P.facets if len(P.nbrs[x]) == 6)
-    squares = [x for x in P.facets if len(P.nbrs[x]) == 4]
-    if len(hexes) != 3 or len(squares) != 6:
-        return None
-    comp1 = sorted([squares[0]] + [s for s in squares[1:] if P.adjacent(squares[0], s)])
-    comp2 = sorted(s for s in squares if s not in comp1)
-    if len(comp1) != 3 or len(comp2) != 3:
-        return None
-    halves = []
-    for comp in (comp1, comp2):
-        half = {}
-        for s in comp:
-            opposite = [h for h in hexes if not P.adjacent(s, h)]
-            if len(opposite) != 1:
-                return None
-            half[opposite[0]] = s
-        halves.append(half)
-    return hexes, halves[0], halves[1]
-
-
 def _mean_cos(shifts):
     """The mean of cos(pi/m) over ridge rows whose shifts 2 cos(pi/m) are
     ``shifts``, summed in their order."""
@@ -539,7 +511,10 @@ def _prism_closed_form(f, caps, rings, shifts):
     kappa = mean cos(pi/m_ij); with theta = 2 pi/m the side-side and
     cap-side equations then read c_s^2 = (cos theta + k_ss) / (1 + k_ss)
     and c_c / sqrt(1 - c_c^2) = k_cs sqrt(1 - c_s^2) / c_s.  This closed
-    form solves psi exactly when the orders are constant on each class."""
+    form solves psi exactly when the orders are constant on each class and
+    neither offset is floored (:func:`_offset`): cos theta + k_ss > 0 and
+    k_cs > 0.  The prism(3) and prism(4) caps of order 3, with right-angled
+    sides, are floored, with psi residuals 1.75 and 1.0e-2."""
     m = rings.shape[1]
     k_ss, k_cs = _mean_cos(shifts[2]), _mean_cos(shifts[:2])
     c_s = _offset(math.sqrt(max(math.cos(2.0 * math.pi / m) + k_ss, 0.0) / (1.0 + k_ss)))
@@ -574,7 +549,9 @@ def _loebell_closed_form(f, caps, rings, shifts):
     and -(1 + k_3) X + (1 + cos pi/m) A = 1 - k_3, with a solution in
     (0, 1)^2 for every m >= 4; c_c then solves
     -c_c c_r + sqrt(1 - A) = -k_1 sqrt(1 - X) sqrt(1 - c_c^2).  This closed
-    form solves psi exactly when the orders are constant on each class."""
+    form solves psi exactly when the orders are constant on each class and
+    the c_c equation has a root, R^2 >= v^2 below (the square root's
+    argument is clamped at 0 otherwise)."""
     m = rings.shape[1]
     k1, k2, k3 = _mean_cos(shifts[:2]), _mean_cos(shifts[2:4]), _mean_cos(shifts[4:].T)
     cos1, cos2 = math.cos(math.pi / m), math.cos(2.0 * math.pi / m)
@@ -651,7 +628,11 @@ class RingRotation:
     (:attr:`facets`).  The ring seeds are symmetric under it, the normal
     of ring facet j + period being R times that of facet j, R the rotation
     by 2 pi / K about the cap axis.  The orbit system of
-    :func:`_orbit_solve` is built on first use (:attr:`orbit_system`)."""
+    :func:`_orbit_solve` is built on first use (:attr:`orbit_system`).
+    ``exact`` holds where the orders are constant on each ridge class; the
+    seed is then the closed form alone, which solves psi only under its own
+    further condition (:func:`_prism_closed_form`,
+    :func:`_loebell_closed_form`)."""
 
     def __init__(self, S, closed_form, bounds, caps, rings, shifts):
         self.closed_form, self.caps, self.rings, self.shifts = closed_form, caps, rings, shifts
@@ -781,53 +762,30 @@ def _orbit_solve(rotation, x):
     return np.matmul(system.expand, nu[system.rep, :, None])[..., 0]
 
 
-def _doubled_cube_seed(Q, structure):
-    """A corner-truncated Euclidean cube reflected across the cut plane.
-
-    Hexagon seeds are the symmetrized images of the three cube faces at the
-    truncated corner; square seeds come from the three opposite faces and
-    their mirror images.
-    """
-    hexes, half1, half2 = structure
-    c = DOUBLED_CUBE_OFFSET
-    e3 = np.eye(3)
-    q = DOUBLED_CUBE_CUT * c / math.sqrt(3.0)
-    nu_t = _klein_plane(np.ones(3) / math.sqrt(3.0), q)
-    J = LorentzForm(4).matrix
-    R = np.eye(4) - 2.0 * np.outer(nu_t, J @ nu_t)
-    rows = {}
-    for k, h in enumerate(hexes):
-        nu = _klein_plane(e3[k], c)
-        v = nu + R @ nu
-        rows[h] = v / math.sqrt(LorentzForm(4).inner(v, v))
-        rows[half1[h]] = _klein_plane(-e3[k], c)
-        rows[half2[h]] = R @ _klein_plane(-e3[k], c)
-    return np.array([rows[x] for x in Q.base.facets])
-
-
 def initial_guess(Q):
-    """Documented seed for Gauss-Newton, inferred from the base polytope's
-    combinatorial structure; the first that applies of:
+    """Documented seed for Gauss-Newton; the first that applies of:
 
     - the exact normals of :func:`realize_gram`, where the prescribed Gram
       matrix is complete (every facet pair adjacent, as on a simplex);
+    - the orbifold's own ``normals``, the realization its document carries
+      (its ``"normals"`` key, f rows of n + 1 numbers in facet order), as
+      the bundled ``doubled_cube`` does;
     - the ring seed of a prism or two-ring polytope (any m, including the
       dodecahedron L(5)), :meth:`RingRotation.seed`: the rotationally
       symmetric closed form built from Q's own angles
       (:func:`_prism_closed_form`, :func:`_loebell_closed_form`), solved on
       the orbits of the rotation of the rings that keeps the orders, and
-      never worse than the closed form;
-    - the doubled cube's seed (:func:`_doubled_cube_seed`).
+      never worse than the closed form.
 
-    A polytope that none fits raises RealizationError.  The ring rotation
+    An orbifold that none fits raises RealizationError.  The ring rotation
     and its orbit system are found once per orbifold and kept with its
     :class:`PsiStructure` (:attr:`PsiStructure.rotation`)."""
     if not Q.base.nonadjacent_pairs:
         return realize_gram(Q).normals
+    if Q.normals is not None:
+        return np.array(Q.normals)
     rotation = psi_structure(Q).rotation
-    if rotation is not None:
-        return rotation.seed()
-    structure = _doubled_cube_structure(Q.base)
-    if structure is None:
-        raise RealizationError("no bundled seed for this polytope; pass initial=")
-    return _doubled_cube_seed(Q, structure)
+    if rotation is None:
+        raise RealizationError('no seed for this polytope; give the document "normals" '
+                               "or pass initial=")
+    return rotation.seed()

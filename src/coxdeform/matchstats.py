@@ -434,9 +434,8 @@ class StatsReport(NamedTuple):
 
 
 def _wilson_interval(successes, total):
+    """The Wilson score interval of successes / total, for total >= 1."""
     z = WILSON_Z
-    if total == 0:
-        return 0.0, 0.0, 1.0
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -1091,8 +1090,6 @@ def _montecarlo_stats(P, d, samples, seed, name):
             "no valid assignments exist: a prismatic circuit inequality fails "
             f"even with every order {d}")
     sampler = _UniformValidSampler(model)
-    if sampler.vertex_valid_count == 0:
-        raise GraphConditionError("no valid assignments exist")
     wo = 0
     big = np.zeros(len(model.edges) + 1, dtype=np.int64)
     attempts = 0

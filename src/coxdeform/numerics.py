@@ -251,8 +251,8 @@ class BlockRows:
 
     def __init__(self, nrows, nblocks, row, block):
         self.nrows, self.nblocks = nrows, nblocks
-        self.row = np.asarray(row, dtype=np.int32)
-        self.block = np.asarray(block, dtype=np.int32)
+        self.row = np.asarray(row, dtype=np.intp)
+        self.block = np.asarray(block, dtype=np.intp)
         self._modes = None
 
     @cached_property
@@ -276,11 +276,9 @@ class BlockRows:
         p, q = self.pairs
         rp, rq = self.row[p], self.row[q]
         lower = rp >= rq
-        keys, entry = np.unique(rp[lower].astype(np.int64) * self.nrows + rq[lower],
-                                return_inverse=True)
+        keys, entry = np.unique(rp[lower] * self.nrows + rq[lower], return_inverse=True)
         return _GramStructure(
-            dot_pairs=(p[lower].astype(np.intp), q[lower].astype(np.intp)), keys=keys,
-            entry=entry.astype(np.int32),
+            dot_pairs=(p[lower], q[lower]), keys=keys, entry=entry,
             diag=keys.searchsorted(np.arange(self.nrows) * (self.nrows + 1)))
 
     @cached_property
@@ -445,16 +443,16 @@ class _Elimination(NamedTuple):
 
 def _lower_updates(couple_row, group_size):
     """The pairs (a, b) of couplings with a common pivot and couple_row[a]
-    >= couple_row[b], grouped by pivot in pivot order, a-major, as int32
+    >= couple_row[b], grouped by pivot in pivot order, a-major, as index
     arrays, for couplings sorted by pivot and then by row, ``group_size``
     of them per pivot."""
     n = len(couple_row)
     position = np.arange(n) - np.repeat(np.cumsum(group_size) - group_size, group_size)
     count = position + 1
     first = np.cumsum(count) - count
-    a = np.repeat(np.arange(n, dtype=np.int32), count)
+    a = np.repeat(np.arange(n), count)
     b = np.arange(len(a)) - np.repeat(first - np.arange(n) + position, count)
-    return a, b.astype(np.int32)
+    return a, b
 
 
 def _block_level(m, keys, pivot):
@@ -481,12 +479,10 @@ def _block_level(m, keys, pivot):
     size = m - npivots
     next_keys, entry = np.unique(np.concatenate([
         trail_pos[rows[keep]] * size + trail_pos[cols[keep]],
-        couple_row[a].astype(np.int64) * size + couple_row[b]]), return_inverse=True)
+        couple_row[a] * size + couple_row[b]]), return_inverse=True)
     level = _Level(
-        np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row.astype(np.int32),
-        couple_pivot.astype(np.int32), (a, b),
-        keys.searchsorted(np.flatnonzero(pivot) * (m + 1)).astype(np.int32),
-        couples.astype(np.int32), keep.astype(np.int32), entry.astype(np.int32),
+        np.flatnonzero(pivot), np.flatnonzero(~pivot), couple_row, couple_pivot, (a, b),
+        keys.searchsorted(np.flatnonzero(pivot) * (m + 1)), couples, keep, entry,
         len(next_keys))
     return level, next_keys, size
 
@@ -534,8 +530,7 @@ def _pairs_within(group, ngroups, order):
     npairs = size * size
     g = np.repeat(np.arange(ngroups), npairs)
     k = np.arange(npairs.sum()) - np.repeat(np.cumsum(npairs) - npairs, npairs)
-    return (order[start[g] + k // size[g]].astype(np.int32),
-            order[start[g] + k % size[g]].astype(np.int32))
+    return order[start[g] + k // size[g]], order[start[g] + k % size[g]]
 
 
 def _pair_dots(values, p, q):

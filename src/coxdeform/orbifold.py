@@ -25,12 +25,16 @@ class CoxeterOrbifold:
 
     Immutable after construction; built via :func:`make_orbifold`.
     ``order2_nbrs`` maps each facet to the frozenset of its order-2
-    neighbours.
+    neighbours.  ``normals`` is a realization that came with the orbifold,
+    f rows of n + 1 floats in facet order (the start of
+    :func:`lorentz.initial_guess`), or None.
     """
 
-    def __init__(self, base, orders):
+    def __init__(self, base, orders, normals=None):
         self.base = base
         self.orders = {_pair(i, j): int(m) for (i, j), m in orders.items()}
+        self.normals = (None if normals is None
+                        else tuple(tuple(float(x) for x in row) for row in normals))
         nbrs = {i: set() for i in base.facets}
         for (i, j), m in self.orders.items():
             if m == 2:
@@ -103,8 +107,10 @@ def vertex_cosine_matrix(Q, vertex):
     return M
 
 
-def make_orbifold(P, orders):
-    """Validate orders against the ridge set and vertex ellipticity.
+def make_orbifold(P, orders, normals=None):
+    """Validate orders against the ridge set and vertex ellipticity.  The
+    orbifold keeps ``normals``, a realization to start from, unchecked
+    (see :class:`CoxeterOrbifold`).
 
     ``orders`` maps ridge pairs to integers >= 2 (Python or numpy integers,
     or floats of integral value; a string, None or 2.5 is refused) and must
@@ -131,7 +137,7 @@ def make_orbifold(P, orders):
     missing = set(P.ridges) - set(normalized)
     if missing:
         raise OrbifoldError(f"missing orders for ridges {sorted(missing)}")
-    Q = CoxeterOrbifold(P, normalized)
+    Q = CoxeterOrbifold(P, normalized, normals)
     if P.n == 3:
         for V in P.vertices:
             orders = _vertex_orders(Q, V)

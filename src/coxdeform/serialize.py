@@ -1,15 +1,19 @@
 """JSON schemas and canonical serialization.
 
 Input schemas: a polytope is {"n": int, "facets": [...], "ridges": [[i,j],...],
-"vertices": [[i,j,k],...]? }, an orbifold adds "orders": [[i,j,m],...], and a
-Cartan matrix is {"matrix": [[...]], "orders": [[i,j,m],...]? } (or a bare row
-array).  Output reports canonicalize every float to 12 significant digits and
-sort keys, so identical inputs and configuration produce byte-identical files.
+"vertices": [[i,j,k],...]? }, an orbifold adds "orders": [[i,j,m],...] and
+optionally "normals": f rows of n + 1 finite numbers in facet order, a
+realization that Gauss-Newton starts from (checked here in plain Python,
+without numpy), and a Cartan matrix is {"matrix": [[...]],
+"orders": [[i,j,m],...]? } (or a bare row array).  Output reports
+canonicalize every float to 12 significant digits and sort keys, so
+identical inputs and configuration produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from coxdeform import orbifold as ob
 from coxdeform import polytope as pt
@@ -78,8 +82,35 @@ def load_polytope(doc):
         raise SchemaError(f"polytope: {exc}") from exc
 
 
+def _is_finite_number(x):
+    """Whether x is a finite JSON number (a bool is not one)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _load_normals(doc, f, dim):
+    """The optional "normals" of an orbifold document, checked to be f rows
+    of ``dim`` finite numbers; None where the key is absent."""
+    if "normals" not in doc:
+        return None
+    rows = doc["normals"]
+    if not (isinstance(rows, list) and len(rows) == f
+            and all(isinstance(row, list) and len(row) == dim for row in rows)):
+        raise SchemaError(f'"normals" must be {f} rows of {dim} numbers, one per facet')
+    problems = [f"normals row {k} entry {x!r} is not a finite number"
+                for k, row in enumerate(rows, start=1) for x in row if not _is_finite_number(x)]
+    if problems:
+        raise SchemaError("; ".join(problems))
+    return rows
+
+
 def load_orbifold(doc):
-    """Validated orbifold from parsed JSON (polytope keys plus "orders")."""
+    """Validated orbifold from parsed JSON (polytope keys plus "orders",
+    and the optional "normals")."""
     P = load_polytope(doc)
     if "orders" not in doc:
         raise SchemaError('missing key "orders"')
@@ -107,8 +138,9 @@ def load_orbifold(doc):
         orders[(name_to_id[i], name_to_id[j])] = m
     if problems:
         raise SchemaError("; ".join(problems))
+    normals = _load_normals(doc, P.f, P.n + 1)
     try:
-        return ob.make_orbifold(P, orders)
+        return ob.make_orbifold(P, orders, normals)
     except ob.OrbifoldError as exc:
         raise SchemaError(f"orbifold: {exc}") from exc
 
@@ -160,6 +192,8 @@ def dump_polytope(P):
 def dump_orbifold(Q):
     doc = dump_polytope(Q.base)
     doc["orders"] = [[i, j, m] for (i, j), m in sorted(Q.orders.items())]
+    if Q.normals is not None:
+        doc["normals"] = [list(row) for row in Q.normals]
     return doc
 
 

@@ -216,8 +216,8 @@ class PhiStructure:
         diag = np.arange(f)
         e3_rows = np.arange(2 * n2, 2 * n2 + n3)
         row = np.concatenate([np.arange(2 * n2), e3_rows, e3_rows, 2 * n2 + n3 + diag])
-        self.x = np.concatenate([i2, j2, i3, j3, diag]).astype(np.int32)
-        self.y = np.concatenate([j2, i2, j3, i3, diag]).astype(np.int32)
+        self.x = np.concatenate([i2, j2, i3, j3, diag])
+        self.y = np.concatenate([j2, i2, j3, i3, diag])
         self.e3 = slice(2 * n2, 2 * n2 + 2 * n3)
         self.rows = BlockRows(index.N, 2 * f, np.concatenate([row, row]),
                               np.concatenate([self.x, f + self.y]))

@@ -161,7 +161,7 @@ def test_random_lorentz_transform_rejects_time_reversal():
 
 
 def test_seed_library_available():
-    for gen in (pt.cube, pt.dodecahedron, pt.doubled_cube):
+    for gen in (pt.cube, pt.dodecahedron):
         P = gen()
         Q = ob.CoxeterOrbifold(P, {r: 2 for r in P.ridges})
         guess = lorentz.initial_guess(Q)
@@ -173,9 +173,12 @@ def test_seed_library_available():
 
 def test_seed_inference_no_match():
     P = pt.truncate_vertex(pt.cube(), 0)
-    Q = ob.CoxeterOrbifold(P, {r: 2 for r in P.ridges})
-    with pytest.raises(lorentz.RealizationError, match="seed"):
-        lorentz.initial_guess(Q)
+    # the doubled cube's start is its document's normals: without them it has none
+    doubled = bundled.load_builtin("doubled_cube")
+    for Q in (ob.CoxeterOrbifold(P, {r: 2 for r in P.ridges}),
+              ob.make_orbifold(doubled.base, doubled.orders)):
+        with pytest.raises(lorentz.RealizationError, match="seed"):
+            lorentz.initial_guess(Q)
 
 
 def test_seed_table_detects_each_structure_once(monkeypatch):
@@ -187,15 +190,12 @@ def test_seed_table_detects_each_structure_once(monkeypatch):
             return detect(P)
         return run
 
-    # inference tries the prism, then the two rings (the ring rotation's
-    # table), then the doubled cube
-    order = ["prism", "loebell", "doubled_cube"]
+    # inference tries the prism, then the two rings (the ring rotation's table)
+    order = ["prism", "loebell"]
     monkeypatch.setattr(lorentz, "_RINGS", tuple(
         (counted(name, detect), layout) for name, (detect, layout) in zip(order, lorentz._RINGS)))
-    monkeypatch.setattr(lorentz, "_doubled_cube_structure",
-                        counted("doubled_cube", lorentz._doubled_cube_structure))
-    for builtin, name in [("cube_flex", "prism"), ("doubled_cube", "doubled_cube"),
-                          ("loebell6_factor", "loebell"), ("loebell5_factor", "loebell")]:
+    for builtin, name in [("cube_flex", "prism"), ("loebell6_factor", "loebell"),
+                          ("loebell5_factor", "loebell")]:
         Q = bundled.load_builtin(builtin)
         calls.clear()
         lorentz.initial_guess(Q)
@@ -206,12 +206,15 @@ def test_seed_table_detects_each_structure_once(monkeypatch):
         lorentz.initial_guess(Q)
         lorentz.psi_structure(Q).symmetry
         vinberg._as_index(Q).symmetries
-        assert calls == (["doubled_cube"] if name == "doubled_cube" else [])
-    # a complete Gram matrix is realized directly, before any detector
+        assert calls == []
+    # a complete Gram matrix is realized directly, and a document's normals
+    # are the start, before any detector
     calls.clear()
     for builtin in ("tetrahedron353", "esselmann"):
         Q = bundled.load_builtin(builtin)
         assert np.array_equal(lorentz.initial_guess(Q), lorentz.realize_gram(Q).normals)
+    Q = bundled.load_builtin("doubled_cube")
+    assert np.array_equal(lorentz.initial_guess(Q), np.array(Q.normals))
     assert calls == []
 
 
@@ -251,6 +254,20 @@ def test_newton_matches_lstsq_oracle(name):
     assert np.abs(lorentz.lorentz_gram(R.normals)
                   - lorentz.lorentz_gram(oracle.normals)).max() < 1e-9
     assert R.vertex_flags == oracle.vertex_flags
+
+
+@pytest.mark.parametrize("name", NEWTON_CASES)
+def test_perturbed_start_reaches_the_same_gram(name):
+    """Newton from the seed moved by up to 1e-2 in every entry (on the
+    doubled cube, its document's normals) lands on the Lorentz Gram matrix
+    of the unperturbed solve within 1e-9: the hyperbolic structure is
+    unique up to isometry, and so is its Gram matrix."""
+    Q = newton_case(name)
+    seed = lorentz.initial_guess(Q)
+    moved = seed + np.random.default_rng(7).uniform(-1e-2, 1e-2, size=seed.shape)
+    R, again = lorentz.solve_hyperbolic_newton(Q, seed), lorentz.solve_hyperbolic_newton(Q, moved)
+    assert np.abs(lorentz.lorentz_gram(again.normals)
+                  - lorentz.lorentz_gram(R.normals)).max() < 1e-9
 
 
 def _rank_deficient_seeds(Q):
@@ -586,8 +603,9 @@ def test_closed_form_seeds_bit_for_bit(monkeypatch):
 
 # Gauss-Newton steps from the seed: none where a rotation keeps the orders
 # (the loebell(6) and loebell(8) factors, and the benchmark's families),
-# and the steps taken before the orbit solve everywhere else
-NEWTON_STEPS = {"cube_flex": 4, "cube_mixed": 4, "cube_rigid": 4, "doubled_cube": 6,
+# one from the doubled cube's document normals, rounded to 12 digits, and
+# the steps taken before the orbit solve everywhere else
+NEWTON_STEPS = {"cube_flex": 4, "cube_mixed": 4, "cube_rigid": 4, "doubled_cube": 1,
                 "loebell5_factor": 5, "loebell6_factor": 0, "loebell7_factor": 5,
                 "loebell8_factor": 0, "loebell8": 0, "loebell64": 0, "prism8": 0, "prism64": 0}
 
@@ -662,6 +680,22 @@ def test_check_valid_names_the_first_pair_that_does_not_diverge():
                        match=rf"^non-adjacent facets {i},{j} do not diverge "
                              rf"\(<nu_i,nu_j> = -1\.000000\)$"):
         R.check_valid()
+
+
+@pytest.mark.parametrize("name", bundled.BUILTIN_NAMES)
+def test_check_valid_refuses_a_residual(name):
+    """A bundled realization's normals moved by 1e-3 in every entry fail
+    the residual bound, the first check, which names the residual."""
+    defaults = argparse.Namespace(seed_name=None, seed=0, tol=1e-10)
+    R = cli._realize(bundled.load_builtin(name), defaults)[0]
+    moved = lorentz.HyperbolicRealization(R.Q, R.normals + 1e-3, validate=False)
+    assert moved.residual_norm > lorentz.VALID_RESIDUAL
+    with pytest.raises(lorentz.RealizationError,
+                       match=rf"^normals do not satisfy the hyperbolic equations "
+                             rf"\(residual {moved.residual_norm:.3e}\)$"):
+        moved.check_valid()
+    with pytest.raises(lorentz.RealizationError, match="residual"):
+        lorentz.HyperbolicRealization(R.Q, R.normals + 1e-3)
 
 
 def test_vertex_flags_match_vertex_point_oracle():

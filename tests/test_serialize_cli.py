@@ -46,11 +46,59 @@ def test_bundled_examples_roundtrip():
         Q2 = serialize.load_orbifold(doc)
         assert Q2.orders == Q.orders
         assert set(Q2.base.ridges) == set(Q.base.ridges)
+        assert Q2.normals == Q.normals
+    assert bundled.load_builtin("doubled_cube").normals is not None
 
 
 def test_dumps_canonicalizes_floats():
     text = serialize.dumps({"x": 0.1 + 0.2})
     assert json.loads(text)["x"] == 0.3
+
+
+def _doubled_cube_normals(edit):
+    """The doubled cube's document with ``edit`` applied to its normals."""
+    doc = bundled.builtin_document("doubled_cube")
+    doc["normals"] = edit(doc["normals"])
+    return doc
+
+
+def _entry(value):
+    def edit(rows):
+        rows[4][2] = value
+        return rows
+    return edit
+
+
+SHAPE = r'^"normals" must be 9 rows of 4 numbers, one per facet$'
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda rows: {"rows": rows}, SHAPE, id="object"),
+    pytest.param(lambda rows: rows[:-1], SHAPE, id="eight rows"),
+    pytest.param(lambda rows: rows + rows[:1], SHAPE, id="ten rows"),
+    pytest.param(lambda rows: [row[:3] for row in rows], SHAPE, id="three columns"),
+    pytest.param(lambda rows: rows[:8] + [0.5], SHAPE, id="number row"),
+    pytest.param(_entry(math.nan), r"^normals row 5 entry nan is not a finite number$", id="nan"),
+    pytest.param(_entry(-math.inf), r"entry -inf is not a finite number", id="inf"),
+    pytest.param(_entry(10 ** 400), r"row 5 entry 1000\d+ is not a finite number",
+                 id="huge integer"),
+    pytest.param(_entry(True), r"^normals row 5 entry True is not a finite number$", id="bool"),
+    pytest.param(_entry("0.5"), r"entry '0.5' is not a finite number", id="string"),
+    pytest.param(_entry(None), r"entry None is not a finite number", id="null"),
+    pytest.param(_entry([0.5]), r"entry \[0.5\] is not a finite number", id="list"),
+])
+def test_malformed_normals_refused(edit, message):
+    with pytest.raises(serialize.SchemaError, match=message):
+        serialize.load_orbifold(_doubled_cube_normals(edit))
+
+
+def test_normals_are_read_as_floats():
+    """Integers are numbers: they load as floats, and the rows dump back."""
+    doc = _doubled_cube_normals(lambda rows: [[1, 0, 0, 0]] * 9)
+    Q = serialize.load_orbifold(doc)
+    assert Q.normals == ((1.0, 0.0, 0.0, 0.0),) * 9
+    assert all(type(x) is float for row in Q.normals for x in row)
+    assert serialize.dump_orbifold(Q)["normals"] == [[1.0, 0.0, 0.0, 0.0]] * 9
 
 
 def test_schema_error_names_ridge(tmp_path):
@@ -179,6 +227,28 @@ def test_cli_stats_exact(capsys):
     assert code == 0
     assert report["identity_holds"] is True
     assert report["nj"] == {"0": 998, "1": 630, "2": 60, "3": 8}
+
+
+@pytest.mark.parametrize("form", ["loebell6", "cube_flex", "loebell5.json"])
+def test_cli_stats_polytope_arguments(capsys, tmp_path, form):
+    """stats reads a polytope as loebellN, as the base of a bundled orbifold
+    outside polytope.BUILTIN_POLYTOPES, and from a JSON path named by its
+    file name; the Monte Carlo report is that of the polytope itself."""
+    from coxdeform import matchstats, polytope as pt
+
+    P = {"loebell6": pt.loebell(6), "cube_flex": bundled.load_builtin("cube_flex").base,
+         "loebell5.json": pt.loebell(5)}[form]
+    assert form not in pt.BUILTIN_POLYTOPES
+    arg = form
+    if form.endswith(".json"):
+        arg = str(tmp_path / form)
+        pathlib.Path(arg).write_text(json.dumps(serialize.dump_polytope(P)))
+    code, out, _ = run_cli(capsys, "stats", arg, "--d", "6", "--samples", "40", "--seed", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["input"] == form
+    assert doc["report"]["samples"] == 40 and doc["report"]["polytope"] == form
+    report = matchstats.estimate_wo_fraction(P, 6, samples=40, seed=3, name=form)
+    assert doc["report"] == json.loads(serialize.dumps(report))
 
 
 def test_cli_stats_csv(capsys):
