@@ -334,12 +334,14 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     the safeguard.
     At most ``max_iter`` steps are taken.  Raises ConvergenceError on
     divergence and RealizationError if the converged point fails the
-    compactness or divergence checks.  The realization takes the Lorentz
-    Gram matrix of the last residual check.
+    compactness or divergence checks; when the start was the document's own
+    ``normals``, the error says that they realize another polytope.  The
+    realization takes the Lorentz Gram matrix of the last residual check.
     """
     if initial is None:
         initial = initial_guess(Q)
-    x = np.asarray(initial, dtype=float).copy()
+    start = np.asarray(initial, dtype=float)
+    x = start.copy()
     if x.shape != (Q.f, Q.n + 1):
         raise RealizationError(f"initial guess must have shape {(Q.f, Q.n + 1)}")
     S = psi_structure(Q)
@@ -348,7 +350,16 @@ def solve_hyperbolic_newton(Q, initial=None, tol=RESIDUAL_TOL, max_iter=100):
     for k in range(max_iter + 1):
         norm = np.linalg.norm(r)
         if norm < tol:
-            return HyperbolicRealization(Q, x, gram=gram)
+            R = HyperbolicRealization(Q, x, gram=gram, validate=False)
+            try:
+                R.check_valid()
+            except RealizationError as err:
+                if R.residual_norm <= VALID_RESIDUAL and Q.normals is not None \
+                        and np.array_equal(start, Q.normals):
+                    raise RealizationError(
+                        f'the document\'s "normals" realize another polytope: {err}') from None
+                raise
+            return R
         if k == max_iter:
             break
         step = S.gauss_newton_step(_alphas(x), r)

@@ -811,6 +811,35 @@ class _Step(NamedTuple):
     new: tuple
 
 
+class _StepTables(NamedTuple):
+    """What the draw reads at one step: the weighted vertex kernel
+    (new x arriving) and ``counts[t + 1]`` (new x kept), then the positions
+    of the arriving edges and of the kept edges, each with the place values
+    that turn their classes into a column of its table."""
+    kernel: np.ndarray
+    counts: np.ndarray
+    arr: np.ndarray
+    arr_value: np.ndarray
+    keep: np.ndarray
+    keep_value: np.ndarray
+
+
+def _places(boundary, slots, powers):
+    """The edges of ``boundary`` in ``slots``, and as their place values the
+    last ``len(slots)`` of the descending ``powers``: the first slot is the
+    most significant digit."""
+    return (np.array([boundary[s] for s in slots], dtype=np.intp),
+            powers[len(powers) - len(slots):])
+
+
+def _code(cls, edges, values):
+    """The place-value code of ``edges``' classes in each column of the
+    class-major ``cls``."""
+    if len(edges) == 1:
+        return cls[edges[0]]
+    return values @ cls[edges]
+
+
 class _UniformValidSampler:
     """Exactly uniform sampling of valid order assignments, drawn in batches.
 
@@ -831,21 +860,33 @@ class _UniformValidSampler:
     orders by rejection, which preserves exact uniformity over the valid set.
 
     ``counts[t]`` holds the weighted number of vertex-valid completions from
-    step t, one axis per open boundary slot; each step is one contraction of
-    the weighted vertex kernel against ``counts[t + 1]``.  The counts are
+    step t, given the classes of the edges open before it.  Each table is
+    stored in the order the draw reads it.  For t >= 1, ``counts[t]`` is a
+    (k^n x k^m) matrix over the n slots step t - 1 opened and the m slots it
+    kept: its row is the classes of the opened slots and its column those of
+    the kept slots, each read as base-k digits in slot order, the first
+    most significant.  ``counts[0]`` is 0-d, since no edge is open before
+    step 0, and ``counts[len(steps)]`` is [[1]].  The weighted vertex kernel
+    of a step is (new x arriving) in the same way, its rows the classes of
+    the edges the step opens; one kernel serves every step that opens as
+    many edges.  Each step is one contraction, kernel.T @ ``counts[t + 1]``,
+    whose (arriving x kept) result one permuting copy writes in the order
+    step t - 1 reads.  The counts are
     float64: they set the sampling probabilities and are exact while they
     stay below 2^53.  A table whose largest entry passes 2^512 is scaled by
     a power of two, which is exact and leaves every conditional unchanged,
     so float64 does not overflow on large polytopes at large d;
-    ``count_exponent`` sums the scales.  ``draw`` moves every row through
-    the steps together.
+    ``count_exponent`` sums the scales.
     A plan whose tables exceed ``SAMPLER_TABLE_BUDGET`` raises
     GraphConditionError before any table is built.
 
-    The fixed cost is the plan, O(V (log V + w)) for V vertices and boundary
-    width w (:meth:`_plan_steps`), and the tables, which share one kernel
-    per number of new slots.  Per
-    sample, ``draw`` reloads one Philox's key and counter in place
+    ``draw`` moves every row through the steps together, class-major: the
+    classes of the open edges, each step's weights and their running sums
+    are (classes x rows) arrays, so the running sum over a step's new
+    classes is one contiguous row addition per class and the pick is a sum
+    over axis 0.  The fixed cost is the plan, O(V (log V + w)) for V
+    vertices and boundary width w (:meth:`_plan_steps`), and the tables.
+    Per sample, ``draw`` reloads one Philox's key and counter in place
     (:meth:`stream`) and writes its uniforms into one array per round.
     """
 
@@ -919,22 +960,29 @@ class _UniformValidSampler:
     @staticmethod
     def table_bytes(steps, k):
         """The bytes of the float64 tables :meth:`_backward_counts` keeps for
-        ``steps`` and k classes: ``counts[t]``, one axis per slot open before
-        step t, and one kernel per number of new slots, with an axis per
-        arriving and per new slot."""
+        ``steps`` and k classes: ``counts[t]``, k^w entries for the w slots
+        open before step t, and one kernel per number of new slots, k^3
+        entries over its arriving and new slots."""
         kernels = {len(new): k ** (len(arr) + len(new)) for arr, _, new in steps}
         cells = 1 + sum(k ** (len(arr) + len(keep)) for arr, keep, _ in steps)
         return 8 * (cells + sum(kernels.values()))
 
     def _backward_counts(self):
-        """``counts[t]`` for every step, and per step the weighted kernel and
-        ``counts[t + 1]`` as matrices: rows indexed by the arriving classes
-        and by the kept classes respectively, columns by the new classes;
-        then the sum of the binary exponents the tables were scaled by."""
+        """``counts[t]`` for every step in the layout above; per step the
+        ``_StepTables`` the draw reads, whose place values follow the same
+        layout; then the sum of the binary exponents the tables were scaled
+        by."""
         k = self.nclasses
         counts = [None] * (len(self.steps) + 1)
-        counts[-1] = np.ones(())
+        counts[-1] = np.ones((1, 1))
         tables = [None] * len(self.steps)
+        # the edges and place values of each step's arriving and kept slots
+        powers = k ** np.arange(max(len(arr) + len(keep) for arr, keep, _ in self.steps),
+                                dtype=np.intp)[::-1]
+        boundary, reads = [], []  # the open edges, slot by slot
+        for arr, keep, new in self.steps:
+            reads.append(_places(boundary, arr, powers) + _places(boundary, keep, powers))
+            boundary = [boundary[s] for s in keep] + list(new)
         # every entry of counts[t] is below 2^bits: each new edge multiplies
         # the largest entry by at most d - 1, the classes' total weight
         exponent, bits = 0, 0.0
@@ -946,12 +994,19 @@ class _UniformValidSampler:
                 weight = np.ones(())
                 for _ in new:
                     weight = np.multiply.outer(weight, self.class_size)
-                kernel = (self.class_ok * weight).reshape(k ** len(arr), k ** len(new))
+                # (new x arriving)
+                kernel = (self.class_ok * weight).reshape(k ** len(arr), k ** len(new)).T.copy()
                 kernels[len(new)] = kernel
-            nxt = counts[t + 1].reshape(k ** len(keep), k ** len(new))
-            tables[t] = (kernel, nxt)
-            out = (kernel @ nxt.T).reshape((k,) * (len(arr) + len(keep)))
-            counts[t] = out.transpose(np.argsort(arr + keep)).copy()
+            tables[t] = _StepTables(kernel, counts[t + 1], *reads[t])
+            slots = arr + keep
+            out = (kernel.T @ counts[t + 1]).reshape((k,) * len(slots))
+            if t:
+                # the slots step t - 1 opened, then those it kept
+                kept = len(self.steps[t - 1].keep)
+                axes = sorted(range(len(slots)), key=lambda a: (slots[a] - kept) % len(slots))
+                counts[t] = out.transpose(axes).reshape(-1, k ** kept)
+            else:
+                counts[t] = out.reshape(())
             bits += len(new) * math.log2(self.model.d - 1)
             if bits > 512:  # far from overflow in the next step
                 bits = math.frexp(counts[t].max())[1]
@@ -971,27 +1026,46 @@ class _UniformValidSampler:
         """One vertex-valid assignment per row of the uniforms ``u``: column
         t picks the classes opened at step t, and column len(steps) + s
         expands the class of edge s to the order low + floor(u * size), a
-        uniform order of that class (always its one order when size is 1)."""
+        uniform order of that class (always its one order when size is 1).
+
+        The classes are held class-major, one row per edge.  At step t each
+        sample's weight of every new class combination is the product of a
+        kernel column and a ``counts[t + 1]`` column, both read at the codes
+        of the sample's open classes.  The running sums add the weights in
+        row order, and the pick counts the running sums <= u[:, t] * total,
+        so the draws are those of a row-major searchsorted on the same
+        products.  A step with no open edge gives every sample one column of
+        weights and picks by searchsorted.  The result is a (rows x edges)
+        view of a class-major array."""
         k = self.nclasses
-        rows = len(u)
-        cls = np.empty((rows, len(self.model.edges)), dtype=np.int64)
-        slots = []  # class of each open boundary slot, one array per slot
-        for t, ((arr, keep, new), (kernel, nxt)) in enumerate(zip(self.steps, self.tables)):
-            weights = kernel[_place_value([slots[s] for s in arr], k, rows)] * \
-                nxt[_place_value([slots[s] for s in keep], k, rows)]
-            cum = np.cumsum(weights, axis=1)
-            total = cum[:, -1]
-            if not (total > 0).all():
+        cls = np.empty((len(self.model.edges), len(u)), dtype=np.intp)
+        for t, (step, (kernel, nxt, arr, arr_value, keep, keep_value)) in \
+                enumerate(zip(self.steps, self.tables)):
+            if len(arr) + len(keep):
+                weights = kernel[:, _code(cls, arr, arr_value)]
+                weights *= nxt[:, _code(cls, keep, keep_value)]
+                for j in range(1, len(weights)):
+                    weights[j] += weights[j - 1]
+                total = weights[-1]
+                # searchsorted(weights[:, i], u[i, t] * total[i], side="right")
+                # for every row i at once; a zero-weight class is never picked,
+                # and at most 4^3 running sums keep the count within uint8
+                pick = np.add.reduce((weights <= u[:, t] * total).view(np.uint8), axis=0,
+                                     dtype=np.uint8)
+            else:  # no edge is open, so every row has the same weights
+                weights = np.cumsum(kernel[:, 0] * nxt[:, 0])
+                total = weights[-1]
+                pick = np.searchsorted(weights, u[:, t] * total, side="right")
+            if not total.all():
                 raise GraphConditionError("sampler dead end (count bug)")
-            # searchsorted(cum[i], u[i, t] * total[i], side="right") for every
-            # row i at once; a zero-weight column never gets picked
-            pick = (cum <= (u[:, t] * total)[:, None]).sum(axis=1)
-            opened = [pick // k ** (len(new) - 1 - j) % k for j in range(len(new))]
-            for pos, c in zip(new, opened):
-                cls[:, pos] = c
-            slots = [slots[s] for s in keep] + opened
-        expand = u[:, len(self.steps):len(self.steps) + cls.shape[1]]
-        return self.class_low[cls] + (expand * self.class_size[cls]).astype(np.int64)
+            for pos in step.new[:0:-1]:  # the last new edge is the lowest digit
+                np.divmod(pick, k, out=(pick, cls[pos]))
+            if step.new:
+                cls[step.new[0]] = pick
+        expand = u[:, len(self.steps):len(self.steps) + len(cls)].T
+        orders = self.class_low[cls]
+        orders += (expand * self.class_size[cls]).astype(np.int64)
+        return orders.T
 
     def stream(self, gen, state, seed, samples, first, out):
         """Fill row j of ``out`` with the uniforms of attempts ``first``
@@ -1023,7 +1097,10 @@ class _UniformValidSampler:
         first accepted one.  Attempt a of sample i reads block a of its own
         stream, so a row does not depend on the other samples of the call.
         A call makes one ``Philox`` and one ``Generator``, and a round fills
-        one (rows, m * block) array of uniforms through :meth:`stream`.
+        one (rows, m * block) array of uniforms through :meth:`stream`.  The
+        circuit test reads the class-major orders of
+        :meth:`_vertex_valid_rows` as they are, so each circuit edge is one
+        contiguous row.
         Raises when the acceptance rate falls below MC_MIN_ACCEPTANCE once
         MC_RATE_PILOT attempts are made, or when MC_MAX_ROUNDS rounds leave a
         sample pending.
@@ -1047,7 +1124,7 @@ class _UniformValidSampler:
                 part = pending[g:g + group]
                 self.stream(gen, state, seed, indices[part].tolist(), made, u[:len(part)])
                 rows = self._vertex_valid_rows(u[:len(part)].reshape(-1, self.block))
-                rows = rows.reshape(len(part), m, e)
+                rows = rows.T.reshape(e, len(part), m).transpose(1, 2, 0)
                 ok = self.model.circuits_ok(rows)
                 hit = ok.any(axis=1)
                 first = ok.argmax(axis=1)
@@ -1062,15 +1139,6 @@ class _UniformValidSampler:
         if len(pending):
             raise GraphConditionError("circuit rejection rate too high")
         return orders, attempts
-
-
-def _place_value(digits, k, rows):
-    """Row index of the class columns ``digits`` in a C-ordered (k,)*n axis
-    block: the first column is the most significant base-k digit."""
-    out = np.zeros(rows, dtype=np.int64)
-    for c in digits:
-        out = out * k + c
-    return out
 
 
 def _montecarlo_stats(P, d, samples, seed, name):

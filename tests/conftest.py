@@ -1569,6 +1569,67 @@ def backward_counts_oracle(sampler):
     return counts
 
 
+def count_table_slots(sampler, t):
+    """The slots open before step t, in the order the flat index of the
+    sampler's ``counts[t]`` reads them as base-k digits, most significant
+    first.  By the documented layout these are the slots step t - 1 opened,
+    then those it kept, each in slot order; none before step 0 and after
+    the last step."""
+    if t == 0:
+        return []
+    kept, opened = len(sampler.steps[t - 1].keep), len(sampler.steps[t - 1].new)
+    return list(range(kept, kept + opened)) + list(range(kept))
+
+
+def count_table_entry(sampler, t, classes):
+    """The sampler's ``counts[t]`` at ``classes``, the class of each slot open
+    before step t in slot order."""
+    code = 0
+    for s in count_table_slots(sampler, t):
+        code = code * sampler.nclasses + classes[s]
+    return sampler.counts[t].flat[code]
+
+
+def vertex_valid_rows_oracle(sampler, u):
+    """The sampler's forward pass row by row: at each step, the weight of
+    every combination of new classes, in C order of the new edges, is its
+    kernel entry (the product of its class sizes, or 0 where a vertex class
+    triple fails 1/a + 1/b + 1/c > 1 at the classes' lowest orders) times
+    ``counts[t + 1]`` read through :func:`count_table_entry`; the pick is
+    ``searchsorted(cumsum(w), u * total, side="right")``.  Each class then
+    expands to low + floor(u * size).  The classes come from the order
+    bound, not from the sampler."""
+    d = sampler.model.d
+    low = [m for m in (2, 3, 4, 6) if m <= d]
+    size = [float(min(high, d) - m + 1) for m, high in zip(low, (2, 3, 5, d))]
+    k = len(low)
+    ok = {c: sum(Fraction(1, low[i]) for i in c) > 1
+          for c in itertools.product(range(k), repeat=3)}
+    steps = sampler.steps
+    out = np.empty((len(u), len(sampler.model.edges)), dtype=np.int64)
+    for i, row in enumerate(u):
+        cls = [None] * out.shape[1]
+        slots = []  # the class of each open slot
+        for t, (arr, keep, new) in enumerate(steps):
+            kept = [slots[s] for s in keep]
+            combos = list(itertools.product(range(k), repeat=len(new)))
+            w = []
+            for combo in combos:
+                weight = 1.0
+                for c in combo:
+                    weight *= size[c]
+                kernel = weight if ok[tuple(slots[s] for s in arr) + combo] else 0.0
+                w.append(kernel * count_table_entry(sampler, t + 1, kept + list(combo)))
+            cum = np.cumsum(w)
+            combo = combos[np.searchsorted(cum, row[t] * cum[-1], side="right")]
+            for pos, c in zip(new, combo):
+                cls[pos] = c
+            slots = kept + list(combo)
+        for s, c in enumerate(cls):
+            out[i, s] = low[c] + int(row[len(steps) + s] * size[c])
+    return out
+
+
 def plan_steps_oracle(model):
     """The sampler's elimination steps in two passes: a greedy vertex order
     (most already-open incident edges first, then fewest edges still to

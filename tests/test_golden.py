@@ -3,7 +3,9 @@ byte for byte, with exit status 0 and nothing on stderr.
 
 ``realize`` and ``dim`` are not covered: their spectra print digits that
 depend on BLAS rounding.  Regenerate the files, only when a report is meant
-to change, with ``PYTHONPATH=src python tests/test_golden.py``.
+to change, with ``PYTHONPATH=src python tests/test_golden.py [CASE ...]``:
+it rewrites the named cases, or every case when none is named, and refuses
+an unknown name before it writes any file.
 """
 
 import contextlib
@@ -25,6 +27,9 @@ CASES.update({
     "stats-dodecahedron-d3-mc": ["stats", "dodecahedron", "--d", "3",
                                  "--samples", "3000", "--seed", "4"],
     "stats-prism8-d20-mc": ["stats", "prism8", "--d", "20", "--samples", "500"],
+    # four order classes {2}, {3}, {4, 5}, {6, 7} and a width-8 DP boundary
+    "stats-dodecahedron-d7-mc": ["stats", "dodecahedron", "--d", "7",
+                                 "--samples", "300", "--seed", "7"],
     # a cut dodecahedron without vertices, facets renamed and lists shuffled:
     # loading rebuilds the vertices from the facet adjacency
     "check-vertexless_truncation": ["check", str(GOLDEN / "vertexless_truncation.json")],
@@ -56,9 +61,13 @@ def test_golden_report(case):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case, argv in CASES.items():
-        code, out, err = run_case(argv)
+    for case in names:
+        code, out, err = run_case(CASES[case])
         if code or err:
             sys.exit(f"{case}: exit {code}, stderr {err!r}")
         (GOLDEN / f"{case}.out").write_text(out, encoding="utf-8")

@@ -14,12 +14,14 @@ import pytest
 
 from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
 from conftest import (assignment_validity_oracle, backward_counts_oracle,
-                      brute_force_weak_order, edge_delete, edge_set_counts_oracle,
+                      brute_force_weak_order, count_table_slots, edge_delete,
+                      edge_set_counts_oracle,
                       enumerate_perfect_matchings, exact_counts_oracle, factor_corpus,
                       factor_mask, find_factor_oracle,
                       mask_edge_sets, peel_oracle, plan_steps_oracle, random_parity_labels,
                       random_truncation, removable_edges_oracle, row_edge_sets,
-                      traced_peak, weak_order_induction_oracle)
+                      traced_peak, vertex_valid_rows_oracle,
+                      weak_order_induction_oracle)
 
 FACTOR_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "factors.json"
 
@@ -594,9 +596,14 @@ def test_backward_counts_match_oracle(name, d):
     oracle = backward_counts_oracle(sampler)
     assert len(sampler.counts) == len(oracle)
     k, k5 = len(classes), min(d, 6) - 1
-    for got, want in zip(sampler.counts, oracle):
-        digits = [np.arange(got.size) // k ** s % k for s in range(got.ndim)]
-        got = got.ravel(order="F")  # axis s is slot s: little-endian codes
+    for t, (got, want) in enumerate(zip(sampler.counts, oracle)):
+        # the class of each slot at each entry, read through the layout
+        slots = count_table_slots(sampler, t)
+        assert got.size == k ** len(slots)
+        digits = [None] * len(slots)
+        for p, s in enumerate(slots):
+            digits[s] = np.arange(got.size) // k ** (len(slots) - 1 - p) % k
+        got = got.ravel()
         for read in (min, max):
             five = np.array([min(read(c), 6) - 2 for c in classes])
             code = sum((five[dg] * k5 ** s for s, dg in enumerate(digits)),
@@ -607,6 +614,31 @@ def test_backward_counts_match_oracle(name, d):
             np.testing.assert_allclose(got[~small], exact[~small].astype(float), rtol=1e-12)
     if d <= 20:
         assert sampler.vertex_valid_count < 2.0 ** 53
+
+
+def _tied_uniforms(rng, rows, block):
+    """Uniforms with a third of the entries on multiples of 1/8, 0 included,
+    so that some picks land exactly on a running sum."""
+    u = rng.random((rows, block))
+    grid = rng.random(u.shape) < 1 / 3
+    u[grid] = rng.integers(0, 8, size=int(grid.sum())) / 8
+    return u
+
+
+@pytest.mark.parametrize("name, d", [(name, d) for name in sorted(SAMPLER_POLYTOPES)
+                                     for d in (3, 5, 7, 20, 100)] + [("loebell8", 2 ** 40)])
+def test_vertex_valid_rows_match_oracle(name, d):
+    """The class-major forward pass equals the row-by-row searchsorted of
+    ``vertex_valid_rows_oracle`` bit for bit, ties included; on loebell(8)
+    at d = 2^40 through tables scaled by 2^525."""
+    P = pt.loebell(8) if name == "loebell8" else SAMPLER_POLYTOPES[name]()
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(P, d))
+    if name == "loebell8":
+        assert sampler.count_exponent == 525
+    u = _tied_uniforms(np.random.default_rng(d), 60, sampler.block)
+    got = sampler._vertex_valid_rows(u)
+    assert got.shape == (60, P.e) and got.dtype == np.int64
+    np.testing.assert_array_equal(got, vertex_valid_rows_oracle(sampler, u))
 
 
 def test_vertex_validity_reads_only_the_sampler_classes():
@@ -685,6 +717,42 @@ def test_sampler_uniform_over_whole_assignments():
     assert chi2.sf(stat, len(valid) - 1) > 1e-3
 
 
+def _valid_assignment_codes(P, d):
+    """The base-(d - 1) code of every valid assignment in {2..d}^e, found by
+    enumeration: the vertex test ab + bc + ca > abc in integers and the
+    model's circuit test, which decides the circuits exactly at d <= 5."""
+    e = P.e
+    grid = np.indices((d - 1,) * e).reshape(e, -1).T + 2
+    pos = {r: t for t, r in enumerate(sorted(P.ridges))}
+    ok = ms._AssignmentModel(P, d).circuits_ok(grid)
+    for V in P.vertices:
+        a, b, c = sorted(V)
+        x, y, z = (grid[:, pos[r]] for r in ((a, b), (a, c), (b, c)))
+        ok &= x * y + y * z + z * x > x * y * z
+    return _assignment_codes(grid[ok], d)
+
+
+def _assignment_codes(orders, d):
+    return (orders - 2) @ (d - 1) ** np.arange(orders.shape[1])
+
+
+@pytest.mark.parametrize("name, d, valid", [("prism3", 5, 761), ("cube", 3, 978)])
+def test_sampler_chi_square_over_valid_assignments(name, d, valid):
+    """40 draws per valid assignment at seed 11, each counted on its whole
+    order vector: the chi-square statistic over the valid set stays within
+    4 standard deviations of its mean df, z = (chi2 - df) / sqrt(2 df)."""
+    P = SAMPLER_POLYTOPES[name]()
+    codes = _valid_assignment_codes(P, d)
+    assert len(codes) == valid
+    rows, _ = ms._UniformValidSampler(ms._AssignmentModel(P, d)).draw(11, range(40 * valid))
+    drawn = _assignment_codes(rows, d)
+    assert np.isin(drawn, codes).all()
+    observed = np.unique(np.concatenate([codes, drawn]), return_counts=True)[1] - 1
+    chi2 = float(((observed - 40.0) ** 2).sum() / 40.0)
+    df = valid - 1
+    assert abs(chi2 - df) / math.sqrt(2 * df) <= 4
+
+
 def test_sample_rows_do_not_depend_on_the_batch():
     # prism(8) at d = 20 accepts about 6% of vertex-valid draws, so most rows
     # come from a later rejection round
@@ -761,17 +829,55 @@ def test_montecarlo_refuses_without_valid_assignments(P):
         ms.estimate_wo_fraction(P, 3, samples=1000, seed=0)
 
 
-def test_montecarlo_refuses_low_acceptance():
+def _record_rounds(monkeypatch, sampler_or_class):
+    """The first attempt of every ``stream`` call and the rows of every
+    forward pass that ``draw`` makes, recorded as it runs."""
+    firsts, rows = [], []
+    stream = sampler_or_class.stream
+    forward = sampler_or_class._vertex_valid_rows
+
+    def record_stream(*args):
+        firsts.append(args[-2])
+        return stream(*args)
+
+    def record_rows(*args):
+        rows.append(len(args[-1]))
+        return forward(*args)
+
+    monkeypatch.setattr(sampler_or_class, "stream", record_stream)
+    monkeypatch.setattr(sampler_or_class, "_vertex_valid_rows", record_rows)
+    return firsts, rows
+
+
+def test_montecarlo_refuses_low_acceptance(monkeypatch):
     # four prismatic 3-circuits: 629 valid assignments at d = 4, about 1.5
     # in 10^4 vertex-valid draws
     P = pt.prism(3)
     for _ in range(3):
         P = pt.truncate_vertex(P, len(P.vertices) - 1)
     assert len(pt.prismatic_circuits(P, 3)) == 4
+    firsts, rows = _record_rounds(monkeypatch, ms._UniformValidSampler)
     start = time.perf_counter()
     with pytest.raises(ms.GraphConditionError, match="rejection rate too high"):
         ms.estimate_wo_fraction(P, 4, samples=10000, seed=1)
     assert time.perf_counter() - start < 10
+    # the pilot rate stopped the draw, before the last round
+    assert sum(rows) >= ms.MC_RATE_PILOT
+    assert len(set(firsts)) < ms.MC_MAX_ROUNDS
+
+
+def test_draw_refuses_when_its_rounds_run_out(monkeypatch):
+    """With MC_MAX_ROUNDS = 2 each sample makes at most 1 + 2 attempts, and
+    prism(8) at d = 20 accepts about 6% of them, so samples stay pending:
+    draw refuses after its last round.  The pilot rate, which needs
+    MC_RATE_PILOT attempts, cannot have stopped it."""
+    sampler = ms._UniformValidSampler(ms._AssignmentModel(pt.prism(8), 20))
+    firsts, rows = _record_rounds(monkeypatch, sampler)
+    monkeypatch.setattr(ms, "MC_MAX_ROUNDS", 2)
+    with pytest.raises(ms.GraphConditionError, match="circuit rejection rate too high"):
+        sampler.draw(7, range(100))
+    assert sorted(set(firsts)) == [0, 1]
+    assert 100 < sum(rows) <= 300 < ms.MC_RATE_PILOT
 
 
 def test_exact_without_valid_assignments_has_no_fraction():
@@ -935,7 +1041,8 @@ def test_sampler_budget_separates_the_planned_sizes():
     assert round(planned / 2 ** 20) == 96
     for P in (pt.prism(8), pt.dodecahedron()):
         sampler = ms._UniformValidSampler(ms._AssignmentModel(P, 7))
-        kernels = {id(kernel): kernel for kernel, _ in sampler.tables}
+        kernels = {id(step.kernel): step.kernel for step in sampler.tables}
+        assert all(step.counts is c for step, c in zip(sampler.tables, sampler.counts[1:]))
         held = sum(c.nbytes for c in sampler.counts) + sum(t.nbytes for t in kernels.values())
         assert held == sampler.table_bytes(sampler.steps, sampler.nclasses)
     # the 17-facet truncation builds now; its five prismatic 3-circuits stop

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import coxdeform
-from coxdeform import bundled, cli, orbifold as ob, serialize
+from coxdeform import bundled, cli, lorentz, orbifold as ob, serialize
 from conftest import curve_csv_oracle, to_jsonable_oracle
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -99,6 +99,35 @@ def test_normals_are_read_as_floats():
     assert Q.normals == ((1.0, 0.0, 0.0, 0.0),) * 9
     assert all(type(x) is float for row in Q.normals for x in row)
     assert serialize.dump_orbifold(Q)["normals"] == [[1.0, 0.0, 0.0, 0.0]] * 9
+
+
+def _swap_rows(rows):
+    rows[1:4], rows[4:7] = rows[4:7], rows[1:4]
+    return rows
+
+
+def test_normals_of_another_polytope_name_the_start(tmp_path, capsys):
+    """The doubled cube's normals with rows 2-4 and 5-7 swapped load, and
+    Newton converges from them to a realization of another polytope: the
+    refusal names the document's normals as the start and the facet pair
+    that does not diverge.  The same point reached from another start
+    keeps the plain message."""
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(_doubled_cube_normals(_swap_rows)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "realize", str(path))
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert re.fullmatch(r'numerical failure: the document\'s "normals" realize another '
+                        r"polytope: non-adjacent facets 2,6 do not diverge "
+                        r"\(<nu_i,nu_j> = [\d.]+\)\n", err)
+    Q = serialize.load_orbifold(_doubled_cube_normals(_swap_rows))
+    moved = np.array(Q.normals) + 1e-9
+    with pytest.raises(lorentz.RealizationError, match=r"^non-adjacent facets 2,6 do not"):
+        lorentz.solve_hyperbolic_newton(Q, moved)
+    # the bundled document's own normals, and starts near them, still realize
+    Q = bundled.load_builtin("doubled_cube")
+    start = np.array(Q.normals)
+    for x in (None, start + np.random.default_rng(7).uniform(-1e-2, 1e-2, size=start.shape)):
+        assert lorentz.solve_hyperbolic_newton(Q, x).residual_norm < lorentz.RESIDUAL_TOL
 
 
 def test_schema_error_names_ridge(tmp_path):
