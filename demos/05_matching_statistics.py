@@ -19,9 +19,9 @@ Q = matchstats.orbifold_from_factor(P, factor, 7)
 print("factor orbifold passes the Andreev-type checks:",
       orbifold.andreev_necessary_check(Q).passed)
 
-labels = matchstats.labels_from_factor(P, factor)
-ordering = matchstats.construct_weak_order(P, labels)
-print("constructive weak ordering:", ordering)
+ordering = orbifold.weak_order_combinatorial(Q)
+assert ordering and orbifold.check_weak_ordering(Q, ordering.order)
+print("weak ordering of the factor orbifold:", ordering.order)
 
 # exact counts sum over the 2^9 sets of order-2 edges of the triangular
 # prism; the identity N_j(8) = N_j(7) * 2^j stratifies assignments by edges

@@ -2,14 +2,10 @@
 statistics.
 
 The 1-skeleton of a simple 3-polytope is a simple planar 3-connected cubic
-graph; edges carry labels in {0, 1} with an odd sum at every vertex (a factor
-indicator plus a cycle-space element).  The module finds factors through a
-required edge, lists removable edges, runs the constructive weak-ordering
-induction on the facet graph (delete a removable edge of a face with few
-0-edges, order the smaller graph, put the face first), builds orbifolds from
-factors, and counts or estimates the share of weakly orderable orbifolds
-among valid ones up to an order bound: exactly, as a sum over the sets of
-order-2 edges, or by uniform Monte Carlo sampling.
+graph.  The module finds factors (perfect matchings) through a required
+edge, builds orbifolds from factors, and counts or estimates the share of
+weakly orderable orbifolds among valid ones up to an order bound: exactly,
+as a sum over the sets of order-2 edges, or by uniform Monte Carlo sampling.
 """
 
 from __future__ import annotations
@@ -38,37 +34,6 @@ MC_RATE_PILOT = 20000
 # plan above this many bytes is refused before any table is allocated
 SAMPLER_TABLE_BUDGET = 512 * 2 ** 20
 WILSON_Z = 1.959963984540054  # normal 97.5% quantile: 95% Wilson intervals
-
-
-# -- labelings ----------------------------------------------------------------
-
-class EdgeLabeledGraph:
-    """A polytope 1-skeleton with a {0,1} edge labeling of odd vertex sums."""
-
-    def __init__(self, base, labels):
-        if base.n != 3:
-            raise GraphConditionError("edge labelings live on 3-polytope skeletons")
-        self.base = base
-        self.labels = {_pair(i, j): int(v) for (i, j), v in dict(labels).items()}
-        if set(self.labels) != set(base.ridges):
-            raise GraphConditionError("labels must cover the edge set exactly")
-        if any(v not in (0, 1) for v in self.labels.values()):
-            raise GraphConditionError("labels must be 0 or 1")
-        for V in base.vertices:
-            if vertex_label_sum(base, self.labels, V) % 2 != 1:
-                raise GraphConditionError(f"vertex {sorted(V)} has even label sum")
-
-
-def vertex_label_sum(P, labels, vertex):
-    V = sorted(vertex)
-    return sum(labels[_pair(V[a], V[b])]
-               for a in range(3) for b in range(a + 1, 3))
-
-
-def labels_from_factor(P, factor):
-    """Label factor edges 1 and the rest 0; satisfies the odd-sum condition."""
-    factor = {_pair(*e) for e in factor}
-    return {r: (1 if r in factor else 0) for r in P.ridges}
 
 
 # -- factors (perfect matchings) -----------------------------------------------
@@ -304,83 +269,6 @@ def _maximum_matching(nodes, adj):
         queue.clear()
 
 
-# -- removability ----------------------------------------------------------------
-
-def removable_edges(P, face):
-    """Edges of a face whose deletion keeps the graph simple, planar and
-    3-connected, in boundary order.  Deleting ridge (F, G) contracts the
-    edge FG of the facet graph, a triangulation; the result is again a
-    simple triangulation exactly when F and G have no common neighbours but
-    the two at the ridge's ends (FG lies on no separating triangle).  At
-    least two on any face once the graph has more than 6 edges; asserted."""
-    if P.e <= 6:
-        raise GraphConditionError("graph too small (need more than 6 edges)")
-    out = [r for r in P.face_boundary(face) if len(P.nbrs[r[0]] & P.nbrs[r[1]]) == 2]
-    assert len(out) >= 2, f"face {face} has fewer than two removable edges"
-    return out
-
-
-# -- constructive weak ordering ---------------------------------------------------
-
-def validate_face_order(P, labels, ordering):
-    """Every face has at most three 0-edges shared with higher-indexed faces."""
-    Q = ob.CoxeterOrbifold(P, {r: (2 if labels[r] == 0 else 3) for r in P.ridges})
-    return ob.check_weak_ordering(Q, ordering)
-
-
-def construct_weak_order(P, labels):
-    """Face ordering with at most three 0-edges into later faces, built by
-    the deletion induction on copies of the facet neighbour sets and labels.
-
-    Take the lowest face F with at most three 0-edges and a removable edge
-    (F, G), G its lowest such neighbour (see :func:`removable_edges`).  If
-    the edge is labeled 0, flip every label on F's boundary (vertex sums
-    stay odd); by parity the pairs at the edge's ends then carry equal
-    labels.  Delete the edge by merging F into G, order the smaller graph
-    and put F first.  The result is validated independently before
-    returning.
-
-    On four faces any ordering works (each face has only three edges), so the
-    odd-sum condition is not required there.
-    """
-    if P.f == 4:
-        work = {_pair(i, j): int(v) for (i, j), v in dict(labels).items()}
-        if set(work) != set(P.ridges):
-            raise GraphConditionError("labels must cover the edge set exactly")
-    else:
-        work = dict(EdgeLabeledGraph(P, labels).labels)
-    nbrs = {i: set(js) for i, js in P.nbrs.items()}
-    ordering = []
-    while len(nbrs) > 4:
-        F, G = _deletion_step(nbrs, work)
-        if work[_pair(F, G)] == 0:
-            for j in nbrs[F]:
-                work[_pair(F, j)] ^= 1
-        for j in nbrs.pop(F):
-            nbrs[j].discard(F)
-            label = work.pop(_pair(F, j))
-            if j != G:  # at the two common neighbours the labels agree
-                nbrs[G].add(j)
-                nbrs[j].add(G)
-                work[_pair(G, j)] = label
-        ordering.append(F)
-    ordering = tuple(ordering) + tuple(sorted(nbrs))
-    if not validate_face_order(P, labels, ordering):
-        raise GraphConditionError("constructed ordering failed validation")
-    return ordering
-
-
-def _deletion_step(nbrs, labels):
-    """The faces (F, G) of the next step of :func:`construct_weak_order`."""
-    for F in sorted(nbrs):
-        if sum(labels[_pair(F, j)] == 0 for j in nbrs[F]) > 3:
-            continue
-        for G in sorted(nbrs[F]):
-            if len(nbrs[F] & nbrs[G]) == 2:
-                return F, G
-    raise GraphConditionError("no face with at most three 0-edges had a usable edge")
-
-
 # -- orbifolds from factors --------------------------------------------------------
 
 def orbifold_from_factor(P, factor, k):
@@ -391,7 +279,7 @@ def orbifold_from_factor(P, factor, k):
     necessary conditions by construction (verified)."""
     if k < 3:
         raise GraphConditionError("matching order must be >= 3")
-    factor = [_pair(*e) for e in factor]
+    factor = {_pair(*e) for e in factor}
     if not is_factor(P, factor):
         raise GraphConditionError("not a factor of the skeleton")
     if P.prismatic(3):
@@ -401,9 +289,9 @@ def orbifold_from_factor(P, factor, k):
         raise GraphConditionError("polytope has more than one prismatic 4-circuit")
     if circuits4:
         crossed = {_pair(circuits4[0][t], circuits4[0][(t + 1) % 4]) for t in range(4)}
-        if not crossed & set(factor):
+        if not crossed & factor:
             raise GraphConditionError("factor misses the prismatic 4-circuit")
-    orders = {r: (k if r in set(factor) else 2) for r in P.ridges}
+    orders = {r: (k if r in factor else 2) for r in P.ridges}
     Q = ob.make_orbifold(P, orders)
     report = ob.andreev_necessary_check(Q)
     if not report.passed:

@@ -485,10 +485,24 @@ def reverse_truncation_oracle(P, history=()):
     return pt.TruncationWitness(False, [])
 
 
+def odd_label_sums(P, labels):
+    """Whether every vertex has an odd sum of the {0, 1} labels on its three
+    edges."""
+    return all(sum(labels[pt._pair(i, j)] for i, j in itertools.combinations(V, 2)) % 2 == 1
+               for V in P.vertices)
+
+
+def labelled_orbifold(P, labels):
+    """Order 2 on the 0-edges of a {0, 1} labelling and 3 elsewhere."""
+    return ob.CoxeterOrbifold(P, {r: (2 if labels[r] == 0 else 3) for r in P.ridges})
+
+
 def edge_delete(P, edge, labels=None, keep=None):
     """Delete an edge and amalgamate the edge pairs at its endpoints, by
-    rebuilding and re-validating the whole polytope: the reference for
-    ``matchstats.removable_edges`` and ``construct_weak_order``.
+    rebuilding and re-validating the whole polytope: the deletion step of
+    ``weak_order_induction_oracle`` and the test of
+    ``removable_edges_oracle``.  When the labels have odd vertex sums, it
+    asserts that the new labels have them too.
 
     The two faces across ``edge`` merge into one, which keeps the id ``keep``
     (default: the smaller).  With ``labels``, the pairs amalgamated at each
@@ -545,10 +559,9 @@ def edge_delete(P, edge, labels=None, keep=None):
         raise matchstats.GraphConditionError(f"edge not removable: {exc}") from exc
     if labels is None:
         return Q
-    if all(matchstats.vertex_label_sum(P, labels, V) % 2 == 1 for V in P.vertices):
+    if odd_label_sums(P, labels):
         # deletion preserves the odd-sum condition; a failure here is a bug
-        assert all(matchstats.vertex_label_sum(Q, new_labels, V) % 2 == 1
-                   for V in Q.vertices)
+        assert odd_label_sums(Q, new_labels)
     return Q, new_labels
 
 
@@ -576,8 +589,13 @@ def _induction_steps(P, labels):
 
 
 def weak_order_induction_oracle(P, labels):
-    """The ordering of ``construct_weak_order``, from one validated
-    ``edge_delete`` per step (which asserts that vertex sums stay odd)."""
+    """A face ordering by the deletion induction on a {0, 1} labelling with
+    odd vertex sums: each step puts first the lowest face F with at most
+    three 0-edges, merges it into a neighbour by one validated
+    ``edge_delete`` (which asserts that vertex sums stay odd), and orders
+    the smaller polytope.  Its ordering has at most three 0-edges from each
+    face into later faces, a claim the tests check with
+    ``orbifold.check_weak_ordering`` apart from ``polytope.greedy_peel``."""
     ordering = []
     while P.f > 4:
         F, P, labels = next(_induction_steps(P, labels))

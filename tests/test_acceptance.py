@@ -10,8 +10,9 @@ from coxdeform import (bundled, cartan, lorentz, matchstats as ms,
                        orbifold as ob, polytope as pt, vinberg)
 from coxdeform.numerics import numerical_rank
 from conftest import (apply_gauge, enumerate_perfect_matchings, finite_difference_jacobian,
-                      flatten, qualifying_sets_full_rank, random_gauge, random_parity_labels,
-                      unflatten)
+                      flatten, labelled_orbifold, qualifying_sets_full_rank, random_gauge,
+                      random_parity_labels, removable_edges_oracle, unflatten,
+                      weak_order_induction_oracle)
 
 GAP_REQUIRED = 1e3
 
@@ -151,6 +152,9 @@ def test_criterion_07_integer_bookkeeping():
 
 
 def test_criterion_08_matching_combinatorics():
+    # a {0, 1} labelling with odd vertex sums, read as order 2 on the 0-edges
+    # and 3 elsewhere, is weakly orderable: greedy_peel's ordering and the
+    # deletion induction's both pass the independent validator
     graphs = [("cube", pt.cube()), ("prism3", pt.prism(3)),
               ("prism4", pt.prism(4)), ("prism5", pt.prism(5)),
               ("prism6", pt.prism(6)), ("dodecahedron", pt.dodecahedron()),
@@ -161,16 +165,22 @@ def test_criterion_08_matching_combinatorics():
             assert ms.is_factor(P, factor) and edge in factor
         if P.e > 6:
             for face in P.facets:
-                assert len(ms.removable_edges(P, face)) >= 2
+                assert len(removable_edges_oracle(P, face)) >= 2
         rng = np.random.default_rng(P.f * 1009 + P.e)
-        for _ in range(100):
+        for k in range(100):
             labels = random_parity_labels(P, rng)
-            ordering = ms.construct_weak_order(P, labels)
-            assert ms.validate_face_order(P, labels, ordering)
+            Q = labelled_orbifold(P, labels)
+            result = ob.weak_order_combinatorial(Q)
+            assert result and ob.check_weak_ordering(Q, result.order), name
+            if k < 25:  # the slow oracle on a quarter of them
+                ordering = weak_order_induction_oracle(P, labels)
+                assert ob.check_weak_ordering(Q, ordering), name
+                # the same ordering with its first facet listed again is refused
+                assert not ob.check_weak_ordering(Q, ordering + ordering[:1]), name
     assert len(enumerate_perfect_matchings(pt.cube())) == 9
     print("\nACCEPTANCE 8 PASS: factors through every edge, >= 2 removable "
-          "edges per face, 100 random labelings ordered per graph, cube has "
-          "9 matchings")
+          "edges per face, 100 random labelings weakly ordered and 25 ordered "
+          "by the deletion induction per graph, cube has 9 matchings")
 
 
 def test_criterion_09_statistics():

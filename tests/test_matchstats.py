@@ -17,10 +17,10 @@ from conftest import (assignment_validity_oracle, backward_counts_oracle,
                       brute_force_weak_order, count_table_slots, edge_delete,
                       edge_set_counts_oracle,
                       enumerate_perfect_matchings, exact_counts_oracle, factor_corpus,
-                      factor_mask, find_factor_oracle,
-                      mask_edge_sets, peel_oracle, plan_steps_oracle, random_parity_labels,
-                      random_truncation, removable_edges_oracle, row_edge_sets,
-                      traced_peak, vertex_valid_rows_oracle,
+                      factor_mask, find_factor_oracle, labelled_orbifold,
+                      mask_edge_sets, odd_label_sums, peel_oracle, plan_steps_oracle,
+                      random_parity_labels, random_truncation, removable_edges_oracle,
+                      row_edge_sets, traced_peak, vertex_valid_rows_oracle,
                       weak_order_induction_oracle)
 
 FACTOR_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "factors.json"
@@ -135,15 +135,18 @@ def test_find_factor_reports_a_missing_matching():
 def test_removable_edges_cube():
     P = pt.cube()
     for face in P.facets:
-        edges = ms.removable_edges(P, face)
+        edges = removable_edges_oracle(P, face)
         assert len(edges) >= 2
         for e in edges:
             Q = edge_delete(P, e)  # re-validates (E1) internally
             assert Q.f == P.f - 1 and Q.e == P.e - 3
 
 
-def test_removable_edges_match_trial_deletion():
-    # the facet-graph rule equals a trial edge_delete on every boundary ridge
+def test_every_face_has_two_removable_edges():
+    # deleting a ridge contracts an edge of the facet graph, a triangulation;
+    # on more than 6 edges every face keeps two whose trial edge_delete
+    # succeeds, which the deletion induction of weak_order_induction_oracle
+    # relies on
     rng = np.random.default_rng(29)
     polytopes = [bundled.load_builtin(name).base for name in bundled.BUILTIN_NAMES]
     polytopes += [pt.prism(m) for m in range(3, 13)] + [pt.loebell(m) for m in range(5, 13)]
@@ -153,13 +156,12 @@ def test_removable_edges_match_trial_deletion():
         if P.n != 3 or P.e <= 6:
             continue
         for face in P.facets:
-            assert ms.removable_edges(P, face) == removable_edges_oracle(P, face)
+            assert len(removable_edges_oracle(P, face)) >= 2
 
 
 def test_facet_graph_decisions_build_no_polytope(monkeypatch):
     P = random_truncation(pt.simplex(3), 12, np.random.default_rng(31))
     Q = random_truncation(pt.dodecahedron(), 3, np.random.default_rng(31))
-    labels = ms.labels_from_factor(Q, ms.find_factor(Q, min(Q.ridges)))
     built = []
     init = pt.PolytopeCombinatorics.__init__
 
@@ -170,68 +172,55 @@ def test_facet_graph_decisions_build_no_polytope(monkeypatch):
     monkeypatch.setattr(pt.PolytopeCombinatorics, "__init__", counting_init)
     assert pt.is_truncation_polytope(P).is_truncation
     assert not pt.is_truncation_polytope(Q).is_truncation
-    for face in Q.facets:
-        ms.removable_edges(Q, face)
-    ms.construct_weak_order(Q, labels)
     assert built == []
 
 
 def test_removable_edges_too_small():
-    with pytest.raises(ms.GraphConditionError):
-        ms.removable_edges(pt.simplex(3), 1)
+    # no edge of the tetrahedron is removable, so the induction stops at four
+    # faces
+    assert removable_edges_oracle(pt.simplex(3), 1) == []
 
 
 def test_removable_edges_prism_square_face():
+    # a side of the triangular prism shares three neighbours with each other
+    # side and two with each cap, so only its two cap ridges are removable
     P = pt.prism(3)
-    edges = ms.removable_edges(P, 3)  # a square side
-    assert len(edges) >= 2
-    boundary = set(P.face_boundary(3))
-    assert set(edges) <= boundary
+    edges = removable_edges_oracle(P, 3)  # a square side
+    assert edges == [r for r in P.face_boundary(3) if {1, 2} & set(r)]
+    assert len(edges) == 2
 
 
 def test_edge_delete_preserves_label_conditions():
     P = pt.cube()
     rng = np.random.default_rng(17)
     labels = random_parity_labels(P, rng)
-    graph = ms.EdgeLabeledGraph(P, labels)
     for face in P.facets:
-        for e in ms.removable_edges(P, face):
-            work = dict(graph.labels)
+        for e in removable_edges_oracle(P, face):
+            work = dict(labels)
             if work[e] == 0:
                 for r in P.face_boundary(face if face in e else e[0]):
                     work[r] = 1 - work[r]
             if work[e] == 0:
                 continue
             Q, sub = edge_delete(P, e, work)
-            ms.EdgeLabeledGraph(Q, sub)  # all structural conditions hold
+            assert set(sub) == set(Q.ridges) and odd_label_sums(Q, sub)
             return
-
-
-def test_labels_from_factor_satisfy_parity():
-    P = pt.dodecahedron()
-    factor = ms.find_factor(P, sorted(P.ridges)[0])
-    labels = ms.labels_from_factor(P, factor)
-    ms.EdgeLabeledGraph(P, labels)
 
 
 def test_construct_weak_order_base_case():
     P = pt.simplex(3)
-    labels = ms.labels_from_factor(P, ms.find_factor(P, (1, 2)))
-    ordering = ms.construct_weak_order(P, labels)
-    assert ms.validate_face_order(P, labels, ordering)
-
-
-def test_construct_weak_order_from_orbifold_orders(tetra_orbifold):
-    labels = {r: (0 if m == 2 else 1) for r, m in tetra_orbifold.orders.items()}
-    ordering = ms.construct_weak_order(tetra_orbifold.base, labels)
-    assert ms.validate_face_order(tetra_orbifold.base, labels, ordering)
+    labels = dict.fromkeys(P.ridges, 0) | dict.fromkeys(ms.find_factor(P, (1, 2)), 1)
+    ordering = weak_order_induction_oracle(P, labels)
+    assert ordering == tuple(sorted(P.facets))
+    assert ob.check_weak_ordering(labelled_orbifold(P, labels), ordering)
 
 
 def test_construct_weak_order_dodecahedron_factor():
     P = pt.dodecahedron()
-    labels = ms.labels_from_factor(P, ms.find_factor(P, sorted(P.ridges)[0]))
-    ordering = ms.construct_weak_order(P, labels)
-    assert ms.validate_face_order(P, labels, ordering)
+    labels = dict.fromkeys(P.ridges, 0) | dict.fromkeys(ms.find_factor(P, sorted(P.ridges)[0]), 1)
+    assert odd_label_sums(P, labels)
+    ordering = weak_order_induction_oracle(P, labels)
+    assert ob.check_weak_ordering(labelled_orbifold(P, labels), ordering)
 
 
 @pytest.mark.parametrize("gen", [
@@ -240,22 +229,15 @@ def test_construct_weak_order_dodecahedron_factor():
     lambda: random_truncation(pt.cube(), 4, np.random.default_rng(3)),
     lambda: random_truncation(pt.dodecahedron(), 6, np.random.default_rng(5))])
 def test_construct_weak_order_random_labelings(gen):
+    # the deletion induction's ordering passes the independent validator, and
+    # greedy_peel agrees that the labelled orbifold is weakly orderable
     P = gen()
     rng = np.random.default_rng(P.f)
     for _ in range(25):
         labels = random_parity_labels(P, rng)
-        ordering = ms.construct_weak_order(P, labels)
-        assert ms.validate_face_order(P, labels, ordering)
-        assert ordering == weak_order_induction_oracle(P, labels)
-
-
-def test_construct_weak_order_large_loebell():
-    # one facet per step without recursion: L(500) has 1002 facets
-    P = pt.loebell(500)
-    labels = ms.labels_from_factor(P, ms.find_factor(P, min(P.ridges)))
-    ordering = ms.construct_weak_order(P, labels)
-    assert sorted(ordering) == sorted(P.facets)
-    assert ms.validate_face_order(P, labels, ordering)
+        Q = labelled_orbifold(P, labels)
+        assert ob.check_weak_ordering(Q, weak_order_induction_oracle(P, labels))
+        assert ob.is_weakly_orderable(Q)
 
 
 def test_orbifold_from_factor_dodecahedron():
@@ -544,7 +526,7 @@ def test_face_flip_preserves_parity():
         flipped = dict(labels)
         for r in P.face_boundary(face):
             flipped[r] = 1 - flipped[r]
-        ms.EdgeLabeledGraph(P, flipped)
+        assert odd_label_sums(P, flipped)
 
 
 def test_all_right_angles_dodecahedron_is_valid_but_not_orderable():
@@ -966,15 +948,6 @@ def test_montecarlo_counts_non_orderable_rows():
     rows, _ = ms._UniformValidSampler(ms._AssignmentModel(P, d)).draw(seed, range(n))
     assert report.wo_count < n
     assert report.wo_count == int(peel_oracle(P, row_edge_sets(P, rows == 2)).sum())
-
-
-def test_validate_face_order_rejects_bad_ordering():
-    # all labels 0 on the dodecahedron: whichever face comes first has five
-    # 0-edges into later faces
-    P = pt.dodecahedron()
-    labels = {r: 0 for r in P.ridges}
-    assert not ms.validate_face_order(P, labels, tuple(sorted(P.facets)))
-    assert not ms.validate_face_order(P, labels, tuple(sorted(P.facets))[:-1])
 
 
 def test_plan_steps_match_two_pass_oracle():

@@ -130,6 +130,23 @@ def test_weak_order_against_brute_force():
                 assert ob.check_weak_ordering(Q, greedy.order)
 
 
+def test_check_weak_ordering_rejects_bad_ordering():
+    # all orders 2 on the dodecahedron: whichever face comes first has five
+    # order-2 ridges into later faces
+    P = pt.dodecahedron()
+    Q = ob.CoxeterOrbifold(P, {r: 2 for r in P.ridges})
+    order = tuple(sorted(P.facets))
+    assert not ob.check_weak_ordering(Q, order)
+    assert not ob.check_weak_ordering(Q, order[:-1])
+    assert not ob.check_weak_ordering(Q, order + order[:1])
+    # a valid ordering stops passing with a facet missing or listed twice
+    Q = loebell_factor_orbifold(pt.loebell(6))
+    order = ob.weak_order_combinatorial(Q).order
+    assert ob.check_weak_ordering(Q, order)
+    assert not ob.check_weak_ordering(Q, order[1:])
+    assert not ob.check_weak_ordering(Q, order + order[:1])
+
+
 def test_weak_orderability_verdict_matches_ordering():
     cases = [bundled.load_builtin(name) for name in bundled.BUILTIN_NAMES]
     rng = np.random.default_rng(29)
