@@ -165,68 +165,34 @@ def _nonzero_pattern(M, tol):
     return big
 
 
-def _nonzero_graph(M, tol):
-    """Ascending neighbour lists of the pattern where a_ij or a_ji is nonzero."""
-    return _neighbours(_nonzero_pattern(M, tol))
-
-
-def _neighbours(pattern):
-    """Ascending neighbour lists of a pattern, whose diagonal is cleared."""
-    np.fill_diagonal(pattern, False)
-    return {a: np.flatnonzero(row).tolist() for a, row in enumerate(pattern)}
-
-
 def _components(pattern):
     """The connected components of a :func:`_nonzero_pattern`, each a
-    sorted list of positions, in order of their smallest position.
-
-    Every position carries a label, a position of its component: at first
-    its smallest neighbour or itself (the first true entry of its row).
-    Pointer jumping then takes every position to the label at the end of
-    its chain.  In each further round every position finds the smallest
-    label among its neighbours and itself (a minimum over its row's
-    nonzeros), each label takes the smallest that its positions found, and
-    the labels jump again.  The search ends when one label is left, or when
-    a round changes none: no two neighbours then carry different labels, so
-    each label is a component, labelled by its smallest position.  A round
-    costs one pass over the nonzeros and at least halves the labels of a
-    path, and a path in position order needs no round at all."""
-    f = len(pattern)
-    label = np.argmax(pattern, axis=1)
-    cols = None
-    while True:
-        while True:
-            jumped = label.take(label)
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-        if not label.any():  # one label, 0, is left
-            return [list(range(f))]
-        if cols is None:
-            cols = np.flatnonzero(pattern)
-            starts = cols.searchsorted(np.arange(f) * f)
-            cols %= f
-        low = np.minimum.reduceat(label.take(cols), starts)
-        hooked = label.copy()
-        np.minimum.at(hooked, label, low)
-        if np.array_equal(hooked, label):
-            break
-        label = hooked
-    order = np.argsort(label, kind="stable").tolist()
-    bounds = [0, *(np.flatnonzero(np.diff(np.sort(label))) + 1).tolist(), f]
-    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    sorted list of positions, in order of their smallest position.  From
+    each position not yet reached, a frontier search ORs the pattern rows
+    of the frontier into the component until it stops growing."""
+    reached = np.zeros(len(pattern), dtype=bool)
+    comps = []
+    while not reached.all():
+        comp = pattern[reached.argmin()].copy()
+        frontier = comp.copy()
+        while frontier.any():
+            frontier = pattern[frontier].any(axis=0) & ~comp
+            comp |= frontier
+        reached |= comp
+        comps.append(np.flatnonzero(comp).tolist())
+    return comps
 
 
-def _spanning_tree(M, adj):
-    """The depth-first spanning tree of the pattern ``adj`` from position 0,
-    lowest neighbour first, and the positive d with (D M D^{-1}) symmetric
-    on it: (d, parent, tree pairs (u, v) of positions in visiting order).
-    ``parent`` covers only the positions reached.  Raises CartanError on a
-    tree pair whose entries have opposite signs."""
+def _spanning_tree(M, pattern):
+    """The depth-first spanning tree of a :func:`_nonzero_pattern` from
+    position 0, lowest neighbour first, and the positive d with (D M D^{-1})
+    symmetric on it: (d, parent, tree pairs (u, v) of positions in visiting
+    order).  ``parent`` covers only the positions reached.  Raises
+    CartanError on a tree pair whose entries have opposite signs."""
     d = np.ones(M.shape[0])
     parent = {0: None}
     tree = []
-    stack = [(0, iter(adj[0]))]
+    stack = [(0, iter(np.flatnonzero(pattern[0]).tolist()))]
     while stack:
         u, nbrs = stack[-1]
         for v in nbrs:
@@ -237,7 +203,7 @@ def _spanning_tree(M, adj):
             d[v] = d[u] * math.sqrt(M[u, v] / M[v, u])
             parent[v] = u
             tree.append((u, v))
-            stack.append((v, iter(adj[v])))
+            stack.append((v, iter(np.flatnonzero(pattern[v]).tolist())))
             break
         else:
             stack.pop()
@@ -255,7 +221,7 @@ def smallest_real_eigenvalue(M):
         return float(M[0, 0])
     scale = _entry_scale(M)
     try:
-        d, parent, _ = _spanning_tree(M, _nonzero_graph(M, ENTRY_TOL * scale))
+        d, parent, _ = _spanning_tree(M, _nonzero_pattern(M, ENTRY_TOL * scale))
     except CartanError:
         return smallest_real_eigenpair(M)[0]
     if len(parent) == len(M):
@@ -332,14 +298,12 @@ def diagonal_normalize(A):
     Products a_ij a_ji and directed cycle products are unchanged (checked).
     """
     M = A.entries
-    f = A.f
     scale = _entry_scale(M)
     pattern = _nonzero_pattern(M, ENTRY_TOL * scale)
     if len(_components(pattern)) != 1:
         raise CartanError("matrix is decomposable; normalize components separately")
 
-    adj = _neighbours(pattern)
-    d, parent, walk = _spanning_tree(M, adj)
+    d, parent, walk = _spanning_tree(M, pattern)
     tree = [_pair(A.facets[u], A.facets[v]) for u, v in walk]
 
     N = (d[:, None] * M) / d[None, :]
@@ -350,18 +314,17 @@ def diagonal_normalize(A):
 
     coords = {}
     nontree = []
-    for u in range(f):
-        for v in adj[u]:
-            pair = (A.facets[u], A.facets[v])
-            if v > u and pair not in tree_set:
-                nontree.append((u, v))
-                coords[pair] = math.sqrt(N[u, v] / N[v, u])
+    pairs = np.argwhere(np.triu(pattern, 1)).tolist()
+    for u, v in pairs:
+        pair = (A.facets[u], A.facets[v])
+        if pair not in tree_set:
+            nontree.append((u, v))
+            coords[pair] = math.sqrt(N[u, v] / N[v, u])
 
     # invariance checks: pair products and directed fundamental-cycle products
-    for u in range(f):
-        for v in adj[u]:
-            if v > u and abs(N[u, v] * N[v, u] - M[u, v] * M[v, u]) > ENTRY_TOL * scale * scale:
-                raise CartanError("pair product changed under normalization")
+    for u, v in pairs:
+        if abs(N[u, v] * N[v, u] - M[u, v] * M[v, u]) > ENTRY_TOL * scale * scale:
+            raise CartanError("pair product changed under normalization")
     for u, v in nontree:
         path = _tree_path(parent, u, v)
         prod_m = _cycle_product(M, path, v, u)

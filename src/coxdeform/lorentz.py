@@ -511,7 +511,7 @@ def _prism_layout(S, structure):
     shifts = _ring_shifts(S.orders, [[(a, x) for x in ring], [(b, x) for x in ring],
                                      zip(ring[-1:] + ring[:-1], ring)])
     caps = np.array([S.position[a], S.position[b]])
-    return _prism_closed_form, (0, 2, 3), caps, np.array([[S.position[x] for x in ring]]), shifts
+    return _prism_closed_form, caps, np.array([[S.position[x] for x in ring]]), shifts
 
 
 def _prism_closed_form(f, caps, rings, shifts):
@@ -546,7 +546,7 @@ def _loebell_layout(S, structure):
                                      zip(w, u_before), zip(w, u)])
     caps = np.array([S.position[top], S.position[bottom]])
     rings = np.array([[S.position[x] for x in u], [S.position[x] for x in w]])
-    return _loebell_closed_form, (0, 2, 4, 6), caps, rings, shifts
+    return _loebell_closed_form, caps, rings, shifts
 
 
 def _loebell_closed_form(f, caps, rings, shifts):
@@ -629,8 +629,7 @@ class RingRotation:
     positions; each row of ``rings``, a ring's positions in cyclic order;
     each row of ``shifts``, the shifts 2 cos(pi/m_ij) of the ridges that
     move with ring position j along column j, which together cover every
-    ridge; the ring seed's ``closed_form``; and ``bounds``, the rows of
-    ``shifts`` at which its ridge classes start and end.
+    ridge; and the ring seed's ``closed_form``.
 
     The orders are invariant under turning every ring by ``period``
     positions, the smallest such divisor of the ring length m
@@ -639,15 +638,10 @@ class RingRotation:
     (:attr:`facets`).  The ring seeds are symmetric under it, the normal
     of ring facet j + period being R times that of facet j, R the rotation
     by 2 pi / K about the cap axis.  The orbit system of
-    :func:`_orbit_solve` is built on first use (:attr:`orbit_system`).
-    ``exact`` holds where the orders are constant on each ridge class; the
-    seed is then the closed form alone, which solves psi only under its own
-    further condition (:func:`_prism_closed_form`,
-    :func:`_loebell_closed_form`)."""
+    :func:`_orbit_solve` is built on first use (:attr:`orbit_system`)."""
 
-    def __init__(self, S, closed_form, bounds, caps, rings, shifts):
+    def __init__(self, S, closed_form, caps, rings, shifts):
         self.closed_form, self.caps, self.rings, self.shifts = closed_form, caps, rings, shifts
-        self.exact = all((shifts[a:b] == shifts[a, 0]).all() for a, b in zip(bounds, bounds[1:]))
         self.period = _rotation_period(shifts)
         self.K = rings.shape[1] // self.period
         self.f, self._rows = S.f, (S.a, S.b, S.shift)
@@ -698,12 +692,12 @@ class RingRotation:
 
     def seed(self):
         """The ring seed: the closed form, solved on the orbits of the
-        rotation (:func:`_orbit_solve`) unless the orders are constant on
-        each ridge class, where the closed form is exact."""
-        x = self.closed_form(self.f, self.caps, self.rings, self.shifts)
-        if self.exact:
-            return x
-        return _orbit_solve(self, x)
+        rotation (:func:`_orbit_solve`).  Where the closed form solves psi,
+        as it does where the orders are constant on each ridge class and
+        its own further condition holds (:func:`_prism_closed_form`,
+        :func:`_loebell_closed_form`), the orbit solve takes no step and
+        returns it unchanged."""
+        return _orbit_solve(self, self.closed_form(self.f, self.caps, self.rings, self.shifts))
 
 
 def _orbit_solve(rotation, x):

@@ -184,19 +184,15 @@ class BorderedGram(NamedTuple):
         return self.eliminate(s)[1]
 
     def solve(self, s, r):
-        """y with fl(A - s I) y = r by the same factorisation: with no level,
-        LAPACK's solve; otherwise z = r_p / l through the level's pivots l,
-        the trailing block solved by LAPACK with right-hand side r_t - C z,
-        C the level's multipliers, and back, y_p = (z - C^t y_t) / l.
+        """y with fl(A - s I) y = r by the same factorisation, for the Gram
+        matrix of a pattern: z = r_p / l through the level's pivots l, the
+        trailing block solved by LAPACK with right-hand side r_t - C z, C
+        the level's multipliers, and back, y_p = (z - C^t y_t) / l.
 
         fl(A - s I) must be positive definite.  On an indefinite matrix a
         pivot of the level may not be positive, and the solve raises
-        LinAlgError as :attr:`eliminate` does; a dense form, with no level,
-        solves any nonsingular fl(A - s I) by LAPACK."""
-        level, block = self.eliminate(s)
-        if level is None:
-            return np.linalg.solve(block, r)
-        L, pivot, coupling = level
+        LinAlgError as :attr:`eliminate` does."""
+        (L, pivot, coupling), block = self.eliminate(s)
         z = r[L.pivot_rows] / pivot
         rest = np.linalg.solve(block, r[L.trail_rows] - np.bincount(
             L.couple_row, coupling * z.take(L.couple_pivot), minlength=len(L.trail_rows)))
@@ -593,35 +589,34 @@ def _row_orbits(symmetry):
     r_o) and power k with row = pi^k(r_o), and sigma_r, the product of the
     signs along that path, so that row r is expected to be sigma_r times
     the turned representative.  An orbit whose signs multiply to -1, or a
-    fixed row with sign -1, returns None as well."""
+    fixed row with sign -1, returns None as well.  Each cycle of the
+    permutation is walked once, from its smallest row."""
     image, sign = symmetry
     n = len(image)
     if n == 0 or not np.array_equal(np.bincount(image, minlength=n), np.ones(n, dtype=np.intp)):
         return None
-    rows = np.arange(n)
-    size = np.where(image == rows, 1, 0)
-    low, current, K = np.minimum(rows, image), image, 1
-    while K < n and not size.all():
-        current = image[current]
-        low = np.minimum(low, current)
-        K += 1
-        back = current == rows
-        if (back & (size == 0)).any():
-            size[back & (size == 0)] = K
-            break
-    if K < 2 or not size.all() or not ((size == 1) | (size == K)).all() \
-            or (sign[size == 1] != 1).any():
+    image, sign = image.tolist(), sign.tolist()
+    size, orbit, power, sigma = [0] * n, [0] * n, [0] * n, [0.0] * n
+    K, norbits = None, 0
+    for start in range(n):
+        if size[start]:
+            continue
+        cycle = [start]
+        while image[cycle[-1]] != start:
+            cycle.append(image[cycle[-1]])
+        k, path = len(cycle), 1.0
+        if k > 1 and K not in (None, k):
+            return None
+        for j, r in enumerate(cycle):
+            size[r], orbit[r], power[r], sigma[r] = k, norbits if k > 1 else 0, j, path
+            path *= sign[r]
+        if path != 1:
+            return None
+        if k > 1:
+            K, norbits = k, norbits + 1
+    if K is None:
         return None
-    reps = np.flatnonzero((size == K) & (low == rows))
-    orbit, power, sigma = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.ones(n)
-    current, path = reps, np.ones(len(reps))
-    for k in range(K):
-        orbit[current], power[current], sigma[current] = np.arange(len(reps)), k, path
-        path = path * sign[current]
-        current = image[current]
-    if (path != 1).any():
-        return None
-    return K, size, orbit, power, sigma
+    return K, np.array(size), np.array(orbit), np.array(power), np.array(sigma)
 
 
 def _mode_form(m, keys, symmetry):

@@ -893,6 +893,41 @@ def twiddles_oracle(K):
     return np.array(cos + sin + [[-t for t in row] for row in sin])
 
 
+def row_orbits_oracle(symmetry):
+    """``numerics._row_orbits`` by powers of the whole permutation at once:
+    K is the first power at which some moved row comes back, every row's
+    size and smallest orbit row are read off the powers up to K, and the
+    orbits are then walked K steps together from their smallest rows."""
+    image, sign = symmetry
+    n = len(image)
+    if n == 0 or not np.array_equal(np.bincount(image, minlength=n), np.ones(n, dtype=np.intp)):
+        return None
+    rows = np.arange(n)
+    size = np.where(image == rows, 1, 0)
+    low, current, K = np.minimum(rows, image), image, 1
+    while K < n and not size.all():
+        current = image[current]
+        low = np.minimum(low, current)
+        K += 1
+        back = current == rows
+        if (back & (size == 0)).any():
+            size[back & (size == 0)] = K
+            break
+    if K < 2 or not size.all() or not ((size == 1) | (size == K)).all() \
+            or (sign[size == 1] != 1).any():
+        return None
+    reps = np.flatnonzero((size == K) & (low == rows))
+    orbit, power, sigma = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp), np.ones(n)
+    current, path = reps, np.ones(len(reps))
+    for k in range(K):
+        orbit[current], power[current], sigma[current] = np.arange(len(reps)), k, path
+        path = path * sign[current]
+        current = image[current]
+    if (path != 1).any():
+        return None
+    return K, size, orbit, power, sigma
+
+
 def newton_bincount_oracle(Q, initial):
     """``solve_hyperbolic_newton`` with each step's trailing block in a
     fresh array: each step solves through a fresh copy of the pattern, whose
@@ -980,7 +1015,7 @@ def component_eigenpairs_oracle(p):
     block of the Cartan matrix, by a general eigensolve of the whole block;
     (component, None, None) where the block has no real eigenvalue."""
     a = p.cartan()
-    adj = cartan._nonzero_graph(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
+    adj = nonzero_graph_oracle(a, cartan.ENTRY_TOL * max(np.abs(a).max(), 1.0))
     out = []
     for comp in components_oracle(adj, p.f):
         try:

@@ -198,20 +198,35 @@ def test_nonzero_graph_matches_entry_loop(tetra_point, esselmann_matrix):
         M[rng.random((f, f)) < 0.2] = 1e-12  # below the tolerance
         mats.append(M)
     for M in mats:
-        assert cartan._nonzero_graph(M, 1e-9) == nonzero_graph_oracle(M, 1e-9)
-    assert any(cartan._nonzero_graph(M, 1e-9) != {k: [] for k in range(len(M))}
-               for M in mats[4:])
+        pattern = cartan._nonzero_pattern(M, 1e-9)
+        assert pattern.diagonal().all()
+        np.fill_diagonal(pattern, False)
+        assert {a: np.flatnonzero(row).tolist() for a, row in enumerate(pattern)} \
+            == nonzero_graph_oracle(M, 1e-9)
+    assert any(cartan._nonzero_pattern(M, 1e-9).sum() > len(M) for M in mats[4:])
 
 
 def _component_patterns(rng):
-    """Seeded matrices whose nonzero patterns cover singletons, long paths
-    in position order and relabelled, several blocks, dense patterns and
-    one-sided entries, where only a_ij is above the tolerance."""
-    mats = [np.eye(1), np.zeros((3, 3)), 2.0 * np.eye(7)]
-    for f in (2, 50, 301):
+    """Seeded matrices whose nonzero patterns cover singletons (the 1100
+    diagonal among them), long paths in position order and relabelled (the
+    A_1100 path among them), several blocks, block-diagonal patterns with
+    their positions shuffled, dense patterns and one-sided entries, where
+    only a_ij is above the tolerance."""
+    mats = [np.eye(1), np.zeros((3, 3)), 2.0 * np.eye(7), 2.0 * np.eye(1100)]
+    for f in (2, 50, 301, 1100):
         path = 2.0 * np.eye(f) - np.eye(f, k=1) - np.eye(f, k=-1)
         perm = rng.permutation(f)
         mats += [path, path[np.ix_(perm, perm)]]
+    for _ in range(10):
+        sizes = rng.integers(1, 30, rng.integers(2, 8))
+        M = np.zeros((sizes.sum(), sizes.sum()))
+        at = 0
+        for size in sizes:
+            M[at:at + size, at:at + size] = -1.0 * (rng.random((size, size)) < 0.4)
+            M[at:at + size - 1, at + 1:at + size] -= np.eye(size - 1)  # keeps the block whole
+            at += size
+        perm = rng.permutation(len(M))
+        mats.append(M[np.ix_(perm, perm)] + 2.0 * np.eye(len(M)))
     for _ in range(40):
         f = int(rng.integers(1, 60))
         M = np.zeros((f, f))
@@ -226,53 +241,15 @@ def _component_patterns(rng):
 
 
 def test_components_match_search_oracle():
-    """The search over the boolean pattern returns the components of the
-    list search, the same sorted lists in the same order."""
+    """The frontier search over the boolean pattern returns the components
+    of the list search, the same sorted lists in the same order."""
     rng = np.random.default_rng(83)
     counts = set()
     for M in _component_patterns(rng):
         comps = cartan._components(cartan._nonzero_pattern(M, 1e-9))
-        assert comps == components_oracle(cartan._nonzero_graph(M, 1e-9), len(M))
+        assert comps == components_oracle(nonzero_graph_oracle(M, 1e-9), len(M))
         counts.add(min(len(comps), 3))
     assert counts == {1, 2, 3}
-
-
-class _CountingMinimum:
-    """np.minimum, counting its reductions over rows."""
-
-    def __init__(self):
-        self.reductions = 0
-
-    def __call__(self, *args, **kwargs):
-        return _MINIMUM(*args, **kwargs)
-
-    def at(self, *args, **kwargs):
-        return _MINIMUM.at(*args, **kwargs)
-
-    def reduceat(self, *args, **kwargs):
-        self.reductions += 1
-        return _MINIMUM.reduceat(*args, **kwargs)
-
-
-_MINIMUM = np.minimum
-
-
-def test_components_rounds_do_not_grow_with_path_length(monkeypatch):
-    """A path in position order needs no round over the nonzeros whatever
-    its length (the A_1100 path), and a relabelled path at most one round
-    per halving of its labels and a confirming one."""
-    rng = np.random.default_rng(89)
-    for f in (10, 1100):
-        path = 2.0 * np.eye(f) - np.eye(f, k=1) - np.eye(f, k=-1)
-        perm = rng.permutation(f)
-        relabelled = path[np.ix_(perm, perm)]
-        for M, rounds in ((path, (0, 0)), (relabelled, (1, math.ceil(math.log2(f))))):
-            minimum = _CountingMinimum()
-            monkeypatch.setattr(np, "minimum", minimum)
-            comps = cartan._components(cartan._nonzero_pattern(M, 1e-9))
-            monkeypatch.undo()
-            assert comps == [list(range(f))]
-            assert rounds[0] <= minimum.reductions <= rounds[1]
 
 
 def test_normalize_long_path():
@@ -294,17 +271,17 @@ def test_spanning_tree_matches_recursive_walk(tetra_orbifold, tetra_point, essel
             d = np.exp(rng.uniform(-2, 2, len(M)))
             mats.append((d[:, None] * M) / d[None, :])
     for M in mats:
-        adj = cartan._nonzero_graph(M, cartan.ENTRY_TOL * max(np.abs(M).max(), 1.0))
-        d, parent, tree = cartan._spanning_tree(M, adj)
-        d0, parent0, tree0 = tree_walk_oracle(M, adj)
+        tol = cartan.ENTRY_TOL * max(np.abs(M).max(), 1.0)
+        d, parent, tree = cartan._spanning_tree(M, cartan._nonzero_pattern(M, tol))
+        d0, parent0, tree0 = tree_walk_oracle(M, nonzero_graph_oracle(M, tol))
         assert np.array_equal(d, d0) and parent == parent0 and tree == tree0
         assert len(tree) == len(M) - 1
     # opposite signs on a tree pair are refused the same way
     M = np.array([[2.0, -1.0], [1.0, 2.0]])
-    adj = cartan._nonzero_graph(M, 1e-9)
-    for walk in (cartan._spanning_tree, tree_walk_oracle):
+    for walk, graph in ((cartan._spanning_tree, cartan._nonzero_pattern),
+                        (tree_walk_oracle, nonzero_graph_oracle)):
         with pytest.raises(cartan.CartanError, match="pair 0,1 has entries of opposite sign"):
-            walk(M, adj)
+            walk(M, graph(M, 1e-9))
 
 
 def _planted_matrix(rng, f):

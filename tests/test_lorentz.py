@@ -557,13 +557,25 @@ def _cap_period_orbifold(m, s):
     return ob.make_orbifold(P, orders)
 
 
-@pytest.mark.parametrize("case", ["one order changed", "orbit system too large"])
+@pytest.mark.parametrize("case", ["one order changed", "orbit system too large",
+                                  "orders constant on each class"])
 def test_seed_without_orbit_solve_is_the_closed_form(case, newton_steps):
     """One order changed on the loebell(16) factor leaves no rotation that
     keeps the orders; on L(64) with period 32 along the upper ring the
     orbit system has 2 + 8 * 32 rows, more than ORBIT_MAX_ROWS.  Either way
     the seed is the closed form bit for bit, and Newton still converges
-    from it."""
+    from it.  On the prism(8), (64) and (128) caps the orders are constant
+    on each ridge class: the orbit solve runs, finds that the closed form
+    solves psi and returns it bit for bit, and Newton takes no step."""
+    if case == "orders constant on each class":
+        for m in (8, 64, 128):
+            Q = prism_cap_orbifold(m)
+            seed = lorentz.initial_guess(Q)
+            assert seed.tobytes() == closed_form_seed_oracle(Q).tobytes()
+            newton_steps[0] = 0
+            assert np.array_equal(lorentz.solve_hyperbolic_newton(Q, seed).normals, seed)
+            assert newton_steps[0] == 0
+        return
     if case == "one order changed":
         Q, period = one_order_changed(loebell_factor_orbifold(pt.loebell(16))), 16
     else:
