@@ -300,10 +300,18 @@ def diagonal_normalize(A):
     M = A.entries
     scale = _entry_scale(M)
     pattern = _nonzero_pattern(M, ENTRY_TOL * scale)
-    if len(_components(pattern)) != 1:
+    try:
+        d, parent, walk = _spanning_tree(M, pattern)
+        spanning = len(parent) == len(M)
+    except CartanError:
+        # an opposite-sign pair stopped the walk before it reached every
+        # position; a decomposable matrix is refused as such all the same
+        if len(_components(pattern)) == 1:
+            raise
+        spanning = False
+    if not spanning:
         raise CartanError("matrix is decomposable; normalize components separately")
 
-    d, parent, walk = _spanning_tree(M, pattern)
     tree = [_pair(A.facets[u], A.facets[v]) for u, v in walk]
 
     N = (d[:, None] * M) / d[None, :]

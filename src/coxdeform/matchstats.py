@@ -418,10 +418,11 @@ def estimate_wo_fraction(P, d, mode="montecarlo", samples=10000, seed=0, name=No
     order-2 edges when Z is weakly orderable (2^e sets, refused beyond 18
     edges whatever d is).  It tabulates N_j(d), the number of valid
     assignments with exactly j edges of order >= 7; for d in {7, 8} it
-    checks N_j(d) = N_j(7) * (d-6)^j against a d = 7 recount, which shares
-    the count's d-free tables and returns N_j only.  The identity holds by
-    construction, but the benchmark checks its fields until ROADMAP item 1a
-    deletes the recount.  With no valid assignment the fraction and its
+    checks N_j(d) = N_j(7) * (d-6)^j.  Both sides are read from one walk of
+    the sets: each set's count c_j(Z) gives the orders >= 7 weight 1, so
+    N_j(7) sums c_j(Z) and N_j(d) sums c_j(Z) (d-6)^j.  The identity holds
+    by construction; the check stays only because the benchmark reads its
+    fields (ROADMAP item 1a).  With no valid assignment the fraction and its
     interval are None.  Monte Carlo mode draws exactly uniform valid
     assignments in batches and reports a 95% Wilson interval.  Its
     dynamic-programming sampler (``_UniformValidSampler``) counts vertex-valid
@@ -460,27 +461,28 @@ class _EdgeSetCounter:
     (3, 3), (3, 4), (3, 5) and their mirrors.  A path or cycle of two or more
     edges is therefore counted by a product of that 3x3 pair matrix, and only
     an isolated edge (two Z-edges at both ends) takes an order >= 6.  Orders
-    >= 7 are interchangeable in every test, so they form one class of weight
-    d - 6, represented by 7.  The non-2 edges of prismatic 3-circuits are
-    pinned to each class in turn and the circuit test applied to them.
+    >= 7 are interchangeable in every test, so they form one class,
+    represented by 7, of weight d - 6.  The counts here give that class
+    weight 1: the count c_J(Z) of assignments with J orders >= 7 stands for
+    c_J(Z) (d - 6)^J assignments at d, and is itself the count at d = 7, so
+    the sums N_j(d) and N_j(7) come from one walk.  The non-2 edges of
+    prismatic 3-circuits are pinned to each class in turn and the circuit
+    test applied to them.
 
-    ``memo`` holds the path counts and the passing class combinations, both
-    free of d - 6, under the class list; one memo lasts one call of
-    ``_exact_stats``, whose count at d = 8 and recount at d = 7 share it.
+    The path counts and the passing class combinations are kept for the
+    life of the counter, one exact count.
     """
 
-    def __init__(self, model, memo=None):
+    def __init__(self, model):
         self.model = model
         d = model.d
         self.e = len(model.edges)
         self.classes = tuple(range(3, min(d, 7) + 1))
-        self.big_weight = max(d - 6, 0)
         self.small = sum(c < 7 for c in self.classes)
         self.pair_classes = tuple(c for c in self.classes if c <= 5)
-        k = len(self.pair_classes)
-        self.pair = np.array([[2 * (a + b) > a * b for b in self.pair_classes]
-                              for a in self.pair_classes],
-                             dtype=np.int64).reshape(k, k)
+        # the classes allowed before each class along a path
+        self.before = [[a for a, x in enumerate(self.pair_classes) if 2 * (x + y) > x * y]
+                       for y in self.pair_classes]
         self.ends = [[] for _ in range(self.e)]
         self.others = {}
         for v, triple in enumerate(model.vertex_triples):
@@ -489,8 +491,7 @@ class _EdgeSetCounter:
                 self.others[v, t] = tuple(s for s in triple if s != t)
         self.circuit_edges = {t for c in model.c3 for t in c}
         self.circuit_bits = _bits(self.circuit_edges)
-        self._chains, self._passing = ({} if memo is None else memo).setdefault(
-            self.classes, ({}, {}))
+        self._chains, self._passing = {}, {}
 
     def masks(self):
         """Order-2 edge sets that pass the tests reading Z alone: each
@@ -546,9 +547,11 @@ class _EdgeSetCounter:
     def _chain_count(self, shape, key):
         """(count, big) of a path or cycle of ``shape`` = (edges, closed,
         pinned positions) with those edges in the classes ``key``, memoized.
-        An isolated edge counts 1, with big = 1 at class 7 (the caller
-        applies its weight d - 6); longer ones take orders in 3..5 with
-        every consecutive pair allowed."""
+        An isolated edge counts 1, with big = 1 at class 7; longer ones take
+        orders in 3..5 with every consecutive pair allowed, counted edge by
+        edge in Python integers: on a path from every allowed class of its
+        first edge, on a cycle from each allowed class of one edge, a pinned
+        one where there is one, back to that class."""
         table = self._chains.setdefault(shape, {})
         got = table.get(key)
         if got is None:
@@ -556,133 +559,174 @@ class _EdgeSetCounter:
             if length == 1:
                 got = 1, int(key[0] == 7)
             else:
-                pins = dict(zip(at, key))
-                diags = [np.array([pins.get(i, c) == c for c in self.pair_classes],
-                                  dtype=np.int64) for i in range(length)]
-                x = np.diag(diags[0]) if closed else diags[0]
-                for dg in diags[1:]:
-                    x = (x @ self.pair) * dg
-                got = int(np.trace(x @ self.pair)) if closed else int(x.sum()), 0
+                ks = range(len(self.pair_classes))
+                allowed = [[True] * len(ks)] * length
+                for i, pin in zip(at, key):
+                    allowed[i] = [c == pin for c in self.pair_classes]
+                if closed:
+                    first = at[0] if at else 0
+                    allowed = allowed[first:] + allowed[:first]
+                    runs = [(s, [int(a == s) for a in ks]) for s in ks if allowed[0][s]]
+                else:
+                    runs = [(None, [int(ok) for ok in allowed[0]])]
+                count = 0
+                for s, x in runs:
+                    for ok in allowed[1:]:
+                        x = [sum(x[a] for a in self.before[c]) if ok[c] else 0 for c in ks]
+                    count += sum(x) if s is None else sum(x[a] for a in self.before[s])
+                got = count, 0
             table[key] = got
         return got
 
-    def counts(self, mask):
-        """{j: valid assignments whose order-2 edges are exactly ``mask``
-        and which have j orders >= 7}."""
-        const, free, pinned = 1, 0, []
+    def counts(self, masks):
+        """For each order-2 edge set Z in ``masks``, {J: c_J(Z)}: the valid
+        assignments whose order-2 edges are exactly Z and which have J orders
+        >= 7, those orders counted once each.  The circuit verdicts the sets
+        need are decided first, together (:meth:`_decide`)."""
+        walks = [self._walk(mask) for mask in masks]
+        new = {}
+        for mask, walk in zip(masks, walks):
+            if walk is not None and walk[3] not in self._passing:
+                new.setdefault(walk[3], mask)
+        self._decide(new)
+        return [{} if walk is None else self._count(*walk) for walk in walks]
+
+    def _walk(self, mask):
+        """(const, free, parts, key) of the set ``mask``, or None when a path
+        without circuit edges counts zero.  ``const`` is the product of the
+        counts of the paths and cycles of two or more edges with no circuit
+        edge, ``free`` the number of isolated edges with none, and ``parts``
+        the (slice of the pins, count table, shape) of each path with one.
+        The pins are listed path by path, so each path reads its classes as
+        one slice of a passing combination and looks its count up by that
+        slice in the table of its shape.  ``key`` is what the circuit
+        verdicts read: a 4-circuit with an edge outside Z always passes and
+        ``masks`` admits no other, so they read only the 3-circuit edges in
+        Z, the pins and the classes each pin can take."""
+        const, free, pins, choices, parts = 1, 0, [], [], []
         for comp, closed in self._components(mask):
             if self.circuit_edges.intersection(comp):
-                pinned.append((comp, closed))
+                at = tuple(i for i, t in enumerate(comp) if t in self.circuit_edges)
+                shape = (len(comp), closed, at)
+                parts.append((slice(len(pins), len(pins) + len(at)),
+                              self._chains.setdefault(shape, {}), shape))
+                pins += [comp[i] for i in at]
+                choices += [self.classes if len(comp) == 1 else self.pair_classes] * len(at)
             elif len(comp) == 1:
                 free += 1
             else:
                 const *= self._chain_count((len(comp), closed, ()), ())[0]
         if not const:
-            return {}
-        out = {}
-        for big, n in self._pinned_counts(mask, pinned).items():
-            for j in range(free + 1):
-                out[big + j] = out.get(big + j, 0) + (
-                    const * n * math.comb(free, j)
-                    * self.small ** (free - j) * self.big_weight ** (big + j))
-        return out
+            return None
+        return const, free, parts, (mask & self.circuit_bits, tuple(pins), tuple(choices))
 
-    def _pinned_counts(self, mask, pinned):
-        """{big: count} over the classes of the non-2 circuit edges that pass
-        the circuit tests; ``big`` counts the pinned edges of order >= 7,
-        whose weights the count leaves out.  The pins are listed path by
-        path, so each path reads its classes as one slice of a passing
-        combination and looks its count up by that slice in the table of
-        its shape."""
-        pins, choices, parts = [], [], []
-        for comp, closed in pinned:
-            at = tuple(i for i, t in enumerate(comp) if t in self.circuit_edges)
-            shape = (len(comp), closed, at)
-            parts.append((slice(len(pins), len(pins) + len(at)),
-                          self._chains.setdefault(shape, {}), shape))
-            pins += [comp[i] for i in at]
-            choices += [self.classes if len(comp) == 1 else self.pair_classes] * len(at)
-        out = {}
-        for combo in self._passing_combos(mask, tuple(pins), tuple(choices)):
-            n, big = 1, 0
+    def _decide(self, new):
+        """The passing class combinations of each key of ``new``, stored in
+        ``_passing``.  Each combination is one row: the orders of the set
+        ``new[key]``, 2 on Z and 3 elsewhere, with the pins set to the
+        combination.  The rows of every key are stacked and tested in one
+        ``circuits_ok`` call per MC_ROW_CHUNK rows; this is the sampler's
+        floating-point test, so both modes agree on circuits whose sum is 1
+        up to rounding."""
+        if not new:
+            return
+        combos = [list(itertools.product(*choices)) for _, _, choices in new]
+        sizes = [len(c) for c in combos]
+        bits = np.array(list(new.values()), dtype=np.int64)[:, None] >> np.arange(self.e) & 1
+        orders = np.repeat(np.where(bits, 2, 3), sizes, axis=0)
+        # the row, column and class of every pinned entry, row by row
+        rows = np.repeat(np.arange(len(orders)),
+                         np.repeat([len(pins) for _, pins, _ in new], sizes))
+        cols = np.array([t for (_, pins, _), n in zip(new, sizes) for t in pins * n],
+                        dtype=np.intp)
+        orders[rows, cols] = [x for c in combos for combo in c for x in combo]
+        ok = []
+        for start in range(0, len(orders), MC_ROW_CHUNK):
+            ok += self.model.circuits_ok(orders[start:start + MC_ROW_CHUNK]).tolist()
+        start = 0
+        for key, c in zip(new, combos):
+            self._passing[key] = list(itertools.compress(c, ok[start:start + len(c)]))
+            start += len(c)
+
+    def _count(self, const, free, parts, key):
+        """{J: c_J(Z)} of one set from its walk: the passing combinations of
+        the pins times ``const``, then the free isolated edges, each in one
+        of the ``small`` classes below 7 or, if d >= 7, in the class 7."""
+        pinned = {}
+        for combo in self._passing[key]:
+            n, big = const, 0
             for part, table, shape in parts:
-                key = combo[part]
-                got = table.get(key) or self._chain_count(shape, key)
+                got = table.get(combo[part]) or self._chain_count(shape, combo[part])
                 n *= got[0]
                 big += got[1]
             if n:
-                out[big] = out.get(big, 0) + n
+                pinned[big] = pinned.get(big, 0) + n
+        out = {}
+        for big, n in pinned.items():
+            for j in range(free + 1 if 7 in self.classes else 1):
+                out[big + j] = out.get(big + j, 0) + (
+                    n * math.comb(free, j) * self.small ** (free - j))
         return out
-
-    def _passing_combos(self, mask, pins, choices):
-        """The class combinations of ``pins`` that pass the circuit tests.
-        A 4-circuit with an edge outside Z always passes and ``masks`` admits
-        no other, so the verdicts read only the 3-circuit edges: memoized on
-        those in Z, the pins and their choices."""
-        key = (mask & self.circuit_bits, pins, choices)
-        combos = self._passing.get(key)
-        if combos is None:
-            combos = list(itertools.product(*choices))
-            orders = np.tile(np.where([mask >> t & 1 for t in range(self.e)], 2, 3),
-                             (len(combos), 1))
-            orders[:, list(pins)] = np.reshape(combos, (len(combos), len(pins)))
-            # the sampler's floating-point test, so both modes agree on
-            # circuits whose sum is 1 up to rounding
-            ok = self.model.circuits_ok(orders).tolist()
-            combos = [c for c, good in zip(combos, ok) if good]
-            self._passing[key] = combos
-        return combos
 
 
 def _bits(edge_ids):
     return sum(1 << t for t in edge_ids)
 
 
-def _edge_set_counts(P, d, memo=None):
-    """(model, the order-2 edge sets Z with a nonzero count, their counts,
-    N_j), with N_j the sum of C_j(Z); see ``_EdgeSetCounter``."""
+def _edge_set_counts(P, d):
+    """(model, the order-2 edge sets Z with a nonzero count, their counts
+    C(Z) at d, N_j(d), N_j(7)).  Each set is walked once, MC_ROW_CHUNK sets
+    at a time: N_j(d) sums c_j(Z) (d - 6)^j, and N_j(7), for d >= 7, sums
+    c_j(Z); see ``_EdgeSetCounter``."""
     model = _AssignmentModel(P, d)
     e = len(model.edges)
     if e > EXACT_EDGE_LIMIT:
         raise GraphConditionError(
             f"exact enumeration refused: 2^{e} order-2 edge sets exceeds the "
             f"limit of 2^{EXACT_EDGE_LIMIT}")
-    counter = _EdgeSetCounter(model, memo)
+    counter = _EdgeSetCounter(model)
+    weight = max(d - 6, 0)
     masks, totals = [], []
-    nj = [0] * (e + 1)
-    for mask in counter.masks():
-        counts = counter.counts(mask)
-        total = sum(counts.values())
-        if not total:
-            continue
-        masks.append(mask)
-        totals.append(total)
-        for j, n in counts.items():
-            nj[j] += n
-    return model, masks, totals, nj
+    nj, nj7 = [0] * (e + 1), [0] * (e + 1)
+    admitted = counter.masks()
+    for start in range(0, len(admitted), MC_ROW_CHUNK):
+        chunk = admitted[start:start + MC_ROW_CHUNK]
+        for mask, counts in zip(chunk, counter.counts(chunk)):
+            total = 0
+            for j, c in counts.items():
+                n = c * weight ** j
+                nj[j] += n
+                nj7[j] += c
+                total += n
+            if total:
+                masks.append(mask)
+                totals.append(total)
+    return model, masks, totals, nj, nj7
 
 
-def _exact_counts(P, d, memo=None):
-    """(valid, weakly orderable, N_j) as a sum of WO(Z) * C_j(Z) over the
-    order-2 edge sets Z."""
-    model, masks, totals, nj = _edge_set_counts(P, d, memo)
+def _exact_counts(P, d):
+    """(valid, weakly orderable, N_j for j = 0..e) of the exact report."""
+    report = _exact_stats(P, d, None)
+    return (report.valid_count, report.wo_count,
+            [report.nj.get(j, 0) for j in range(P.e + 1)])
+
+
+def _exact_stats(P, d, name):
+    """The exact report: valid and weakly orderable counts as sums of C(Z)
+    and WO(Z) * C(Z) over the order-2 edge sets Z, peeled MC_ROW_CHUNK sets
+    at a time."""
+    model, masks, totals, nj, nj7 = _edge_set_counts(P, d)
     e = len(model.edges)
     wo = 0
     for start in range(0, len(masks), MC_ROW_CHUNK):
         chunk = np.array(masks[start:start + MC_ROW_CHUNK], dtype=np.int64)
         ok = model.weakly_orderable((chunk[:, None] >> np.arange(e)) & 1)
         wo += sum(itertools.compress(totals[start:start + MC_ROW_CHUNK], ok.tolist()))
-    return sum(totals), wo, nj
-
-
-def _exact_stats(P, d, name):
-    memo = {}
-    valid, wo, nj = _exact_counts(P, d, memo)
+    valid = sum(totals)
     fraction = wo / valid if valid else None
     holds = None
     if d in (7, 8):
-        nj7 = nj if d == 7 else _edge_set_counts(P, 7, memo)[3]
-        holds = bool(all(int(nj[j]) == int(nj7[j]) * (d - 6) ** j for j in range(len(nj))))
+        holds = all(nj[j] == nj7[j] * (d - 6) ** j for j in range(len(nj)))
     return StatsReport(polytope=name, d=d, mode="exact", valid_count=valid,
                        wo_count=wo, fraction=fraction, ci_low=fraction,
                        ci_high=fraction,

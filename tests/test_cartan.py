@@ -150,6 +150,35 @@ def test_normalize_decomposable_rejected():
         cartan.diagonal_normalize(cartan.CartanMatrix(M, orders={(1, 2): 2}))
 
 
+@pytest.mark.parametrize("first", ["plain", "opposite_sign"])
+def test_normalize_two_blocks_rejected_from_the_tree(monkeypatch, first):
+    """A two-block matrix is refused as decomposable from what the spanning
+    tree reached, with no component search.  When an opposite-sign pair in
+    its first block stops the tree, one search finds the second block and
+    the refusal is still "decomposable"; the first block alone is refused
+    for the pair, and the plain first block normalizes with no search."""
+    block = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
+    if first == "opposite_sign":
+        block[1, 2] = 0.5
+    M = np.zeros((6, 6))
+    M[:3, :3] = block
+    M[3:, 3:] = 2.0 * np.eye(3) - np.eye(3, k=1) - np.eye(3, k=-1)
+    searches = []
+    search = cartan._components
+    monkeypatch.setattr(cartan, "_components",
+                        lambda pattern: searches.append(1) or search(pattern))
+    with pytest.raises(cartan.CartanError, match="decomposable"):
+        cartan.diagonal_normalize(cartan.CartanMatrix(M))
+    assert len(searches) == (first == "opposite_sign")
+    if first == "opposite_sign":
+        with pytest.raises(cartan.CartanError, match="opposite sign"):
+            cartan.diagonal_normalize(cartan.CartanMatrix(block))
+    else:
+        searches.clear()
+        cartan.diagonal_normalize(cartan.CartanMatrix(block))
+        assert not searches
+
+
 def test_realize_tetrahedron_from_cartan(tetra_orbifold, tetra_point):
     A = cartan_from_point(tetra_point, tetra_orbifold)
     p = cartan.realize_point_from_cartan(A, 3)

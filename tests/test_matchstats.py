@@ -14,8 +14,8 @@ import pytest
 
 from coxdeform import bundled, matchstats as ms, orbifold as ob, polytope as pt
 from conftest import (assignment_validity_oracle, backward_counts_oracle,
-                      brute_force_weak_order, count_table_slots, edge_delete,
-                      edge_set_counts_oracle,
+                      brute_force_weak_order, chain_count_oracle, count_table_slots,
+                      edge_delete, edge_set_counts_oracle,
                       enumerate_perfect_matchings, exact_counts_oracle, factor_corpus,
                       factor_mask, find_factor_oracle, labelled_orbifold,
                       mask_edge_sets, odd_label_sums, peel_oracle, plan_steps_oracle,
@@ -326,11 +326,11 @@ def test_masks_drop_only_zero_count_sets(name, cuts, circuits, stride):
         two |= np.bitwise_count(z & ms._bits(c)) >= 2
     dropped = z[two].tolist()
     assert dropped and kept == z[~two].tolist()
-    assert not any(counter.counts(m) for m in dropped[::stride])
+    assert not any(counter.counts(dropped[::stride]))
     if (name, cuts) == ("prism3", 0):
         # 263 sets before, 91 now: exactly those with a nonzero count
         assert (len(before), len(kept)) == (263, 91)
-        assert all(sum(counter.counts(m).values()) for m in kept)
+        assert all(sum(counts.values()) for counts in counter.counts(kept))
 
 
 PINNED_POLYTOPES = {
@@ -342,57 +342,122 @@ PINNED_POLYTOPES = {
 @pytest.mark.parametrize("d", [5, 7, 8, 30])
 @pytest.mark.parametrize("name", PINNED_POLYTOPES)
 def test_edge_set_counts_match_pinned_loop_oracle(name, d):
-    """Every admitted order-2 edge set counts as the per-combination pinned
-    loop counts it.  At d >= 8 an isolated pinned edge of class 7 weighs
-    d - 6, which no brute-force case reaches on a 3-circuit."""
+    """Every admitted order-2 edge set counts c_J(Z) (d - 6)^J as the
+    per-combination pinned loop counts it at d.  At d >= 8 an isolated
+    pinned edge of class 7 weighs d - 6, which no brute-force case reaches
+    on a 3-circuit."""
     P = PINNED_POLYTOPES[name]()
     assert 1 <= len(pt.prismatic_circuits(P, 3)) <= 3
     counter = ms._EdgeSetCounter(ms._AssignmentModel(P, d))
-    for mask in counter.masks():
-        got = {j: n for j, n in counter.counts(mask).items() if n}
+    masks = counter.masks()
+    for mask, counts in zip(masks, counter.counts(masks)):
+        got = {j: c * (d - 6) ** j for j, c in counts.items() if c}
         assert got == edge_set_counts_oracle(counter, mask), mask
 
 
-def _count_calls(monkeypatch, name):
-    """A list that grows by one at each call of ``_AssignmentModel.<name>``."""
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_chain_counts_match_the_oracle(d):
+    """Every path and cycle count the walk looks up, pinned or not, equals
+    the Python dynamic programme of ``chain_count_oracle``; an isolated edge
+    counts 1, marked big at class 7.  Closed pinned cycles are among them."""
+    met = set()
+    for make in PINNED_POLYTOPES.values():
+        counter = ms._EdgeSetCounter(ms._AssignmentModel(make(), d))
+        counter.counts(counter.masks())
+        for (length, closed, at), table in counter._chains.items():
+            met.add((length > 1, closed, bool(at)))
+            for key, got in table.items():
+                if length == 1:
+                    assert got == (1, int(key[0] == 7))
+                    continue
+                pins = [None] * length
+                for i, c in zip(at, key):
+                    pins[i] = c
+                want = chain_count_oracle(d, tuple(pins), closed)
+                assert got == (want, 0), (length, closed, at, key)
+    assert (True, True, True) in met and (True, False, True) in met
+
+
+def _calls(monkeypatch, name):
+    """A list that grows by the rows of the first argument at each call of
+    ``_AssignmentModel.<name>``."""
     calls, original = [], getattr(ms._AssignmentModel, name)
 
-    def counted(self, *args):
-        calls.append(name)
-        return original(self, *args)
+    def counted(self, rows, *args):
+        calls.append(len(rows))
+        return original(self, rows, *args)
 
     monkeypatch.setattr(ms._AssignmentModel, name, counted)
     return calls
 
 
-def test_exact_recount_reuses_the_count_tables(monkeypatch):
-    """The d = 7 recount behind the N_j identity is served the circuit
-    verdicts of the count at d = 8 and peels nothing; nothing is kept
-    from one call to the next."""
-    P = pt.prism(3)
-    circuits = _count_calls(monkeypatch, "circuits_ok")
-    peels = _count_calls(monkeypatch, "weakly_orderable")
-    ms._exact_counts(P, 8)
-    alone = len(circuits)
-    assert alone and len(peels) == 1
+def _pinned_rows(P, d):
+    """The class combinations of the distinct circuit-test keys of P's
+    admitted order-2 edge sets: a key is the 3-circuit edges in Z, the
+    circuit edges outside Z path by path, and the classes each can take, all
+    of them on an isolated edge and 3..5 on a longer path."""
+    counter = ms._EdgeSetCounter(ms._AssignmentModel(P, d))
+    circuit = counter.circuit_edges
+    keys = set()
+    for mask in counter.masks():
+        pinned = [comp for comp, _ in counter._components(mask) if circuit.intersection(comp)]
+        keys.add((mask & ms._bits(circuit),
+                  tuple(t for comp in pinned for t in comp if t in circuit),
+                  tuple(len(counter.classes) if len(comp) == 1 else len(counter.pair_classes)
+                        for comp in pinned for t in comp if t in circuit)))
+    return sum(math.prod(sizes) for _, _, sizes in keys)
+
+
+@pytest.mark.parametrize("name,chunk", [
+    ("prism3", ms.MC_ROW_CHUNK), ("prism3", 100), ("cut_prism3", ms.MC_ROW_CHUNK),
+    ("prism3_cut2", ms.MC_ROW_CHUNK)])
+def test_exact_call_walks_each_set_once(monkeypatch, name, chunk):
+    """One exact call walks each order-2 edge set once: it peels once and
+    decides the circuit verdicts of every key it meets in
+    ceil(rows / MC_ROW_CHUNK) stacked calls of MC_ROW_CHUNK rows, the last
+    one shorter.  A repeat call makes the same calls, since nothing is kept
+    from one call to the next.  With 100-row chunks on ``prism(3)`` (91
+    sets, 749 rows) the report is the one of whole chunks."""
+    P = PINNED_POLYTOPES[name]()
+    want = ms.estimate_wo_fraction(P, 8, mode="exact")
+    rows = _pinned_rows(P, 8)
+    monkeypatch.setattr(ms, "MC_ROW_CHUNK", chunk)
+    circuits = _calls(monkeypatch, "circuits_ok")
+    peels = _calls(monkeypatch, "weakly_orderable")
     for _ in range(2):
         circuits.clear()
         peels.clear()
-        ms.estimate_wo_fraction(P, 8, mode="exact")
-        assert (len(circuits), len(peels)) == (alone, 1)
+        assert ms.estimate_wo_fraction(P, 8, mode="exact") == want
+        assert len(peels) == 1 and peels[0] <= chunk
+        assert len(circuits) == -(-rows // chunk) > 0
+        assert sum(circuits) == rows and set(circuits[:-1]) <= {chunk}
+    if (name, chunk) == ("prism3", 100):
+        assert rows == 749 and len(circuits) == 8
 
 
-def test_exact_memo_is_keyed_by_the_classes():
-    """One memo serves counters at d = 8, 7 and 4, in either order, and each
-    gets the brute-force counts: d = 7 shares the classes of d = 8 but not
-    the weight of its class 7, and d = 4 has classes of its own."""
-    P = pt.prism(3)
-    expected = {d: exact_counts_oracle(P, d) for d in (8, 7, 4)}
-    for order in ((8, 7, 4), (4, 7, 8)):
-        memo = {}
-        for d in order:
-            assert ms._exact_counts(P, d, memo) == expected[d], (order, d)
-        assert len(memo) == 2
+@pytest.mark.parametrize("name", ["prism3", "cut_prism3"])
+def test_exact_sums_at_8_and_7_match_independent_counts(name):
+    """One exact count at d = 8 gives N_j(8) and, from the same per-set
+    counts with the class 7 unweighted, N_j(7); each equals an independent
+    count at its own d, so the identity N_j(8) = N_j(7) 2^j that the report
+    checks holds of the true counts.  ``prism(3)`` is counted by brute force
+    over its 7^9 and 6^9 assignments; the truncated prism, with 12 edges, by
+    the per-combination pinned loop summed over its order-2 edge sets."""
+    P = PINNED_POLYTOPES[name]()
+    _, _, _, nj8, nj7 = ms._edge_set_counts(P, 8)
+    for d, got in ((8, nj8), (7, nj7)):
+        if name == "prism3":
+            want = exact_counts_oracle(P, d)[2]
+        else:
+            counter = ms._EdgeSetCounter(ms._AssignmentModel(P, d))
+            want = [0] * (P.e + 1)
+            for mask in counter.masks():
+                for j, n in edge_set_counts_oracle(counter, mask).items():
+                    want[j] += n
+        assert got == want, d
+    assert any(nj8[1:])
+    report = ms.estimate_wo_fraction(P, 8, mode="exact")
+    assert report.identity_checked and report.identity_holds
 
 
 def test_exact_small_prism():
@@ -661,7 +726,8 @@ def test_sampler_uniform_over_order2_edge_sets():
     assert (attempts >= 1).all()
     assert assignment_validity_oracle(P, d)([rows[:, t] - 2 for t in range(P.e)]).all()
     counter = ms._EdgeSetCounter(model)
-    weight = {m: sum(counter.counts(m).values()) for m in counter.masks()}
+    masks = counter.masks()
+    weight = {m: sum(counts.values()) for m, counts in zip(masks, counter.counts(masks))}
     weight = {m: w for m, w in weight.items() if w}
     valid = sum(weight.values())
     observed = Counter(((rows == 2) * (1 << np.arange(P.e))).sum(axis=1).tolist())
